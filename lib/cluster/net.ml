@@ -214,8 +214,8 @@ type 'msg t = {
    then the handler itself. Shared by both service paths. *)
 let finish_service t node ~src msg ~start ~c =
   if Sim.Trace.active () then
-    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"handle"
-      (Printf.sprintf "node %d handles message from %d" node.ctx.self src);
+    Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Handle ~src
+      ~dst:node.ctx.self ~x:0.0;
   (match t.obs with
    | Some r ->
      let name = match node.phase_of with Some f -> f msg | None -> "handle" in
@@ -309,8 +309,8 @@ let deliver t ~src ~flight node msg =
          ()
      | None -> ());
     if Sim.Trace.active () then
-      Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"fault"
-        (Printf.sprintf "message %d -> %d lost: node down" src dst)
+      Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Lost_down ~src ~dst
+        ~x:0.0
   end
 
 (* Open the in-flight async span for one network copy of a message.
@@ -384,8 +384,7 @@ let fl_alloc t msg =
 let send_clean t ~src ~dst msg =
   let delay = Latency.sample t.net_rng t.latency ~src ~dst in
   if Sim.Trace.active () then
-    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"send"
-      (Printf.sprintf "%d -> %d (arrives +%.0fus)" src dst (delay *. 1e6));
+    Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Send ~src ~dst ~x:delay;
   let flight = t.messages_sent in
   flight_begin t ~src ~dst ~flight;
   let i = fl_alloc t msg in
@@ -397,24 +396,18 @@ let send_clean t ~src ~dst msg =
 
 let send_faulty t ~src ~dst msg =
   let now = Sim.Engine.now t.net_engine in
-  (* Format only when tracing is on: the old shape ran kasprintf first
-     and tested [Trace.active] inside the continuation, building the
-     string (R17) on every untraced send. ikfprintf consumes the
-     format arguments without rendering anything. *)
-  let trace cat fmt =
+  if not t.nodes.(src).up then begin
     if Sim.Trace.active () then
-      Format.kasprintf (fun s -> Sim.Trace.emit ~time:now ~cat s) fmt
-    else Format.ikfprintf ignore Format.str_formatter fmt
-  in
-  if not t.nodes.(src).up then
-    trace "fault" "send %d -> %d suppressed: sender down" src dst
+      Sim.Trace.ev ~time:now Suppressed ~src ~dst ~x:0.0
+  end
   else if Faults.partitioned t.faults ~now ~a:src ~b:dst then begin
     t.n_dropped <- t.n_dropped + 1;
-    trace "fault" "message %d -> %d lost: link partitioned" src dst
+    if Sim.Trace.active () then
+      Sim.Trace.ev ~time:now Partitioned ~src ~dst ~x:0.0
   end
   else if Sim.Rng.flip t.fault_rng t.faults.Faults.drop then begin
     t.n_dropped <- t.n_dropped + 1;
-    trace "fault" "message %d -> %d dropped" src dst
+    if Sim.Trace.active () then Sim.Trace.ev ~time:now Dropped ~src ~dst ~x:0.0
   end
   else begin
     let base = Latency.sample t.net_rng t.latency ~src ~dst in
@@ -425,8 +418,8 @@ let send_faulty t ~src ~dst msg =
       end
       else 0.0
     in
-    trace "send" "%d -> %d (arrives +%.0fus)" src dst
-      ((base +. extra) *. 1e6);
+    if Sim.Trace.active () then
+      Sim.Trace.ev ~time:now Send ~src ~dst ~x:(base +. extra);
     let node = t.nodes.(dst) in
     let flight = t.messages_sent in
     flight_begin t ~src ~dst ~flight;
@@ -436,8 +429,8 @@ let send_faulty t ~src ~dst msg =
     if Sim.Rng.flip t.fault_rng t.faults.Faults.duplicate then begin
       t.n_duplicated <- t.n_duplicated + 1;
       let dup_delay = Latency.sample t.net_rng t.latency ~src ~dst in
-      trace "fault" "message %d -> %d duplicated (copy +%.0fus)" src dst
-        (dup_delay *. 1e6);
+      if Sim.Trace.active () then
+        Sim.Trace.ev ~time:now Duplicated ~src ~dst ~x:dup_delay;
       (* The duplicate is its own network copy: a second b/e pair under
          the same correlation id keeps the trace balanced. *)
       flight_begin t ~src ~dst ~flight;
@@ -461,8 +454,8 @@ let crash t id =
     node.busy <- false;
     t.n_crashes <- t.n_crashes + 1;
     if Sim.Trace.active () then
-      Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"fault"
-        (Printf.sprintf "node %d crashed" id)
+      Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Crash ~src:id ~dst:id
+        ~x:0.0
   end
 
 let restart t id =
@@ -470,8 +463,8 @@ let restart t id =
   if not node.up then begin
     node.up <- true;
     if Sim.Trace.active () then
-      Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) ~cat:"fault"
-        (Printf.sprintf "node %d restarted" id);
+      Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Restart ~src:id ~dst:id
+        ~x:0.0;
     (match node.on_restart with Some f -> f () | None -> ());
     service t node
   end

@@ -33,6 +33,9 @@ let seeds =
     (* Sim.Clock: per-read skewed-time arithmetic. *)
     "Sim.Clock.read";
     "Sim.Clock.read_ns";
+    (* Sim.Trace: one typed event per traced send/handle; with the
+       chaos digest on it runs once per simulated message. *)
+    "Sim.Trace.ev";
     (* Cluster.Net: the per-message dispatch path. *)
     "Cluster.Net.send";
     "Cluster.Net.send_clean";

@@ -90,42 +90,13 @@ let zipf_memo_shares_tables () =
 
 (* --- golden phase diagram ---------------------------------------------- *)
 
-let golden_dir =
-  if Sys.file_exists "golden" && Sys.is_directory "golden" then "golden"
-  else Filename.concat "test" "golden"
-
-let check_golden ~name actual =
-  let path = Filename.concat golden_dir name in
-  if not (Sys.file_exists path) then begin
-    let out = name ^ ".actual" in
-    let oc = open_out out in
-    output_string oc actual;
-    close_out oc;
-    Alcotest.failf "golden %s missing; actual bytes written to %s" path out
-  end
-  else begin
-    let ic = open_in_bin path in
-    let expected = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    if not (String.equal expected actual) then begin
-      let out = name ^ ".actual" in
-      let oc = open_out out in
-      output_string oc actual;
-      close_out oc;
-      Alcotest.failf
-        "%s differs from golden (actual bytes written to %s; diff and copy \
-         over the golden if the change is intended)"
-        name out
-    end
-  end
-
 let golden_json () =
   let s = Lazy.force tiny_sweep in
-  check_golden ~name:"atlas_tiny.json" (Report.json s (Diagram.reduce s))
+  Golden.check ~name:"atlas_tiny.json" (Report.json s (Diagram.reduce s))
 
 let golden_text () =
   let s = Lazy.force tiny_sweep in
-  check_golden ~name:"atlas_tiny.txt" (Report.text s (Diagram.reduce s))
+  Golden.check ~name:"atlas_tiny.txt" (Report.text s (Diagram.reduce s))
 
 (* --- parallel determinism ---------------------------------------------- *)
 

@@ -121,10 +121,6 @@ let metrics_registry () =
    compared byte-for-byte against checked-in goldens. On mismatch the
    actual bytes are written next to the test so the golden can be
    inspected and refreshed deliberately. *)
-let golden_dir =
-  if Sys.file_exists "golden" && Sys.is_directory "golden" then "golden"
-  else Filename.concat "test" "golden"
-
 let tiny_traced_run () =
   let r = Obs.Recorder.create () in
   let bed =
@@ -142,31 +138,6 @@ let tiny_traced_run () =
    | _ -> Alcotest.fail "expected two clients");
   r
 
-let check_golden ~name actual =
-  let path = Filename.concat golden_dir name in
-  if not (Sys.file_exists path) then begin
-    let out = name ^ ".actual" in
-    let oc = open_out out in
-    output_string oc actual;
-    close_out oc;
-    Alcotest.failf "golden %s missing; actual bytes written to %s" path out
-  end
-  else begin
-    let ic = open_in_bin path in
-    let expected = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    if not (String.equal expected actual) then begin
-      let out = name ^ ".actual" in
-      let oc = open_out out in
-      output_string oc actual;
-      close_out oc;
-      Alcotest.failf
-        "%s differs from golden (actual bytes written to %s; diff and copy \
-         over the golden if the change is intended)"
-        name out
-    end
-  end
-
 let exporter_goldens () =
   let r = tiny_traced_run () in
   (* quiet network: every message delivered and serviced, so the trace
@@ -174,12 +145,12 @@ let exporter_goldens () =
   (match Obs.Export.validate r with
    | Ok _ -> ()
    | Error e -> Alcotest.failf "tiny run trace invalid: %s" e);
-  check_golden ~name:"trace_ncc_tiny.json" (Obs.Export.chrome_trace_string r);
+  Golden.check ~name:"trace_ncc_tiny.json" (Obs.Export.chrome_trace_string r);
   let buf = Buffer.create 4096 in
   let ppf = Format.formatter_of_buffer buf in
   Obs.Export.timeline r ppf;
   Format.pp_print_flush ppf ();
-  check_golden ~name:"timeline_ncc_tiny.txt" (Buffer.contents buf)
+  Golden.check ~name:"timeline_ncc_tiny.txt" (Buffer.contents buf)
 
 (* --- observer effect --------------------------------------------------- *)
 

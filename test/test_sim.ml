@@ -166,19 +166,26 @@ let trace_ring () =
   Sim.Trace.enable ~capacity:4 ();
   Alcotest.(check bool) "active" true (Sim.Trace.active ());
   for i = 1 to 10 do
-    Sim.Trace.emit ~time:(float_of_int i) ~cat:"t" (string_of_int i)
+    Sim.Trace.ev ~time:(float_of_int i) Send ~src:i ~dst:0 ~x:1e-4
   done;
   Alcotest.(check int) "all counted" 10 (Sim.Trace.emitted ());
   let evs = Sim.Trace.events () in
-  Alcotest.(check (list string)) "ring keeps the last 4, oldest first"
-    [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Sim.Trace.ev_msg) evs);
+  Alcotest.(check (list int)) "ring keeps the last 4, oldest first"
+    [ 7; 8; 9; 10 ]
+    (List.map (fun e -> e.Sim.Trace.ev_src) evs);
+  Alcotest.(check string) "rendered on demand" "7 -> 0 (arrives +100us)"
+    (Sim.Trace.message (List.hd evs));
   Sim.Trace.disable ();
-  Sim.Trace.emit ~time:99.0 ~cat:"t" "ignored";
+  Sim.Trace.ev ~time:99.0 Crash ~src:0 ~dst:0 ~x:0.0;
   Alcotest.(check int) "disabled tracer drops" 10 (Sim.Trace.emitted ())
 
+let render_ring () = Format.asprintf "%t" (fun ppf -> Sim.Trace.dump ppf)
+
+(* The 2-server testbed run behind [ncc_sim run --trace N]: the rendered
+   ring is pinned byte for byte, since typed events must render exactly
+   the text users read. *)
 let trace_capture_from_net () =
-  Sim.Trace.enable ~capacity:64 ();
+  Sim.Trace.enable ~capacity:4096 ();
   let seen = ref 0 in
   let bed =
     Harness.Testbed.make ~n_servers:2 ~n_clients:1 Ncc.protocol
@@ -189,44 +196,151 @@ let trace_capture_from_net () =
     (Kernel.Txn.make ~client:c [ [ Kernel.Types.Write (1, 5) ] ]);
   bed.Harness.Testbed.run_until_quiet ();
   Sim.Trace.disable ();
-  Alcotest.(check bool) "events captured" true (Sim.Trace.emitted () > 2);
-  Alcotest.(check bool) "sends and handles present" true
-    (List.exists (fun e -> e.Sim.Trace.ev_cat = "send") (Sim.Trace.events ())
-    && List.exists (fun e -> e.Sim.Trace.ev_cat = "handle") (Sim.Trace.events ()))
+  Golden.check ~name:"trace_ring_testbed.txt" (render_ring ())
+
+(* Every fault line the runtime can render, from one seeded schedule:
+   node 1 crashes and restarts (its own sends are suppressed and
+   messages to it are lost meanwhile), the 0-2 link is partitioned for
+   a window, and drop/duplicate/delay draws hit the rest. *)
+let trace_ring_faults () =
+  let engine = Sim.Engine.create () in
+  let topo = Cluster.Topology.make ~n_servers:2 ~n_clients:1 () in
+  let faults =
+    {
+      Cluster.Faults.drop = 0.15;
+      duplicate = 0.2;
+      delay_prob = 0.3;
+      delay_extra = 400e-6;
+      partitions = [ { pt_a = 0; pt_b = 2; pt_from = 1.5e-3; pt_until = 2.5e-3 } ];
+      crashes = [ { cr_node = 1; cr_at = 1e-3; cr_for = 1.2e-3 } ];
+    }
+  in
+  let net =
+    Cluster.Net.create ~faults engine (Sim.Rng.create 3) topo
+      ~latency:(Cluster.Latency.uniform ~one_way:100e-6 ~jitter_mean:20e-6)
+      ~clock_of:(fun _ -> Sim.Clock.perfect)
+  in
+  for id = 0 to 2 do
+    Cluster.Net.set_handler net id ~cost:(fun _ -> 5e-6) ~handler:(fun ~src:_ _ -> ())
+  done;
+  Sim.Trace.enable ~capacity:4096 ();
+  for k = 0 to 15 do
+    Sim.Engine.schedule engine ~delay:(float_of_int k *. 250e-6) (fun () ->
+        Cluster.Net.send net ~src:2 ~dst:(k land 1) ();
+        Cluster.Net.send net ~src:1 ~dst:0 ())
+  done;
+  Sim.Engine.run engine;
+  Sim.Trace.disable ();
+  Golden.check ~name:"trace_ring_faults.txt" (render_ring ())
+
+(* A deterministic event stream of [n] records (several digest chunks
+   once n exceeds ~160). [edit] rewrites event [at]; [read_at] reads the
+   digest just before event [read_at] is emitted. *)
+let stream_digest ?(at = -1) ?(edit = Fun.id) ?(read_at = -1) n =
+  let kinds =
+    Sim.Trace.
+      [| Send; Handle; Suppressed; Partitioned; Dropped; Duplicated; Lost_down;
+         Crash; Restart |]
+  in
+  Sim.Trace.reset_digest ();
+  Sim.Trace.enable_digest ();
+  for i = 0 to n - 1 do
+    if i = read_at then ignore (Sim.Trace.digest ());
+    let e =
+      ( float_of_int i *. 1e-4,
+        kinds.(i mod Array.length kinds),
+        i mod 7,
+        i mod 5,
+        float_of_int i *. 1e-7 )
+    in
+    let time, kind, src, dst, x = if i = at then edit e else e in
+    Sim.Trace.ev ~time kind ~src ~dst ~x
+  done;
+  let d = Sim.Trace.digest () in
+  Sim.Trace.disable_digest ();
+  d
 
 (* Regression: the tracer is a global singleton, and [enable_digest]
    used to clear the rolling digest as a side effect — a second enable
    mid-run silently wiped the history accumulated so far and broke the
    replay oracle. Enabling must be idempotent; only [reset_digest]
-   starts a fresh stream. *)
+   starts a fresh stream. Reading the digest must not disturb the
+   stream either: a read that flushed the pending chunk would shift
+   every later chunk boundary and change the final digest. *)
 let trace_digest_mid_run_enable () =
-  let emit_run () =
-    Sim.Trace.emit ~time:1.0 ~cat:"a" "one";
-    Sim.Trace.emit ~time:2.0 ~cat:"b" "two"
-  in
+  let emit_one () = Sim.Trace.ev ~time:1.0 Send ~src:1 ~dst:2 ~x:1e-4 in
+  let emit_two () = Sim.Trace.ev ~time:2.0 Handle ~src:1 ~dst:2 ~x:0.0 in
   Sim.Trace.reset_digest ();
   Sim.Trace.enable_digest ();
-  emit_run ();
+  emit_one ();
+  emit_two ();
   let full = Sim.Trace.digest () in
   Sim.Trace.disable_digest ();
   Sim.Trace.reset_digest ();
   Sim.Trace.enable_digest ();
-  Sim.Trace.emit ~time:1.0 ~cat:"a" "one";
+  emit_one ();
   Sim.Trace.enable_digest ();  (* mid-run: must keep accumulated history *)
-  Sim.Trace.emit ~time:2.0 ~cat:"b" "two";
+  emit_two ();
   let resumed = Sim.Trace.digest () in
   Sim.Trace.disable_digest ();
   Alcotest.(check string) "mid-run enable keeps the digest" full resumed;
   let before_reset = Sim.Trace.digest () in
   Sim.Trace.reset_digest ();
   Alcotest.(check bool) "reset starts a fresh stream" true
-    (Sim.Trace.digest () <> before_reset)
+    (Sim.Trace.digest () <> before_reset);
+  let unread = stream_digest 1000 in
+  Alcotest.(check string) "mid-chunk read leaves the digest alone" unread
+    (stream_digest ~read_at:500 1000);
+  Alcotest.(check string) "read at a chunk boundary too" unread
+    (stream_digest ~read_at:163 1000)
+
+(* Every field of a record reaches the digest: changing exactly one
+   field of one event deep in a multi-chunk stream changes it. *)
+let trace_digest_field_sensitivity () =
+  let n = 1000 and at = 400 in
+  let base = stream_digest n in
+  Alcotest.(check string) "re-run across chunk boundaries" base (stream_digest n);
+  List.iter
+    (fun (field, edit) ->
+      Alcotest.(check bool) field true (stream_digest ~at ~edit n <> base))
+    [
+      ("kind", fun (t, _, s, d, x) -> (t, Sim.Trace.Restart, s, d, x));
+      ("time (one ulp)", fun (t, k, s, d, x) -> (Float.succ t, k, s, d, x));
+      ("src", fun (t, k, s, d, x) -> (t, k, s + 1, d, x));
+      ("dst", fun (t, k, s, d, x) -> (t, k, s, d + 1, x));
+      ("x (one ulp)", fun (t, k, s, d, x) -> (t, k, s, d, Float.succ x));
+    ]
+
+(* With digest and ring both on, an event costs only its two boxed
+   float arguments (2 words each under the non-flambda calling
+   convention), plus a 4-word digest per 163-record chunk flush. Any
+   further per-event allocation, even one word, fails the bound. *)
+let trace_ev_allocation () =
+  let n = 100_000 in
+  Sim.Trace.enable ~capacity:1024 ();
+  Sim.Trace.reset_digest ();
+  Sim.Trace.enable_digest ();
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    Sim.Trace.ev ~time:(float_of_int i) Send ~src:i ~dst:(i land 63)
+      ~x:(float_of_int i *. 1e-6)
+  done;
+  let words = Gc.minor_words () -. before in
+  Sim.Trace.disable_digest ();
+  Sim.Trace.disable ();
+  let per_event = words /. float_of_int n in
+  if per_event > 4.05 then
+    Alcotest.failf "ev allocates %.3f minor words per event (> 4.05)" per_event
 
 let suite =
   suite
   @ [
       Alcotest.test_case "trace ring buffer" `Quick trace_ring;
       Alcotest.test_case "trace captures net events" `Quick trace_capture_from_net;
+      Alcotest.test_case "trace ring renders fault events" `Quick trace_ring_faults;
       Alcotest.test_case "trace digest survives mid-run enable" `Quick
         trace_digest_mid_run_enable;
+      Alcotest.test_case "trace digest sees every field" `Quick
+        trace_digest_field_sensitivity;
+      Alcotest.test_case "trace ev allocation" `Quick trace_ev_allocation;
     ]
