@@ -630,12 +630,12 @@ let gcstats () =
       ("NCC:wheel", Sim.Engine.Timing_wheel);
     ]
 
-(* --- analyzer cost: the typed + race lint planes, timed --------------- *)
+(* --- analyzer cost: the lint engine, timed ----------------------------- *)
 
-(* One full typed-engine pass (R7-R10 + the race plane R12-R15 + the
-   allocation plane R16-R19) over the workspace's .cmt files, reported
-   as the "lint.typed" micro row, plus an isolated run of just the
-   allocation plane over the already-loaded units as "lint.alloc", so
+(* One full lint pass (every rule, R1-R19, plus waivers) over the
+   workspace's .cmt files, loading included, reported as the
+   "lint.typed" micro row, plus a run restricted to the allocation
+   plane R16-R19 over the already-loaded units as "lint.alloc", so
    analyzer cost is tracked next to the primitive timings. Host
    wall-clock figures, like every micro row: parity byte-diffs must
    select experiments that exclude them. Contributes no rows when no
@@ -659,18 +659,20 @@ let lint () =
     let cmts = List.rev (walk root []) in
     (* ncc-lint: allow R2 — wall-clock times the analyzer itself *)
     let t0 = Unix.gettimeofday () in
-    let findings, _ = Lint.Typed_engine.lint_cmts cmts in
+    let findings = Lint.Typed_engine.lint_cmts cmts in
     (* ncc-lint: allow R2 — wall-clock times the analyzer itself *)
     let elapsed = Unix.gettimeofday () -. t0 in
-    Printf.printf "%-36s %12.1f ns/run  (%d units, %d pre-waiver findings)\n"
+    Printf.printf "%-36s %12.1f ns/run  (%d units, %d findings)\n"
       "lint.typed" (elapsed *. 1e9) (List.length cmts) (List.length findings);
     let units, _ = Lint.Typed_engine.load_units cmts in
     (* ncc-lint: allow R2 — wall-clock times the analyzer itself *)
     let t0 = Unix.gettimeofday () in
-    let alloc_findings = Lint.Typed_engine.alloc_pass units in
+    let alloc_findings =
+      Lint.Typed_engine.lint_units ~only:[ "R16"; "R17"; "R18"; "R19" ] units
+    in
     (* ncc-lint: allow R2 — wall-clock times the analyzer itself *)
     let elapsed_alloc = Unix.gettimeofday () -. t0 in
-    Printf.printf "%-36s %12.1f ns/run  (%d units, %d pre-waiver findings)\n"
+    Printf.printf "%-36s %12.1f ns/run  (%d units, %d findings)\n"
       "lint.alloc" (elapsed_alloc *. 1e9) (List.length units)
       (List.length alloc_findings);
     [
@@ -701,16 +703,23 @@ let all_experiments =
   ]
 
 let () =
+  let set_jobs n =
+    match int_of_string_opt n with
+    | Some j -> jobs := j
+    | None ->
+      Printf.eprintf "--jobs wants an integer, got %S\n" n;
+      exit 2
+  in
   let rec parse = function
     | [] -> []
     | "quick" :: rest ->
       quick := true;
       parse rest
     | ("-j" | "--jobs") :: n :: rest ->
-      jobs := int_of_string n;
+      set_jobs n;
       parse rest
     | arg :: rest when String.length arg > 7 && String.sub arg 0 7 = "--jobs=" ->
-      jobs := int_of_string (String.sub arg 7 (String.length arg - 7));
+      set_jobs (String.sub arg 7 (String.length arg - 7));
       parse rest
     | "--check" :: lvl :: rest ->
       (check_override :=

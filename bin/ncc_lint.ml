@@ -6,11 +6,11 @@
                    [--waivers] [PATH ...]
 
    Lints every .ml file under the given paths (default: lib bin bench
-   test) against the syntactic rule set R1-R6, and — when --cmt-root
-   points at a build tree containing .cmt files — the typed rules
-   R7-R10, the race plane R12-R15 and the allocation plane R16-R19 as
-   well. Exits non-zero if any error-severity finding survives
-   waivers; [--werror] also fails on warnings (unused waiver
+   test) against every rule — R1-R10, the race plane R12-R15 and the
+   allocation plane R16-R19 — using the typed trees (.cmt files) of a
+   dune build (default: _build/default). A linted file with no .cmt is
+   itself an error. Exits non-zero if any error-severity finding
+   survives waivers; [--werror] also fails on warnings (unused waiver
    pragmas). *)
 
 let default_roots = [ "lib"; "bin"; "bench"; "test" ]
@@ -23,12 +23,10 @@ let usage =
   \                  sarif (SARIF 2.1.0, for code-scanning upload)\n\
   \  --json          alias for --format json\n\
   \  --werror        exit non-zero on warnings too\n\
-  \  --rules IDS     run only the comma-separated rule ids (e.g. R7,R9);\n\
-  \                  retired ids select their successor (R11 -> R12)\n\
-  \  --cmt-root DIR  also run the typed rules R7-R10 and the race plane\n\
-  \                  R12-R15 over the .cmt files found under DIR (a dune\n\
-  \                  build tree, e.g. _build/default — or . when already\n\
-  \                  running inside it)\n\
+  \  --rules IDS     run only the comma-separated rule ids (e.g. R7,R9)\n\
+  \  --cmt-root DIR  the dune build tree whose .cmt files are linted\n\
+  \                  (default _build/default; . when already running\n\
+  \                  inside it); build it first with dune build @check\n\
   \  --explain IDS   print each rule's summary, rationale and a minimal\n\
   \                  firing example, then exit (e.g. --explain R12)\n\
   \  --waivers       list every waiver pragma under PATHs (file:line,\n\
@@ -63,7 +61,7 @@ type opts = {
   format : format;
   werror : bool;
   rules : string list option;
-  cmt_root : string option;
+  cmt_root : string;
   waivers : bool;
   roots : string list;
 }
@@ -101,9 +99,6 @@ let explain ids =
              (String.concat " " Lint.Rules.known_ids))
       | Some r ->
         if i > 0 then print_newline ();
-        let canon = Lint.Rules.canon_id id in
-        if canon <> id then
-          Printf.printf "%s is retired; it is an alias of %s:\n\n" id canon;
         Printf.printf "%s (%s) — %s\n\n%s\n\nfires on:\n" r.id
           (Lint.Rules.severity_to_string r.severity)
           r.summary r.rationale;
@@ -136,22 +131,22 @@ let parse_args args =
     | "--rules" :: spec :: rest ->
       go { o with rules = Some (parse_rules spec) } rest
     | [ "--rules" ] -> die "--rules needs an argument"
-    | "--cmt-root" :: dir :: rest -> go { o with cmt_root = Some dir } rest
+    | "--cmt-root" :: dir :: rest -> go { o with cmt_root = dir } rest
     | [ "--cmt-root" ] -> die "--cmt-root needs an argument"
     | "--explain" :: spec :: _ -> explain (parse_rules spec)
     | [ "--explain" ] -> die "--explain needs a rule id (e.g. --explain R12)"
     | a :: rest when String.length a >= 2 && String.sub a 0 2 = "--" -> (
       match split_eq a with
       | Some ("--rules", spec) -> go { o with rules = Some (parse_rules spec) } rest
-      | Some ("--cmt-root", dir) -> go { o with cmt_root = Some dir } rest
+      | Some ("--cmt-root", dir) -> go { o with cmt_root = dir } rest
       | Some ("--format", fmt) -> go { o with format = parse_format fmt } rest
       | Some ("--explain", spec) -> explain (parse_rules spec)
       | _ -> die (Printf.sprintf "unknown flag: %s" a))
     | path :: rest -> go { o with roots = o.roots @ [ path ] } rest
   in
   go
-    { format = Human; werror = false; rules = None; cmt_root = None;
-      waivers = false; roots = [] }
+    { format = Human; werror = false; rules = None;
+      cmt_root = "_build/default"; waivers = false; roots = [] }
     args
 
 let () =
@@ -187,41 +182,13 @@ let () =
     Lint.Report.print_waivers Format.std_formatter items;
     exit 0
   end;
-  (* Typed rules first: their findings merge into each file's waiver
-     pass below. The .objs directories holding .cmt files are
-     dot-named, so this walk must not skip dot entries. *)
-  let typed, used_sites =
-    match o.cmt_root with
-    | None -> ([], [])
-    | Some dir ->
-      if not (Sys.file_exists dir && Sys.is_directory dir) then
-        die ("--cmt-root: no such directory: " ^ dir);
-      let cmts = List.rev (walk ~ext:".cmt" ~skip_dot:false dir []) in
-      Lint.Typed_engine.lint_cmts ?only:o.rules cmts
-  in
-  let in_scope f = List.mem f.Lint.Engine.file files in
-  let typed_in_scope, typed_stray = List.partition in_scope typed in
-  (* Findings the cmt walk produced for files outside the requested
-     roots are dropped; unreadable-cmt errors always surface. *)
-  let typed_stray =
-    List.filter (fun f -> f.Lint.Engine.rule = "cmt") typed_stray
-  in
-  let findings =
-    List.concat_map
-      (fun file ->
-        let typed =
-          List.filter (fun f -> f.Lint.Engine.file = file) typed_in_scope
-        in
-        let used_sites =
-          List.filter_map
-            (fun (f, line) -> if f = file then Some line else None)
-            used_sites
-        in
-        Lint.Engine.lint_file ~typed ?only:o.rules ~used_sites file)
-      files
-    @ typed_stray
-  in
-  let findings = List.sort Lint.Engine.compare_findings findings in
+  (* The .objs directories holding .cmt files are dot-named, so this
+     walk must not skip dot entries. *)
+  let dir = o.cmt_root in
+  if not (Sys.file_exists dir && Sys.is_directory dir) then
+    die ("--cmt-root: no such directory: " ^ dir ^ " (run dune build @check)");
+  let cmts = List.rev (walk ~ext:".cmt" ~skip_dot:false dir []) in
+  let findings = Lint.Typed_engine.lint_cmts ?only:o.rules ~files cmts in
   (match o.format with
    | Json -> Lint.Report.print_json Format.std_formatter findings
    | Sarif -> Lint.Report.print_sarif Format.std_formatter findings

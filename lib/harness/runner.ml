@@ -213,6 +213,15 @@ let latency_model rng topo = function
         Cluster.Topology.is_replica topo a || Cluster.Topology.is_replica topo b)
 
 let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg =
+  (* Store GC truncates the committed version chains the post-hoc
+     checker reads, so the pair would report violations on legal
+     histories. *)
+  (match (cfg.store_gc, cfg.check) with
+   | Some _, (Serializable | Strict) ->
+     invalid_arg
+       "Runner.run: store_gc needs check = Streaming or No_check (post-hoc \
+        checking reads the version chains the GC truncates)"
+   | _ -> ());
   Txn.reset_ids ();
   Mvstore.Store.reset_vids ();
   let engine = Sim.Engine.create ~sched:cfg.sched () in

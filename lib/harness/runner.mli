@@ -121,7 +121,9 @@ type result = {
     [obs] attaches a span recorder (txn lifecycle, retries, per-message
     network/handler spans); [metrics] supplies the registry protocol
     counters and run gauges land in. Both are passive: attaching them
-    cannot change the result (the observer-effect test pins this). *)
+    cannot change the result (the observer-effect test pins this).
+    @raise Invalid_argument when [store_gc] is combined with the post-hoc
+    [Serializable]/[Strict] check, before the run starts. *)
 val run :
   ?label:string ->
   ?obs:Obs.Recorder.t ->

@@ -6,7 +6,7 @@
    loop and heap, clock arithmetic, per-message dispatch, store
    lookup, the streaming checker's feed) and [@ncc.hot] attributes on
    individual bindings. Both are *entries*; hotness then propagates
-   over the same call-graph shape R9 and R12 use — a function
+   over the shared call graph (Graph, the one R9 and R12 walk) — a function
    transitively reachable from a hot entry inherits hotness, with the
    deterministic BFS chain from the entry as evidence (R18), so
    annotations stay sparse.
@@ -34,15 +34,15 @@
    by Rules.cold_guard_fns (the tracing toggle) and every arm of a
    match on an option of a Rules.cold_option_types type (the attached-
    recorder test of the observability plane). Branch pruning is also
-   semantic: [if false then e] never runs e, so neither sites nor
-   call-graph edges are collected there — a function only reachable
+   semantic: [if false then e] never runs e, so no sites are collected
+   there and its call-graph edges are cold — a function only reachable
    through a dead branch stays cold.
 
    R19 (hygiene) checks the annotations themselves: [@ncc.hot] on a
    non-function binding, or on a function that no node in the linted
    tree references and no seed names, is a dangling hot claim. Unused
    [allow R16-R18] waivers surface through the standard pragma
-   machinery (Engine.lint_source).
+   machinery (Engine.apply_waivers).
 
    Approximations, by design (docs/performance.md): the rules are
    structural, so allocation hidden behind a call into an un-linted
@@ -52,123 +52,7 @@
    OCaml statically allocates are indistinguishable from capturing
    ones and may need a waiver. *)
 
-type unit_in = {
-  a_prefix : string list;  (* canonical module path components *)
-  a_file : string;  (* repo-relative source path *)
-  a_str : Typedtree.structure;
-}
-
-(* --- the run-wide accumulator ----------------------------------------- *)
-
-type site = {
-  s_rule : string;  (* "R16" or "R17": the class when directly hot *)
-  s_desc : string;
-  s_loc : Location.t;
-}
-
-type node = {
-  n_key : string;
-  n_file : string;
-  n_line : int;
-  n_col : int;
-  n_fun : bool;  (* binding has arrow type *)
-  n_hot_attr : bool;  (* carries [@ncc.hot] *)
-  mutable n_refs : string list;
-  mutable n_sites : site list;
-}
-
-type acc = {
-  nodes : (string, node) Hashtbl.t;
-  mutable keys : string list;  (* insertion order *)
-  mutable findings : Engine.finding list;
-  only : string list option;
-}
-
-let rule_active acc id =
-  match acc.only with None -> true | Some ids -> List.mem id ids
-
-let emit acc ?(chain = []) ~rule ~(loc : Location.t) msg =
-  match Rules.find rule with
-  | None -> ()
-  | Some r ->
-    let file = Paths.norm_fname loc.loc_start.Lexing.pos_fname in
-    if not (List.mem file r.allowed_files) then begin
-      let line, col = Paths.loc_pos loc in
-      let f =
-        { Engine.file; line; col; rule; severity = r.severity; message = msg;
-          chain }
-      in
-      if not (List.mem f acc.findings) then acc.findings <- f :: acc.findings
-    end
-
-(* --- per-unit context -------------------------------------------------- *)
-
-type ctx = {
-  c_paths : (string, string list) Hashtbl.t;
-      (* local module idents (by Ident.unique_name) -> components *)
-  c_values : (string, string) Hashtbl.t;
-      (* unit-toplevel value idents (by Ident.unique_name) -> node key *)
-}
-
-let canon_parts ctx (p : Path.t) =
-  let rec go = function
-    | Path.Pident id -> (
-      match Hashtbl.find_opt ctx.c_paths (Ident.unique_name id) with
-      | Some parts -> parts
-      | None -> Paths.canon_head (Ident.name id))
-    | Path.Pdot (p, s) -> go p @ [ s ]
-    | Path.Papply (a, _) -> go a
-    | Path.Pextra_ty (p, _) -> go p
-  in
-  go p
-
-let canon_path ctx p = String.concat "." (canon_parts ctx p)
-
-let matches_any ~fns s =
-  List.exists (fun f -> Paths.has_suffix ~suffix:f s) fns
-
-(* --- small typedtree helpers ------------------------------------------- *)
-
-let rec head_path (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some p
-  | Typedtree.Texp_apply (f, _) -> head_path f
-  | _ -> None
-
-let head_name ctx e =
-  match head_path e with
-  | Some p -> Some (Paths.strip_stdlib (canon_path ctx p))
-  | None -> None
-
-let positional_args args =
-  List.filter_map
-    (function
-      | Asttypes.Nolabel, Some (e : Typedtree.expression) -> Some e
-      | _ -> None)
-    args
-
-let rec is_arrow ty =
-  match Types.get_desc ty with
-  | Types.Tarrow _ -> true
-  | Types.Tpoly (t, _) -> is_arrow t
-  | _ -> false
-
-let is_float ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [], _) -> Path.same p Predef.path_float
-  | _ -> false
-
-(* Matching an option of a cold payload type (an attached recorder)
-   selects the diagnostics path, not the per-event path. *)
-let is_cold_option ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [ arg ], _) when Path.same p Predef.path_option -> (
-    match Types.get_desc arg with
-    | Types.Tconstr (pa, _, _) ->
-      matches_any ~fns:Rules.cold_option_types
-        (Paths.strip_stdlib (Paths.plain_path pa))
-    | _ -> false)
-  | _ -> false
+open Graph
 
 (* A field lives in a boxed representation when the record is not the
    flat all-float or unboxed form: writing a float there boxes it. *)
@@ -191,177 +75,23 @@ let is_format_constant (cd : Types.constructor_description) =
     | _ -> false)
   | _ -> false
 
-let bool_const (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_construct (_, cd, []) -> (
-    match cd.Types.cstr_name with
-    | "true" -> Some true
-    | "false" -> Some false
-    | _ -> None)
-  | _ -> None
+(* --- allocation sites ---------------------------------------------------- *)
 
-let is_cold_guard ctx (cond : Typedtree.expression) =
-  match head_name ctx cond with
-  | Some s -> matches_any ~fns:Rules.cold_guard_fns s
-  | None -> false
-
-let hot_attr_of (attrs : Parsetree.attributes) =
-  List.exists
-    (fun (a : Parsetree.attribute) -> a.attr_name.txt = Rules.hot_attribute)
-    attrs
-
-(* --- pass A: declarations ---------------------------------------------- *)
-
-let register_node acc ctx ~prefix ~hot ~is_fn id (loc : Location.t) =
-  let name = Ident.name id in
-  let key = String.concat "." (prefix @ [ name ]) in
-  Hashtbl.replace ctx.c_values (Ident.unique_name id) key;
-  if not (Hashtbl.mem acc.nodes key) then begin
-    let line, col = Paths.loc_pos loc in
-    Hashtbl.replace acc.nodes key
-      {
-        n_key = key;
-        n_file = Paths.norm_fname loc.loc_start.Lexing.pos_fname;
-        n_line = line;
-        n_col = col;
-        n_fun = is_fn;
-        n_hot_attr = hot;
-        n_refs = [];
-        n_sites = [];
-      };
-    acc.keys <- key :: acc.keys
-  end
-
-let rec register_pattern :
-    type k.
-    acc -> ctx -> prefix:string list -> hot:bool -> is_fn:bool ->
-    k Typedtree.general_pattern -> unit =
- fun acc ctx ~prefix ~hot ~is_fn p ->
-  match p.Typedtree.pat_desc with
-  | Typedtree.Tpat_var (id, _) ->
-    register_node acc ctx ~prefix ~hot ~is_fn id p.pat_loc
-  | Typedtree.Tpat_alias (p', id, _) ->
-    register_node acc ctx ~prefix ~hot ~is_fn id p.pat_loc;
-    register_pattern acc ctx ~prefix ~hot ~is_fn p'
-  | Typedtree.Tpat_tuple ps ->
-    List.iter (register_pattern acc ctx ~prefix ~hot ~is_fn) ps
-  | Typedtree.Tpat_construct (_, _, ps, _) ->
-    List.iter (register_pattern acc ctx ~prefix ~hot ~is_fn) ps
-  | _ -> ()
-
-let rec declare_items acc ctx ~prefix items =
-  List.iter (declare_item acc ctx ~prefix) items
-
-and declare_item acc ctx ~prefix (item : Typedtree.structure_item) =
-  match item.str_desc with
-  | Typedtree.Tstr_value (_, vbs) ->
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        register_pattern acc ctx ~prefix
-          ~hot:(hot_attr_of vb.vb_attributes)
-          ~is_fn:(is_arrow vb.vb_expr.exp_type)
-          vb.vb_pat)
-      vbs
-  | Typedtree.Tstr_module mb -> declare_module acc ctx ~prefix mb
-  | Typedtree.Tstr_recmodule mbs ->
-    List.iter (declare_module acc ctx ~prefix) mbs
-  | _ -> ()
-
-and declare_module acc ctx ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
+(* One expression outside cold regions, called by Typed_engine's walk
+   (which skips cold regions and dead branches, and does not descend
+   into format constants): record its allocation sites on [node].
+   [in_loop] is set inside a for/while body of the same function. *)
+let on_expr ctx node ~in_loop (e : Typedtree.expression) =
+  match node with
   | None -> ()
-  | Some id ->
-    let rec structure_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_structure str -> Some str
-      | Typedtree.Tmod_constraint (me', _, _, _) -> structure_of me'
-      | _ -> None
+  | Some n -> (
+    let add_site rule desc (loc : Location.t) =
+      n.n_sites <- { s_rule = rule; s_desc = desc; s_loc = loc } :: n.n_sites
     in
-    let rec alias_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_ident (p, _) -> Some (canon_parts ctx p)
-      | Typedtree.Tmod_constraint (me', _, _, _) -> alias_of me'
-      | _ -> None
-    in
-    (match structure_of mb.mb_expr with
-     | Some str ->
-       let prefix' = prefix @ [ Ident.name id ] in
-       Hashtbl.replace ctx.c_paths (Ident.unique_name id) prefix';
-       declare_items acc ctx ~prefix:prefix' str.str_items
-     | None -> (
-       (* [module S = M.S]: a hot entry reached through the alias must
-          resolve to the target's node, or propagation stops at every
-          aliased module boundary. *)
-       match alias_of mb.mb_expr with
-       | Some parts -> Hashtbl.replace ctx.c_paths (Ident.unique_name id) parts
-       | None ->
-         Hashtbl.replace ctx.c_paths (Ident.unique_name id)
-           (prefix @ [ Ident.name id ])))
-
-(* --- pass B: references and allocation sites --------------------------- *)
-
-(* Walk one top-level binding's body, attributing call-graph edges and
-   allocation sites to [node]. Cold regions and dead branches are
-   skipped for *both*, so a function only referenced under
-   [if Sim.Trace.active ()] or a dead branch never becomes hot. *)
-let scan_node ctx node expr =
-  let add_ref key =
-    match node with
-    | Some n -> if not (List.mem key n.n_refs) then n.n_refs <- key :: n.n_refs
-    | None -> ()
-  in
-  let add_site rule desc (loc : Location.t) =
-    match node with
-    | Some n -> n.n_sites <- { s_rule = rule; s_desc = desc; s_loc = loc } :: n.n_sites
-    | None -> ()
-  in
-  let in_loop = ref 0 in
-  let expr_hook sub (e : Typedtree.expression) =
     match e.exp_desc with
-    | Typedtree.Texp_ifthenelse (c, t, e_opt) ->
-      if is_cold_guard ctx c then begin
-        (* tracing-only branch: diagnostics, not per-event cost *)
-        sub.Tast_iterator.expr sub c;
-        Option.iter (sub.Tast_iterator.expr sub) e_opt
-      end
-      else (
-        match bool_const c with
-        | Some true -> sub.Tast_iterator.expr sub t
-        | Some false -> Option.iter (sub.Tast_iterator.expr sub) e_opt
-        | None -> Tast_iterator.default_iterator.expr sub e)
-    | Typedtree.Texp_match (scrut, _cases, _)
-      when is_cold_option scrut.exp_type ->
-      (* attached-recorder dispatch: all arms are the traced path *)
-      sub.Tast_iterator.expr sub scrut
-    | Typedtree.Texp_while (cond, body) ->
-      sub.Tast_iterator.expr sub cond;
-      incr in_loop;
-      sub.Tast_iterator.expr sub body;
-      decr in_loop
-    | Typedtree.Texp_for (_, _, lo, hi, _, body) ->
-      sub.Tast_iterator.expr sub lo;
-      sub.Tast_iterator.expr sub hi;
-      incr in_loop;
-      sub.Tast_iterator.expr sub body;
-      decr in_loop
-    | Typedtree.Texp_function _ when !in_loop > 0 ->
+    | Typedtree.Texp_function _ when in_loop ->
       add_site "R17" "closure literal inside a hot loop (fresh closure per \
-                      iteration)" e.exp_loc;
-      (* the body is still this node's code: keep walking, but don't
-         re-flag nested literals of the same loop *)
-      let saved = !in_loop in
-      in_loop := 0;
-      Tast_iterator.default_iterator.expr sub e;
-      in_loop := saved
-    | Typedtree.Texp_ident (p, _, _) ->
-      (match p with
-       | Path.Pdot _ -> add_ref (canon_path ctx p)
-       | Path.Pident id -> (
-         match Hashtbl.find_opt ctx.c_values (Ident.unique_name id) with
-         | Some key -> add_ref key
-         | None -> ())
-       | _ -> ());
-      Tast_iterator.default_iterator.expr sub e
+                      iteration)" e.exp_loc
     | Typedtree.Texp_apply (f, args) ->
       let s = match head_name ctx f with Some s -> s | None -> "" in
       (if s = "ref" then
@@ -385,33 +115,25 @@ let scan_node ctx node expr =
                                  closure per call)" s)
                 a.exp_loc
             | _ -> ())
-          (positional_args args);
-      Tast_iterator.default_iterator.expr sub e
+          (positional_args args)
     | Typedtree.Texp_tuple exprs ->
-      (if List.exists (fun (x : Typedtree.expression) -> is_float x.exp_type)
-            exprs
-       then
-         add_site "R16" "float flows into a tuple (boxed per component)"
-           e.exp_loc
-       else
-         add_site "R17" "tuple construction (one block per call)" e.exp_loc);
-      Tast_iterator.default_iterator.expr sub e
-    | Typedtree.Texp_construct (_, cd, _) when is_format_constant cd ->
-      ()  (* a static format literal, not a per-call allocation *)
+      if List.exists (fun (x : Typedtree.expression) -> is_float x.exp_type) exprs
+      then
+        add_site "R16" "float flows into a tuple (boxed per component)"
+          e.exp_loc
+      else add_site "R17" "tuple construction (one block per call)" e.exp_loc
     | Typedtree.Texp_construct (_, cd, args) when args <> [] ->
-      (if List.exists (fun (x : Typedtree.expression) -> is_float x.exp_type)
-            args
-       then
-         add_site "R16"
-           (Printf.sprintf "float flows into constructor %s (boxed payload)"
-              cd.Types.cstr_name)
-           e.exp_loc
-       else if List.mem cd.Types.cstr_name [ "Some"; "::" ] then
-         add_site "R17"
-           (Printf.sprintf "%s construction (one block per call)"
-              (if cd.Types.cstr_name = "::" then "list cell" else "option"))
-           e.exp_loc);
-      Tast_iterator.default_iterator.expr sub e
+      if List.exists (fun (x : Typedtree.expression) -> is_float x.exp_type) args
+      then
+        add_site "R16"
+          (Printf.sprintf "float flows into constructor %s (boxed payload)"
+             cd.Types.cstr_name)
+          e.exp_loc
+      else if List.mem cd.Types.cstr_name [ "Some"; "::" ] then
+        add_site "R17"
+          (Printf.sprintf "%s construction (one block per call)"
+             (if cd.Types.cstr_name = "::" then "list cell" else "option"))
+          e.exp_loc
     | Typedtree.Texp_record { fields; representation; _ } ->
       if boxed_repr representation then
         Array.iter
@@ -425,8 +147,7 @@ let scan_node ctx node expr =
                    lbl.Types.lbl_name)
                 e.exp_loc
             | _ -> ())
-          fields;
-      Tast_iterator.default_iterator.expr sub e
+          fields
     | Typedtree.Texp_setfield (_, _, lbl, v) ->
       if
         boxed_repr lbl.Types.lbl_repres
@@ -437,102 +158,12 @@ let scan_node ctx node expr =
           (Printf.sprintf
              "write to boxed float field %s (one box per assignment)"
              lbl.Types.lbl_name)
-          e.exp_loc;
-      Tast_iterator.default_iterator.expr sub e
-    | _ -> Tast_iterator.default_iterator.expr sub e
-  in
-  let iter = { Tast_iterator.default_iterator with expr = expr_hook } in
-  iter.expr iter expr
-
-let rec analyze_items acc ctx ~prefix items =
-  List.iter (analyze_item acc ctx ~prefix) items
-
-and analyze_item acc ctx ~prefix (item : Typedtree.structure_item) =
-  match item.str_desc with
-  | Typedtree.Tstr_value (_, vbs) ->
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        let node =
-          let bound : type k. k Typedtree.general_pattern -> string option =
-           fun p ->
-            match p.Typedtree.pat_desc with
-            | Typedtree.Tpat_var (id, _) ->
-              Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-            | Typedtree.Tpat_alias (_, id, _) ->
-              Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-            | _ -> None
-          in
-          match bound vb.vb_pat with
-          | Some key -> Hashtbl.find_opt acc.nodes key
-          | None -> None
-        in
-        scan_node ctx node vb.vb_expr)
-      vbs
-  | Typedtree.Tstr_eval (e, _) -> scan_node ctx None e
-  | Typedtree.Tstr_module mb -> analyze_module acc ctx ~prefix mb
-  | Typedtree.Tstr_recmodule mbs ->
-    List.iter (analyze_module acc ctx ~prefix) mbs
-  | _ -> ()
-
-and analyze_module acc ctx ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-    let prefix' = prefix @ [ Ident.name id ] in
-    let rec structure_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_structure str -> Some str
-      | Typedtree.Tmod_constraint (me', _, _, _) -> structure_of me'
-      | _ -> None
-    in
-    (match structure_of mb.mb_expr with
-     | Some str -> analyze_items acc ctx ~prefix:prefix' str.str_items
-     | None -> ())
+          e.exp_loc
+    | _ -> ())
 
 (* --- hotness ----------------------------------------------------------- *)
 
 let is_hot_entry (n : node) = n.n_hot_attr || Hotpaths.is_seed n.n_key
-
-(* Deterministic BFS from [start] (refs sorted); [parent] gives the
-   chain to any reached node. Same shape as the R9/R12 graphs. *)
-let bfs acc (start : node) =
-  let parent = Hashtbl.create 64 in
-  let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen start.n_key ();
-  let order = ref [ start.n_key ] in
-  let q = Queue.create () in
-  Queue.add start.n_key q;
-  while not (Queue.is_empty q) do
-    let key = Queue.pop q in
-    match Hashtbl.find_opt acc.nodes key with
-    | None -> ()
-    | Some n ->
-      List.iter
-        (fun r ->
-          if Hashtbl.mem acc.nodes r && not (Hashtbl.mem seen r) then begin
-            Hashtbl.replace seen r ();
-            Hashtbl.replace parent r key;
-            order := r :: !order;
-            Queue.add r q
-          end)
-        (List.sort String.compare n.n_refs)
-  done;
-  let chain_to key =
-    let rec up key chain =
-      match Hashtbl.find_opt parent key with
-      | Some p -> up p (key :: chain)
-      | None -> key :: chain
-    in
-    up key []
-  in
-  (List.rev !order, chain_to)
-
-let node_loc (n : node) =
-  let pos =
-    { Lexing.pos_fname = n.n_file; pos_lnum = n.n_line; pos_bol = 0;
-      pos_cnum = n.n_col }
-  in
-  { Location.loc_ghost = false; loc_start = pos; loc_end = pos }
 
 let sorted_sites (n : node) =
   List.sort
@@ -545,120 +176,81 @@ let sorted_sites (n : node) =
         if c <> 0 then c else String.compare a.s_desc b.s_desc)
     n.n_sites
 
-let report acc =
-  (* Propagate hotness: entries processed in sorted key order, first
-     entry to reach a node owns its chain (deterministic). *)
-  let entries =
-    List.filter_map
-      (fun k ->
-        match Hashtbl.find_opt acc.nodes k with
-        | Some n when is_hot_entry n -> Some n
-        | _ -> None)
-      (List.sort String.compare acc.keys)
-  in
+let report_sites g nodes =
+  (* Propagate hotness over the graph without its cold edges: entries
+     processed in sorted key order, first entry to reach a node owns
+     its chain (deterministic). *)
   let hot_via = Hashtbl.create 128 in  (* key -> (entry, chain_to key) *)
   List.iter
     (fun entry ->
-      let reach, chain_to = bfs acc entry in
+      let reach, chain_to = bfs ~warm:true g entry in
       List.iter
         (fun k ->
           if not (Hashtbl.mem hot_via k) then
             Hashtbl.replace hot_via k (entry.n_key, chain_to k))
         reach)
-    entries;
+    (List.filter is_hot_entry nodes);
   (* R16/R17 in directly hot functions; R18 in transitively hot ones. *)
   List.iter
-    (fun key ->
-      match Hashtbl.find_opt acc.nodes key with
-      | None -> ()
-      | Some n ->
-        if is_hot_entry n then
+    (fun n ->
+      if is_hot_entry n then
+        List.iter
+          (fun s ->
+            if rule_active g s.s_rule then
+              emit g ~rule:s.s_rule ~loc:s.s_loc
+                (Printf.sprintf "%s in hot function %s" s.s_desc n.n_key))
+          (sorted_sites n)
+      else
+        match Hashtbl.find_opt hot_via n.n_key with
+        | Some (entry, chain) when rule_active g "R18" ->
           List.iter
             (fun s ->
-              if rule_active acc s.s_rule then
-                emit acc ~rule:s.s_rule ~loc:s.s_loc
-                  (Printf.sprintf "%s in hot function %s" s.s_desc n.n_key))
+              let file = Paths.norm_fname s.s_loc.loc_start.pos_fname in
+              let line, _ = Paths.loc_pos s.s_loc in
+              emit g
+                ~chain:
+                  (chain @ [ Printf.sprintf "%s (%s:%d)" s.s_desc file line ])
+                ~rule:"R18" ~loc:s.s_loc
+                (Printf.sprintf "%s in %s, which is hot via %s" s.s_desc
+                   n.n_key entry))
             (sorted_sites n)
-        else (
-          match Hashtbl.find_opt hot_via key with
-          | Some (entry, chain) when rule_active acc "R18" ->
-            List.iter
-              (fun s ->
-                let file = Paths.norm_fname s.s_loc.loc_start.pos_fname in
-                let line, _ = Paths.loc_pos s.s_loc in
-                emit acc
-                  ~chain:
-                    (chain
-                    @ [ Printf.sprintf "%s (%s:%d)" s.s_desc file line ])
-                  ~rule:"R18" ~loc:s.s_loc
-                  (Printf.sprintf
-                     "%s in %s, which is hot via %s" s.s_desc n.n_key entry))
-              (sorted_sites n)
-          | _ -> ()))
-    (List.sort String.compare acc.keys);
-  (* R19: hygiene of the annotations themselves. *)
-  if rule_active acc "R19" then begin
-    let referenced key =
-      List.exists
-        (fun k ->
-          match Hashtbl.find_opt acc.nodes k with
-          | Some (n : node) ->
-            n.n_key <> key
-            && List.exists
-                 (fun r ->
-                   r = key || Paths.has_suffix ~suffix:r key
-                   || Paths.has_suffix ~suffix:key r)
-                 n.n_refs
-          | None -> false)
-        acc.keys
-    in
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt acc.nodes key with
-        | Some n when n.n_hot_attr ->
-          if not n.n_fun then
-            emit acc ~rule:"R19" ~loc:(node_loc n)
-              (Printf.sprintf
-                 "[@%s] on %s, which is not a function: a plain value has \
-                  no call-graph to propagate hotness into"
-                 Rules.hot_attribute n.n_key)
-          else if (not (Hotpaths.is_seed n.n_key)) && not (referenced key)
-          then
-            emit acc ~rule:"R19" ~loc:(node_loc n)
-              (Printf.sprintf
-                 "[@%s] on %s, which nothing in the linted tree references: \
-                  a dangling hot claim on dead code"
-                 Rules.hot_attribute n.n_key)
         | _ -> ())
-      (List.sort String.compare acc.keys)
-  end
+    nodes
 
-(* --- driver ------------------------------------------------------------ *)
-
-let lint_units ?only units =
-  let acc =
-    {
-      nodes = Hashtbl.create 256;
-      keys = [];
-      findings = [];
-      only = Option.map (List.map Rules.canon_id) only;
-    }
-  in
-  let ctxs =
-    List.map
-      (fun u ->
-        let ctx =
-          { c_paths = Hashtbl.create 32; c_values = Hashtbl.create 64 }
-        in
-        declare_items acc ctx ~prefix:u.a_prefix u.a_str.str_items;
-        (u, ctx))
-      units
+(* R19: hygiene of the annotations themselves. A hot claim counts as
+   referenced only through warm edges, like hotness itself. *)
+let report_r19 g nodes =
+  let referenced key =
+    List.exists
+      (fun (n : node) ->
+        n.n_key <> key
+        && List.exists
+             (fun r ->
+               r = key || Paths.has_suffix ~suffix:r key
+               || Paths.has_suffix ~suffix:key r)
+             n.n_refs)
+      nodes
   in
   List.iter
-    (fun (u, ctx) -> analyze_items acc ctx ~prefix:u.a_prefix u.a_str.str_items)
-    ctxs;
-  if
-    rule_active acc "R16" || rule_active acc "R17" || rule_active acc "R18"
-    || rule_active acc "R19"
-  then report acc;
-  List.sort Engine.compare_findings acc.findings
+    (fun n ->
+      if n.n_hot_attr then
+        if not n.n_fun then
+          emit g ~rule:"R19" ~loc:(node_loc n)
+            (Printf.sprintf
+               "[@%s] on %s, which is not a function: a plain value has no \
+                call-graph to propagate hotness into"
+               Rules.hot_attribute n.n_key)
+        else if (not (Hotpaths.is_seed n.n_key)) && not (referenced n.n_key)
+        then
+          emit g ~rule:"R19" ~loc:(node_loc n)
+            (Printf.sprintf
+               "[@%s] on %s, which nothing in the linted tree references: a \
+                dangling hot claim on dead code"
+               Rules.hot_attribute n.n_key))
+    nodes
+
+let report g =
+  let nodes = sorted_nodes g in
+  if List.exists (rule_active g) [ "R16"; "R17"; "R18" ] then
+    report_sites g nodes;
+  if rule_active g "R19" then report_r19 g nodes

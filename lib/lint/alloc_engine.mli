@@ -1,18 +1,19 @@
 (* The allocation plane: R16 (boxed-float traffic), R17 (per-call
    allocation), R18 (hotness propagation with BFS chain evidence) and
-   R19 (hot-annotation hygiene) over typed cmt units. Hot entries come
-   from the Hotpaths seed registry plus [@ncc.hot] attributes; see the
-   implementation header and docs/performance.md for the site classes
-   and the cold-region exemptions. *)
+   R19 (hot-annotation hygiene) over the shared typed call graph
+   (Graph). Hot entries come from the Hotpaths seed registry plus
+   [@ncc.hot] attributes; see the implementation header and
+   docs/performance.md for the site classes and the cold-region
+   exemptions. *)
 
-type unit_in = {
-  a_prefix : string list;  (* canonical module path components *)
-  a_file : string;  (* repo-relative source path *)
-  a_str : Typedtree.structure;
-}
+(* Record one expression's allocation sites on [node]. Typed_engine's
+   walk calls it only outside cold regions; [in_loop] is set inside a
+   for/while body of the same function. *)
+val on_expr :
+  Graph.ctx -> Graph.node option -> in_loop:bool -> Typedtree.expression -> unit
 
-(* Run the plane over every unit at once (hotness propagates across
-   unit boundaries). Findings are sorted; waivers are applied later by
-   Engine.lint_source since every finding anchors on a real source
-   line. [only] restricts to the given (alias-resolved) rule ids. *)
-val lint_units : ?only:string list -> unit_in list -> Engine.finding list
+(* Format-string literals: static constants, not allocations. *)
+val is_format_constant : Types.constructor_description -> bool
+
+(* R16-R19 over the finished graph. *)
+val report : Graph.t -> unit

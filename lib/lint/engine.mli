@@ -1,7 +1,6 @@
-(* The syntactic (parsetree) analysis engine for R1-R6, and the
-   waiver-application pass shared with the typed engine: findings from
-   both layers funnel through [lint_source], which subtracts pragma
-   waivers and reports unused or malformed ones. *)
+(* Findings, and the waiver pass that turns one file's raw findings
+   into what the linter reports: pragma waivers subtracted, unused and
+   malformed pragmas reported. The analysis itself is Typed_engine. *)
 
 type finding = {
   file : string;
@@ -11,9 +10,9 @@ type finding = {
   severity : Rules.severity;
   message : string;
   chain : string list;
-      (* evidence trail for interprocedural findings (R9): the call
-         chain from the entry point to the effect site; [] for
-         single-site findings *)
+      (* evidence trail for interprocedural findings (R9, R12, R14,
+         R18): the call chain from the entry point to the effect site;
+         [] for single-site findings *)
 }
 
 val compare_findings : finding -> finding -> int
@@ -21,24 +20,16 @@ val compare_findings : finding -> finding -> int
 (* "./lib/sim/rng.ml" -> "lib/sim/rng.ml". *)
 val normalize : string -> string
 
-(* Lint one compilation unit: run the syntactic rules (restricted to
-   the ids in [only] when given), merge the typed-engine findings for
-   this file ([typed]), and apply waivers to the union. [used_sites]
-   names pragma lines the typed engine already consumed (R9
-   effect-site waivers), so they are not flagged as unused. *)
-val lint_source :
-  ?typed:finding list ->
+(* Apply the pragmas of [file] to its findings. [used] names pragma
+   lines the analysis already consumed (effect-site waivers), so they
+   are not flagged as unused; with [only] set, no waiver is reported as
+   unused (its rule may just be out of scope). Sorted. *)
+val apply_waivers :
   ?only:string list ->
-  ?used_sites:int list ->
   file:string ->
-  string ->
-  finding list
-
-val lint_file :
-  ?typed:finding list ->
-  ?only:string list ->
-  ?used_sites:int list ->
-  string ->
+  used:int list ->
+  Pragma.parsed list ->
+  finding list ->
   finding list
 
 val errors : finding list -> finding list

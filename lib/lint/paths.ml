@@ -1,13 +1,13 @@
-(* Path canonicalisation shared by the typed analysis planes.
+(* Path canonicalisation shared by every lint rule.
 
    Dune mangles wrapped-library modules ("Baselines__D2pl") and
    executable modules ("Dune__exe__Ncc_lint"); these helpers undo both
    so one canonical spelling ("Baselines.D2pl") covers every way a
    unit can be named in a Path.t, and normalise the file names the
-   compiler recorded inside _build back to repo-relative paths. Both
-   the typed engine (R7-R10) and the race engine (R12-R15) resolve
-   identifiers through this module, so a location has exactly one
-   abstract name no matter which plane observed it. *)
+   compiler recorded inside _build back to repo-relative paths. Every
+   rule resolves identifiers through this module (via Graph), so a
+   location has exactly one abstract name no matter which rule
+   observed it. *)
 
 let split_mangled s =
   let out = ref [] in

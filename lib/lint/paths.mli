@@ -1,6 +1,5 @@
-(* Path canonicalisation shared by the typed analysis planes (the
-   typed engine for R7-R10 and the race engine for R12-R15): undoing
-   dune's module mangling, canonical Path.t spellings, whole-component
+(* Path canonicalisation shared by every lint rule: undoing dune's
+   module mangling, canonical Path.t spellings, whole-component
    suffix/prefix matching, and _build-to-repo file-name rewriting. *)
 
 (* "Baselines__D2pl" -> ["Baselines"; "D2pl"]. *)

@@ -23,14 +23,22 @@ type parsed =
 
 let keyword = "ncc-lint:"
 
-let find_sub s sub =
-  let n = String.length s and m = String.length sub in
-  let rec go i =
-    if i + m > n then None
-    else if String.sub s i m = sub then Some i
-    else go (i + 1)
+(* First index >= [from] at which [sub] (non-empty) occurs in [s]. The
+   search anchors on [sub]'s last character: for the pragma keyword,
+   ':' is several times rarer in OCaml source than 'n'. *)
+let find_from s from sub =
+  let m = String.length sub in
+  let rec matches i j = j = m - 1 || (s.[i + j] = sub.[j] && matches i (j + 1)) in
+  let rec go k =
+    match String.index_from_opt s k sub.[m - 1] with
+    | Some k ->
+      let i = k - m + 1 in
+      if matches i 0 then Some i else go (k + 1)
+    | None -> None
   in
-  go 0
+  if from + m > String.length s then None else go (from + m - 1)
+
+let find_sub s sub = find_from s 0 sub
 
 let trim_comment_close s =
   match find_sub s "*)" with
@@ -102,22 +110,39 @@ let parse_line ~line s =
               malformed "waiver reason must be non-empty"
             else Some (Pragma { line; rules; reason })))
 
-(* All pragmas (and malformed pragma attempts) in a source buffer. *)
+(* All pragmas (and malformed pragma attempts) in a source buffer. Only
+   the lines holding the keyword are cut out and parsed. *)
 let scan source =
-  let lines = String.split_on_char '\n' source in
-  List.concat
-    (List.mapi
-       (fun i l ->
-         match parse_line ~line:(i + 1) l with
-         | Some p -> [ p ]
-         | None -> [])
-       lines)
+  let n = String.length source in
+  let count_lines a b =
+    let c = ref 0 in
+    for i = a to b - 1 do
+      if source.[i] = '\n' then incr c
+    done;
+    !c
+  in
+  (* [line] is the number of the line starting at [start] *)
+  let rec go ~line ~start acc =
+    match find_from source start keyword with
+    | None -> List.rev acc
+    | Some i ->
+      let bol =
+        match String.rindex_from_opt source i '\n' with
+        | Some j when j >= start -> j + 1
+        | _ -> start
+      in
+      let eol = Option.value (String.index_from_opt source i '\n') ~default:n in
+      let line = line + count_lines start bol in
+      let acc =
+        match parse_line ~line (String.sub source bol (eol - bol)) with
+        | Some p -> p :: acc
+        | None -> acc
+      in
+      if eol >= n then List.rev acc else go ~line:(line + 1) ~start:(eol + 1) acc
+  in
+  go ~line:1 ~start:0 []
 
 (* Does a pragma on [p.line] cover a finding on [line]? Same line
-   (trailing comment) or the line below (standalone comment above).
-   Rule ids are compared after alias resolution, so a waiver written
-   against a retired rule ([allow R11]) still covers the rule that
-   absorbed it (R12). *)
+   (trailing comment) or the line below (standalone comment above). *)
 let covers p ~rule ~line =
-  (line = p.line || line = p.line + 1)
-  && List.mem (Rules.canon_id rule) (List.map Rules.canon_id p.rules)
+  (line = p.line || line = p.line + 1) && List.mem rule p.rules

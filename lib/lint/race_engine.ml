@@ -14,15 +14,13 @@
        and type-based, so the same field reached through two aliases
        is one location.
 
-   R12 (escape) has two cooperating halves sharing one call graph
-   (the same shape as Typed_engine's R9 graph):
+   R12 (escape) has two cooperating halves over the shared call graph
+   (Graph, the one R9 and R18 walk too):
 
      - the *graph half* — a binding that references a spawn entry
        point (Rules.spawn_fns) is a spawn node; any top-level mutation
        in its reachable effect footprint is reported with the BFS call
-       chain as evidence. This is exactly the retired rule R11, and
-       subsumes it: transitive mutation of globals is caught at any
-       call depth.
+       chain as evidence, at any call depth.
      - the *closure half* — each function literal handed to a spawn
        entry point is walked with an environment of closure-local
        binders. A mutator or container read applied to a location
@@ -70,134 +68,7 @@
    structures; guard regions are threaded in traversal order, so a
    lock taken in a branch guards the rest of the enclosing body. *)
 
-type unit_in = {
-  r_prefix : string list;  (* canonical module path components *)
-  r_file : string;  (* repo-relative source path *)
-  r_str : Typedtree.structure;
-  r_pragmas : Pragma.t list;  (* for effect-site waivers *)
-}
-
-(* --- the run-wide accumulator ----------------------------------------- *)
-
-type mut_site = { m_desc : string; m_file : string; m_line : int }
-
-type lock_site = {
-  l_key : string;  (* abstract mutex key *)
-  l_show : string;  (* display name *)
-  l_scoped : bool;  (* acquired via a self-releasing wrapper *)
-  l_loc : Location.t;
-}
-
-type dls_site = { d_fn : string; d_loc : Location.t }
-
-type node = {
-  n_key : string;
-  n_name : string;  (* last component, for entry-point matching *)
-  n_file : string;
-  n_line : int;
-  n_col : int;
-  mutable n_refs : string list;
-  mutable n_muts : mut_site list;  (* reachable-footprint sources *)
-  mutable n_locks : lock_site list;
-  mutable n_unlocks : string list;
-  mutable n_dls : dls_site list;
-}
-
-type acc = {
-  nodes : (string, node) Hashtbl.t;
-  mutable keys : string list;  (* insertion order of node keys *)
-  mutable findings : Engine.finding list;
-  mutable used : (string * int) list;  (* consumed effect-site waivers *)
-  only : string list option;  (* canonicalised rule filter *)
-  mutable loose_dls : (dls_site * string) list;  (* module-init uses *)
-}
-
-let rule_active acc id =
-  match acc.only with None -> true | Some ids -> List.mem id ids
-
-let emit acc ?(chain = []) ~rule ~(loc : Location.t) msg =
-  match Rules.find rule with
-  | None -> ()
-  | Some r ->
-    let file = Paths.norm_fname loc.loc_start.Lexing.pos_fname in
-    if not (List.mem file r.allowed_files) then begin
-      let line, col = Paths.loc_pos loc in
-      let f =
-        { Engine.file; line; col; rule; severity = r.severity; message = msg;
-          chain }
-      in
-      if not (List.mem f acc.findings) then acc.findings <- f :: acc.findings
-    end
-
-(* --- per-unit context -------------------------------------------------- *)
-
-type ctx = {
-  c_file : string;
-  c_paths : (string, string list) Hashtbl.t;
-      (* local module idents (by Ident.unique_name) -> components *)
-  c_values : (string, string) Hashtbl.t;
-      (* unit-toplevel value idents (by Ident.unique_name) -> node key *)
-  c_pragmas : Pragma.t list;
-}
-
-let canon_parts ctx (p : Path.t) =
-  let rec go = function
-    | Path.Pident id -> (
-      match Hashtbl.find_opt ctx.c_paths (Ident.unique_name id) with
-      | Some parts -> parts
-      | None -> Paths.canon_head (Ident.name id))
-    | Path.Pdot (p, s) -> go p @ [ s ]
-    | Path.Papply (a, _) -> go a
-    | Path.Pextra_ty (p, _) -> go p
-  in
-  go p
-
-let canon_path ctx p = String.concat "." (canon_parts ctx p)
-
-(* An effect-site waiver on the line of a shared-mutation effect
-   removes it from the graph half, silencing every chain reaching it
-   (mirrors the R9 machinery; [allow R11] still works via canon_id). *)
-let site_waived acc ctx line =
-  match
-    List.find_opt (fun p -> Pragma.covers p ~rule:"R12" ~line) ctx.c_pragmas
-  with
-  | Some p ->
-    if not (List.mem (ctx.c_file, p.Pragma.line) acc.used) then
-      acc.used <- (ctx.c_file, p.Pragma.line) :: acc.used;
-    true
-  | None -> false
-
-(* --- small typedtree helpers ------------------------------------------- *)
-
-let rec head_path (e : Typedtree.expression) =
-  match e.exp_desc with
-  | Typedtree.Texp_ident (p, _, _) -> Some p
-  | Typedtree.Texp_apply (f, _) -> head_path f
-  | _ -> None
-
-let head_name ctx e =
-  match head_path e with
-  | Some p -> Some (Paths.strip_stdlib (canon_path ctx p))
-  | None -> None
-
-let positional_args args =
-  List.filter_map
-    (function
-      | Asttypes.Nolabel, Some (e : Typedtree.expression) -> Some e
-      | _ -> None)
-    args
-
-let rec is_arrow ty =
-  match Types.get_desc ty with
-  | Types.Tarrow _ -> true
-  | Types.Tpoly (t, _) -> is_arrow t
-  | _ -> false
-
-let rec first_param ty =
-  match Types.get_desc ty with
-  | Types.Tarrow (_, a, _, _) -> Some a
-  | Types.Tpoly (t, _) -> first_param t
-  | _ -> None
+open Graph
 
 let is_atomic_ty ty =
   match Types.get_desc ty with
@@ -219,92 +90,6 @@ let rec field_root (e : Typedtree.expression) =
   | Typedtree.Texp_field (e', _, _) -> field_root e'
   | _ -> e
 
-let matches_any ~fns s =
-  List.exists (fun f -> Paths.has_suffix ~suffix:f s) fns
-
-(* --- pass A: declarations ---------------------------------------------- *)
-
-let register_node acc ctx ~prefix id (loc : Location.t) =
-  let name = Ident.name id in
-  let key = String.concat "." (prefix @ [ name ]) in
-  Hashtbl.replace ctx.c_values (Ident.unique_name id) key;
-  if not (Hashtbl.mem acc.nodes key) then begin
-    let line, col = Paths.loc_pos loc in
-    Hashtbl.replace acc.nodes key
-      {
-        n_key = key;
-        n_name = name;
-        n_file = Paths.norm_fname loc.loc_start.Lexing.pos_fname;
-        n_line = line;
-        n_col = col;
-        n_refs = [];
-        n_muts = [];
-        n_locks = [];
-        n_unlocks = [];
-        n_dls = [];
-      };
-    acc.keys <- key :: acc.keys
-  end
-
-let rec register_pattern :
-    type k. acc -> ctx -> prefix:string list -> k Typedtree.general_pattern -> unit
-    =
- fun acc ctx ~prefix p ->
-  match p.Typedtree.pat_desc with
-  | Typedtree.Tpat_var (id, _) -> register_node acc ctx ~prefix id p.pat_loc
-  | Typedtree.Tpat_alias (p', id, _) ->
-    register_node acc ctx ~prefix id p.pat_loc;
-    register_pattern acc ctx ~prefix p'
-  | Typedtree.Tpat_tuple ps -> List.iter (register_pattern acc ctx ~prefix) ps
-  | Typedtree.Tpat_construct (_, _, ps, _) ->
-    List.iter (register_pattern acc ctx ~prefix) ps
-  | _ -> ()
-
-let rec declare_items acc ctx ~prefix items =
-  List.iter (declare_item acc ctx ~prefix) items
-
-and declare_item acc ctx ~prefix (item : Typedtree.structure_item) =
-  match item.str_desc with
-  | Typedtree.Tstr_value (_, vbs) ->
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        register_pattern acc ctx ~prefix vb.vb_pat)
-      vbs
-  | Typedtree.Tstr_module mb -> declare_module acc ctx ~prefix mb
-  | Typedtree.Tstr_recmodule mbs -> List.iter (declare_module acc ctx ~prefix) mbs
-  | _ -> ()
-
-and declare_module acc ctx ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-    let rec structure_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_structure str -> Some str
-      | Typedtree.Tmod_constraint (me', _, _, _) -> structure_of me'
-      | _ -> None
-    in
-    let rec alias_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_ident (p, _) -> Some (canon_parts ctx p)
-      | Typedtree.Tmod_constraint (me', _, _, _) -> alias_of me'
-      | _ -> None
-    in
-    (match structure_of mb.mb_expr with
-     | Some str ->
-       let prefix' = prefix @ [ Ident.name id ] in
-       Hashtbl.replace ctx.c_paths (Ident.unique_name id) prefix';
-       declare_items acc ctx ~prefix:prefix' str.str_items
-     | None -> (
-       (* [module Store = Mvstore.Store]: references through the alias
-          must resolve to the target's nodes, or the call graph stops
-          at every aliased module boundary. *)
-       match alias_of mb.mb_expr with
-       | Some parts -> Hashtbl.replace ctx.c_paths (Ident.unique_name id) parts
-       | None ->
-         Hashtbl.replace ctx.c_paths (Ident.unique_name id)
-           (prefix @ [ Ident.name id ])))
-
 (* --- mutex keys -------------------------------------------------------- *)
 
 (* Abstract location of a mutex expression. Local mutexes get a "~"
@@ -316,7 +101,7 @@ let resolve_mutex ctx (e : Typedtree.expression) =
     let s = canon_path ctx p in
     (s, s)
   | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
-    match Hashtbl.find_opt ctx.c_values (Ident.unique_name id) with
+    match Ident.Tbl.find_opt ctx.c_values id with
     | Some key -> (key, key)
     | None -> ("~" ^ Ident.unique_name id, Ident.name id))
   | Typedtree.Texp_field (e', _, lbl) ->
@@ -355,7 +140,7 @@ let residence ctx env (e : Typedtree.expression) =
     if Hashtbl.mem env.e_locals u && not (Hashtbl.mem env.e_aliased u) then
       Some Local
     else (
-      match Hashtbl.find_opt ctx.c_values u with
+      match Ident.Tbl.find_opt ctx.c_values id with
       | Some key -> Some (Global key)
       | None -> Some (Captured (Ident.name id)))
   | Typedtree.Texp_ident ((Path.Pdot _ as p), _, _) ->
@@ -381,11 +166,11 @@ let escape_hint =
    function bodies for one-level inlining; [visited] stops inlining
    cycles. The iterator's own traversal order threads the guard
    state: a Mutex.lock seen earlier in a sequence guards the rest. *)
-let rec closure_walk acc ctx ~local_fns ~visited env (expr : Typedtree.expression)
+let rec closure_walk g ctx ~local_fns ~visited env (expr : Typedtree.expression)
     =
   let flag_access ~loc what target =
-    if env.e_guard = 0 && rule_active acc "R12" then
-      emit acc ~rule:"R12" ~loc
+    if env.e_guard = 0 && rule_active g "R12" then
+      emit g ~rule:"R12" ~loc
         (Printf.sprintf
            "%s on %s, which is shared with the submitting domain: %s" what
            target escape_hint)
@@ -394,20 +179,7 @@ let rec closure_walk acc ctx ~local_fns ~visited env (expr : Typedtree.expressio
     (* Classify the binder before the default traversal registers it
        as closure-local via the pattern hook below. *)
     let binders =
-      let out = ref [] in
-      let rec go : type k. k Typedtree.general_pattern -> unit =
-       fun p ->
-        match p.Typedtree.pat_desc with
-        | Typedtree.Tpat_var (id, _) -> out := Ident.unique_name id :: !out
-        | Typedtree.Tpat_alias (p', id, _) ->
-          out := Ident.unique_name id :: !out;
-          go p'
-        | Typedtree.Tpat_tuple ps -> List.iter go ps
-        | Typedtree.Tpat_construct (_, _, ps, _) -> List.iter go ps
-        | _ -> ()
-      in
-      go vb.vb_pat;
-      !out
+      List.map (fun (id, _) -> Ident.unique_name id) (pattern_vars vb.vb_pat)
     in
     (match head_name ctx vb.vb_expr with
      | Some s when matches_any ~fns:Rules.slot_index_sources s ->
@@ -462,7 +234,7 @@ let rec closure_walk acc ctx ~local_fns ~visited env (expr : Typedtree.expressio
                  e_guard = env.e_guard;
                }
              in
-             closure_walk acc ctx ~local_fns ~visited env' body
+             closure_walk g ctx ~local_fns ~visited env' body
            | _ -> ())
          | _ -> ());
         (if Paths.has_prefix ~prefix:"Atomic" s
@@ -527,7 +299,7 @@ let rec closure_walk acc ctx ~local_fns ~visited env (expr : Typedtree.expressio
   in
   iter.expr iter expr
 
-(* --- pass B: uses, effects, edges -------------------------------------- *)
+(* --- per-expression facts ----------------------------------------------- *)
 
 (* Let-bound functions of one top-level binding, for inlining. Only
    syntactic function literals qualify: [let f = Queue.pop q] also has
@@ -549,398 +321,205 @@ let collect_local_fns (expr : Typedtree.expression) =
   iter.expr iter expr;
   fns
 
-let global_ident ctx (e : Typedtree.expression) =
+(* One expression of a binding's body (or of loose module-init code),
+   called by Typed_engine's walk (which records the mutations of
+   globals R12's graph half reads, as R9 effects): record lock/unlock
+   and DLS sites on [node]; fire the site-local R13 checks;
+   run the closure half on every function literal handed to a spawn
+   entry point. [local_fns] is the enclosing binding's
+   [collect_local_fns], forced only at a spawn call. *)
+let on_expr g ctx node ~local_fns (e : Typedtree.expression) =
   match e.exp_desc with
-  | Typedtree.Texp_ident ((Path.Pdot _ as p), _, _) -> Some (canon_path ctx p)
-  | Typedtree.Texp_ident (Path.Pident id, _, _) ->
-    Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-  | _ -> None
-
-let add_mut acc ctx (node : node option) desc (loc : Location.t) =
-  match node with
-  | None -> ()
-  | Some n ->
-    let file = Paths.norm_fname loc.loc_start.Lexing.pos_fname in
-    if not (List.mem file (Rules.effect_allowed_files `Mutation)) then begin
-      let line, _ = Paths.loc_pos loc in
-      if not (site_waived acc ctx line) then
-        n.n_muts <- { m_desc = desc; m_file = file; m_line = line } :: n.n_muts
-    end
-
-(* Walk one top-level binding's body (or loose module-init code),
-   attributing edges, shared-mutation effects, lock/unlock and DLS
-   sites to [node]; fire the site-local R13 checks; run the closure
-   half on every function literal handed to a spawn entry point. *)
-let scan_node acc ctx node expr =
-  let add_ref key =
-    match node with
-    | Some n -> if not (List.mem key n.n_refs) then n.n_refs <- key :: n.n_refs
-    | None -> ()
-  in
-  let local_fns = collect_local_fns expr in
-  let spawn_closure (a : Typedtree.expression) =
-    let walk body =
-      let env =
-        {
-          e_locals = Hashtbl.create 32;
-          e_aliased = Hashtbl.create 4;
-          e_slots = Hashtbl.create 4;
-          e_guard = 0;
-        }
-      in
-      closure_walk acc ctx ~local_fns ~visited:(Hashtbl.create 8) env body
-    in
-    match a.exp_desc with
-    | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
-      match Hashtbl.find_opt local_fns (Ident.unique_name id) with
-      | Some body -> walk body
-      | None -> ())
-    | _ -> if is_arrow a.exp_type then walk a
-  in
-  let expr_hook sub (e : Typedtree.expression) =
-    (match e.exp_desc with
-     | Typedtree.Texp_ident (p, _, _) -> (
-       let s = Paths.strip_stdlib (canon_path ctx p) in
-       (match node with
-        | Some n when matches_any ~fns:Rules.dls_fns s ->
-          n.n_dls <- { d_fn = s; d_loc = e.exp_loc } :: n.n_dls
-        | None when matches_any ~fns:Rules.dls_fns s ->
-          acc.loose_dls <- ({ d_fn = s; d_loc = e.exp_loc }, ctx.c_file)
-          :: acc.loose_dls
-        | _ -> ());
-       match p with
-       | Path.Pdot _ -> add_ref (canon_path ctx p)
-       | Path.Pident id -> (
-         match Hashtbl.find_opt ctx.c_values (Ident.unique_name id) with
-         | Some key -> add_ref key
-         | None -> ())
-       | _ -> ())
-     | Typedtree.Texp_apply (f, args) -> (
-       let s = match head_name ctx f with Some s -> s | None -> "" in
-       (* shared-mutation effects (the graph half's sources) *)
-       (if List.mem s Rules.mutator_fns then
-          match positional_args args with
-          | tgt :: _ -> (
-            match global_ident ctx tgt with
-            | Some g ->
-              add_mut acc ctx node
-                (Printf.sprintf "%s on global %s" s g)
-                e.exp_loc
-            | None -> ())
-          | [] -> ());
-       (* lock/unlock collection (R14) *)
-       (match node with
-        | Some n ->
-          let mutex_arg () =
-            match positional_args args with m :: _ -> Some m | [] -> None
-          in
-          if Paths.has_suffix ~suffix:"Mutex.lock" s then (
-            match mutex_arg () with
-            | Some m ->
-              let l_key, l_show = resolve_mutex ctx m in
-              n.n_locks <-
-                { l_key; l_show; l_scoped = false; l_loc = e.exp_loc }
-                :: n.n_locks
-            | None -> ())
-          else if Paths.has_suffix ~suffix:"Mutex.unlock" s then (
-            match mutex_arg () with
-            | Some m ->
-              let k, _ = resolve_mutex ctx m in
-              n.n_unlocks <- k :: n.n_unlocks
-            | None -> ())
-          else if Paths.has_suffix ~suffix:"Mutex.protect" s then (
-            match mutex_arg () with
-            | Some m ->
-              let l_key, l_show = resolve_mutex ctx m in
-              n.n_locks <-
-                { l_key; l_show; l_scoped = true; l_loc = e.exp_loc }
-                :: n.n_locks
-            | None -> ())
-        | None -> ());
-       (* R13: a plain write that replaces an Atomic.t cell *)
-       (if
-          rule_active acc "R13"
-          && (s = ":=" || matches_any ~fns:[ "Array.set"; "Array.unsafe_set";
-                                             "Array.fill" ] s)
-        then
-          match first_param f.Typedtree.exp_type with
-          | Some ty -> (
-            match Types.get_desc ty with
-            | Types.Tconstr (_, [ elt ], _) when is_atomic_ty elt ->
-              emit acc ~rule:"R13" ~loc:e.exp_loc
-                (Printf.sprintf
-                   "%s replaces an Atomic.t cell: a domain holding the old \
-                    cell keeps using it; mutate via Atomic.set/exchange on \
-                    the existing cell" s)
-            | _ -> ())
-          | None -> ());
-       (* the closure half: function literals handed to a spawn point *)
-       if rule_active acc "R12" && matches_any ~fns:Rules.spawn_fns s then
-         List.iter spawn_closure (positional_args args))
-     | Typedtree.Texp_setfield (tgt, _, lbl, _) ->
-       (match global_ident ctx tgt with
-        | Some g ->
-          add_mut acc ctx node ("field assignment on global " ^ g) e.exp_loc
-        | None -> ());
-       if rule_active acc "R13" && is_atomic_ty lbl.Types.lbl_arg then
-         emit acc ~rule:"R13" ~loc:e.exp_loc
-           (Printf.sprintf
-              "field write replaces Atomic.t cell %s.%s: a domain holding \
-               the old cell keeps using it; mutate via Atomic.set/exchange \
-               on the existing cell"
-              (record_type_name ctx tgt.exp_type)
-              lbl.Types.lbl_name)
+  | Typedtree.Texp_ident (p, _, _) -> (
+    let s = name ctx p in
+    if matches_any ~fns:Rules.dls_fns s then
+      match node with
+      | Some n -> n.n_dls <- { d_fn = s; d_loc = e.exp_loc } :: n.n_dls
+      | None ->
+        g.loose_dls <- ({ d_fn = s; d_loc = e.exp_loc }, ctx.c_file) :: g.loose_dls)
+  | Typedtree.Texp_apply (f, args) ->
+    let s = match head_name ctx f with Some s -> s | None -> "" in
+    (* lock/unlock collection (R14) *)
+    (match (node, positional_args args) with
+     | Some n, m :: _ ->
+       let lock ~scoped =
+         let l_key, l_show = resolve_mutex ctx m in
+         n.n_locks <-
+           { l_key; l_show; l_scoped = scoped; l_loc = e.exp_loc } :: n.n_locks
+       in
+       if Paths.has_suffix ~suffix:"Mutex.lock" s then lock ~scoped:false
+       else if Paths.has_suffix ~suffix:"Mutex.unlock" s then
+         n.n_unlocks <- fst (resolve_mutex ctx m) :: n.n_unlocks
+       else if Paths.has_suffix ~suffix:"Mutex.protect" s then lock ~scoped:true
      | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
-  in
-  let iter = { Tast_iterator.default_iterator with expr = expr_hook } in
-  iter.expr iter expr
-
-let rec analyze_items acc ctx ~prefix items =
-  List.iter (analyze_item acc ctx ~prefix) items
-
-and analyze_item acc ctx ~prefix (item : Typedtree.structure_item) =
-  match item.str_desc with
-  | Typedtree.Tstr_value (_, vbs) ->
-    List.iter
-      (fun (vb : Typedtree.value_binding) ->
-        let node =
-          let bound : type k. k Typedtree.general_pattern -> string option =
-           fun p ->
-            match p.Typedtree.pat_desc with
-            | Typedtree.Tpat_var (id, _) ->
-              Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-            | Typedtree.Tpat_alias (_, id, _) ->
-              Hashtbl.find_opt ctx.c_values (Ident.unique_name id)
-            | _ -> None
-          in
-          match bound vb.vb_pat with
-          | Some key -> Hashtbl.find_opt acc.nodes key
-          | None -> None
+    (* R13: a plain write that replaces an Atomic.t cell *)
+    (if
+       rule_active g "R13"
+       && (s = ":=" || matches_any ~fns:[ "Array.set"; "Array.unsafe_set";
+                                          "Array.fill" ] s)
+     then
+       match first_param f.Typedtree.exp_type with
+       | Some ty -> (
+         match Types.get_desc ty with
+         | Types.Tconstr (_, [ elt ], _) when is_atomic_ty elt ->
+           emit g ~rule:"R13" ~loc:e.exp_loc
+             (Printf.sprintf
+                "%s replaces an Atomic.t cell: a domain holding the old \
+                 cell keeps using it; mutate via Atomic.set/exchange on \
+                 the existing cell" s)
+         | _ -> ())
+       | None -> ());
+    (* the closure half: function literals handed to a spawn point *)
+    if rule_active g "R12" && matches_any ~fns:Rules.spawn_fns s then begin
+      let local_fns = Lazy.force local_fns in
+      let walk body =
+        let env =
+          {
+            e_locals = Hashtbl.create 32;
+            e_aliased = Hashtbl.create 4;
+            e_slots = Hashtbl.create 4;
+            e_guard = 0;
+          }
         in
-        scan_node acc ctx node vb.vb_expr)
-      vbs
-  | Typedtree.Tstr_eval (e, _) -> scan_node acc ctx None e
-  | Typedtree.Tstr_module mb -> analyze_module acc ctx ~prefix mb
-  | Typedtree.Tstr_recmodule mbs ->
-    List.iter (analyze_module acc ctx ~prefix) mbs
+        closure_walk g ctx ~local_fns ~visited:(Hashtbl.create 8) env body
+      in
+      List.iter
+        (fun (a : Typedtree.expression) ->
+          match a.exp_desc with
+          | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
+            match Hashtbl.find_opt local_fns (Ident.unique_name id) with
+            | Some body -> walk body
+            | None -> ())
+          | _ -> if is_arrow a.exp_type then walk a)
+        (positional_args args)
+    end
+  | Typedtree.Texp_setfield (tgt, _, lbl, _) ->
+    if rule_active g "R13" && is_atomic_ty lbl.Types.lbl_arg then
+      emit g ~rule:"R13" ~loc:e.exp_loc
+        (Printf.sprintf
+           "field write replaces Atomic.t cell %s.%s: a domain holding \
+            the old cell keeps using it; mutate via Atomic.set/exchange \
+            on the existing cell"
+           (record_type_name ctx tgt.exp_type)
+           lbl.Types.lbl_name)
   | _ -> ()
 
-and analyze_module acc ctx ~prefix (mb : Typedtree.module_binding) =
-  match mb.mb_id with
-  | None -> ()
-  | Some id ->
-    let prefix' = prefix @ [ Ident.name id ] in
-    let rec structure_of (me : Typedtree.module_expr) =
-      match me.mod_desc with
-      | Typedtree.Tmod_structure str -> Some str
-      | Typedtree.Tmod_constraint (me', _, _, _) -> structure_of me'
-      | _ -> None
-    in
-    (match structure_of mb.mb_expr with
-     | Some str -> analyze_items acc ctx ~prefix:prefix' str.str_items
-     | None -> ())
-
-(* --- graphs ------------------------------------------------------------ *)
-
 let is_spawn_node (n : node) =
-  List.exists (fun r -> matches_any ~fns:Rules.spawn_fns r) n.n_refs
-
-let is_entry (n : node) =
-  List.mem n.n_name Rules.entry_points
-  && List.exists
-       (fun root ->
-         String.length n.n_file >= String.length root
-         && String.sub n.n_file 0 (String.length root) = root)
-       Rules.entry_roots
-
-(* Deterministic BFS from [start] (refs sorted); [parent] gives the
-   chain to any reached node. *)
-let bfs acc (start : node) =
-  let parent = Hashtbl.create 64 in
-  let seen = Hashtbl.create 64 in
-  Hashtbl.replace seen start.n_key ();
-  let order = ref [ start.n_key ] in
-  let q = Queue.create () in
-  Queue.add start.n_key q;
-  while not (Queue.is_empty q) do
-    let key = Queue.pop q in
-    match Hashtbl.find_opt acc.nodes key with
-    | None -> ()
-    | Some n ->
-      List.iter
-        (fun r ->
-          if Hashtbl.mem acc.nodes r && not (Hashtbl.mem seen r) then begin
-            Hashtbl.replace seen r ();
-            Hashtbl.replace parent r key;
-            order := r :: !order;
-            Queue.add r q
-          end)
-        (List.sort String.compare n.n_refs)
-  done;
-  let chain_to key =
-    let rec up key chain =
-      match Hashtbl.find_opt parent key with
-      | Some p -> up p (key :: chain)
-      | None -> key :: chain
-    in
-    up key []
-  in
-  (List.rev !order, chain_to)
-
-(* A synthetic location at a node's definition site. *)
-let node_loc (n : node) =
-  let pos =
-    { Lexing.pos_fname = n.n_file; pos_lnum = n.n_line; pos_bol = 0;
-      pos_cnum = n.n_col }
-  in
-  { Location.loc_ghost = false; loc_start = pos; loc_end = pos }
+  List.exists (matches_any ~fns:Rules.spawn_fns) (n.n_refs @ n.n_cold)
 
 (* --- R12, graph half --------------------------------------------------- *)
 
-let report_r12_graph acc =
-  if rule_active acc "R12" then
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt acc.nodes key with
-        | Some n when is_spawn_node n ->
-          let reach, chain_to = bfs acc n in
-          let hit =
-            List.find_map
-              (fun k ->
-                match Hashtbl.find_opt acc.nodes k with
-                | Some m -> (
-                  match
-                    List.sort
-                      (fun a b ->
-                        let c = Int.compare a.m_line b.m_line in
-                        if c <> 0 then c else String.compare a.m_desc b.m_desc)
-                      m.n_muts
-                  with
-                  | mut :: _ -> Some (k, mut)
-                  | [] -> None)
-                | None -> None)
-              reach
+let report_r12_graph g =
+  List.iter
+    (fun n ->
+      if is_spawn_node n then
+        let reach, chain_to = bfs g n in
+        let hit =
+          List.find_map
+            (fun k ->
+              match Hashtbl.find_opt g.nodes k with
+              | Some m ->
+                List.find_map
+                  (fun a ->
+                    match a.a_cat with `Mutation -> Some (k, a) | _ -> None)
+                  (sorted_ambs ~rule:"R12" m)
+              | None -> None)
+            reach
+        in
+        match hit with
+        | Some (k, mut) ->
+          let chain =
+            chain_to k
+            @ [ Printf.sprintf "%s (%s:%d)" mut.a_desc mut.a_file mut.a_line ]
           in
-          (match hit with
-           | Some (k, mut) ->
-             let chain =
-               chain_to k
-               @ [ Printf.sprintf "%s (%s:%d)" mut.m_desc mut.m_file mut.m_line ]
-             in
-             emit acc ~chain ~rule:"R12" ~loc:(node_loc n)
-               (Printf.sprintf
-                  "%s hands work to the domain pool but can reach shared \
-                   mutable state: %s"
-                  n.n_key mut.m_desc)
-           | None -> ())
-        | _ -> ())
-      (List.sort String.compare acc.keys)
+          emit g ~chain ~rule:"R12" ~loc:(node_loc n)
+            (Printf.sprintf
+               "%s hands work to the domain pool but can reach shared \
+                mutable state: %s"
+               n.n_key mut.a_desc)
+        | None -> ())
+    (sorted_nodes g)
 
 (* --- R14 --------------------------------------------------------------- *)
 
-let report_r14 acc =
-  if rule_active acc "R14" then
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt acc.nodes key with
-        | None -> ()
-        | Some n ->
-          let locks =
-            List.sort
-              (fun a b ->
-                let la, _ = Paths.loc_pos a.l_loc
-                and lb, _ = Paths.loc_pos b.l_loc in
-                Int.compare la lb)
-              n.n_locks
-          in
-          (* leak: an unscoped acquire with no release anywhere in the
-             same body *)
-          List.iter
-            (fun l ->
-              if
-                (not l.l_scoped)
-                && not (List.exists (fun u -> key_match u l.l_key) n.n_unlocks)
-              then
-                emit acc ~rule:"R14" ~loc:l.l_loc
-                  (Printf.sprintf
-                     "Mutex.lock on %s is never released in %s; wrap the \
-                      critical section in Mutex.protect or release it in \
-                      Fun.protect ~finally"
-                     l.l_show n.n_key))
-            locks;
-          (* double-acquire through the call graph *)
-          let reported = Hashtbl.create 4 in
-          List.iter
-            (fun l ->
-              if not (Hashtbl.mem reported l.l_key) then begin
-                let reach, chain_to = bfs acc n in
-                match
-                  List.find_map
-                    (fun k ->
-                      if k = n.n_key then None
-                      else
-                        match Hashtbl.find_opt acc.nodes k with
-                        | Some m -> (
-                          match
-                            List.find_opt
-                              (fun l' -> key_match l.l_key l'.l_key)
-                              m.n_locks
-                          with
-                          | Some l' -> Some (k, l')
-                          | None -> None)
-                        | None -> None)
-                    reach
-                with
-                | Some (k, l') ->
-                  Hashtbl.replace reported l.l_key ();
-                  let file = Paths.norm_fname l'.l_loc.loc_start.pos_fname in
-                  let line, _ = Paths.loc_pos l'.l_loc in
-                  let chain =
-                    chain_to k
-                    @ [ Printf.sprintf "Mutex.lock %s (%s:%d)" l'.l_show file
-                          line ]
-                  in
-                  emit acc ~chain ~rule:"R14" ~loc:l.l_loc
-                    (Printf.sprintf
-                       "%s acquires %s and can reach %s, which acquires it \
-                        again — OCaml mutexes are not reentrant \
-                        (self-deadlock)"
-                       n.n_key l.l_show k)
-                | None -> ()
-              end)
-            locks)
-      (List.sort String.compare acc.keys)
+let report_r14 g =
+  List.iter
+    (fun n ->
+      let locks =
+        List.sort
+          (fun a b ->
+            let la, _ = Paths.loc_pos a.l_loc and lb, _ = Paths.loc_pos b.l_loc in
+            Int.compare la lb)
+          n.n_locks
+      in
+      (* leak: an unscoped acquire with no release anywhere in the same
+         body *)
+      List.iter
+        (fun l ->
+          if
+            (not l.l_scoped)
+            && not (List.exists (fun u -> key_match u l.l_key) n.n_unlocks)
+          then
+            emit g ~rule:"R14" ~loc:l.l_loc
+              (Printf.sprintf
+                 "Mutex.lock on %s is never released in %s; wrap the \
+                  critical section in Mutex.protect or release it in \
+                  Fun.protect ~finally"
+                 l.l_show n.n_key))
+        locks;
+      (* double-acquire through the call graph *)
+      let reported = Hashtbl.create 4 in
+      List.iter
+        (fun l ->
+          if not (Hashtbl.mem reported l.l_key) then begin
+            let reach, chain_to = bfs g n in
+            match
+              List.find_map
+                (fun k ->
+                  if k = n.n_key then None
+                  else
+                    match Hashtbl.find_opt g.nodes k with
+                    | Some m ->
+                      Option.map
+                        (fun l' -> (k, l'))
+                        (List.find_opt
+                           (fun l' -> key_match l.l_key l'.l_key)
+                           m.n_locks)
+                    | None -> None)
+                reach
+            with
+            | Some (k, l') ->
+              Hashtbl.replace reported l.l_key ();
+              let file = Paths.norm_fname l'.l_loc.loc_start.pos_fname in
+              let line, _ = Paths.loc_pos l'.l_loc in
+              let chain =
+                chain_to k
+                @ [ Printf.sprintf "Mutex.lock %s (%s:%d)" l'.l_show file line ]
+              in
+              emit g ~chain ~rule:"R14" ~loc:l.l_loc
+                (Printf.sprintf
+                   "%s acquires %s and can reach %s, which acquires it \
+                    again — OCaml mutexes are not reentrant (self-deadlock)"
+                   n.n_key l.l_show k)
+            | None -> ()
+          end)
+        locks)
+    (sorted_nodes g)
 
 (* --- R15 --------------------------------------------------------------- *)
 
-let report_r15 acc =
-  let spawns =
-    List.filter_map
-      (fun k ->
-        match Hashtbl.find_opt acc.nodes k with
-        | Some n when is_spawn_node n -> Some n
-        | _ -> None)
-      acc.keys
-  in
-  if rule_active acc "R15" && spawns <> [] then begin
+let report_r15 g =
+  let nodes = sorted_nodes g in
+  let spawns = List.filter is_spawn_node nodes in
+  if spawns <> [] then begin
     let reachable = Hashtbl.create 256 in
-    let roots =
-      spawns
-      @ List.filter_map
-          (fun k ->
-            match Hashtbl.find_opt acc.nodes k with
-            | Some n when is_entry n -> Some n
-            | _ -> None)
-          acc.keys
-    in
     List.iter
       (fun root ->
-        let reach, _ = bfs acc root in
+        let reach, _ = bfs g root in
         List.iter (fun k -> Hashtbl.replace reachable k ()) reach)
-      roots;
+      (spawns @ List.filter is_entry nodes);
     let flag_site (d : dls_site) where =
-      emit acc ~rule:"R15" ~loc:d.d_loc
+      emit g ~rule:"R15" ~loc:d.d_loc
         (Printf.sprintf
            "%s in %s, which the domain pool never reaches: this \
             domain-local state only ever lives on the main domain — move \
@@ -948,50 +527,16 @@ let report_r15 acc =
            d.d_fn where)
     in
     List.iter
-      (fun key ->
-        match Hashtbl.find_opt acc.nodes key with
-        | Some n when (not (Hashtbl.mem reachable n.n_key)) && n.n_dls <> []
-          ->
-          List.iter (fun d -> flag_site d n.n_key) n.n_dls
-        | _ -> ())
-      (List.sort String.compare acc.keys);
+      (fun n ->
+        if not (Hashtbl.mem reachable n.n_key) then
+          List.iter (fun d -> flag_site d n.n_key) n.n_dls)
+      nodes;
     List.iter
       (fun (d, file) -> flag_site d ("module initialisation of " ^ file))
-      acc.loose_dls
+      g.loose_dls
   end
 
-(* --- driver ------------------------------------------------------------ *)
-
-let lint_units ?only units =
-  let acc =
-    {
-      nodes = Hashtbl.create 256;
-      keys = [];
-      findings = [];
-      used = [];
-      only = Option.map (List.map Rules.canon_id) only;
-      loose_dls = [];
-    }
-  in
-  let ctxs =
-    List.map
-      (fun u ->
-        let ctx =
-          {
-            c_file = u.r_file;
-            c_paths = Hashtbl.create 32;
-            c_values = Hashtbl.create 64;
-            c_pragmas = u.r_pragmas;
-          }
-        in
-        declare_items acc ctx ~prefix:u.r_prefix u.r_str.str_items;
-        (u, ctx))
-      units
-  in
-  List.iter
-    (fun (u, ctx) -> analyze_items acc ctx ~prefix:u.r_prefix u.r_str.str_items)
-    ctxs;
-  report_r12_graph acc;
-  report_r14 acc;
-  report_r15 acc;
-  (List.sort Engine.compare_findings acc.findings, acc.used)
+let report g =
+  if rule_active g "R12" then report_r12_graph g;
+  if rule_active g "R14" then report_r14 g;
+  if rule_active g "R15" then report_r15 g

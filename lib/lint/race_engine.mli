@@ -1,26 +1,23 @@
-(* The race plane: rules R12-R15 over the typedtree — field-sensitive
-   mutable-state escape analysis for domain-parallel code (R12), mixed
-   Atomic/plain discipline (R13), lock discipline (R14), DLS misuse
-   (R15). Findings are Engine.finding values, so the waiver and
-   reporter machinery applies unchanged; R12's call-graph findings and
-   R14's double-acquire findings carry the BFS chain as evidence.
+(* The race plane: rules R12-R15 over the shared typed call graph
+   (Graph). Typed_engine's one walk feeds [on_expr] every expression of
+   every unit; [report] then reads the graph. R12's graph-half findings
+   and R14's double-acquire findings carry the BFS chain as evidence. *)
 
-   The analyses are whole-program over the given unit set (R12's call
-   graph and R15's worker-reachable region span units); lint the full
-   tree. Typed_engine.lint_units runs this plane automatically — the
-   separate entry point exists for the engine's own fixture tests. *)
+(* Record one expression's lock and DLS sites on [node], fire R13, and
+   run R12's closure half on function literals handed to a spawn entry
+   point (the mutations of globals R12's graph half reads are R9's
+   effects, recorded by Typed_engine's walk). [local_fns] is the enclosing
+   binding's let-bound function literals, for one-level inlining. *)
+val on_expr :
+  Graph.t ->
+  Graph.ctx ->
+  Graph.node option ->
+  local_fns:(string, Typedtree.expression) Hashtbl.t Lazy.t ->
+  Typedtree.expression ->
+  unit
 
-type unit_in = {
-  r_prefix : string list;  (* canonical module path components *)
-  r_file : string;  (* repo-relative source path *)
-  r_str : Typedtree.structure;
-  r_pragmas : Pragma.t list;  (* for R12 effect-site waivers *)
-}
+val collect_local_fns :
+  Typedtree.expression -> (string, Typedtree.expression) Hashtbl.t
 
-(* Analyse a set of units. Returns the findings (sorted) and the
-   effect-site waiver pragmas consumed, as (file, pragma line) pairs —
-   pass these to [Engine.lint_source ~used_sites] so they are not
-   reported as unused. [only] restricts to the given rule ids
-   (aliases resolved: "R11" selects R12). *)
-val lint_units :
-  ?only:string list -> unit_in list -> Engine.finding list * (string * int) list
+(* R12's graph half, R14 and R15 over the finished graph. *)
+val report : Graph.t -> unit

@@ -18,8 +18,10 @@
      R6  no exception-swallowing [with _ ->]: a swallowed exception
          turns a deterministic crash into a silent divergence.
 
-   The typed rules R7-R10 run on the compiler's typedtree (.cmt files,
-   see Typed_engine) and catch what the parsetree cannot see:
+   Every rule runs on the compiler's typedtree (.cmt files, see
+   Typed_engine), so identifiers are matched by their resolved paths:
+   a module alias, a local open or an [include] cannot hide a forbidden
+   call. R7-R10 additionally need the types and the call graph:
 
      R7  polymorphic structural equality/compare/hash applied at a
          type that must use its owning module's comparator (Ts.t and
@@ -42,9 +44,7 @@
          (ref, mutable record field, array, Hashtbl/Buffer/Queue
          value) that escapes into a closure handed to the domain pool,
          with Atomic.t, mutex-guarded regions, Domain.DLS and
-         per-slot writes at the submitting index recognised as safe.
-         Generalises (and absorbs) the retired rule R11, which only
-         saw *toplevel* mutable state through the call graph;
+         per-slot writes at the submitting index recognised as safe;
      R13 mixed discipline: an abstract location holding an Atomic.t
          that is also re-assigned by a plain write — readers may keep
          operating on the replaced cell;
@@ -113,8 +113,6 @@ type matcher =
          evaluated at module-initialisation time *)
   | Wildcard_try  (* [try ... with _ ->] / [match ... with exception _ ->] *)
   | Typed of typed_check
-      (* semantic check over the typedtree; ignored by the parsetree
-         engine, dispatched by Typed_engine / Race_engine *)
 
 type rule = {
   id : string;
@@ -300,8 +298,7 @@ let all : rule list =
          make the parallel schedule observable and break the --jobs \
          invariance. Safe sinks: Atomic.t operations, regions guarded by \
          Mutex.protect/lock...unlock, Domain.DLS-routed state, and per-slot \
-         array writes at the job's own index. Generalises retired rule R11, \
-         which only saw toplevel mutable state through the call graph.";
+         array writes at the job's own index.";
       example =
         "let sweep xs =\n\
         \  let tally = Hashtbl.create 16 in\n\
@@ -433,20 +430,21 @@ let all : rule list =
     };
   ]
 
-(* Retired rule ids, mapped onto the rule that absorbed them. R11
-   (toplevel mutable state reachable from a pool closure through the
-   call graph) is a strict subset of R12's escape analysis: existing
-   [allow R11] waivers keep working, [--rules R11] selects R12. *)
-let aliases = [ ("R11", "R12") ]
+let find id = List.find_opt (fun r -> r.id = id) all
 
-let canon_id id =
-  match List.assoc_opt id aliases with Some id' -> id' | None -> id
+let known_ids = List.map (fun r -> r.id) all
 
-let find id = List.find_opt (fun r -> r.id = canon_id id) all
+(* --- registries the rules key on (data, like the rule table) ---------- *)
 
-let known_ids = List.map (fun r -> r.id) all @ List.map fst aliases
-
-(* --- registries the typed rules key on (data, like the rule table) --- *)
+(* R5: functions whose result is fresh mutable state; applying one at
+   module-initialisation time creates a module global. Matched against
+   canonical names (a leading [Stdlib.] stripped). *)
+let mutable_creators =
+  [
+    "ref"; "Hashtbl.create"; "Buffer.create"; "Queue.create"; "Stack.create";
+    "Array.make"; "Array.init"; "Array.create_float"; "Bytes.create";
+    "Bytes.make";
+  ]
 
 (* R7: the polymorphic functions whose instantiation type is checked.
    Paths are matched after normalisation (module aliases such as
@@ -528,7 +526,7 @@ let container_read_fns =
   ]
 
 (* R9 effect categories map onto the per-file allowlists of the
-   syntactic rule that polices the same thing directly: Sim.Rng may
+   site-local rule that polices the same thing directly: Sim.Rng may
    touch Random (R1), Sim.Trace may mutate its own globals (R5). *)
 let effect_allowed_files = function
   | `Random -> (match find "R1" with Some r -> r.allowed_files | None -> [])
@@ -546,10 +544,6 @@ let msg_type_name = "msg"
    functions reachable from spawn nodes is the "pool-worker-reachable"
    region R15 checks DLS uses against. *)
 let spawn_fns = [ "Pool.submit"; "Pool.map"; "Pool.post"; "Domain.spawn" ]
-
-(* Retired R11 keyed on the submit/map subset; kept as an alias so the
-   registry name stays meaningful in older waiver reasons and docs. *)
-let pool_submit_fns = spawn_fns
 
 (* R12: wrappers that run their function argument with a lock held —
    accesses inside the argument count as mutex-guarded. [Fun.protect]

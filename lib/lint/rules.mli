@@ -1,13 +1,14 @@
 (* The determinism rule set R1-R10 plus the race plane R12-R15 and the
    allocation plane R16-R19, encoded as data, plus the registries the
-   typed rules key on. docs/determinism.md and docs/performance.md are
+   rules key on. docs/determinism.md and docs/performance.md are
    the prose counterparts. *)
 
 type severity = Error | Warn
 
-(* Which typed (cmt-based) check a [Typed _] rule dispatches to; the
-   parsetree engine ignores these. Typed_engine implements R7-R10,
-   Race_engine implements R12-R15, Alloc_engine implements R16-R19. *)
+(* Which type- or graph-aware check a [Typed _] rule dispatches to:
+   Typed_engine implements R7-R10, Race_engine R12-R15, Alloc_engine
+   R16-R19. The other matchers are the site-local rules R1-R6, also run
+   by Typed_engine. *)
 type typed_check =
   | Poly_compare  (* R7 *)
   | Float_time  (* R8 *)
@@ -44,15 +45,11 @@ val severity_to_string : severity -> string
 
 val all : rule list
 
-(* Retired rule ids mapped onto the rule that absorbed them (currently
-   R11 -> R12). [canon_id] resolves an alias to its live rule id and
-   is the identity on everything else; [find] and waiver matching go
-   through it, so old [--rules R11] invocations and [allow R11]
-   pragmas keep working. *)
-val aliases : (string * string) list
-val canon_id : string -> string
 val find : string -> rule option
-val known_ids : string list  (* live ids plus alias names *)
+val known_ids : string list
+
+(* R5: functions whose result is fresh mutable state. *)
+val mutable_creators : string list
 
 (* R7: polymorphic functions whose instantiation type is checked, and
    what they must not be instantiated at. [owned_types] maps a type
@@ -67,7 +64,7 @@ val time_sources : string list
 (* R9: Protocol.S handler entry points, the source roots in which a
    definition counts as an entry, the ambient-I/O and in-place-mutator
    function registries, and the per-category file allowlists (shared
-   with the syntactic rules policing the same effect directly). *)
+   with the site-local rules policing the same effect directly). *)
 val entry_points : string list
 val entry_roots : string list
 val io_fns : string list
@@ -85,10 +82,8 @@ val msg_type_name : string
 
 (* R12/R15: entry points that hand a closure to another domain; a
    binding referencing one is a spawn node, the root set of the
-   pool-worker-reachable region. [pool_submit_fns] is the retired
-   R11-era name for the same registry. *)
+   pool-worker-reachable region. *)
 val spawn_fns : string list
-val pool_submit_fns : string list
 
 (* R12: wrappers that run their function argument with a lock held /
    with guaranteed cleanup. *)

@@ -25,7 +25,7 @@ let unit_of ~file src =
   | Error e -> Alcotest.failf "fixture %s does not typecheck: %s" file e
 
 let findings ?only ~file src =
-  fst (Lint.Typed_engine.lint_units ?only [ unit_of ~file src ])
+  Lint.Typed_engine.lint_units ?only [ unit_of ~file src ]
 
 let sites ?only ?(file = "fixture.ml") src =
   List.map
@@ -37,12 +37,11 @@ let check_sites name ?only ?file expected src =
     name expected
     (sites ?only ?file src)
 
-(* Full pipeline with waiver application, as bin/ncc_lint wires it. *)
+(* Full pipeline with waiver application, as bin/ncc_lint runs it. *)
 let full_sites ?only ?(file = "fixture.ml") src =
-  let tf = findings ?only ~file src in
   List.map
     (fun (f : Lint.Engine.finding) -> (f.Lint.Engine.file, f.line, f.rule))
-    (Lint.Engine.lint_source ~typed:tf ?only ~used_sites:[] ~file src)
+    (Lint.Typed_engine.lint_source ?only ~file src)
 
 let pool_stub =
   "module Pool = struct\n\

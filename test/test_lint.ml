@@ -1,8 +1,14 @@
 (* Fixture tests for the determinism linter (lib/lint): every rule
-   R1-R6 firing on a violating snippet, staying quiet on the clean
-   equivalent, and being silenced by a waiver pragma; plus the pragma
-   machinery itself (reason required, unknown rules rejected, unused
-   waivers reported) and the per-rule file allowlists.
+   R1-R6 firing on a violating snippet — also when a module alias, a
+   local open or an [include] renames the forbidden identifier —
+   staying quiet on the clean equivalent, and being silenced by a
+   waiver pragma; plus the pragma machinery itself (reason required,
+   unknown rules rejected, unused waivers reported), the per-rule file
+   allowlists, and a linted file without a typed tree.
+
+   Fixtures are typechecked in-process (Typed_engine.lint_source), so
+   those naming repo modules carry local stubs, and record literals
+   carry their type declaration on the same line to keep line numbers.
 
    Pragma keywords inside fixture strings are assembled by
    concatenation so the linter, which scans this file too, does not
@@ -18,10 +24,12 @@ let contains s sub =
 let sites ?(file = "fixture.ml") src =
   List.map
     (fun (f : Lint.Engine.finding) -> (f.Lint.Engine.file, f.line, f.rule))
-    (Lint.Engine.lint_source ~file src)
+    (Lint.Typed_engine.lint_source ~file src)
 
 let check_sites name ?file expected src =
   Alcotest.(check (list (triple string int string))) name expected (sites ?file src)
+
+let trace_record = "type st = { buf : int array; n : int } "
 
 let fires () =
   check_sites "R1 Random use"
@@ -56,7 +64,7 @@ let fires () =
     "let size = 16\nlet cache = Hashtbl.create size\n";
   check_sites "R5 toplevel array literal (Trace-style mutable record)"
     [ ("fixture.ml", 1, "R5") ]
-    "let state = { buf = [||]; n = 0 }\n";
+    (trace_record ^ "let state = { buf = [||]; n = 0 }\n");
   check_sites "R5 inside nested module"
     [ ("fixture.ml", 2, "R5") ]
     "module M = struct\n  let hits = ref 0\nend\n";
@@ -67,13 +75,48 @@ let fires () =
     [ ("fixture.ml", 1, "R6") ]
     "let safe g = match g () with x -> x | exception _ -> 0\n"
 
+(* Names are matched after path resolution: a module alias, a local
+   open or an [include] cannot smuggle a forbidden identifier past the
+   rules. *)
+let resolved () =
+  check_sites "R3 through a module alias"
+    [ ("fixture.ml", 2, "R3") ]
+    "module H = Hashtbl\nlet f t g = H.iter g t\n";
+  check_sites "R3 through a local module alias"
+    [ ("fixture.ml", 1, "R3") ]
+    "let f t g = let module H = Hashtbl in H.iter g t\n";
+  check_sites "R1 through a local open"
+    [ ("fixture.ml", 1, "R1") ]
+    "let f () = let open Random in int 5\n";
+  check_sites "R1 through an include"
+    [ ("fixture.ml", 2, "R1") ]
+    "include Random\nlet f () = int 5\n";
+  check_sites "R4 through an aliased type"
+    [ ("fixture.ml", 2, "R4") ]
+    "module O = Obj\ntype t = { payload : O.t }\n";
+  check_sites "R5 through an aliased creator"
+    [ ("fixture.ml", 2, "R5") ]
+    "module T = Hashtbl\nlet cache = T.create 16\n"
+
 let clean () =
   check_sites "R1 clean: Sim.Rng" []
-    "let f rng bound = Sim.Rng.int rng bound\n";
+    "module Sim = struct\n\
+    \  module Rng = struct let int _ bound = bound end\n\
+     end\n\
+     let f rng bound = Sim.Rng.int rng bound\n";
   check_sites "R2 clean: simulated time" []
-    "let now engine = Sim.Engine.now engine\n";
+    "module Sim = struct\n\
+    \  module Engine = struct let now _ = 0.0 end\n\
+     end\n\
+     let now engine = Sim.Engine.now engine\n";
   check_sites "R3 clean: Detmap" []
-    "let keys t = Kernel.Detmap.fold_sorted (fun k _ acc -> k :: acc) t []\n";
+    "module Kernel = struct\n\
+    \  module Detmap = struct let fold_sorted _ _ acc = acc end\n\
+     end\n\
+     let keys t = Kernel.Detmap.fold_sorted (fun k _ acc -> k :: acc) t []\n";
+  check_sites "R3 clean: a user module that happens to be called Hashtbl" []
+    "module Hashtbl = struct let iter _ _ = () end\n\
+     let f t g = Hashtbl.iter g t\n";
   check_sites "R3 clean: point lookups stay free" []
     "let f t k = Hashtbl.replace t k (Option.value ~default:0 (Hashtbl.find_opt t k))\n";
   check_sites "R5 clean: creation under a function" []
@@ -111,7 +154,7 @@ let pragma_machinery () =
     [ ("fixture.ml", 1, "pragma") ]
     (kw ^ " allow R1 - nothing here uses Random *)\nlet a = 1\n");
   (let fs =
-     Lint.Engine.lint_source ~file:"fixture.ml"
+     Lint.Typed_engine.lint_source ~file:"fixture.ml"
        (kw ^ " allow R1 - unused *)\nlet a = 1\n")
    in
    match fs with
@@ -128,7 +171,7 @@ let allowlists () =
   check_sites "path normalization applies to allowlists"
     ~file:"./lib/sim/rng.ml" [] "let bits st = Random.State.bits st\n";
   check_sites "R5 allowed inside Sim.Trace" ~file:"lib/sim/trace.ml" []
-    "let st = { buf = [||]; n = 0 }\n";
+    (trace_record ^ "let st = { buf = [||]; n = 0 }\n");
   check_sites "R3 allowed inside Detmap itself" ~file:"lib/kernel/detmap.ml" []
     "let bindings t = Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []\n";
   (* the allowlist is per-rule: R2 still fires inside Sim.Rng *)
@@ -137,15 +180,26 @@ let allowlists () =
     "let seed () = int_of_float (Unix.time ())\n"
 
 let parse_error_is_finding () =
-  match Lint.Engine.lint_source ~file:"fixture.ml" "let let let\n" with
+  match Lint.Typed_engine.lint_source ~file:"fixture.ml" "let let let\n" with
   | [ f ] ->
     Alcotest.(check string) "rule" "parse" f.Lint.Engine.rule;
     Alcotest.(check bool) "severity" true (f.Lint.Engine.severity = Lint.Rules.Error)
   | fs -> Alcotest.fail (Printf.sprintf "expected 1 parse finding, got %d" (List.length fs))
 
+(* A linted source with no typed tree is an error finding, never a
+   silent skip: the rules cannot have looked at it. *)
+let missing_cmt_is_finding () =
+  match Lint.Typed_engine.lint_cmts ~files:[ "lib/orphan.ml" ] [] with
+  | [ f ] ->
+    Alcotest.(check (triple string int string)) "site"
+      ("lib/orphan.ml", 1, "cmt")
+      (f.Lint.Engine.file, f.line, f.rule);
+    Alcotest.(check bool) "severity" true (f.Lint.Engine.severity = Lint.Rules.Error)
+  | fs -> Alcotest.failf "expected 1 cmt finding, got %d" (List.length fs)
+
 let reporters () =
   let findings =
-    Lint.Engine.lint_source ~file:"fixture.ml" "let c = ref 0\n"
+    Lint.Typed_engine.lint_source ~file:"fixture.ml" "let c = ref 0\n"
   in
   let human = Format.asprintf "%a" Lint.Report.print_human findings in
   Alcotest.(check bool) "human form has file:line:col and rule" true
@@ -234,14 +288,14 @@ let sarif_golden () =
   Alcotest.(check bool) "pseudo-rule results omit ruleIndex" true
     (contains (Lint.Report.sarif_result pseudo) {|{"ruleId":"cmt","level":|})
 
-(* --explain coverage: every registered rule id — live rules and
-   retired aliases alike — must resolve to a rule with a non-empty
-   rationale and firing example, or the flag would die mid-print. *)
+(* --explain coverage: every registered rule id must resolve to a rule
+   with a non-empty rationale and firing example, or the flag would die
+   mid-print. *)
 let explain_coverage () =
   List.iter
     (fun id ->
       match Lint.Rules.find id with
-      | None -> Alcotest.failf "known id %s has no rule (broken alias?)" id
+      | None -> Alcotest.failf "known id %s has no rule" id
       | Some r ->
         Alcotest.(check bool)
           (id ^ " resolves to a live rule id") true
@@ -253,14 +307,15 @@ let explain_coverage () =
         Alcotest.(check bool) (id ^ " has a firing example") false
           (r.example = ""))
     Lint.Rules.known_ids;
-  (* the four allocation-plane rules are registered and alias R11
-     still resolves to the race plane *)
+  (* the four allocation-plane rules are registered; the retired R11 is
+     gone *)
   List.iter
     (fun id ->
       Alcotest.(check bool) (id ^ " is registered") true
         (List.mem id Lint.Rules.known_ids))
-    [ "R16"; "R17"; "R18"; "R19"; "R11" ];
-  Alcotest.(check string) "R11 aliases R12" "R12" (Lint.Rules.canon_id "R11")
+    [ "R16"; "R17"; "R18"; "R19" ];
+  Alcotest.(check bool) "R11 is not a rule id" false
+    (List.mem "R11" Lint.Rules.known_ids)
 
 (* The --waivers inventory: deterministic file-then-line order, the
    full rule list and reason per row, and a trailing count. *)
@@ -289,11 +344,15 @@ let waiver_inventory () =
 let suite =
   [
     Alcotest.test_case "rules fire" `Quick fires;
+    Alcotest.test_case "resolved paths: aliases, opens, includes" `Quick
+      resolved;
     Alcotest.test_case "clean code stays clean" `Quick clean;
     Alcotest.test_case "waiver pragmas" `Quick waived;
     Alcotest.test_case "pragma machinery" `Quick pragma_machinery;
     Alcotest.test_case "file allowlists" `Quick allowlists;
     Alcotest.test_case "parse errors are findings" `Quick parse_error_is_finding;
+    Alcotest.test_case "a file without a cmt is a finding" `Quick
+      missing_cmt_is_finding;
     Alcotest.test_case "reporters" `Quick reporters;
     Alcotest.test_case "json schema golden" `Quick json_golden;
     Alcotest.test_case "sarif golden" `Quick sarif_golden;

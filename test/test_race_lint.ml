@@ -29,7 +29,7 @@ let unit_of ~file src =
   | Error e -> Alcotest.failf "fixture %s does not typecheck: %s" file e
 
 let typed ?only ~file src =
-  fst (Lint.Typed_engine.lint_units ?only [ unit_of ~file src ])
+  Lint.Typed_engine.lint_units ?only [ unit_of ~file src ]
 
 let sites ?only ?(file = "fixture.ml") src =
   List.map
@@ -41,18 +41,12 @@ let check_sites name ?only ?file expected src =
     name expected
     (sites ?only ?file src)
 
-(* Full pipeline (typed + syntactic + waiver application), as
-   bin/ncc_lint wires it. *)
+(* Full pipeline (every rule, waivers applied, unused ones reported),
+   as bin/ncc_lint runs it. *)
 let full_sites ?(file = "fixture.ml") src =
-  let tf, used = Lint.Typed_engine.lint_units [ unit_of ~file src ] in
-  let used_sites =
-    List.filter_map
-      (fun (f, l) -> if String.equal f file then Some l else None)
-      used
-  in
   List.map
     (fun (f : Lint.Engine.finding) -> (f.Lint.Engine.file, f.line, f.rule))
-    (Lint.Engine.lint_source ~typed:tf ~used_sites ~file src)
+    (Lint.Typed_engine.lint_source ~file src)
 
 let pool_stub =
   "module Pool = struct\n\

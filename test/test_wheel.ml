@@ -395,6 +395,24 @@ let store_gc_transparent () =
   | Some v -> Alcotest.(check bool) "gc actually ran" true (v > 0.0)
   | None -> Alcotest.fail "run.store_gc_runs gauge missing"
 
+(* Store GC truncates the version chains a post-hoc check reads, so
+   the pair would flag legal histories (a dirty read on a truncated
+   version): the runner rejects it before the run starts, while the
+   streaming checker with the same GC still verifies the history. *)
+let store_gc_rejects_post_hoc () =
+  let gc = { curve_cfg with Harness.Runner.store_gc = Some (0.05, 2) } in
+  List.iter
+    (fun (name, check) ->
+      match curve_run { gc with Harness.Runner.check } with
+      | _ -> Alcotest.failf "store_gc with %s check was accepted" name
+      | exception Invalid_argument _ -> ())
+    [ ("strict", Harness.Runner.Strict);
+      ("serializable", Harness.Runner.Serializable) ];
+  let r = curve_run gc in
+  Alcotest.(check bool) "streaming + store_gc verifies ok" true
+    (String.length r.Harness.Runner.check_result >= 2
+    && String.sub r.Harness.Runner.check_result 0 2 = "ok")
+
 let suite =
   [
     Alcotest.test_case "engine sched identity (dynamic)" `Quick
@@ -409,6 +427,8 @@ let suite =
     Alcotest.test_case "hot-key shedding" `Quick hot_key_shedding;
     Alcotest.test_case "admission cap sheds" `Quick admission_cap_sheds;
     Alcotest.test_case "store gc transparent" `Quick store_gc_transparent;
+    Alcotest.test_case "store gc rejects post-hoc checks" `Quick
+      store_gc_rejects_post_hoc;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [ wheel_heap_same_drain; wheel_heap_interleaved ]
