@@ -21,108 +21,12 @@ let check_override : Harness.Runner.check_level option ref = ref None
 let njobs () = if !jobs = 0 then Harness.Pool.cpu_count () else max 1 !jobs
 
 (* Quick runs stream-check every history by default (the scale's
-   [check] field); --check on|post|off overrides either tier. *)
+   [check] field); --check on|post|ser|off overrides either tier. *)
 let scale () =
   let s = if !quick then Experiments.quick_scale else Experiments.full_scale in
   match !check_override with
   | None -> s
   | Some c -> { s with Experiments.check = c }
-
-(* Scale-adjusted sweeps: the quick cluster (4 servers) saturates at
-   roughly half the load of the full one (8 servers). *)
-let adj loads = if !quick then List.map (fun l -> l /. 2.0) loads else loads
-
-(* Each experiment also returns its runs as BENCH_*.json rows (the
-   tables printed to stdout stay the human-readable face). *)
-let sweep_rows fig data =
-  List.concat_map
-    (fun (pname, points) ->
-      List.map
-        (fun (load, r) ->
-          Harness.Report.bench_row
-            ~experiment:(Printf.sprintf "%s:%s@%.0f" fig pname load)
-            r)
-        points)
-    data
-
-let labeled_rows fig data =
-  List.map
-    (fun (label, r) ->
-      Harness.Report.bench_row ~experiment:(fig ^ ":" ^ label) r)
-    data
-
-let fig6a () =
-  let rows =
-    sweep_rows "fig6a"
-      (Experiments.fig6a ~jobs:(njobs ()) ~scale:(scale ())
-         ~loads:(adj [ 5_000.; 12_000.; 20_000.; 32_000.; 45_000. ])
-         ())
-  in
-  let internals =
-    Experiments.ncc_internals ~scale:(scale ())
-      ~load:(if !quick then 8_000. else 15_000.)
-      ()
-  in
-  rows @ [ Harness.Report.bench_row ~experiment:"internals:NCC" internals ]
-
-let fig6b () =
-  sweep_rows "fig6b"
-    (Experiments.fig6b ~jobs:(njobs ()) ~scale:(scale ())
-       ~loads:(adj [ 4_000.; 10_000.; 18_000.; 28_000.; 40_000. ])
-       ())
-
-let fig6c () =
-  sweep_rows "fig6c"
-    (Experiments.fig6c ~jobs:(njobs ()) ~scale:(scale ())
-       ~loads:(adj [ 4_000.; 9_000.; 15_000.; 21_000.; 27_000. ])
-       ())
-
-let fig7a () =
-  let load_of name = (if !quick then 0.5 else 1.0) *. Experiments.measured_peak name in
-  sweep_rows "fig7a" (Experiments.fig7a ~jobs:(njobs ()) ~scale:(scale ()) ~load_of ())
-
-let fig7b () =
-  sweep_rows "fig7b"
-    (Experiments.fig7b ~jobs:(njobs ()) ~scale:(scale ())
-       ~loads:(adj [ 5_000.; 12_000.; 20_000.; 32_000.; 45_000. ])
-       ())
-
-let fig7c () =
-  labeled_rows "fig7c"
-    (List.map
-       (fun (timeout, r) -> (Printf.sprintf "timeout=%g" timeout, r))
-       (Experiments.fig7c ~jobs:(njobs ()) ~scale:(scale ())
-          ~load:(if !quick then 6_000. else 15_000.)
-          ()))
-
-let fig8 () =
-  List.concat_map
-    (fun (name, ro, rw) ->
-      [
-        Harness.Report.bench_row ~experiment:("fig8:" ^ name ^ ":ro") ro;
-        Harness.Report.bench_row ~experiment:("fig8:" ^ name ^ ":rw") rw;
-      ])
-    (Experiments.fig8 ~jobs:(njobs ()) ~scale:(scale ()) ())
-
-let ablations () =
-  labeled_rows "ablations"
-    (Experiments.ablations ~jobs:(njobs ()) ~scale:(scale ()) ())
-
-let replication () =
-  labeled_rows "replication"
-    (Experiments.replication ~jobs:(njobs ()) ~scale:(scale ())
-       ~load:(if !quick then 5_000. else 10_000.)
-       ())
-
-let geo () =
-  labeled_rows "geo"
-    (Experiments.geo ~jobs:(njobs ()) ~scale:(scale ())
-       ~load:(if !quick then 4_000. else 8_000.)
-       ())
-
-let params () =
-  Experiments.params ();
-  []
 
 (* --- Bechamel microbenchmarks of the core primitives ----------------- *)
 
@@ -685,22 +589,10 @@ let lint () =
 (* --- driver ----------------------------------------------------------- *)
 
 let all_experiments =
-  [
-    ("params", params);
-    ("fig6a", fig6a);
-    ("fig6b", fig6b);
-    ("fig6c", fig6c);
-    ("fig7a", fig7a);
-    ("fig7b", fig7b);
-    ("fig7c", fig7c);
-    ("fig8", fig8);
-    ("ablations", ablations);
-    ("replication", replication);
-    ("geo", geo);
-    ("micro", micro);
-    ("gcstats", gcstats);
-    ("lint", lint);
-  ]
+  List.map
+    (fun (name, fig) -> (name, fun () -> fig ~jobs:(njobs ()) ~quick:!quick (scale ())))
+    Experiments.figures
+  @ [ ("micro", micro); ("gcstats", gcstats); ("lint", lint) ]
 
 let () =
   let set_jobs n =
@@ -726,9 +618,10 @@ let () =
          match lvl with
          | "on" -> Some Harness.Runner.Streaming
          | "post" -> Some Harness.Runner.Strict
+         | "ser" -> Some Harness.Runner.Serializable
          | "off" -> Some Harness.Runner.No_check
          | _ ->
-           Printf.eprintf "unknown --check level %S (want on, post or off)\n" lvl;
+           Printf.eprintf "unknown --check level %S (want on, post, ser or off)\n" lvl;
            exit 2);
       parse rest
     | arg :: rest -> arg :: parse rest
@@ -748,9 +641,17 @@ let () =
             exit 2)
         names
   in
-  Printf.printf "NCC reproduction benchmarks (%s scale, %d job%s)\n"
-    (if !quick then "quick" else "full")
-    (njobs ())
+  (* The output file is opened before the first run, so an unwritable
+     directory fails at once rather than after the whole suite. *)
+  let suite = if !quick then "quick" else "full" in
+  let path = Printf.sprintf "BENCH_%s.json" suite in
+  let oc =
+    try open_out path
+    with Sys_error e ->
+      Printf.eprintf "cannot write %s\n" e;
+      exit 2
+  in
+  Printf.printf "NCC reproduction benchmarks (%s scale, %d job%s)\n" suite (njobs ())
     (if njobs () = 1 then "" else "s");
   let rows =
     List.concat_map
@@ -767,9 +668,6 @@ let () =
   in
   (* Machine-readable mirror of the run: every simulated result as one
      row, for CI artifacts and cross-run diffing. *)
-  let suite = if !quick then "quick" else "full" in
-  let path = Printf.sprintf "BENCH_%s.json" suite in
-  let oc = open_out path in
   output_string oc (Harness.Report.bench_doc ~suite rows);
   close_out oc;
   Printf.printf "[wrote %s: %d rows]\n" path (List.length rows)

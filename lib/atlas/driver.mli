@@ -50,6 +50,12 @@ module Zipf_memo : sig
   val get : t -> n:int -> theta:float -> Sim.Rng.zipf
 end
 
+(** The runner config of one cell at [point]: the scenario's cluster,
+    load, latency regime and clock skew, with the quick or full
+    measurement window, streaming-checked when [check]. *)
+val cfg_of :
+  quick:bool -> check:bool -> Knob.point -> seed:int -> Harness.Runner.config
+
 (** Run the scenario. [jobs] defaults to 1 (sequential), [quick]
     shrinks the per-cell measurement window (offered load is untouched,
     so rankings survive), [check] (default true) streams

@@ -1,7 +1,8 @@
 (* Reproductions of every table and figure in the paper's evaluation
    (§5). Each [figN] function runs the corresponding experiment on the
-   simulated cluster and prints the series the paper plots; the bench
-   executable and the ncc_sim CLI both drive these.
+   simulated cluster, prints the series the paper plots and returns its
+   runs as BENCH rows; [figures] is the one table the bench executable
+   and `ncc_sim fig` both run.
 
    Absolute numbers differ from the paper (their substrate was an Azure
    cluster, ours is a calibrated simulator); the claims we reproduce
@@ -123,6 +124,22 @@ let print_row name (r : Runner.result) =
     (100.0 *. abort_rate r)
     r.Runner.max_utilization
 
+(* Each run becomes one BENCH_*.json row; [experiment] names it. *)
+let row experiment r = Harness.Report.bench_row ~experiment r
+
+let curve_rows fig curves =
+  List.concat_map
+    (fun (pname, points) ->
+      List.map (fun (load, r) -> row (Printf.sprintf "%s:%s@%.0f" fig pname load) r) points)
+    curves
+
+let labeled_rows fig = List.map (fun (label, r) -> row (fig ^ ":" ^ label) r)
+
+(* Quick runs use [quick_scale]'s 4 servers, which saturate at roughly
+   half the load of the full scale's 8: sweeps halve their loads, and
+   single-load figures pick a lighter operating point. *)
+let halved ~quick loads = if quick then List.map (fun l -> l /. 2.0) loads else loads
+
 (* --- sweep fan-out ---------------------------------------------------- *)
 
 (* Every sweep is a flat grid of self-contained (protocol, cell) jobs
@@ -180,33 +197,31 @@ let print_curves curves =
       print_newline ())
     curves
 
-let fig6a ?(jobs = 1) ?(scale = full_scale)
-    ?(loads = [ 5_000.; 12_000.; 20_000.; 32_000.; 45_000. ]) () =
-  header "Fig 6a: Google-F1, latency vs throughput";
-  let w () = Workload.Google_f1.make () in
-  let curves = latency_throughput ~jobs ~workload:w ~loads scale in
+(* One latency/throughput figure: sweep, print, export, rows. *)
+let curve_figure ?protocols ~name ~title ~workload ~loads ~jobs ~quick scale =
+  header title;
+  let curves =
+    latency_throughput ~jobs ?protocols ~workload ~loads:(halved ~quick loads) scale
+  in
   print_curves curves;
-  export_curves "fig6a" curves;
-  curves
+  export_curves name curves;
+  curve_rows name curves
 
-let fig6b ?(jobs = 1) ?(scale = full_scale)
-    ?(loads = [ 4_000.; 10_000.; 18_000.; 28_000.; 40_000. ]) () =
-  header "Fig 6b: Facebook-TAO, latency vs throughput";
-  let w () = Workload.Facebook_tao.make () in
-  let curves = latency_throughput ~jobs ~workload:w ~loads scale in
-  print_curves curves;
-  export_curves "fig6b" curves;
-  curves
+let f1_loads = [ 5_000.; 12_000.; 20_000.; 32_000.; 45_000. ]
 
-let fig6c ?(jobs = 1) ?(scale = full_scale)
-    ?(loads = [ 4_000.; 9_000.; 15_000.; 21_000.; 27_000. ]) () =
-  header "Fig 6c: TPC-C (New-Order reported), latency vs throughput";
-  let w () = Workload.Tpcc.make ~n_servers:scale.n_servers () in
-  (* TAPIR-CC is not evaluated on TPC-C in the paper; same here. *)
-  let curves = latency_throughput ~jobs ~workload:w ~loads scale in
-  print_curves curves;
-  export_curves "fig6c" curves;
-  curves
+let fig6b ~jobs ~quick scale =
+  curve_figure ~name:"fig6b" ~title:"Fig 6b: Facebook-TAO, latency vs throughput"
+    ~workload:(fun () -> Workload.Facebook_tao.make ())
+    ~loads:[ 4_000.; 10_000.; 18_000.; 28_000.; 40_000. ]
+    ~jobs ~quick scale
+
+(* TAPIR-CC is not evaluated on TPC-C in the paper; same here. *)
+let fig6c ~jobs ~quick scale =
+  curve_figure ~name:"fig6c"
+    ~title:"Fig 6c: TPC-C (New-Order reported), latency vs throughput"
+    ~workload:(fun () -> Workload.Tpcc.make ~n_servers:scale.n_servers ())
+    ~loads:[ 4_000.; 9_000.; 15_000.; 21_000.; 27_000. ]
+    ~jobs ~quick scale
 
 (* --- Figure 7a: write-fraction sweep --------------------------------- *)
 
@@ -228,9 +243,9 @@ let measured_peak = function
   | "MVTO" -> 47_000.0
   | _ -> 20_000.0
 
-let fig7a ?(jobs = 1) ?(scale = full_scale)
-    ?(write_fractions = [ 0.003; 0.01; 0.03; 0.10; 0.30 ])
-    ?(load_of = measured_peak) () =
+let fig7a ~jobs ~quick scale =
+  let write_fractions = [ 0.003; 0.01; 0.03; 0.10; 0.30 ] in
+  let load_of name = (if quick then 0.5 else 1.0) *. measured_peak name in
   header "Fig 7a: Google-WF, normalized throughput vs write fraction";
   (* NCC appears twice: with the paper's server-granularity read-only
      fence (whose fast-path aborts grow with the write rate — the
@@ -289,26 +304,21 @@ let fig7a ?(jobs = 1) ?(scale = full_scale)
              ])
            rows)
        results);
-  results
+  curve_rows "fig7a" results
 
 (* --- Figure 7b: serializable baselines -------------------------------- *)
 
-let fig7b ?(jobs = 1) ?(scale = full_scale)
-    ?(loads = [ 5_000.; 12_000.; 20_000.; 32_000.; 45_000. ]) () =
-  header "Fig 7b: Google-F1, NCC vs serializable TAPIR-CC / MVTO";
-  let w () = Workload.Google_f1.make () in
-  let curves =
-    latency_throughput ~jobs ~protocols:serializable_protocols ~workload:w ~loads
-      scale
-  in
-  print_curves curves;
-  export_curves "fig7b" curves;
-  curves
+let fig7b ~jobs ~quick scale =
+  curve_figure ~protocols:serializable_protocols ~name:"fig7b"
+    ~title:"Fig 7b: Google-F1, NCC vs serializable TAPIR-CC / MVTO"
+    ~workload:(fun () -> Workload.Google_f1.make ())
+    ~loads:f1_loads ~jobs ~quick scale
 
 (* --- Figure 7c: client-failure recovery ------------------------------- *)
 
-let fig7c ?(jobs = 1) ?(scale = full_scale) ?(timeouts = [ 1.0; 3.0 ])
-    ?(load = 15_000.0) () =
+let fig7c ~jobs ~quick scale =
+  let timeouts = [ 1.0; 3.0 ] in
+  let load = if quick then 6_000.0 else 15_000.0 in
   header "Fig 7c: client failures at t=10s, NCC-RW throughput over time";
   let results =
     Harness.Pool.map ~jobs
@@ -364,14 +374,15 @@ let fig7c ?(jobs = 1) ?(scale = full_scale) ?(timeouts = [ 1.0; 3.0 ])
              ])
            r.Runner.series)
        results);
-  results
+  labeled_rows "fig7c"
+    (List.map (fun (timeout, r) -> (Printf.sprintf "timeout=%g" timeout, r)) results)
 
 (* --- Figure 8: best-case properties table ------------------------------ *)
 
 (* Measured on a low-contention one-shot micro-workload: latency in
    RTTs (median latency / simulated RTT), messages per committed
    transaction and the false-abort rate. *)
-let fig8 ?(jobs = 1) ?(scale = full_scale) () =
+let fig8 ~jobs ~quick:_ scale =
   header "Fig 8: measured best-case properties (low-contention one-shot)";
   let one_way = 250e-6 in
   let rtt = 2.0 *. one_way in
@@ -432,11 +443,13 @@ let fig8 ?(jobs = 1) ?(scale = full_scale) () =
         (100.0 *. abort_rate rw)
         (if strict then "strict-ser" else "ser"))
     rows;
-  rows
+  List.concat_map
+    (fun (name, ro, rw) -> [ row ("fig8:" ^ name ^ ":ro") ro; row ("fig8:" ^ name ^ ":rw") rw ])
+    rows
 
 (* --- §5.3 inline statistics -------------------------------------------- *)
 
-let ncc_internals ?(scale = full_scale) ?(load = 15_000.0) () =
+let ncc_internals ~load scale =
   header "NCC internal statistics at the operating point (paper §5.3)";
   let w = Workload.Google_f1.make () in
   let cfg = { (base_cfg scale) with Runner.offered_load = load } in
@@ -458,7 +471,8 @@ let ncc_internals ?(scale = full_scale) ?(load = 15_000.0) () =
 
 (* --- ablations (DESIGN.md §5) ------------------------------------------- *)
 
-let ablations ?(jobs = 1) ?(scale = full_scale) ?(load = 15_000.0) () =
+let ablations ~jobs ~quick:_ scale =
+  let load = 15_000.0 in
   header "Ablations: NCC optimizations (hot keys, 15% writes, 5ms clock skew)";
   (* an adversarial setting where the timestamp optimizations earn
      their keep: skewed clients writing hot keys make pre-assigned
@@ -502,7 +516,7 @@ let ablations ?(jobs = 1) ?(scale = full_scale) ?(load = 15_000.0) () =
       protocols
   in
   List.iter (fun (name, r) -> print_row name r) results;
-  results
+  labeled_rows "ablations" results
 
 (* --- replication (§4.6 + the paper's future-work optimization) ---------- *)
 
@@ -513,7 +527,8 @@ let ablations ?(jobs = 1) ?(scale = full_scale) ?(load = 15_000.0) () =
    We run NCC unreplicated, NCC-R (every state change replicated to 2
    replicas per server before its response releases), and NCC-R with
    replication deferred to the last shot (§4.6's sketched optimization). *)
-let replication ?(jobs = 1) ?(scale = full_scale) ?(load = 10_000.0) () =
+let replication ~jobs ~quick scale =
+  let load = if quick then 5_000.0 else 10_000.0 in
   header "Replication (§4.6): NCC vs NCC-R vs deferred replication";
   (* TPC-C: its multi-shot transactions are where deferring replication
      to the last shot saves proposals (F1 is one-shot, so the two modes
@@ -549,7 +564,7 @@ let replication ?(jobs = 1) ?(scale = full_scale) ?(load = 10_000.0) () =
         r.Runner.msgs_per_commit
         (Option.value ~default:0.0 (List.assoc_opt "proposed" r.Runner.counters)))
     results;
-  results
+  labeled_rows "replication" results
 
 (* --- geo-replication: within vs across datacenters ------------------- *)
 
@@ -558,7 +573,9 @@ let replication ?(jobs = 1) ?(scale = full_scale) ?(load = 10_000.0) () =
    trip before responses release; cross-DC replicas cost a wide-area
    one. Abort rates stay flat in both cases — the §4.6 argument doesn't
    care where the replicas are. *)
-let geo ?(jobs = 1) ?(scale = full_scale) ?(load = 8_000.0) ?(wide = 20e-3) () =
+let geo ~jobs ~quick scale =
+  let load = if quick then 4_000.0 else 8_000.0 in
+  let wide = 20e-3 in
   header "Geo-replication: local vs cross-datacenter replica groups";
   let w () = Workload.Google_f1.make_wf ~write_fraction:0.05 () in
   (* election timeouts must dominate the replica round trip *)
@@ -599,11 +616,11 @@ let geo ?(jobs = 1) ?(scale = full_scale) ?(load = 8_000.0) ?(wide = 20e-3) () =
         (r.Runner.p99 *. 1e3)
         (100.0 *. abort_rate r))
     results;
-  results
+  labeled_rows "geo" results
 
 (* --- the paper's workload-parameter tables (Figs 4 and 5) --------------- *)
 
-let params () =
+let params ~jobs:_ ~quick:_ _ =
   header "Fig 4: workload parameters";
   Printf.printf
     "Google-F1:     write fraction 0.3%% (0.3-30%% in Google-WF), 1-10 keys per\n\
@@ -617,4 +634,34 @@ let params () =
     "Facebook-TAO:  low contention, 1 shot, read-dominated -> RO fast path\n\
      Google-F1:     low contention, 1 shot, read-dominated -> RO fast path\n\
      TPC-C:         medium-high contention, multi-shot, write-intensive\n\
-     Google-WF:     low-high contention, 1 shot, write-intensive\n"
+     Google-WF:     low-high contention, 1 shot, write-intensive\n";
+  []
+
+(* --- the figure table ----------------------------------------------------- *)
+
+(* Fig 6a carries the §5.3 internal statistics at its operating point. *)
+let fig6a ~jobs ~quick scale =
+  let rows =
+    curve_figure ~name:"fig6a" ~title:"Fig 6a: Google-F1, latency vs throughput"
+      ~workload:(fun () -> Workload.Google_f1.make ())
+      ~loads:f1_loads ~jobs ~quick scale
+  in
+  let internals =
+    ncc_internals ~load:(if quick then 8_000.0 else 15_000.0) scale
+  in
+  rows @ [ row "internals:NCC" internals ]
+
+let figures =
+  [
+    ("params", params);
+    ("fig6a", fig6a);
+    ("fig6b", fig6b);
+    ("fig6c", fig6c);
+    ("fig7a", fig7a);
+    ("fig7b", fig7b);
+    ("fig7c", fig7c);
+    ("fig8", fig8);
+    ("ablations", ablations);
+    ("replication", replication);
+    ("geo", geo);
+  ]

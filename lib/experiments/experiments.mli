@@ -1,11 +1,7 @@
-(** Reproductions of the paper's evaluation (§5): one function per
-    table/figure. Each runs on the simulated testbed and prints the
-    series the paper plots, returning the raw results. *)
+(** Reproductions of the paper's evaluation (§5), one entry per
+    table/figure, on the simulated testbed. *)
 
 module Runner = Harness.Runner
-
-val strict_protocols : (string * Harness.Protocol.t) list
-val serializable_protocols : (string * Harness.Protocol.t) list
 
 (** Cluster/duration preset. [check] is the default history-check
     level for every run at this scale. *)
@@ -27,78 +23,13 @@ val quick_scale : scale
 
 val base_cfg : ?seed:int -> scale -> Runner.config
 
-(** In-window aborted attempts / decided attempts. *)
-val abort_rate : Runner.result -> float
-
-(** Peak throughput of each protocol on Google-F1 at [full_scale]
-    (measured by the Fig 6a sweep); drives the Fig 7a load choice. *)
-val measured_peak : string -> float
-
-(** Latency-vs-throughput sweep (the Fig 6 shape). [workload] is a
-    factory invoked once per (protocol, load) cell, so every cell is
-    self-contained — a prerequisite for fanning the sweep across
-    domains, and what makes each row independent of its position in
-    the sweep. [jobs] > 1 runs cells on a {!Harness.Pool}; results are
-    merged in canonical order and byte-identical to [jobs = 1]. *)
-val latency_throughput :
-  ?jobs:int ->
-  ?protocols:(string * Harness.Protocol.t) list ->
-  workload:(unit -> Harness.Workload_sig.t) ->
-  loads:float list ->
-  scale ->
-  (string * (float * Runner.result) list) list
-
-val fig6a :
-  ?jobs:int -> ?scale:scale -> ?loads:float list -> unit ->
-  (string * (float * Runner.result) list) list
-
-val fig6b :
-  ?jobs:int -> ?scale:scale -> ?loads:float list -> unit ->
-  (string * (float * Runner.result) list) list
-
-val fig6c :
-  ?jobs:int -> ?scale:scale -> ?loads:float list -> unit ->
-  (string * (float * Runner.result) list) list
-
-(** Write-fraction sweep at ~75% of each system's own peak load. *)
-val fig7a :
-  ?jobs:int -> ?scale:scale -> ?write_fractions:float list ->
-  ?load_of:(string -> float) -> unit ->
-  (string * (float * Runner.result) list) list
-
-val fig7b :
-  ?jobs:int -> ?scale:scale -> ?loads:float list -> unit ->
-  (string * (float * Runner.result) list) list
-
-(** Client-failure injection at t=10s with the given recovery timeouts;
-    returns the per-timeout results (with commit-rate time series). *)
-val fig7c :
-  ?jobs:int -> ?scale:scale -> ?timeouts:float list -> ?load:float -> unit ->
-  (float * Runner.result) list
-
-(** Measured best-case properties table (latency in RTTs, messages per
-    transaction, false aborts) on low-contention one-shot probes. *)
-val fig8 :
-  ?jobs:int -> ?scale:scale -> unit -> (string * Runner.result * Runner.result) list
-
-(** The §5.3 inline statistics (safeguard pass rate etc.). *)
-val ncc_internals : ?scale:scale -> ?load:float -> unit -> Runner.result
-
-(** NCC optimization ablations (smart retry, asynchrony-aware
-    timestamps, read-only fast path). *)
-val ablations :
-  ?jobs:int -> ?scale:scale -> ?load:float -> unit -> (string * Runner.result) list
-
-(** Replication study (§4.6): NCC vs NCC-R (every state change
-    replicated to 2 replicas/server) vs deferred replication. Verifies
-    "latency up, aborts unchanged". *)
-val replication :
-  ?jobs:int -> ?scale:scale -> ?load:float -> unit -> (string * Runner.result) list
-
-(** Geo-replication: local vs cross-datacenter replica groups. *)
-val geo :
-  ?jobs:int -> ?scale:scale -> ?load:float -> ?wide:float -> unit ->
-  (string * Runner.result) list
-
-(** Print the paper's Fig 4 / Fig 5 workload-parameter tables. *)
-val params : unit -> unit
+(** Every table and figure of the evaluation, in presentation order,
+    as `bench/main.exe` and `ncc_sim fig` run it: each entry runs its
+    experiment on [scale] ([jobs] > 1 fans cells over a {!Harness.Pool};
+    output is byte-identical to [jobs = 1]), prints its table and returns
+    its runs as BENCH_*.json rows. [quick] selects the loads tuned for
+    {!quick_scale}'s smaller cluster. Fig 6a also reports the §5.3 NCC
+    internal statistics; params prints the Fig 4/5 workload tables and
+    returns no rows. *)
+val figures :
+  (string * (jobs:int -> quick:bool -> scale -> Obs.Jsonw.t list)) list

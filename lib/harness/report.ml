@@ -1,5 +1,5 @@
 (* JSON reporting over Runner results and the metrics registry: the
-   documents behind `ncc_sim profile --json`, the bench BENCH_*.json
+   documents behind `ncc_sim --profile FILE`, the bench BENCH_*.json
    files and the CI artifacts. All serialization goes through
    Obs.Jsonw, so output is deterministic byte-for-byte for a given
    seed (golden-tested). *)
@@ -34,7 +34,7 @@ let result_json (r : Runner.result) =
       ("check", Jsonw.Str r.Runner.check_result);
     ]
 
-(* The `ncc_sim profile` document: the run summary plus every cell of
+(* The `ncc_sim --profile` document: the run summary plus every cell of
    the metrics registry (per-node counters, gauges, histograms). *)
 let profile_json (r : Runner.result) (mx : Metrics.t) =
   Jsonw.to_string

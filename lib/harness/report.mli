@@ -1,11 +1,11 @@
 (** Deterministic JSON reporting over {!Runner.result} and the metrics
-    registry: `ncc_sim profile --json`, the bench BENCH_*.json files
+    registry: `ncc_sim --profile FILE`, the bench BENCH_*.json files
     and the CI artifacts all go through here. *)
 
 (** A run summary as a JSON value. *)
 val result_json : Runner.result -> Obs.Jsonw.t
 
-(** The `ncc_sim profile` document: run summary plus every cell of the
+(** The `ncc_sim --profile` document: run summary plus every cell of the
     metrics registry. *)
 val profile_json : Runner.result -> Obs.Metrics.t -> string
 

@@ -212,16 +212,41 @@ let latency_model rng topo = function
       ~remote:(fun a b ->
         Cluster.Topology.is_replica topo a || Cluster.Topology.is_replica topo b)
 
+(* Each rejected config would otherwise fail mid-run with an unrelated
+   exception (Topology.make, a negative Engine.schedule delay), loop
+   forever, or (store GC under a post-hoc check, which reads the version
+   chains the GC truncates) report violations on legal histories. Zero
+   durations are valid: a set-up-only run. *)
+let validate cfg =
+  let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let span x = Float.is_finite x && x >= 0.0 in
+  if cfg.n_servers < 1 then fail "n_servers must be at least 1 (got %d)" cfg.n_servers
+  else if cfg.n_clients < 1 then fail "n_clients must be at least 1 (got %d)" cfg.n_clients
+  else if cfg.replicas_per_server < 0 then
+    fail "replicas_per_server must be >= 0 (got %d)" cfg.replicas_per_server
+  else if not (span cfg.offered_load) then
+    fail "offered_load must be finite and >= 0 (got %g)" cfg.offered_load
+  else if not (span cfg.duration) then
+    fail "duration must be finite and >= 0 (got %g)" cfg.duration
+  else if not (span cfg.warmup) then
+    fail "warmup must be finite and >= 0 (got %g)" cfg.warmup
+  else if not (span cfg.drain) then fail "drain must be finite and >= 0 (got %g)" cfg.drain
+  else if cfg.check_window < 1 then
+    fail "check_window must be at least 1 (got %d)" cfg.check_window
+  else
+    match (cfg.store_gc, cfg.check) with
+    | Some (period, _), _ when not (period > 0.0) ->
+      fail "store_gc period must be > 0 (got %g)" period
+    | Some (_, keep), _ when keep < 1 ->
+      fail "store_gc keep must be at least 1 (got %d)" keep
+    | Some _, (Serializable | Strict) ->
+      fail
+        "store_gc needs check = Streaming or No_check (post-hoc checking reads \
+         the version chains the GC truncates)"
+    | _ -> Ok ()
+
 let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg =
-  (* Store GC truncates the committed version chains the post-hoc
-     checker reads, so the pair would report violations on legal
-     histories. *)
-  (match (cfg.store_gc, cfg.check) with
-   | Some _, (Serializable | Strict) ->
-     invalid_arg
-       "Runner.run: store_gc needs check = Streaming or No_check (post-hoc \
-        checking reads the version chains the GC truncates)"
-   | _ -> ());
+  (match validate cfg with Ok () -> () | Error m -> invalid_arg ("Runner.run: " ^ m));
   Txn.reset_ids ();
   Mvstore.Store.reset_vids ();
   let engine = Sim.Engine.create ~sched:cfg.sched () in

@@ -117,13 +117,20 @@ type result = {
   check_result : string;  (** "ok (...)", "VIOLATION: ...", or "skipped" *)
 }
 
+(** [Error msg] when [config] cannot run: fewer than one server or
+    client, negative replicas, a negative or non-finite load, duration,
+    warmup or drain, [check_window] < 1, a [store_gc] period <= 0 or
+    keep < 1, or [store_gc] under a post-hoc check. Zero durations are
+    valid. {!run} applies it first; the CLIs report it and exit 2. *)
+val validate : config -> (unit, string) Stdlib.result
+
 (** Run one simulation. [label] overrides the protocol's display name.
     [obs] attaches a span recorder (txn lifecycle, retries, per-message
     network/handler spans); [metrics] supplies the registry protocol
     counters and run gauges land in. Both are passive: attaching them
     cannot change the result (the observer-effect test pins this).
-    @raise Invalid_argument when [store_gc] is combined with the post-hoc
-    [Serializable]/[Strict] check, before the run starts. *)
+    @raise Invalid_argument when {!validate} rejects the config, before
+    the run starts. *)
 val run :
   ?label:string ->
   ?obs:Obs.Recorder.t ->

@@ -1,0 +1,19 @@
+#!/bin/sh
+# Usage: cli_exit_codes.sh NCC_SIM
+# Runs ncc_sim on incoherent configurations and unwritable output
+# paths, printing each command's exit code and stderr. Every case must
+# be refused with exit 2 before any simulation runs.
+sim="$1"
+case_() {
+  err=$("$sim" "$@" 2>&1 >/dev/null)
+  code=$?
+  echo "ncc_sim $*: exit $code"
+  [ -z "$err" ] || printf '%s\n' "$err" | sed 's/^/  /'
+}
+case_ run --servers 0
+case_ run --load=-5
+case_ scale --servers 4 --clients 8 --txns 200 --check-window=-3
+case_ scale --servers 4 --clients 8 --txns 200 --out /nonexistent/s.json
+case_ profile --profile /nonexistent/p.json
+case_ chaos --replicas=-1 --seeds 1
+case_ atlas smoke --quick --out /nonexistent/a.json

@@ -246,9 +246,73 @@ let ncc_server_liveness =
       in
       all_answered && no_pending && Hashtbl.length server.Ncc.Server.txns = 0)
 
+(* Runner.validate: each incoherent config is rejected with its
+   message, and every config the repo really runs is accepted. *)
+let runner_validate () =
+  let module R = Harness.Runner in
+  let d = R.default in
+  let gc_post =
+    "store_gc needs check = Streaming or No_check (post-hoc checking reads \
+     the version chains the GC truncates)"
+  in
+  let span name got = Printf.sprintf "%s must be finite and >= 0 (got %s)" name got in
+  List.iter
+    (fun (cfg, msg) ->
+      Alcotest.(check (result unit string)) msg (Error msg) (R.validate cfg))
+    [
+      ({ d with R.n_servers = 0 }, "n_servers must be at least 1 (got 0)");
+      ({ d with R.n_clients = -2 }, "n_clients must be at least 1 (got -2)");
+      ({ d with R.replicas_per_server = -1 }, "replicas_per_server must be >= 0 (got -1)");
+      ({ d with R.offered_load = -5.0 }, span "offered_load" "-5");
+      ({ d with R.offered_load = Float.nan }, span "offered_load" "nan");
+      ({ d with R.duration = Float.infinity }, span "duration" "inf");
+      ({ d with R.duration = -1.0 }, span "duration" "-1");
+      ({ d with R.warmup = -0.5 }, span "warmup" "-0.5");
+      ({ d with R.drain = -0.5 }, span "drain" "-0.5");
+      ({ d with R.check_window = 0 }, "check_window must be at least 1 (got 0)");
+      ({ d with R.store_gc = Some (0.0, 4) }, "store_gc period must be > 0 (got 0)");
+      ({ d with R.store_gc = Some (1.0, 0) }, "store_gc keep must be at least 1 (got 0)");
+      ({ d with R.store_gc = Some (1.0, 4); check = R.Strict }, gc_post);
+      ({ d with R.store_gc = Some (1.0, 4); check = R.Serializable }, gc_post);
+    ];
+  let atlas_cells =
+    List.concat_map
+      (fun (s : Atlas.Scenario.t) ->
+        List.concat_map
+          (fun (_, point) ->
+            List.concat_map
+              (fun quick ->
+                List.map
+                  (fun check -> Atlas.Driver.cfg_of ~quick ~check point ~seed:1)
+                  [ true; false ])
+              [ true; false ])
+          (Atlas.Knob.expand s.Atlas.Scenario.base s.Atlas.Scenario.axes))
+      Atlas.Scenario.all
+  in
+  List.iteri
+    (fun i cfg ->
+      Alcotest.(check (result unit string)) (Printf.sprintf "real config %d" i) (Ok ())
+        (R.validate cfg))
+    ([
+       d;
+       (* perfbench samples set-up cost with every window at zero *)
+       { d with R.warmup = 0.0; duration = 0.0; drain = 0.0 };
+       (* perfbench's f1-scale reference point, full and tiny *)
+       { d with R.n_servers = 64; n_clients = 10_000; offered_load = 60_000.0;
+                check = R.Streaming; check_window = 4096; store_gc = Some (1.0, 4) };
+       { d with R.n_servers = 16; n_clients = 400; check = R.Streaming;
+                store_gc = Some (0.1, 4) };
+       Harness.Chaos.base_default;
+       Harness.Chaos.config ~seed:7 ();
+       Experiments.base_cfg Experiments.full_scale;
+       Experiments.base_cfg Experiments.quick_scale;
+     ]
+    @ atlas_cells)
+
 let suite =
   [
     Alcotest.test_case "runner accounting" `Slow runner_accounting;
+    Alcotest.test_case "runner validate table" `Quick runner_validate;
     Alcotest.test_case "windowed utilization at saturation" `Slow
       utilization_windowed_at_saturation;
     Alcotest.test_case "testbed basics" `Quick testbed_basics;
