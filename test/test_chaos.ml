@@ -73,6 +73,19 @@ let replay_reproduces_digest () =
   Alcotest.(check bool) "different seed, different trace" true
     (c.Chaos.digest <> a.Chaos.digest)
 
+(* The full trace digests of five NCC seeds, pinned byte for byte.
+   Replay equality and the --jobs parity check compare a run with
+   itself; this catches a digest that changes the same way everywhere
+   (say, a reordered or re-encoded event). *)
+let digests_pinned () =
+  let line seed =
+    let r = Chaos.run Ncc.protocol (workload ()) ~seed in
+    Printf.sprintf "seed %d committed=%d digest=%s\n" seed r.Chaos.committed
+      r.Chaos.digest
+  in
+  Golden.check ~name:"chaos_digests_ncc_f1.txt"
+    (String.concat "" (List.map line [ 1; 2; 3; 4; 5 ]))
+
 (* The timestamp-inversion pitfall, demonstrated: with response timing
    control disabled the strict checker must catch violations across a
    modest seed sweep (write-heavy workload to maximize contention). *)
@@ -91,6 +104,7 @@ let suite =
   @ [
       Alcotest.test_case "replay reproduces the trace digest" `Quick
         replay_reproduces_digest;
+      Alcotest.test_case "NCC digests match the golden" `Quick digests_pinned;
       Alcotest.test_case "NCC-noRTC is caught by the strict checker" `Quick
         no_rtc_is_caught;
     ]

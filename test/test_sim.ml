@@ -201,7 +201,9 @@ let trace_capture_from_net () =
 (* Every fault line the runtime can render, from one seeded schedule:
    node 1 crashes and restarts (its own sends are suppressed and
    messages to it are lost meanwhile), the 0-2 link is partitioned for
-   a window, and drop/duplicate/delay draws hit the rest. *)
+   a window, and drop/duplicate/delay draws hit the rest. The same
+   stream's spans are pinned too: they are the only span golden with
+   [lost] instants and the second b/e pair of a duplicated copy. *)
 let trace_ring_faults () =
   let engine = Sim.Engine.create () in
   let topo = Cluster.Topology.make ~n_servers:2 ~n_clients:1 () in
@@ -215,8 +217,9 @@ let trace_ring_faults () =
       crashes = [ { cr_node = 1; cr_at = 1e-3; cr_for = 1.2e-3 } ];
     }
   in
+  let spans = Obs.Recorder.create () in
   let net =
-    Cluster.Net.create ~faults engine (Sim.Rng.create 3) topo
+    Cluster.Net.create ~faults ~obs:spans engine (Sim.Rng.create 3) topo
       ~latency:(Cluster.Latency.uniform ~one_way:100e-6 ~jitter_mean:20e-6)
       ~clock_of:(fun _ -> Sim.Clock.perfect)
   in
@@ -231,7 +234,11 @@ let trace_ring_faults () =
   done;
   Sim.Engine.run engine;
   Sim.Trace.disable ();
-  Golden.check ~name:"trace_ring_faults.txt" (render_ring ())
+  Golden.check ~name:"trace_ring_faults.txt" (render_ring ());
+  (match Obs.Export.validate spans with
+   | Ok _ -> ()
+   | Error e -> Alcotest.failf "fault-schedule spans invalid: %s" e);
+  Golden.check ~name:"trace_spans_faults.json" (Obs.Export.chrome_trace_string spans)
 
 (* A deterministic event stream of [n] records (several digest chunks
    once n exceeds ~160). [edit] rewrites event [at]; [read_at] reads the
