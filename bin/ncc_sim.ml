@@ -13,7 +13,7 @@
 
    run, scale, trace and profile are presets of one flag set and one
    code path: they differ only in their defaults (cluster, load, run
-   length, check, event queue, artifacts), so `run --perfetto t.json`
+   length, check, artifacts), so `run --perfetto t.json`
    or `scale --profile p.json` work like any other flag. *)
 
 open Cmdliner
@@ -140,9 +140,6 @@ type preset = {
   latency : Runner.latency_spec;
   check : Runner.check_level;
   check_window : int;
-  sched : Sim.Engine.sched;
-      (* wheel and heap give byte-identical results; the wheel is
-         O(1) amortised, which pays at cluster scale *)
   seed : int;
   perfetto : string option;
   profile : string option;
@@ -160,7 +157,6 @@ let run_preset =
     latency = Runner.default.Runner.latency;
     check = Runner.No_check;
     check_window = Runner.default.Runner.check_window;
-    sched = Sim.Engine.Binary_heap;
     seed = 42;
     perfetto = None;
     profile = None;
@@ -171,8 +167,7 @@ let scale_preset =
     name = "scale";
     doc =
       "Cluster-scale open-loop runs: 64+ servers, 10k+ clients, 10-100M offered \
-       transactions, stream-checked in bounded memory, on the timing-wheel \
-       event queue. Latency is the uniform model (the per-pair asymmetric \
+       transactions, stream-checked in bounded memory. Latency is the uniform model (the per-pair asymmetric \
        table is O(nodes^2) and unusable at this node count).";
     servers = 64;
     clients = 10_000;
@@ -185,7 +180,6 @@ let scale_preset =
     latency = Runner.Uniform { one_way = 250e-6; jitter = 25e-6 };
     check = Runner.Streaming;
     check_window = 4096;
-    sched = Sim.Engine.Timing_wheel;
     seed = 1;
     perfetto = None;
     profile = None;
@@ -321,7 +315,6 @@ let config_term p =
         latency = p.latency;
         check;
         check_window;
-        sched = p.sched;
         request_timeout;
         arrival =
           (match arrival with
@@ -384,15 +377,13 @@ type outcome = {
   seed : int;
   r : Runner.result;
   mx : Obs.Metrics.t;
-  recorder : Obs.Recorder.t option;
+  spans : Sim.Trace.capture option;  (* the --perfetto / --timeline capture *)
   ring : string;  (* the --trace dump, "" when off *)
 }
 
 let gauge mx name =
   Option.value ~default:0.0
     (List.assoc_opt (name, Obs.Metrics.run_scope) (Obs.Metrics.gauges mx))
-
-let is_violation cr = String.length cr >= 9 && String.sub cr 0 9 = "VIOLATION"
 
 let report (cfg : Runner.config) timeline o =
   let r = o.r in
@@ -428,18 +419,18 @@ let report (cfg : Runner.config) timeline o =
   Printf.printf "  [host] top heap %.1f MB\n"
     (gauge o.mx "gc.top_heap_words" *. 8.0 /. 1e6);
   print_string o.ring;
-  match o.recorder with
-  | Some rec_ when timeline > 0 ->
-    Obs.Export.timeline ~last:timeline rec_ Format.std_formatter
+  match o.spans with
+  | Some spans when timeline > 0 ->
+    Obs.Export.timeline ~last:timeline spans Format.std_formatter
   | _ -> ()
 
 let write_perfetto (path, oc) o =
-  match o.recorder with
+  match o.spans with
   | None -> ()
-  | Some rec_ ->
+  | Some spans ->
     (* In-flight transactions at the horizon legitimately leave spans
        open; anything else is a bug in the instrumentation. *)
-    (match Obs.Export.validate ~allow_open:true rec_ with
+    (match Obs.Export.validate ~allow_open:true spans with
      | Ok s ->
        Printf.printf
          "trace: %d events (%d complete spans, %d async pairs, %d open at horizon)\n"
@@ -448,13 +439,13 @@ let write_perfetto (path, oc) o =
      | Error e ->
        Printf.eprintf "trace: INVALID: %s\n" e;
        exit 1);
-    write oc (Obs.Export.chrome_trace_string rec_);
+    write oc (Obs.Export.chrome_trace_string spans);
     Printf.printf
       "wrote %s (protocol=%s committed=%d, %.0f tx/s); open in ui.perfetto.dev\n"
       path o.r.Runner.protocol o.r.Runner.committed o.r.Runner.throughput;
-    if Obs.Recorder.n_dropped rec_ > 0 then
-      Printf.printf "note: %d events past the recorder limit were dropped\n"
-        (Obs.Recorder.n_dropped rec_)
+    if spans.Sim.Trace.dropped > 0 then
+      Printf.printf "note: %d events past the trace capture limit were dropped\n"
+        spans.Sim.Trace.dropped
 
 let run_cmd p =
   let open Term.Syntax in
@@ -516,14 +507,14 @@ let run_cmd p =
     let outcomes =
       Harness.Pool.map ~jobs:(resolve_jobs jobs)
         (fun seed ->
-          (* the ring tracer is per domain: enable it on the job's own *)
+          (* the tracer is per domain: turn its readers on in the job's own *)
           if ring > 0 then Sim.Trace.enable ~capacity:(max 4096 ring) ();
-          let recorder = if record then Some (Obs.Recorder.create ()) else None in
+          if record then Sim.Trace.start_capture ();
           let mx = Obs.Metrics.create () in
           let r =
-            Runner.run ~label:pname ?obs:recorder ~metrics:mx proto (mk ())
-              { cfg with Runner.seed }
+            Runner.run ~label:pname ~metrics:mx proto (mk ()) { cfg with Runner.seed }
           in
+          let spans = if record then Some (Sim.Trace.stop_capture ()) else None in
           let ring =
             if ring = 0 then ""
             else begin
@@ -533,7 +524,7 @@ let run_cmd p =
                 (Sim.Trace.dump ~last:ring)
             end
           in
-          { seed; r; mx; recorder; ring })
+          { seed; r; mx; spans; ring })
         (List.init seeds (fun i -> cfg.Runner.seed + i))
     in
     List.iter (report cfg timeline) outcomes;
@@ -560,7 +551,7 @@ let run_cmd p =
     let worst name =
       List.fold_left (fun m o -> Float.max m (gauge o.mx name)) 0.0 outcomes
     in
-    if List.exists (fun o -> is_violation o.r.Runner.check_result) outcomes then begin
+    if List.exists (fun o -> Runner.violated o.r) outcomes then begin
       prerr_endline "serializability violation detected";
       exit 1
     end;
@@ -599,6 +590,10 @@ let chaos_cmd =
       & info [ "no-crashes" ] ~doc:"Restrict schedules to network faults only.")
   in
   let f (pname, p) wname seeds replay replicas no_crashes check jobs =
+    (* a chaos seed passes on its checked history: without a check
+       there is no verdict to report *)
+    if check = Runner.No_check then
+      usage_error "chaos checks every seed: --check off leaves no verdict";
     let base =
       {
         Harness.Chaos.base_default with

@@ -70,12 +70,6 @@ end
 
 (* --- per-cell run ------------------------------------------------------ *)
 
-let violation_prefix = "VIOLATION"
-
-let is_violation s =
-  String.length s >= String.length violation_prefix
-  && String.equal (String.sub s 0 (String.length violation_prefix)) violation_prefix
-
 (* Simulated-time envelope per cell. The full tier matches the quick
    figure tier's 1 s window; --quick shrinks the window only — offered
    load is untouched, because backing off load would pull every cell
@@ -119,7 +113,7 @@ let run_cell ~quick ~check ?zipf (c : cell) (protocol : Harness.Protocol.t) =
     committed = r.Runner.committed;
     gave_up = r.Runner.gave_up;
     check = r.Runner.check_result;
-    ok = not (is_violation r.Runner.check_result);
+    ok = not (Runner.violated r);
   }
 
 (* --- the sweep --------------------------------------------------------- *)

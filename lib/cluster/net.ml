@@ -139,8 +139,8 @@ type 'msg node = {
   ctx : 'msg ctx;
   mutable handler : src:Types.node_id -> 'msg -> unit;
   mutable cost : 'msg -> float;
-  mutable phase_of : ('msg -> string) option;
-      (* observability label for handler-execution spans *)
+  mutable phase_of : 'msg -> int;
+      (* phase code of handler-execution spans, -1 if unlabelled *)
   inbox : 'msg inbox;
   mutable busy : bool;
   mutable up : bool;
@@ -170,11 +170,6 @@ type 'msg t = {
   net_topo : Topology.t;
   latency : Latency.t;
   faults : Faults.spec;
-  (* Observability plane: when set, the runtime records per-message
-     spans (in-flight, queueing delay, handler execution). Recording is
-     passive — no RNG draws, no scheduled events — so an attached
-     recorder cannot change a run's outcome. *)
-  obs : Obs.Recorder.t option;
   (* Aliases the parent rng at construction and is re-pointed to a
      private split only when faults are enabled, so the fault-free
      path never draws from it. *)
@@ -210,33 +205,25 @@ type 'msg t = {
   mutable fl_dummy : 'msg option;  (* slot-clearing filler *)
 }
 
-(* Handler execution at service completion: trace, observability span,
-   then the handler itself. Shared by both service paths. *)
+(* Handler execution at service completion: one Handle event (which is
+   also the handler's span), then the handler itself. Shared by both
+   service paths. Tracing is passive — no RNG draws, no scheduled
+   events — so it cannot change a run's outcome. *)
 let finish_service t node ~src msg ~start ~c =
   if Sim.Trace.active () then
-    Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Handle ~src
-      ~dst:node.ctx.self ~x:0.0;
-  (match t.obs with
-   | Some r ->
-     let name = match node.phase_of with Some f -> f msg | None -> "handle" in
-     Obs.Recorder.complete r ~node:node.ctx.self ~name ~cat:"rpc" ~ts:start
-       ~dur:c
-       ~args:[ ("src", string_of_int src) ]
-       ()
-   | None -> ());
+    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Handle ~src
+      ~dst:node.ctx.self ~x:0.0 ~start ~dur:c ~id:0 ~code:(node.phase_of msg);
   node.handler ~src msg
 
 (* Pre-handler bookkeeping at service start; returns the CPU cost. *)
 let start_service t node ~src msg ~enq ~was_queued =
   let c = node.cost msg in
-  let start = Sim.Engine.now t.net_engine in
-  (match t.obs with
-   | Some r when was_queued ->
-     Obs.Recorder.complete r ~node:node.ctx.self ~name:"queued" ~cat:"net"
-       ~ts:enq ~dur:(start -. enq)
-       ~args:[ ("src", string_of_int src) ]
-       ()
-   | Some _ | None -> ());
+  if was_queued then
+    if Sim.Trace.active () then begin
+      let start = Sim.Engine.now t.net_engine in
+      Sim.Trace.emit ~time:start Queued ~src ~dst:node.ctx.self ~x:0.0 ~start:enq
+        ~dur:(start -. enq) ~id:0 ~code:0
+    end;
   t.busy_time.(node.ctx.self) <- t.busy_time.(node.ctx.self) +. c;
   c
 
@@ -286,44 +273,22 @@ and complete_fast t node () =
   node.busy <- false;
   service t node
 
+(* [flight] is the message's correlation id ([messages_sent] at send
+   time), carried by its Send (and Duplicated) events and by the Arrive
+   of each copy. Arrive is emitted even when the message is lost below,
+   so every flight span closes. *)
 let deliver t ~src ~flight node msg =
   let dst = node.ctx.self in
-  (match t.obs with
-   | Some r ->
-     (* Close the in-flight span even when the message is lost below,
-        so traces stay balanced. *)
-     Obs.Recorder.async_e r ~node:dst ~name:"msg" ~cat:"net" ~id:flight
-       ~ts:(Sim.Engine.now t.net_engine) ()
-   | None -> ());
+  if Sim.Trace.active () then
+    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Arrive ~src ~dst ~x:0.0
+      ~start:0.0 ~dur:0.0 ~id:flight ~code:0;
   if node.up then begin
     let was_queued = node.busy || not (ib_is_empty node.inbox) in
     ib_push node.inbox ~src msg ~enq:(Sim.Engine.now t.net_engine) ~was_queued;
     service t node
   end
-  else begin
-    (match t.obs with
-     | Some r ->
-       Obs.Recorder.instant r ~node:dst ~name:"lost" ~cat:"net"
-         ~ts:(Sim.Engine.now t.net_engine)
-         ~args:[ ("src", string_of_int src) ]
-         ()
-     | None -> ());
-    if Sim.Trace.active () then
-      Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Lost_down ~src ~dst
-        ~x:0.0
-  end
-
-(* Open the in-flight async span for one network copy of a message.
-   [flight] is the unique correlation id ([messages_sent] at send
-   time); the matching end is emitted by [deliver]. *)
-let flight_begin t ~src ~dst ~flight =
-  match t.obs with
-  | Some r ->
-    Obs.Recorder.async_b r ~node:src ~name:"msg" ~cat:"net" ~id:flight
-      ~ts:(Sim.Engine.now t.net_engine)
-      ~args:[ ("dst", string_of_int dst) ]
-      ()
-  | None -> ()
+  else if Sim.Trace.active () then
+    Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Lost_down ~src ~dst ~x:0.0
 
 (* Deliver the message parked in arena slot [i]. The slot is released
    (and its message reference cleared) before [deliver] runs, so sends
@@ -383,10 +348,10 @@ let fl_alloc t msg =
 
 let send_clean t ~src ~dst msg =
   let delay = Latency.sample t.net_rng t.latency ~src ~dst in
-  if Sim.Trace.active () then
-    Sim.Trace.ev ~time:(Sim.Engine.now t.net_engine) Send ~src ~dst ~x:delay;
   let flight = t.messages_sent in
-  flight_begin t ~src ~dst ~flight;
+  if Sim.Trace.active () then
+    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Send ~src ~dst ~x:delay
+      ~start:0.0 ~dur:0.0 ~id:flight ~code:0;
   let i = fl_alloc t msg in
   t.fl_srcs.(i) <- src;
   t.fl_dsts.(i) <- dst;
@@ -418,22 +383,22 @@ let send_faulty t ~src ~dst msg =
       end
       else 0.0
     in
-    if Sim.Trace.active () then
-      Sim.Trace.ev ~time:now Send ~src ~dst ~x:(base +. extra);
     let node = t.nodes.(dst) in
     let flight = t.messages_sent in
-    flight_begin t ~src ~dst ~flight;
+    if Sim.Trace.active () then
+      Sim.Trace.emit ~time:now Send ~src ~dst ~x:(base +. extra) ~start:0.0 ~dur:0.0
+        ~id:flight ~code:0;
     (* ncc-lint: allow R17 — the delivery thunk is the scheduled event; one closure per in-flight message is the event-queue contract *)
     Sim.Engine.schedule t.net_engine ~delay:(base +. extra) (fun () ->
         deliver t ~src ~flight node msg);
     if Sim.Rng.flip t.fault_rng t.faults.Faults.duplicate then begin
       t.n_duplicated <- t.n_duplicated + 1;
       let dup_delay = Latency.sample t.net_rng t.latency ~src ~dst in
+      (* The duplicate is its own network copy: a second flight span
+         under the same correlation id keeps the trace balanced. *)
       if Sim.Trace.active () then
-        Sim.Trace.ev ~time:now Duplicated ~src ~dst ~x:dup_delay;
-      (* The duplicate is its own network copy: a second b/e pair under
-         the same correlation id keeps the trace balanced. *)
-      flight_begin t ~src ~dst ~flight;
+        Sim.Trace.emit ~time:now Duplicated ~src ~dst ~x:dup_delay ~start:0.0
+          ~dur:0.0 ~id:flight ~code:0;
       (* ncc-lint: allow R17 — the duplicate delivery thunk is its own scheduled event *)
       Sim.Engine.schedule t.net_engine ~delay:dup_delay (fun () ->
           deliver t ~src ~flight node msg)
@@ -493,7 +458,7 @@ let install_crashes t =
       end)
     t.faults.Faults.crashes
 
-let create ?(faults = Faults.none) ?obs engine rng topo ~latency ~clock_of =
+let create ?(faults = Faults.none) engine rng topo ~latency ~clock_of =
   let n = Topology.n_nodes topo in
   let rec t =
     lazy
@@ -503,7 +468,6 @@ let create ?(faults = Faults.none) ?obs engine rng topo ~latency ~clock_of =
         net_topo = topo;
         latency;
         faults;
-        obs;
         fault_rng = rng;
         nodes =
           Array.init n (fun id ->
@@ -522,7 +486,7 @@ let create ?(faults = Faults.none) ?obs engine rng topo ~latency ~clock_of =
                 ctx;
                 handler = (fun ~src:_ _ -> failwith "Net: handler not set");
                 cost = (fun _ -> 0.0);
-                phase_of = None;
+                phase_of = (fun _ -> -1);
                 inbox = ib_create ();
                 busy = false;
                 up = true;
@@ -560,10 +524,22 @@ let create ?(faults = Faults.none) ?obs engine rng topo ~latency ~clock_of =
 
 let ctx t id = t.nodes.(id).ctx
 
-let set_handler ?phase t id ~cost ~handler =
+let set_handler ?(phase = fun _ -> -1) t id ~cost ~handler =
   t.nodes.(id).cost <- cost;
   t.nodes.(id).phase_of <- phase;
   t.nodes.(id).handler <- handler
+
+let name_tracks t =
+  if Sim.Trace.active () then begin
+    let name role =
+      List.iter (fun id ->
+          Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Track ~src:id ~dst:id
+            ~x:0.0 ~start:0.0 ~dur:0.0 ~id:0 ~code:role)
+    in
+    name Sim.Trace.server_track (Topology.servers t.net_topo);
+    name Sim.Trace.replica_track (Topology.replicas t.net_topo);
+    name Sim.Trace.client_track (Topology.clients t.net_topo)
+  end
 
 let set_on_restart t id f = t.nodes.(id).on_restart <- Some f
 

@@ -36,25 +36,28 @@ type fault_stats = {
     [clock_of id] supplies each node's (possibly skewed) clock.
     [faults] defaults to {!Faults.none}, in which case the network is
     byte-identical (RNG draws included) to the fault-free runtime.
-    [obs] attaches a span recorder for per-message observability
-    (in-flight, queueing delay, handler execution); recording is
-    passive — no RNG draws, no scheduled events — so attaching one
-    cannot change a run's outcome. *)
+    While {!Sim.Trace} is active the runtime emits one event per send,
+    copy, arrival, queueing, handler execution, loss and fault; tracing
+    is passive — no RNG draws, no scheduled events — so it cannot
+    change a run's outcome. *)
 val create :
   ?faults:Faults.spec ->
-  ?obs:Obs.Recorder.t ->
   Sim.Engine.t -> Sim.Rng.t -> Topology.t ->
   latency:Latency.t -> clock_of:(Types.node_id -> Sim.Clock.t) -> 'msg t
 
 val ctx : 'msg t -> Types.node_id -> 'msg ctx
 
-(** [phase] labels handler-execution spans from the message being
-    serviced (defaults to "handle"); only consulted when a recorder is
-    attached. *)
+(** [phase] gives the phase code (Obs.Phase.code) of the message
+    being serviced, for its Handle event (default -1, exported as
+    "handle"); only consulted while {!Sim.Trace} is active. *)
 val set_handler :
-  ?phase:('msg -> string) ->
+  ?phase:('msg -> int) ->
   'msg t -> Types.node_id ->
   cost:('msg -> float) -> handler:(src:Types.node_id -> 'msg -> unit) -> unit
+
+(** Name every node's trace track by its role (server, replica,
+    client), when {!Sim.Trace} is active. *)
+val name_tracks : 'msg t -> unit
 
 (** Hook run when a crashed node restarts. Protocol state is durable
     across crashes (the paper models servers as replicated state

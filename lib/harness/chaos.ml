@@ -50,8 +50,6 @@ let config ?(allow_crashes = true) ?(base = base_default) ~seed () =
     faults = Cluster.Faults.random ~seed ~nodes ~crashable ~horizon;
   }
 
-let check_ok verdict = String.length verdict >= 2 && String.sub verdict 0 2 = "ok"
-
 let run ?allow_crashes ?base protocol workload ~seed =
   let cfg = config ?allow_crashes ?base ~seed () in
   Sim.Trace.reset_digest ();
@@ -65,7 +63,7 @@ let run ?allow_crashes ?base protocol workload ~seed =
     committed = r.Runner.committed;
     gave_up = r.Runner.gave_up;
     check = r.Runner.check_result;
-    ok = check_ok r.Runner.check_result;
+    ok = not (Runner.violated r);
     digest;
     faults = cfg.Runner.faults;
   }

@@ -8,7 +8,7 @@ type report = {
   committed : int;
   gave_up : int;
   check : string;  (** the checker verdict, verbatim *)
-  ok : bool;       (** the history check passed *)
+  ok : bool;       (** the history check found no violation ({!Runner.violated}) *)
   digest : string; (** hex digest of the full event trace *)
   faults : Cluster.Faults.spec;  (** the schedule the seed produced *)
 }

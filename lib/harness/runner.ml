@@ -65,10 +65,6 @@ type config = {
   replicas_per_server : int;    (* replica nodes per server (replicated protocols) *)
   request_timeout : float option;  (* per-attempt client timeout (None = never) *)
   faults : Cluster.Faults.spec;    (* injected network/node faults *)
-  sched : Sim.Engine.sched;
-      (* event-queue implementation; results are byte-identical either
-         way (pinned by the wheel/heap identity tests), the wheel is
-         O(1) per event for cluster-scale runs *)
   arrival : arrival_curve;         (* arrival-rate shape (default Constant) *)
   admission_cap : int option;
       (* system-wide in-flight transaction ceiling; arrivals beyond it
@@ -105,7 +101,6 @@ let default =
     replicas_per_server = 0;
     request_timeout = None;
     faults = Cluster.Faults.none;
-    sched = Sim.Engine.Binary_heap;
     arrival = Constant;
     admission_cap = None;
     hot_key_shed = None;
@@ -134,6 +129,10 @@ type result = {
   series : (float * float) list;
   check_result : string;
 }
+
+(* The one reading of [check_result]: only a check that ran and failed
+   is a violation; "skipped" is not. *)
+let violated r = String.starts_with ~prefix:"VIOLATION" r.check_result
 
 type pending = {
   p_txn : Txn.t;
@@ -245,11 +244,11 @@ let validate cfg =
          the version chains the GC truncates)"
     | _ -> Ok ()
 
-let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg =
+let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg =
   (match validate cfg with Ok () -> () | Error m -> invalid_arg ("Runner.run: " ^ m));
   Txn.reset_ids ();
   Mvstore.Store.reset_vids ();
-  let engine = Sim.Engine.create ~sched:cfg.sched () in
+  let engine = Sim.Engine.create () in
   let rng = Sim.Rng.create cfg.seed in
   let topo =
     Cluster.Topology.make ~replicas_per_server:cfg.replicas_per_server
@@ -264,29 +263,16 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
   let lat_rng = Sim.Rng.split rng in
   let latency = latency_model lat_rng topo cfg.latency in
   let net =
-    Cluster.Net.create ~faults:cfg.faults ?obs engine (Sim.Rng.split rng) topo
+    Cluster.Net.create ~faults:cfg.faults engine (Sim.Rng.split rng) topo
       ~latency
       ~clock_of:(fun id -> clocks.(id))
   in
-  (* Track names and the handler-span labeller. Recording is passive:
-     every obs touch below mutates only per-run values and never reads
-     the clock outside an existing event, so an attached recorder
-     cannot change a run (pinned by the observer-effect test). *)
-  (match obs with
-   | Some r ->
-     List.iter
-       (fun id -> Obs.Recorder.name_track r ~node:id (Printf.sprintf "server %d" id))
-       (Cluster.Topology.servers topo);
-     List.iter
-       (fun id -> Obs.Recorder.name_track r ~node:id (Printf.sprintf "replica %d" id))
-       (Cluster.Topology.replicas topo);
-     List.iter
-       (fun id -> Obs.Recorder.name_track r ~node:id (Printf.sprintf "client %d" id))
-       (Cluster.Topology.clients topo)
-   | None -> ());
-  let phase =
-    Option.map (fun _ m -> Obs.Phase.to_string (P.msg_phase m)) obs
-  in
+  (* Track names and the handler-span labeller. Tracing is passive:
+     every Sim.Trace event below is stamped with the current simulated
+     time and touches nothing else, so tracing cannot change a run
+     (pinned by the observer-effect test). *)
+  Cluster.Net.name_tracks net;
+  let phase m = Obs.Phase.code (P.msg_phase m) in
   let window_start = cfg.warmup in
   let window_end = cfg.warmup +. cfg.duration in
   let horizon = window_end +. cfg.drain in
@@ -318,23 +304,15 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
     if cfg.check <> Streaming then None
     else begin
       let on_epoch =
-        (* epoch spans only in sync mode: the recorder is not safe to
-           share with the worker domain *)
-        match obs with
-        | Some r when not cfg.check_async ->
-          Obs.Recorder.name_track r ~node:checker_node "checker";
+        (* epoch events only in sync mode: the async feeder's domain
+           has its own tracer *)
+        if cfg.check_async then None
+        else
           Some
             (fun ~live ~retired ->
-              Obs.Recorder.instant r ~node:checker_node ~name:"epoch"
-                ~cat:"checker"
-                ~ts:(Sim.Engine.now engine)
-                ~args:
-                  [
-                    ("live", string_of_int live);
-                    ("retired", string_of_int retired);
-                  ]
-                ())
-        | _ -> None
+              if Sim.Trace.active () then
+                Sim.Trace.emit ~time:(Sim.Engine.now engine) Epoch ~src:checker_node
+                  ~dst:checker_node ~x:0.0 ~start:0.0 ~dur:0.0 ~id:live ~code:retired)
       in
       Some
         (Checker.Stream.create ~epoch:cfg.check_window
@@ -372,7 +350,7 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
     List.map
       (fun id ->
         let srv = P.make_server (Cluster.Net.ctx net id) in
-        Cluster.Net.set_handler ?phase net id
+        Cluster.Net.set_handler ~phase net id
           ~cost:(fun m -> P.msg_cost cfg.cost m)
           ~handler:(fun ~src m -> P.server_handle srv ~src m);
         (* the streaming checker's version feed: copy the scalars out
@@ -398,7 +376,7 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
   List.iter
     (fun id ->
       let rep = P.make_replica (Cluster.Net.ctx net id) in
-      Cluster.Net.set_handler ?phase net id
+      Cluster.Net.set_handler ~phase net id
         ~cost:(fun m -> P.msg_cost cfg.cost m)
         ~handler:(fun ~src m -> P.replica_handle rep ~src m))
     (Cluster.Topology.replicas topo);
@@ -479,21 +457,14 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
         Float.max 1.0 burst_mult )
   in
   let in_window t = t >= window_start && t < window_end in
-  (* Txn-lifecycle spans, all on the owning client's track, correlated
-     by transaction id: an async "txn" span over the whole
-     retry-until-committed life, nested "attempt" spans per submission,
-     "backoff" complete spans between attempts, "shed" / "gave_up"
-     instants at the open-loop threshold and the retry cap. *)
-  let txn_b node name ts txn_id =
-    match obs with
-    | Some r -> Obs.Recorder.async_b r ~node ~name ~cat:"txn" ~id:txn_id ~ts ()
-    | None -> ()
-  in
-  let txn_e node name ts txn_id args =
-    match obs with
-    | Some r ->
-      Obs.Recorder.async_e r ~node ~name ~cat:"txn" ~id:txn_id ~ts ~args ()
-    | None -> ()
+  (* Txn-lifecycle spans, all on the owning client's track, keyed by
+     transaction id: a "txn" span over the whole retry-until-committed
+     life, nested "attempt" spans per submission, "backoff" between
+     attempts, "shed" / "gave_up" instants at the open-loop threshold
+     and the retry cap. *)
+  let txn_ev kind node txn code =
+    Sim.Trace.emit ~time:(Sim.Engine.now engine) kind ~src:node ~dst:node ~x:0.0
+      ~start:0.0 ~dur:0.0 ~id:txn ~code
   in
   List.iter
     (fun id ->
@@ -528,7 +499,7 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
         p.p_attempt_start <- now;
         if streaming then ring_push wm_ring now p;
         incr attempts;
-        txn_b id "attempt" now p.p_txn.Txn.id;
+        if Sim.Trace.active () then txn_ev Attempt_begin id p.p_txn.Txn.id 0;
         P.submit (client ()) p.p_txn;
         arm_timeout p
       in
@@ -542,9 +513,10 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
              Hashtbl.remove inflight o.txn.Txn.id;
              p.p_live <- false;
              decr inflight_total;
-             txn_e id "attempt" now o.txn.Txn.id [ ("status", "committed") ];
-             txn_e id "txn" now o.txn.Txn.id
-               [ ("attempts", string_of_int (p.p_attempts + 1)) ];
+             if Sim.Trace.active () then begin
+               txn_ev Attempt_end id o.txn.Txn.id (-1);
+               txn_ev Txn_end id o.txn.Txn.id (p.p_attempts + 1)
+             end;
              if in_window p.p_first_start then begin
                incr committed;
                Stats.Hist.add hist (now -. p.p_first_start);
@@ -573,7 +545,8 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
                     ~writes:o.writes)
            | Outcome.Aborted reason ->
              let reason_s = Outcome.reason_to_string reason in
-             txn_e id "attempt" now o.txn.Txn.id [ ("status", reason_s) ];
+             if Sim.Trace.active () then
+               txn_ev Attempt_end id o.txn.Txn.id (Outcome.reason_code reason);
              hot_bump now o.txn;
              if in_window p.p_first_start then
                Obs.Metrics.add abort_mx reason_s 1.0;
@@ -582,14 +555,10 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
                Hashtbl.remove inflight o.txn.Txn.id;
                p.p_live <- false;
                decr inflight_total;
-               (match obs with
-                | Some r ->
-                  Obs.Recorder.instant r ~node:id ~name:"gave_up" ~cat:"txn"
-                    ~ts:now
-                    ~args:[ ("txn", string_of_int o.txn.Txn.id) ]
-                    ()
-                | None -> ());
-               txn_e id "txn" now o.txn.Txn.id [ ("status", "gave_up") ];
+               if Sim.Trace.active () then begin
+                 txn_ev Gave_up id o.txn.Txn.id 0;
+                 txn_ev Txn_end id o.txn.Txn.id (-1)
+               end;
                if in_window p.p_first_start then incr gave_up
              end
              else begin
@@ -598,20 +567,16 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
                  *. float_of_int (1 lsl min 6 (p.p_attempts - 1))
                  *. (0.5 +. Sim.Rng.float retry_rng 1.0)
                in
-               (match obs with
-                | Some r ->
-                  Obs.Recorder.complete r ~node:id ~name:"backoff" ~cat:"txn"
-                    ~ts:now ~dur:backoff
-                    ~args:[ ("txn", string_of_int o.txn.Txn.id) ]
-                    ()
-                | None -> ());
+               if Sim.Trace.active () then
+                 Sim.Trace.emit ~time:now Backoff ~src:id ~dst:id ~x:0.0 ~start:now
+                   ~dur:backoff ~id:o.txn.Txn.id ~code:0;
                Sim.Engine.schedule engine ~delay:backoff (fun () -> resubmit p)
              end)
       in
       let cl = P.make_client ctx ~report in
       client_ref := Some cl;
       clients.(Cluster.Topology.client_index topo id) <- Some (id, cl);
-      Cluster.Net.set_handler ?phase net id
+      Cluster.Net.set_handler ~phase net id
         ~cost:(fun _ -> Cost.client cfg.cost)
         ~handler:(fun ~src m -> P.client_handle cl ~src m);
       (* open-loop Poisson arrivals, thinned to the arrival curve *)
@@ -629,21 +594,14 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
            else if Hashtbl.length inflight >= cfg.max_inflight || admit_capped ()
            then begin
              if admit_capped () then incr shed_admission;
-             (match obs with
-              | Some r ->
-                Obs.Recorder.instant r ~node:id ~name:"shed" ~cat:"txn" ~ts:now ()
-              | None -> ());
+             if Sim.Trace.active () then txn_ev Shed id 0 0;
              if in_window now then incr dropped
            end
            else begin
              let txn = w.Workload_sig.gen gen_rng ~client:id in
              if hot_blocked now txn then begin
                incr shed_hot_key;
-               (match obs with
-                | Some r ->
-                  Obs.Recorder.instant r ~node:id ~name:"shed_hot_key" ~cat:"txn"
-                    ~ts:now ()
-                | None -> ());
+               if Sim.Trace.active () then txn_ev Shed id 0 1;
                if in_window now then incr dropped
              end
              else begin
@@ -655,8 +613,10 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
                incr inflight_total;
                if streaming then ring_push wm_ring now p;
                incr attempts;
-               txn_b id "txn" now txn.Txn.id;
-               txn_b id "attempt" now txn.Txn.id;
+               if Sim.Trace.active () then begin
+                 txn_ev Txn_begin id txn.Txn.id 0;
+                 txn_ev Attempt_begin id txn.Txn.id 0
+               end;
                P.submit cl txn;
                arm_timeout p
              end
@@ -674,16 +634,18 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
      stopped and joined, or the process hangs at exit on its
      [Condition.wait]; shutdown is idempotent, so the normal
      collection path below re-calls it harmlessly. *)
-  let gc0 = Gc.quick_stat () in
+  let gc0 = Gc.quick_stat () and minor0 = Gc.minor_words () in
   Fun.protect
     ~finally:(fun () ->
       match stream_worker with Some w -> Pool.shutdown w | None -> ())
     (fun () -> Sim.Engine.run ~until:horizon engine);
   (* GC telemetry over the simulation proper (setup excluded): gauges
      only, never part of [result], so run results stay identical
-     whether or not anyone reads them. *)
+     whether or not anyone reads them. Minor words are this domain's,
+     from [Gc.minor_words]: [quick_stat]'s count stops at the last
+     minor collection, so a short run that triggers none read 0. *)
   let gc1 = Gc.quick_stat () in
-  Obs.Metrics.set_gauge mx "gc.minor_words" (gc1.Gc.minor_words -. gc0.Gc.minor_words);
+  Obs.Metrics.set_gauge mx "gc.minor_words" (Gc.minor_words () -. minor0);
   Obs.Metrics.set_gauge mx "gc.major_collections"
     (float_of_int (gc1.Gc.major_collections - gc0.Gc.major_collections));
   Obs.Metrics.set_gauge mx "gc.top_heap_words"
@@ -717,21 +679,16 @@ let run ?(label = "") ?obs ?metrics (module P : Protocol.S) (w : Workload_sig.t)
         (float_of_int s.Checker.Stream.pending_high_water);
       Obs.Metrics.set_gauge mx "checker.stale_residue"
         (float_of_int s.Checker.Stream.stale_residue);
-      (match obs with
-       | Some r ->
-         Obs.Recorder.name_track r ~node:checker_node "checker";
-         Obs.Recorder.instant r ~node:checker_node ~name:"finalize"
-           ~cat:"checker"
-           ~ts:(Sim.Engine.now engine)
-           ~args:
-             [
-               ("commits", string_of_int s.Checker.Stream.commits);
-               ("live_high_water", string_of_int s.Checker.Stream.live_high_water);
-               ("retired", string_of_int s.Checker.Stream.retired);
-               ("verdict", Checker.Verdict.to_string v);
-             ]
-           ()
-       | None -> ());
+      if Sim.Trace.active () then begin
+        let ev kind ~dst ~x ~id ~code =
+          Sim.Trace.emit ~time:(Sim.Engine.now engine) kind ~src:checker_node ~dst ~x
+            ~start:0.0 ~dur:0.0 ~id ~code
+        in
+        ev Track ~dst:checker_node ~x:0.0 ~id:0 ~code:Sim.Trace.checker_track;
+        ev Finalize ~dst:s.Checker.Stream.live_high_water
+          ~x:(if Checker.Verdict.is_ok v then 0.0 else 1.0)
+          ~id:s.Checker.Stream.commits ~code:s.Checker.Stream.retired
+      end;
       verdict_string v ~n:(Checker.Stream.n_observed st)
     | (Serializable | Strict) as lvl ->
       List.iter

@@ -70,11 +70,6 @@ type config = {
           retried when it fires (default [None] = wait forever) *)
   faults : Cluster.Faults.spec;
       (** injected network/node faults (default {!Cluster.Faults.none}) *)
-  sched : Sim.Engine.sched;
-      (** event-queue implementation (default [Binary_heap]). Results
-          are byte-identical either way — the wheel/heap identity
-          tests pin this — but [Timing_wheel] is O(1) amortised per
-          event, which is what cluster-scale runs want. *)
   arrival : arrival_curve;  (** arrival-rate shape (default [Constant]) *)
   admission_cap : int option;
       (** system-wide in-flight transaction ceiling; arrivals beyond it
@@ -117,6 +112,10 @@ type result = {
   check_result : string;  (** "ok (...)", "VIOLATION: ...", or "skipped" *)
 }
 
+(** The run's history check ran and found a violation. A skipped check
+    is not one. Every verdict reader goes through this. *)
+val violated : result -> bool
+
 (** [Error msg] when [config] cannot run: fewer than one server or
     client, negative replicas, a negative or non-finite load, duration,
     warmup or drain, [check_window] < 1, a [store_gc] period <= 0 or
@@ -124,15 +123,15 @@ type result = {
     valid. {!run} applies it first; the CLIs report it and exit 2. *)
 val validate : config -> (unit, string) Stdlib.result
 
-(** Run one simulation. [label] overrides the protocol's display name.
-    [obs] attaches a span recorder (txn lifecycle, retries, per-message
-    network/handler spans); [metrics] supplies the registry protocol
-    counters and run gauges land in. Both are passive: attaching them
-    cannot change the result (the observer-effect test pins this).
+(** Run one simulation. [label] overrides the protocol's display name;
+    [metrics] supplies the registry protocol counters and run gauges
+    land in. While {!Sim.Trace} is active the run emits its txn
+    lifecycle (admission, attempts, back-off, shed, give-up), checker
+    and per-message events. Metrics and tracing are passive: neither
+    can change the result (the observer-effect test pins this).
     @raise Invalid_argument when {!validate} rejects the config, before
     the run starts. *)
 val run :
   ?label:string ->
-  ?obs:Obs.Recorder.t ->
   ?metrics:Obs.Metrics.t ->
   Protocol.t -> Workload_sig.t -> config -> result

@@ -19,7 +19,7 @@ type t = {
 
 let make ?(seed = 1) ?(n_servers = 4) ?(n_clients = 4) ?(replicas_per_server = 0)
     ?(one_way = 200e-6) ?(jitter = 20e-6) ?(max_clock_offset = 1e-3)
-    ?(cost = Cost.default) ?obs (module P : Protocol.S) ~on_outcome =
+    ?(cost = Cost.default) (module P : Protocol.S) ~on_outcome =
   Txn.reset_ids ();
   Mvstore.Store.reset_vids ();
   let engine = Sim.Engine.create () in
@@ -32,27 +32,16 @@ let make ?(seed = 1) ?(n_servers = 4) ?(n_clients = 4) ?(replicas_per_server = 0
   in
   let latency = Cluster.Latency.uniform ~one_way ~jitter_mean:jitter in
   let net =
-    Cluster.Net.create ?obs engine (Sim.Rng.split rng) topo ~latency
+    Cluster.Net.create engine (Sim.Rng.split rng) topo ~latency
       ~clock_of:(fun id -> clocks.(id))
   in
-  (match obs with
-   | Some r ->
-     List.iter
-       (fun id -> Obs.Recorder.name_track r ~node:id (Printf.sprintf "server %d" id))
-       (Cluster.Topology.servers topo);
-     List.iter
-       (fun id -> Obs.Recorder.name_track r ~node:id (Printf.sprintf "replica %d" id))
-       (Cluster.Topology.replicas topo);
-     List.iter
-       (fun id -> Obs.Recorder.name_track r ~node:id (Printf.sprintf "client %d" id))
-       (Cluster.Topology.clients topo)
-   | None -> ());
-  let phase = Option.map (fun _ m -> Obs.Phase.to_string (P.msg_phase m)) obs in
+  Cluster.Net.name_tracks net;
+  let phase m = Obs.Phase.code (P.msg_phase m) in
   let servers =
     List.map
       (fun id ->
         let srv = P.make_server (Cluster.Net.ctx net id) in
-        Cluster.Net.set_handler ?phase net id
+        Cluster.Net.set_handler ~phase net id
           ~cost:(fun m -> P.msg_cost cost m)
           ~handler:(fun ~src m -> P.server_handle srv ~src m);
         srv)
@@ -61,7 +50,7 @@ let make ?(seed = 1) ?(n_servers = 4) ?(n_clients = 4) ?(replicas_per_server = 0
   List.iter
     (fun id ->
       let rep = P.make_replica (Cluster.Net.ctx net id) in
-      Cluster.Net.set_handler ?phase net id
+      Cluster.Net.set_handler ~phase net id
         ~cost:(fun m -> P.msg_cost cost m)
         ~handler:(fun ~src m -> P.replica_handle rep ~src m))
     (Cluster.Topology.replicas topo);
@@ -71,7 +60,7 @@ let make ?(seed = 1) ?(n_servers = 4) ?(n_clients = 4) ?(replicas_per_server = 0
       let cl =
         P.make_client (Cluster.Net.ctx net id) ~report:(fun o -> on_outcome ~client:id o)
       in
-      Cluster.Net.set_handler ?phase net id
+      Cluster.Net.set_handler ~phase net id
         ~cost:(fun _ -> Cost.client cost)
         ~handler:(fun ~src m -> P.client_handle cl ~src m);
       Hashtbl.add client_tbl id cl)

@@ -32,7 +32,6 @@ val make :
   ?jitter:float ->
   ?max_clock_offset:float ->
   ?cost:Cost.t ->
-  ?obs:Obs.Recorder.t ->
   Protocol.t ->
   on_outcome:(client:Types.node_id -> Outcome.t -> unit) ->
   t

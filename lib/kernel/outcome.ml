@@ -41,6 +41,30 @@ let reason_to_string = function
   | Timed_out -> "timeout"
   | Other s -> s
 
+(* A reason as a small int, for typed trace records. [Other] texts do
+   not survive the round trip: every [Other] comes back as "other". *)
+let reason_code = function
+  | Safeguard_reject -> 0
+  | Early_abort -> 1
+  | Ro_abort -> 2
+  | Validation_failed -> 3
+  | Lock_unavailable -> 4
+  | Wounded -> 5
+  | Ts_order_violation -> 6
+  | Timed_out -> 7
+  | Other _ -> 8
+
+let reason_of_code = function
+  | 0 -> Safeguard_reject
+  | 1 -> Early_abort
+  | 2 -> Ro_abort
+  | 3 -> Validation_failed
+  | 4 -> Lock_unavailable
+  | 5 -> Wounded
+  | 6 -> Ts_order_violation
+  | 7 -> Timed_out
+  | _ -> Other "other"
+
 let pp ppf t =
   match t.status with
   | Committed ->

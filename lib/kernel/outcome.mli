@@ -30,4 +30,11 @@ val aborted : ?reason:abort_reason -> Txn.t -> t
 
 val committed : t -> bool
 val reason_to_string : abort_reason -> string
+
+(** A reason as a small int, for typed trace records. *)
+val reason_code : abort_reason -> int
+
+(** Inverse of {!reason_code}, except that every [Other] text comes
+    back as [Other "other"]. *)
+val reason_of_code : int -> abort_reason
 val pp : t Fmt.t

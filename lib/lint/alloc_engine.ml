@@ -31,9 +31,7 @@
 
    Cold regions are exempt (the diagnostics paths run only when
    enabled, not per event): the true-branch of a conditional guarded
-   by Rules.cold_guard_fns (the tracing toggle) and every arm of a
-   match on an option of a Rules.cold_option_types type (the attached-
-   recorder test of the observability plane). Branch pruning is also
+   by Rules.cold_guard_fns (the tracing toggle). Branch pruning is also
    semantic: [if false then e] never runs e, so no sites are collected
    there and its call-graph edges are cold — a function only reachable
    through a dead branch stays cold.

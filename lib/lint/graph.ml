@@ -10,8 +10,7 @@
    sites (Alloc_engine). The reports then read the same graph.
 
    Edges seen only inside a cold region — the true-branch of a tracing
-   guard (Rules.cold_guard_fns), a dead [if false] branch, the arms of
-   a match on an attached recorder (Rules.cold_option_types) — are kept
+   guard (Rules.cold_guard_fns) or a dead [if false] branch — are kept
    apart in [n_cold]: the allocation plane walks the graph without
    them, so a function referenced only from diagnostics code stays
    cold; every other rule walks every edge. *)
@@ -264,18 +263,6 @@ let is_cold_guard ctx (cond : Typedtree.expression) =
   match head_name ctx cond with
   | Some s -> matches_any ~fns:Rules.cold_guard_fns s
   | None -> false
-
-(* Matching an option of a cold payload type (an attached recorder)
-   selects the diagnostics path, not the per-event path. *)
-let is_cold_option ty =
-  match Types.get_desc ty with
-  | Types.Tconstr (p, [ arg ], _) when Path.same p Predef.path_option -> (
-    match Types.get_desc arg with
-    | Types.Tconstr (pa, _, _) ->
-      matches_any ~fns:Rules.cold_option_types
-        (Paths.strip_stdlib (Paths.plain_path pa))
-    | _ -> false)
-  | _ -> false
 
 (* --- the declaration pass ---------------------------------------------- *)
 

@@ -568,11 +568,6 @@ let hot_attribute = "ncc.hot"
    whole-component suffix. *)
 let cold_guard_fns = [ "Sim.Trace.active"; "Trace.active" ]
 
-(* R16/R17 cold regions: matching an option of one of these types is
-   the observability plane's attached-recorder test; the Some branch
-   runs only in traced runs. Matched by type-path suffix. *)
-let cold_option_types = [ "Recorder.t" ]
-
 (* R17: string building — each call allocates at least the result. *)
 let string_build_fns =
   [

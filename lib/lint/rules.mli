@@ -102,10 +102,8 @@ val dls_fns : string list
 val hot_attribute : string
 
 (* R16/R17 cold regions: guard functions whose true-branch is the
-   disabled-by-default tracing path, and option types whose Some match
-   is the attached-recorder test of the observability plane. *)
+   disabled-by-default tracing path. *)
 val cold_guard_fns : string list
-val cold_option_types : string list
 
 (* R17: string-building functions (each call allocates the result). *)
 val string_build_fns : string list

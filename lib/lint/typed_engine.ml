@@ -397,11 +397,6 @@ let walk g ctx a (str : Typedtree.structure) =
         (if live then walk t else in_cold (fun () -> walk t));
         Option.iter (fun x -> if live then in_cold (fun () -> walk x) else walk x)
           e_opt
-      | Typedtree.Texp_match (scrut, cases, _) when is_cold_option scrut.exp_type
-        ->
-        (* attached-recorder dispatch: all arms are the traced path *)
-        walk scrut;
-        in_cold (fun () -> List.iter (sub.case sub) cases)
       | Typedtree.Texp_while (c, body) ->
         walk c;
         incr loop;

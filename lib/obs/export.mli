@@ -1,26 +1,21 @@
-(** Exporters over a {!Recorder}: Chrome trace_event JSON (loadable in
-    Perfetto), a compact text timeline, and a structural validator.
+(** Exporters over a {!Sim.Trace.capture}: Chrome trace_event JSON
+    (loadable in Perfetto), a compact text timeline, and a structural
+    validator. The capture's flat events get their span names here.
     Output is deterministic (stable sort by timestamp, fixed float
     formatting) — golden-file tests compare the bytes. *)
 
-(** Retained events stable-sorted by timestamp (ties keep emission
-    order). *)
-val sorted_events : Recorder.t -> Recorder.event list
-
 (** The whole trace as a Chrome trace_event document: one process,
-    one thread per node (named from the recorder's tracks), "X" for
+    one thread per node (named from the capture's tracks), "X" for
     complete spans, "b"/"e" for async spans, "i" for instants;
     timestamps in microseconds of simulated time. *)
-val chrome_trace : Recorder.t -> Jsonw.t
+val chrome_trace_string : Sim.Trace.capture -> string
 
-val chrome_trace_string : Recorder.t -> string
-
-(** Human-readable timeline, one event per line ([last] trims to the
-    final k events). *)
-val timeline : ?last:int -> Recorder.t -> Format.formatter -> unit
+(** Human-readable timeline, one span event per line ([last] trims to
+    the final k). *)
+val timeline : ?last:int -> Sim.Trace.capture -> Format.formatter -> unit
 
 type summary = {
-  v_events : int;       (** total events *)
+  v_events : int;       (** total span events *)
   v_complete : int;     (** complete spans *)
   v_async_pairs : int;  (** matched async begin/end pairs *)
   v_open : int;         (** async spans still open at the end *)
@@ -31,4 +26,4 @@ type summary = {
     (cat, id). Open spans at the end are an error unless [allow_open]
     (a trace truncated at the horizon legitimately leaves in-flight
     spans open). *)
-val validate : ?allow_open:bool -> Recorder.t -> (summary, string) result
+val validate : ?allow_open:bool -> Sim.Trace.capture -> (summary, string) result

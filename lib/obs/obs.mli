@@ -1,12 +1,10 @@
-(** Observability plane: typed spans over simulated time, per-node
-    metrics, and deterministic exporters (Chrome trace_event / JSON /
-    text timeline). See docs/observability.md. *)
+(** Observability plane: span naming and export over a
+    {!Sim.Trace.capture}, per-node metrics, and deterministic exporters
+    (Chrome trace_event / JSON / text timeline). See
+    docs/observability.md. *)
 
 (** Transaction-lifecycle phase vocabulary (Protocol.S.msg_phase). *)
 module Phase : module type of Phase
-
-(** Passive span recorder (per-run value; cannot perturb a run). *)
-module Recorder : module type of Recorder
 
 (** Named counters / gauges / histograms scoped per node. *)
 module Metrics : module type of Metrics

@@ -28,3 +28,17 @@ let to_string = function
 
 let all =
   [ Execute; Reply; Validate; Commit; Abort; Retry; Recover; Replicate ]
+
+(* Handle events carry the phase as a small int (Sim.Trace records
+   hold no strings); the exporter turns it back into the phase. *)
+let code = function
+  | Execute -> 0
+  | Reply -> 1
+  | Validate -> 2
+  | Commit -> 3
+  | Abort -> 4
+  | Retry -> 5
+  | Recover -> 6
+  | Replicate -> 7
+
+let of_code c = List.find_opt (fun p -> code p = c) all

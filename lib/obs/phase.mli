@@ -15,4 +15,7 @@ type t =
 (** Lower-case label used as the span name ("execute", "commit", ...). *)
 val to_string : t -> string
 
-val all : t list
+(** The [code] of a handler's [Sim.Trace.Handle] event, and back. *)
+val code : t -> int
+
+val of_code : int -> t option

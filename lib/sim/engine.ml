@@ -3,38 +3,31 @@
    scheduled for the same instant run in scheduling order, so a run is a
    pure function of the seed and the initial events.
 
-   The queue is selectable: the binary heap (the historical default,
-   O(log n) per event) or the hierarchical timing wheel (O(1)
-   amortised, built for cluster-scale runs). Both deliver in exactly
-   (priority, scheduling-order) order, so the choice can never change
-   a run's result — the wheel/heap identity property pins this.
+   The queue picks itself: a run starts on the binary heap and, the
+   first time [wheel_at] events are pending, moves them in delivery
+   order into the timing wheel for good. Both deliver in exactly
+   (priority, scheduling-order) order, so the switch never changes a
+   run's result — the engine-vs-heap identity test pins this.
 
    The clock lives in a one-element [float array] rather than a mutable
    record field: in a mixed record every write to a float field boxes
    the float (R16), and the loop writes the clock once per event. A
    flat float array stores it unboxed. *)
 
-type sched = Binary_heap | Timing_wheel
-
 type queue = Qh of (unit -> unit) Heap.t | Qw of (unit -> unit) Wheel.t
 
 type t = {
   now : float array;  (* single cell: unboxed current time *)
-  q : queue;
+  mutable q : queue;
   mutable stopped : bool;
   mutable executed : int;
 }
 
-let create ?(sched = Binary_heap) () =
-  {
-    now = [| 0.0 |];
-    q =
-      (match sched with
-       | Binary_heap -> Qh (Heap.create ())
-       | Timing_wheel -> Qw (Wheel.create ()));
-    stopped = false;
-    executed = 0;
-  }
+(* Pending high-water marks run from tens to a few hundred on 8-64-node
+   runs (heap cheaper) to ~10k with 10k clients (wheel cheaper). *)
+let wheel_at = 4096
+
+let create () = { now = [| 0.0 |]; q = Qh (Heap.create ()); stopped = false; executed = 0 }
 
 let now t = t.now.(0)
 
@@ -42,8 +35,22 @@ let executed_events t = t.executed
 
 let pending t = match t.q with Qh h -> Heap.length h | Qw w -> Wheel.length w
 
+(* The wheel breaks priority ties by scheduling order, so scheduling
+   the heap's pops in order keeps every pending event's place. *)
+let to_wheel t h =
+  let w = Wheel.create () in
+  while not (Heap.is_empty h) do
+    let prio = Heap.top_prio h in
+    Wheel.schedule w prio (Heap.pop_min h)
+  done;
+  t.q <- Qw w
+
 let push t prio f =
-  match t.q with Qh h -> Heap.push h prio f | Qw w -> Wheel.schedule w prio f
+  match t.q with
+  | Qh h ->
+    Heap.push h prio f;
+    if Heap.length h >= wheel_at then to_wheel t h
+  | Qw w -> Wheel.schedule w prio f
 
 let schedule t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
@@ -55,15 +62,6 @@ let schedule_at t ~time f =
 
 let stop t = t.stopped <- true
 
-let q_is_empty t =
-  match t.q with Qh h -> Heap.is_empty h | Qw w -> Wheel.is_empty w
-
-let q_top_prio t =
-  match t.q with Qh h -> Heap.top_prio h | Qw w -> Wheel.top_prio w
-
-let q_pop_min t =
-  match t.q with Qh h -> Heap.pop_min h | Qw w -> Wheel.pop_min w
-
 (* Run until the queue drains, [until] passes, or [stop] is called. The
    event whose time exceeds [until] is left in the queue. The drain
    uses is_empty/top_prio/pop_min, which allocate nothing per event;
@@ -72,13 +70,12 @@ let q_pop_min t =
 let run ?until t =
   let horizon = match until with None -> Float.infinity | Some u -> u in
   let rec loop () =
-    if t.stopped then ()
-    else if q_is_empty t then ()
+    if t.stopped || pending t = 0 then ()
     else begin
-      let time = q_top_prio t in
+      let time = match t.q with Qh h -> Heap.top_prio h | Qw w -> Wheel.top_prio w in
       if time > horizon then t.now.(0) <- horizon
       else begin
-        let f = q_pop_min t in
+        let f = match t.q with Qh h -> Heap.pop_min h | Qw w -> Wheel.pop_min w in
         t.now.(0) <- time;
         t.executed <- t.executed + 1;
         f ();

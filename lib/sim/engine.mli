@@ -1,16 +1,14 @@
 (** Discrete-event simulation engine: virtual clock plus event queue.
     Deterministic: equal-time events run in scheduling order. *)
 
-(** The event-queue implementation. Both deliver in exactly
-    (priority, scheduling-order) order, so the choice can never change
-    a run's result (the wheel/heap identity property pins this);
-    [Timing_wheel] is O(1) amortised per event and is what the
-    cluster-scale runs use, [Binary_heap] stays the default. *)
-type sched = Binary_heap | Timing_wheel
-
 type t
 
-val create : ?sched:sched -> unit -> t
+(** The engine starts on {!Heap}; the first time this many events are
+    pending it moves them into a {!Wheel} for good. Both deliver in
+    (priority, scheduling-order) order, so results never change. *)
+val wheel_at : int
+
+val create : unit -> t
 
 (** Current virtual time, in seconds. *)
 val now : t -> float

@@ -1,31 +1,15 @@
-(* A global, off-by-default event tracer with a fixed-capacity ring
-   buffer. Protocol debugging in a discrete-event simulator is all
-   about "what happened just before things went wrong"; the ring keeps
-   the recent past cheaply and dumps it on demand (see ncc_sim's
-   --trace flag).
-
-   Events are typed: a closed kind plus (time, src, dst, x). Nothing is
-   formatted when an event is emitted; the ring stores the fields in
-   parallel arrays and renders text only in [events]/[dump].
-
-   Call sites guard with [active ()] so a disabled tracer costs one
-   branch. The tracer is deliberately ambient: a simulation is
-   single-threaded and spans many modules. Its state lives in
-   domain-local storage so that parallel sweeps (Harness.Pool) give
-   each domain an independent tracer — a chaos job's rolling digest
-   only ever sees events from its own domain's runs, and each domain
-   owns its own digest chunk. *)
+(* The simulator's one tracer (readers and kinds: trace.mli). Nothing
+   is formatted at emission; readers store the fields. The tracer is
+   deliberately ambient: a simulation is single-threaded and spans
+   many modules. Its state is domain-local, so parallel sweeps
+   (Harness.Pool) give each domain its own tracer and a chaos job's
+   digest only sees its own domain's runs. *)
 
 type kind =
-  | Send
-  | Handle
-  | Suppressed
-  | Partitioned
-  | Dropped
-  | Duplicated
-  | Lost_down
-  | Crash
-  | Restart
+  | Send | Handle | Suppressed | Partitioned | Dropped | Duplicated | Lost_down
+  | Crash | Restart
+  | Arrive | Queued | Txn_begin | Attempt_begin | Attempt_end | Txn_end | Gave_up
+  | Backoff | Shed | Epoch | Finalize | Track
 
 type event = {
   ev_time : float;
@@ -33,8 +17,19 @@ type event = {
   ev_src : int;
   ev_dst : int;
   ev_x : float;
+  ev_start : float;
+  ev_dur : float;
+  ev_id : int;
+  ev_code : int;
 }
 
+let server_track = 0
+let replica_track = 1
+let client_track = 2
+let checker_track = 3
+
+(* The digest's kind byte; -1 for the span kinds, which neither the
+   digest nor the ring sees. *)
 let kind_code = function
   | Send -> 0
   | Handle -> 1
@@ -45,6 +40,7 @@ let kind_code = function
   | Lost_down -> 6
   | Crash -> 7
   | Restart -> 8
+  | _ -> -1
 
 (* The rolling digest is an MD5 chain over fixed 25-byte records:
    kind (1 byte), time bits (8, LE), src (4, LE), dst (4, LE), x bits
@@ -55,21 +51,66 @@ let kind_code = function
 let record_bytes = 25
 let chunk_bytes = 16 + (record_bytes * ((4096 - 16) / record_bytes))
 
+(* Events as columns: per slot, four floats (time, x, start, dur) in a
+   flat float array (stored unboxed), four ints (src, dst, id, code),
+   and the kind. [n] counts the events written: the ring writes slot
+   n mod capacity, the capture appends. *)
+type cols = {
+  mutable fs : float array;
+  mutable is : int array;
+  mutable ks : kind array;
+  mutable n : int;
+}
+
+let cols_make n =
+  { fs = Array.make (4 * n) 0.0; is = Array.make (4 * n) 0; ks = Array.make n Send; n = 0 }
+
+let cols_get c i =
+  let f k = c.fs.((4 * i) + k) and n k = c.is.((4 * i) + k) in
+  { ev_time = f 0; ev_x = f 1; ev_start = f 2; ev_dur = f 3; ev_kind = c.ks.(i);
+    ev_src = n 0; ev_dst = n 1; ev_id = n 2; ev_code = n 3 }
+
+(* Double the capacity, keeping the slots. *)
+let cols_grow c =
+  let cap = max 256 (2 * Array.length c.ks) in
+  let g a fill w =
+    let b = Array.make (w * cap) fill in
+    Array.blit a 0 b 0 (Array.length a);
+    b
+  in
+  c.fs <- g c.fs 0.0 4;
+  c.is <- g c.is 0 4;
+  c.ks <- g c.ks Send 1
+
+let store c i ~time kind ~src ~dst ~x ~start ~dur ~id ~code =
+  let j = 4 * i in
+  c.fs.(j) <- time;
+  c.fs.(j + 1) <- x;
+  c.fs.(j + 2) <- start;
+  c.fs.(j + 3) <- dur;
+  c.is.(j) <- src;
+  c.is.(j + 1) <- dst;
+  c.is.(j + 2) <- id;
+  c.is.(j + 3) <- code;
+  c.ks.(i) <- kind
+
+let append c ~time kind ~src ~dst ~x ~start ~dur ~id ~code =
+  if c.n = Array.length c.ks then cols_grow c;
+  store c c.n ~time kind ~src ~dst ~x ~start ~dur ~id ~code;
+  c.n <- c.n + 1
+
+type capture = { events : event array; dropped : int }
+
 type state = {
-  (* ring, as parallel arrays (float arrays are flat: no boxing) *)
-  mutable times : float array;
-  mutable kinds : kind array;
-  mutable srcs : int array;
-  mutable dsts : int array;
-  mutable xs : float array;
-  mutable count : int;  (* events since [enable]; the next slot is count mod capacity *)
   mutable on : bool;
-  (* Rolling digest over every emitted event, independent of the ring:
-     two runs with equal digests produced identical full traces, which
-     is how chaos replay proves determinism without storing traces. *)
+  mutable ring : cols;
   mutable digest_on : bool;
   chunk : Bytes.t;
-  mutable pos : int;    (* next record offset in [chunk] *)
+  mutable pos : int;  (* next record offset in [chunk] *)
+  mutable cap_on : bool;
+  mutable cap : cols;
+  mutable spans : int;  (* span events offered to the capture *)
+  mutable limit : int;
 }
 
 let reset_chunk st =
@@ -79,9 +120,8 @@ let reset_chunk st =
 let key =
   Domain.DLS.new_key (fun () ->
       let st =
-        { times = [||]; kinds = [||]; srcs = [||]; dsts = [||]; xs = [||];
-          count = 0; on = false; digest_on = false;
-          chunk = Bytes.create chunk_bytes; pos = 16 }
+        { on = false; ring = cols_make 0; digest_on = false; chunk = Bytes.create chunk_bytes;
+          pos = 16; cap_on = false; cap = cols_make 0; spans = 0; limit = 0 }
       in
       reset_chunk st;
       st)
@@ -90,21 +130,14 @@ let st () = Domain.DLS.get key
 
 let enable ?(capacity = 4096) () =
   let st = st () in
-  st.times <- Array.make capacity 0.0;
-  st.kinds <- Array.make capacity Send;
-  st.srcs <- Array.make capacity 0;
-  st.dsts <- Array.make capacity 0;
-  st.xs <- Array.make capacity 0.0;
-  st.count <- 0;
+  st.ring <- cols_make capacity;
   st.on <- true
 
 let disable () = (st ()).on <- false
 
-(* Turning accumulation on must NOT clear the rolling digest: the
-   tracer is a per-domain singleton, so an [enable_digest] from one layer
-   mid-run (say, a nested chaos probe) would silently wipe the history
-   another layer is still accumulating. Resetting is a separate,
-   explicit act. *)
+(* Turning accumulation on must NOT clear the rolling digest: a mid-run
+   [enable_digest] from one layer would wipe the history another layer
+   is accumulating. Resetting is a separate, explicit act. *)
 let enable_digest () = (st ()).digest_on <- true
 
 let disable_digest () = (st ()).digest_on <- false
@@ -118,56 +151,80 @@ let digest () =
   let st = st () in
   Digest.to_hex (Digest.subbytes st.chunk 0 st.pos)
 
+let start_capture ?(limit = 2_000_000) () =
+  let st = st () in
+  st.cap <- cols_make 0;
+  st.spans <- 0;
+  st.limit <- limit;
+  st.cap_on <- true
+
+let stop_capture () =
+  let st = st () in
+  st.cap_on <- false;
+  let c =
+    { events = Array.init st.cap.n (cols_get st.cap); dropped = max 0 (st.spans - st.limit) }
+  in
+  st.cap <- cols_make 0;
+  c
+
 let active () =
   let st = st () in
-  st.on || st.digest_on
+  st.on || st.digest_on || st.cap_on
 
 let flush st =
   let d = Digest.subbytes st.chunk 0 st.pos in
   Bytes.blit_string d 0 st.chunk 0 16;
   st.pos <- 16
 
-let ev ~time kind ~src ~dst ~x =
+let emit ~time kind ~src ~dst ~x ~start ~dur ~id ~code =
   let st = st () in
-  if st.digest_on then begin
+  let k = kind_code kind in
+  if k >= 0 && st.digest_on then begin
     if st.pos + record_bytes > chunk_bytes then flush st;
     let b = st.chunk and p = st.pos in
-    Bytes.set_uint8 b p (kind_code kind);
+    Bytes.set_uint8 b p k;
     Bytes.set_int64_le b (p + 1) (Int64.bits_of_float time);
     Bytes.set_int32_le b (p + 9) (Int32.of_int src);
     Bytes.set_int32_le b (p + 13) (Int32.of_int dst);
     Bytes.set_int64_le b (p + 17) (Int64.bits_of_float x);
     st.pos <- p + record_bytes
   end;
-  let cap = Array.length st.times in
-  if st.on && cap > 0 then begin
-    let i = st.count mod cap in
-    st.times.(i) <- time;
-    st.kinds.(i) <- kind;
-    st.srcs.(i) <- src;
-    st.dsts.(i) <- dst;
-    st.xs.(i) <- x;
-    st.count <- st.count + 1
-  end
+  let r = st.ring and c = st.cap in
+  if k >= 0 && st.on && Array.length r.ks > 0 then begin
+    store r (r.n mod Array.length r.ks) ~time kind ~src ~dst ~x ~start ~dur ~id ~code;
+    r.n <- r.n + 1
+  end;
+  (* The capture keeps what the exporter draws — one span per event,
+     counted against the limit — and every track name. *)
+  if st.cap_on then
+    match kind with
+    | Suppressed | Partitioned | Dropped | Crash | Restart -> ()
+    | Track -> append c ~time kind ~src ~dst ~x ~start ~dur ~id ~code
+    | _ ->
+      if st.spans < st.limit then append c ~time kind ~src ~dst ~x ~start ~dur ~id ~code;
+      st.spans <- st.spans + 1
 
-let emitted () = (st ()).count
+let ev ~time kind ~src ~dst ~x =
+  emit ~time kind ~src ~dst ~x ~start:0.0 ~dur:0.0 ~id:0 ~code:0
 
-(* The retained events, oldest first. *)
+let emitted () = (st ()).ring.n
+
+(* The retained ring events, oldest first. *)
 let events () =
   let st = st () in
-  let cap = Array.length st.times in
-  let n = min st.count cap in
-  List.init n (fun k ->
-      let i = (st.count - n + k) mod cap in
-      { ev_time = st.times.(i); ev_kind = st.kinds.(i); ev_src = st.srcs.(i);
-        ev_dst = st.dsts.(i); ev_x = st.xs.(i) })
+  let r = st.ring in
+  let cap = Array.length r.ks in
+  let n = min r.n cap in
+  List.init n (fun k -> cols_get r ((r.n - n + k) mod cap))
 
 let category e =
   match e.ev_kind with
   | Send -> "send"
   | Handle -> "handle"
   | Suppressed | Partitioned | Dropped | Duplicated | Lost_down | Crash
-  | Restart -> "fault"
+  | Restart ->
+    "fault"
+  | _ -> "span"
 
 let message e =
   let s = e.ev_src and d = e.ev_dst in
@@ -183,18 +240,13 @@ let message e =
   | Lost_down -> Printf.sprintf "message %d -> %d lost: node down" s d
   | Crash -> Printf.sprintf "node %d crashed" s
   | Restart -> Printf.sprintf "node %d restarted" s
+  | _ -> Printf.sprintf "span event on node %d" s
 
 let dump ?last ppf =
   let evs = events () in
-  (* Length computed once: [List.length] inside the filteri predicate
-     would make trimming quadratic in the ring size. *)
-  let n = List.length evs in
-  let evs =
-    match last with
-    | Some k when n > k -> List.filteri (fun i _ -> i >= n - k) evs
-    | Some _ | None -> evs
-  in
-  List.iter
-    (fun e ->
-      Format.fprintf ppf "%10.6f  %-8s %s@." e.ev_time (category e) (message e))
+  let skip = match last with Some k -> List.length evs - k | None -> 0 in
+  List.iteri
+    (fun i e ->
+      if i >= skip then
+        Format.fprintf ppf "%10.6f  %-8s %s@." e.ev_time (category e) (message e))
     evs

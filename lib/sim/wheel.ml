@@ -40,6 +40,11 @@ let wmask = wsize - 1
 let levels = 4
 let span_bits = wbits * levels
 
+(* Tick width in seconds. Events closer together than one tick are
+   ordered by exact priority, then scheduling order, so it moves cost
+   only, never delivery order. *)
+let resolution = 1e-6
+
 (* Ticks must stay well inside the OCaml int range: priorities mapping
    past this go straight to the overflow heap, ordered by the float
    priority itself, so correctness never depends on the clamp. *)
@@ -53,7 +58,6 @@ type 'a bucket = {
 }
 
 type 'a t = {
-  resolution : float;
   mutable base : int;              (* current tick; monotone *)
   buckets : 'a bucket array;       (* levels * wsize, row-major *)
   (* the current tick's drain, sorted by (prio, seq) *)
@@ -69,10 +73,8 @@ type 'a t = {
   mutable dummy : 'a option;       (* slot-clearing filler *)
 }
 
-let create ?(resolution = 1e-6) () =
-  if resolution <= 0.0 then invalid_arg "Wheel.create: resolution";
+let create () =
   {
-    resolution;
     base = 0;
     buckets =
       Array.init (levels * wsize) (fun _ ->
@@ -136,7 +138,7 @@ let bucket_push b prio seq payload =
 
 (* --- placement --------------------------------------------------------- *)
 
-let tick_of t prio = int_of_float (prio /. t.resolution)
+let tick_of prio = int_of_float (prio /. resolution)
 
 (* Insert an in-window event ([tick]'s top window equals [base]'s) at
    the smallest level whose upper bits match base — the window-aligned
@@ -156,7 +158,7 @@ let schedule t prio payload =
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
   t.count <- t.count + 1;
-  let q = prio /. t.resolution in
+  let q = prio /. resolution in
   if q >= tick_clamp_f then
     (* ncc-lint: allow R17, R18 — far-future outlier: one pair on the rare overflow path; the in-window path allocates nothing *)
     Heap.push t.ovf prio (seq, payload)
@@ -271,7 +273,7 @@ let cascade t b =
        let prio = b.b_prios.(k) and seq = b.b_seqs.(k) in
        let payload = b.b_data.(k) in
        b.b_data.(k) <- d;
-       place t ~tick:(tick_of t prio) ~prio ~seq payload
+       place t ~tick:(tick_of prio) ~prio ~seq payload
      done;
      bucket_shrink b d
    | None -> assert false (* nonempty bucket implies a seeded dummy *));
@@ -286,7 +288,7 @@ let wheel_len t =
 let rec pull_overflow t =
   if not (Heap.is_empty t.ovf) then begin
     let prio = Heap.top_prio t.ovf in
-    let q = prio /. t.resolution in
+    let q = prio /. resolution in
     if q < tick_clamp_f then begin
       let tick = int_of_float q in
       if tick lsr span_bits = t.base lsr span_bits then begin
@@ -336,7 +338,7 @@ let advance t =
   else if wheel_len t > 0 then scan t
   else begin
     (* everything pending lives in the overflow heap *)
-    let q = Heap.top_prio t.ovf /. t.resolution in
+    let q = Heap.top_prio t.ovf /. resolution in
     if q >= tick_clamp_f then begin
       (* past the integer-tick clamp: every remaining entry is — drain
          them through aux, whose heap order preserves (prio, seq) *)

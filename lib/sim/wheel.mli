@@ -10,11 +10,10 @@
 
 type 'a t
 
-(** [create ?resolution ()] builds an empty wheel. [resolution] is the
-    tick width in seconds (default 1e-6): events closer together than
-    one tick are ordered by exact priority, then scheduling order, so
-    resolution affects cost only, never delivery order. *)
-val create : ?resolution:float -> unit -> 'a t
+(** An empty wheel with 1 µs ticks. Events closer together than one
+    tick are ordered by exact priority, then scheduling order, so the
+    tick width affects cost only, never delivery order. *)
+val create : unit -> 'a t
 
 val length : 'a t -> int
 val is_empty : 'a t -> bool

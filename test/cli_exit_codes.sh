@@ -17,3 +17,4 @@ case_ scale --servers 4 --clients 8 --txns 200 --out /nonexistent/s.json
 case_ profile --profile /nonexistent/p.json
 case_ chaos --replicas=-1 --seeds 1
 case_ atlas smoke --quick --out /nonexistent/a.json
+case_ chaos --seeds 3 --check off

@@ -138,18 +138,7 @@ let r17_cold_regions () =
     \  let active () = false\n\
      end\n\
      let[@ncc.hot] send x =\n\
-    \  if Trace.active () then print_string (string_of_int x ^ \"!\")\n";
-  check_sites "allocation on a matched cold recorder stays clean"
-    ~only:[ "R17" ]
-    []
-    "module Recorder = struct\n\
-    \  type t = { mutable spans : int }\n\
-     end\n\
-     type net = { obs : Recorder.t option }\n\
-     let[@ncc.hot] send t x =\n\
-    \  match t.obs with\n\
-    \  | Some r -> Recorder.(r.spans <- r.spans + 1); ignore (Some x)\n\
-    \  | None -> ()\n"
+    \  if Trace.active () then print_string (string_of_int x ^ \"!\")\n"
 
 let r17_clean () =
   check_sites "field reads and arithmetic stay clean" ~only:[ "R17" ] []

@@ -1,75 +1,110 @@
-(* The observability plane: span recorder invariants, exporter golden
-   files over a tiny deterministic run, the metrics registry, and the
-   observer-effect property — attaching a recorder and a metrics
-   registry to a run changes nothing about its result. *)
+(* The observability plane: span capture and validator invariants,
+   exporter golden files over a tiny deterministic run, the metrics
+   registry, and the observer-effect property — turning every tracer
+   reader and a metrics registry on changes nothing about a run's
+   result. *)
 
 open Kernel
 
-(* --- recorder + validator invariants ---------------------------------- *)
+(* --- capture + validator invariants ----------------------------------- *)
 
-let recorder_basics () =
-  let r = Obs.Recorder.create () in
-  Obs.Recorder.name_track r ~node:0 "server 0";
-  Obs.Recorder.name_track r ~node:1 "client 1";
-  Obs.Recorder.complete r ~node:0 ~name:"execute" ~cat:"rpc" ~ts:1.0 ~dur:0.5 ();
-  Obs.Recorder.async_b r ~node:1 ~name:"txn" ~cat:"txn" ~id:7 ~ts:1.0 ();
-  Obs.Recorder.async_b r ~node:1 ~name:"attempt" ~cat:"txn" ~id:7 ~ts:1.1 ();
-  Obs.Recorder.async_e r ~node:1 ~name:"attempt" ~cat:"txn" ~id:7 ~ts:1.8 ();
-  Obs.Recorder.async_e r ~node:1 ~name:"txn" ~cat:"txn" ~id:7 ~ts:2.0 ();
-  Obs.Recorder.instant r ~node:0 ~name:"shed" ~cat:"txn" ~ts:2.5 ();
-  Alcotest.(check int) "events retained" 6 (Obs.Recorder.n_events r);
-  Alcotest.(check int) "nothing dropped" 0 (Obs.Recorder.n_dropped r);
-  Alcotest.(check (list (pair int string)))
-    "tracks sorted by node"
-    [ (0, "server 0"); (1, "client 1") ]
-    (Obs.Recorder.tracks r);
-  (match Obs.Export.validate r with
+let contains s sub =
+  let n = String.length sub in
+  let rec go i = i + n <= String.length s && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let captured f =
+  Sim.Trace.start_capture ();
+  f ();
+  Sim.Trace.stop_capture ()
+
+let emit ?(time = 1.0) ?(src = 0) ?(dst = 0) ?(start = 0.0) ?(dur = 0.0) ?(id = 0)
+    ?(code = 0) kind =
+  Sim.Trace.emit ~time kind ~src ~dst ~x:0.0 ~start ~dur ~id ~code
+
+let capture_basics () =
+  let c =
+    captured (fun () ->
+        emit Track ~src:1 ~code:Sim.Trace.client_track;
+        emit Track ~src:0 ~code:Sim.Trace.server_track;
+        emit Handle ~time:1.5 ~src:1 ~dst:0 ~start:1.0 ~dur:0.5
+          ~code:(Obs.Phase.code Obs.Phase.Execute);
+        emit Txn_begin ~src:1 ~id:7;
+        emit Attempt_begin ~src:1 ~id:7;
+        emit Attempt_end ~time:2.0 ~src:1 ~id:7 ~code:(-1);
+        emit Txn_end ~time:2.0 ~src:1 ~id:7 ~code:1;
+        emit Shed ~time:2.5 ~src:1;
+        emit Dropped ~time:2.6 ~src:1 ~dst:0)
+  in
+  Alcotest.(check int) "events retained (no span, not kept)" 8
+    (Array.length c.Sim.Trace.events);
+  Alcotest.(check int) "nothing dropped" 0 c.Sim.Trace.dropped;
+  let json = Obs.Export.chrome_trace_string c in
+  Alcotest.(check bool) "tracks named in node order" true
+    (contains json
+       ({|"tid":0,"args":{"name":"server 0"}},|}
+       ^ {|{"name":"thread_name","ph":"M","pid":0,"tid":1,"args":{"name":"client 1"}}|}));
+  (match Obs.Export.validate c with
    | Ok s ->
+     Alcotest.(check int) "span events" 6 s.Obs.Export.v_events;
      Alcotest.(check int) "complete spans" 1 s.Obs.Export.v_complete;
      Alcotest.(check int) "async pairs" 2 s.Obs.Export.v_async_pairs;
      Alcotest.(check int) "none open" 0 s.Obs.Export.v_open
-   | Error e -> Alcotest.failf "balanced trace rejected: %s" e)
+   | Error e -> Alcotest.failf "balanced trace rejected: %s" e);
+  (* nothing but a capture sees the span kinds *)
+  Sim.Trace.enable ~capacity:8 ();
+  Sim.Trace.reset_digest ();
+  let empty = Sim.Trace.digest () in
+  Sim.Trace.enable_digest ();
+  emit Txn_begin ~src:1 ~id:8;
+  Sim.Trace.disable_digest ();
+  Sim.Trace.disable ();
+  Alcotest.(check int) "ring skips spans" 0 (Sim.Trace.emitted ());
+  Alcotest.(check string) "digest skips spans" empty (Sim.Trace.digest ())
 
-let recorder_limit () =
-  let r = Obs.Recorder.create ~limit:3 () in
+let capture_limit () =
+  Sim.Trace.start_capture ~limit:3 ();
   for i = 1 to 5 do
-    Obs.Recorder.instant r ~node:0 ~name:"tick" ~cat:"t"
-      ~ts:(float_of_int i) ()
+    emit Shed ~time:(float_of_int i)
   done;
-  Alcotest.(check int) "capped" 3 (Obs.Recorder.n_events r);
-  Alcotest.(check int) "overflow counted" 2 (Obs.Recorder.n_dropped r);
+  emit Track ~src:2 ~code:Sim.Trace.client_track;
+  let c = Sim.Trace.stop_capture () in
+  Alcotest.(check int) "capped, track names kept" 4 (Array.length c.Sim.Trace.events);
+  Alcotest.(check int) "overflow counted" 2 c.Sim.Trace.dropped;
   (* the retained prefix is the oldest events, deterministically *)
-  match Obs.Recorder.events r with
-  | { Obs.Recorder.ev_ts = 1.0; _ } :: _ -> ()
-  | _ -> Alcotest.fail "expected the oldest event first"
+  Alcotest.(check (float 0.0)) "oldest event first" 1.0
+    c.Sim.Trace.events.(0).Sim.Trace.ev_time
 
 let validate_catches_imbalance () =
-  let err r =
-    match Obs.Export.validate r with Ok _ -> None | Error e -> Some e
-  in
+  let err c = match Obs.Export.validate c with Ok _ -> None | Error e -> Some e in
   (* end without begin *)
-  let r1 = Obs.Recorder.create () in
-  Obs.Recorder.async_e r1 ~node:0 ~name:"txn" ~cat:"txn" ~id:1 ~ts:1.0 ();
-  Alcotest.(check bool) "unmatched end rejected" true (err r1 <> None);
+  let c1 = captured (fun () -> emit Arrive ~id:1) in
+  Alcotest.(check bool) "unmatched end rejected" true (err c1 <> None);
   (* begin without end: error by default, fine when open spans allowed *)
-  let r2 = Obs.Recorder.create () in
-  Obs.Recorder.async_b r2 ~node:0 ~name:"txn" ~cat:"txn" ~id:1 ~ts:1.0 ();
-  Alcotest.(check bool) "open span rejected" true (err r2 <> None);
-  (match Obs.Export.validate ~allow_open:true r2 with
+  let c2 = captured (fun () -> emit Send ~id:1) in
+  Alcotest.(check bool) "open span rejected" true (err c2 <> None);
+  (match Obs.Export.validate ~allow_open:true c2 with
    | Ok s -> Alcotest.(check int) "open span counted" 1 s.Obs.Export.v_open
    | Error e -> Alcotest.failf "allow_open still rejected: %s" e);
   (* negative duration *)
-  let r3 = Obs.Recorder.create () in
-  Obs.Recorder.complete r3 ~node:0 ~name:"x" ~cat:"rpc" ~ts:1.0 ~dur:(-0.1) ();
-  Alcotest.(check bool) "negative duration rejected" true (err r3 <> None);
+  let c3 = captured (fun () -> emit Handle ~start:1.0 ~dur:(-0.1)) in
+  Alcotest.(check bool) "negative duration rejected" true (err c3 <> None);
   (* same (cat, id) nests stack-wise: inner end matches inner begin *)
-  let r4 = Obs.Recorder.create () in
-  Obs.Recorder.async_b r4 ~node:0 ~name:"txn" ~cat:"txn" ~id:1 ~ts:1.0 ();
-  Obs.Recorder.async_b r4 ~node:0 ~name:"attempt" ~cat:"txn" ~id:1 ~ts:2.0 ();
-  Obs.Recorder.async_e r4 ~node:0 ~name:"attempt" ~cat:"txn" ~id:1 ~ts:3.0 ();
-  Alcotest.(check bool) "inner closed, outer still open" true (err r4 <> None);
-  Obs.Recorder.async_e r4 ~node:0 ~name:"txn" ~cat:"txn" ~id:1 ~ts:4.0 ();
-  Alcotest.(check bool) "balanced after outer end" true (err r4 = None)
+  let c4 =
+    captured (fun () ->
+        emit Txn_begin ~id:1;
+        emit Attempt_begin ~time:2.0 ~id:1;
+        emit Attempt_end ~time:3.0 ~id:1)
+  in
+  Alcotest.(check bool) "inner closed, outer still open" true (err c4 <> None);
+  let c5 =
+    captured (fun () ->
+        emit Txn_begin ~id:1;
+        emit Attempt_begin ~time:2.0 ~id:1;
+        emit Attempt_end ~time:3.0 ~id:1;
+        emit Txn_end ~time:4.0 ~id:1 ~code:(-1))
+  in
+  Alcotest.(check bool) "balanced after outer end" true (err c5 = None)
 
 (* --- JSON writer ------------------------------------------------------- *)
 
@@ -117,14 +152,14 @@ let metrics_registry () =
 (* --- exporter golden files over a tiny deterministic run -------------- *)
 
 (* Two servers, two clients, two transactions through the Testbed with
-   a recorder attached; the exported Chrome trace and text timeline are
+   the span capture on; the exported Chrome trace and text timeline are
    compared byte-for-byte against checked-in goldens. On mismatch the
    actual bytes are written next to the test so the golden can be
    inspected and refreshed deliberately. *)
 let tiny_traced_run () =
-  let r = Obs.Recorder.create () in
+  Sim.Trace.start_capture ();
   let bed =
-    Harness.Testbed.make ~n_servers:2 ~n_clients:2 ~obs:r Ncc.protocol
+    Harness.Testbed.make ~n_servers:2 ~n_clients:2 Ncc.protocol
       ~on_outcome:(fun ~client:_ _ -> ())
   in
   (match bed.Harness.Testbed.clients with
@@ -136,7 +171,7 @@ let tiny_traced_run () =
            (Txn.make ~client:c1 [ [ Types.Read 1 ] ]));
      bed.Harness.Testbed.run_until_quiet ()
    | _ -> Alcotest.fail "expected two clients");
-  r
+  Sim.Trace.stop_capture ()
 
 let exporter_goldens () =
   let r = tiny_traced_run () in
@@ -152,12 +187,51 @@ let exporter_goldens () =
   Format.pp_print_flush ppf ();
   Golden.check ~name:"timeline_ncc_tiny.txt" (Buffer.contents buf)
 
+(* A streaming-checked run traces its checker on a "checker" track:
+   inline epochs, then the finalize instant with the verdict. *)
+let checker_spans () =
+  let cfg =
+    {
+      Harness.Runner.default with
+      Harness.Runner.n_servers = 2;
+      n_clients = 4;
+      offered_load = 2_000.0;
+      duration = 0.2;
+      warmup = 0.0;
+      drain = 0.1;
+      check = Harness.Runner.Streaming;
+      check_window = 32;
+    }
+  in
+  Sim.Trace.start_capture ();
+  let r = Harness.Runner.run Ncc.protocol (Workload.Google_f1.make ~n_keys:200 ()) cfg in
+  let c = Sim.Trace.stop_capture () in
+  Alcotest.(check bool) "run checked clean" false (Harness.Runner.violated r);
+  let count p =
+    Array.fold_left (fun n e -> if p e.Sim.Trace.ev_kind then n + 1 else n) 0
+      c.Sim.Trace.events
+  in
+  Alcotest.(check bool) "epochs traced" true
+    (count (function Sim.Trace.Epoch -> true | _ -> false) > 0);
+  Alcotest.(check int) "one finalize" 1
+    (count (function Sim.Trace.Finalize -> true | _ -> false));
+  let json = Obs.Export.chrome_trace_string c in
+  Alcotest.(check bool) "checker track named" true
+    (contains json
+       (Printf.sprintf {|"tid":%d,"args":{"name":"checker"}|} (cfg.n_servers + cfg.n_clients)));
+  Alcotest.(check bool) "finalize carries the verdict" true
+    (contains json {|"name":"finalize","cat":"checker"|} && contains json {|"verdict":"ok"|});
+  match Obs.Export.validate ~allow_open:true c with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "checked-run trace invalid: %s" e
+
 (* --- observer effect --------------------------------------------------- *)
 
-(* Attaching a recorder and metrics registry must not change the run:
-   recording draws no randomness and schedules no events, so the
-   result records are field-for-field identical. Checked for NCC and a
-   baseline with a different message/abort structure (dOCC). *)
+(* Tracing with every reader on (ring, digest and span capture) plus a
+   metrics registry must not change the run: tracing draws no
+   randomness and schedules no events, so the result records are
+   field-for-field identical. Checked for NCC and a baseline with a
+   different message/abort structure (dOCC). *)
 let observer_effect (pname, p) =
   QCheck.Test.make
     ~name:(Printf.sprintf "observer effect is zero (%s)" pname)
@@ -178,19 +252,27 @@ let observer_effect (pname, p) =
           series_width = Some 0.1;
         }
       in
-      let run ?obs ?metrics () =
-        Harness.Runner.run ?obs ?metrics p
-          (Workload.Google_f1.make ~n_keys:500 ())
-          cfg
+      let run ?metrics () =
+        Harness.Runner.run ?metrics p (Workload.Google_f1.make ~n_keys:500 ()) cfg
       in
       let a = run () in
-      let rec_ = Obs.Recorder.create () in
       let mx = Obs.Metrics.create () in
-      let b = run ~obs:rec_ ~metrics:mx () in
+      Sim.Trace.enable ();
+      Sim.Trace.reset_digest ();
+      let empty = Sim.Trace.digest () in
+      Sim.Trace.enable_digest ();
+      Sim.Trace.start_capture ();
+      let b = run ~metrics:mx () in
+      let spans = Sim.Trace.stop_capture () in
+      Sim.Trace.disable_digest ();
+      Sim.Trace.disable ();
       (* the instrumented run did record something... *)
-      if Obs.Recorder.n_events rec_ = 0 then
-        QCheck.Test.fail_report "instrumented run recorded no events";
-      (match Obs.Export.validate ~allow_open:true rec_ with
+      if Array.length spans.Sim.Trace.events = 0 then
+        QCheck.Test.fail_report "instrumented run captured no events";
+      if Sim.Trace.emitted () = 0 then QCheck.Test.fail_report "ring saw no events";
+      if String.equal (Sim.Trace.digest ()) empty then
+        QCheck.Test.fail_report "digest folded no events";
+      (match Obs.Export.validate ~allow_open:true spans with
        | Ok _ -> ()
        | Error e -> QCheck.Test.fail_reportf "trace invalid: %s" e);
       (* ...and changed nothing. *)
@@ -229,13 +311,14 @@ let observer_effect (pname, p) =
 
 let suite =
   [
-    Alcotest.test_case "recorder basics" `Quick recorder_basics;
-    Alcotest.test_case "recorder event limit" `Quick recorder_limit;
+    Alcotest.test_case "span capture basics" `Quick capture_basics;
+    Alcotest.test_case "span capture event limit" `Quick capture_limit;
     Alcotest.test_case "validator catches imbalance" `Quick
       validate_catches_imbalance;
     Alcotest.test_case "json writer format" `Quick jsonw_format;
     Alcotest.test_case "metrics registry" `Quick metrics_registry;
     Alcotest.test_case "exporter goldens (tiny NCC run)" `Quick exporter_goldens;
+    Alcotest.test_case "checker spans of a streaming run" `Quick checker_spans;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [

@@ -201,9 +201,10 @@ let trace_capture_from_net () =
 (* Every fault line the runtime can render, from one seeded schedule:
    node 1 crashes and restarts (its own sends are suppressed and
    messages to it are lost meanwhile), the 0-2 link is partitioned for
-   a window, and drop/duplicate/delay draws hit the rest. The same
-   stream's spans are pinned too: they are the only span golden with
-   [lost] instants and the second b/e pair of a duplicated copy. *)
+   a window, and drop/duplicate/delay draws hit the rest. The ring and
+   the span capture read the same stream at once, and both are pinned:
+   this is the only span golden with [lost] instants and the second b/e
+   pair of a duplicated copy. *)
 let trace_ring_faults () =
   let engine = Sim.Engine.create () in
   let topo = Cluster.Topology.make ~n_servers:2 ~n_clients:1 () in
@@ -217,9 +218,8 @@ let trace_ring_faults () =
       crashes = [ { cr_node = 1; cr_at = 1e-3; cr_for = 1.2e-3 } ];
     }
   in
-  let spans = Obs.Recorder.create () in
   let net =
-    Cluster.Net.create ~faults ~obs:spans engine (Sim.Rng.create 3) topo
+    Cluster.Net.create ~faults engine (Sim.Rng.create 3) topo
       ~latency:(Cluster.Latency.uniform ~one_way:100e-6 ~jitter_mean:20e-6)
       ~clock_of:(fun _ -> Sim.Clock.perfect)
   in
@@ -227,6 +227,7 @@ let trace_ring_faults () =
     Cluster.Net.set_handler net id ~cost:(fun _ -> 5e-6) ~handler:(fun ~src:_ _ -> ())
   done;
   Sim.Trace.enable ~capacity:4096 ();
+  Sim.Trace.start_capture ();
   for k = 0 to 15 do
     Sim.Engine.schedule engine ~delay:(float_of_int k *. 250e-6) (fun () ->
         Cluster.Net.send net ~src:2 ~dst:(k land 1) ();
@@ -234,6 +235,7 @@ let trace_ring_faults () =
   done;
   Sim.Engine.run engine;
   Sim.Trace.disable ();
+  let spans = Sim.Trace.stop_capture () in
   Golden.check ~name:"trace_ring_faults.txt" (render_ring ());
   (match Obs.Export.validate spans with
    | Ok _ -> ()

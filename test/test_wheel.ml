@@ -1,8 +1,8 @@
 (* The timing-wheel scheduler and the cluster-scale runner features
    that ride on it. The load-bearing property throughout: the wheel
    and the binary heap are observationally identical — same delivery
-   order, byte-identical runs — so [Timing_wheel] is purely a cost
-   choice. *)
+   order, byte-identical runs — so the engine's move from one to the
+   other is purely a cost choice. *)
 
 (* Priorities that stress every wheel path at once: a dense sub-window
    cluster (same-level buckets, sub-resolution ties), exact-tick
@@ -86,41 +86,66 @@ let wheel_heap_interleaved =
       done;
       Sim.Heap.is_empty h && List.equal Int.equal !out_w !out_h)
 
-(* The engine-level restatement, with dynamic scheduling: handlers
-   scheduling further events (including zero-delay same-instant bursts
-   and far-future stragglers) see the same clock and fire in the same
-   order under either queue. RNG draws happen inside handlers, so any
-   ordering divergence compounds and cannot cancel out. *)
+(* The engine-level restatement, with dynamic scheduling: the engine
+   starts on the heap and moves to the wheel the first time
+   [Sim.Engine.wheel_at] events are pending. A schedule that crosses
+   that mark mid-run — long-delay events piling up, batches sharing one
+   absolute time (ties pending across the switch), zero-delay
+   same-instant bursts, far-future stragglers — must be delivered
+   exactly as a plain [Sim.Heap] loop delivers it. RNG draws happen
+   inside handlers, so any ordering divergence compounds and cannot
+   cancel out. *)
 let engine_sched_identity () =
-  let drive sched =
-    let e = Sim.Engine.create ~sched () in
+  let drive ~schedule ~schedule_at ~now ~pending ~run =
     let rng = Sim.Rng.create 7 in
-    let log = ref [] in
+    let log = ref [] and peak = ref 0 in
+    let note id = log := (now (), id) :: !log in
     let rec tick n =
-      log := (Sim.Engine.now e, n) :: !log;
-      if n < 2000 then begin
-        Sim.Engine.schedule e ~delay:(Sim.Rng.float rng 0.002) (fun () ->
-            tick (n + 1));
-        if n mod 7 = 0 then
-          Sim.Engine.schedule e ~delay:0.0 (fun () ->
-              log := (Sim.Engine.now e, -n) :: !log);
-        if n mod 131 = 0 then
-          Sim.Engine.schedule e ~delay:50.0 (fun () ->
-              log := (Sim.Engine.now e, 100_000 + n) :: !log)
+      note n;
+      peak := max !peak (pending ());
+      if n < 12_000 then begin
+        schedule (Sim.Rng.float rng 0.002) (fun () -> tick (n + 1));
+        if n < 6_000 then schedule (Sim.Rng.float rng 20.0) (fun () -> note (200_000 + n));
+        if n < 6_000 then schedule_at (float_of_int ((n / 100) + 7)) (fun () -> note (300_000 + n));
+        if n mod 7 = 0 then schedule 0.0 (fun () -> note (-n));
+        if n mod 131 = 0 then schedule 50.0 (fun () -> note (100_000 + n))
       end
     in
-    Sim.Engine.schedule e ~delay:0.0 (fun () -> tick 0);
-    Sim.Engine.run e;
-    (List.rev !log, Sim.Engine.now e, Sim.Engine.executed_events e)
+    schedule 0.0 (fun () -> tick 0);
+    run ();
+    (List.rev !log, !peak)
   in
-  let log_h, now_h, n_h = drive Sim.Engine.Binary_heap in
-  let log_w, now_w, n_w = drive Sim.Engine.Timing_wheel in
-  Alcotest.(check int) "same event count" n_h n_w;
-  Alcotest.(check bool) "same final clock" true (Float.equal now_h now_w);
+  let e = Sim.Engine.create () in
+  let log_e, peak =
+    drive
+      ~schedule:(fun delay f -> Sim.Engine.schedule e ~delay f)
+      ~schedule_at:(fun time f -> Sim.Engine.schedule_at e ~time f)
+      ~now:(fun () -> Sim.Engine.now e)
+      ~pending:(fun () -> Sim.Engine.pending e)
+      ~run:(fun () -> Sim.Engine.run e)
+  in
+  let h = Sim.Heap.create () and clock = ref 0.0 in
+  let log_h, _ =
+    drive
+      ~schedule:(fun delay f -> Sim.Heap.push h (!clock +. delay) f)
+      ~schedule_at:(fun time f -> Sim.Heap.push h time f)
+      ~now:(fun () -> !clock)
+      ~pending:(fun () -> Sim.Heap.length h)
+      ~run:(fun () ->
+        while not (Sim.Heap.is_empty h) do
+          let p = Sim.Heap.top_prio h in
+          let f = Sim.Heap.pop_min h in
+          clock := p;
+          f ()
+        done)
+  in
+  Alcotest.(check bool) "the schedule crosses the switch mark" true
+    (peak >= Sim.Engine.wheel_at);
+  Alcotest.(check int) "same event count" (List.length log_h) (List.length log_e);
+  Alcotest.(check int) "engine counts every event" (List.length log_e)
+    (Sim.Engine.executed_events e);
   Alcotest.(check bool) "same (time, id) delivery log" true
-    (List.equal
-       (fun (t, i) (u, j) -> Float.equal t u && Int.equal i j)
-       log_h log_w)
+    (List.equal (fun (t, i) (u, j) -> Float.equal t u && Int.equal i j) log_h log_e)
 
 (* Steady-state churn holds no garbage: after the capacity high-water
    mark is reached, a million further schedule/pop cycles leave the
@@ -162,57 +187,6 @@ let wheel_churn_footprint () =
   Alcotest.(check bool)
     (Printf.sprintf "footprint near the pending population (%d)" f2)
     true (f2 < 64 * n)
-
-(* The runner-level identity the scale subcommand relies on: the same
-   config run under [Binary_heap] and [Timing_wheel] yields the same
-   result record field for field — stream-checked, so the checker
-   verdict and the watermark path are inside the comparison. *)
-let runner_sched_identity () =
-  let run sched =
-    let cfg =
-      {
-        Harness.Runner.default with
-        Harness.Runner.n_servers = 3;
-        n_clients = 8;
-        offered_load = 1_000.0;
-        duration = 1.0;
-        warmup = 0.2;
-        drain = 0.5;
-        check = Harness.Runner.Streaming;
-        series_width = Some 0.2;
-        sched;
-      }
-    in
-    Harness.Runner.run Ncc.protocol (Workload.Google_f1.make ~n_keys:200 ()) cfg
-  in
-  let a = run Sim.Engine.Binary_heap in
-  let b = run Sim.Engine.Timing_wheel in
-  let open Harness.Runner in
-  let feq f = compare (f a) (f b) = 0 in
-  let diffs =
-    List.filter_map
-      (fun (name, eq) -> if eq then None else Some name)
-      [
-        ("committed", a.committed = b.committed);
-        ("gave_up", a.gave_up = b.gave_up);
-        ("attempts", a.attempts = b.attempts);
-        ("aborts", a.aborts = b.aborts);
-        ("dropped", a.dropped = b.dropped);
-        ("throughput", feq (fun r -> r.throughput));
-        ("mean_latency", feq (fun r -> r.mean_latency));
-        ("p50", feq (fun r -> r.p50));
-        ("p99", feq (fun r -> r.p99));
-        ("p999", feq (fun r -> r.p999));
-        ("messages", a.messages = b.messages);
-        ("max_utilization", feq (fun r -> r.max_utilization));
-        ("counters", feq (fun r -> r.counters));
-        ("series", feq (fun r -> r.series));
-        ("check_result", a.check_result = b.check_result);
-      ]
-  in
-  Alcotest.(check (list string)) "wheel and heap runs identical" [] diffs;
-  Alcotest.(check bool) "and the run is checked clean" true
-    (String.length a.check_result >= 2 && String.sub a.check_result 0 2 = "ok")
 
 (* The arena claim behind `send_clean`: once the freelist has grown to
    the steady-state in-flight population, a message allocates no
@@ -419,7 +393,6 @@ let suite =
       engine_sched_identity;
     Alcotest.test_case "wheel churn footprint bounded" `Quick
       wheel_churn_footprint;
-    Alcotest.test_case "runner sched identity" `Quick runner_sched_identity;
     Alcotest.test_case "net dispatch zero-alloc" `Quick net_dispatch_zero_alloc;
     Alcotest.test_case "runner gc gauges" `Quick runner_gc_gauges;
     Alcotest.test_case "arrival curves shift volume" `Quick
