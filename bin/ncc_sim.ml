@@ -167,8 +167,9 @@ let scale_preset =
     name = "scale";
     doc =
       "Cluster-scale open-loop runs: 64+ servers, 10k+ clients, 10-100M offered \
-       transactions, stream-checked in bounded memory. Latency is the uniform model (the per-pair asymmetric \
-       table is O(nodes^2) and unusable at this node count).";
+       transactions, stream-checked in bounded memory. Latency is the uniform \
+       model (the per-pair asymmetric table is O(nodes^2) and unusable at this \
+       node count).";
     servers = 64;
     clients = 10_000;
     load = `Per_server 2_000.0;
