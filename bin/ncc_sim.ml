@@ -33,9 +33,8 @@ let arg ?absent c default names ~docv doc =
   Arg.(value & opt c default & info names ?absent ~docv ~doc)
 
 (* The atlas roster plus the replicated variants. *)
-let protocols =
-  Atlas.Protocols.all
-  @ [ ("NCC-R", Ncc_r.protocol); ("NCC-R-def", Ncc_r.protocol_deferred) ]
+let replicated = [ ("NCC-R", Ncc_r.protocol); ("NCC-R-def", Ncc_r.protocol_deferred) ]
+let protocols = Atlas.Protocols.all @ replicated
 
 (* Case-insensitive protocol lookup: "ncc", "NCC" and "Ncc" all name
    the same protocol. *)
@@ -99,10 +98,13 @@ let replicas_arg =
 
 (* Output files are opened before any simulation runs: a bad path fails
    at once instead of after a long run. *)
-let check_config cfg =
-  match Runner.validate cfg with
-  | Ok () -> ()
-  | Error m -> usage_error "invalid configuration: %s" m
+let check_config pname cfg =
+  (match Runner.validate cfg with
+   | Ok () -> ()
+   | Error m -> usage_error "invalid configuration: %s" m);
+  (* without replica nodes a replicated protocol runs unreplicated *)
+  if cfg.Runner.replicas_per_server = 0 && List.mem_assoc pname replicated then
+    usage_error "%s replicates to replica nodes: use --replicas N with N >= 1 (got 0)" pname
 
 let open_output path =
   try open_out path with Sys_error e -> usage_error "cannot write %s" e
@@ -487,7 +489,7 @@ let run_cmd p =
          proxy) exceeds MB megabytes."
     in
     let cfg = match cfg with Ok c -> c | Error m -> usage_error "%s" m in
-    check_config cfg;
+    check_config pname cfg;
     if seeds < 1 then usage_error "--seeds must be at least 1 (got %d)" seeds;
     if seeds > 1 && (perfetto <> None || profile <> None) then
       usage_error "--perfetto and --profile record one run: use --seeds 1";
@@ -602,7 +604,7 @@ let chaos_cmd =
         check;
       }
     in
-    check_config base;
+    check_config pname base;
     let allow_crashes = (not no_crashes) && replicas = 0 in
     let mk = find_workload ~n_servers:base.Runner.n_servers wname in
     match replay with

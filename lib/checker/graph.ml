@@ -1,103 +1,122 @@
-(* Shared serialization-graph machinery: adjacency building, the
-   dense freeze, and the iterative colored cycle search. Both the
-   post-hoc {!Rsg} checker and the streaming {!Stream} checker build
+(* Shared serialization-graph machinery: graph building, the dense
+   (CSR) freeze, and the iterative colored cycle search. Both the
+   post-hoc {!Rsg} checker and the streaming {!Stream} checker search
    their graphs through this module, so a cycle witness means the same
    thing in both.
 
    Node encoding convention (shared with the checkers): transactions
    are their (positive) ids, the initial writer is 0, auxiliary
-   commit-event chain nodes are negative. *)
+   commit-event chain nodes are negative.
+
+   A graph is flat: nodes are numbered in order of first mention
+   ([ids] maps the number back to the node id) and edges are two
+   parallel int columns in insertion order. {!Rsg} names nodes by id
+   through [idx]; {!Stream} numbers its epoch graph itself ([fresh],
+   [link]) and reuses one graph across epochs ([clear]). *)
 
 type t = {
-  adj : (int, int list ref) Hashtbl.t;
-  mutable nodes : int list;
+  idx : (int, int) Hashtbl.t;  (* node id -> number (id-keyed API only) *)
+  mutable ids : int array;
+  mutable n : int;
+  mutable src : int array;
+  mutable dst : int array;
+  mutable m : int;
 }
 
-let create () = { adj = Hashtbl.create 4096; nodes = [] }
+let create () = { idx = Hashtbl.create 64; ids = [||]; n = 0; src = [||]; dst = [||]; m = 0 }
 
-let node g n =
-  match Hashtbl.find_opt g.adj n with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.add g.adj n l;
-    (* ncc-lint: allow R18 — per-epoch graph build: the node list lives only until cycle_check drops the graph *)
-    g.nodes <- n :: g.nodes;
-    l
+let clear g =
+  Hashtbl.reset g.idx;
+  g.n <- 0;
+  g.m <- 0
 
-let add_node g n = ignore (node g n)
+let room a used =
+  if used < Array.length a then a
+  else begin
+    let b = Array.make (max 64 (2 * used)) 0 in
+    Array.blit a 0 b 0 used;
+    b
+  end
+
+let fresh g id =
+  g.ids <- room g.ids g.n;
+  g.ids.(g.n) <- id;
+  g.n <- g.n + 1;
+  g.n - 1
+
+let link g a b =
+  g.src <- room g.src g.m;
+  g.dst <- room g.dst g.m;
+  g.src.(g.m) <- a;
+  g.dst.(g.m) <- b;
+  g.m <- g.m + 1
+
+let node g id =
+  match Hashtbl.find g.idx id with
+  | i -> i
+  | exception Not_found ->
+    let i = fresh g id in
+    Hashtbl.add g.idx id i;
+    i
+
+let add_node g id = ignore (node g id)
 
 let edge g a b =
   if a <> b then begin
-    let l = node g a in
-    ignore (node g b);
-    (* ncc-lint: allow R18 — per-epoch graph build: adjacency conses are freed with the epoch graph *)
-    l := b :: !l
+    let ia = node g a in
+    let ib = node g b in
+    link g ia ib
   end
 
-(* The adjacency Hashtbl is convenient to build but slow to search:
-   every color lookup during the DFS hashes a key. Before the cycle
-   search the graph is frozen into dense arrays — node ids renumbered
-   to [0, n), successor lists turned into int arrays (same order, so
-   the reported cycle is unchanged) — and the DFS colors become one
-   byte per node. Black nodes persist across roots, memoizing "no
-   cycle reachable from here" for the whole query. *)
-type dense = {
-  d_ids : int array;  (* dense index -> original node id *)
-  d_adj : int array array;
-}
+(* Freeze into CSR form: each node's successors in reverse insertion
+   order, and roots tried newest node first. (This is the order the
+   previous list-consing adjacency produced, so witnesses are
+   unchanged.) Colors are one byte per node; black nodes persist
+   across roots, memoizing "no cycle reachable from here". *)
+let push stack_n stack_p color sp v =
+  stack_n.(sp) <- v;
+  stack_p.(sp) <- 0;
+  Bytes.set color v '\001';
+  sp + 1
 
-let freeze g =
-  let ids = Array.of_list g.nodes in
-  let n = Array.length ids in
-  let idx = Hashtbl.create (2 * n) in
-  Array.iteri (fun i id -> Hashtbl.replace idx id i) ids;
-  let adj =
-    Array.map
-      (fun id ->
-        let succs = Array.of_list !(Hashtbl.find g.adj id) in
-        Array.map (fun s -> Hashtbl.find idx s) succs)
-      ids
-  in
-  { d_ids = ids; d_adj = adj }
-
-(* Iterative colored DFS over the frozen graph; returns the first
-   cycle (in original node ids) or None. *)
+(* Iterative colored DFS; returns the first cycle (in node ids) or None. *)
 let find_cycle g =
-  let d = freeze g in
-  let n = Array.length d.d_ids in
+  let n = g.n in
+  let start = Array.make (n + 1) 0 in
+  for e = 0 to g.m - 1 do
+    start.(g.src.(e) + 1) <- start.(g.src.(e) + 1) + 1
+  done;
+  for v = 1 to n do
+    start.(v) <- start.(v) + start.(v - 1)
+  done;
+  let pos = Array.sub start 0 n and succ = Array.make g.m 0 in
+  for e = g.m - 1 downto 0 do
+    let v = g.src.(e) in
+    succ.(pos.(v)) <- g.dst.(e);
+    pos.(v) <- pos.(v) + 1
+  done;
   let color = Bytes.make n '\000' in (* '\001' on stack, '\002' done *)
-  (* explicit stack: node and next-successor position, as flat arrays
+  (* explicit stack: node and next-successor offset, as flat arrays
      (the gray chain never exceeds n nodes) *)
   let stack_n = Array.make (max n 1) 0 and stack_p = Array.make (max n 1) 0 in
   let cycle = ref None in
-  let found = ref false in
-  let root = ref 0 in
-  while (not !found) && !root < n do
+  let root = ref (n - 1) in
+  while Option.is_none !cycle && !root >= 0 do
     if Bytes.get color !root = '\000' then begin
-      let sp = ref 0 in
-      (* ncc-lint: allow R18 — one DFS helper closure per SCC root, amortised over the epoch walk, not per commit *)
-      let push v =
-        stack_n.(!sp) <- v;
-        stack_p.(!sp) <- 0;
-        incr sp;
-        Bytes.set color v '\001'
-      in
-      push !root;
-      while (not !found) && !sp > 0 do
+      let sp = ref (push stack_n stack_p color 0 !root) in
+      while Option.is_none !cycle && !sp > 0 do
         let top = !sp - 1 in
         let v = stack_n.(top) in
-        let succs = d.d_adj.(v) in
-        let p = stack_p.(top) in
-        if p >= Array.length succs then begin
+        let p = start.(v) + stack_p.(top) in
+        if p >= start.(v + 1) then begin
           Bytes.set color v '\002';
           decr sp
         end
         else begin
-          stack_p.(top) <- p + 1;
-          let s = succs.(p) in
+          stack_p.(top) <- stack_p.(top) + 1;
+          let s = succ.(p) in
           match Bytes.get color s with
-          | '\000' -> push s
+          | '\000' -> sp := push stack_n stack_p color !sp s
           | '\001' ->
             (* gray: cycle = the gray suffix of the path up to s *)
             let j = ref top in
@@ -107,16 +126,15 @@ let find_cycle g =
             let c = ref [] in
             for k = top downto !j do
               (* ncc-lint: allow R18 — violation path only: materialises the witness cycle after a cycle is found *)
-              c := d.d_ids.(stack_n.(k)) :: !c
+              c := g.ids.(stack_n.(k)) :: !c
             done;
-            found := true;
             (* ncc-lint: allow R18 — violation path only: the checker stops at the first violation *)
             cycle := Some !c
           | _ -> ()
         end
       done
     end;
-    incr root
+    decr root
   done;
   !cycle
 

@@ -1,59 +1,38 @@
 (* Streaming strict-serializability checker: an online incremental
    Real-time Serialization Graph with windowed garbage collection.
 
-   The post-hoc {!Rsg} checker keeps the whole history and the final
-   per-key version orders, so its memory grows without bound. This
-   module consumes the same history *as the run produces it* and
-   retires transactions once they can no longer participate in a new
-   violation, keeping the live set bounded by the concurrency window.
+   It consumes the history {!Rsg} checks post hoc *as the run produces
+   it*, in nondecreasing simulation time: [observe_version] (a server
+   committed (key, vid) between its nearest committed neighbours; the
+   initial version is announced with writer 0) and [observe_commit]
+   (a client observed a commit: the Rsg record). Per-key committed
+   orders are rebuilt from the insertions; the order is total per key,
+   so edges derived from commit-time adjacency are always sound.
 
-   Inputs (both must arrive in nondecreasing simulation time):
+   Retirement (the GC window invariant, docs/checker.md): the
+   watermark W lower-bounds the start of every commit not yet
+   observed; each epoch clamps it to the earliest start among live
+   records still awaiting announcements. After a clean epoch cycle
+   check, a transaction t with finish(t) < W and nothing unresolved
+   retires: every later transaction u has start(u) >= W > finish(t),
+   so t -> u is a guaranteed real-time edge and any *future* edge into
+   t closes a 2-cycle, reported at once without t's record — ww into t
+   (a version committed right before t's: timestamp inversion), rw
+   into t (a read of a version t overwrote: stale read), wr into t (the
+   write record of a version a retired reader read). Edges out of a
+   retired transaction need no bookkeeping: a cycle through them must
+   re-enter the retired set. Versions whose writer and successor's
+   writer both retired, with no live readers, are pruned.
 
-   - [observe_version]: the owning server committed a version — (key,
-     vid, writer txn, nearest committed predecessor / successor vid at
-     commit time). The initial version of each key is announced the
-     same way with writer 0. Per-key committed orders are rebuilt
-     incrementally from these insertions; because a version order is
-     total per key, the commit-time coarse adjacency is implied by the
-     final fine adjacency, so edges derived from it are always sound.
-   - [observe_commit]: a client observed a transaction commit — the
-     Rsg record (txn, start, finish, reads, writes).
-
-   Retirement (the GC window invariant): let the watermark W be a
-   lower bound on the start time of every transaction whose commit has
-   not yet been observed (the harness computes W from its in-flight
-   tables). The harness watermark says nothing about records *already*
-   observed that still await announcements (reads parked on
-   unannounced versions, writes whose server announcement is in
-   flight) — such a record may have started arbitrarily early — so
-   each epoch clamps W down to the earliest start among those records
-   before the sweep. A transaction t with finish(t) < W, no unresolved
-   reads and no unannounced writes is *retired* after a passed cycle
-   check: every future transaction u — including a parked one whose
-   announcement resolves later — has start(u) >= W > finish(t), so the
-   real-time edge t -> u is guaranteed. Consequently any *future* edge
-   into t closes a 2-cycle with that guaranteed edge and can be
-   reported immediately, without keeping t's record:
-
-   - ww into t: a version is committed whose nearest committed
-     successor was written by retired t (timestamp inversion);
-   - rw into t: a read is observed of a version whose nearest
-     committed successor was written by retired t (stale read);
-   - wr into t: a write record arrives for a version that a retired
-     transaction read (the read preceded its writer's start).
-
-   Edges *out of* a retired transaction need no bookkeeping: a cycle
-   through them must re-enter the retired set, which one of the rules
-   above reports. Epoch checks (every [epoch] commits) run the shared
-   cycle search over the live set only; after a clean check, eligible
-   transactions retire and closed versions — committed versions whose
-   writer and whose successor's writer are both retired — are pruned
-   from the per-key orders. A pruned vid is remembered forever in a
-   one-word-per-write membership table ([stale]): reading it later is
-   a stale read by construction, and distinguishing that from a dirty
-   read is what the residue buys. The live set itself (full records,
-   reader lists, order entries) is the windowed part; its high-water
-   mark is exported for the memory-bound tests.
+   State is flat: one word per vid ([words], indexed from the first
+   vid set; far outliers go to a small table) saying whether the vid
+   is unknown, live at an arena slot, pruned (payload: its successor's
+   writer, the stale-read evidence) or a closed tail (payload: its own
+   writer, retired or initial); version entries in a recycled
+   struct-of-arrays slot arena, linked per key by slot number,
+   counting live readers. A key's order is dropped once only a settled
+   tail is left; the tail is reopened, exactly as it was closed, by
+   the next read, write record or announcement that names it.
 
    With [~gc:false] nothing retires and [finalize] replays the
    retained history through {!Rsg.check} itself, making the two
@@ -62,45 +41,17 @@
 
 open Kernel
 
-(* One committed version in a per-key order, doubly linked so that
-   mid-chain inserts (MVTO) and pruning are O(1).
-
-   The server announces versions under per-attempt wire ids, not
-   transaction ids, so identity comes from commit records: a record
-   listing (key, vid) among its writes *claims* the entry, setting
-   [e_writer] to the transaction id (exactly how {!Rsg} learns
-   writers). Until then the writer is unknown (-1): mid-run epoch
-   checks skip its edges (dropping edges never creates a false cycle),
-   and the final check collapses a still-unclaimed writer to the
-   initial writer 0, matching Rsg's treatment of unknown writers. *)
-type entry = {
-  e_vid : int;
-  mutable e_writer : int;  (* writer txn id; 0 = initial, -1 = unclaimed *)
-  mutable e_writer_seen : bool;  (* writer's commit record observed *)
-  mutable e_readers : int list;  (* readers still in the live set *)
-  mutable e_retired_reader : int option;
-      (* a reader that retired before this version's writer record
-         arrived (instant wr-into-retired evidence) *)
-  mutable e_retired_succ : int option;
-      (* the retired writer of this version's nearest committed
-         successor, seen at announcement time before the entry was
-         claimed (instant ww-into-retired evidence, parked so the
-         witness can name the transaction id instead of the server's
-         wire id once the record arrives) *)
-  mutable e_prev : entry option;
-  mutable e_next : entry option;
-}
-
-type korder = { mutable k_head : entry option; mutable k_tail : entry option }
+type times = { start : float; finish : float }  (* all-float: unboxed *)
 
 type rec_ = {
   t_txn : int;
-  t_start : float;
-  t_finish : float;
+  t_time : times;
   t_reads : (Types.key * int) list;
   t_writes : (Types.key * int) list;
   mutable t_pending : int;  (* reads of not-yet-announced versions *)
   mutable t_unobserved : int;  (* writes not yet announced by a server *)
+  mutable t_node : int;  (* node number in the epoch graph ... *)
+  mutable t_check : int;  (* ... of the check with this serial *)
 }
 
 type stats = {
@@ -112,6 +63,15 @@ type stats = {
   stale_residue : int;
 }
 
+let none = -1  (* no slot, no transaction *)
+let unclaimed = -1  (* writer not yet known *)
+
+(* The server announces versions under per-attempt wire ids, so an
+   entry's writer (0 = initial, [unclaimed] until then) comes from the
+   commit record listing (key, vid) among its writes, exactly as
+   {!Rsg} learns writers. Mid-run epoch checks skip an unclaimed
+   writer's edges (dropping edges never creates a false cycle); the
+   final check collapses it to the initial writer 0, as Rsg does. *)
 type t = {
   gc : bool;
   epoch_len : int;
@@ -119,19 +79,55 @@ type t = {
   on_epoch : (live:int -> retired:int -> unit) option;
   mutable verdict : Verdict.t;  (* sticky: first violation wins *)
   live : (int, rec_) Hashtbl.t;
-  mutable recs : rec_ list;  (* live records, newest first *)
-  orders : (Types.key, korder) Hashtbl.t;
-  vindex : (int, entry) Hashtbl.t;  (* live committed vid -> entry *)
-  stale : (int, int) Hashtbl.t;  (* pruned vid -> its successor's writer *)
-  pend_reads : (int, int list ref) Hashtbl.t;  (* vid -> waiting readers *)
+  mutable recs : rec_ array;  (* live records, oldest first *)
+  mutable n_recs : int;
+  orders : (Types.key, int) Hashtbl.t;  (* key -> head slot of its order *)
+  mutable words : int array;  (* vid - base -> vid word *)
+  mutable base : int;
+  outliers : (int, int) Hashtbl.t;  (* vid -> word, outside [words] *)
+  (* slot arena; [none] links; free slots chain through [a_next] *)
+  mutable a_vid : int array;
+  mutable a_writer : int array;
+  mutable a_prev : int array;
+  mutable a_next : int array;
+  mutable a_readers : int array;  (* live readers attached *)
+  mutable a_rreader : int array;
+      (* a reader that retired before this version's writer record
+         arrived (instant wr-into-retired evidence) *)
+  mutable a_rsucc : int array;
+      (* the retired writer of the nearest committed successor, seen
+         at announcement time before the entry was claimed (instant
+         ww-into-retired evidence, parked so the witness names the
+         transaction, not the wire id) *)
+  mutable a_swept : int array;  (* epoch whose sweep last walked this head *)
+  mutable free : int;
+  mutable used : int;
+  pend_reads : (int, int) Hashtbl.t;  (* vid -> one binding per waiting reader *)
+  mutable n_pend : int;  (* distinct vids in [pend_reads] *)
   pend_writes : (int, rec_) Hashtbl.t;  (* vid -> writer awaiting announce *)
+  g : Graph.t;  (* the epoch graph, reused *)
+  zero : rec_;  (* the initial writer's node *)
+  mutable n_checks : int;
   mutable n_seen : int;
   mutable since_epoch : int;
   mutable n_epochs : int;
   mutable n_retired : int;
+  mutable n_pruned : int;
   mutable hw : int;
   mutable pending_hw : int;
 }
+
+let none_rec =
+  {
+    t_txn = min_int;
+    t_time = { start = Float.nan; finish = Float.nan };
+    t_reads = [];
+    t_writes = [];
+    t_pending = 0;
+    t_unobserved = 0;
+    t_node = none;
+    t_check = none;
+  }
 
 let create ?(gc = true) ?(epoch = 1024) ?(watermark = fun () -> Float.neg_infinity)
     ?on_epoch () =
@@ -141,17 +137,34 @@ let create ?(gc = true) ?(epoch = 1024) ?(watermark = fun () -> Float.neg_infini
     watermark;
     on_epoch;
     verdict = Verdict.Ok;
-    live = Hashtbl.create 4096;
-    recs = [];
+    live = Hashtbl.create 1024;
+    recs = [||];
+    n_recs = 0;
     orders = Hashtbl.create 1024;
-    vindex = Hashtbl.create 4096;
-    stale = Hashtbl.create 4096;
+    words = [||];
+    base = 0;
+    outliers = Hashtbl.create 16;
+    a_vid = [||];
+    a_writer = [||];
+    a_prev = [||];
+    a_next = [||];
+    a_readers = [||];
+    a_rreader = [||];
+    a_rsucc = [||];
+    a_swept = [||];
+    free = none;
+    used = 0;
     pend_reads = Hashtbl.create 64;
+    n_pend = 0;
     pend_writes = Hashtbl.create 64;
+    g = Graph.create ();
+    zero = { none_rec with t_txn = 0 };
+    n_checks = 0;
     n_seen = 0;
     since_epoch = 0;
     n_epochs = 0;
     n_retired = 0;
+    n_pruned = 0;
     hw = 0;
     pending_hw = 0;
   }
@@ -162,423 +175,483 @@ let cycle2 t a b =
   (* ncc-lint: allow R18 — violation path only: the two-element witness list ends the run *)
   violation t (Verdict.Cycle { strict = true; witness = [ a; b ] })
 
+(* --- vid words --------------------------------------------------------- *)
+
+(* Tag in the low two bits, payload above: 0 unknown, 1 live (slot),
+   2 pruned (successor's writer), 3 closed tail (own writer). *)
+let unknown = 0
+let live s = (s lsl 2) lor 1
+let pruned w = (w lsl 2) lor 2
+let closed w = (w lsl 2) lor 3
+
+let word t vid =
+  let i = vid - t.base in
+  if i >= 0 && i < Array.length t.words then t.words.(i)
+  else if Hashtbl.length t.outliers = 0 then unknown
+  else match Hashtbl.find t.outliers vid with w -> w | exception Not_found -> unknown
+
+(* Vids are dense within a run (one counter from 1 after
+   [Mvstore.Store.reset_vids]), so the words are one array from the
+   first vid set; a vid below it or far past its end (hand-built and
+   replayed histories) goes to [outliers] instead of stretching the
+   array to O(max vid). *)
+let set_word t vid w =
+  let len = Array.length t.words in
+  if len = 0 then t.base <- vid;
+  let i = vid - t.base in
+  if i >= 0 && i < len then t.words.(i) <- w
+  else if i >= 0 && i < (2 * len) + 4096 then begin
+    let b = Array.make (max 256 (max (i + 1) (2 * len))) unknown in
+    Array.blit t.words 0 b 0 len;
+    t.words <- b;
+    b.(i) <- w
+  end
+  else Hashtbl.replace t.outliers vid w
+
+(* The live slot of [vid], or [none]. *)
+let slot t vid =
+  let w = word t vid in
+  if w land 3 = 1 then w asr 2 else none
+
+(* --- slot arena -------------------------------------------------------- *)
+
+let grow a =
+  let b = Array.make (max 64 (2 * Array.length a)) none in
+  Array.blit a 0 b 0 (Array.length a);
+  b
+
+let alloc t vid writer =
+  if t.free = none then begin
+    if t.used = Array.length t.a_vid then begin
+      t.a_vid <- grow t.a_vid;
+      t.a_writer <- grow t.a_writer;
+      t.a_prev <- grow t.a_prev;
+      t.a_next <- grow t.a_next;
+      t.a_readers <- grow t.a_readers;
+      t.a_rreader <- grow t.a_rreader;
+      t.a_rsucc <- grow t.a_rsucc;
+      t.a_swept <- grow t.a_swept
+    end;
+    t.a_next.(t.used) <- none;
+    t.free <- t.used;
+    t.used <- t.used + 1
+  end;
+  let s = t.free in
+  t.free <- t.a_next.(s);
+  t.a_vid.(s) <- vid;
+  t.a_writer.(s) <- writer;
+  t.a_prev.(s) <- none;
+  t.a_next.(s) <- none;
+  t.a_readers.(s) <- 0;
+  t.a_rreader.(s) <- none;
+  t.a_rsucc.(s) <- none;
+  t.a_swept.(s) <- none;
+  s
+
+let release t s =
+  t.a_next.(s) <- t.free;
+  t.free <- s
+
 (* A transaction is retired when its record was observed and it is no
    longer in the live set. Initial versions (writer 0) never retire. *)
-let entry_retired t e =
-  e.e_writer <> 0 && e.e_writer_seen && not (Hashtbl.mem t.live e.e_writer)
+let slot_retired t s =
+  let w = t.a_writer.(s) in
+  w <> 0 && w <> unclaimed && not (Hashtbl.mem t.live w)
 
-let korder_of t key =
-  match Hashtbl.find_opt t.orders key with
-  | Some k -> k
-  | None ->
-    let k = { k_head = None; k_tail = None } in
-    Hashtbl.add t.orders key k;
-    k
+let insert_after t key p s =
+  if p = none then begin
+    let h = match Hashtbl.find t.orders key with h -> h | exception Not_found -> none in
+    t.a_next.(s) <- h;
+    if h <> none then t.a_prev.(h) <- s;
+    Hashtbl.replace t.orders key s
+  end
+  else begin
+    let n = t.a_next.(p) in
+    t.a_prev.(s) <- p;
+    t.a_next.(s) <- n;
+    if n <> none then t.a_prev.(n) <- s;
+    t.a_next.(p) <- s
+  end
 
-let insert_after ko (prev : entry option) e =
-  match prev with
-  | None ->
-    e.e_next <- ko.k_head;
-    (* ncc-lint: allow R18 — doubly-linked version-order surgery: the option-typed links are the data structure *)
-    (match ko.k_head with Some h -> h.e_prev <- Some e | None -> ko.k_tail <- Some e);
-    (* ncc-lint: allow R18 — doubly-linked version-order surgery: the option-typed links are the data structure *)
-    ko.k_head <- Some e
-  | Some p ->
-    (* ncc-lint: allow R18 — doubly-linked version-order surgery: the option-typed links are the data structure *)
-    e.e_prev <- Some p;
-    e.e_next <- p.e_next;
-    (* ncc-lint: allow R18 — doubly-linked version-order surgery: the option-typed links are the data structure *)
-    (match p.e_next with Some n -> n.e_prev <- Some e | None -> ko.k_tail <- Some e);
-    (* ncc-lint: allow R18 — doubly-linked version-order surgery: the option-typed links are the data structure *)
-    p.e_next <- Some e
+let rec last_slot t s = if t.a_next.(s) = none then s else last_slot t t.a_next.(s)
 
-let unlink ko e =
-  (match e.e_prev with Some p -> p.e_next <- e.e_next | None -> ko.k_head <- e.e_next);
-  match e.e_next with Some n -> n.e_prev <- e.e_prev | None -> ko.k_tail <- e.e_prev
+(* Reopen a closed tail exactly as it was closed: settled, no parked
+   evidence. Announcements name their nearest committed neighbours, so
+   a key with a closed tail only has an order again when a version was
+   installed behind pruned neighbours, before the tail — which stays
+   last. *)
+let reopen t key vid w =
+  let s = alloc t vid w in
+  set_word t vid (live s);
+  (match Hashtbl.find t.orders key with
+   | h ->
+     let l = last_slot t h in
+     t.a_next.(l) <- s;
+     t.a_prev.(s) <- l
+   | exception Not_found -> Hashtbl.replace t.orders key s);
+  s
 
-(* Instant rw/ww-into-retired check: is [e]'s nearest committed
-   successor written by a retired transaction? *)
-let succ_retired t e =
-  match e.e_next with
-  (* ncc-lint: allow R18 — succession-probe result; one short-lived option per version-order query *)
-  | Some s when entry_retired t s -> Some s.e_writer
-  | _ -> None
+(* The live slot of [vid] for an update, reopening a closed tail. *)
+let open_slot t key vid =
+  let w = word t vid in
+  match w land 3 with 1 -> w asr 2 | 3 -> reopen t key vid (w asr 2) | _ -> none
+
+(* Instant rw/ww-into-retired check: the writer of [s]'s nearest
+   committed successor if it retired, else [none]. *)
+let succ_retired t s =
+  let n = t.a_next.(s) in
+  if n <> none && slot_retired t n then t.a_writer.(n) else none
 
 (* Attach a live reader to the version it read, or report the stale
    read if the version's successor is already retired (the reader was
    observed after that retirement, so it started after the successor's
    writer finished: rw edge plus guaranteed rt edge = cycle). *)
-let attach_read t rdr e =
-  match succ_retired t e with
-  | Some w -> cycle2 t rdr w
-  (* ncc-lint: allow R18 — reader bookkeeping: one cons per observed read, pruned at retirement *)
-  | None -> e.e_readers <- rdr :: e.e_readers
+let attach_read t rdr s =
+  let w = succ_retired t s in
+  if w <> none then cycle2 t rdr w else t.a_readers.(s) <- t.a_readers.(s) + 1
+
+(* The retired writer whose version [nv] a new version is installed
+   right before, or [none]: a pruned vid remembers its successor's
+   writer; a closed tail is reopened to keep the order exact. *)
+let succ_writer t key nv =
+  let w = word t nv in
+  if w land 3 = 2 then w asr 2
+  else
+    let s = open_slot t key nv in
+    if s <> none && slot_retired t s then t.a_writer.(s) else none
 
 let observe_version t ~key ~vid ~writer ~prev ~next =
   (* a duplicated Decide can re-announce a vid; only the first counts *)
-  if Verdict.is_ok t.verdict && not (Hashtbl.mem t.vindex vid || Hashtbl.mem t.stale vid)
-  then begin
-    let ko = korder_of t key in
-    let e =
-      {
-        e_vid = vid;
-        e_writer = (if writer = 0 then 0 else -1);
-        e_writer_seen = writer = 0;
-        e_readers = [];
-        e_retired_reader = None;
-        e_retired_succ = None;
-        e_prev = None;
-        e_next = None;
-      }
-    in
+  if Verdict.is_ok t.verdict && word t vid = unknown then begin
+    let s = alloc t vid (if writer = 0 then 0 else unclaimed) in
     (* protocols that decide client-side may report the commit before
        the server applies it; the write was parked until now *)
-    (match Hashtbl.find_opt t.pend_writes vid with
-     | Some r ->
+    (match Hashtbl.find t.pend_writes vid with
+     | r ->
        Hashtbl.remove t.pend_writes vid;
-       e.e_writer <- r.t_txn;
-       e.e_writer_seen <- true;
+       t.a_writer.(s) <- r.t_txn;
        r.t_unobserved <- r.t_unobserved - 1
-     | None -> ());
-    let prev_e = Option.bind prev (Hashtbl.find_opt t.vindex) in
-    insert_after ko prev_e e;
-    Hashtbl.replace t.vindex vid e;
+     | exception Not_found -> ());
+    insert_after t key (match prev with Some pv -> open_slot t key pv | None -> none) s;
+    set_word t vid (live s);
     (* instant ww-into-retired: committed between a retired writer's
        version and its predecessors = timestamp inversion. Sound
        because the retirement gate in [run_epoch] guarantees the
        retired successor's writer finished before this writer started,
        whether this entry's record is already here (claimed from
        pend_writes), still in flight, or arrives later. The witness
-       must name the writing *transaction*: servers announce under
-       per-attempt wire ids, so if the entry is unclaimed the evidence
-       is parked on it ([e_retired_succ]) and fires when the commit
-       record claims it in [observe_commit]. *)
+       must name the writing *transaction*, so an unclaimed entry
+       parks the evidence ([a_rsucc]) until its record claims it in
+       [observe_commit]. *)
     (match next with
-     | Some nv -> (
-       let succ_writer =
-         match Hashtbl.find_opt t.stale nv with
-         (* ncc-lint: allow R17 — succession-probe result; one short-lived option per version observation *)
-         | Some w -> Some w
-         | None -> (
-           match Hashtbl.find_opt t.vindex nv with
-           (* ncc-lint: allow R17 — succession-probe result; one short-lived option per version observation *)
-           | Some ne when entry_retired t ne -> Some ne.e_writer
-           | _ -> None)
-       in
-       match succ_writer with
-       | Some w ->
-         if e.e_writer_seen then (if e.e_writer <> 0 then cycle2 t e.e_writer w)
-         (* ncc-lint: allow R17 — parks the retired successor writer once per entry, not per commit *)
-         else e.e_retired_succ <- Some w
-       | None -> ())
+     | Some nv ->
+       let w = succ_writer t key nv in
+       let own = t.a_writer.(s) in
+       if w <> none then
+         if own = unclaimed then t.a_rsucc.(s) <- w else if own <> 0 then cycle2 t own w
      | None -> ());
-    (* resolve readers that were parked on this vid *)
-    match Hashtbl.find_opt t.pend_reads vid with
-    | None -> ()
-    | Some waiting ->
-      Hashtbl.remove t.pend_reads vid;
+    (* resolve readers that were parked on this vid, oldest first *)
+    if Hashtbl.mem t.pend_reads vid then begin
+      let waiting = List.rev (Hashtbl.find_all t.pend_reads vid) in
+      List.iter (fun _ -> Hashtbl.remove t.pend_reads vid) waiting;
+      t.n_pend <- t.n_pend - 1;
       List.iter
         (fun rdr ->
-          match Hashtbl.find_opt t.live rdr with
-          | None -> ()
-          | Some r ->
+          match Hashtbl.find t.live rdr with
+          | r ->
             r.t_pending <- r.t_pending - 1;
-            attach_read t rdr e)
-        (List.rev !waiting)
+            attach_read t rdr s
+          | exception Not_found -> ())
+        waiting
+    end
   end
 
-(* --- epoch check over the live set --------------------------------- *)
+(* --- epoch check over the live set ------------------------------------- *)
 
-(* Writer node for an entry. Retired writers yield no node — any edge
+(* A record's node in the current epoch graph, numbered at first
+   mention (the order {!Graph.edge} would give). *)
+let node t r =
+  if r.t_check <> t.n_checks then begin
+    r.t_check <- t.n_checks;
+    r.t_node <- Graph.fresh t.g r.t_txn
+  end;
+  r.t_node
+
+(* Writer node for slot [s]. Retired writers yield no node — any edge
    touching them was already covered (incoming edges by the instant
    rules, outgoing edges by the retirement theorem). Unclaimed writers
-   are skipped mid-run (the record is still in flight; guessing would
-   risk a false cycle through node 0) and collapse to the initial
-   writer 0 in the final check, exactly as in {!Rsg}. *)
-let writer_node t ~final e =
-  (* ncc-lint: allow R18 — per-epoch live-graph node id; built and dropped with the epoch graph *)
-  if e.e_writer = 0 then Some 0
-  (* ncc-lint: allow R18 — per-epoch live-graph node id; built and dropped with the epoch graph *)
-  else if not e.e_writer_seen then if final then Some 0 else None
-  (* ncc-lint: allow R18 — per-epoch live-graph node id; built and dropped with the epoch graph *)
-  else if Hashtbl.mem t.live e.e_writer then Some e.e_writer
-  else None
+   are skipped mid-run and collapse to the initial writer 0 in the
+   final check, exactly as in {!Rsg}. *)
+let writer_rec t ~final s =
+  let w = t.a_writer.(s) in
+  if w = 0 || (w = unclaimed && final) then t.zero
+  else if w = unclaimed then none_rec
+  else match Hashtbl.find t.live w with r -> r | exception Not_found -> none_rec
+
+let link t a b =
+  if a != none_rec && b != none_rec && a.t_txn <> b.t_txn then begin
+    let ia = node t a in
+    let ib = node t b in
+    Graph.link t.g ia ib
+  end
+
+(* Edges of one record's reads (wr from the version's writer) or
+   writes (ww from the predecessor's writer), plus the rw / ww edge
+   to the successor's writer. Every edge between two representable
+   nodes has a live, claimed endpoint whose own record reaches it, so
+   the epoch check is O(live), independent of the keys ever touched. *)
+let rec edges t ~final ~write r = function
+  | [] -> ()
+  | (_, vid) :: tl ->
+    let s = slot t vid in
+    if s <> none then begin
+      let src = if write then t.a_prev.(s) else s in
+      if src <> none then link t (writer_rec t ~final src) r;
+      let n = t.a_next.(s) in
+      if n <> none then link t r (writer_rec t ~final n)
+    end;
+    edges t ~final ~write r tl
+
+(* Greatest i with finish(arr.(i)) < start(r), or -1. *)
+let last_before arr r =
+  let lo = ref (-1) and hi = ref (Array.length arr - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi + 1) / 2 in
+    if arr.(mid).t_time.finish < r.t_time.start then lo := mid else hi := mid - 1
+  done;
+  if !lo >= 0 && arr.(!lo).t_time.finish < r.t_time.start then !lo else none
 
 let live_graph t ~final =
-  let g = Graph.create () in
-  (* Build edges from each live record's reads and writes instead of
-     walking every key's order: every wr/ww/rw edge between two
-     representable nodes has at least one live, claimed endpoint, and
-     each such edge is reachable from that endpoint's own record (its
-     read entry, or its write entry's chain neighbors). Entries whose
-     writer is retired yield no node ([writer_node]), entries whose
-     writer is unclaimed contribute once the record arrives, and
-     readers on an entry are live by construction ([retire_one] strips
-     retired ones). This keeps the epoch check O(live), independent of
-     how many keys the whole history has touched. *)
-  List.iter
-    (fun r ->
-      Graph.add_node g r.t_txn;
-      List.iter
-        (fun (_, vid) ->
-          match Hashtbl.find_opt t.vindex vid with
-          | None -> () (* announcement in flight: no edges yet *)
-          | Some e ->
-            (* wr: the version's writer -> this reader *)
-            (match writer_node t ~final e with
-             | Some w -> Graph.edge g w r.t_txn
-             | None -> ());
-            (* rw: this reader -> the successor's writer *)
-            (match e.e_next with
-             | Some n -> (
-               match writer_node t ~final n with
-               | Some wn -> Graph.edge g r.t_txn wn
-               | None -> ())
-             | None -> ()))
-        r.t_reads;
-      List.iter
-        (fun (_, vid) ->
-          match Hashtbl.find_opt t.vindex vid with
-          | None -> ()
-          | Some e ->
-            (* ww in: predecessor's writer -> us; ww out: us -> the
-               successor's writer *)
-            (match e.e_prev with
-             | Some p -> (
-               match writer_node t ~final p with
-               | Some wp -> Graph.edge g wp r.t_txn
-               | None -> ())
-             | None -> ());
-            (match e.e_next with
-             | Some n -> (
-               match writer_node t ~final n with
-               | Some wn -> Graph.edge g r.t_txn wn
-               | None -> ())
-             | None -> ()))
-        r.t_writes)
-    t.recs;
+  Graph.clear t.g;
+  t.n_checks <- t.n_checks + 1;
+  let n = t.n_recs in
+  for i = n - 1 downto 0 do
+    let r = t.recs.(i) in
+    ignore (node t r);
+    edges t ~final ~write:false r r.t_reads;
+    edges t ~final ~write:true r r.t_writes
+  done;
   (* real-time edges over the live set, compressed with the same
      commit-event chain as Rsg (epoch-local chain numbering) *)
-  let arr =
-    Array.of_list (List.sort (fun a b -> Float.compare a.t_finish b.t_finish) t.recs)
-  in
-  let chain_node i = -(i + 1) in
-  Array.iteri
-    (fun i r ->
-      Graph.edge g r.t_txn (chain_node i);
-      if i + 1 < Array.length arr then Graph.edge g (chain_node i) (chain_node (i + 1)))
-    arr;
-  let last_before start =
-    let lo = ref (-1) and hi = ref (Array.length arr - 1) in
-    while !lo < !hi do
-      let mid = (!lo + !hi + 1) / 2 in
-      if arr.(mid).t_finish < start then lo := mid else hi := mid - 1
+  if n > 0 then begin
+    let arr = Array.init n (fun i -> t.recs.(n - 1 - i)) in
+    Array.stable_sort (fun a b -> Float.compare a.t_time.finish b.t_time.finish) arr;
+    let c0 = Graph.fresh t.g (-1) in
+    for i = 0 to n - 1 do
+      Graph.link t.g (node t arr.(i)) (c0 + i);
+      if i + 1 < n then begin
+        ignore (Graph.fresh t.g (-(i + 2)));
+        Graph.link t.g (c0 + i) (c0 + i + 1)
+      end
     done;
-    (* ncc-lint: allow R18 — one option per epoch-boundary binary search, not per commit *)
-    if !lo >= 0 && arr.(!lo).t_finish < start then Some !lo else None
-  in
-  List.iter
-    (fun r ->
-      match last_before r.t_start with
-      | Some i -> Graph.edge g (chain_node i) r.t_txn
-      | None -> ())
-    t.recs;
-  g
+    for i = n - 1 downto 0 do
+      let j = last_before arr t.recs.(i) in
+      if j <> none then Graph.link t.g (c0 + j) (node t t.recs.(i))
+    done
+  end
 
 let cycle_check t ~final =
-  match Graph.find_cycle (live_graph t ~final) with
+  live_graph t ~final;
+  match Graph.find_cycle t.g with
   | None -> true
   | Some witness ->
     violation t (Verdict.Cycle { strict = true; witness });
     false
 
+(* --- retirement and pruning -------------------------------------------- *)
+
+let rec release_reads t txn = function
+  | [] -> ()
+  | (_, vid) :: tl ->
+    let s = slot t vid in
+    if s <> none then begin
+      t.a_readers.(s) <- t.a_readers.(s) - 1;
+      if t.a_writer.(s) = unclaimed && t.a_rreader.(s) = none then t.a_rreader.(s) <- txn
+    end;
+    release_reads t txn tl
+
 let retire_one t r =
   Hashtbl.remove t.live r.t_txn;
   t.n_retired <- t.n_retired + 1;
-  List.iter
-    (fun (_, vid) ->
-      match Hashtbl.find_opt t.vindex vid with
-      | None -> ()
-      | Some e ->
-        e.e_readers <- List.filter (fun rdr -> rdr <> r.t_txn) e.e_readers;
-        if (not e.e_writer_seen) && e.e_retired_reader = None then
-          (* ncc-lint: allow R18 — records the retired reader once per entry at retirement *)
-          e.e_retired_reader <- Some r.t_txn)
-    r.t_reads
+  release_reads t r.t_txn r.t_reads
 
-(* Prune closed versions: writer retired (or initial) and successor's
-   writer retired, with no live readers left. Future reads of the vid
-   are stale reads by construction; the membership table keeps the
-   evidence. An entry's prunability only changes when a transaction
-   touching its key retires (the writer or successor's writer leaves
-   the live set, or a reader is stripped), so each sweep only needs to
-   walk the keys the just-retired transactions touched — not the whole
-   history's key set. *)
+(* An entry is settled when its writer retired (or is initial) and no
+   live or retired-before-the-claim reader holds it. *)
+let settled t e =
+  (t.a_writer.(e) = 0 || slot_retired t e) && t.a_readers.(e) = 0 && t.a_rreader.(e) = none
+
+(* Prune settled versions whose successor's writer retired. The vid
+   word keeps the successor's writer as stale-read evidence. *)
+let rec prune_from t key e =
+  if e <> none then begin
+    let s = t.a_next.(e) in
+    if s <> none && settled t e && slot_retired t s then begin
+      let p = t.a_prev.(e) in
+      if p = none then Hashtbl.replace t.orders key s else t.a_next.(p) <- s;
+      t.a_prev.(s) <- p;
+      set_word t t.a_vid.(e) (pruned t.a_writer.(s));
+      t.n_pruned <- t.n_pruned + 1;
+      release t e
+    end;
+    prune_from t key s
+  end
+
+(* An entry's prunability only changes when a transaction touching its
+   key retires, so each sweep walks just those keys, once each. A key
+   left with only a settled tail drops its order: the tail's word
+   becomes [closed], and the vid is reopened on demand. *)
 let prune_key t key =
-  match Hashtbl.find_opt t.orders key with
-  | None -> ()
-  | Some ko ->
-    let rec walk = function
-      | None -> ()
-      | Some e ->
-        let next = e.e_next in
-        (match next with
-         | Some s
-           when (e.e_writer = 0 || entry_retired t e)
-                && e.e_readers = [] && e.e_retired_reader = None
-                && entry_retired t s ->
-           unlink ko e;
-           Hashtbl.remove t.vindex e.e_vid;
-           Hashtbl.replace t.stale e.e_vid s.e_writer
-         | _ -> ());
-        walk next
-    in
-    walk ko.k_head
-
-let prune_orders t retired_now =
-  let seen = Hashtbl.create 64 in
-  let keys = ref [] in
-  let add (k, _) =
-    if not (Hashtbl.mem seen k) then begin
-      Hashtbl.add seen k ();
-      (* ncc-lint: allow R18 — per-epoch key-list build; amortised over the epoch *)
-      keys := k :: !keys
+  match Hashtbl.find t.orders key with
+  | exception Not_found -> ()
+  | h when t.a_swept.(h) = t.n_epochs -> ()
+  | h -> (
+    prune_from t key h;
+    let h = Hashtbl.find t.orders key in
+    if t.a_next.(h) = none && settled t h && t.a_rsucc.(h) = none then begin
+      Hashtbl.remove t.orders key;
+      set_word t t.a_vid.(h) (closed t.a_writer.(h));
+      release t h
     end
-  in
-  List.iter
-    (fun r ->
-      List.iter add r.t_reads;
-      List.iter add r.t_writes)
-    retired_now;
-  List.iter (prune_key t) (List.rev !keys)
+    else t.a_swept.(h) <- t.n_epochs)
+
+let rec prune_keys t = function
+  | [] -> ()
+  | (key, _) :: tl ->
+    prune_key t key;
+    prune_keys t tl
+
+(* Compact the live records, pruning the keys of the retired ones. *)
+let sweep t =
+  let k = ref 0 in
+  for i = 0 to t.n_recs - 1 do
+    let r = t.recs.(i) in
+    if Hashtbl.mem t.live r.t_txn then begin
+      t.recs.(!k) <- r;
+      incr k
+    end
+    else begin
+      prune_keys t r.t_reads;
+      prune_keys t r.t_writes
+    end
+  done;
+  Array.fill t.recs !k (t.n_recs - !k) none_rec;
+  t.n_recs <- !k
+
+(* Retirement gate: the harness watermark only bounds the starts of
+   transactions whose commit is still *unobserved*. A live record with
+   reads parked on unannounced versions or writes awaiting a server
+   announcement may have started arbitrarily earlier, so clamp the
+   watermark to the earliest such start: nothing retires past a parked
+   record, and the instant retired-edge rules that fire when its
+   announcements finally resolve only ever claim real-time edges that
+   genuinely hold (retired finish < gated watermark <= parked start). *)
+let rec clamp t i wm =
+  if i < 0 then wm
+  else
+    let r = t.recs.(i) in
+    clamp t (i - 1)
+      (if r.t_pending > 0 || r.t_unobserved > 0 then Float.min wm r.t_time.start else wm)
 
 let run_epoch t =
   t.since_epoch <- 0;
   t.n_epochs <- t.n_epochs + 1;
   if cycle_check t ~final:false then begin
-    (* Retirement gate: the harness watermark only bounds the starts
-       of transactions whose commit is still *unobserved*. A record
-       already in the live set with reads parked on unannounced
-       versions (t_pending > 0) or writes awaiting a server
-       announcement (t_unobserved > 0) may have started arbitrarily
-       earlier, so clamp the watermark to the earliest such start:
-       nothing retires past a parked record, and the instant
-       retired-edge rules that fire when its announcements finally
-       resolve only ever claim real-time edges that genuinely hold
-       (retired finish < gated watermark <= parked start). *)
-    let wm =
-      List.fold_left
-        (fun acc r ->
-          if r.t_pending > 0 || r.t_unobserved > 0 then Float.min acc r.t_start
-          else acc)
-        (t.watermark ()) t.recs
-    in
-    let eligible r = r.t_finish < wm && r.t_pending = 0 && r.t_unobserved = 0 in
-    let retired_now = List.filter eligible t.recs in
-    if retired_now <> [] then begin
-      List.iter (retire_one t) retired_now;
-      t.recs <- List.filter (fun r -> Hashtbl.mem t.live r.t_txn) t.recs;
-      prune_orders t retired_now
-    end;
+    let wm = clamp t (t.n_recs - 1) (t.watermark ()) in
+    let any = ref false in
+    for i = t.n_recs - 1 downto 0 do
+      let r = t.recs.(i) in
+      if r.t_time.finish < wm && r.t_pending = 0 && r.t_unobserved = 0 then begin
+        retire_one t r;
+        any := true
+      end
+    done;
+    if !any then sweep t;
     match t.on_epoch with
     | Some f -> f ~live:(Hashtbl.length t.live) ~retired:t.n_retired
     | None -> ()
   end
 
+let push_rec t r =
+  if t.n_recs = Array.length t.recs then begin
+    let b = Array.make (max 64 (2 * t.n_recs)) none_rec in
+    Array.blit t.recs 0 b 0 t.n_recs;
+    t.recs <- b
+  end;
+  t.recs.(t.n_recs) <- r;
+  t.n_recs <- t.n_recs + 1
+
 let observe_commit t ~txn ~start ~finish ~reads ~writes =
   t.n_seen <- t.n_seen + 1;
   if Verdict.is_ok t.verdict then begin
     let r =
-      (* ncc-lint: allow R16 — one commit record per transaction: start/finish box once at ingest, then reads are field loads *)
       {
         t_txn = txn;
-        t_start = start;
-        t_finish = finish;
+        t_time = { start; finish };
         t_reads = reads;
         t_writes = writes;
         t_pending = 0;
         t_unobserved = 0;
+        t_node = none;
+        t_check = none;
       }
     in
     Hashtbl.replace t.live txn r;
-    (* ncc-lint: allow R17 — one record cell per committed transaction; the GC window prunes it *)
-    t.recs <- r :: t.recs;
+    push_rec t r;
     if Hashtbl.length t.live > t.hw then t.hw <- Hashtbl.length t.live;
     List.iter
-      (fun (_, vid) ->
-        match Hashtbl.find_opt t.vindex vid with
-        | Some e ->
-          e.e_writer <- txn;
-          e.e_writer_seen <- true;
-          (* a reader of this version retired before we learned who
-             wrote it: wr edge into the retired set *)
-          (match e.e_retired_reader with
-           | Some rdr -> cycle2 t txn rdr
-           | None -> ());
-          (* our version's successor was retired at announcement time
-             (parked evidence, possibly since pruned to [stale]) or
-             retired while the record was in flight: ww edge into the
-             retired set *)
-          (match e.e_retired_succ with
-           | Some w -> cycle2 t txn w
-           | None -> (
-             match succ_retired t e with
-             | Some w -> cycle2 t txn w
-             | None -> ()))
-        | None ->
+      (fun (key, vid) ->
+        let s = open_slot t key vid in
+        if s = none then begin
           (* server announcement still in flight *)
           r.t_unobserved <- r.t_unobserved + 1;
-          Hashtbl.replace t.pend_writes vid r)
+          Hashtbl.replace t.pend_writes vid r
+        end
+        else begin
+          t.a_writer.(s) <- txn;
+          (* a reader of this version retired before we learned who
+             wrote it: wr edge into the retired set *)
+          if t.a_rreader.(s) <> none then cycle2 t txn t.a_rreader.(s);
+          (* our version's successor was retired at announcement time
+             (parked evidence) or retired while the record was in
+             flight: ww edge into the retired set *)
+          let w = if t.a_rsucc.(s) <> none then t.a_rsucc.(s) else succ_retired t s in
+          if w <> none then cycle2 t txn w
+        end)
       writes;
     List.iter
-      (fun (_, vid) ->
-        match Hashtbl.find_opt t.stale vid with
-        | Some w -> cycle2 t txn w
-        | None -> (
-          match Hashtbl.find_opt t.vindex vid with
-          | Some e -> attach_read t txn e
-          | None ->
-            r.t_pending <- r.t_pending + 1;
-            let waiting =
-              match Hashtbl.find_opt t.pend_reads vid with
-              | Some l -> l
-              | None ->
-                let l = ref [] in
-                Hashtbl.add t.pend_reads vid l;
-                l
-            in
-            (* ncc-lint: allow R17 — pending-read bookkeeping: one cons per not-yet-observed read *)
-            waiting := txn :: !waiting;
-            if Hashtbl.length t.pend_reads > t.pending_hw then
-              t.pending_hw <- Hashtbl.length t.pend_reads))
+      (fun (key, vid) ->
+        let w = word t vid in
+        match w land 3 with
+        | 2 -> cycle2 t txn (w asr 2)
+        | 0 ->
+          r.t_pending <- r.t_pending + 1;
+          if not (Hashtbl.mem t.pend_reads vid) then t.n_pend <- t.n_pend + 1;
+          Hashtbl.add t.pend_reads vid txn;
+          if t.n_pend > t.pending_hw then t.pending_hw <- t.n_pend
+        | _ -> attach_read t txn (open_slot t key vid))
       reads;
     t.since_epoch <- t.since_epoch + 1;
     if t.gc && t.since_epoch >= t.epoch_len then run_epoch t
   end
 
-(* --- finalize ------------------------------------------------------ *)
+(* --- finalize ---------------------------------------------------------- *)
 
 (* Reads still unresolved at the end of the run are dirty: the vid
    appears in no committed order, matching Rsg's definition. Report
    the same one Rsg would (first in newest-first record order). *)
-let first_dirty t =
-  let unresolved vid =
-    (not (Hashtbl.mem t.vindex vid)) && not (Hashtbl.mem t.stale vid)
-  in
-  List.find_map
-    (fun r ->
-      List.find_map
-        (fun (key, vid) ->
-          if unresolved vid then
-            Some (Verdict.Dirty_read { txn = r.t_txn; key; vid })
-          else None)
-        r.t_reads)
-    t.recs
+let rec first_dirty t i =
+  if i < 0 then None
+  else
+    match List.find_opt (fun (_, vid) -> word t vid = unknown) t.recs.(i).t_reads with
+    | Some (key, vid) -> Some (Verdict.Dirty_read { txn = t.recs.(i).t_txn; key; vid })
+    | None -> first_dirty t (i - 1)
+
+let rec vids_from t s = if s = none then [] else t.a_vid.(s) :: vids_from t t.a_next.(s)
 
 let finalize t =
   (if Verdict.is_ok t.verdict then
      if t.gc then begin
-       (match first_dirty t with Some a -> violation t a | None -> ());
+       (match first_dirty t (t.n_recs - 1) with Some a -> violation t a | None -> ());
        if Verdict.is_ok t.verdict then ignore (cycle_check t ~final:true)
      end
      else begin
@@ -586,18 +659,13 @@ let finalize t =
           post-hoc checker verbatim so the verdicts agree field for
           field (equivalence anchor). *)
        let rsg = Rsg.create () in
-       List.iter
-         (fun r ->
-           Rsg.record_commit rsg ~txn:r.t_txn ~start:r.t_start ~finish:r.t_finish
-             ~reads:r.t_reads ~writes:r.t_writes)
-         (List.rev t.recs);
+       for i = 0 to t.n_recs - 1 do
+         let r = t.recs.(i) in
+         Rsg.record_commit rsg ~txn:r.t_txn ~start:r.t_time.start
+           ~finish:r.t_time.finish ~reads:r.t_reads ~writes:r.t_writes
+       done;
        Detmap.iter_sorted
-         (fun key ko ->
-           let rec vids = function
-             | None -> []
-             | Some e -> e.e_vid :: vids e.e_next
-           in
-           Rsg.record_version_order rsg key (vids ko.k_head))
+         (fun key h -> Rsg.record_version_order rsg key (vids_from t h))
          t.orders;
        t.verdict <- Rsg.check rsg ~strict:true
      end);
@@ -613,90 +681,5 @@ let stats t =
     retired = t.n_retired;
     live_high_water = t.hw;
     pending_high_water = t.pending_hw;
-    stale_residue = Hashtbl.length t.stale;
+    stale_residue = t.n_pruned;
   }
-
-(* --- replay -------------------------------------------------------- *)
-
-(* Drive the streaming checker from a post-hoc history (records plus
-   final per-key committed orders): commits replay in finish order,
-   each transaction's versions are announced just before its record
-   with prev/next computed as the nearest already-announced neighbors
-   in the final order, and the watermark is the exact suffix minimum
-   of the remaining start times. Versions no record claims (writes of
-   transactions that never reported) are announced up front, oldest
-   first, like the initial versions. Used by the equivalence and
-   planted-anomaly tests, which only have post-hoc histories. *)
-module Iset = Set.Make (Int)
-
-let replay ?gc ?epoch ~records ~orders () =
-  (* position of each vid in its key's final order *)
-  let pos = Hashtbl.create 4096 in
-  List.iter
-    (fun (key, vids) ->
-      List.iteri (fun i vid -> Hashtbl.replace pos vid (key, i)) vids)
-    orders;
-  let writer_of = Hashtbl.create 4096 in
-  List.iter
-    (fun (r : Rsg.txn_record) ->
-      List.iter (fun (_, vid) -> Hashtbl.replace writer_of vid r.Rsg.txn) r.Rsg.writes)
-    records;
-  let by_finish =
-    List.stable_sort
-      (fun (a : Rsg.txn_record) b -> Float.compare a.Rsg.finish b.Rsg.finish)
-      (List.rev records)
-  in
-  let arr = Array.of_list by_finish in
-  let n = Array.length arr in
-  (* watermark: min start over records not yet replayed *)
-  let suffix_min = Array.make (n + 1) Float.infinity in
-  for i = n - 1 downto 0 do
-    suffix_min.(i) <- Float.min arr.(i).Rsg.start suffix_min.(i + 1)
-  done;
-  let step = ref 0 in
-  let t =
-    create ?gc ?epoch ~watermark:(fun () -> suffix_min.(!step)) ()
-  in
-  (* installed positions per key, for nearest-neighbor lookup *)
-  let installed = Hashtbl.create 256 in
-  let announce key i vids_arr =
-    let vid = vids_arr.(i) in
-    let s = try Hashtbl.find installed key with Not_found -> Iset.empty in
-    let prev =
-      Option.map (fun j -> vids_arr.(j)) (Iset.find_last_opt (fun j -> j < i) s)
-    in
-    let next =
-      Option.map (fun j -> vids_arr.(j)) (Iset.find_first_opt (fun j -> j > i) s)
-    in
-    Hashtbl.replace installed key (Iset.add i s);
-    observe_version t ~key ~vid
-      ~writer:(Option.value ~default:0 (Hashtbl.find_opt writer_of vid))
-      ~prev ~next
-  in
-  let order_arrays = List.map (fun (key, vids) -> (key, Array.of_list vids)) orders in
-  let order_arr = Hashtbl.create 256 in
-  List.iter (fun (key, a) -> Hashtbl.replace order_arr key a) order_arrays;
-  (* versions owned by no record: initial versions and writes of
-     transactions that never reported — announce them up front *)
-  List.iter
-    (fun (key, a) ->
-      Array.iteri
-        (fun i vid -> if not (Hashtbl.mem writer_of vid) then announce key i a)
-        a)
-    order_arrays;
-  Array.iteri
-    (fun i (r : Rsg.txn_record) ->
-      step := i;
-      List.iter
-        (fun (_, vid) ->
-          match Hashtbl.find_opt pos vid with
-          | Some (key, idx) -> announce key idx (Hashtbl.find order_arr key)
-          | None -> () (* committed write missing from every order:
-                          left unannounced, so readers see it as dirty,
-                          matching Rsg *))
-        r.Rsg.writes;
-      observe_commit t ~txn:r.Rsg.txn ~start:r.Rsg.start ~finish:r.Rsg.finish
-        ~reads:r.Rsg.reads ~writes:r.Rsg.writes;
-      step := i + 1)
-    arr;
-  t

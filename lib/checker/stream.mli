@@ -15,8 +15,8 @@ type t
 
 (** High-water marks and counters for the memory-bound tests and the
     observability plane. [live_high_water] is the peak size of the
-    live (un-retired) transaction set; [stale_residue] is the
-    one-word-per-pruned-write membership table. *)
+    live (un-retired) transaction set; [stale_residue] counts pruned
+    versions, whose vid words keep the stale-read evidence. *)
 type stats = {
   commits : int;
   epochs : int;
@@ -85,18 +85,3 @@ val verdict : t -> Verdict.t
 val n_observed : t -> int
 
 val stats : t -> stats
-
-(** [replay ~records ~orders ()] drives a fresh checker from a
-    post-hoc history: records (newest first, as {!Rsg.records}
-    returns them) replay in finish order, versions are announced just
-    before their writer's record with nearest-installed neighbors as
-    prev/next, and the watermark is the exact suffix minimum of the
-    remaining start times. Returns the checker without finalizing it,
-    so callers can inspect {!stats} before {!finalize}. *)
-val replay :
-  ?gc:bool ->
-  ?epoch:int ->
-  records:Rsg.txn_record list ->
-  orders:(Kernel.Types.key * int list) list ->
-  unit ->
-  t

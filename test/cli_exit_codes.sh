@@ -18,3 +18,5 @@ case_ profile --profile /nonexistent/p.json
 case_ chaos --replicas=-1 --seeds 1
 case_ atlas smoke --quick --out /nonexistent/a.json
 case_ chaos --seeds 3 --check off
+case_ run -p NCC-R --replicas 0
+case_ chaos -p ncc-r-def --seeds 1
