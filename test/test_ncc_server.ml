@@ -340,3 +340,52 @@ let suite =
       Alcotest.test_case "RO fence granularity" `Quick ro_fence_granularity;
       Alcotest.test_case "write reports prev vid" `Quick write_reports_prev_vid;
     ]
+
+(* --- identity golden: short seeded runs through the whole stack ------- *)
+
+(* One short seeded [Runner.run] per NCC variant on TPC-C (plus NCC on
+   google-f1), pinned byte for byte: committed count, attempts,
+   messages, every counter, the checker line and the trace digest. The
+   server's data structures can change freely underneath; what it sends
+   and when must not. *)
+let runs_pinned () =
+  let module R = Harness.Runner in
+  let tpcc () = Workload.Tpcc.make ~n_servers:8 () in
+  let f1 () = Workload.Google_f1.make () in
+  let cfg ?(replicas = 0) load =
+    {
+      R.default with
+      R.seed = 3;
+      n_servers = 8;
+      n_clients = 24;
+      offered_load = load;
+      warmup = 0.02;
+      duration = 0.15;
+      drain = 0.1;
+      check = R.Streaming;
+      replicas_per_server = replicas;
+    }
+  in
+  let line (label, proto, w, cfg) =
+    Sim.Trace.reset_digest ();
+    Sim.Trace.enable_digest ();
+    let r = R.run proto (w ()) cfg in
+    let digest = Sim.Trace.digest () in
+    Sim.Trace.disable_digest ();
+    Printf.sprintf "%s committed=%d attempts=%d messages=%d\n  %s\n  check=%s\n  digest=%s\n"
+      label r.R.committed r.R.attempts r.R.messages
+      (String.concat " "
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%.17g" k v) r.R.counters))
+      r.R.check_result digest
+  in
+  Golden.check ~name:"ncc_tpcc_runs.txt"
+    (String.concat ""
+       (List.map line
+          [
+            ("NCC tpcc", Ncc.protocol, tpcc, cfg 15_000.0);
+            ("NCC-RW tpcc", Ncc.protocol_rw, tpcc, cfg 15_000.0);
+            ("NCC-R tpcc", Ncc_r.protocol, tpcc, cfg ~replicas:2 8_000.0);
+            ("NCC google-f1", Ncc.protocol, f1, cfg 8_000.0);
+          ]))
+
+let suite = suite @ [ Alcotest.test_case "seeded runs match the golden" `Quick runs_pinned ]
