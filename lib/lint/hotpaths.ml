@@ -46,10 +46,14 @@ let seeds =
     "Cluster.Net.complete_fast";
     "Cluster.Net.start_service";
     "Cluster.Net.finish_service";
-    (* Mvstore.Store: version lookup, once per read/write. *)
+    (* Mvstore.Store: version lookup, once per read/write; the NCC
+       server reads and writes through chain handles. *)
     "Mvstore.Store.read";
     "Mvstore.Store.write";
     "Mvstore.Store.most_recent";
+    "Mvstore.Store.chain_head";
+    "Mvstore.Store.chain_read";
+    "Mvstore.Store.chain_write";
     "Mvstore.Store.most_recent_committed";
     "Mvstore.Store.version_at";
     (* Checker.Stream: the per-commit feed path. *)

@@ -107,6 +107,13 @@ let initial_version () =
     parked = [];
   }
 
+(* --- Chain handles -------------------------------------------------
+
+   [chain] resolves a key to its chain, creating it on first access.
+   A protocol server that keeps its own per-key state resolves each
+   key once and works on the handle from then on; the key-taking entry
+   points further down are one-line wrappers over these. *)
+
 let chain t key =
   match Hashtbl.find_opt t.tbl key with
   | Some c -> c
@@ -144,27 +151,14 @@ let index_of c vid =
   let rec find i = if i < 0 then -1 else if c.vs.(i).vid = vid then i else find (i - 1) in
   find (c.n - 1)
 
-let most_recent t key =
-  let c = chain t key in
-  c.vs.(c.n - 1)
-
-(* Newest committed version (skips undecided heads). *)
-let most_recent_committed t key =
-  let c = chain t key in
-  let rec find i =
-    if i < 0 then assert false (* chains always hold the initial version *)
-    else if c.vs.(i).status = Committed then c.vs.(i)
-    else find (i - 1)
-  in
-  find (c.n - 1)
+let chain_head c = c.vs.(c.n - 1)
 
 (* --- NCC execution (Alg 4.2) ------------------------------------- *)
 
 (* Execute a write with pre-assigned timestamp [ts]: create an
    undecided version ordered after the current most recent one. *)
-let write t key value ~ts ~writer =
-  let c = chain t key in
-  let curr = c.vs.(c.n - 1) in
+let chain_write t c value ~ts ~writer =
+  let curr = chain_head c in
   let tw = Ts.max ts (Ts.succ curr.tr) in
   let v =
     { vid = fresh_vid (); value; tw; tr = tw; status = Undecided; writer; parked = [] }
@@ -177,8 +171,8 @@ let write t key value ~ts ~writer =
    recent version, refining its t_r. [refine:false] serves the value
    without moving t_r — used for the read half of a fused same-shot
    read-modify-write, whose serialization point is the write's t_w. *)
-let read ?(refine = true) t key ~ts =
-  let curr = most_recent t key in
+let chain_read ?(refine = true) c ~ts =
+  let curr = chain_head c in
   if refine then curr.tr <- Ts.max ts curr.tr;
   curr
 
@@ -195,12 +189,11 @@ let commit_version v =
    neighbors at commit time (MVTO inserts can land mid-chain, so the
    successor is not always [None]). Protocol servers commit through
    this entry point. *)
-let commit_in t key v =
+let chain_commit t key c v =
   commit_version v;
   match t.on_commit with
   | None -> ()
   | Some f ->
-    let c = chain t key in
     let i = index_of c v.vid in
     if i >= 0 then begin
       let nearest_committed from step =
@@ -216,8 +209,7 @@ let commit_in t key v =
     end
 
 (* Unlink an aborted version from its chain. *)
-let abort_version t key v =
-  let c = chain t key in
+let chain_abort c v =
   let i = index_of c v.vid in
   if i >= 0 then remove_at c i;
   let waiters = v.parked in
@@ -228,16 +220,34 @@ let abort_version t key v =
 
 (* The version immediately preceding [v] in the current chain (i.e. the
    one [v] was ordered after, accounting for unlinked aborts). *)
-let prev_version t key v =
-  let c = chain t key in
+let chain_prev c v =
   let i = index_of c v.vid in
   if i > 0 then Some c.vs.(i - 1) else None
 
-(* The version created immediately after [v] on [key], if any. *)
-let next_version t key v =
-  let c = chain t key in
+(* The version created immediately after [v] on its key, if any. *)
+let chain_next c v =
   let i = index_of c v.vid in
   if i >= 0 && i < c.n - 1 then Some c.vs.(i + 1) else None
+
+(* --- Keyed entry points ------------------------------------------- *)
+
+let most_recent t key = chain_head (chain t key)
+let write t key value ~ts ~writer = chain_write t (chain t key) value ~ts ~writer
+let read ?refine t key ~ts = chain_read ?refine (chain t key) ~ts
+let commit_in t key v = chain_commit t key (chain t key) v
+let abort_version t key v = chain_abort (chain t key) v
+let prev_version t key v = chain_prev (chain t key) v
+let next_version t key v = chain_next (chain t key) v
+
+(* Newest committed version (skips undecided heads). *)
+let most_recent_committed t key =
+  let c = chain t key in
+  let rec find i =
+    if i < 0 then assert false (* chains always hold the initial version *)
+    else if c.vs.(i).status = Committed then c.vs.(i)
+    else find (i - 1)
+  in
+  find (c.n - 1)
 
 (* --- Timestamp-ordered access (MVTO / TAPIR baselines) ------------ *)
 

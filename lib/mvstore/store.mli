@@ -24,6 +24,37 @@ val reset_vids : unit -> unit
 
 val create : unit -> t
 
+(** A key's version chain. Servers that keep their own per-key state
+    resolve a key once with {!chain} and use the [chain_*] entry
+    points on the handle; each key-taking function below is a
+    one-line wrapper over its [chain_*] counterpart. *)
+type chain
+
+(** The key's chain, created on first access: a fresh chain holds one
+    committed initial version, announced to the [on_commit] hook. *)
+val chain : t -> Types.key -> chain
+
+(** The most recent version (any status). *)
+val chain_head : chain -> version
+
+(** {!write} on a resolved chain. *)
+val chain_write : t -> chain -> Types.value -> ts:Ts.t -> writer:int -> version
+
+(** {!read} on a resolved chain. *)
+val chain_read : ?refine:bool -> chain -> ts:Ts.t -> version
+
+(** {!commit_in} on a resolved chain; [key] names it to the hook. *)
+val chain_commit : t -> Types.key -> chain -> version -> unit
+
+(** {!abort_version} on a resolved chain. *)
+val chain_abort : chain -> version -> unit
+
+(** {!prev_version} on a resolved chain. *)
+val chain_prev : chain -> version -> version option
+
+(** {!next_version} on a resolved chain. *)
+val chain_next : chain -> version -> version option
+
 val most_recent : t -> Types.key -> version
 val most_recent_committed : t -> Types.key -> version
 

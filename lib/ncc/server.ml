@@ -16,14 +16,20 @@
    Dependencies from a transaction to itself are exempt (a transaction
    that reads and then overwrites the same key must not wait for its
    own decision). Each executed operation yields an "item"; a reply to
-   the client is dispatched once every item it carries is released. *)
+   the client is dispatched once every item it carries is released.
+
+   The state response timing control needs lives in one row per key:
+   the key's version chain, its unsent items, the largest timestamp it
+   has seen, and the undecided reads of any of its versions. An
+   operation resolves its row once; an item points back to its row, so
+   a decision reaches every row it touches without a lookup. *)
 
 open Kernel
 module Store = Mvstore.Store
 
 type item = {
   it_wire : int;
-  it_key : Types.key;
+  it_row : row;
   it_is_write : bool;
   mutable it_ver : Store.version;  (* version read / created *)
   it_ts : Ts.t;
@@ -53,6 +59,15 @@ and reply_builder = {
   rb_client_ns : int;
 }
 
+and row = {
+  rw_key : Types.key;
+  rw_chain : Store.chain;
+  mutable rw_pending : item list;  (* unsent, newest first *)
+  mutable rw_max_seen : Ts.t;
+  mutable rw_readers : item list;
+      (* undecided read items of any version of the key, newest first *)
+}
+
 type txn_rec = {
   tr_wire : int;
   tr_client : Types.node_id;
@@ -65,9 +80,6 @@ type txn_rec = {
   mutable tr_received : int;
   mutable tr_saw_last : bool;  (* an IS_LAST_SHOT message arrived *)
 }
-
-type keystate = { mutable ks_pending : item list (* unsent, oldest first *);
-                  mutable ks_max_seen : Ts.t }
 
 type rinfo = {
   rf_server : Types.node_id;
@@ -97,13 +109,12 @@ type t = {
   ctx : Msg.msg Cluster.Net.ctx;
   cfg : Msg.config;
   store : Store.t;
-  keys : (Types.key, keystate) Hashtbl.t;
+  rows : (Types.key, row) Hashtbl.t;
   txns : (int, txn_rec) Hashtbl.t;  (* undecided wire transactions *)
   decided : (int, bool) Hashtbl.t;  (* wire -> committed?, horizon-bounded *)
   mutable dec_ring : int array;  (* FIFO of recorded wires *)
   mutable dec_pos : int;  (* next write slot *)
   mutable dec_len : int;  (* live entries, = Hashtbl.length decided *)
-  reads_of : (int, item list ref) Hashtbl.t;  (* vid -> undecided read items *)
   recovering : (int, recover_state) Hashtbl.t;
   mutable latest_write_tw : Ts.t;
   (* counters *)
@@ -125,13 +136,12 @@ let create cfg ctx =
     ctx;
     cfg;
     store = Store.create ();
-    keys = Hashtbl.create 1024;
+    rows = Hashtbl.create 1024;
     txns = Hashtbl.create 256;
     decided = Hashtbl.create 4096;
     dec_ring = Array.make 1024 0;
     dec_pos = 0;
     dec_len = 0;
-    reads_of = Hashtbl.create 1024;
     recovering = Hashtbl.create 16;
     latest_write_tw = Ts.zero;
     n_ops = 0;
@@ -147,21 +157,17 @@ let create cfg ctx =
     n_read_fixes = 0;
   }
 
-let keystate t key =
-  match Hashtbl.find_opt t.keys key with
-  | Some ks -> ks
+(* The key's row, created (with its chain) on first access. *)
+let row_of t key =
+  match Hashtbl.find_opt t.rows key with
+  | Some r -> r
   | None ->
-    let ks = { ks_pending = []; ks_max_seen = Ts.zero } in
-    Hashtbl.add t.keys key ks;
-    ks
-
-let reads_of t vid =
-  match Hashtbl.find_opt t.reads_of vid with
-  | Some l -> l
-  | None ->
-    let l = ref [] in
-    Hashtbl.add t.reads_of vid l;
-    l
+    let chain = Store.chain t.store key in
+    let r =
+      { rw_key = key; rw_chain = chain; rw_pending = []; rw_max_seen = Ts.zero; rw_readers = [] }
+    in
+    Hashtbl.add t.rows key r;
+    r
 
 (* --- reply dispatch ------------------------------------------------ *)
 
@@ -172,7 +178,7 @@ let reads_of t vid =
    successor's t_w) is the only safe extension. *)
 let result_of_item it =
   {
-    Msg.r_key = it.it_key;
+    Msg.r_key = it.it_row.rw_key;
     r_value = it.it_ver.Store.value;
     r_vid = it.it_ver.Store.vid;
     r_tw = it.it_ver.Store.tw;
@@ -189,9 +195,9 @@ let dispatch_reply t rb =
   let now = Cluster.Net.now t.ctx in
   if now > rb.rb_created then t.n_replies_delayed <- t.n_replies_delayed + 1
   else t.n_replies_immediate <- t.n_replies_immediate + 1;
-  let results =
-    Array.to_list rb.rb_results
-    |> List.filter_map (fun r -> r)
+  let rec results i acc =
+    if i < 0 then acc
+    else results (i - 1) (match rb.rb_results.(i) with Some r -> r :: acc | None -> acc)
   in
   t.ctx.send ~dst:rb.rb_client
     (Msg.Exec_reply
@@ -199,7 +205,7 @@ let dispatch_reply t rb =
          e_wire = rb.rb_wire;
          e_round = rb.rb_round;
          e_server = t.ctx.self;
-         e_results = results;
+         e_results = results (Array.length rb.rb_results - 1) [];
          e_server_ns = rb.rb_server_ns;
          e_client_ns = rb.rb_client_ns;
          e_latest_write_tw = t.latest_write_tw;
@@ -232,45 +238,45 @@ let release t it =
 
 (* --- response timing control --------------------------------------- *)
 
-(* An undecided read item of another transaction blocks a write (D2). *)
-let undecided_other_readers t vid ~wire =
+(* An undecided read of version [vid] by another transaction blocks a
+   write (D2). *)
+let undecided_other_readers row vid ~wire =
   List.exists
-    (fun r -> (not r.it_decided) && r.it_wire <> wire)
-    !(reads_of t vid)
+    (fun r -> r.it_ver.Store.vid = vid && (not r.it_decided) && r.it_wire <> wire)
+    row.rw_readers
 
 let sendable t it =
   (not t.cfg.rtc) (* negative control: releases are never withheld *)
   || it.it_decided
   ||
   if it.it_is_write then
-    match Store.prev_version t.store it.it_key it.it_ver with
+    match Store.chain_prev it.it_row.rw_chain it.it_ver with
     | None -> true
     | Some prev ->
       (prev.Store.status = Store.Committed || prev.Store.writer = it.it_wire)
-      && not (undecided_other_readers t prev.Store.vid ~wire:it.it_wire)
+      && not (undecided_other_readers it.it_row prev.Store.vid ~wire:it.it_wire)
   else
     it.it_ver.Store.status = Store.Committed || it.it_ver.Store.writer = it.it_wire
 
-(* Release every pending item of [key] whose dependencies are now
-   satisfied. Releases never enable further releases (sendability
-   depends on decisions, not on sends), so one pass suffices. *)
-let reeval t key =
-  let ks = keystate t key in
-  let still_pending =
-    List.filter
-      (fun it ->
-        if sendable t it then begin
-          release t it;
-          false
-        end
-        else true)
-      ks.ks_pending
+(* Release every pending item of [row] whose dependencies are now
+   satisfied, oldest first. Releases never enable further releases
+   (sendability depends on decisions, not on sends), so one pass
+   suffices. *)
+let reeval t row =
+  let rec keep = function
+    | [] -> []
+    | it :: older as l ->
+      let older' = keep older in
+      if sendable t it then begin
+        release t it;
+        older'
+      end
+      else if older' == older then l
+      else it :: older'
   in
-  ks.ks_pending <- still_pending
+  row.rw_pending <- keep row.rw_pending
 
-let add_pending t it =
-  let ks = keystate t it.it_key in
-  ks.ks_pending <- ks.ks_pending @ [ it ]
+let add_pending it = it.it_row.rw_pending <- it :: it.it_row.rw_pending
 
 (* --- fixing reads locally ------------------------------------------ *)
 
@@ -287,10 +293,10 @@ let add_pending t it =
    invariant, keeping response timing control deadlock-free. *)
 let fix_read t it =
   t.n_read_fixes <- t.n_read_fixes + 1;
-  let ks = keystate t it.it_key in
-  let curr = Store.most_recent t.store it.it_key in
+  let row = it.it_row in
+  let curr = Store.chain_head row.rw_chain in
   let blocked = curr.Store.status = Store.Undecided && curr.Store.writer <> it.it_wire in
-  if t.cfg.early_abort && blocked && Ts.(it.it_ts < ks.ks_max_seen) then begin
+  if t.cfg.early_abort && blocked && Ts.(it.it_ts < row.rw_max_seen) then begin
     t.n_early_aborts <- t.n_early_aborts + 1;
     it.it_sent <- true;
     it.it_rb.rb_dead <- true;
@@ -299,19 +305,14 @@ let fix_read t it =
       Msg.Early_abort
   end
   else begin
-    let ver = Store.read t.store it.it_key ~ts:it.it_ts in
-    it.it_ver <- ver;
-    let l = reads_of t ver.Store.vid in
-    l := it :: !l;
-    if sendable t it then release t it else add_pending t it
+    it.it_ver <- Store.chain_read row.rw_chain ~ts:it.it_ts;
+    row.rw_readers <- it :: row.rw_readers;
+    if sendable t it then release t it else add_pending it
   end
 
 (* --- decision processing ------------------------------------------- *)
 
-let remove_read_tracking t it =
-  let l = reads_of t it.it_ver.Store.vid in
-  l := List.filter (fun r -> r != it) !l;
-  if !l = [] then Hashtbl.remove t.reads_of it.it_ver.Store.vid
+let drop it l = List.filter (fun r -> r != it) l
 
 (* Record a decision in [decided], keeping the record horizon-bounded.
    The ring holds recorded wires in FIFO order: entries live at
@@ -350,38 +351,43 @@ let apply_decision t ~wire ~commit =
     | None -> ()
     | Some rec_ ->
       Hashtbl.remove t.txns wire;
-      let touched = Hashtbl.create 8 in
       (* decide items first so re-evaluation sees fresh state *)
       List.iter
         (fun it ->
           it.it_decided <- true;
-          if not it.it_is_write then remove_read_tracking t it;
-          Hashtbl.replace touched it.it_key ())
+          if not it.it_is_write then it.it_row.rw_readers <- drop it it.it_row.rw_readers)
         rec_.tr_accesses;
       (* apply version effects *)
       List.iter
         (fun it ->
+          let row = it.it_row in
           if it.it_is_write then
-            if commit then Store.commit_in t.store it.it_key it.it_ver
+            if commit then Store.chain_commit t.store row.rw_key row.rw_chain it.it_ver
             else begin
-              (* collect this version's blocked readers before unlinking *)
-              let blocked =
-                List.filter (fun r -> not r.it_sent) !(reads_of t it.it_ver.Store.vid)
+              (* untrack this version's readers before unlinking it *)
+              let vid = it.it_ver.Store.vid in
+              let readers, others =
+                List.partition (fun r -> r.it_ver.Store.vid = vid) row.rw_readers
               in
-              Hashtbl.remove t.reads_of it.it_ver.Store.vid;
-              Store.abort_version t.store it.it_key it.it_ver;
+              row.rw_readers <- others;
+              Store.chain_abort row.rw_chain it.it_ver;
               List.iter
                 (fun r ->
-                  remove_read_tracking t r;
                   (* drop from pending; fix_read re-registers it *)
-                  let ks = keystate t r.it_key in
-                  ks.ks_pending <- List.filter (fun p -> p != r) ks.ks_pending;
+                  row.rw_pending <- drop r row.rw_pending;
                   if not r.it_decided then fix_read t r else release t r)
-                blocked
+                (List.filter (fun r -> not r.it_sent) readers)
             end)
         rec_.tr_accesses;
       (* release anything this decision unblocked, in key order *)
-      Detmap.iter_sorted (fun key () -> reeval t key) touched;
+      let touched =
+        List.fold_left
+          (fun acc it ->
+            match it.it_row.rw_pending with [] -> acc | _ :: _ -> it.it_row :: acc)
+          [] rec_.tr_accesses
+      in
+      List.iter (reeval t)
+        (List.sort_uniq (fun a b -> Int.compare a.rw_key b.rw_key) touched);
       if t.cfg.gc_every > 0 && t.n_decides mod t.cfg.gc_every = 0 then
         Store.gc ~keep:8 t.store
   end
@@ -452,14 +458,13 @@ let exec_read_only t ~src (x : Msg.exec) =
 
 (* Would this operation's response have to wait behind other
    transactions right now? Used by the early-abort rule. *)
-let blocked_now t ~wire op =
-  let key = Types.op_key op in
-  let curr = Store.most_recent t.store key in
+let blocked_now row ~wire op =
+  let curr = Store.chain_head row.rw_chain in
   let curr_undecided_other =
     curr.Store.status = Store.Undecided && curr.Store.writer <> wire
   in
   if Types.is_write op then
-    curr_undecided_other || undecided_other_readers t curr.Store.vid ~wire
+    curr_undecided_other || undecided_other_readers row curr.Store.vid ~wire
   else curr_undecided_other
 
 let find_or_create_txn t ~src (x : Msg.exec) =
@@ -486,12 +491,8 @@ let find_or_create_txn t ~src (x : Msg.exec) =
      | Some timeout ->
        t.ctx.timer ~delay:timeout (fun () ->
            if Hashtbl.mem t.txns x.x_wire then
-             if Types.node_eq t.ctx.self r.tr_backup then
-               t.ctx.send ~dst:t.ctx.self
-                 (Msg.Recover_nudge { rn_wire = x.x_wire; rn_cohorts = r.tr_cohorts })
-             else
-               t.ctx.send ~dst:r.tr_backup
-                 (Msg.Recover_nudge { rn_wire = x.x_wire; rn_cohorts = r.tr_cohorts })));
+             t.ctx.send ~dst:r.tr_backup
+               (Msg.Recover_nudge { rn_wire = x.x_wire; rn_cohorts = r.tr_cohorts })));
     r
 
 let exec_read_write t ~src (x : Msg.exec) =
@@ -512,19 +513,30 @@ let exec_read_write t ~src (x : Msg.exec) =
     rec_.tr_expected <- max rec_.tr_expected x.x_expected_ops;
     if x.x_is_last then rec_.tr_saw_last <- true;
     rec_.tr_cohorts <- x.x_cohorts;
+    (* Each op resolves its row once, here. The early-abort pass below
+       must not create rows: a fresh key's chain draws its initial vid
+       at the key's first store access in op order. *)
+    let ops = Array.of_list x.x_ops in
+    let n = Array.length ops in
+    let rows = Array.map (fun op -> Hashtbl.find_opt t.rows (Types.op_key op)) ops in
     (* early abort (§4.2): a late-timestamped request that would have to
        wait behind others is refused outright, breaking circular waits *)
-    let late_and_blocked op =
-      let ks = keystate t (Types.op_key op) in
-      Ts.(x.x_ts < ks.ks_max_seen) && blocked_now t ~wire:x.x_wire op
+    let late_and_blocked slot =
+      match rows.(slot) with
+      | Some row -> Ts.(x.x_ts < row.rw_max_seen) && blocked_now row ~wire:x.x_wire ops.(slot)
+      | None ->
+        (* a fresh row has seen nothing, so only a timestamp below zero
+           (a skewed clock) is late; the check then creates the row *)
+        Ts.(x.x_ts < zero)
+        && blocked_now (row_of t (Types.op_key ops.(slot))) ~wire:x.x_wire ops.(slot)
     in
-    if t.cfg.early_abort && List.exists late_and_blocked x.x_ops then begin
+    let rec any_late slot = slot < n && (late_and_blocked slot || any_late (slot + 1)) in
+    if t.cfg.early_abort && any_late 0 then begin
       t.n_early_aborts <- t.n_early_aborts + 1;
       special_reply t ~wire:x.x_wire ~round:x.x_round ~client:src
         ~client_ns:x.x_client_ns Msg.Early_abort
     end
     else begin
-      let n = List.length x.x_ops in
       let rb =
         {
           rb_wire = x.x_wire;
@@ -545,80 +557,66 @@ let exec_read_write t ~src (x : Msg.exec) =
          serialization point is the own write's t_w (set via the
          floor). Refining would force the own write to t_r + 1 and make
          the transaction's pairs disjoint. *)
-      let ops_arr = Array.of_list x.x_ops in
       let fused slot =
-        match ops_arr.(slot) with
+        match ops.(slot) with
         | Types.Write _ -> false
         | Types.Read k ->
           let rec later i =
-            i < Array.length ops_arr
-            && (match ops_arr.(i) with
+            i < n
+            && (match ops.(i) with
                 | Types.Write (k', _) when Types.key_eq k' k -> true
                 | Types.Read _ | Types.Write _ -> later (i + 1))
           in
           later (slot + 1)
       in
-      List.iteri
+      Array.iteri
         (fun slot op ->
-          let key = Types.op_key op in
-          let ks = keystate t key in
-          ks.ks_max_seen <- Ts.max ks.ks_max_seen x.x_ts;
+          let row =
+            match rows.(slot) with Some r -> r | None -> row_of t (Types.op_key op)
+          in
+          row.rw_max_seen <- Ts.max row.rw_max_seen x.x_ts;
           t.n_ops <- t.n_ops + 1;
-          let it =
+          let is_write = Types.is_write op in
+          let prev_vid = if is_write then (Store.chain_head row.rw_chain).Store.vid else 0 in
+          let ver =
             match op with
-            | Types.Read _ ->
-              let ver = Store.read ~refine:(not (fused slot)) t.store key ~ts:x.x_ts in
-              let it =
-                {
-                  it_wire = x.x_wire;
-                  it_key = key;
-                  it_is_write = false;
-                  it_ver = ver;
-                  it_ts = x.x_ts;
-                  it_sent = false;
-                  it_decided = false;
-                  it_prev_vid = 0;
-                  it_tr_floor = Ts.zero;
-                  it_rb = rb;
-                  it_slot = slot;
-                }
-              in
-              let l = reads_of t ver.Store.vid in
-              l := it :: !l;
-              it
+            | Types.Read _ -> Store.chain_read ~refine:(not (fused slot)) row.rw_chain ~ts:x.x_ts
             | Types.Write (_, value) ->
-              let prev_head = Store.most_recent t.store key in
-              let ver = Store.write t.store key value ~ts:x.x_ts ~writer:x.x_wire in
+              let ver = Store.chain_write t.store row.rw_chain value ~ts:x.x_ts ~writer:x.x_wire in
               t.latest_write_tw <- Ts.max t.latest_write_tw ver.Store.tw;
               (* extend the reported validity of this transaction's own
                  earlier accesses to the predecessor version up to the
                  new write's t_w (read/write-modify-write support) *)
               List.iter
                 (fun earlier ->
-                  if earlier.it_ver.Store.vid = prev_head.Store.vid then begin
+                  if earlier.it_ver.Store.vid = prev_vid then begin
                     earlier.it_tr_floor <- Ts.max earlier.it_tr_floor ver.Store.tw;
                     if earlier.it_sent && earlier.it_rb.rb_remaining > 0 then
                       earlier.it_rb.rb_results.(earlier.it_slot) <-
                         Some (result_of_item earlier)
                   end)
                 rec_.tr_accesses;
-              {
-                it_wire = x.x_wire;
-                it_key = key;
-                it_is_write = true;
-                it_ver = ver;
-                it_ts = x.x_ts;
-                it_sent = false;
-                it_decided = false;
-                it_prev_vid = prev_head.Store.vid;
-                it_tr_floor = Ts.zero;
-                it_rb = rb;
-                it_slot = slot;
-              }
+              ver
           in
+          let it =
+            {
+              it_wire = x.x_wire;
+              it_row = row;
+              it_is_write = is_write;
+              it_ver = ver;
+              it_ts = x.x_ts;
+              it_sent = false;
+              it_decided = false;
+              it_prev_vid = prev_vid;
+              it_tr_floor = Ts.zero;
+              it_rb = rb;
+              it_slot = slot;
+            }
+          in
+          if not is_write then row.rw_readers <- it :: row.rw_readers;
           rec_.tr_accesses <- it :: rec_.tr_accesses;
-          if sendable t it then release t it else add_pending t it)
-        x.x_ops
+          if sendable t it then release t it else add_pending it)
+        ops
     end
     end
   end
@@ -637,7 +635,7 @@ let smart_retry t ~src ~wire ~ts:t' =
            they never block it (cross-shot read-modify-write would
            otherwise self-reject forever) *)
         let rec next_other v =
-          match Store.next_version t.store it.it_key v with
+          match Store.chain_next it.it_row.rw_chain v with
           | Some n when n.Store.writer = wire -> next_other n
           | other -> other
         in

@@ -154,7 +154,7 @@ let testbed_basics () =
 
 (* Liveness: whatever mix of executions hits an NCC server, once every
    wire transaction is decided, every non-special execution message has
-   received exactly one reply and no pending items remain. *)
+   received exactly one reply, and no pending item or reader remains. *)
 let ncc_server_liveness =
   let gen =
     QCheck.Gen.(
@@ -239,10 +239,12 @@ let ncc_server_liveness =
             acc && Option.value ~default:0 (Hashtbl.find_opt replies wire) >= n)
           messages_per_wire true
       in
+      (* no row keeps an unsent item or an undecided reader *)
       let no_pending =
         Detmap.fold_sorted
-          (fun _ ks acc -> acc && ks.Ncc.Server.ks_pending = [])
-          server.Ncc.Server.keys true
+          (fun _ row acc ->
+            acc && row.Ncc.Server.rw_pending = [] && row.Ncc.Server.rw_readers = [])
+          server.Ncc.Server.rows true
       in
       all_answered && no_pending && Hashtbl.length server.Ncc.Server.txns = 0)
 

@@ -341,6 +341,48 @@ let suite =
       Alcotest.test_case "write reports prev vid" `Quick write_reports_prev_vid;
     ]
 
+(* D2 is per version, not per key: an undecided read of v1 holds back
+   the write that creates v2, but not the write that creates v3, whose
+   predecessor v2 nobody read. *)
+let d2_is_per_version () =
+  let rig = mk_rig () in
+  exec rig ~wire:1 ~t:10 [ Types.Read 5 ] (* A reads v1, stays undecided *);
+  ignore (the_reply rig 1);
+  exec rig ~src:2 ~wire:2 ~t:20 [ Types.Write (5, 2) ] (* B creates v2 *);
+  decide rig ~wire:2 true;
+  ignore (the_reply rig 2);
+  exec rig ~src:2 ~wire:3 ~t:30 [ Types.Write (5, 3) ] (* C creates v3 *);
+  Alcotest.(check bool) "C released at once" true (List.length (replies_for rig 3) = 1)
+
+(* Aborting v2 re-executes the reads of v2 only: A's withheld read of
+   the undecided v1 stays where it is. *)
+let abort_fixes_only_its_readers () =
+  let rig = mk_rig () in
+  let fixes () = List.assoc "read_fixes" (Server.counters rig.server) in
+  exec rig ~wire:1 ~t:10 [ Types.Write (5, 1) ] (* W creates v1 *);
+  exec rig ~src:2 ~wire:2 ~t:20 [ Types.Read 5 ] (* A reads v1 *);
+  exec rig ~wire:3 ~t:30 [ Types.Write (5, 2) ] (* B creates v2 *);
+  exec rig ~src:2 ~wire:4 ~t:40 [ Types.Read 5 ] (* D reads v2 *);
+  let before = fixes () in
+  decide rig ~wire:3 false;
+  Alcotest.(check (float 0.)) "one read fixed" (before +. 1.) (fixes ());
+  Alcotest.(check int) "A and D wait for W" 0
+    (List.length (replies_for rig 2) + List.length (replies_for rig 4));
+  decide rig ~wire:1 true;
+  List.iter
+    (fun wire ->
+      match (the_reply rig wire).Msg.e_results with
+      | [ res ] -> Alcotest.(check int) "reads v1" 1 res.Msg.r_value
+      | _ -> Alcotest.fail "one result")
+    [ 2; 4 ]
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "D2 is per version" `Quick d2_is_per_version;
+      Alcotest.test_case "abort fixes only its readers" `Quick abort_fixes_only_its_readers;
+    ]
+
 (* --- identity golden: short seeded runs through the whole stack ------- *)
 
 (* One short seeded [Runner.run] per NCC variant on TPC-C (plus NCC on
