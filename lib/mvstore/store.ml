@@ -153,6 +153,16 @@ let index_of c vid =
 
 let chain_head c = c.vs.(c.n - 1)
 
+(* Newest committed version (skips undecided heads). *)
+let most_recent_committed t key =
+  let c = chain t key in
+  let rec find i =
+    if i < 0 then assert false (* chains always hold the initial version *)
+    else if c.vs.(i).status = Committed then c.vs.(i)
+    else find (i - 1)
+  in
+  find (c.n - 1)
+
 (* --- NCC execution (Alg 4.2) ------------------------------------- *)
 
 (* Execute a write with pre-assigned timestamp [ts]: create an
@@ -184,11 +194,11 @@ let commit_version v =
   v.parked <- [];
   List.iter (fun f -> f v) waiters
 
-(* Keyed commit: same as [commit_version], but with enough context to
-   fire the [on_commit] hook with the version's nearest committed
+(* Commit on a chain: same as [commit_version], but with enough context
+   to fire the [on_commit] hook with the version's nearest committed
    neighbors at commit time (MVTO inserts can land mid-chain, so the
    successor is not always [None]). Protocol servers commit through
-   this entry point. *)
+   this entry point or its keyed wrapper [commit_in]. *)
 let chain_commit t key c v =
   commit_version v;
   match t.on_commit with
@@ -238,16 +248,6 @@ let commit_in t key v = chain_commit t key (chain t key) v
 let abort_version t key v = chain_abort (chain t key) v
 let prev_version t key v = chain_prev (chain t key) v
 let next_version t key v = chain_next (chain t key) v
-
-(* Newest committed version (skips undecided heads). *)
-let most_recent_committed t key =
-  let c = chain t key in
-  let rec find i =
-    if i < 0 then assert false (* chains always hold the initial version *)
-    else if c.vs.(i).status = Committed then c.vs.(i)
-    else find (i - 1)
-  in
-  find (c.n - 1)
 
 (* --- Timestamp-ordered access (MVTO / TAPIR baselines) ------------ *)
 

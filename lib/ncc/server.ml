@@ -524,11 +524,7 @@ let exec_read_write t ~src (x : Msg.exec) =
     let late_and_blocked slot =
       match rows.(slot) with
       | Some row -> Ts.(x.x_ts < row.rw_max_seen) && blocked_now row ~wire:x.x_wire ops.(slot)
-      | None ->
-        (* a fresh row has seen nothing, so only a timestamp below zero
-           (a skewed clock) is late; the check then creates the row *)
-        Ts.(x.x_ts < zero)
-        && blocked_now (row_of t (Types.op_key ops.(slot))) ~wire:x.x_wire ops.(slot)
+      | None -> false (* a fresh row's max_seen is zero, below every coordinator timestamp *)
     in
     let rec any_late slot = slot < n && (late_and_blocked slot || any_late (slot + 1)) in
     if t.cfg.early_abort && any_late 0 then begin
