@@ -21,7 +21,7 @@ let check_override : Harness.Runner.check_level option ref = ref None
 let njobs () = if !jobs = 0 then Harness.Pool.cpu_count () else max 1 !jobs
 
 (* Quick runs stream-check every history by default (the scale's
-   [check] field); --check on|post|ser|off overrides either tier. *)
+   [check] field); --check on|ser|off overrides either tier. *)
 let scale () =
   let s = if !quick then Experiments.quick_scale else Experiments.full_scale in
   match !check_override with
@@ -604,15 +604,12 @@ let () =
       set_jobs (String.sub arg 7 (String.length arg - 7));
       parse rest
     | "--check" :: lvl :: rest ->
-      (check_override :=
-         match lvl with
-         | "on" -> Some Harness.Runner.Streaming
-         | "post" -> Some Harness.Runner.Strict
-         | "ser" -> Some Harness.Runner.Serializable
-         | "off" -> Some Harness.Runner.No_check
-         | _ ->
-           Printf.eprintf "unknown --check level %S (want on, post, ser or off)\n" lvl;
-           exit 2);
+      (match List.assoc_opt lvl Harness.Runner.check_levels with
+       | Some c -> check_override := Some c
+       | None ->
+         Printf.eprintf "unknown --check level %S (want %s)\n" lvl
+           (String.concat ", " (List.map fst Harness.Runner.check_levels));
+         exit 2);
       parse rest
     | arg :: rest -> arg :: parse rest
   in

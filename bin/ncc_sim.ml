@@ -67,19 +67,9 @@ let find_workload ~n_servers wname =
       (String.concat ", " (Workload.Registry.names ~n_servers))
 
 let check_arg default =
-  arg
-    Arg.(
-      enum
-        [
-          ("on", Runner.Streaming);
-          ("post", Runner.Strict);
-          ("ser", Runner.Serializable);
-          ("off", Runner.No_check);
-        ])
-    default [ "check" ] ~docv:"LEVEL"
-    "History check: $(b,on) (streaming strict, bounded memory), $(b,post) \
-     (post-hoc strict, retains the whole history), $(b,ser) (post-hoc \
-     serializable) or $(b,off)."
+  arg (Arg.enum Runner.check_levels) default [ "check" ] ~docv:"LEVEL"
+    "History check: $(b,on) (strict, bounded memory), $(b,ser) \
+     (serializable, retains the whole history) or $(b,off)."
 
 (* Shared --jobs argument: 1 = sequential (the default, so goldens and
    CI are untouched unless opted in), 0 = one worker per available
@@ -285,7 +275,7 @@ let config_term p =
   and+ store_gc_period =
     arg Arg.float 0.0 [ "store-gc" ] ~docv:"SECONDS"
       "Truncate committed version chains on every server store this often, for \
-       bounded-memory long runs (0 = off; pair with --check on or off)."
+       bounded-memory long runs (0 = off)."
   and+ store_gc_keep =
     arg Arg.int 4 [ "store-gc-keep" ] ~docv:"N"
       "Committed versions kept per key by --store-gc."
@@ -724,16 +714,19 @@ let fig_cmd =
 let () =
   let doc = "NCC (OSDI 2023) reproduction: simulated strictly serializable datastores" in
   let info = Cmd.info "ncc_sim" ~doc in
-  exit
-    (Cmd.eval
-       (Cmd.group info
-          [
-            list_cmd;
-            run_cmd run_preset;
-            run_cmd scale_preset;
-            chaos_cmd;
-            atlas_cmd;
-            fig_cmd;
-            run_cmd trace_preset;
-            run_cmd profile_preset;
-          ]))
+  let code =
+    Cmd.eval
+      (Cmd.group info
+         [
+           list_cmd;
+           run_cmd run_preset;
+           run_cmd scale_preset;
+           chaos_cmd;
+           atlas_cmd;
+           fig_cmd;
+           run_cmd trace_preset;
+           run_cmd profile_preset;
+         ])
+  in
+  (* a flag value Cmdliner rejects is a usage error like any other *)
+  exit (if code = Cmd.Exit.cli_error then 2 else code)

@@ -410,7 +410,6 @@ let make variant name : Harness.Protocol.t =
 
     let make_server = make_server variant
     let server_handle = server_handle
-    let server_version_orders s = Store.all_committed_orders s.store
     let server_stores s = [ s.store ]
 
     let server_counters s =

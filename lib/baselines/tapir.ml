@@ -258,7 +258,6 @@ let protocol : Harness.Protocol.t =
 
     let make_server = make_server
     let server_handle = server_handle
-    let server_version_orders s = Store.all_committed_orders s.store
     let server_stores s = [ s.store ]
     let server_counters s = [ ("validation_fails", float_of_int s.n_fails) ]
 

@@ -1,4 +1,4 @@
-(* Streaming strict-serializability checker: an online incremental
+(* Streaming serializability checker: an online incremental
    Real-time Serialization Graph with windowed garbage collection.
 
    It consumes the history {!Rsg} checks post hoc *as the run produces
@@ -34,10 +34,12 @@
    tail is left; the tail is reopened, exactly as it was closed, by
    the next read, write record or announcement that names it.
 
-   With [~gc:false] nothing retires and [finalize] replays the
-   retained history through {!Rsg.check} itself, making the two
-   checkers equal field for field — the anchor for the equivalence
-   property tests. *)
+   With [~strict:false] the checker answers plain serializability:
+   without real-time edges no transaction is ever safe to retire, so
+   commit records go straight into an {!Rsg}, announcements only link
+   each vid word to its successor in the key's order, and [finalize]
+   hands both to [Rsg.check ~strict:false], making the two checkers
+   equal field for field. *)
 
 open Kernel
 
@@ -73,7 +75,7 @@ let unclaimed = -1  (* writer not yet known *)
    writer's edges (dropping edges never creates a false cycle); the
    final check collapses it to the initial writer 0, as Rsg does. *)
 type t = {
-  gc : bool;
+  serializable : Rsg.t option;  (* [~strict:false]: the whole history *)
   epoch_len : int;
   watermark : unit -> float;
   on_epoch : (live:int -> retired:int -> unit) option;
@@ -81,7 +83,8 @@ type t = {
   live : (int, rec_) Hashtbl.t;
   mutable recs : rec_ array;  (* live records, oldest first *)
   mutable n_recs : int;
-  orders : (Types.key, int) Hashtbl.t;  (* key -> head slot of its order *)
+  orders : (Types.key, int) Hashtbl.t;
+      (* key -> head slot of its order (serializable: its first vid) *)
   mutable words : int array;  (* vid - base -> vid word *)
   mutable base : int;
   outliers : (int, int) Hashtbl.t;  (* vid -> word, outside [words] *)
@@ -129,10 +132,10 @@ let none_rec =
     t_check = none;
   }
 
-let create ?(gc = true) ?(epoch = 1024) ?(watermark = fun () -> Float.neg_infinity)
+let create ?(strict = true) ?(epoch = 1024) ?(watermark = fun () -> Float.neg_infinity)
     ?on_epoch () =
   {
-    gc;
+    serializable = (if strict then None else Some (Rsg.create ()));
     epoch_len = max 1 epoch;
     watermark;
     on_epoch;
@@ -178,7 +181,8 @@ let cycle2 t a b =
 (* --- vid words --------------------------------------------------------- *)
 
 (* Tag in the low two bits, payload above: 0 unknown, 1 live (slot),
-   2 pruned (successor's writer), 3 closed tail (own writer). *)
+   2 pruned (successor's writer), 3 closed tail (own writer). The
+   serializable mode uses its own two tags (see [link_vid]). *)
 let unknown = 0
 let live s = (s lsl 2) lor 1
 let pruned w = (w lsl 2) lor 2
@@ -320,50 +324,76 @@ let succ_writer t key nv =
     let s = open_slot t key nv in
     if s <> none && slot_retired t s then t.a_writer.(s) else none
 
+(* Serializable mode keeps only the orders: a vid's word is tag 1 with
+   its successor's vid, or [last]; [orders] holds each key's first vid.
+   An unknown [prev] inserts at the head, as [open_slot] does. *)
+let followed_by v = (v lsl 2) lor 1
+let last = 2
+
+let link_vid t key vid prev =
+  match prev with
+  | Some pv when word t pv <> unknown ->
+    set_word t vid (word t pv);
+    set_word t pv (followed_by vid)
+  | _ ->
+    set_word t vid
+      (match Hashtbl.find t.orders key with h -> followed_by h | exception Not_found -> last);
+    Hashtbl.replace t.orders key vid
+
+let linked_vids t first =
+  let rec go acc vid =
+    let w = word t vid in
+    if w = last then List.rev (vid :: acc) else go (vid :: acc) (w asr 2)
+  in
+  go [] first
+
 let observe_version t ~key ~vid ~writer ~prev ~next =
   (* a duplicated Decide can re-announce a vid; only the first counts *)
   if Verdict.is_ok t.verdict && word t vid = unknown then begin
-    let s = alloc t vid (if writer = 0 then 0 else unclaimed) in
-    (* protocols that decide client-side may report the commit before
-       the server applies it; the write was parked until now *)
-    (match Hashtbl.find t.pend_writes vid with
-     | r ->
-       Hashtbl.remove t.pend_writes vid;
-       t.a_writer.(s) <- r.t_txn;
-       r.t_unobserved <- r.t_unobserved - 1
-     | exception Not_found -> ());
-    insert_after t key (match prev with Some pv -> open_slot t key pv | None -> none) s;
-    set_word t vid (live s);
-    (* instant ww-into-retired: committed between a retired writer's
-       version and its predecessors = timestamp inversion. Sound
-       because the retirement gate in [run_epoch] guarantees the
-       retired successor's writer finished before this writer started,
-       whether this entry's record is already here (claimed from
-       pend_writes), still in flight, or arrives later. The witness
-       must name the writing *transaction*, so an unclaimed entry
-       parks the evidence ([a_rsucc]) until its record claims it in
-       [observe_commit]. *)
-    (match next with
-     | Some nv ->
-       let w = succ_writer t key nv in
-       let own = t.a_writer.(s) in
-       if w <> none then
-         if own = unclaimed then t.a_rsucc.(s) <- w else if own <> 0 then cycle2 t own w
-     | None -> ());
-    (* resolve readers that were parked on this vid, oldest first *)
-    if Hashtbl.mem t.pend_reads vid then begin
-      let waiting = List.rev (Hashtbl.find_all t.pend_reads vid) in
-      List.iter (fun _ -> Hashtbl.remove t.pend_reads vid) waiting;
-      t.n_pend <- t.n_pend - 1;
-      List.iter
-        (fun rdr ->
-          match Hashtbl.find t.live rdr with
-          | r ->
-            r.t_pending <- r.t_pending - 1;
-            attach_read t rdr s
-          | exception Not_found -> ())
-        waiting
-    end
+    match t.serializable with
+    | Some _ -> link_vid t key vid prev
+    | None ->
+      let s = alloc t vid (if writer = 0 then 0 else unclaimed) in
+      (* protocols that decide client-side may report the commit before
+         the server applies it; the write was parked until now *)
+      (match Hashtbl.find t.pend_writes vid with
+       | r ->
+         Hashtbl.remove t.pend_writes vid;
+         t.a_writer.(s) <- r.t_txn;
+         r.t_unobserved <- r.t_unobserved - 1
+       | exception Not_found -> ());
+      insert_after t key (match prev with Some pv -> open_slot t key pv | None -> none) s;
+      set_word t vid (live s);
+      (* instant ww-into-retired: committed between a retired writer's
+         version and its predecessors = timestamp inversion. Sound
+         because the retirement gate in [run_epoch] guarantees the
+         retired successor's writer finished before this writer started,
+         whether this entry's record is already here (claimed from
+         pend_writes), still in flight, or arrives later. The witness
+         must name the writing *transaction*, so an unclaimed entry
+         parks the evidence ([a_rsucc]) until its record claims it in
+         [observe_commit]. *)
+      (match next with
+       | Some nv ->
+         let w = succ_writer t key nv in
+         let own = t.a_writer.(s) in
+         if w <> none then
+           if own = unclaimed then t.a_rsucc.(s) <- w else if own <> 0 then cycle2 t own w
+       | None -> ());
+      (* resolve readers that were parked on this vid, oldest first *)
+      if Hashtbl.mem t.pend_reads vid then begin
+        let waiting = List.rev (Hashtbl.find_all t.pend_reads vid) in
+        List.iter (fun _ -> Hashtbl.remove t.pend_reads vid) waiting;
+        t.n_pend <- t.n_pend - 1;
+        List.iter
+          (fun rdr ->
+            match Hashtbl.find t.live rdr with
+            | r ->
+              r.t_pending <- r.t_pending - 1;
+              attach_read t rdr s
+            | exception Not_found -> ())
+          waiting
+      end
   end
 
 (* --- epoch check over the live set ------------------------------------- *)
@@ -582,7 +612,10 @@ let push_rec t r =
 
 let observe_commit t ~txn ~start ~finish ~reads ~writes =
   t.n_seen <- t.n_seen + 1;
-  if Verdict.is_ok t.verdict then begin
+  match t.serializable with
+  | Some h -> Rsg.record_commit h ~txn ~start ~finish ~reads ~writes
+  | None when not (Verdict.is_ok t.verdict) -> ()
+  | None ->
     let r =
       {
         t_txn = txn;
@@ -631,8 +664,7 @@ let observe_commit t ~txn ~start ~finish ~reads ~writes =
         | _ -> attach_read t txn (open_slot t key vid))
       reads;
     t.since_epoch <- t.since_epoch + 1;
-    if t.gc && t.since_epoch >= t.epoch_len then run_epoch t
-  end
+    if t.since_epoch >= t.epoch_len then run_epoch t
 
 (* --- finalize ---------------------------------------------------------- *)
 
@@ -646,33 +678,18 @@ let rec first_dirty t i =
     | Some (key, vid) -> Some (Verdict.Dirty_read { txn = t.recs.(i).t_txn; key; vid })
     | None -> first_dirty t (i - 1)
 
-let rec vids_from t s = if s = none then [] else t.a_vid.(s) :: vids_from t t.a_next.(s)
-
 let finalize t =
   (if Verdict.is_ok t.verdict then
-     if t.gc then begin
+     match t.serializable with
+     | None ->
        (match first_dirty t (t.n_recs - 1) with Some a -> violation t a | None -> ());
        if Verdict.is_ok t.verdict then ignore (cycle_check t ~final:true)
-     end
-     else begin
-       (* GC off: the whole history was retained; hand it to the
-          post-hoc checker verbatim so the verdicts agree field for
-          field (equivalence anchor). *)
-       let rsg = Rsg.create () in
-       for i = 0 to t.n_recs - 1 do
-         let r = t.recs.(i) in
-         Rsg.record_commit rsg ~txn:r.t_txn ~start:r.t_time.start
-           ~finish:r.t_time.finish ~reads:r.t_reads ~writes:r.t_writes
-       done;
+     | Some rsg ->
        Detmap.iter_sorted
-         (fun key h -> Rsg.record_version_order rsg key (vids_from t h))
+         (fun key first -> Rsg.record_version_order rsg key (linked_vids t first))
          t.orders;
-       t.verdict <- Rsg.check rsg ~strict:true
-     end);
+       t.verdict <- Rsg.check rsg ~strict:false);
   t.verdict
-
-let verdict t = t.verdict
-let n_observed t = t.n_seen
 
 let stats t =
   {

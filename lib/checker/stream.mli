@@ -1,22 +1,24 @@
-(** Streaming strict-serializability checker: an online incremental
+(** Streaming serializability checker: an online incremental
     real-time serialization graph with windowed garbage collection.
 
     Consumes a run's committed transactions as it produces them (via
     {!observe_version} and {!observe_commit}, both in nondecreasing
-    simulation time) and retires transactions once they can no longer
-    participate in a new violation, keeping memory bounded by the
-    concurrency window rather than the history length. Any later edge
-    into a retired transaction closes a two-cycle with that
-    transaction's guaranteed real-time edge and is reported
+    simulation time). In its strict mode it retires transactions once
+    they can no longer participate in a new violation, keeping memory
+    bounded by the concurrency window rather than the history length.
+    Any later edge into a retired transaction closes a two-cycle with
+    that transaction's guaranteed real-time edge and is reported
     immediately. See docs/checker.md for the design and the GC window
     invariant. *)
 
 type t
 
 (** High-water marks and counters for the memory-bound tests and the
-    observability plane. [live_high_water] is the peak size of the
-    live (un-retired) transaction set; [stale_residue] counts pruned
-    versions, whose vid words keep the stale-read evidence. *)
+    observability plane. [commits] counts every commit record observed,
+    including any after a violation was found; [live_high_water] is the
+    peak size of the live (un-retired) transaction set; [stale_residue]
+    counts pruned versions, whose vid words keep the stale-read
+    evidence. *)
 type stats = {
   commits : int;
   epochs : int;
@@ -26,9 +28,11 @@ type stats = {
   stale_residue : int;
 }
 
-(** [create ()] builds a checker. [gc] (default true) enables windowed
-    retirement; with [~gc:false] the full history is retained and
-    {!finalize} delegates to {!Rsg.check} verbatim, so the verdict is
+(** [create ()] builds a checker. [strict] (default true) checks strict
+    serializability with windowed retirement. With [~strict:false] it
+    checks plain serializability: without real-time edges nothing can
+    safely retire, so the full history is retained and {!finalize}
+    delegates to [Rsg.check ~strict:false] verbatim — the verdict is
     field-for-field the post-hoc one. [epoch] (default 1024) is the
     number of commits between cycle checks / retirement sweeps.
     [watermark] must return a lower bound on the start time of every
@@ -37,7 +41,7 @@ type stats = {
     [on_epoch] is called after each clean epoch check with the live
     and cumulative retired counts (observability hook). *)
 val create :
-  ?gc:bool ->
+  ?strict:bool ->
   ?epoch:int ->
   ?watermark:(unit -> float) ->
   ?on_epoch:(live:int -> retired:int -> unit) ->
@@ -76,12 +80,5 @@ val observe_commit :
 (** Run the end-of-history checks (dirty reads, then a final cycle
     check over the live set) and return the verdict. Idempotent. *)
 val finalize : t -> Verdict.t
-
-(** The verdict so far (sticky: the first violation wins). *)
-val verdict : t -> Verdict.t
-
-(** Number of commit records observed, including any after a
-    violation was already found. *)
-val n_observed : t -> int
 
 val stats : t -> stats

@@ -65,9 +65,9 @@ let base_cfg ?(seed = 42) (s : scale) =
     warmup = s.warmup;
     drain = 0.5;
     check = s.check;
-    (* stream checking runs on a background domain so the verdict is
-       free on multicore and cannot skew single-run wall-clock *)
-    check_async = (match s.check with Runner.Streaming -> true | _ -> false);
+    (* checking runs on a background domain so the verdict is free on
+       multicore and cannot skew single-run wall-clock *)
+    check_async = s.check <> Runner.No_check;
   }
 
 (* In-window abort fraction: aborted attempts over all decided attempts

@@ -28,12 +28,9 @@ module type S = sig
   val make_server : msg Cluster.Net.ctx -> server
   val server_handle : server -> src:Types.node_id -> msg -> unit
 
-  (* Per-key committed version order (oldest first), for the checker. *)
-  val server_version_orders : server -> (Types.key * int list) list
-
   (* The store(s) backing this server, so the harness can install the
-     streaming checker's commit hook (replica shadows excluded: only
-     the authoritative copy feeds the checker). *)
+     checker's commit hook (replica shadows excluded: only the
+     authoritative copy feeds the checker). *)
   val server_stores : server -> Mvstore.Store.t list
 
   (* Protocol-specific counters, summed across servers by the harness. *)

@@ -13,11 +13,15 @@ type latency_spec =
       (* replica nodes live in a remote datacenter: any path touching a
          replica pays the wide-area delay *)
 
-(* [Serializable] / [Strict] run the post-hoc {!Checker.Rsg} over the
-   full retained history after the run; [Streaming] feeds the windowed
-   {!Checker.Stream} as commits happen, off the critical path when
-   [check_async] is set, in bounded memory either way. *)
-type check_level = No_check | Serializable | Strict | Streaming
+(* Both checked levels feed {!Checker.Stream} as commits happen, off
+   the critical path when [check_async] is set: [Streaming] checks
+   strict serializability in bounded memory, [Serializable] plain
+   serializability over the retained history (TAPIR-CC and MVTO
+   promise no more). *)
+type check_level = No_check | Streaming | Serializable
+
+(* The one --check spelling table, shared by ncc_sim and bench. *)
+let check_levels = [ ("on", Streaming); ("ser", Serializable); ("off", No_check) ]
 
 (* Arrival-rate shape over simulated time. [Constant] is the
    historical homogeneous Poisson process and draws exactly the
@@ -60,7 +64,7 @@ type config = {
   max_clock_drift : float;
   check : check_level;
   check_window : int;    (* Streaming: commits per epoch (GC window) *)
-  check_async : bool;    (* Streaming: feed a background domain *)
+  check_async : bool;    (* checked runs: feed a background domain *)
   series_width : float option;  (* commit-rate time series bucket width *)
   replicas_per_server : int;    (* replica nodes per server (replicated protocols) *)
   request_timeout : float option;  (* per-attempt client timeout (None = never) *)
@@ -73,9 +77,9 @@ type config = {
   store_gc : (float * int) option;
       (* Some (period, keep): truncate committed version chains on
          every server store to [keep] versions every [period] simulated
-         seconds, for bounded-memory multi-million-txn runs. Pair with
-         Streaming or No_check — post-hoc checking needs the full
-         version order (default None) *)
+         seconds, for bounded-memory multi-million-txn runs. The checker
+         learns versions at commit time, so truncation cannot hide them
+         from it (default None) *)
 }
 
 let default =
@@ -212,10 +216,9 @@ let latency_model rng topo = function
         Cluster.Topology.is_replica topo a || Cluster.Topology.is_replica topo b)
 
 (* Each rejected config would otherwise fail mid-run with an unrelated
-   exception (Topology.make, a negative Engine.schedule delay), loop
-   forever, or (store GC under a post-hoc check, which reads the version
-   chains the GC truncates) report violations on legal histories. Zero
-   durations are valid: a set-up-only run. *)
+   exception (Topology.make, a negative Engine.schedule delay, a
+   Series bucket index of infinity) or loop forever. Zero durations are
+   valid: a set-up-only run. *)
 let validate cfg =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let span x = Float.is_finite x && x >= 0.0 in
@@ -230,18 +233,19 @@ let validate cfg =
   else if not (span cfg.warmup) then
     fail "warmup must be finite and >= 0 (got %g)" cfg.warmup
   else if not (span cfg.drain) then fail "drain must be finite and >= 0 (got %g)" cfg.drain
+  else if not (span cfg.retry_backoff) then
+    fail "retry_backoff must be finite and >= 0 (got %g)" cfg.retry_backoff
   else if cfg.check_window < 1 then
     fail "check_window must be at least 1 (got %d)" cfg.check_window
   else
-    match (cfg.store_gc, cfg.check) with
-    | Some (period, _), _ when not (period > 0.0) ->
+    match (cfg.request_timeout, cfg.series_width, cfg.store_gc) with
+    | Some d, _, _ when not (Float.is_finite d && d > 0.0) ->
+      fail "request_timeout must be finite and > 0 (got %g)" d
+    | _, Some w, _ when not (w > 0.0) -> fail "series_width must be > 0 (got %g)" w
+    | _, _, Some (period, _) when not (period > 0.0) ->
       fail "store_gc period must be > 0 (got %g)" period
-    | Some (_, keep), _ when keep < 1 ->
+    | _, _, Some (_, keep) when keep < 1 ->
       fail "store_gc keep must be at least 1 (got %d)" keep
-    | Some _, (Serializable | Strict) ->
-      fail
-        "store_gc needs check = Streaming or No_check (post-hoc checking reads \
-         the version chains the GC truncates)"
     | _ -> Ok ()
 
 let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg =
@@ -286,8 +290,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
      everything in a registry. *)
   let abort_mx = Obs.Metrics.create () in
   let series = Stats.Series.create ?width:cfg.series_width () in
-  let chk = Checker.Rsg.create () in
-  (* --- streaming checker (check = Streaming) ---
+  (* --- streaming checker (any checked level) ---
      Two event streams feed it at commit time: the store hook announces
      committed versions, the client report announces commit records. In
      async mode both are posted to a single FIFO worker so checking
@@ -296,12 +299,12 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
      so the worker replays exactly the synchronous schedule (and the
      verdict cannot depend on the mode). *)
   let n_nodes = Cluster.Topology.n_nodes topo in
-  let streaming = cfg.check = Streaming in
+  let checked = cfg.check <> No_check in
   let wm_ring = ring_create () in
   let wm_cell = ref Float.neg_infinity in
   let checker_node = n_nodes in
   let stream =
-    if cfg.check <> Streaming then None
+    if not checked then None
     else begin
       let on_epoch =
         (* epoch events only in sync mode: the async feeder's domain
@@ -315,7 +318,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
                   ~dst:checker_node ~x:0.0 ~start:0.0 ~dur:0.0 ~id:live ~code:retired)
       in
       Some
-        (Checker.Stream.create ~epoch:cfg.check_window
+        (Checker.Stream.create ~strict:(cfg.check = Streaming) ~epoch:cfg.check_window
            ~watermark:(fun () -> !wm_cell)
            ?on_epoch ())
     end
@@ -497,7 +500,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
       let resubmit p =
         let now = Sim.Engine.now engine in
         p.p_attempt_start <- now;
-        if streaming then ring_push wm_ring now p;
+        if checked then ring_push wm_ring now p;
         incr attempts;
         if Sim.Trace.active () then txn_ev Attempt_begin id p.p_txn.Txn.id 0;
         P.submit (client ()) p.p_txn;
@@ -537,12 +540,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
                     wm_cell := wm;
                     Checker.Stream.observe_commit st ~txn ~start ~finish ~reads
                       ~writes)
-              | None ->
-                if cfg.check <> No_check then
-                  Checker.Rsg.record_commit chk ~txn:o.txn.Txn.id
-                    ~start:p.p_attempt_start ~finish:now
-                    ~reads:(List.map (fun (k, vid, _) -> (k, vid)) o.reads)
-                    ~writes:o.writes)
+              | None -> ())
            | Outcome.Aborted reason ->
              let reason_s = Outcome.reason_to_string reason in
              if Sim.Trace.active () then
@@ -611,7 +609,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
                in
                Hashtbl.replace inflight txn.Txn.id p;
                incr inflight_total;
-               if streaming then ring_push wm_ring now p;
+               if checked then ring_push wm_ring now p;
                incr attempts;
                if Sim.Trace.active () then begin
                  txn_ev Txn_begin id txn.Txn.id 0;
@@ -651,20 +649,13 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
   Obs.Metrics.set_gauge mx "gc.top_heap_words"
     (float_of_int gc1.Gc.top_heap_words);
   (* --- collect --- *)
-  let verdict_string v ~n =
-    match v with
-    | Checker.Verdict.Ok -> Printf.sprintf "ok (%d txns)" n
-    | Checker.Verdict.Violation a ->
-      "VIOLATION: " ^ Checker.Verdict.anomaly_to_string a
-  in
   let check_result =
-    match cfg.check with
-    | No_check -> "skipped"
-    | Streaming ->
+    match stream with
+    | None -> "skipped"
+    | Some st ->
       (* the worker join is the happens-before edge: after it, every
          posted event has been consumed and the stream is ours *)
       (match stream_worker with Some w -> Pool.shutdown w | None -> ());
-      let st = Option.get stream in
       let v = Checker.Stream.finalize st in
       let s = Checker.Stream.stats st in
       Obs.Metrics.set_gauge mx "checker.commits"
@@ -689,17 +680,9 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
           ~x:(if Checker.Verdict.is_ok v then 0.0 else 1.0)
           ~id:s.Checker.Stream.commits ~code:s.Checker.Stream.retired
       end;
-      verdict_string v ~n:(Checker.Stream.n_observed st)
-    | (Serializable | Strict) as lvl ->
-      List.iter
-        (fun (_, srv) ->
-          List.iter
-            (fun (key, vids) -> Checker.Rsg.record_version_order chk key vids)
-            (P.server_version_orders srv))
-        servers;
-      verdict_string
-        (Checker.Rsg.check chk ~strict:(lvl = Strict))
-        ~n:(Checker.Rsg.n_committed chk)
+      (match v with
+       | Checker.Verdict.Ok -> Printf.sprintf "ok (%d txns)" s.Checker.Stream.commits
+       | Checker.Verdict.Violation a -> "VIOLATION: " ^ Checker.Verdict.anomaly_to_string a)
   in
   (* Protocol counters land in the metrics registry scoped to the node
      that produced them; [counter_totals] sums each family across nodes,

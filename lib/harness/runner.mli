@@ -10,11 +10,14 @@ type latency_spec =
       (** replica nodes live in a remote datacenter: any path touching a
           replica pays the wide-area one-way delay *)
 
-(** [Serializable]/[Strict] retain the whole history and run the
-    post-hoc {!Checker.Rsg} after the run; [Streaming] feeds the
-    windowed {!Checker.Stream} as commits happen — bounded memory,
-    same verdict (the equivalence property pins this). *)
-type check_level = No_check | Serializable | Strict | Streaming
+(** Both checked levels feed {!Checker.Stream} as commits happen.
+    [Streaming] checks strict serializability in bounded memory;
+    [Serializable] checks plain serializability (what TAPIR-CC and MVTO
+    promise) over the retained history. *)
+type check_level = No_check | Streaming | Serializable
+
+(** The [--check] spellings: [on], [ser], [off]. *)
+val check_levels : (string * check_level) list
 
 (** Arrival-rate shape over simulated time. [Constant] is the
     historical homogeneous Poisson process and draws exactly the legacy
@@ -59,7 +62,7 @@ type config = {
       (** [Streaming] only: commits per checker epoch — the GC window
           (default 1024) *)
   check_async : bool;
-      (** [Streaming] only: feed the checker through a background
+      (** checked runs: feed the checker through a background
           domain instead of inline (default false). The verdict is
           mode-independent; only wall-clock cost moves. *)
   series_width : float option;
@@ -80,9 +83,9 @@ type config = {
   store_gc : (float * int) option;
       (** [Some (period, keep)]: truncate committed version chains on
           every server store to [keep] versions every [period] simulated
-          seconds, for bounded-memory multi-million-txn runs. Pair with
-          [Streaming] or [No_check] — post-hoc checking needs the full
-          version order (default [None]) *)
+          seconds, for bounded-memory multi-million-txn runs. The
+          checker learns versions at commit time, so any check level
+          pairs with it (default [None]) *)
 }
 
 val default : config
@@ -118,8 +121,9 @@ val violated : result -> bool
 
 (** [Error msg] when [config] cannot run: fewer than one server or
     client, negative replicas, a negative or non-finite load, duration,
-    warmup or drain, [check_window] < 1, a [store_gc] period <= 0 or
-    keep < 1, or [store_gc] under a post-hoc check. Zero durations are
+    warmup, drain or [retry_backoff], [check_window] < 1, a
+    [request_timeout] that is not finite and > 0, a [series_width]
+    <= 0, or a [store_gc] period <= 0 or keep < 1. Zero durations are
     valid. {!run} applies it first; the CLIs report it and exit 2. *)
 val validate : config -> (unit, string) Stdlib.result
 

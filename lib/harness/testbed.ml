@@ -79,6 +79,9 @@ let make ?(seed = 1) ?(n_servers = 4) ?(n_clients = 4) ?(replicas_per_server = 0
     servers = Cluster.Topology.servers topo;
     clients = Cluster.Topology.clients topo;
     version_orders =
-      (fun () -> List.concat_map (fun srv -> P.server_version_orders srv) servers);
+      (fun () ->
+        List.concat_map
+          (fun srv -> List.concat_map Mvstore.Store.all_committed_orders (P.server_stores srv))
+          servers);
     topology = topo;
   }

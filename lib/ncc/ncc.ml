@@ -19,7 +19,6 @@ let make_protocol ?(config = Msg.default_config) ?(name = "NCC") () : Harness.Pr
 
     let make_server ctx = Server.create config ctx
     let server_handle = Server.handle
-    let server_version_orders = Server.version_orders
     let server_stores s = [ Server.store s ]
     let server_counters = Server.counters
 

@@ -792,7 +792,6 @@ let handle t ~src msg =
 
 (* --- introspection ---------------------------------------------------- *)
 
-let version_orders t = Store.all_committed_orders t.store
 let store t = t.store
 
 let counters t =

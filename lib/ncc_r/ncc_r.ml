@@ -174,7 +174,6 @@ let server_handle s ~src msg =
        drain_backlog s raft
      | None -> ())
 
-let server_version_orders s = Ncc.Server.version_orders s.inner
 let server_stores s = [ Ncc.Server.store s.inner ]
 
 let server_counters s =
@@ -231,7 +230,6 @@ let make_protocol ?(config = Ncc.Msg.default_config) ?(mode = Every_request)
 
     let make_server = make_server config mode raft_timeouts
     let server_handle = server_handle
-    let server_version_orders = server_version_orders
     let server_stores = server_stores
     let server_counters = server_counters
 

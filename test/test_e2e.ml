@@ -82,7 +82,7 @@ let strict_hot_cases =
       Alcotest.test_case (name ^ " hot strict") `Slow (fun () ->
           List.iter
             (fun seed ->
-              progress (run_checked p hot_workload ~level:Harness.Runner.Strict ~seed))
+              progress (run_checked p hot_workload ~level:Harness.Runner.Streaming ~seed))
             [ 1; 2 ]))
     strict_protocols
 
@@ -101,14 +101,14 @@ let multishot_cases =
   List.map
     (fun (name, p) ->
       Alcotest.test_case (name ^ " multishot strict") `Slow (fun () ->
-          progress (run_checked p multishot_workload ~level:Harness.Runner.Strict ~seed:5)))
+          progress (run_checked p multishot_workload ~level:Harness.Runner.Streaming ~seed:5)))
     [ ("NCC", Ncc.protocol); ("dOCC", Baselines.docc); ("d2PL-WW", Baselines.d2pl_wound_wait) ]
 
 let tpcc_case =
   Alcotest.test_case "NCC tpcc strict" `Slow (fun () ->
       let w = Workload.Tpcc.make ~warehouses_per_server:2 ~n_servers:4 () in
       progress
-        (run_checked Ncc.protocol w ~level:Harness.Runner.Strict ~seed:3
+        (run_checked Ncc.protocol w ~level:Harness.Runner.Streaming ~seed:3
            ~cfg_patch:(fun c -> { c with Harness.Runner.offered_load = 600.0 })))
 
 (* Client-failure recovery (§4.6): all clients stop sending commit
@@ -128,7 +128,7 @@ let recovery_case =
           ~name:"NCC-failinj" ()
       in
       let r =
-        run_checked p hot_workload ~level:Harness.Runner.Strict ~seed:11
+        run_checked p hot_workload ~level:Harness.Runner.Streaming ~seed:11
           ~cfg_patch:(fun c -> { c with Harness.Runner.drain = 3.0 })
       in
       progress r;

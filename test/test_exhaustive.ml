@@ -125,7 +125,7 @@ let run_schedule ~cfg ~txns (fates : fate array) =
     (fun srv ->
       List.iter
         (fun (key, vids) -> Checker.Rsg.record_version_order chk key vids)
-        (Ncc.Server.version_orders srv))
+        (Mvstore.Store.all_committed_orders (Ncc.Server.store srv)))
     servers;
   (!outcomes, Checker.Rsg.check chk ~strict:true)
 

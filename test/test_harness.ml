@@ -58,7 +58,7 @@ let runner_same_seed_deterministic =
           duration = 0.5;
           warmup = 0.1;
           drain = 0.3;
-          check = Harness.Runner.Strict;
+          check = Harness.Runner.Streaming;
           series_width = Some 0.1;
         }
       in
@@ -253,10 +253,6 @@ let ncc_server_liveness =
 let runner_validate () =
   let module R = Harness.Runner in
   let d = R.default in
-  let gc_post =
-    "store_gc needs check = Streaming or No_check (post-hoc checking reads \
-     the version chains the GC truncates)"
-  in
   let span name got = Printf.sprintf "%s must be finite and >= 0 (got %s)" name got in
   List.iter
     (fun (cfg, msg) ->
@@ -271,11 +267,13 @@ let runner_validate () =
       ({ d with R.duration = -1.0 }, span "duration" "-1");
       ({ d with R.warmup = -0.5 }, span "warmup" "-0.5");
       ({ d with R.drain = -0.5 }, span "drain" "-0.5");
+      ({ d with R.retry_backoff = -1e-3 }, span "retry_backoff" "-0.001");
       ({ d with R.check_window = 0 }, "check_window must be at least 1 (got 0)");
+      ( { d with R.request_timeout = Some (-1e-3) },
+        "request_timeout must be finite and > 0 (got -0.001)" );
+      ({ d with R.series_width = Some 0.0 }, "series_width must be > 0 (got 0)");
       ({ d with R.store_gc = Some (0.0, 4) }, "store_gc period must be > 0 (got 0)");
       ({ d with R.store_gc = Some (1.0, 0) }, "store_gc keep must be at least 1 (got 0)");
-      ({ d with R.store_gc = Some (1.0, 4); check = R.Strict }, gc_post);
-      ({ d with R.store_gc = Some (1.0, 4); check = R.Serializable }, gc_post);
     ];
   let atlas_cells =
     List.concat_map
@@ -311,6 +309,70 @@ let runner_validate () =
      ]
     @ atlas_cells)
 
+(* Random tiny configs, coherent or not, over every check level crossed
+   with store GC, zero and negative counts and durations, and request
+   timeouts of either sign: each one is either rejected by [validate]
+   (and then [run] raises [Invalid_argument] carrying the same message
+   before the run starts) or runs to completion without an exception. *)
+let runner_validate_or_complete =
+  let module R = Harness.Runner in
+  let gen =
+    let open QCheck.Gen in
+    (* mostly legal values, so about half the configs validate *)
+    let pick legal illegal = frequency [ (20, oneofl legal); (1, oneofl illegal) ] in
+    let* n_servers = pick [ 1; 3 ] [ -1; 0 ] in
+    let* n_clients = pick [ 1; 4 ] [ -2; 0 ] in
+    let* replicas_per_server = pick [ 0 ] [ -1 ] in
+    let* offered_load = pick [ 0.0; 300.0; 900.0 ] [ -50.0; Float.nan ] in
+    let* duration = pick [ 0.0; 0.15 ] [ -0.1; Float.infinity ] in
+    let* warmup = pick [ 0.0; 0.05 ] [ -0.05 ] in
+    let* drain = pick [ 0.0; 0.2 ] [ -0.1 ] in
+    let* max_inflight = oneofl [ 0; 1; 4 ] in
+    let* max_retries = oneofl [ -1; 0; 5 ] in
+    let* retry_backoff = pick [ 0.0; 5e-4 ] [ -1e-3 ] in
+    let* check = oneofl (List.map snd R.check_levels) in
+    let* check_window = pick [ 1; 64 ] [ -1; 0 ] in
+    let* check_async = bool in
+    let* store_gc = pick [ None; Some (0.05, 2) ] [ Some (0.0, 2); Some (0.05, 0) ] in
+    let* request_timeout = pick [ None; Some 2e-3 ] [ Some (-2e-3); Some 0.0 ] in
+    let* series_width = pick [ None; Some 0.05 ] [ Some (-0.1); Some 0.0 ] in
+    let* seed = int_range 0 1_000 in
+    return
+      {
+        R.default with
+        R.seed; n_servers; n_clients; replicas_per_server; offered_load; duration;
+        warmup; drain; max_inflight; max_retries; retry_backoff; check;
+        check_window; check_async; store_gc; request_timeout; series_width;
+      }
+  in
+  let print (c : R.config) =
+    let opt f = function None -> "none" | Some x -> f x in
+    Printf.sprintf
+      "seed=%d servers=%d clients=%d replicas=%d load=%g duration=%g warmup=%g \
+       drain=%g inflight=%d retries=%d backoff=%g check=%s window=%d async=%b \
+       store_gc=%s timeout=%s series=%s"
+      c.seed c.n_servers c.n_clients c.replicas_per_server c.offered_load c.duration
+      c.warmup c.drain c.max_inflight c.max_retries c.retry_backoff
+      (fst (List.find (fun (_, l) -> l = c.check) R.check_levels))
+      c.check_window c.check_async
+      (opt (fun (p, k) -> Printf.sprintf "%g/%d" p k) c.store_gc)
+      (opt string_of_float c.request_timeout)
+      (opt string_of_float c.series_width)
+  in
+  QCheck.Test.make ~name:"runner config: rejected up front or runs clean" ~count:150
+    (QCheck.make ~print gen)
+    (fun cfg ->
+      let run () = R.run Ncc.protocol (Workload.Google_f1.make ~n_keys:200 ()) cfg in
+      match R.validate cfg with
+      | Error m -> (
+        match run () with
+        | _ -> QCheck.Test.fail_reportf "rejected (%s) but ran" m
+        | exception Invalid_argument s -> String.equal s ("Runner.run: " ^ m))
+      | Ok () -> (
+        match run () with
+        | _ -> true
+        | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
 let suite =
   [
     Alcotest.test_case "runner accounting" `Slow runner_accounting;
@@ -320,4 +382,9 @@ let suite =
     Alcotest.test_case "testbed basics" `Quick testbed_basics;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ cost_monotonic; ncc_server_liveness; runner_same_seed_deterministic ]
+      [
+        cost_monotonic;
+        ncc_server_liveness;
+        runner_same_seed_deterministic;
+        runner_validate_or_complete;
+      ]

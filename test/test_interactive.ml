@@ -36,7 +36,7 @@ let e2e_strict () =
           duration = 1.0;
           warmup = 0.3;
           drain = 2.0;
-          check = Harness.Runner.Strict;
+          check = Harness.Runner.Streaming;
         }
       in
       let r = Harness.Runner.run Ncc.protocol (dynamic_workload ~n_keys:40) cfg in

@@ -248,7 +248,7 @@ let observer_effect (pname, p) =
           duration = 0.4;
           warmup = 0.1;
           drain = 0.3;
-          check = Harness.Runner.Strict;
+          check = Harness.Runner.Streaming;
           series_width = Some 0.1;
         }
       in

@@ -310,7 +310,7 @@ let inversion_check ~rtc =
     (fun srv ->
       List.iter
         (fun (key, vids) -> Checker.Rsg.record_version_order chk key vids)
-        (Ncc.Server.version_orders srv))
+        (Mvstore.Store.all_committed_orders (Ncc.Server.store srv)))
     servers;
   (outcomes, Checker.Rsg.check chk ~strict:true, Checker.Rsg.check chk ~strict:false)
 

@@ -166,7 +166,7 @@ let ncc_r_cfg =
     duration = 1.0;
     warmup = 0.3;
     drain = 1.5;
-    check = Harness.Runner.Strict;
+    check = Harness.Runner.Streaming;
   }
 
 let ncc_r_strict () =
