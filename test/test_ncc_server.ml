@@ -430,4 +430,45 @@ let runs_pinned () =
             ("NCC google-f1", Ncc.protocol, f1, cfg 8_000.0);
           ]))
 
-let suite = suite @ [ Alcotest.test_case "seeded runs match the golden" `Quick runs_pinned ]
+(* The same line format over many clients: 2,000 clients at 8k txn/s
+   give each client a handful of transactions, so its coordinator state
+   is always cold (first reply from a server, first attempt of a txn),
+   where [runs_pinned]'s 24 clients keep it warm. *)
+let many_clients_pinned () =
+  let module R = Harness.Runner in
+  let cfg =
+    {
+      R.default with
+      R.seed = 3;
+      n_servers = 8;
+      n_clients = 2_000;
+      offered_load = 8_000.0;
+      warmup = 0.02;
+      duration = 0.15;
+      drain = 0.1;
+      check = R.Streaming;
+    }
+  in
+  let line (label, proto) =
+    Sim.Trace.reset_digest ();
+    Sim.Trace.enable_digest ();
+    let r = R.run proto (Workload.Google_f1.make ()) cfg in
+    let digest = Sim.Trace.digest () in
+    Sim.Trace.disable_digest ();
+    Printf.sprintf "%s committed=%d attempts=%d messages=%d\n  %s\n  check=%s\n  digest=%s\n"
+      label r.R.committed r.R.attempts r.R.messages
+      (String.concat " "
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%.17g" k v) r.R.counters))
+      r.R.check_result digest
+  in
+  Golden.check ~name:"many_clients_f1_runs.txt"
+    (String.concat ""
+       (List.map line
+          [ ("NCC google-f1", Ncc.protocol); ("dOCC google-f1", Baselines.docc) ]))
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "seeded runs match the golden" `Quick runs_pinned;
+      Alcotest.test_case "many-client runs match the golden" `Quick many_clients_pinned;
+    ]
