@@ -38,18 +38,24 @@ let reject_dynamic (txn : Txn.t) =
     invalid_arg "interactive (dynamic) transactions require the NCC coordinator"
 
 (* Attempt bookkeeping every baseline coordinator shares. *)
-type attempt_counter = (int, int) Hashtbl.t
+type attempt_counter = int Intmap.t
 
 let next_attempt (t : attempt_counter) txn_id =
-  let a = 1 + Option.value ~default:0 (Hashtbl.find_opt t txn_id) in
-  Hashtbl.replace t txn_id a;
+  let a = match Intmap.find_opt t txn_id with None -> 1 | Some a -> a + 1 in
+  Intmap.replace t txn_id a;
   a
+
+(* A committed transaction is never resubmitted (txn ids are unique per
+   generated transaction), so its counter is dead state; coordinators
+   drop it at commit to keep memory flat over long runs. An aborted
+   attempt keeps it: the retry must draw a fresh wire id. *)
+let drop_attempt (t : attempt_counter) txn_id = Intmap.remove t txn_id
 
 (* The wire id of [txn_id]'s current (latest-submitted) attempt, if the
    coordinator ever saw it. Used by cancellation to find the in-flight
    state a request timeout refers to. *)
 let current_wire (t : attempt_counter) ~txn_id =
-  Option.map (fun attempt -> wire_id ~txn_id ~attempt) (Hashtbl.find_opt t txn_id)
+  Option.map (fun attempt -> wire_id ~txn_id ~attempt) (Intmap.find_opt t txn_id)
 
 (* Pre-assigned timestamp from the local (possibly skewed) clock, kept
    strictly monotonic per client so same-instant transactions from one

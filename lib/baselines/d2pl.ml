@@ -259,7 +259,7 @@ type client = {
   cctx : msg Cluster.Net.ctx;
   cvariant : variant;
   report : Outcome.t -> unit;
-  inflight : (int, inflight) Hashtbl.t;
+  inflight : inflight Intmap.t;
   attempts : Common.attempt_counter;
   ts_floor : int ref;
   mutable n_wounded : int;
@@ -270,8 +270,8 @@ let make_client cvariant cctx ~report =
     cctx;
     cvariant;
     report;
-    inflight = Hashtbl.create 64;
-    attempts = Hashtbl.create 64;
+    inflight = Intmap.create ();
+    attempts = Intmap.create ();
     ts_floor = ref 0;
     n_wounded = 0;
   }
@@ -297,7 +297,8 @@ let send_round c f ops ~exclusive =
     by_server
 
 let finish c f ~commit ~reason =
-  Hashtbl.remove c.inflight f.f_wire;
+  Intmap.remove c.inflight f.f_wire;
+  if commit then Common.drop_attempt c.attempts f.f_txn.Txn.id;
   List.iter
     (fun server -> c.cctx.send ~dst:server (Decide { d_wire = f.f_wire; d_commit = commit }))
     f.f_contacted;
@@ -349,13 +350,13 @@ let submit c txn =
       f_contacted = [];
     }
   in
-  Hashtbl.replace c.inflight wire f;
+  Intmap.replace c.inflight wire f;
   advance c f
 
 let client_handle c ~src msg =
   match msg with
   | Acquire_reply { r_wire; r_round; r_ok; r_results } ->
-    (match Hashtbl.find_opt c.inflight r_wire with
+    (match Intmap.find_opt c.inflight r_wire with
      | None -> ()
      | Some f when r_round <> f.f_round || Types.mem_node src f.f_replied ->
        () (* stale round, or a duplicate delivery of this round's reply *)
@@ -373,7 +374,7 @@ let client_handle c ~src msg =
                 | No_wait -> Outcome.Lock_unavailable
                 | Wound_wait -> Outcome.Wounded))
   | Wound { w_wire } ->
-    (match Hashtbl.find_opt c.inflight w_wire with
+    (match Intmap.find_opt c.inflight w_wire with
      | None -> ()  (* already decided: the wound is moot *)
      | Some f ->
        c.n_wounded <- c.n_wounded + 1;
@@ -388,7 +389,7 @@ let cancel c txn =
   let f =
     Option.bind
       (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Hashtbl.find_opt c.inflight)
+      (Intmap.find_opt c.inflight)
   in
   (match f with
    | Some f -> finish c f ~commit:false ~reason:Outcome.Timed_out

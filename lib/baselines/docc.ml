@@ -195,7 +195,7 @@ type inflight = {
 type client = {
   cctx : msg Cluster.Net.ctx;
   report : Outcome.t -> unit;
-  inflight : (int, inflight) Hashtbl.t;
+  inflight : inflight Intmap.t;
   attempts : Common.attempt_counter;
   ts_floor : int ref;
 }
@@ -204,8 +204,8 @@ let make_client cctx ~report =
   {
     cctx;
     report;
-    inflight = Hashtbl.create 64;
-    attempts = Hashtbl.create 64;
+    inflight = Intmap.create ();
+    attempts = Intmap.create ();
     ts_floor = ref 0;
   }
 
@@ -308,11 +308,12 @@ let submit c txn =
       f_prepared = [];
     }
   in
-  Hashtbl.replace c.inflight wire f;
+  Intmap.replace c.inflight wire f;
   advance c f
 
 let finish c f ~commit ~reason =
-  Hashtbl.remove c.inflight f.f_wire;
+  Intmap.remove c.inflight f.f_wire;
+  if commit then Common.drop_attempt c.attempts f.f_txn.Txn.id;
   List.iter
     (fun server -> c.cctx.send ~dst:server (Decide { d_wire = f.f_wire; d_commit = commit }))
     f.f_prepared;
@@ -324,7 +325,7 @@ let finish c f ~commit ~reason =
 let client_handle c ~src msg =
   match msg with
   | Exec_reply { e_wire; e_round; e_results } ->
-    (match Hashtbl.find_opt c.inflight e_wire with
+    (match Intmap.find_opt c.inflight e_wire with
      | Some f
        when f.f_phase = Executing && e_round = f.f_round
             && not (Types.mem_node src f.f_replied) ->
@@ -334,7 +335,7 @@ let client_handle c ~src msg =
        if f.f_awaiting = 0 then advance c f
      | Some _ | None -> ())
   | Prepare_reply { p_wire; p_ok; p_writes } ->
-    (match Hashtbl.find_opt c.inflight p_wire with
+    (match Intmap.find_opt c.inflight p_wire with
      | Some f when f.f_phase = Preparing && not (Types.mem_node src f.f_replied) ->
        f.f_replied <- src :: f.f_replied;
        if not p_ok then f.f_prepare_ok <- false;
@@ -354,7 +355,7 @@ let cancel c txn =
   let f =
     Option.bind
       (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Hashtbl.find_opt c.inflight)
+      (Intmap.find_opt c.inflight)
   in
   (match f with
    | Some f -> finish c f ~commit:false ~reason:Outcome.Timed_out

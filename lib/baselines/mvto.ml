@@ -183,7 +183,7 @@ type inflight = {
 type client = {
   cctx : msg Cluster.Net.ctx;
   report : Outcome.t -> unit;
-  inflight : (int, inflight) Hashtbl.t;
+  inflight : inflight Intmap.t;
   attempts : Common.attempt_counter;
   ts_floor : int ref;
 }
@@ -192,8 +192,8 @@ let make_client cctx ~report =
   {
     cctx;
     report;
-    inflight = Hashtbl.create 64;
-    attempts = Hashtbl.create 64;
+    inflight = Intmap.create ();
+    attempts = Intmap.create ();
     ts_floor = ref 0;
   }
 
@@ -217,7 +217,8 @@ let send_shot c f shot =
     by_server
 
 let finish c f ~commit ~reason =
-  Hashtbl.remove c.inflight f.f_wire;
+  Intmap.remove c.inflight f.f_wire;
+  if commit then Common.drop_attempt c.attempts f.f_txn.Txn.id;
   (* read-only transactions have nothing to decide: no commit round *)
   if not f.f_txn.Txn.read_only then
     List.iter
@@ -253,13 +254,13 @@ let submit c txn =
       f_contacted = [];
     }
   in
-  Hashtbl.replace c.inflight wire f;
+  Intmap.replace c.inflight wire f;
   advance c f
 
 let client_handle c ~src msg =
   match msg with
   | Exec_reply { e_wire; e_round; e_ok; e_results } ->
-    (match Hashtbl.find_opt c.inflight e_wire with
+    (match Intmap.find_opt c.inflight e_wire with
      | None -> ()
      | Some f when e_round <> f.f_round || Types.mem_node src f.f_replied ->
        () (* stale round, or a duplicate delivery of this round's reply *)
@@ -281,7 +282,7 @@ let cancel c txn =
   let f =
     Option.bind
       (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Hashtbl.find_opt c.inflight)
+      (Intmap.find_opt c.inflight)
   in
   (match f with
    | Some f -> finish c f ~commit:false ~reason:Outcome.Timed_out

@@ -306,12 +306,12 @@ type inflight = {
 type client = {
   cctx : msg Cluster.Net.ctx;
   report : Outcome.t -> unit;
-  inflight : (int, inflight) Hashtbl.t;
+  inflight : inflight Intmap.t;
   attempts : Common.attempt_counter;
 }
 
 let make_client cctx ~report =
-  { cctx; report; inflight = Hashtbl.create 64; attempts = Hashtbl.create 64 }
+  { cctx; report; inflight = Intmap.create (); attempts = Intmap.create () }
 
 let send_preaccept c f shot =
   let by_server = Cluster.Topology.ops_by_server c.cctx.topo shot in
@@ -365,13 +365,13 @@ let submit c txn =
       f_participants = participants;
     }
   in
-  Hashtbl.replace c.inflight wire f;
+  Intmap.replace c.inflight wire f;
   advance c f
 
 let client_handle c ~src msg =
   match msg with
   | Preaccept_reply { pa_wire; pa_round; pa_deps } ->
-    (match Hashtbl.find_opt c.inflight pa_wire with
+    (match Intmap.find_opt c.inflight pa_wire with
      | Some f
        when f.f_phase = Preaccepting && pa_round = f.f_round
             && not (Types.mem_node src f.f_replied) ->
@@ -383,13 +383,14 @@ let client_handle c ~src msg =
        if f.f_awaiting = 0 then advance c f
      | Some _ | None -> ())
   | Commit_reply { c_wire; c_results } ->
-    (match Hashtbl.find_opt c.inflight c_wire with
+    (match Intmap.find_opt c.inflight c_wire with
      | Some f when f.f_phase = Committing && not (Types.mem_node src f.f_creplied) ->
        f.f_creplied <- src :: f.f_creplied;
        f.f_results <- List.rev_append c_results f.f_results;
        f.f_awaiting <- f.f_awaiting - 1;
        if f.f_awaiting = 0 then begin
-         Hashtbl.remove c.inflight c_wire;
+         Intmap.remove c.inflight c_wire;
+         Common.drop_attempt c.attempts f.f_txn.Txn.id;
          c.report
            (Common.outcome ~txn:f.f_txn ~status:Outcome.Committed
               ~results:(List.rev f.f_results) ~commit_ts:None)
@@ -408,13 +409,13 @@ let cancel c txn =
   match
     Option.bind
       (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Hashtbl.find_opt c.inflight)
+      (Intmap.find_opt c.inflight)
   with
   | None ->
     c.report (Outcome.aborted ~reason:Outcome.Timed_out txn);
     `Cancelled
   | Some f when f.f_phase = Preaccepting ->
-    Hashtbl.remove c.inflight f.f_wire;
+    Intmap.remove c.inflight f.f_wire;
     List.iter
       (fun server -> c.cctx.send ~dst:server (Abort { ab_wire = f.f_wire }))
       f.f_participants;

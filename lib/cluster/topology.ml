@@ -45,13 +45,19 @@ let client_index t id =
 let server_of_key t key = ((key mod t.n_servers) + t.n_servers) mod t.n_servers
 
 (* Group a transaction's operations by participant server, preserving
-   per-server operation order. *)
+   per-server operation order. Ops are taken last to first and consed
+   onto their server's group in a list kept sorted by server, so each
+   group comes out in op order; transactions touch a few servers, so
+   the insertion walk is short. *)
 let ops_by_server t ops =
-  let tbl = Hashtbl.create 8 in
-  List.iter
-    (fun op ->
-      let s = server_of_key t (Kernel.Types.op_key op) in
-      let prev = try Hashtbl.find tbl s with Not_found -> [] in
-      Hashtbl.replace tbl s (op :: prev))
-    ops;
-  List.map (fun (s, ops_rev) -> (s, List.rev ops_rev)) (Kernel.Detmap.sorted_bindings tbl)
+  let rec add s op = function
+    (* ncc-lint: allow R18 — the grouping is the result: a cell per op, a pair per server group *)
+    | ((s', _) as g) :: rest when s' < s -> g :: add s op rest
+    (* ncc-lint: allow R18 — the grouping is the result (as above) *)
+    | (s', l) :: rest when Int.equal s' s -> (s, op :: l) :: rest
+    (* ncc-lint: allow R18 — the grouping is the result (as above) *)
+    | groups -> (s, [ op ]) :: groups
+  in
+  List.fold_left
+    (fun groups op -> add (server_of_key t (Kernel.Types.op_key op)) op groups)
+    [] (List.rev ops)

@@ -474,7 +474,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
       let ctx = Cluster.Net.ctx net id in
       let gen_rng = Sim.Rng.split rng in
       let retry_rng = Sim.Rng.split rng in
-      let inflight = Hashtbl.create 64 in
+      let inflight = Intmap.create () in
       (* forward declaration dance: the client references [report],
          which resubmits through the client *)
       let client_ref = ref None in
@@ -490,7 +490,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
         | Some d ->
           let marker = p.p_attempts in
           Sim.Engine.schedule engine ~delay:d (fun () ->
-              match Hashtbl.find_opt inflight p.p_txn.Txn.id with
+              match Intmap.find_opt inflight p.p_txn.Txn.id with
               | Some p' when p' == p && p.p_attempts = marker -> (
                 match P.cancel (client ()) p.p_txn with
                 | `Cancelled -> ()
@@ -507,13 +507,13 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
         arm_timeout p
       in
       let report (o : Outcome.t) =
-        match Hashtbl.find_opt inflight o.txn.Txn.id with
+        match Intmap.find_opt inflight o.txn.Txn.id with
         | None -> () (* duplicate report; ignore *)
         | Some p ->
           let now = Sim.Engine.now engine in
           (match o.status with
            | Outcome.Committed ->
-             Hashtbl.remove inflight o.txn.Txn.id;
+             Intmap.remove inflight o.txn.Txn.id;
              p.p_live <- false;
              decr inflight_total;
              if Sim.Trace.active () then begin
@@ -550,7 +550,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
                Obs.Metrics.add abort_mx reason_s 1.0;
              p.p_attempts <- p.p_attempts + 1;
              if p.p_attempts > cfg.max_retries then begin
-               Hashtbl.remove inflight o.txn.Txn.id;
+               Intmap.remove inflight o.txn.Txn.id;
                p.p_live <- false;
                decr inflight_total;
                if Sim.Trace.active () then begin
@@ -589,7 +589,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
             | _ -> Sim.Rng.float gen_rng curve_max < curve_mult now
           in
           (if not accepted then ()
-           else if Hashtbl.length inflight >= cfg.max_inflight || admit_capped ()
+           else if Intmap.length inflight >= cfg.max_inflight || admit_capped ()
            then begin
              if admit_capped () then incr shed_admission;
              if Sim.Trace.active () then txn_ev Shed id 0 0;
@@ -607,7 +607,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
                  { p_txn = txn; p_first_start = now; p_attempt_start = now;
                    p_attempts = 0; p_live = true }
                in
-               Hashtbl.replace inflight txn.Txn.id p;
+               Intmap.replace inflight txn.Txn.id p;
                incr inflight_total;
                if checked then ring_push wm_ring now p;
                incr attempts;

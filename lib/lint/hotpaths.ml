@@ -56,6 +56,11 @@ let seeds =
     "Mvstore.Store.chain_write";
     "Mvstore.Store.most_recent_committed";
     "Mvstore.Store.version_at";
+    (* Ncc.Client: the coordinator's per-transaction timestamp
+       pre-assignment and its per-reply handler (Δ and t_ro tracking,
+       then the shot and safeguard logic it drives). *)
+    "Ncc.Client.pre_assign";
+    "Ncc.Client.handle_exec_reply";
     (* Checker.Stream: the per-commit feed path. *)
     "Checker.Stream.observe_version";
     "Checker.Stream.observe_commit";

@@ -15,26 +15,36 @@ open Kernel
 
 type phase = Executing | Retrying
 
+(* A server this attempt has sent a shot to. *)
+type contact = {
+  c_server : Types.node_id;
+  mutable c_sent : int;  (* cumulative ops sent, all shots *)
+  mutable c_round : int;
+      (* last round it answered: a shot number, [sr_round] for the smart
+         retry, 0 for none yet *)
+}
+
+(* Exec replies are ignored once an attempt is retrying, so the smart
+   retry marks its replies in [c_round] with a round no shot uses. *)
+let sr_round = -1
+
 type inflight = {
   f_txn : Txn.t;
   f_wire : int;
   f_ts : Ts.t;
   f_is_ro : bool;
-  f_start : float;  (* true time at submission *)
+  f_before_fail : bool;  (* submitted before [fail_commits_after] *)
   mutable f_phase : phase;
   mutable f_shots : Txn.shot list;  (* remaining static shots *)
   mutable f_dynamic : Txn.continuation option;  (* interactive phase *)
   mutable f_final : bool;  (* the shot in flight is the last one *)
   mutable f_awaiting : int;
   mutable f_round : int;  (* current shot number; stamps Exec messages *)
-  mutable f_replied : Types.node_id list;  (* servers heard this round *)
   mutable f_results : Msg.op_result list;  (* newest first *)
   mutable f_flag : [ `Ok | `Early | `Ro ];
   mutable f_participants : Types.node_id list;
-  f_sent_ops : (Types.node_id, int) Hashtbl.t;  (* cumulative ops per server *)
-  mutable f_contacted : Types.node_id list;
+  mutable f_contacted : contact list;  (* newest first *)
   mutable f_sr_awaiting : int;
-  mutable f_sr_replied : Types.node_id list;
   mutable f_sr_ok : bool;
   mutable f_sr_ts : Ts.t;
 }
@@ -43,10 +53,11 @@ type t = {
   ctx : Msg.msg Cluster.Net.ctx;
   cfg : Msg.config;
   report : Outcome.t -> unit;
-  inflight : (int, inflight) Hashtbl.t;  (* wire id -> state *)
-  attempts : (int, int) Hashtbl.t;       (* txn id -> attempt counter *)
-  delta : (Types.node_id, float) Hashtbl.t;  (* clock/delay gap, ns EWMA *)
-  tro : (Types.node_id, Ts.t) Hashtbl.t;     (* latest-write knowledge *)
+  inflight : inflight Intmap.t;  (* wire id -> state *)
+  attempts : int Intmap.t;       (* txn id -> attempt counter *)
+  delta : float array;
+      (* per server: clock/delay gap, ns EWMA; nan until the first reply *)
+  tro : Ts.t array;  (* per server: latest-write knowledge *)
   mutable n_pass : int;       (* safeguard passed directly *)
   mutable n_sr_commit : int;  (* committed through smart retry *)
   mutable n_sr_abort : int;
@@ -62,10 +73,10 @@ let create cfg ctx ~report =
     ctx;
     cfg;
     report;
-    inflight = Hashtbl.create 64;
-    attempts = Hashtbl.create 64;
-    delta = Hashtbl.create 16;
-    tro = Hashtbl.create 16;
+    inflight = Intmap.create ();
+    attempts = Intmap.create ();
+    delta = Array.make ctx.Cluster.Net.topo.n_servers Float.nan;
+    tro = Array.make ctx.Cluster.Net.topo.n_servers Ts.zero;
     n_pass = 0;
     n_sr_commit = 0;
     n_sr_abort = 0;
@@ -75,8 +86,6 @@ let create cfg ctx ~report =
     n_ro_commit = 0;
     last_time = 0;
   }
-
-let tro_of t server = Option.value ~default:Ts.zero (Hashtbl.find_opt t.tro server)
 
 (* Asynchrony-aware timestamp (§4.3): client clock plus the largest
    measured client->server gap among this transaction's participants,
@@ -88,7 +97,9 @@ let pre_assign t ~participants ~is_ro =
     if not t.cfg.async_aware then 0.0
     else
       List.fold_left
-        (fun acc s -> Float.max acc (Option.value ~default:0.0 (Hashtbl.find_opt t.delta s)))
+        (fun acc s ->
+          let d = t.delta.(s) in
+          if Float.is_nan d then Float.max acc 0.0 else Float.max acc d)
         0.0 participants
   in
   let time = base + int_of_float shift in
@@ -96,7 +107,7 @@ let pre_assign t ~participants ~is_ro =
     (* a read-only transaction whose timestamp is >= every known t_ro is
        guaranteed to pass the safeguard absent ro_aborts (§4.5) *)
     if is_ro then
-      List.fold_left (fun acc s -> max acc ((tro_of t s).Ts.time + 1)) time participants
+      List.fold_left (fun acc s -> max acc (t.tro.(s).Ts.time + 1)) time participants
     else time
   in
   (* timestamps must be unique (§4.1): a client issuing two transactions
@@ -106,62 +117,77 @@ let pre_assign t ~participants ~is_ro =
   t.last_time <- time;
   Ts.make ~time ~cid:t.ctx.self
 
-(* Servers the transaction's *static* shots touch (the asynchrony and
-   read-only pre-assignment heuristics work from these; interactive
-   shots may add participants later). *)
-let participants_of t txn =
-  List.map fst (Cluster.Topology.ops_by_server t.ctx.topo (Txn.ops txn))
-
 let commit_suppressed t f =
   match t.cfg.fail_commits_after with
   | None -> false
-  | Some tf -> f.f_start < tf && Cluster.Net.now t.ctx >= tf
+  | Some tf -> f.f_before_fail && Cluster.Net.now t.ctx >= tf
 
 let send_decide t f ~commit =
   if (not f.f_is_ro) && not (commit_suppressed t f) then
     List.iter
-      (fun s -> t.ctx.send ~dst:s (Msg.Decide { d_wire = f.f_wire; d_commit = commit }))
+      (fun c -> t.ctx.send ~dst:c.c_server (Msg.Decide { d_wire = f.f_wire; d_commit = commit }))
       f.f_contacted
 
+(* One pass over the results, newest first, so consing leaves reads and
+   writes oldest first. *)
 let outcome_of f ~status ~commit_ts =
-  let reads =
-    List.filter_map
-      (fun (r : Msg.op_result) ->
-        if r.r_is_write then None else Some (r.r_key, r.r_vid, r.r_value))
-      (List.rev f.f_results)
+  let rec split reads writes = function
+    | [] -> { Outcome.txn = f.f_txn; status; reads; writes; commit_ts }
+    | (r : Msg.op_result) :: rest ->
+      (* ncc-lint: allow R18 — the outcome's read and write lists are the per-transaction result the harness consumes *)
+      if r.r_is_write then split reads ((r.r_key, r.r_vid) :: writes) rest else split ((r.r_key, r.r_vid, r.r_value) :: reads) writes rest
   in
-  let writes =
-    List.filter_map
-      (fun (r : Msg.op_result) ->
-        if r.r_is_write then Some (r.r_key, r.r_vid) else None)
-      (List.rev f.f_results)
-  in
-  { Outcome.txn = f.f_txn; status; reads; writes; commit_ts }
+  split [] [] f.f_results
 
 let finish_commit t f ~commit_ts =
-  Hashtbl.remove t.inflight f.f_wire;
+  Intmap.remove t.inflight f.f_wire;
   (* A committed transaction is never resubmitted (txn ids are unique
      per generated transaction), so its attempt counter is dead state;
      dropping it here keeps client memory flat over multi-million-txn
      runs. The abort path keeps the counter — a retry of the same txn
      id must draw a fresh wire id. *)
-  Hashtbl.remove t.attempts f.f_txn.Txn.id;
+  Intmap.remove t.attempts f.f_txn.Txn.id;
   if f.f_is_ro then t.n_ro_commit <- t.n_ro_commit + 1;
   send_decide t f ~commit:true;
   (* results are returned to the user in parallel with the commit
      messages, without waiting for acknowledgments (Alg 4.1) *)
+  (* ncc-lint: allow R18 — one option per committed transaction: the outcome's commit timestamp *)
   t.report (outcome_of f ~status:Outcome.Committed ~commit_ts:(Some commit_ts))
 
 let finish_abort t f reason =
-  Hashtbl.remove t.inflight f.f_wire;
+  Intmap.remove t.inflight f.f_wire;
   send_decide t f ~commit:false;
   t.report (outcome_of f ~status:(Outcome.Aborted reason) ~commit_ts:None)
 
-let send_shot t f shot =
-  let by_server = Cluster.Topology.ops_by_server t.ctx.topo shot in
+(* Add [n] ops to [server]'s running count: the new count, or 0 when
+   this attempt has not contacted [server] yet. *)
+let rec add_sent server n = function
+  | [] -> 0
+  | c :: rest ->
+    if Int.equal c.c_server server then begin
+      c.c_sent <- c.c_sent + n;
+      c.c_sent
+    end
+    else add_sent server n rest
+
+(* Mark [server]'s answer to [round]: false if it already answered (a
+   duplicate delivery). A reply to the current round comes from a
+   server that round contacted. *)
+let rec first_reply server round = function
+  | [] -> false
+  | c :: rest ->
+    if Int.equal c.c_server server then
+      if c.c_round = round then false
+      else begin
+        c.c_round <- round;
+        true
+      end
+    else first_reply server round rest
+
+(* Send one shot, already grouped by server. *)
+let send_grouped t f by_server =
   f.f_awaiting <- List.length by_server;
   f.f_round <- f.f_round + 1;
-  f.f_replied <- [];
   let backup =
     (* first participant overall; an all-dynamic transaction has no
        static participants, so fall back to this shot's first server *)
@@ -171,15 +197,18 @@ let send_shot t f shot =
   in
   List.iter
     (fun (server, ops) ->
-      if not (Types.mem_node server f.f_contacted) then
-        f.f_contacted <- server :: f.f_contacted;
-      if not (Types.mem_node server f.f_participants) then
-        f.f_participants <- f.f_participants @ [ server ];
+      let n = List.length ops in
       let sent =
-        List.length ops
-        + Option.value ~default:0 (Hashtbl.find_opt f.f_sent_ops server)
+        match add_sent server n f.f_contacted with
+        | 0 ->
+          (* ncc-lint: allow R18 — one contact per server per attempt, on its first shot there *)
+          f.f_contacted <- { c_server = server; c_sent = n; c_round = 0 } :: f.f_contacted;
+          n
+        | sent -> sent
       in
-      Hashtbl.replace f.f_sent_ops server sent;
+      if not (Types.mem_node server f.f_participants) then
+        (* ncc-lint: allow R18 — only when an interactive shot reaches a server no static shot named *)
+        f.f_participants <- f.f_participants @ [ server ];
       t.ctx.send ~dst:server
         (Msg.Exec
            {
@@ -188,7 +217,7 @@ let send_shot t f shot =
              x_ops = ops;
              x_ts = f.f_ts;
              x_ro = f.f_is_ro;
-             x_tro = tro_of t server;
+             x_tro = t.tro.(server);
              x_client_ns = Cluster.Net.local_ns t.ctx;
              x_backup = backup;
              x_cohorts = f.f_participants;
@@ -198,6 +227,8 @@ let send_shot t f shot =
            }))
     by_server
 
+let send_shot t f shot = send_grouped t f (Cluster.Topology.ops_by_server t.ctx.topo shot)
+
 (* --- safeguard (Alg 4.1, SAFEGUARDCHECK) --------------------------- *)
 
 let safeguard = Msg.safeguard
@@ -206,16 +237,16 @@ let start_smart_retry t f ~ts =
   f.f_phase <- Retrying;
   f.f_sr_ts <- ts;
   f.f_sr_awaiting <- List.length f.f_contacted;
-  f.f_sr_replied <- [];
   f.f_sr_ok <- true;
   List.iter
-    (fun s -> t.ctx.send ~dst:s (Msg.Retry { sr_wire = f.f_wire; sr_ts = ts }))
+    (fun c -> t.ctx.send ~dst:c.c_server (Msg.Retry { sr_wire = f.f_wire; sr_ts = ts }))
     f.f_contacted
 
 (* Reads observed so far, oldest first (input for interactive
    continuations). *)
 let reads_so_far f =
   List.rev_map
+    (* ncc-lint: allow R18 — interactive transactions only: the continuation's input is the read list *)
     (fun (r : Msg.op_result) -> (r.Msg.r_key, r.Msg.r_value))
     (List.filter (fun (r : Msg.op_result) -> not r.Msg.r_is_write) f.f_results)
 
@@ -270,12 +301,19 @@ and decide t f =
 
 let submit t txn =
   let attempt =
-    let a = 1 + Option.value ~default:0 (Hashtbl.find_opt t.attempts txn.Txn.id) in
-    Hashtbl.replace t.attempts txn.Txn.id a;
+    let a =
+      match Intmap.find_opt t.attempts txn.Txn.id with None -> 1 | Some a -> a + 1
+    in
+    Intmap.replace t.attempts txn.Txn.id a;
     a
   in
   let wire = Msg.wire_id ~txn_id:txn.Txn.id ~attempt in
-  let participants = participants_of t txn in
+  (* Servers the transaction's *static* shots touch (the asynchrony and
+     read-only pre-assignment heuristics work from these; interactive
+     shots may add participants later). A one-shot transaction sends
+     exactly this grouping, so it is computed once. *)
+  let grouped = Cluster.Topology.ops_by_server t.ctx.topo (Txn.ops txn) in
+  let participants = List.map fst grouped in
   (* The read-only fast path trades aborts for messages (§4.5). The
      first attempt uses it; if it fails (stale t_ro under a
      write-intensive workload), later attempts fall back to the
@@ -289,43 +327,48 @@ let submit t txn =
       f_wire = wire;
       f_ts = ts;
       f_is_ro = is_ro;
-      f_start = Cluster.Net.now t.ctx;
+      f_before_fail =
+        (match t.cfg.fail_commits_after with
+         | None -> false
+         | Some tf -> Cluster.Net.now t.ctx < tf);
       f_phase = Executing;
       f_shots = txn.Txn.shots;
       f_dynamic = txn.Txn.dynamic;
       f_final = false;
       f_awaiting = 0;
       f_round = 0;
-      f_replied = [];
       f_results = [];
       f_flag = `Ok;
       f_participants = participants;
-      f_sent_ops = Hashtbl.create 4;
       f_contacted = [];
       f_sr_awaiting = 0;
-      f_sr_replied = [];
       f_sr_ok = true;
       f_sr_ts = Ts.zero;
     }
   in
-  Hashtbl.replace t.inflight wire f;
-  advance t f
+  Intmap.replace t.inflight wire f;
+  match txn.Txn.shots, txn.Txn.dynamic with
+  | [ _ ], None ->
+    f.f_shots <- [];
+    f.f_final <- true;
+    send_grouped t f grouped
+  | _ -> advance t f
 
 let handle_exec_reply t (r : Msg.exec_reply) =
   (* asynchrony tracking and latest-write knowledge are updated even
      for stale replies *)
   let sample = float_of_int (r.e_server_ns - r.e_client_ns) in
-  let prev = Option.value ~default:sample (Hashtbl.find_opt t.delta r.e_server) in
-  Hashtbl.replace t.delta r.e_server ((0.8 *. prev) +. (0.2 *. sample));
-  let known = Option.value ~default:Ts.zero (Hashtbl.find_opt t.tro r.e_server) in
-  Hashtbl.replace t.tro r.e_server (Ts.max known r.e_latest_write_tw);
-  match Hashtbl.find_opt t.inflight r.e_wire with
+  let prev = t.delta.(r.e_server) in
+  (* the first sample is blended with itself *)
+  let prev = if Float.is_nan prev then sample else prev in
+  t.delta.(r.e_server) <- (0.8 *. prev) +. (0.2 *. sample);
+  t.tro.(r.e_server) <- Ts.max t.tro.(r.e_server) r.e_latest_write_tw;
+  match Intmap.find_opt t.inflight r.e_wire with
   | None -> ()
   | Some f when f.f_phase <> Executing -> ()
-  | Some f when r.e_round <> f.f_round || Types.mem_node r.e_server f.f_replied ->
+  | Some f when r.e_round <> f.f_round || not (first_reply r.e_server r.e_round f.f_contacted) ->
     () (* stale round, or a duplicate delivery of this round's reply *)
   | Some f ->
-    f.f_replied <- r.e_server :: f.f_replied;
     (match r.e_flag with
      | Msg.Ok -> f.f_results <- List.rev_append r.e_results f.f_results
      | Msg.Early_abort -> f.f_flag <- `Early
@@ -334,12 +377,11 @@ let handle_exec_reply t (r : Msg.exec_reply) =
     if f.f_awaiting = 0 then shot_complete t f
 
 let handle_retry_reply t ~wire ~server ~ok =
-  match Hashtbl.find_opt t.inflight wire with
+  match Intmap.find_opt t.inflight wire with
   | None -> ()
   | Some f when f.f_phase <> Retrying -> ()
-  | Some f when Types.mem_node server f.f_sr_replied -> () (* duplicate delivery *)
+  | Some f when not (first_reply server sr_round f.f_contacted) -> () (* duplicate delivery *)
   | Some f ->
-    f.f_sr_replied <- server :: f.f_sr_replied;
     if not ok then f.f_sr_ok <- false;
     f.f_sr_awaiting <- f.f_sr_awaiting - 1;
     if f.f_sr_awaiting = 0 then
@@ -359,10 +401,10 @@ let handle_retry_reply t ~wire ~server ~ok =
    fresh wire id, so nothing from this attempt can be mistaken for it. *)
 let cancel t txn =
   let f =
-    match Hashtbl.find_opt t.attempts txn.Txn.id with
+    match Intmap.find_opt t.attempts txn.Txn.id with
     | None -> None
     | Some attempt ->
-      Hashtbl.find_opt t.inflight (Msg.wire_id ~txn_id:txn.Txn.id ~attempt)
+      Intmap.find_opt t.inflight (Msg.wire_id ~txn_id:txn.Txn.id ~attempt)
   in
   (match f with
    | Some f -> finish_abort t f Outcome.Timed_out

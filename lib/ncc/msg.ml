@@ -78,26 +78,30 @@ type flag = Ok | Early_abort | Ro_abort
    exactly until its successor's t_w, and [r_prev_vid] certifies the
    adjacency. This is what lets cross-shot read-modify-write
    transactions (whose read replies left the server before the write
-   executed) overlap with themselves; chains of own writes extend
-   transitively. *)
+   executed) overlap with themselves. An extension raises only [r_tr],
+   and the successor side reads only [r_tw], so one pass suffices: each
+   result's [r_tr] rises to the largest [r_tw] among own writes directly
+   after its version, and nothing extends transitively along a chain of
+   own writes. *)
 let extend_own_pairs results =
-  let results = Array.of_list results in
-  let changed = ref true in
-  while !changed do
-    changed := false;
-    Array.iter
+  if not (List.exists (fun r -> r.r_is_write) results) then results
+  else begin
+    (* prev vid -> largest t_w of an own write ordered directly after it *)
+    let succ = Hashtbl.create 8 in
+    List.iter
       (fun w ->
         if w.r_is_write then
-          Array.iteri
-            (fun i r ->
-              if r.r_vid = w.r_prev_vid && Ts.(r.r_tr < w.r_tw) then begin
-                results.(i) <- { r with r_tr = w.r_tw };
-                changed := true
-              end)
-            results)
+          match Hashtbl.find_opt succ w.r_prev_vid with
+          | Some tw when Ts.(tw >= w.r_tw) -> ()
+          | _ -> Hashtbl.replace succ w.r_prev_vid w.r_tw)
+      results;
+    List.map
+      (fun r ->
+        match Hashtbl.find_opt succ r.r_vid with
+        | Some tw when Ts.(r.r_tr < tw) -> { r with r_tr = tw }
+        | _ -> r)
       results
-  done;
-  Array.to_list results
+  end
 
 (* Commit iff the (extended) pairs share a synchronization point; the
    maximal t_w is the commit timestamp / smart-retry suggestion. *)
@@ -105,6 +109,7 @@ let safeguard results =
   let results = extend_own_pairs results in
   let tw_max = List.fold_left (fun acc r -> Ts.max acc r.r_tw) Ts.zero results in
   let tr_min = List.fold_left (fun acc r -> Ts.min acc r.r_tr) Ts.infinity results in
+  (* ncc-lint: allow R18 — one pair per decided transaction: the verdict and its commit timestamp *)
   (Ts.(tw_max <= tr_min), tw_max)
 
 type exec = {

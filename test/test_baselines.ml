@@ -331,8 +331,34 @@ let janus_breaks_mutual_cycle_by_id () =
   Alcotest.(check int) "id order applied" 90
     (Mvstore.Store.most_recent_committed s.Tr.store 0).Mvstore.Store.value
 
+(* A coordinator drops a transaction's attempt counter when it commits:
+   txn ids are never resubmitted after commit, so a kept counter is a
+   per-transaction leak over a long run. *)
+let commit_drops_attempt_counter () =
+  let sent = ref [] in
+  let _, ctx = mk_ctx ~self:2 ~capture:(fun m -> sent := !sent @ [ m ]) () in
+  let reported = ref [] in
+  let c = Docc.make_client ctx ~report:(fun o -> reported := o :: !reported) in
+  let txn = Txn.make ~client:2 [ [ Types.Write (0, 7) ] ] in
+  Docc.submit c txn;
+  Alcotest.(check bool) "counter while in flight" true
+    (Option.is_some (Intmap.find_opt c.Docc.attempts txn.Txn.id));
+  let wire =
+    match !sent with
+    | [ (0, Docc.Prepare { p_wire; _ }) ] -> p_wire
+    | _ -> Alcotest.fail "one Prepare to server 0"
+  in
+  Docc.client_handle c ~src:0 (Docc.Prepare_reply { p_wire = wire; p_ok = true; p_writes = [] });
+  (match !reported with
+   | [ o ] -> Alcotest.(check bool) "committed" true (o.Outcome.status = Outcome.Committed)
+   | _ -> Alcotest.fail "one outcome");
+  Alcotest.(check bool) "counter dropped at commit" false
+    (Option.is_some (Intmap.find_opt c.Docc.attempts txn.Txn.id))
+
 let suite =
   [
+    Alcotest.test_case "commit drops the attempt counter" `Quick
+      commit_drops_attempt_counter;
     Alcotest.test_case "dOCC validation detects stale read" `Quick
       docc_validation_detects_stale_read;
     Alcotest.test_case "dOCC contention window (Fig 2a)" `Quick

@@ -26,6 +26,33 @@ let ops_by_server_groups () =
   let s0 = Types.assoc_node 0 grouped in
   Alcotest.(check (list int)) "server0 order" [ 0; 4 ] (List.map Types.op_key s0)
 
+(* The grouping as first written: a hash table of reversed per-server
+   lists, read back through Detmap in ascending server order. *)
+let ops_by_server_ref (topo : Cluster.Topology.t) ops =
+  let tbl = Hashtbl.create 8 in
+  List.iter
+    (fun op ->
+      let s = Cluster.Topology.server_of_key topo (Types.op_key op) in
+      let prev = try Hashtbl.find tbl s with Not_found -> [] in
+      Hashtbl.replace tbl s (op :: prev))
+    ops;
+  List.map (fun (s, ops_rev) -> (s, List.rev ops_rev)) (Detmap.sorted_bindings tbl)
+
+(* Keys drawn from a small range repeat often; the value tags each op
+   so order within a group is observable. *)
+let ops_by_server_matches_ref =
+  QCheck.Test.make ~name:"ops_by_server equals the hash-table grouping" ~count:500
+    QCheck.(pair (1 -- 64) (list_of_size Gen.(0 -- 40) (pair bool (0 -- 200))))
+    (fun (n_servers, ops) ->
+      let topo = Cluster.Topology.make ~n_servers ~n_clients:1 () in
+      let ops =
+        List.mapi (fun i (w, k) -> if w then Types.Write (k, i) else Types.Read k) ops
+      in
+      List.equal
+        (fun (s, g) (s', g') -> Int.equal s s' && g = g')
+        (Cluster.Topology.ops_by_server topo ops)
+        (ops_by_server_ref topo ops))
+
 let latency_positive =
   QCheck.Test.make ~name:"latency samples positive and above base" ~count:300
     QCheck.(pair (0 -- 6) (0 -- 6))
@@ -98,7 +125,8 @@ let suite =
     Alcotest.test_case "net delivery" `Quick net_delivery;
     Alcotest.test_case "net cpu queueing" `Quick net_cpu_queueing;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ placement_covers_all_servers; latency_positive ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ placement_covers_all_servers; ops_by_server_matches_ref; latency_positive ]
 
 let replica_placement () =
   let t = Cluster.Topology.make ~replicas_per_server:2 ~n_servers:3 ~n_clients:2 () in

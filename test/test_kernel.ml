@@ -52,6 +52,32 @@ let op_helpers () =
   Alcotest.(check bool) "write is write" true (Types.is_write (Types.Write (1, 1)));
   Alcotest.(check bool) "read is not" false (Types.is_write (Types.Read 1))
 
+(* Intmap against an association-list model: random binds, drops and
+   lookups over a small key space (so keys collide and slots shift),
+   enough operations to grow past the first capacity. *)
+let intmap_matches_model =
+  QCheck.Test.make ~name:"Intmap agrees with an assoc-list model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200) (pair (0 -- 2) (-20 -- 60)))
+    (fun cmds ->
+      let m = Intmap.create () in
+      let model = ref [] in
+      List.for_all
+        (fun (op, k) ->
+          (match op with
+           | 0 ->
+             Intmap.replace m k (k * 3);
+             model := (k, k * 3) :: List.remove_assoc k !model
+           | 1 ->
+             Intmap.remove m k;
+             model := List.remove_assoc k !model
+           | _ -> ());
+          Intmap.find_opt m k = List.assoc_opt k !model
+          && Intmap.length m = List.length !model)
+        cmds
+      && List.for_all
+           (fun k -> Intmap.find_opt m k = List.assoc_opt k !model)
+           (List.init 81 (fun i -> i - 20)))
+
 let suite =
   [
     Alcotest.test_case "txn read-only derivation" `Quick txn_read_only_derivation;
@@ -59,4 +85,4 @@ let suite =
     Alcotest.test_case "outcome helpers" `Quick outcome_helpers;
     Alcotest.test_case "op helpers" `Quick op_helpers;
   ]
-  @ [ QCheck_alcotest.to_alcotest wire_ids_unique ]
+  @ List.map QCheck_alcotest.to_alcotest [ wire_ids_unique; intmap_matches_model ]

@@ -68,7 +68,7 @@ let mk_client () =
 let async_aware_shift () =
   let c = mk_client () in
   (* pretend server 2 runs 5000 ns "ahead" of us end to end *)
-  Hashtbl.replace c.Client.delta 2 5000.0;
+  c.Client.delta.(2) <- 5000.0;
   let t0 = Client.pre_assign c ~participants:[ 0; 1 ] ~is_ro:false in
   let t2 = Client.pre_assign c ~participants:[ 0; 2 ] ~is_ro:false in
   (* the per-client monotonic floor lifts a zero clock to 1 *)
@@ -92,13 +92,13 @@ let async_aware_disabled () =
   let c =
     Client.create { Msg.default_config with async_aware = false } ctx ~report:(fun _ -> ())
   in
-  Hashtbl.replace c.Client.delta 2 5000.0;
+  c.Client.delta.(2) <- 5000.0;
   let t = Client.pre_assign c ~participants:[ 2 ] ~is_ro:false in
   Alcotest.(check int) "no shift when disabled (floor only)" 1 t.Ts.time
 
 let ro_ts_covers_tro () =
   let c = mk_client () in
-  Hashtbl.replace c.Client.tro 1 (Ts.make ~time:777 ~cid:0);
+  c.Client.tro.(1) <- Ts.make ~time:777 ~cid:0;
   let t = Client.pre_assign c ~participants:[ 1 ] ~is_ro:true in
   Alcotest.(check bool) "ts above every known t_ro" true (t.Ts.time >= 778)
 
@@ -119,11 +119,67 @@ let ewma_tracks_replies () =
          })
   in
   reply ~server:3 ~server_ns:1000 ~client_ns:0;
-  let d1 = Hashtbl.find c.Client.delta 3 in
+  let d1 = c.Client.delta.(3) in
   Alcotest.(check (float 1e-9)) "first sample adopted" 1000.0 d1;
   reply ~server:3 ~server_ns:2000 ~client_ns:0;
-  let d2 = Hashtbl.find c.Client.delta 3 in
+  let d2 = c.Client.delta.(3) in
   Alcotest.(check (float 1e-9)) "ewma blend" ((0.8 *. 1000.0) +. (0.2 *. 2000.0)) d2
+
+(* [Msg.extend_own_pairs] as first written: a fixpoint that reruns its
+   pass over every (write, result) pair until nothing changes. *)
+let extend_ref results =
+  let results = Array.of_list results in
+  let changed = ref true in
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (w : Msg.op_result) ->
+        if w.r_is_write then
+          Array.iteri
+            (fun i (r : Msg.op_result) ->
+              if r.r_vid = w.r_prev_vid && Ts.(r.r_tr < w.r_tw) then begin
+                results.(i) <- { r with r_tr = w.r_tw };
+                changed := true
+              end)
+            results)
+      results
+  done;
+  Array.to_list results
+
+let safeguard_ref results =
+  let results = extend_ref results in
+  let tw_max = List.fold_left (fun acc (r : Msg.op_result) -> Ts.max acc r.r_tw) Ts.zero results in
+  let tr_min =
+    List.fold_left (fun acc (r : Msg.op_result) -> Ts.min acc r.r_tr) Ts.infinity results
+  in
+  (Ts.(tw_max <= tr_min), tw_max)
+
+(* Random result lists over a small vid space: each entry is a read of
+   vid v or a write creating vid v whose predecessor is another small
+   vid, so reads of a written-over version, own writes chained on own
+   writes, and several writes after one version all occur. *)
+let own_pairs_gen =
+  QCheck.(
+    list_of_size Gen.(0 -- 10)
+      (quad bool (0 -- 6) (0 -- 6) (pair (0 -- 40) (0 -- 40))))
+
+let result_of (w, vid, prev, (a, b)) =
+  {
+    Msg.r_key = vid;
+    r_value = 0;
+    r_vid = vid;
+    r_tw = ts (min a b);
+    r_tr = ts (max a b);
+    r_is_write = w;
+    r_prev_vid = (if w then prev else -1);
+  }
+
+let extend_matches_fixpoint =
+  QCheck.Test.make ~name:"one-pass extension equals the fixpoint" ~count:1000
+    own_pairs_gen (fun l ->
+      let results = List.map result_of l in
+      let ok, tc = Client.safeguard results and ok', tc' = safeguard_ref results in
+      Msg.extend_own_pairs results = extend_ref results && ok = ok' && Ts.equal tc tc')
 
 let suite =
   [
@@ -134,4 +190,4 @@ let suite =
     Alcotest.test_case "ro ts covers tro" `Quick ro_ts_covers_tro;
     Alcotest.test_case "ewma tracks replies" `Quick ewma_tracks_replies;
   ]
-  @ [ QCheck_alcotest.to_alcotest safeguard_boundary_equal ]
+  @ List.map QCheck_alcotest.to_alcotest [ safeguard_boundary_equal; extend_matches_fixpoint ]
