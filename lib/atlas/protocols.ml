@@ -1,8 +1,8 @@
 (* The protocols the atlas sweeps: every non-replicated protocol in
    the tree, ablations and negative control included — a scenario picks
    a subset by name. (The replicated NCC-R variants need
-   replicas_per_server plumbing the knob space doesn't model yet;
-   ROADMAP item 4 is where that lands.) *)
+   replicas_per_server plumbing the knob space doesn't model yet; see
+   docs/atlas.md, "Model".) *)
 
 let all : (string * Harness.Protocol.t) list =
   [

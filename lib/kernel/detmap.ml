@@ -5,7 +5,8 @@
    insertion history — exactly the ambient nondeterminism the
    seed-replay contract (docs/determinism.md, rule R3) forbids. These
    wrappers snapshot the bindings and sort them by key first; every
-   ordering-sensitive traversal in the tree goes through here.
+   ordering-sensitive Hashtbl traversal in the tree goes through here
+   ([Inttbl] tables have only a sorted traversal of their own).
 
    Keys are compared with the polymorphic [Stdlib.compare]: fine for
    the int and string keys used across this codebase. Values are never
@@ -30,8 +31,7 @@ let sorted_keys tbl = List.map fst (sorted_bindings tbl)
 (* --- cached traversal ------------------------------------------------
 
    Sweep hot paths traverse the same table over and over while its key
-   set barely changes (a store's key universe after warmup, a metrics
-   registry after the first sample). Snapshotting and sorting the
+   set barely changes (a metrics registry after the first sample). Snapshotting and sorting the
    bindings on every traversal is O(n log n) plus an allocation per
    binding; a cache holder keeps the sorted key array from the last
    traversal and revalidates it in O(n) with zero allocation.

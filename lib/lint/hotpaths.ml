@@ -3,9 +3,10 @@
    Each entry is a node-key suffix (whole-component match, like the
    other registries): "Sim.Heap.push" matches the binding the sim
    library's Heap module declares under dune's mangled unit name.
-   These are the functions ROADMAP item 1 names as the cluster-scale
-   cost centres — the event heap and clock arithmetic, per-message
-   network dispatch, the store's version lookup, and the streaming
+   These are the cluster-scale cost centres (docs/performance.md,
+   "Allocation discipline: the lint plane") — the event heap and clock
+   arithmetic, per-message network dispatch, the store's version and
+   chain lookup, the NCC server's row lookup, and the streaming
    checker's feed path. They are hot whether or not anyone remembers
    to annotate them; [@ncc.hot] attributes extend this set for
    call-site-specific additions.
@@ -47,7 +48,9 @@ let seeds =
     "Cluster.Net.start_service";
     "Cluster.Net.finish_service";
     (* Mvstore.Store: version lookup, once per read/write; the NCC
-       server reads and writes through chain handles. *)
+       server reads and writes through chain handles, resolved by
+       [chain] (which creates a fresh key's chain). *)
+    "Mvstore.Store.chain";
     "Mvstore.Store.read";
     "Mvstore.Store.write";
     "Mvstore.Store.most_recent";
@@ -56,6 +59,9 @@ let seeds =
     "Mvstore.Store.chain_write";
     "Mvstore.Store.most_recent_committed";
     "Mvstore.Store.version_at";
+    (* Ncc.Server: a key's row, resolved once per executed operation
+       and created on a fresh key. *)
+    "Ncc.Server.row_of";
     (* Ncc.Client: the coordinator's per-transaction timestamp
        pre-assignment and its per-reply handler (Δ and t_ro tracking,
        then the shot and safeguard logic it drives). *)

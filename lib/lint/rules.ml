@@ -60,7 +60,7 @@
    performance-oriented set: it polices the simulator's hot paths — the
    Hotpaths seed registry plus anything carrying an [@ncc.hot]
    attribute — where per-event and per-message allocation is what
-   cluster-scale sweeps (ROADMAP item 1) pay for:
+   cluster-scale sweeps (docs/performance.md, "Cluster scale") pay for:
 
      R16 boxed-float traffic in a hot function: a float ref, a float
          flowing into a tuple / option / list / variant payload, a

@@ -43,14 +43,11 @@ type version = {
 
 (* Oldest first; [vs.(0)] is the initial version. Invariant: the live
    prefix [vs.(0 .. n-1)] is sorted by [tw] (nondecreasing). *)
-type chain = { mutable vs : version array; mutable n : int }
+type chain = { key : Types.key; mutable vs : version array; mutable n : int }
 
 type t = {
-  tbl : (Types.key, chain) Hashtbl.t;
-  kc : Types.key Detmap.cache;
-      (* sorted-key cache for whole-store traversals (gc, checker feed):
-         the key universe stabilises after warmup, so revalidation is
-         O(n) with no sort *)
+  tbl : chain Inttbl.t;
+      (* keyed by [chain.key]; its one empty chain has no versions *)
   mutable created : int;  (* versions created by this store (stats) *)
   mutable on_commit :
     (Types.key -> version -> prev:version option -> next:version option -> unit)
@@ -72,8 +69,16 @@ let fresh_vid () =
   incr c;
   !c
 
+(* A chain bound to no key, holding no versions: the empty value of
+   tables keyed by chain (each caller gets its own). *)
+let empty_chain () = { key = min_int; vs = [||]; n = 0 }
+
 let create () =
-  { tbl = Hashtbl.create 1024; kc = Detmap.cache (); created = 0; on_commit = None }
+  {
+    tbl = Inttbl.keyed ~key:(fun c -> c.key) ~empty:(empty_chain ());
+    created = 0;
+    on_commit = None;
+  }
 
 (* Installing the hook also replays the committed versions of every
    chain that already exists: a protocol may touch its store during
@@ -84,7 +89,7 @@ let create () =
    incrementally built chain would have made. *)
 let set_on_commit t f =
   t.on_commit <- Some f;
-  Detmap.iter_sorted_cached t.kc
+  Inttbl.iter_sorted
     (fun key c ->
       let prev = ref None in
       for i = 0 to c.n - 1 do
@@ -115,17 +120,18 @@ let initial_version () =
    points further down are one-line wrappers over these. *)
 
 let chain t key =
-  match Hashtbl.find_opt t.tbl key with
-  | Some c -> c
-  | None ->
-    let c = { vs = Array.make 4 (initial_version ()); n = 1 } in
-    Hashtbl.add t.tbl key c;
+  let c = Inttbl.find t.tbl key in
+  if c.n > 0 (* not the table's empty chain *) then c
+  else begin
+    let c = { key; vs = Array.make 4 (initial_version ()); n = 1 } in
+    Inttbl.replace t.tbl key c;
     (* the initial version is born committed; announce it so the
        streaming checker learns its vid *)
     (match t.on_commit with
      | Some f -> f key c.vs.(0) ~prev:None ~next:None
      | None -> ());
     c
+  end
 
 (* Insert [v] at position [i], shifting the newer suffix right. *)
 let insert_at c i v =
@@ -305,15 +311,13 @@ let committed_order t key =
   collect (c.n - 1) []
 
 let all_committed_orders t =
-  Detmap.fold_sorted_cached t.kc
-    (fun key _ acc -> (key, committed_order t key) :: acc)
-    t.tbl []
+  Inttbl.fold_sorted (fun key _ acc -> (key, committed_order t key) :: acc) t.tbl []
 
 (* Drop committed versions beyond the [keep] newest entries of each
    chain; undecided versions and the chain terminator are never
    dropped. *)
 let gc ?(keep = 8) t =
-  Detmap.iter_sorted_cached t.kc
+  Inttbl.iter_sorted
     (fun _ c ->
       let w = ref 0 in
       for i = 0 to c.n - 1 do

@@ -34,6 +34,11 @@ type chain
     committed initial version, announced to the [on_commit] hook. *)
 val chain : t -> Types.key -> chain
 
+(** A fresh chain bound to no key and holding no version, for a
+    caller's own "no chain here" value. No [chain_*] function may be
+    applied to it. *)
+val empty_chain : unit -> chain
+
 (** The most recent version (any status). *)
 val chain_head : chain -> version
 

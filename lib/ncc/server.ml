@@ -109,7 +109,7 @@ type t = {
   ctx : Msg.msg Cluster.Net.ctx;
   cfg : Msg.config;
   store : Store.t;
-  rows : (Types.key, row) Hashtbl.t;
+  rows : row Inttbl.t;  (* keyed by [rw_key] *)
   txns : (int, txn_rec) Hashtbl.t;  (* undecided wire transactions *)
   decided : (int, bool) Hashtbl.t;  (* wire -> committed?, horizon-bounded *)
   mutable dec_ring : int array;  (* FIFO of recorded wires *)
@@ -136,7 +136,16 @@ let create cfg ctx =
     ctx;
     cfg;
     store = Store.create ();
-    rows = Hashtbl.create 1024;
+    rows =
+      Inttbl.keyed ~key:(fun r -> r.rw_key)
+        ~empty:
+          {
+            rw_key = min_int;
+            rw_chain = Store.empty_chain ();
+            rw_pending = [];
+            rw_max_seen = Ts.zero;
+            rw_readers = [];
+          };
     txns = Hashtbl.create 256;
     decided = Hashtbl.create 4096;
     dec_ring = Array.make 1024 0;
@@ -159,15 +168,16 @@ let create cfg ctx =
 
 (* The key's row, created (with its chain) on first access. *)
 let row_of t key =
-  match Hashtbl.find_opt t.rows key with
-  | Some r -> r
-  | None ->
+  let r = Inttbl.find t.rows key in
+  if r != Inttbl.absent t.rows then r
+  else begin
     let chain = Store.chain t.store key in
     let r =
       { rw_key = key; rw_chain = chain; rw_pending = []; rw_max_seen = Ts.zero; rw_readers = [] }
     in
-    Hashtbl.add t.rows key r;
+    Inttbl.replace t.rows key r;
     r
+  end
 
 (* --- reply dispatch ------------------------------------------------ *)
 
@@ -518,13 +528,15 @@ let exec_read_write t ~src (x : Msg.exec) =
        at the key's first store access in op order. *)
     let ops = Array.of_list x.x_ops in
     let n = Array.length ops in
-    let rows = Array.map (fun op -> Hashtbl.find_opt t.rows (Types.op_key op)) ops in
+    let rows = Array.map (fun op -> Inttbl.find t.rows (Types.op_key op)) ops in
+    let fresh = Inttbl.absent t.rows in
     (* early abort (§4.2): a late-timestamped request that would have to
-       wait behind others is refused outright, breaking circular waits *)
+       wait behind others is refused outright, breaking circular waits.
+       A fresh row's max_seen is zero, below every coordinator
+       timestamp. *)
     let late_and_blocked slot =
-      match rows.(slot) with
-      | Some row -> Ts.(x.x_ts < row.rw_max_seen) && blocked_now row ~wire:x.x_wire ops.(slot)
-      | None -> false (* a fresh row's max_seen is zero, below every coordinator timestamp *)
+      let row = rows.(slot) in
+      row != fresh && Ts.(x.x_ts < row.rw_max_seen) && blocked_now row ~wire:x.x_wire ops.(slot)
     in
     let rec any_late slot = slot < n && (late_and_blocked slot || any_late (slot + 1)) in
     if t.cfg.early_abort && any_late 0 then begin
@@ -567,9 +579,7 @@ let exec_read_write t ~src (x : Msg.exec) =
       in
       Array.iteri
         (fun slot op ->
-          let row =
-            match rows.(slot) with Some r -> r | None -> row_of t (Types.op_key op)
-          in
+          let row = if rows.(slot) != fresh then rows.(slot) else row_of t (Types.op_key op) in
           row.rw_max_seen <- Ts.max row.rw_max_seen x.x_ts;
           t.n_ops <- t.n_ops + 1;
           let is_write = Types.is_write op in

@@ -241,7 +241,7 @@ let ncc_server_liveness =
       in
       (* no row keeps an unsent item or an undecided reader *)
       let no_pending =
-        Detmap.fold_sorted
+        Inttbl.fold_sorted
           (fun _ row acc ->
             acc && row.Ncc.Server.rw_pending = [] && row.Ncc.Server.rw_readers = [])
           server.Ncc.Server.rows true

@@ -78,6 +78,77 @@ let intmap_matches_model =
            (fun k -> Intmap.find_opt m k = List.assoc_opt k !model)
            (List.init 81 (fun i -> i - 20)))
 
+(* Inttbl against a Hashtbl model, on keys built to collide: every
+   key of a case shares one residue modulo 8 (as TPC-C's keys do on one
+   of 8 servers), plus keys whose Fibonacci home is the last, next to
+   last or first slot of the array at every capacity, so probe runs
+   wrap around the array end and removals shift bindings across it.
+   Both layouts run the same commands; after every step the length,
+   every lookup and the sorted traversal must match the model. *)
+let fib_home ~bits k = (k * 0x4F1BBCDCBFA53E0B) lsr (Sys.int_size - bits)
+
+(* The first [n] non-negative keys whose 5-bit home is [slot]. *)
+let keys_homing slot n =
+  let rec go k acc n =
+    if n = 0 then List.rev acc
+    else if fib_home ~bits:5 k = slot then go (k + 1) (k :: acc) (n - 1)
+    else go (k + 1) acc n
+  in
+  go 0 [] n
+
+let wrap_keys = Array.of_list (keys_homing 31 10 @ keys_homing 30 4 @ keys_homing 0 6)
+
+let inttbl_matches_model =
+  QCheck.Test.make ~name:"Inttbl agrees with a Hashtbl model" ~count:300
+    QCheck.(pair (0 -- 7) (list_of_size Gen.(0 -- 300) (triple (0 -- 2) bool (0 -- 39))))
+    (fun (h, cmds) ->
+      let key wrap j =
+        if wrap then wrap_keys.(j mod Array.length wrap_keys) else (8 * j) + h
+      in
+      let pool = List.init 40 (key false) @ Array.to_list wrap_keys in
+      let pairs = Inttbl.create ~empty:(-1) in
+      let keyed = Inttbl.keyed ~key:fst ~empty:(min_int, 0) in
+      let model = Hashtbl.create 16 in
+      let lookups_agree k =
+        match Hashtbl.find_opt model k with
+        | Some v ->
+          Inttbl.find pairs k = v
+          && snd (Inttbl.find keyed k) = v
+          && Inttbl.mem pairs k && Inttbl.mem keyed k
+        | None ->
+          Inttbl.find pairs k = -1
+          && Inttbl.find keyed k == Inttbl.absent keyed
+          && (not (Inttbl.mem pairs k))
+          && not (Inttbl.mem keyed k)
+      in
+      let agree () =
+        let sorted = Detmap.sorted_bindings model in
+        Inttbl.length pairs = Hashtbl.length model
+        && Inttbl.length keyed = Hashtbl.length model
+        && List.for_all lookups_agree pool
+        && List.rev (Inttbl.fold_sorted (fun k v acc -> (k, v) :: acc) pairs []) = sorted
+        && List.rev
+             (Inttbl.fold_sorted
+                (fun k (k', v) acc -> if k = k' then (k, v) :: acc else (k, -1) :: acc)
+                keyed [])
+           = sorted
+        && List.map fst sorted = Detmap.sorted_keys model
+      in
+      List.for_all
+        (fun (step, (op, wrap, j)) ->
+          let k = key wrap j in
+          (match op with
+           | 0 | 1 ->
+             Inttbl.replace pairs k step;
+             Inttbl.replace keyed k (k, step);
+             Hashtbl.replace model k step
+           | _ ->
+             Inttbl.remove pairs k;
+             Inttbl.remove keyed k;
+             Hashtbl.remove model k);
+          agree ())
+        (List.mapi (fun step c -> (step, c)) cmds))
+
 let suite =
   [
     Alcotest.test_case "txn read-only derivation" `Quick txn_read_only_derivation;
@@ -85,4 +156,4 @@ let suite =
     Alcotest.test_case "outcome helpers" `Quick outcome_helpers;
     Alcotest.test_case "op helpers" `Quick op_helpers;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ wire_ids_unique; intmap_matches_model ]
+  @ List.map QCheck_alcotest.to_alcotest [ wire_ids_unique; intmap_matches_model; inttbl_matches_model ]
