@@ -225,6 +225,37 @@ let checker_spans () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "checked-run trace invalid: %s" e
 
+(* The `ncc_sim profile -w tpcc --check on` document, byte for byte:
+   the profile preset's config (4 servers, 8 clients, 2k txn/s over
+   0.2 s, seed 42) on TPC-C, so per-node counters, the per-node
+   cpu.busy_s gauges, aborts.<reason> and the checker gauges all
+   appear. The three gc.* gauges measure the host and are zeroed. *)
+let profile_golden () =
+  let module R = Harness.Runner in
+  let cfg =
+    {
+      R.default with
+      R.n_servers = 4;
+      n_clients = 8;
+      offered_load = 2_000.0;
+      duration = 0.2;
+      warmup = 0.05;
+      drain = 0.05;
+      check = R.Streaming;
+    }
+  in
+  let mk =
+    match Workload.Registry.find ~n_servers:cfg.R.n_servers "tpcc" with
+    | Some mk -> mk
+    | None -> Alcotest.fail "tpcc workload not registered"
+  in
+  let mx = Obs.Metrics.create () in
+  let r = R.run ~label:"NCC" ~metrics:mx Ncc.protocol (mk ()) cfg in
+  List.iter
+    (fun g -> Obs.Metrics.set_gauge mx g 0.0)
+    [ "gc.minor_words"; "gc.major_collections"; "gc.top_heap_words" ];
+  Golden.check ~name:"profile_ncc_tpcc.json" (Harness.Report.profile_json r mx)
+
 (* --- observer effect --------------------------------------------------- *)
 
 (* Tracing with every reader on (ring, digest and span capture) plus a
@@ -319,6 +350,8 @@ let suite =
     Alcotest.test_case "metrics registry" `Quick metrics_registry;
     Alcotest.test_case "exporter goldens (tiny NCC run)" `Quick exporter_goldens;
     Alcotest.test_case "checker spans of a streaming run" `Quick checker_spans;
+    Alcotest.test_case "profile document golden (NCC TPC-C, checked)" `Quick
+      profile_golden;
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
