@@ -370,25 +370,6 @@ let micro () =
            Sim.Engine.run engine;
            assert (!served = 100)))
   in
-  (* Sorted whole-table traversal: the per-store key cache vs a
-     fresh sort every call (the pre-cache behavior). *)
-  let tbl = Hashtbl.create 1024 in
-  for i = 1 to 1000 do
-    Hashtbl.replace tbl (i * 7919 mod 4096) i
-  done;
-  let detmap_uncached =
-    Test.make ~name:"detmap.iter_sorted 1k keys"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           Kernel.Detmap.iter_sorted (fun _ v -> acc := !acc + v) tbl))
-  in
-  let detmap_cached =
-    let kc = Kernel.Detmap.cache () in
-    Test.make ~name:"detmap.iter_sorted_cached 1k keys"
-      (Staged.stage (fun () ->
-           let acc = ref 0 in
-           Kernel.Detmap.iter_sorted_cached kc (fun _ v -> acc := !acc + v) tbl))
-  in
   let checker =
     Test.make ~name:"checker 1k-txn history"
       (Staged.stage (fun () ->
@@ -443,8 +424,6 @@ let micro () =
       store_lookup_deep;
       store_lookup_linear_ref;
       net_dispatch;
-      detmap_uncached;
-      detmap_cached;
       safeguard;
       heap;
       heap_drain;

@@ -690,10 +690,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
   List.iter
     (fun (id, srv) -> Obs.Metrics.add_list mx ~node:id (P.server_counters srv))
     servers;
-  (* downto: the historical assoc list was consed in creation order and
-     drained head-first, i.e. last client first — keep that order so
-     float accumulation in the counter registry is bit-identical *)
-  for ci = cfg.n_clients - 1 downto 0 do
+  for ci = 0 to cfg.n_clients - 1 do
     match clients.(ci) with
     | Some (id, cl) -> Obs.Metrics.add_list mx ~node:id (P.client_counters cl)
     | None -> ()

@@ -43,11 +43,21 @@ type version = {
 
 (* Oldest first; [vs.(0)] is the initial version. Invariant: the live
    prefix [vs.(0 .. n-1)] is sorted by [tw] (nondecreasing). *)
-type chain = { key : Types.key; mutable vs : version array; mutable n : int }
+type chain = {
+  key : Types.key;
+  mutable vs : version array;
+  mutable n : int;
+  mutable written_next : chain;
+      (* link of the store's written list (the chains that ever held a
+         version beyond the initial one); the list's last chain links
+         to itself, and a chain not on the list links to the table's
+         empty chain *)
+}
 
 type t = {
   tbl : chain Inttbl.t;
       (* keyed by [chain.key]; its one empty chain has no versions *)
+  mutable written : chain;  (* head of the written list, or the empty chain *)
   mutable created : int;  (* versions created by this store (stats) *)
   mutable on_commit :
     (Types.key -> version -> prev:version option -> next:version option -> unit)
@@ -71,14 +81,28 @@ let fresh_vid () =
 
 (* A chain bound to no key, holding no versions: the empty value of
    tables keyed by chain (each caller gets its own). *)
-let empty_chain () = { key = min_int; vs = [||]; n = 0 }
+let empty_chain () =
+  let rec c = { key = min_int; vs = [||]; n = 0; written_next = c } in
+  c
 
 let create () =
+  let empty = empty_chain () in
   {
-    tbl = Inttbl.keyed ~key:(fun c -> c.key) ~empty:(empty_chain ());
+    tbl = Inttbl.keyed ~key:(fun c -> c.key) ~empty;
+    written = empty;
     created = 0;
     on_commit = None;
   }
+
+(* Put [c] on the written list when it first takes a version beyond
+   its initial one: [gc] visits only these chains, as a chain that
+   never held a write has nothing to drop. *)
+let note_written t c =
+  let unlisted = Inttbl.absent t.tbl in
+  if c.written_next == unlisted then begin
+    c.written_next <- (if t.written == unlisted then c else t.written);
+    t.written <- c
+  end
 
 (* Installing the hook also replays the committed versions of every
    chain that already exists: a protocol may touch its store during
@@ -123,7 +147,14 @@ let chain t key =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 (* not the table's empty chain *) then c
   else begin
-    let c = { key; vs = Array.make 4 (initial_version ()); n = 1 } in
+    let c =
+      {
+        key;
+        vs = Array.make 4 (initial_version ());
+        n = 1;
+        written_next = Inttbl.absent t.tbl;
+      }
+    in
     Inttbl.replace t.tbl key c;
     (* the initial version is born committed; announce it so the
        streaming checker learns its vid *)
@@ -180,6 +211,7 @@ let chain_write t c value ~ts ~writer =
     { vid = fresh_vid (); value; tw; tr = tw; status = Undecided; writer; parked = [] }
   in
   insert_at c c.n v;
+  note_written t c;
   t.created <- t.created + 1;
   v
 
@@ -289,6 +321,7 @@ let insert_ordered t key value ~tw ~writer =
     { vid = fresh_vid (); value; tw; tr = tw; status = Undecided; writer; parked = [] }
   in
   insert_at c (find_at c ~ts:tw + 1) v;
+  note_written t c;
   t.created <- t.created + 1;
   v
 
@@ -315,22 +348,24 @@ let all_committed_orders t =
 
 (* Drop committed versions beyond the [keep] newest entries of each
    chain; undecided versions and the chain terminator are never
-   dropped. *)
+   dropped. Only the written list is walked: each chain is truncated
+   on its own, so the visit order cannot matter. *)
 let gc ?(keep = 8) t =
-  Inttbl.iter_sorted
-    (fun _ c ->
-      let w = ref 0 in
-      for i = 0 to c.n - 1 do
-        let v = c.vs.(i) in
-        if i = 0 || v.status = Undecided || c.n - 1 - i < keep then begin
-          c.vs.(!w) <- v;
-          incr w
-        end
-      done;
-      for i = !w to c.n - 1 do
-        c.vs.(i) <- c.vs.(0)
-      done;
-      c.n <- !w)
-    t.tbl
+  let rec sweep c =
+    let w = ref 0 in
+    for i = 0 to c.n - 1 do
+      let v = c.vs.(i) in
+      if i = 0 || v.status = Undecided || c.n - 1 - i < keep then begin
+        c.vs.(!w) <- v;
+        incr w
+      end
+    done;
+    for i = !w to c.n - 1 do
+      c.vs.(i) <- c.vs.(0)
+    done;
+    c.n <- !w;
+    if c.written_next != c then sweep c.written_next
+  in
+  if t.written != Inttbl.absent t.tbl then sweep t.written
 
 let chain_length t key = (chain t key).n

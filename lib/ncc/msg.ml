@@ -34,7 +34,6 @@ type config = {
          true time never send their commit/abort messages *)
   recovery_timeout : float option;
       (* backup-coordinator timeout for undecided transactions (§4.6) *)
-  gc_every : int;         (* run store GC every n decides; 0 = never *)
 }
 
 let default_config =
@@ -47,7 +46,6 @@ let default_config =
     rtc = true;
     fail_commits_after = None;
     recovery_timeout = None;
-    gc_every = 0;
   }
 
 type op_result = {

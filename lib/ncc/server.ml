@@ -126,7 +126,6 @@ type t = {
   mutable n_replies_delayed : int;
   mutable n_sr_ok : int;
   mutable n_sr_fail : int;
-  mutable n_decides : int;
   mutable n_recoveries : int;
   mutable n_read_fixes : int;
 }
@@ -161,7 +160,6 @@ let create cfg ctx =
     n_replies_delayed = 0;
     n_sr_ok = 0;
     n_sr_fail = 0;
-    n_decides = 0;
     n_recoveries = 0;
     n_read_fixes = 0;
   }
@@ -356,7 +354,6 @@ let record_decided t wire commit =
 let apply_decision t ~wire ~commit =
   if not (Hashtbl.mem t.decided wire) then begin
     record_decided t wire commit;
-    t.n_decides <- t.n_decides + 1;
     match Hashtbl.find_opt t.txns wire with
     | None -> ()
     | Some rec_ ->
@@ -397,9 +394,7 @@ let apply_decision t ~wire ~commit =
           [] rec_.tr_accesses
       in
       List.iter (reeval t)
-        (List.sort_uniq (fun a b -> Int.compare a.rw_key b.rw_key) touched);
-      if t.cfg.gc_every > 0 && t.n_decides mod t.cfg.gc_every = 0 then
-        Store.gc ~keep:8 t.store
+        (List.sort_uniq (fun a b -> Int.compare a.rw_key b.rw_key) touched)
   end
 
 (* --- execution ------------------------------------------------------ *)

@@ -11,64 +11,83 @@
 
    Node scope: [?node] defaults to [-1], the run scope. The same name
    may exist at several nodes; [counter_totals] sums a family across
-   nodes in sorted (name, node) order, which is how the harness feeds
+   nodes in node order, which is how the harness feeds
    Runner.result.counters unchanged.
 
-   All traversal goes through Kernel.Detmap (rule R3); lookups by
-   (string * int) key use Hashtbl's structural hash on values that
-   contain no floats or closures. *)
+   Storage is flat: a counter or gauge family is one float array
+   indexed by [node + 1] (the run scope is slot 0) with a presence
+   mark per slot, so filing a run's per-node cells costs one
+   name lookup each and no per-cell key. The read side sorts the
+   family names (Kernel.Detmap, rule R3) and walks each family's
+   slots in order: (name, node) ascending, run scope first.
+   Histograms are few and keep a (name, node) table. *)
 
-type counter = { mutable c_v : float }
-type gauge = { mutable g_v : float }
+(* A family's cells: [v.(node + 1)], present where [mark] is set (a
+   created cell that was never incremented still reads 0.0 and is
+   still listed). *)
+type family = { mutable v : float array; mutable mark : Bytes.t }
+
+(* A handle on one cell: the family, whose arrays may grow, and the
+   slot. *)
+type counter = { fam : family; slot : int }
+type gauge = counter
 
 type t = {
-  counters : (string * int, counter) Hashtbl.t;
-  gauges : (string * int, gauge) Hashtbl.t;
+  counters : (string, family) Hashtbl.t;
+  gauges : (string, family) Hashtbl.t;
   hists : (string * int, Stats.Hist.t) Hashtbl.t;
-  (* sorted-key caches for the snapshot reads: the name universe
-     stabilises after the first samples, so per-sample traversals
-     revalidate in O(n) instead of re-sorting *)
-  counters_kc : (string * int) Kernel.Detmap.cache;
-  gauges_kc : (string * int) Kernel.Detmap.cache;
 }
 
 let create () =
-  {
-    counters = Hashtbl.create 64;
-    gauges = Hashtbl.create 16;
-    hists = Hashtbl.create 8;
-    counters_kc = Kernel.Detmap.cache ();
-    gauges_kc = Kernel.Detmap.cache ();
-  }
+  { counters = Hashtbl.create 64; gauges = Hashtbl.create 16; hists = Hashtbl.create 8 }
 
 let run_scope = -1
 
-let counter t ?(node = run_scope) name =
-  let key = (name, node) in
-  match Hashtbl.find_opt t.counters key with
-  | Some c -> c
+let family tbl name =
+  match Hashtbl.find_opt tbl name with
+  | Some f -> f
   | None ->
-    let c = { c_v = 0.0 } in
-    Hashtbl.replace t.counters key c;
-    c
+    let f = { v = [||]; mark = Bytes.empty } in
+    Hashtbl.replace tbl name f;
+    f
 
-let inc c v = c.c_v <- c.c_v +. v
+(* Get-or-create [node]'s cell in [fam]: its slot. A node below
+   [run_scope] fails the bounds check of [Bytes.set]. *)
+let slot fam node =
+  let i = node + 1 in
+  let n = Array.length fam.v in
+  if i >= n then begin
+    let n' = max (i + 1) (2 * n) in
+    let v = Array.make n' 0.0 and mark = Bytes.make n' '\000' in
+    Array.blit fam.v 0 v 0 n;
+    Bytes.blit fam.mark 0 mark 0 n;
+    fam.v <- v;
+    fam.mark <- mark
+  end;
+  Bytes.set fam.mark i '\001';
+  i
+
+let cell tbl node name =
+  let fam = family tbl name in
+  { fam; slot = slot fam node }
+
+let counter t ?(node = run_scope) name = cell t.counters node name
+
+let inc c v = c.fam.v.(c.slot) <- c.fam.v.(c.slot) +. v
 
 (* One-shot increment (get-or-create then add). *)
-let add t ?node name v = inc (counter t ?node name) v
+let add t ?(node = run_scope) name v =
+  let fam = family t.counters name in
+  let i = slot fam node in
+  fam.v.(i) <- fam.v.(i) +. v
 
 let add_list t ?node l = List.iter (fun (name, v) -> add t ?node name v) l
 
-let gauge t ?(node = run_scope) name =
-  let key = (name, node) in
-  match Hashtbl.find_opt t.gauges key with
-  | Some g -> g
-  | None ->
-    let g = { g_v = 0.0 } in
-    Hashtbl.replace t.gauges key g;
-    g
+let gauge t ?(node = run_scope) name = cell t.gauges node name
 
-let set_gauge t ?node name v = (gauge t ?node name).g_v <- v
+let set_gauge t ?(node = run_scope) name v =
+  let fam = family t.gauges name in
+  fam.v.(slot fam node) <- v
 
 let hist t ?(node = run_scope) name =
   let key = (name, node) in
@@ -83,31 +102,31 @@ let observe t ?node name v = Stats.Hist.add (hist t ?node name) v
 
 (* --- read side ------------------------------------------------------- *)
 
-let counters t =
-  Kernel.Detmap.fold_sorted_cached t.counters_kc
-    (fun k c acc -> (k, c.c_v) :: acc)
-    t.counters []
-  |> List.rev
+(* Fold over a family's present cells in node order. *)
+let fold_family f fam acc =
+  let acc = ref acc in
+  for i = 0 to Array.length fam.v - 1 do
+    if Bytes.get fam.mark i <> '\000' then acc := f (i - 1) fam.v.(i) !acc
+  done;
+  !acc
 
-let gauges t =
-  Kernel.Detmap.fold_sorted_cached t.gauges_kc
-    (fun k g acc -> (k, g.g_v) :: acc)
-    t.gauges []
-  |> List.rev
+let cells tbl =
+  List.concat_map
+    (fun (name, fam) ->
+      List.rev (fold_family (fun node v acc -> ((name, node), v) :: acc) fam []))
+    (Kernel.Detmap.sorted_bindings tbl)
 
+let counters t = cells t.counters
+let gauges t = cells t.gauges
 let hists t = Kernel.Detmap.sorted_bindings t.hists
 
 (* Families summed across nodes, sorted by name — the historical
    Runner.result.counters shape. Per-node cells are summed in
    ascending node order. *)
 let counter_totals t =
-  let tot = Hashtbl.create 32 in
-  List.iter
-    (fun ((name, _node), v) ->
-      Hashtbl.replace tot name
-        (v +. Option.value ~default:0.0 (Hashtbl.find_opt tot name)))
-    (counters t);
-  Kernel.Detmap.sorted_bindings tot
+  List.map
+    (fun (name, fam) -> (name, fold_family (fun _ v tot -> v +. tot) fam 0.0))
+    (Kernel.Detmap.sorted_bindings t.counters)
 
 (* --- JSON ------------------------------------------------------------- *)
 

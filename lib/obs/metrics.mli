@@ -13,7 +13,8 @@ val create : unit -> t
 (** The pseudo-node for run-scoped (node-less) metrics. *)
 val run_scope : int
 
-(** Get-or-create. [node] defaults to {!run_scope}. *)
+(** Get-or-create. [node] defaults to {!run_scope}; below it raises
+    [Invalid_argument]. *)
 val counter : t -> ?node:int -> string -> counter
 
 val inc : counter -> float -> unit

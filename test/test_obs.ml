@@ -149,6 +149,128 @@ let metrics_registry () =
   Alcotest.(check (float 0.0)) "empty p999" 0.0 (Stats.Hist.p999 e);
   Alcotest.(check (float 0.0)) "empty p50" 0.0 (Stats.Hist.percentile e 0.5)
 
+(* The registry keeps counters and gauges in flat per-family arrays.
+   This is the (name, node)-keyed table registry it replaced, with
+   every read of the same shape; random operation sequences must read
+   back identically from both, to the float bits and the JSON bytes. *)
+module Table_registry = struct
+  module J = Obs.Jsonw
+
+  type t = {
+    counters : (string * int, float ref) Hashtbl.t;
+    gauges : (string * int, float ref) Hashtbl.t;
+    hists : (string * int, Stats.Hist.t) Hashtbl.t;
+  }
+
+  let create () =
+    { counters = Hashtbl.create 8; gauges = Hashtbl.create 8; hists = Hashtbl.create 8 }
+
+  let get tbl mk key =
+    match Hashtbl.find_opt tbl key with
+    | Some c -> c
+    | None ->
+      let c = mk () in
+      Hashtbl.replace tbl key c;
+      c
+
+  let counter t node name = get t.counters (fun () -> ref 0.0) (name, node)
+  let add t node name v = let c = counter t node name in c := !c +. v
+  let set_gauge t node name v = get t.gauges (fun () -> ref 0.0) (name, node) := v
+  let observe t node name v = Stats.Hist.add (get t.hists Stats.Hist.create (name, node)) v
+  let cells tbl = List.map (fun (k, c) -> (k, !c)) (Detmap.sorted_bindings tbl)
+  let counters t = cells t.counters
+  let gauges t = cells t.gauges
+
+  let counter_totals t =
+    let tot = Hashtbl.create 8 in
+    List.iter
+      (fun ((name, _), v) ->
+        Hashtbl.replace tot name
+          (v +. Option.value ~default:0.0 (Hashtbl.find_opt tot name)))
+      (counters t);
+    Detmap.sorted_bindings tot
+
+  let to_json t =
+    let scope node = if node = -1 then J.Null else J.Int node in
+    let hist h =
+      let q p = J.Float (Stats.Hist.percentile h p) in
+      J.Obj
+        [
+          ("count", J.Int (Stats.Hist.count h));
+          ("mean", J.Float (Stats.Hist.mean h));
+          ("min", J.Float (Stats.Hist.min_value h));
+          ("max", J.Float (Stats.Hist.max_value h));
+          ("p50", q 0.50);
+          ("p90", q 0.90);
+          ("p99", q 0.99);
+          ("p999", q 0.999);
+        ]
+    in
+    let scoped f l =
+      J.List
+        (List.map
+           (fun ((name, node), v) ->
+             J.Obj [ ("name", J.Str name); ("node", scope node); ("value", f v) ])
+           l)
+    in
+    J.Obj
+      [
+        ("totals", J.Obj (List.map (fun (k, v) -> (k, J.Float v)) (counter_totals t)));
+        ("counters", scoped (fun v -> J.Float v) (counters t));
+        ("gauges", scoped (fun v -> J.Float v) (gauges t));
+        ("histograms", scoped hist (Detmap.sorted_bindings t.hists));
+      ]
+end
+
+type metric_op =
+  | Add of int * string * float
+  | Inc of int * string * float  (* through a [counter] handle *)
+  | Set of int * string * float
+  | Observe of int * string * float
+
+let flat_registry_matches_table =
+  let op =
+    QCheck.Gen.(
+      let node = oneofl [ -1; 0; 1; 2; 3; 10_000 ] in
+      let name = oneofl [ "execs"; "net.dropped"; "a"; "cpu.busy_s"; "z.z" ] in
+      let v = oneofl [ 0.0; 1.0; 0.1; 3.0; 1e-7; 2.5e9; -0.25 ] in
+      let cell k = map3 k node name v in
+      frequency
+        [
+          (4, cell (fun n s v -> Add (n, s, v)));
+          (2, cell (fun n s v -> Inc (n, s, v)));
+          (3, cell (fun n s v -> Set (n, s, v)));
+          (1, cell (fun n s v -> Observe (n, s, Float.abs v +. 1e-6)));
+        ])
+  in
+  QCheck.Test.make ~name:"flat metrics registry = (name, node) table registry"
+    ~count:300
+    (QCheck.make QCheck.Gen.(list_size (0 -- 60) op))
+    (fun script ->
+      let m = Obs.Metrics.create () and r = Table_registry.create () in
+      List.iter
+        (function
+          | Add (node, name, v) ->
+            Obs.Metrics.add m ~node name v;
+            Table_registry.add r node name v
+          | Inc (node, name, v) ->
+            Obs.Metrics.inc (Obs.Metrics.counter m ~node name) v;
+            Table_registry.add r node name v
+          | Set (node, name, v) ->
+            Obs.Metrics.set_gauge m ~node name v;
+            Table_registry.set_gauge r node name v
+          | Observe (node, name, v) ->
+            Obs.Metrics.observe m ~node name v;
+            Table_registry.observe r node name v)
+        script;
+      let bits l = List.map (fun (k, v) -> (k, Int64.bits_of_float v)) l in
+      bits (Obs.Metrics.counters m) = bits (Table_registry.counters r)
+      && bits (Obs.Metrics.gauges m) = bits (Table_registry.gauges r)
+      && bits (Obs.Metrics.counter_totals m) = bits (Table_registry.counter_totals r)
+      && String.equal
+           (Obs.Jsonw.to_string (Obs.Metrics.to_json m))
+           (Obs.Jsonw.to_string (Table_registry.to_json r)))
+
 (* --- exporter golden files over a tiny deterministic run -------------- *)
 
 (* Two servers, two clients, two transactions through the Testbed with
@@ -355,6 +477,7 @@ let suite =
   ]
   @ List.map QCheck_alcotest.to_alcotest
       [
+        flat_registry_matches_table;
         observer_effect ("NCC", Ncc.protocol);
         observer_effect ("dOCC", Baselines.docc);
       ]

@@ -171,6 +171,99 @@ let chain_invariant =
           walk (Store.most_recent s key))
         [ 0; 1; 2; 3 ])
 
+(* [Store.gc] walks only the chains that ever held a write; the sweep
+   it replaced visited every key in ascending order. That sweep is
+   rebuilt here from the public entry points (collect a chain oldest
+   first, unlink what the keep rule drops), and both run the same
+   random scripts of NCC writes, ordered inserts, reads, commits,
+   aborts and gcs over keys 0-3. Every key's committed order and chain
+   length must agree after each gc. *)
+type gc_op =
+  | W of int * int  (* NCC write: key, ts *)
+  | I of int * int  (* ordered insert: key, tw *)
+  | R of int * int
+  | Commit of int  (* an outstanding undecided version, by index *)
+  | Abort of int
+  | Gc of int  (* keep *)
+
+let full_sweep ~keep s =
+  List.iter
+    (fun (key, _) ->
+      let rec oldest_first v acc =
+        match Store.prev_version s key v with
+        | None -> v :: acc
+        | Some p -> oldest_first p (v :: acc)
+      in
+      let chain = Array.of_list (oldest_first (Store.most_recent s key) []) in
+      let n = Array.length chain in
+      Array.iteri
+        (fun i v ->
+          if not (i = 0 || v.Store.status = Store.Undecided || n - 1 - i < keep) then
+            Store.abort_version s key v)
+        chain)
+    (Store.all_committed_orders s)
+
+let run_gc_script ~gc script =
+  let s = fresh () in
+  let undecided = ref [] in
+  let take i =
+    match !undecided with
+    | [] -> None
+    | l ->
+      let k, v = List.nth l (i mod List.length l) in
+      undecided := List.filter (fun (_, u) -> u != v) l;
+      Some (k, v)
+  in
+  List.fold_left
+    (fun snaps op ->
+      match op with
+      | W (k, t) ->
+        undecided := (k, Store.write s k t ~ts:(ts t) ~writer:t) :: !undecided;
+        snaps
+      | I (k, t) ->
+        undecided := (k, Store.insert_ordered s k t ~tw:(ts2 t) ~writer:t) :: !undecided;
+        snaps
+      | R (k, t) ->
+        ignore (Store.read s k ~ts:(ts2 t));
+        snaps
+      | Commit i ->
+        Option.iter (fun (k, v) -> Store.commit_in s k v) (take i);
+        snaps
+      | Abort i ->
+        Option.iter (fun (k, v) -> Store.abort_version s k v) (take i);
+        snaps
+      | Gc keep ->
+        gc ~keep s;
+        let orders = Store.all_committed_orders s in
+        (orders, List.map (fun (k, _) -> Store.chain_length s k) orders) :: snaps)
+    [] script
+
+let gc_matches_full_sweep =
+  let op =
+    QCheck.Gen.(
+      let kt = pair (0 -- 3) (1 -- 200) in
+      frequency
+        [
+          (4, map (fun (k, t) -> W (k, t)) kt);
+          (2, map (fun (k, t) -> I (k, t)) kt);
+          (2, map (fun (k, t) -> R (k, t)) kt);
+          (4, map (fun i -> Commit i) nat);
+          (1, map (fun i -> Abort i) nat);
+          (1, map (fun k -> Gc k) (1 -- 4));
+        ])
+  in
+  QCheck.Test.make ~name:"gc over written chains = full sorted sweep" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (0 -- 80) op))
+    (fun script ->
+      let ints = List.equal Int.equal in
+      let snap (orders, lengths) (orders', lengths') =
+        List.equal (fun (k, o) (k', o') -> Int.equal k k' && ints o o') orders orders'
+        && ints lengths lengths'
+      in
+      List.equal snap
+        (run_gc_script ~gc:(fun ~keep s -> Store.gc ~keep s) script)
+        (run_gc_script ~gc:full_sweep script))
+
 let suite =
   [
     Alcotest.test_case "initial version" `Quick initial_version;
@@ -186,4 +279,4 @@ let suite =
       set_on_commit_replays_existing_chains;
     Alcotest.test_case "gc" `Quick gc_keeps_undecided_and_terminator;
   ]
-  @ [ QCheck_alcotest.to_alcotest chain_invariant ]
+  @ List.map QCheck_alcotest.to_alcotest [ chain_invariant; gc_matches_full_sweep ]
