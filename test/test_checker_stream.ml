@@ -593,6 +593,14 @@ let quick_tiers_not_skipped () =
   Alcotest.(check bool) "quick-tier config checks" false
     (cfg.Runner.check = Runner.No_check)
 
+(* The quick tier's Fig 8 document, every row checked: the sixteen
+   verdicts and results are pinned byte for byte. *)
+let quick_fig8_golden () =
+  let fig8 = List.assoc "fig8" Experiments.figures in
+  let rows = fig8 ~jobs:1 ~quick:true Experiments.quick_scale in
+  Golden.check ~name:"bench_quick_fig8.json"
+    (Harness.Report.bench_doc ~suite:"quick" rows)
+
 let suite =
   List.map corpus_case corpus
   @ [
@@ -609,6 +617,7 @@ let suite =
       Alcotest.test_case "async feed matches sync feed" `Quick async_matches_sync;
       Alcotest.test_case "quick tiers are never skipped" `Quick
         quick_tiers_not_skipped;
+      Alcotest.test_case "quick Fig 8 document golden" `Quick quick_fig8_golden;
     ]
   @ List.map runner_agreement agreement_protocols
   @ List.map QCheck_alcotest.to_alcotest
