@@ -30,93 +30,6 @@ let scale () =
 
 (* --- Bechamel microbenchmarks of the core primitives ----------------- *)
 
-(* In-binary "before" reference for the R16/R17 allocation fixes in
-   lib/sim (docs/performance.md, allocation discipline). [Heap_ref]
-   replicates the pre-SoA event heap: one entry record per push (the
-   float prio field is boxed in the mixed record) and a Some-wrapped
-   tuple per pop. Kept here, not in lib/, so the shipped code stays
-   on the non-allocating path while the JSON keeps a before/after
-   pair. *)
-module Heap_ref = struct
-  type 'a entry = { prio : float; seq : int; payload : 'a }
-  type 'a t = { mutable a : 'a entry array; mutable size : int; mutable next_seq : int }
-
-  let create () = { a = [||]; size = 0; next_seq = 0 }
-
-  let before x y =
-    x.prio < y.prio
-    (* ncc-lint: allow R8 — reference copy of the heap's exact-tie seq fallback *)
-    || (x.prio = y.prio && x.seq < y.seq)
-
-  let swap t i j =
-    let tmp = t.a.(i) in
-    t.a.(i) <- t.a.(j);
-    t.a.(j) <- tmp
-
-  let push t prio payload =
-    let e = { prio; seq = t.next_seq; payload } in
-    t.next_seq <- t.next_seq + 1;
-    if t.size = Array.length t.a then
-      t.a <- Array.append t.a (Array.make (max 8 (t.size + 1)) e);
-    t.a.(t.size) <- e;
-    t.size <- t.size + 1;
-    let i = ref t.size in
-    decr i;
-    while !i > 0 && before t.a.(!i) t.a.((!i - 1) / 2) do
-      swap t !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-
-  let pop t =
-    if t.size = 0 then None
-    else begin
-      let root = t.a.(0) in
-      t.size <- t.size - 1;
-      t.a.(0) <- t.a.(t.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let m = ref !i in
-        if l < t.size && before t.a.(l) t.a.(!m) then m := l;
-        if r < t.size && before t.a.(r) t.a.(!m) then m := r;
-        if !m <> !i then begin
-          swap t !i !m;
-          i := !m
-        end
-        else continue := false
-      done;
-      Some (root.prio, root.payload)
-    end
-end
-
-(* In-binary "before" reference for the in-flight message arena: one
-   fresh delivery closure per message, capturing (src, msg) — the
-   discipline Cluster.Net's clean path used before delivery thunks
-   were parked in the freelist arena. Kept here, not in lib/, like
-   [Heap_ref]: the shipped code stays on the zero-allocation path
-   while BENCH_*.json keeps a before/after pair. The ref isolates the
-   allocation discipline (latency draw + closure + schedule +
-   handler); the net.arena row times the full dispatch path, which
-   does strictly more work per message yet allocates nothing. *)
-module Net_closure_ref = struct
-  type t = {
-    engine : Sim.Engine.t;
-    rng : Sim.Rng.t;
-    latency : Cluster.Latency.t;
-    mutable handler : src:int -> int -> unit;
-    mutable sent : int;
-  }
-
-  let create engine rng latency =
-    { engine; rng; latency; handler = (fun ~src:_ _ -> ()); sent = 0 }
-
-  let send t ~src ~dst msg =
-    t.sent <- t.sent + 1;
-    let delay = Cluster.Latency.sample t.rng t.latency ~src ~dst in
-    Sim.Engine.schedule t.engine ~delay (fun () -> t.handler ~src msg)
-end
-
 let micro () =
   let open Bechamel in
   let open Toolkit in
@@ -169,18 +82,15 @@ let micro () =
            for i = 1 to 100 do
              Sim.Heap.push h (float_of_int (i * 7919 mod 100)) i
            done;
-           while Option.is_some (Sim.Heap.pop h) do
-             ()
+           while not (Sim.Heap.is_empty h) do
+             ignore (Sim.Heap.top_prio h);
+             ignore (Sim.Heap.pop_min h)
            done))
   in
-  (* Before/after pair for the R16/R17 heap fix, in the shape the sim
-     engine actually runs it: a persistent 1k-entry timer heap under
-     pop+push churn. The SoA heap's non-allocating top_prio/pop_min
-     path against the boxed-entry AoS reference it replaced (one mixed
-     record with a boxed float per push, one Some-wrapped tuple per
-     pop). A cold drain of a tiny heap would hide the difference —
-     bump allocation is nearly free until steady-state churn keeps
-     the minor collector busy. *)
+  (* The heap in the shape the sim engine runs it: a persistent
+     1k-entry timer heap under pop+push churn. A cold drain of a tiny
+     heap would hide allocation — bump allocation is nearly free until
+     steady-state churn keeps the minor collector busy. *)
   let heap_drain =
     let h = Sim.Heap.create () in
     for i = 1 to 1024 do
@@ -194,20 +104,7 @@ let micro () =
              Sim.Heap.push h (float_of_int (i * 7919 mod 1000)) v
            done))
   in
-  let heap_boxed_ref =
-    let h = Heap_ref.create () in
-    for i = 1 to 1024 do
-      Heap_ref.push h (float_of_int (i * 7919 mod 1000)) i
-    done;
-    Test.make ~name:"heap churn boxed-entry ref x100"
-      (Staged.stage (fun () ->
-           for i = 1 to 100 do
-             match Heap_ref.pop h with
-             | Some (_, v) -> Heap_ref.push h (float_of_int (i * 7919 mod 1000)) v
-             | None -> ()
-           done))
-  in
-  (* Before/after rows for the tentpole scheduler change: steady-state
+  (* Wheel and heap rows for the engine's two scheduler phases: steady-state
      event churn (top_prio + pop_min + schedule) against a persistent
      structure holding N pending events, at 1k / 100k / 1M. The heap
      pays O(log n) sift per operation — ~20 levels at 1M — while the
@@ -254,10 +151,9 @@ let micro () =
         [ wheel; heap ])
       [ ("1k", 1_000); ("100k", 100_000); ("1M", 1_000_000) ]
   in
-  (* Before/after pair for the in-flight message arena: ping-pong one
-     message at a time through the real network runtime (send + full
-     dispatch, zero words allocated per message at steady state)
-     against [Net_closure_ref]'s fresh-closure-per-send discipline. *)
+  (* The in-flight message arena: ping-pong one message at a time
+     through the real network runtime (send + full dispatch, zero words
+     allocated per message at steady state). *)
   let net_arena =
     let topo =
       Cluster.Topology.make ~replicas_per_server:0 ~n_servers:1 ~n_clients:1 ()
@@ -279,20 +175,6 @@ let micro () =
              Sim.Engine.run engine
            done))
   in
-  let net_closure_ref =
-    let engine = Sim.Engine.create () in
-    let rng = Sim.Rng.create 1 in
-    let latency = Cluster.Latency.uniform ~one_way:1e-4 ~jitter_mean:1e-6 in
-    let t = Net_closure_ref.create engine rng latency in
-    let served = ref 0 in
-    t.Net_closure_ref.handler <- (fun ~src:_ _ -> incr served);
-    Test.make ~name:"net closure-per-send ref x100"
-      (Staged.stage (fun () ->
-           for i = 1 to 100 do
-             Net_closure_ref.send t ~src:1 ~dst:0 i;
-             Sim.Engine.run engine
-           done))
-  in
   let zipf =
     let z = Sim.Rng.zipf_create ~n:1_000_000 ~theta:0.8 in
     let r = Sim.Rng.create 1 in
@@ -302,12 +184,12 @@ let micro () =
              ignore (Sim.Rng.zipf_draw r z)
            done))
   in
-  (* Before/after pair for the atlas Zipf memo: a grid re-instantiates
-     the same (n, theta) table once per (protocol x seed) cell, and
-     each zipf_create pays the zeta partial sum over all n keys. The
-     memo hit — an assoc-list probe over the few distinct tables a
-     sweep ever holds — is what cells actually pay after the driver's
-     sequential prewarm. Sized at the atlas default key space. *)
+  (* The atlas Zipf memo: a grid re-instantiates the same (n, theta)
+     table once per (protocol x seed) cell, and each zipf_create pays
+     the zeta partial sum over all n keys. The memo hit — an assoc-list
+     probe over the few distinct tables a sweep ever holds — is what
+     cells actually pay after the driver's sequential prewarm. Sized at
+     the atlas default key space. *)
   let zipf_table_memo_hit =
     let m = Atlas.Driver.Zipf_memo.create () in
     ignore (Atlas.Driver.Zipf_memo.get m ~n:100_000 ~theta:0.8);
@@ -315,15 +197,8 @@ let micro () =
       (Staged.stage (fun () ->
            ignore (Atlas.Driver.Zipf_memo.get m ~n:100_000 ~theta:0.8)))
   in
-  let zipf_table_create_ref =
-    Test.make ~name:"atlas zipf table create ref"
-      (Staged.stage (fun () ->
-           ignore (Sim.Rng.zipf_create ~n:100_000 ~theta:0.8)))
-  in
-  (* Read lookup on a deep chain: the tw binary search that replaced
-     the old linear version-list scan, next to an inline linear-scan
-     reference over the same (tw, value) data for an in-binary
-     before/after. *)
+  (* Read lookup on a deep chain: the tw binary search over a
+     256-version chain. *)
   let store_lookup_deep =
     let s = Mvstore.Store.create () in
     for i = 1 to 256 do
@@ -336,16 +211,6 @@ let micro () =
              ignore
                (Mvstore.Store.version_at s 1
                   ~ts:(Kernel.Ts.make ~time:(i * 2) ~cid:2))
-           done))
-  in
-  let store_lookup_linear_ref =
-    let tws = List.init 256 (fun i -> (Kernel.Ts.make ~time:(256 - i) ~cid:1, i)) in
-    Test.make ~name:"version lookup linear-list ref x100"
-      (Staged.stage (fun () ->
-           for i = 1 to 100 do
-             let ts = Kernel.Ts.make ~time:(i * 2) ~cid:2 in
-             ignore
-               (List.find_opt (fun (tw, _) -> Kernel.Ts.(tw <= ts)) tws)
            done))
   in
   (* Message dispatch through the fault-free network runtime (the
@@ -422,17 +287,13 @@ let micro () =
       store_write;
       store_read;
       store_lookup_deep;
-      store_lookup_linear_ref;
       net_dispatch;
       safeguard;
       heap;
       heap_drain;
-      heap_boxed_ref;
       net_arena;
-      net_closure_ref;
       zipf;
       zipf_table_memo_hit;
-      zipf_table_create_ref;
       checker;
       checker_stream;
     ]

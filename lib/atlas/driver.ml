@@ -90,9 +90,6 @@ let cfg_of ~quick ~check (p : Knob.point) ~seed =
     latency = Knob.latency_spec p.Knob.latency;
     max_clock_offset = p.Knob.clock_skew;
     check = (if check then Runner.Streaming else Runner.No_check);
-    (* cells already fan out across domains; keep the checker inline
-       rather than spawning a feeder domain per cell *)
-    check_async = false;
   }
 
 let run_cell ~quick ~check ?zipf (c : cell) (protocol : Harness.Protocol.t) =

@@ -17,8 +17,7 @@ type scale = {
     curves time the protocol alone). *)
 val full_scale : scale
 
-(** 4 servers, shorter runs; every run stream-checked ([Streaming],
-    on a background domain). *)
+(** 4 servers, shorter runs; every run stream-checked ([Streaming]). *)
 val quick_scale : scale
 
 val base_cfg : ?seed:int -> scale -> Runner.config

@@ -6,7 +6,9 @@
    ambient per-run state (txn ids, version ids, the tracer) is
    domain-local and reset at the start of Runner.run. That isolation is
    what makes the parallel schedule invisible: a job computes the same
-   result whichever domain runs it and whenever it starts.
+   result whichever domain runs it and whenever it starts. A job's
+   streaming checker is fed inline on the job's own domain, so the
+   pool is the only place domains are spawned.
 
    Scheduling is a single atomic cursor over the job array — idle
    workers steal the next unclaimed index — so load imbalance
@@ -66,65 +68,3 @@ let submit ~jobs tasks =
 let map ~jobs f xs =
   let results = submit ~jobs (List.map (fun x () -> f x) xs) in
   List.map (function Ok v -> v | Error e -> raise e) results
-
-(* --- single background worker ----------------------------------------
-
-   A one-domain FIFO consumer, for work that must stay ordered but
-   should leave the producer's critical path — the streaming checker
-   consuming a run's commit events is the canonical client. Posted
-   closures run exactly once, in post order, on the worker domain;
-   [shutdown] drains the queue and joins, which is the happens-before
-   edge that lets the producer read whatever state the closures built.
-   Because the consumer is single and the queue FIFO, the outcome is
-   identical to running every closure inline: determinism is by
-   construction, not by scheduling luck. *)
-
-type worker = {
-  q : (unit -> unit) Queue.t;
-  m : Mutex.t;
-  cv : Condition.t;
-  stop : bool ref;
-  dom : unit Domain.t;
-  mutable joined : bool;  (* shutdown already ran (producer-side only) *)
-}
-
-let worker () =
-  let q = Queue.create () in
-  let m = Mutex.create () in
-  let cv = Condition.create () in
-  let stop = ref false in
-  let rec loop () =
-    Mutex.lock m;
-    while Queue.is_empty q && not !stop do
-      Condition.wait cv m
-    done;
-    if Queue.is_empty q then Mutex.unlock m
-    else begin
-      let f = Queue.pop q in
-      Mutex.unlock m;
-      f ();
-      loop ()
-    end
-  in
-  { q; m; cv; stop; dom = Domain.spawn loop; joined = false }
-
-let post w f =
-  Mutex.lock w.m;
-  Queue.push f w.q;
-  Condition.signal w.cv;
-  Mutex.unlock w.m
-
-(* Idempotent: the runner shuts the worker down in an exception-safe
-   finally clause and again on the normal collection path (the join is
-   the happens-before edge either way); only the first call joins. The
-   flag is only touched by the producer domain, so no lock is needed
-   around it. *)
-let shutdown w =
-  if not w.joined then begin
-    w.joined <- true;
-    Mutex.lock w.m;
-    w.stop := true;
-    Condition.signal w.cv;
-    Mutex.unlock w.m;
-    Domain.join w.dom
-  end

@@ -30,25 +30,3 @@ val submit : jobs:int -> (unit -> 'a) list -> ('a, exn) result list
     raised, re-raises the submission-order-first exception after the
     whole batch has completed. *)
 val map : jobs:int -> ('a -> 'b) -> 'a list -> 'b list
-
-(** A single background domain draining a FIFO queue of closures —
-    ordered work off the producer's critical path (the streaming
-    checker's async mode). Closures run exactly once, in post order;
-    because the consumer is one domain and the queue FIFO, the result
-    is identical to running them inline. Closures must capture only
-    immutable data (scalars, immutable records) — never state the
-    producer keeps mutating. *)
-type worker
-
-val worker : unit -> worker
-
-(** Enqueue [f]; returns immediately. Must not be called after
-    [shutdown]. *)
-val post : worker -> (unit -> unit) -> unit
-
-(** Drain the queue, stop and join the domain. The join is the
-    happens-before edge: after [shutdown] returns, the producer may
-    read anything the posted closures wrote. Idempotent — repeated
-    calls (e.g. an exception-safe finally clause plus the normal
-    collection path) are no-ops after the first. *)
-val shutdown : worker -> unit

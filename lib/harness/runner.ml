@@ -2,7 +2,8 @@
    server and client actors, drives open-loop Poisson load with a
    retry-until-committed policy (as the paper's clients do), and
    collects throughput / latency / abort statistics plus an optional
-   serializability-checker verdict. *)
+   serializability-checker verdict; the checker is fed inline, on the
+   run's own domain, as versions and transactions commit. *)
 
 open Kernel
 
@@ -13,11 +14,10 @@ type latency_spec =
       (* replica nodes live in a remote datacenter: any path touching a
          replica pays the wide-area delay *)
 
-(* Both checked levels feed {!Checker.Stream} as commits happen, off
-   the critical path when [check_async] is set: [Streaming] checks
-   strict serializability in bounded memory, [Serializable] plain
-   serializability over the retained history (TAPIR-CC and MVTO
-   promise no more). *)
+(* Both checked levels feed {!Checker.Stream} inline as commits
+   happen: [Streaming] checks strict serializability in bounded memory,
+   [Serializable] plain serializability over the retained history
+   (TAPIR-CC and MVTO promise no more). *)
 type check_level = No_check | Streaming | Serializable
 
 (* The one --check spelling table, shared by ncc_sim and bench. *)
@@ -64,7 +64,6 @@ type config = {
   max_clock_drift : float;
   check : check_level;
   check_window : int;    (* Streaming: commits per epoch (GC window) *)
-  check_async : bool;    (* checked runs: feed a background domain *)
   series_width : float option;  (* commit-rate time series bucket width *)
   replicas_per_server : int;    (* replica nodes per server (replicated protocols) *)
   request_timeout : float option;  (* per-attempt client timeout (None = never) *)
@@ -100,7 +99,6 @@ let default =
     max_clock_drift = 2e-5;
     check = No_check;
     check_window = 1024;
-    check_async = false;
     series_width = None;
     replicas_per_server = 0;
     request_timeout = None;
@@ -291,50 +289,31 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
   let abort_mx = Obs.Metrics.create () in
   let series = Stats.Series.create ?width:cfg.series_width () in
   (* --- streaming checker (any checked level) ---
-     Two event streams feed it at commit time: the store hook announces
-     committed versions, the client report announces commit records. In
-     async mode both are posted to a single FIFO worker so checking
-     cost leaves the simulation's critical path; the watermark is
-     evaluated at feed time on this domain and travels with the event,
-     so the worker replays exactly the synchronous schedule (and the
-     verdict cannot depend on the mode). *)
+     Two event streams feed it inline at commit time: the store hook
+     announces committed versions, the client report announces commit
+     records. *)
   let n_nodes = Cluster.Topology.n_nodes topo in
   let checked = cfg.check <> No_check in
   let wm_ring = ring_create () in
-  let wm_cell = ref Float.neg_infinity in
   let checker_node = n_nodes in
-  let stream =
-    if not checked then None
-    else begin
-      let on_epoch =
-        (* epoch events only in sync mode: the async feeder's domain
-           has its own tracer *)
-        if cfg.check_async then None
-        else
-          Some
-            (fun ~live ~retired ->
-              if Sim.Trace.active () then
-                Sim.Trace.emit ~time:(Sim.Engine.now engine) Epoch ~src:checker_node
-                  ~dst:checker_node ~x:0.0 ~start:0.0 ~dur:0.0 ~id:live ~code:retired)
-      in
-      Some
-        (Checker.Stream.create ~strict:(cfg.check = Streaming) ~epoch:cfg.check_window
-           ~watermark:(fun () -> !wm_cell)
-           ?on_epoch ())
-    end
-  in
-  let stream_worker =
-    match stream with Some _ when cfg.check_async -> Some (Pool.worker ()) | _ -> None
-  in
-  let feed_event =
-    match stream_worker with Some w -> Pool.post w | None -> fun f -> f ()
-  in
   (* Lower bound on the start time of every commit not yet fed to the
      checker: no in-flight attempt started earlier than its recorded
      [p_attempt_start], and nothing submits before [now]. The ring
      answers in amortised O(1); the fold it replaced walked every
      client's inflight table on every commit. *)
   let watermark_now () = ring_min wm_ring ~ifempty:(Sim.Engine.now engine) in
+  let stream =
+    if not checked then None
+    else
+      Some
+        (Checker.Stream.create ~strict:(cfg.check = Streaming) ~epoch:cfg.check_window
+           ~watermark:watermark_now
+           ~on_epoch:(fun ~live ~retired ->
+             if Sim.Trace.active () then
+               Sim.Trace.emit ~time:(Sim.Engine.now engine) Epoch ~src:checker_node
+                 ~dst:checker_node ~x:0.0 ~start:0.0 ~dur:0.0 ~id:live ~code:retired)
+           ())
+  in
   (* Busy-time snapshots at the window edges: utilization is measured
      over the measurement window, not diluted by warmup and drain. The
      snapshot events are installed unconditionally and draw no
@@ -356,20 +335,16 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
         Cluster.Net.set_handler ~phase net id
           ~cost:(fun m -> P.msg_cost cfg.cost m)
           ~handler:(fun ~src m -> P.server_handle srv ~src m);
-        (* the streaming checker's version feed: copy the scalars out
-           of the (mutable) version record before posting — the hook
-           closure may run on the worker domain *)
+        (* the streaming checker's version feed *)
         (match stream with
          | Some st ->
            List.iter
              (fun store ->
                Mvstore.Store.set_on_commit store (fun key v ~prev ~next ->
-                   let vid = v.Mvstore.Store.vid and writer = v.Mvstore.Store.writer in
-                   let pv = Option.map (fun (p : Mvstore.Store.version) -> p.vid) prev in
-                   let nv = Option.map (fun (s : Mvstore.Store.version) -> s.vid) next in
-                   feed_event (fun () ->
-                       Checker.Stream.observe_version st ~key ~vid ~writer ~prev:pv
-                         ~next:nv)))
+                   Checker.Stream.observe_version st ~key ~vid:v.Mvstore.Store.vid
+                     ~writer:v.Mvstore.Store.writer
+                     ~prev:(Option.map (fun (p : Mvstore.Store.version) -> p.vid) prev)
+                     ~next:(Option.map (fun (s : Mvstore.Store.version) -> s.vid) next)))
              (P.server_stores srv)
          | None -> ());
         (id, srv))
@@ -527,19 +502,14 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
              end;
              (match stream with
               | Some st ->
-                (* capture plain immutable data; evaluate the watermark
-                   here, at feed time, so the async worker retires
-                   against the producer's schedule, not its own *)
-                let txn = o.txn.Txn.id
-                and start = p.p_attempt_start
-                and finish = now
-                and reads = List.map (fun (k, vid, _) -> (k, vid)) o.reads
-                and writes = o.writes
-                and wm = watermark_now () in
-                feed_event (fun () ->
-                    wm_cell := wm;
-                    Checker.Stream.observe_commit st ~txn ~start ~finish ~reads
-                      ~writes)
+                (* drop resolved heads from the watermark ring now: left
+                   to the next epoch's read, they would pin every
+                   transaction finished since the last one *)
+                ignore (watermark_now ());
+                Checker.Stream.observe_commit st ~txn:o.txn.Txn.id
+                  ~start:p.p_attempt_start ~finish:now
+                  ~reads:(List.map (fun (k, vid, _) -> (k, vid)) o.reads)
+                  ~writes:o.writes
               | None -> ())
            | Outcome.Aborted reason ->
              let reason_s = Outcome.reason_to_string reason in
@@ -628,15 +598,8 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
         arrival)
     (Cluster.Topology.clients topo);
   (* --- go --- *)
-  (* If the run raises, the checker worker domain must still be
-     stopped and joined, or the process hangs at exit on its
-     [Condition.wait]; shutdown is idempotent, so the normal
-     collection path below re-calls it harmlessly. *)
   let gc0 = Gc.quick_stat () and minor0 = Gc.minor_words () in
-  Fun.protect
-    ~finally:(fun () ->
-      match stream_worker with Some w -> Pool.shutdown w | None -> ())
-    (fun () -> Sim.Engine.run ~until:horizon engine);
+  Sim.Engine.run ~until:horizon engine;
   (* GC telemetry over the simulation proper (setup excluded): gauges
      only, never part of [result], so run results stay identical
      whether or not anyone reads them. Minor words are this domain's,
@@ -653,9 +616,6 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
     match stream with
     | None -> "skipped"
     | Some st ->
-      (* the worker join is the happens-before edge: after it, every
-         posted event has been consumed and the stream is ours *)
-      (match stream_worker with Some w -> Pool.shutdown w | None -> ());
       let v = Checker.Stream.finalize st in
       let s = Checker.Stream.stats st in
       Obs.Metrics.set_gauge mx "checker.commits"

@@ -61,10 +61,6 @@ type config = {
   check_window : int;
       (** [Streaming] only: commits per checker epoch — the GC window
           (default 1024) *)
-  check_async : bool;
-      (** checked runs: feed the checker through a background
-          domain instead of inline (default false). The verdict is
-          mode-independent; only wall-clock cost moves. *)
   series_width : float option;
   replicas_per_server : int;
       (** replica nodes per server, for replicated protocols (default 0) *)

@@ -14,15 +14,14 @@ let length t = t.n
 
 (* Index of [k] if bound, else [-(i + 1)] where [i] is its insertion
    point. *)
-let search t k =
-  let rec go lo hi =
-    if lo >= hi then -(lo + 1)
-    else
-      let mid = (lo + hi) lsr 1 in
-      let m = t.keys.(mid) in
-      if m = k then mid else if m < k then go (mid + 1) hi else go lo mid
-  in
-  go 0 t.n
+let rec search_in t k lo hi =
+  if lo >= hi then -(lo + 1)
+  else
+    let mid = (lo + hi) lsr 1 in
+    let m = t.keys.(mid) in
+    if m = k then mid else if m < k then search_in t k (mid + 1) hi else search_in t k lo mid
+
+let search t k = search_in t k 0 t.n
 
 let find_opt t k =
   let i = search t k in

@@ -18,9 +18,11 @@
          boxed (non-all-float) record field — creation and setfield;
      R17 (per-call allocation): a closure literal inside a for/while
          loop or handed to a closure sink (Rules.closure_sink_fns:
-         Pool.submit and friends, Engine.schedule); non-float tuple
-         and Some/:: construction; string building
-         (Rules.string_build_fns).
+         Pool.submit and friends, Engine.schedule); a let-bound local
+         function that captures a local of the enclosing function (one
+         closure block per call; lift it to the top level and pass
+         what it captured); non-float tuple and Some/:: construction;
+         string building (Rules.string_build_fns).
 
    A site in a *directly* hot function (seed or annotated) fires as
    R16/R17 at the allocation's own location, naming the hot function.
@@ -75,6 +77,33 @@ let is_format_constant (cd : Types.constructor_description) =
 
 (* --- allocation sites ---------------------------------------------------- *)
 
+let within (inner : Location.t) (outer : Location.t) =
+  inner.loc_start.pos_fname = outer.loc_start.pos_fname
+  && inner.loc_start.pos_cnum >= outer.loc_start.pos_cnum
+  && inner.loc_end.pos_cnum <= outer.loc_end.pos_cnum
+
+(* Does the local function [fn], bound by [vbs], read a local bound
+   outside itself? Unit-level values and the binding group's own names
+   are not captures: a function that reads nothing else is a static
+   closure and costs nothing per call. *)
+let captures ctx (vbs : Typedtree.value_binding list) (fn : Typedtree.expression) =
+  let own = List.concat_map (fun (vb : Typedtree.value_binding) -> pattern_vars vb.vb_pat) vbs in
+  let found = ref false in
+  let expr sub (e : Typedtree.expression) =
+    (match e.exp_desc with
+     | Typedtree.Texp_ident (Path.Pident id, _, vd) ->
+       if
+         (not (Ident.Tbl.mem ctx.c_values id))
+         && (not (List.exists (fun (o, _) -> Ident.same o id) own))
+         && not (within vd.Types.val_loc fn.exp_loc)
+       then found := true
+     | _ -> ());
+    Tast_iterator.default_iterator.expr sub e
+  in
+  let it = { Tast_iterator.default_iterator with expr } in
+  it.expr it fn;
+  !found
+
 (* One expression outside cold regions, called by Typed_engine's walk
    (which skips cold regions and dead branches, and does not descend
    into format constants): record its allocation sites on [node].
@@ -90,6 +119,18 @@ let on_expr ctx node ~in_loop (e : Typedtree.expression) =
     | Typedtree.Texp_function _ when in_loop ->
       add_site "R17" "closure literal inside a hot loop (fresh closure per \
                       iteration)" e.exp_loc
+    | Typedtree.Texp_let (_, vbs, _) when not in_loop ->
+      (* inside a loop the literal itself is already a site *)
+      List.iter
+        (fun (vb : Typedtree.value_binding) ->
+          match vb.vb_expr.exp_desc with
+          | Typedtree.Texp_function _ when captures ctx vbs vb.vb_expr ->
+            add_site "R17"
+              "local function capturing the caller's locals (one closure \
+               block per call; lift it to a top-level function)"
+              vb.vb_expr.exp_loc
+          | _ -> ())
+        vbs
     | Typedtree.Texp_apply (f, args) ->
       let s = match head_name ctx f with Some s -> s | None -> "" in
       (if s = "ref" then

@@ -23,7 +23,6 @@ let seeds =
     "Sim.Engine.schedule_at";
     (* Sim.Heap: the event queue backing the loop. *)
     "Sim.Heap.push";
-    "Sim.Heap.pop";
     "Sim.Heap.top_prio";
     "Sim.Heap.pop_min";
     (* Sim.Wheel: the timing-wheel alternative to the heap — same

@@ -78,7 +78,7 @@ let is_atomic_ty ty =
   | _ -> false
 
 (* The record-type component of a field's abstract location, from the
-   field's result type ("Pool.worker" for [w.m] on a worker). *)
+   field's result type ("Net.t" for [n.m] on a net). *)
 let record_type_name ctx ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, _, _) -> Paths.strip_stdlib (canon_path ctx p)
@@ -109,7 +109,7 @@ let resolve_mutex ctx (e : Typedtree.expression) =
     (key, key)
   | _ -> ("~unresolved", "<mutex>")
 
-(* "Pool.worker.m" and "Harness.Pool.worker.m" are the same key seen
+(* "Net.t.m" and "Cluster.Net.t.m" are the same key seen
    from inside and outside the defining unit. *)
 let key_match a b =
   a = b || Paths.has_suffix ~suffix:a b || Paths.has_suffix ~suffix:b a

@@ -38,7 +38,7 @@
 
    The race plane R12-R15 (Race_engine, also .cmt-based) polices the
    domain-parallel surface — everything that runs under Pool.submit/
-   Pool.map/Pool.post or Domain.spawn:
+   Pool.map or Domain.spawn:
 
      R12 field-sensitive mutable-state escape: a mutable location
          (ref, mutable record field, array, Hashtbl/Buffer/Queue
@@ -543,7 +543,7 @@ let msg_type_name = "msg"
    they capture is subject to the escape analysis, and the set of
    functions reachable from spawn nodes is the "pool-worker-reachable"
    region R15 checks DLS uses against. *)
-let spawn_fns = [ "Pool.submit"; "Pool.map"; "Pool.post"; "Domain.spawn" ]
+let spawn_fns = [ "Pool.submit"; "Pool.map"; "Domain.spawn" ]
 
 (* R12: wrappers that run their function argument with a lock held —
    accesses inside the argument count as mutex-guarded. [Fun.protect]

@@ -191,14 +191,14 @@ let index_of c vid =
 let chain_head c = c.vs.(c.n - 1)
 
 (* Newest committed version (skips undecided heads). *)
+let rec last_committed c i =
+  if i < 0 then assert false (* chains always hold the initial version *)
+  else if c.vs.(i).status = Committed then c.vs.(i)
+  else last_committed c (i - 1)
+
 let most_recent_committed t key =
   let c = chain t key in
-  let rec find i =
-    if i < 0 then assert false (* chains always hold the initial version *)
-    else if c.vs.(i).status = Committed then c.vs.(i)
-    else find (i - 1)
-  in
-  find (c.n - 1)
+  last_committed c (c.n - 1)
 
 (* --- NCC execution (Alg 4.2) ------------------------------------- *)
 

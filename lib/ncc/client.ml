@@ -130,14 +130,13 @@ let send_decide t f ~commit =
 
 (* One pass over the results, newest first, so consing leaves reads and
    writes oldest first. *)
-let outcome_of f ~status ~commit_ts =
-  let rec split reads writes = function
-    | [] -> { Outcome.txn = f.f_txn; status; reads; writes; commit_ts }
-    | (r : Msg.op_result) :: rest ->
-      (* ncc-lint: allow R18 — the outcome's read and write lists are the per-transaction result the harness consumes *)
-      if r.r_is_write then split reads ((r.r_key, r.r_vid) :: writes) rest else split ((r.r_key, r.r_vid, r.r_value) :: reads) writes rest
-  in
-  split [] [] f.f_results
+let rec split_results f ~status ~commit_ts reads writes = function
+  | [] -> { Outcome.txn = f.f_txn; status; reads; writes; commit_ts }
+  | (r : Msg.op_result) :: rest ->
+    (* ncc-lint: allow R18 — the outcome's read and write lists are the per-transaction result the harness consumes *)
+    if r.r_is_write then split_results f ~status ~commit_ts reads ((r.r_key, r.r_vid) :: writes) rest else split_results f ~status ~commit_ts ((r.r_key, r.r_vid, r.r_value) :: reads) writes rest
+
+let outcome_of f ~status ~commit_ts = split_results f ~status ~commit_ts [] [] f.f_results
 
 let finish_commit t f ~commit_ts =
   Intmap.remove t.inflight f.f_wire;

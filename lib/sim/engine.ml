@@ -69,6 +69,7 @@ let stop t = t.stopped <- true
    tuple for every event delivered (R16/R17). *)
 let run ?until t =
   let horizon = match until with None -> Float.infinity | Some u -> u in
+  (* ncc-lint: allow R17 — one closure per run, not per event: the loop it builds drains the whole queue *)
   let rec loop () =
     if t.stopped || pending t = 0 then ()
     else begin

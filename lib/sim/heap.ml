@@ -5,11 +5,10 @@
 
    The layout is structure-of-arrays: priorities live in a flat
    [float array], which OCaml stores unboxed, so a push writes the
-   priority without allocating. The previous entry-record layout
-   ({prio; seq; payload}) was a mixed record, which boxes its float
-   field — one heap block plus one float box per scheduled event
-   (R16). The bench's "heap churn boxed-entry ref" row keeps the
-   old layout for comparison. *)
+   priority without allocating. The sifts are top-level functions
+   that take the heap: a local [let rec] capturing [t] would build a
+   closure block on every push and pop (R17). [push], [top_prio] and
+   [pop_min] allocate nothing beyond amortised capacity doubling. *)
 
 type 'a t = {
   mutable prios : float array;  (* flat storage: unboxed floats *)
@@ -57,6 +56,24 @@ let grow t fill =
   Array.blit t.data 0 fresh_d 0 t.size;
   t.data <- fresh_d
 
+let rec sift_up t i =
+  if i > 0 then begin
+    let parent = (i - 1) / 2 in
+    if before t i parent then begin
+      swap t i parent;
+      sift_up t parent
+    end
+  end
+
+let rec sift_down t i =
+  let l = (2 * i) + 1 and r = (2 * i) + 2 in
+  let m = if l < t.size && before t l i then l else i in
+  let m = if r < t.size && before t r m then r else m in
+  if m <> i then begin
+    swap t i m;
+    sift_down t m
+  end
+
 let push t prio payload =
   if t.size = Array.length t.data then grow t payload;
   t.prios.(t.size) <- prio;
@@ -64,17 +81,7 @@ let push t prio payload =
   t.data.(t.size) <- payload;
   t.next_seq <- t.next_seq + 1;
   t.size <- t.size + 1;
-  (* sift up *)
-  let rec up i =
-    if i > 0 then begin
-      let parent = (i - 1) / 2 in
-      if before t i parent then begin
-        swap t i parent;
-        up parent
-      end
-    end
-  in
-  up (t.size - 1)
+  sift_up t (t.size - 1)
 
 let top_prio t =
   if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
@@ -88,29 +95,6 @@ let pop_min t =
     t.prios.(0) <- t.prios.(t.size);
     t.seqs.(0) <- t.seqs.(t.size);
     t.data.(0) <- t.data.(t.size);
-    (* sift down *)
-    let rec down i =
-      let l = (2 * i) + 1 and r = (2 * i) + 2 in
-      let smallest = ref i in
-      if l < t.size && before t l !smallest then smallest := l;
-      if r < t.size && before t r !smallest then smallest := r;
-      if !smallest <> i then begin
-        swap t i !smallest;
-        down !smallest
-      end
-    in
-    down 0
+    sift_down t 0
   end;
   payload
-
-(* Allocating convenience wrapper (tests, drains that want the
-   priority too). The event loop uses is_empty/top_prio/pop_min
-   instead, which allocate nothing per event. *)
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let prio = top_prio t in
-    let payload = pop_min t in
-    (* ncc-lint: allow R16, R17 — compat API: the option and the float tuple are the point; the non-allocating path is top_prio/pop_min *)
-    Some (prio, payload)
-  end

@@ -73,6 +73,7 @@ let cols_get c i =
 (* Double the capacity, keeping the slots. *)
 let cols_grow c =
   let cap = max 256 (2 * Array.length c.ks) in
+  (* ncc-lint: allow R18 — one closure per capacity doubling, amortised over the events that filled the buffer *)
   let g a fill w =
     let b = Array.make (w * cap) fill in
     Array.blit a 0 b 0 (Array.length a);

@@ -302,33 +302,30 @@ let rec pull_overflow t =
 (* Scan level [l] forward from base's slot; level-0 hits load [cur],
    higher-level hits cascade and rescan from level 0. The forward-only
    scan is complete because placement is window-aligned (see the
-   header comment). *)
+   header comment). The slot walk is a top-level function over [t]: a
+   local one capturing [t] would be a closure block per scan (R17). *)
 let rec scan t = scan_level t 0
 
 and scan_level t l =
-  if l >= levels then false
+  if l >= levels then false else scan_slot t l ((t.base lsr (wbits * l)) land wmask)
+
+and scan_slot t l j =
+  if j >= wsize then scan_level t (l + 1)
   else begin
-    let off = wbits * l in
-    let base_slot = (t.base lsr off) land wmask in
-    let rec find j =
-      if j >= wsize then scan_level t (l + 1)
-      else begin
-        let b = t.buckets.((l * wsize) + j) in
-        if b.b_len = 0 then find (j + 1)
-        else if l = 0 then begin
-          t.base <- t.base land lnot wmask lor j;
-          load_cur t b;
-          true
-        end
-        else begin
-          let upper = t.base lsr (off + wbits) in
-          t.base <- ((upper lsl wbits) lor j) lsl off;
-          cascade t b;
-          scan t
-        end
-      end
-    in
-    find base_slot
+    let b = t.buckets.((l * wsize) + j) in
+    if b.b_len = 0 then scan_slot t l (j + 1)
+    else if l = 0 then begin
+      t.base <- t.base land lnot wmask lor j;
+      load_cur t b;
+      true
+    end
+    else begin
+      let off = wbits * l in
+      let upper = t.base lsr (off + wbits) in
+      t.base <- ((upper lsl wbits) lor j) lsl off;
+      cascade t b;
+      scan t
+    end
   end
 
 (* Make the next deliverable event visible in [cur] or [aux]; false

@@ -59,7 +59,7 @@ let r16_fires () =
   check_sites "float tuple in a seeded hot function fires" ~only:[ "R16" ]
     [ ("fixture.ml", 3, "R16") ]
     "module Sim = struct module Heap = struct\n\
-    \  let pop h =\n\
+    \  let top_prio h =\n\
     \    (1.0, h)\n\
      end end\n";
   check_sites "float into an option payload fires" ~only:[ "R16" ]
@@ -118,6 +118,37 @@ let r17_fires () =
     \  for i = 0 to n - 1 do\n\
     \    dst.(i) <- (fun () -> i)\n\
     \  done\n"
+
+(* The shape that hid per-call closures in the event heap: a local
+   [let rec] sift capturing the heap it walks. *)
+let r17_local_fn_fires () =
+  check_sites "local function capturing a caller local fires" ~only:[ "R17" ]
+    [ ("fixture.ml", 3, "R17") ]
+    "module Sim = struct module Heap = struct\n\
+    \  let push (a : int array) i =\n\
+    \    let rec up j = if j > 0 && a.(j) < a.(j - 1) then up (j - 1) in\n\
+    \    up i\n\
+     end end\n";
+  check_sites "capturing local function in a hot callee fires as R18"
+    ~only:[ "R17"; "R18" ]
+    [ ("fixture.ml", 2, "R18") ]
+    "let count (a : int array) x =\n\
+    \  let rec go i n = if i < 0 then n else go (i - 1) (if a.(i) = x then n + 1 else n) in\n\
+    \  go (Array.length a - 1) 0\n\
+     let[@ncc.hot] entry a = count a 3\n"
+
+let r17_local_fn_clean () =
+  check_sites "the lifted function stays clean" ~only:[ "R17"; "R18" ] []
+    "module Sim = struct module Heap = struct\n\
+    \  let rec up (a : int array) j = if j > 0 && a.(j) < a.(j - 1) then up a (j - 1)\n\
+    \  let push a i = up a i\n\
+     end end\n";
+  check_sites "a local function reading only its own parameters stays clean"
+    ~only:[ "R17"; "R18" ] []
+    "let limit = 8\n\
+     let[@ncc.hot] clamp xs =\n\
+    \  let rec go acc = function [] -> acc | x :: r -> go (acc + min x limit) r in\n\
+    \  go 0 xs\n"
 
 let r17_pool_submit () =
   (* the satellite case: a closure literal handed to Pool.submit from
@@ -256,6 +287,8 @@ let suite =
     Alcotest.test_case "R16 clean" `Quick r16_clean;
     Alcotest.test_case "R16 waived" `Quick r16_waived;
     Alcotest.test_case "R17 fires" `Quick r17_fires;
+    Alcotest.test_case "R17 local function fires" `Quick r17_local_fn_fires;
+    Alcotest.test_case "R17 local function clean" `Quick r17_local_fn_clean;
     Alcotest.test_case "R17 pool submit" `Quick r17_pool_submit;
     Alcotest.test_case "R17 cold regions" `Quick r17_cold_regions;
     Alcotest.test_case "R17 clean" `Quick r17_clean;

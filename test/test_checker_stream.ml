@@ -559,25 +559,6 @@ let runner_agreement (name, p, violates) =
           ("skewed", 20, 10e-3, 2);
         ])
 
-(* Feeding the checker off the critical path must not change anything:
-   the async worker consumes the same events in the same order. *)
-let async_matches_sync () =
-  List.iter
-    (fun seed ->
-      let run check_async =
-        let w = Workload.Google_f1.make () in
-        Runner.run Ncc.protocol w
-          { (small_cfg seed) with Runner.check = Runner.Streaming; check_async }
-      in
-      let sync = run false and alist = run true in
-      Alcotest.(check string)
-        (Printf.sprintf "seed %d verdict" seed)
-        sync.Runner.check_result alist.Runner.check_result;
-      Alcotest.(check int)
-        (Printf.sprintf "seed %d committed" seed)
-        sync.Runner.committed alist.Runner.committed)
-    [ 1; 2; 3 ]
-
 (* --- the quick tiers really check ----------------------------------- *)
 
 let quick_tiers_not_skipped () =
@@ -614,7 +595,6 @@ let suite =
         delayed_announcements_stay_ok;
       Alcotest.test_case "parked inversion witness names the txn, not the wire id"
         `Quick parked_inversion_witness_names_txn;
-      Alcotest.test_case "async feed matches sync feed" `Quick async_matches_sync;
       Alcotest.test_case "quick tiers are never skipped" `Quick
         quick_tiers_not_skipped;
       Alcotest.test_case "quick Fig 8 document golden" `Quick quick_fig8_golden;

@@ -332,7 +332,6 @@ let runner_validate_or_complete =
     let* retry_backoff = pick [ 0.0; 5e-4 ] [ -1e-3 ] in
     let* check = oneofl (List.map snd R.check_levels) in
     let* check_window = pick [ 1; 64 ] [ -1; 0 ] in
-    let* check_async = bool in
     let* store_gc = pick [ None; Some (0.05, 2) ] [ Some (0.0, 2); Some (0.05, 0) ] in
     let* request_timeout = pick [ None; Some 2e-3 ] [ Some (-2e-3); Some 0.0 ] in
     let* series_width = pick [ None; Some 0.05 ] [ Some (-0.1); Some 0.0 ] in
@@ -342,19 +341,19 @@ let runner_validate_or_complete =
         R.default with
         R.seed; n_servers; n_clients; replicas_per_server; offered_load; duration;
         warmup; drain; max_inflight; max_retries; retry_backoff; check;
-        check_window; check_async; store_gc; request_timeout; series_width;
+        check_window; store_gc; request_timeout; series_width;
       }
   in
   let print (c : R.config) =
     let opt f = function None -> "none" | Some x -> f x in
     Printf.sprintf
       "seed=%d servers=%d clients=%d replicas=%d load=%g duration=%g warmup=%g \
-       drain=%g inflight=%d retries=%d backoff=%g check=%s window=%d async=%b \
+       drain=%g inflight=%d retries=%d backoff=%g check=%s window=%d \
        store_gc=%s timeout=%s series=%s"
       c.seed c.n_servers c.n_clients c.replicas_per_server c.offered_load c.duration
       c.warmup c.drain c.max_inflight c.max_retries c.retry_backoff
       (fst (List.find (fun (_, l) -> l = c.check) R.check_levels))
-      c.check_window c.check_async
+      c.check_window
       (opt (fun (p, k) -> Printf.sprintf "%g/%d" p k) c.store_gc)
       (opt string_of_float c.request_timeout)
       (opt string_of_float c.series_width)

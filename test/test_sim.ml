@@ -8,11 +8,13 @@ let heap_pops_sorted =
       let h = Sim.Heap.create () in
       List.iter (fun (p, v) -> Sim.Heap.push h p v) entries;
       let rec drain last acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (p, v) ->
+        if Sim.Heap.is_empty h then List.rev acc
+        else begin
+          let p = Sim.Heap.top_prio h in
+          let v = Sim.Heap.pop_min h in
           if p < last then raise Exit;
           drain p ((p, v) :: acc)
+        end
       in
       match drain neg_infinity [] with
       | popped -> List.length popped = List.length entries
@@ -30,9 +32,12 @@ let heap_stable_sort =
       let h = Sim.Heap.create () in
       List.iter (fun (p, v) -> Sim.Heap.push h (float_of_int p) v) entries;
       let rec drain acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (p, v) -> drain ((p, v) :: acc)
+        if Sim.Heap.is_empty h then List.rev acc
+        else begin
+          let p = Sim.Heap.top_prio h in
+          let v = Sim.Heap.pop_min h in
+          drain ((p, v) :: acc)
+        end
       in
       let expected =
         List.map
@@ -46,9 +51,7 @@ let heap_stable_sort =
 let heap_fifo_on_ties () =
   let h = Sim.Heap.create () in
   List.iter (fun v -> Sim.Heap.push h 1.0 v) [ 1; 2; 3; 4; 5 ];
-  let order =
-    List.init 5 (fun _ -> match Sim.Heap.pop h with Some (_, v) -> v | None -> -1)
-  in
+  let order = List.init 5 (fun _ -> Sim.Heap.pop_min h) in
   Alcotest.(check (list int)) "insertion order preserved" [ 1; 2; 3; 4; 5 ] order
 
 let engine_runs_in_time_order () =

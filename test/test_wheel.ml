@@ -39,9 +39,12 @@ let wheel_heap_same_drain =
         end
       in
       let rec drain_heap acc =
-        match Sim.Heap.pop h with
-        | None -> List.rev acc
-        | Some (p, v) -> drain_heap ((p, v) :: acc)
+        if Sim.Heap.is_empty h then List.rev acc
+        else begin
+          let p = Sim.Heap.top_prio h in
+          let v = Sim.Heap.pop_min h in
+          drain_heap ((p, v) :: acc)
+        end
       in
       let a = drain [] and b = drain_heap [] in
       List.equal (fun (p, v) (q, u) -> Float.equal p q && Int.equal v u) a b)
@@ -73,16 +76,13 @@ let wheel_heap_interleaved =
           if not (Sim.Wheel.is_empty w) then begin
             floor := Sim.Wheel.top_prio w;
             out_w := Sim.Wheel.pop_min w :: !out_w;
-            out_h :=
-              (match Sim.Heap.pop h with Some (_, v) -> v | None -> -1)
-              :: !out_h
+            out_h := Sim.Heap.pop_min h :: !out_h
           end
         done
       done;
       while not (Sim.Wheel.is_empty w) do
         out_w := Sim.Wheel.pop_min w :: !out_w;
-        out_h :=
-          (match Sim.Heap.pop h with Some (_, v) -> v | None -> -1) :: !out_h
+        out_h := Sim.Heap.pop_min h :: !out_h
       done;
       Sim.Heap.is_empty h && List.equal Int.equal !out_w !out_h)
 
@@ -187,6 +187,70 @@ let wheel_churn_footprint () =
   Alcotest.(check bool)
     (Printf.sprintf "footprint near the pending population (%d)" f2)
     true (f2 < 64 * n)
+
+(* The event queue's steady state allocates nothing of its own: per
+   top_prio + pop_min + schedule cycle, the probe pays 4 words of float
+   boxing (the priority returned by [top_prio] and the one passed to
+   [push] cross module boundaries without flambda), and the engine's
+   wheel phase adds the amortised bucket regrowth after each cascade
+   (~8 words per event at one event per tick). A local sift or slot
+   scan capturing the queue would add a closure block per push, pop
+   or scan — 8 more words per cycle on the heap. One payload and one
+   self-rescheduling thunk are reused throughout. *)
+let queue_cycle_words () =
+  let per_cycle ~warm ~cycles churn =
+    churn warm;
+    let w0 = Gc.minor_words () in
+    churn cycles;
+    (Gc.minor_words () -. w0) /. float_of_int cycles
+  in
+  let heap_words n =
+    let h = Sim.Heap.create () in
+    let span = float_of_int n *. 1e-6 in
+    for i = 0 to n - 1 do
+      Sim.Heap.push h (float_of_int (i * 7919 mod n) *. 1e-6) 0
+    done;
+    per_cycle ~warm:10_000 ~cycles:100_000 (fun k ->
+        for _ = 1 to k do
+          let p = Sim.Heap.top_prio h in
+          let v = Sim.Heap.pop_min h in
+          Sim.Heap.push h (p +. span) v
+        done)
+  in
+  let engine_words n ~span =
+    let e = Sim.Engine.create () in
+    let rec tick () = Sim.Engine.schedule e ~delay:span tick in
+    for i = 0 to n - 1 do
+      Sim.Engine.schedule_at e
+        ~time:(span *. float_of_int (i * 7919 mod n) /. float_of_int n)
+        tick
+    done;
+    let until = ref 0.0 in
+    let words =
+      per_cycle ~warm:10 ~cycles:50 (fun k ->
+          until := !until +. (float_of_int k *. span);
+          Sim.Engine.run ~until:!until e)
+    in
+    (* [per_cycle] divided by spans; each span runs [n] events *)
+    (words /. float_of_int n, Sim.Engine.pending e)
+  in
+  List.iter
+    (fun n ->
+      let w = heap_words n in
+      Alcotest.(check bool)
+        (Printf.sprintf "heap at %d pending: %.2f words/cycle" n w)
+        true (w <= 6.0))
+    [ 150; 10_000 ];
+  List.iter
+    (fun (n, span, bound) ->
+      let w, pending = engine_words n ~span in
+      Alcotest.(check int) "population steady" n pending;
+      Alcotest.(check bool)
+        (Printf.sprintf "engine at %d pending (%s): %.2f words/event" n
+           (if n >= Sim.Engine.wheel_at then "wheel" else "heap")
+           w)
+        true (w <= bound))
+    [ (150, 1e-3, 6.0); (10_000, 10e-3, 15.0) ]
 
 (* The arena claim behind `send_clean`: once the freelist has grown to
    the steady-state in-flight population, a message allocates no
@@ -390,6 +454,8 @@ let suite =
       engine_sched_identity;
     Alcotest.test_case "wheel churn footprint bounded" `Quick
       wheel_churn_footprint;
+    Alcotest.test_case "event queue cycles allocate no closure" `Quick
+      queue_cycle_words;
     Alcotest.test_case "net dispatch zero-alloc" `Quick net_dispatch_zero_alloc;
     Alcotest.test_case "runner gc gauges" `Quick runner_gc_gauges;
     Alcotest.test_case "arrival curves shift volume" `Quick
