@@ -331,34 +331,234 @@ let janus_breaks_mutual_cycle_by_id () =
   Alcotest.(check int) "id order applied" 90
     (Mvstore.Store.most_recent_committed s.Tr.store 0).Mvstore.Store.value
 
+(* --- the client contract, per baseline ----------------------------------- *)
+
+(* What a hand-driven cluster needs of one baseline's two halves. *)
+module type PROTO = sig
+  type msg
+
+  val msg_phase : msg -> Obs.Phase.t
+
+  type server
+
+  val make_server : msg Cluster.Net.ctx -> server
+  val server_handle : server -> src:Types.node_id -> msg -> unit
+
+  type client
+
+  val make_client : msg Cluster.Net.ctx -> report:(Outcome.t -> unit) -> client
+  val client_handle : client -> src:Types.node_id -> msg -> unit
+  val submit : client -> Txn.t -> unit
+  val cancel : client -> Txn.t -> [ `Cancelled | `Keep_waiting ]
+end
+
+module D2pl_nw = struct
+  include D2pl
+
+  let make_server = make_server No_wait
+  let make_client = make_client No_wait
+end
+
+module D2pl_ww = struct
+  include D2pl
+
+  let make_server = make_server Wound_wait
+  let make_client = make_client Wound_wait
+end
+
+(* Three servers (keys land on server [key mod 3]) and one client, node
+   3. Every message waits in one queue until the test delivers it; the
+   client's sends are logged as (destination, phase). *)
+module Rig (P : PROTO) = struct
+  type t = {
+    client : P.client;
+    servers : P.server array;
+    queue : (int * int * P.msg) Queue.t;  (* src, dst, msg *)
+    sent : (int * Obs.Phase.t) list ref;  (* client sends, newest first *)
+    reported : Outcome.t list ref;
+  }
+
+  let client_id = 3
+
+  let create () =
+    let engine = Sim.Engine.create () in
+    let topo = Cluster.Topology.make ~n_servers:3 ~n_clients:1 () in
+    let queue = Queue.create () and sent = ref [] and reported = ref [] in
+    let ctx self =
+      {
+        Cluster.Net.self;
+        engine;
+        rng = Sim.Rng.create 1;
+        topo;
+        clock = Sim.Clock.perfect;
+        send =
+          (fun ~dst msg ->
+            if Int.equal self client_id then sent := (dst, P.msg_phase msg) :: !sent;
+            Queue.add (self, dst, msg) queue);
+        timer = (fun ~delay f -> Sim.Engine.schedule engine ~delay f);
+      }
+    in
+    let servers = Array.init 3 (fun i -> P.make_server (ctx i)) in
+    let client = P.make_client (ctx client_id) ~report:(fun o -> reported := o :: !reported) in
+    { client; servers; queue; sent; reported }
+
+  (* One hop: deliver every queued message from a node [from] accepts;
+     the rest stay queued. *)
+  let deliver ?(from = fun _ -> true) r =
+    let batch = List.of_seq (Queue.to_seq r.queue) in
+    Queue.clear r.queue;
+    List.iter
+      (fun ((src, dst, msg) as m) ->
+        if not (from src) then Queue.add m r.queue
+        else if Int.equal dst client_id then P.client_handle r.client ~src msg
+        else P.server_handle r.servers.(dst) ~src msg)
+      batch
+
+  let hops r n = for _ = 1 to n do deliver r done
+
+  let take_sent r =
+    let s = List.rev !(r.sent) in
+    r.sent := [];
+    s
+
+  let submit r txn = P.submit r.client txn
+end
+
+let outcome_is status = function
+  | [ o ] -> o.Outcome.status = status
+  | _ -> false
+
+let timed_out = Outcome.Aborted Outcome.Timed_out
+
+let sends =
+  Alcotest.(list (pair int (of_pp (fun ppf p -> Fmt.string ppf (Obs.Phase.to_string p)))))
+
+(* Shot 1 reads on server 0, shot 2 on server 1, shot 3 writes on
+   server 2. *)
+let three_shots () =
+  Txn.make ~client:3 [ [ Types.Read 0 ]; [ Types.Read 1 ]; [ Types.Write (2, 7) ] ]
+
+let read_only_three_shots () =
+  Txn.make ~client:3 [ [ Types.Read 0 ]; [ Types.Read 1 ]; [ Types.Read 2 ] ]
+
+(* The request-timeout contract: a cancel reports exactly one
+   [Aborted Timed_out] and tells only the servers that hold state for
+   the attempt. [mid] is a run of [hops] after submitting [txn], then a
+   cancel expected to send [aborts]. *)
+let check_cancel (module P : PROTO) ~mid =
+  let module R = Rig (P) in
+  (* nothing in flight: the timeout is still reported, once *)
+  let r = R.create () in
+  let idle = P.cancel r.R.client (three_shots ()) in
+  Alcotest.(check bool) "idle cancel is Cancelled" true (idle = `Cancelled);
+  Alcotest.(check bool) "idle cancel reports one Timed_out" true
+    (outcome_is timed_out !(r.R.reported));
+  Alcotest.check sends "idle cancel sends nothing" [] (R.take_sent r);
+  List.iter
+    (fun (what, txn, hops, aborts) ->
+      let r = R.create () in
+      R.submit r txn;
+      R.hops r hops;
+      ignore (R.take_sent r);
+      Alcotest.(check bool) (what ^ ": nothing reported yet") true (!(r.R.reported) = []);
+      let res = P.cancel r.R.client txn in
+      Alcotest.(check bool) (what ^ ": Cancelled") true (res = `Cancelled);
+      Alcotest.(check bool) (what ^ ": one Timed_out") true
+        (outcome_is timed_out !(r.R.reported));
+      Alcotest.check sends (what ^ ": aborts") aborts (R.take_sent r);
+      (* a second cancel finds nothing in flight *)
+      ignore (P.cancel r.R.client txn);
+      Alcotest.check sends (what ^ ": second cancel sends nothing") [] (R.take_sent r))
+    mid
+
+let abort_at servers = List.map (fun s -> (s, Obs.Phase.Abort)) servers
+
+(* TAPIR-CC, MVTO and d2PL abort the servers contacted so far, newest
+   first: cancelled while shot 2 is out, servers 1 and 0. *)
+let contacted_cases = [ ("shot 2 out", three_shots (), 2, abort_at [ 1; 0 ]) ]
+
+let cancel_docc () =
+  check_cancel
+    (module Docc)
+    ~mid:
+      [
+        ("executing", three_shots (), 2, []);
+        ("preparing", three_shots (), 4, abort_at [ 0; 1; 2 ]);
+      ]
+
+let cancel_d2pl_nw () = check_cancel (module D2pl_nw) ~mid:contacted_cases
+let cancel_d2pl_ww () = check_cancel (module D2pl_ww) ~mid:contacted_cases
+let cancel_tapir () = check_cancel (module Tapir) ~mid:contacted_cases
+
+let cancel_mvto () =
+  check_cancel
+    (module Mvto)
+    ~mid:(("read-only", read_only_three_shots (), 2, []) :: contacted_cases)
+
+(* Janus-CC aborts every participant while pre-accepting, including the
+   one it has not pre-accepted at yet. *)
+let cancel_janus () =
+  check_cancel (module Tr) ~mid:[ ("pre-accepting", three_shots (), 2, abort_at [ 0; 1; 2 ]) ]
+
+(* After Commit, Janus-CC is past its point of no return: a cancel
+   retransmits Commit to the servers it has not heard from, reports
+   nothing and keeps waiting. *)
+let janus_cancel_after_commit_keeps_waiting () =
+  let module R = Rig (Tr) in
+  let r = R.create () in
+  let txn = three_shots () in
+  R.submit r txn;
+  (* three pre-accept rounds, then Commit reaches the servers *)
+  R.hops r 7;
+  R.deliver ~from:(fun src -> Int.equal src 0) r;
+  ignore (R.take_sent r);
+  let res = Tr.cancel r.R.client txn in
+  Alcotest.(check bool) "Keep_waiting" true (res = `Keep_waiting);
+  Alcotest.(check bool) "nothing reported" true (!(r.R.reported) = []);
+  Alcotest.check sends "Commit to the laggards only"
+    [ (1, Obs.Phase.Commit); (2, Obs.Phase.Commit) ]
+    (R.take_sent r);
+  (* the retransmitted round completes the attempt *)
+  R.hops r 4;
+  Alcotest.(check bool) "committed" true (outcome_is Outcome.Committed !(r.R.reported))
+
 (* A coordinator drops a transaction's attempt counter when it commits:
    txn ids are never resubmitted after commit, so a kept counter is a
    per-transaction leak over a long run. *)
 let commit_drops_attempt_counter () =
-  let sent = ref [] in
-  let _, ctx = mk_ctx ~self:2 ~capture:(fun m -> sent := !sent @ [ m ]) () in
-  let reported = ref [] in
-  let c = Docc.make_client ctx ~report:(fun o -> reported := o :: !reported) in
-  let txn = Txn.make ~client:2 [ [ Types.Write (0, 7) ] ] in
-  Docc.submit c txn;
-  Alcotest.(check bool) "counter while in flight" true
-    (Option.is_some (Intmap.find_opt c.Docc.attempts txn.Txn.id));
-  let wire =
-    match !sent with
-    | [ (0, Docc.Prepare { p_wire; _ }) ] -> p_wire
-    | _ -> Alcotest.fail "one Prepare to server 0"
+  let check (type c) name (module P : PROTO with type client = c)
+      (attempts : c -> int Intmap.t) =
+    let module R = Rig (P) in
+    let r = R.create () in
+    let txn = three_shots () in
+    R.submit r txn;
+    Alcotest.(check bool) (name ^ ": counter while in flight") true
+      (Option.is_some (Intmap.find_opt (attempts r.R.client) txn.Txn.id));
+    R.hops r 12;
+    Alcotest.(check bool) (name ^ ": committed") true
+      (outcome_is Outcome.Committed !(r.R.reported));
+    Alcotest.(check bool) (name ^ ": counter dropped at commit") false
+      (Option.is_some (Intmap.find_opt (attempts r.R.client) txn.Txn.id))
   in
-  Docc.client_handle c ~src:0 (Docc.Prepare_reply { p_wire = wire; p_ok = true; p_writes = [] });
-  (match !reported with
-   | [ o ] -> Alcotest.(check bool) "committed" true (o.Outcome.status = Outcome.Committed)
-   | _ -> Alcotest.fail "one outcome");
-  Alcotest.(check bool) "counter dropped at commit" false
-    (Option.is_some (Intmap.find_opt c.Docc.attempts txn.Txn.id))
+  check "dOCC" (module Docc) (fun c -> c.Docc.attempts);
+  check "d2PL-NW" (module D2pl_nw) (fun c -> c.D2pl.attempts);
+  check "d2PL-WW" (module D2pl_ww) (fun c -> c.D2pl.attempts);
+  check "Janus-CC" (module Tr) (fun c -> c.Tr.attempts);
+  check "TAPIR-CC" (module Tapir) (fun c -> c.Tapir.attempts);
+  check "MVTO" (module Mvto) (fun c -> c.Mvto.attempts)
 
 let suite =
   [
     Alcotest.test_case "commit drops the attempt counter" `Quick
       commit_drops_attempt_counter;
+    Alcotest.test_case "dOCC cancel contract" `Quick cancel_docc;
+    Alcotest.test_case "d2PL-NW cancel contract" `Quick cancel_d2pl_nw;
+    Alcotest.test_case "d2PL-WW cancel contract" `Quick cancel_d2pl_ww;
+    Alcotest.test_case "Janus-CC cancel contract" `Quick cancel_janus;
+    Alcotest.test_case "TAPIR-CC cancel contract" `Quick cancel_tapir;
+    Alcotest.test_case "MVTO cancel contract" `Quick cancel_mvto;
+    Alcotest.test_case "Janus-CC cancel after Commit keeps waiting" `Quick
+      janus_cancel_after_commit_keeps_waiting;
     Alcotest.test_case "dOCC validation detects stale read" `Quick
       docc_validation_detects_stale_read;
     Alcotest.test_case "dOCC contention window (Fig 2a)" `Quick

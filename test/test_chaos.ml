@@ -73,18 +73,30 @@ let replay_reproduces_digest () =
   Alcotest.(check bool) "different seed, different trace" true
     (c.Chaos.digest <> a.Chaos.digest)
 
-(* The full trace digests of five NCC seeds, pinned byte for byte.
-   Replay equality and the --jobs parity check compare a run with
-   itself; this catches a digest that changes the same way everywhere
-   (say, a reordered or re-encoded event). *)
-let digests_pinned () =
-  let line seed =
-    let r = Chaos.run Ncc.protocol (workload ()) ~seed in
-    Printf.sprintf "seed %d committed=%d digest=%s\n" seed r.Chaos.committed
+(* Full trace digests, pinned byte for byte. Replay equality and the
+   --jobs parity check compare a run with itself; this catches a digest
+   that changes the same way everywhere (say, a reordered or re-encoded
+   event). The baseline golden covers their fault paths: stale rounds,
+   duplicate replies, and the timeout/cancel paths. *)
+let digests_pinned ~name protocols seeds () =
+  let line (label, proto) seed =
+    let r = Chaos.run proto (workload ()) ~seed in
+    Printf.sprintf "%sseed %d committed=%d digest=%s\n" label seed r.Chaos.committed
       r.Chaos.digest
   in
-  Golden.check ~name:"chaos_digests_ncc_f1.txt"
-    (String.concat "" (List.map line [ 1; 2; 3; 4; 5 ]))
+  Golden.check ~name
+    (String.concat ""
+       (List.concat_map (fun p -> List.map (line p) seeds) protocols))
+
+let baselines_pinned =
+  [
+    ("dOCC ", Baselines.docc);
+    ("d2PL-NW ", Baselines.d2pl_no_wait);
+    ("d2PL-WW ", Baselines.d2pl_wound_wait);
+    ("Janus-CC ", Baselines.janus_cc);
+    ("TAPIR-CC ", Baselines.tapir_cc);
+    ("MVTO ", Baselines.mvto);
+  ]
 
 (* The timestamp-inversion pitfall, demonstrated: with response timing
    control disabled the strict checker must catch violations across a
@@ -104,7 +116,12 @@ let suite =
   @ [
       Alcotest.test_case "replay reproduces the trace digest" `Quick
         replay_reproduces_digest;
-      Alcotest.test_case "NCC digests match the golden" `Quick digests_pinned;
+      Alcotest.test_case "NCC digests match the golden" `Quick
+        (digests_pinned ~name:"chaos_digests_ncc_f1.txt" [ ("", Ncc.protocol) ]
+           [ 1; 2; 3; 4; 5 ]);
+      Alcotest.test_case "baseline digests match the golden" `Quick
+        (digests_pinned ~name:"chaos_digests_baselines_f1.txt" baselines_pinned
+           [ 1; 2; 3 ]);
       Alcotest.test_case "NCC-noRTC is caught by the strict checker" `Quick
         no_rtc_is_caught;
     ]

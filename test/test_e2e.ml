@@ -97,12 +97,27 @@ let ser_hot_cases =
             [ 1; 2 ]))
     ser_protocols
 
+(* The baselines' multi-round paths: per-shot Prepare/Exec/Acquire
+   rounds. Janus-CC is left out: its server treats a dependency it has
+   not seen as imposing no order, which is unsound once a later shot
+   can still pre-accept there, and on this workload it stalls and then
+   fails the check (ROADMAP, Janus-CC multi-shot). *)
 let multishot_cases =
   List.map
-    (fun (name, p) ->
-      Alcotest.test_case (name ^ " multishot strict") `Slow (fun () ->
-          progress (run_checked p multishot_workload ~level:Harness.Runner.Streaming ~seed:5)))
-    [ ("NCC", Ncc.protocol); ("dOCC", Baselines.docc); ("d2PL-WW", Baselines.d2pl_wound_wait) ]
+    (fun (name, p, level, level_name) ->
+      Alcotest.test_case (name ^ " multishot " ^ level_name) `Slow (fun () ->
+          progress (run_checked p multishot_workload ~level ~seed:5)))
+    (List.map
+       (fun (name, p) -> (name, p, Harness.Runner.Streaming, "strict"))
+       [
+         ("NCC", Ncc.protocol);
+         ("dOCC", Baselines.docc);
+         ("d2PL-WW", Baselines.d2pl_wound_wait);
+         ("d2PL-NW", Baselines.d2pl_no_wait);
+       ]
+    @ List.map
+        (fun (name, p) -> (name, p, Harness.Runner.Serializable, "serializable"))
+        ser_protocols)
 
 let tpcc_case =
   Alcotest.test_case "NCC tpcc strict" `Slow (fun () ->
