@@ -1,9 +1,18 @@
 (* The five baseline concurrency-control protocols the paper evaluates
    against NCC (§5): three strictly serializable (dOCC, d2PL in two
    variants, Janus-CC transaction reordering) and two serializable
-   (TAPIR-CC, MVTO). *)
+   (TAPIR-CC, MVTO).
+
+   Each protocol file holds its messages, its server and its client
+   half. The client halves share one coordinator, {!Coord}: it starts
+   an attempt (wire id, pre-assigned timestamp), opens rounds, drops
+   stale and duplicate replies, sends the Decides and reports the
+   outcome, and cancels on the request timeout. A protocol supplies its
+   message builders, what a completed round leads to, and which
+   servers hear the Decide. *)
 
 module Common = Common
+module Coord = Coord
 module Docc = Docc
 module D2pl = D2pl
 module Tr = Tr

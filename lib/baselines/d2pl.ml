@@ -239,162 +239,85 @@ let server_handle s ~src msg =
 
 (* --- client --------------------------------------------------------- *)
 
-type phase = Executing | Preparing
-
-type inflight = {
-  f_txn : Txn.t;
-  f_wire : int;
-  f_ts : Ts.t;
-  mutable f_phase : phase;
-  mutable f_shots : Txn.shot list;
-  mutable f_awaiting : int;
-  mutable f_round : int;  (* current round; stamps Acquire messages *)
-  mutable f_replied : Types.node_id list;  (* servers heard this round *)
-  mutable f_results : Common.rres list;
-  mutable f_ok : bool;
-  mutable f_contacted : Types.node_id list;
-}
-
 type client = {
-  cctx : msg Cluster.Net.ctx;
+  coord : msg Coord.t;
   cvariant : variant;
-  report : Outcome.t -> unit;
-  inflight : inflight Intmap.t;
-  attempts : Common.attempt_counter;
-  ts_floor : int ref;
   mutable n_wounded : int;
 }
 
+let decide_msg wire commit = Decide { d_wire = wire; d_commit = commit }
+
 let make_client cvariant cctx ~report =
-  {
-    cctx;
-    cvariant;
-    report;
-    inflight = Intmap.create ();
-    attempts = Intmap.create ();
-    ts_floor = ref 0;
-    n_wounded = 0;
-  }
+  { coord = Coord.create cctx ~report ~decide:decide_msg; cvariant; n_wounded = 0 }
 
-let send_round c f ops ~exclusive =
-  let by_server = Cluster.Topology.ops_by_server c.cctx.topo ops in
-  f.f_awaiting <- List.length by_server;
-  f.f_round <- f.f_round + 1;
-  f.f_replied <- [];
-  List.iter
-    (fun (server, ops) ->
-      if not (Types.mem_node server f.f_contacted) then f.f_contacted <- server :: f.f_contacted;
-      c.cctx.send ~dst:server
-        (Acquire
-           {
-             a_wire = f.f_wire;
-             a_round = f.f_round;
-             a_ts = f.f_ts;
-             a_ops = ops;
-             a_exclusive = exclusive;
-             a_bytes = f.f_txn.Txn.bytes;
-           }))
-    by_server
+(* The wound-wait prepare round (the attempt's final round) locks its
+   writes exclusively. *)
+let acquire_msg (a : Coord.attempt) ops =
+  Acquire
+    {
+      a_wire = a.wire;
+      a_round = a.round;
+      a_ts = a.ts;
+      a_ops = ops;
+      a_exclusive = a.final;
+      a_bytes = a.txn.Txn.bytes;
+    }
 
-let finish c f ~commit ~reason =
-  Intmap.remove c.inflight f.f_wire;
-  if commit then Common.drop_attempt c.attempts f.f_txn.Txn.id;
-  List.iter
-    (fun server -> c.cctx.send ~dst:server (Decide { d_wire = f.f_wire; d_commit = commit }))
-    f.f_contacted;
-  let status = if commit then Outcome.Committed else Outcome.Aborted reason in
-  c.report
-    (Common.outcome ~txn:f.f_txn ~status ~results:(List.rev f.f_results)
-       ~commit_ts:(if commit then Some f.f_ts else None))
+let send_round c a ops =
+  Coord.send_round c.coord a ~contact:true acquire_msg
+    (Cluster.Topology.ops_by_server c.coord.ctx.topo ops)
 
 (* In no-wait, writes lock and execute with their shot. In wound-wait,
-   the execute phase sends only reads; writes go in a prepare round. *)
-let rec advance c f =
-  match f.f_shots with
+   the execute phase sends only reads; writes go in a prepare round.
+   Every contacted server hears the Decide. *)
+let rec advance c (a : Coord.attempt) =
+  match a.shots with
   | shot :: rest ->
-    f.f_shots <- rest;
+    a.shots <- rest;
     let ops =
       match c.cvariant with
       | No_wait -> shot
       | Wound_wait -> List.filter (fun op -> not (Types.is_write op)) shot
     in
-    if ops = [] then advance c f else send_round c f ops ~exclusive:false
+    if ops = [] then advance c a else send_round c a ops
   | [] ->
     (match c.cvariant with
-     | No_wait -> finish c f ~commit:true ~reason:(Outcome.Other "")
+     | No_wait -> Coord.commit c.coord a
      | Wound_wait ->
-       let writes = List.filter Types.is_write (Txn.ops f.f_txn) in
-       if writes = [] || f.f_phase = Preparing then
-         finish c f ~commit:true ~reason:(Outcome.Other "")
+       let writes = List.filter Types.is_write (Txn.ops a.txn) in
+       if writes = [] || a.final then Coord.commit c.coord a
        else begin
-         f.f_phase <- Preparing;
-         send_round c f writes ~exclusive:true
+         a.final <- true;
+         send_round c a writes
        end)
 
-let submit c txn =
-  Common.reject_dynamic txn;
-  let attempt = Common.next_attempt c.attempts txn.Txn.id in
-  let wire = Common.wire_id ~txn_id:txn.Txn.id ~attempt in
-  let f =
-    {
-      f_txn = txn;
-      f_wire = wire;
-      f_ts = Common.clock_ts c.cctx ~floor:c.ts_floor;
-      f_phase = Executing;
-      f_shots = txn.Txn.shots;
-      f_awaiting = 0;
-      f_round = 0;
-      f_replied = [];
-      f_results = [];
-      f_ok = true;
-      f_contacted = [];
-    }
-  in
-  Intmap.replace c.inflight wire f;
-  advance c f
+let submit c txn = advance c (Coord.start c.coord txn)
 
 let client_handle c ~src msg =
   match msg with
   | Acquire_reply { r_wire; r_round; r_ok; r_results } ->
-    (match Intmap.find_opt c.inflight r_wire with
-     | None -> ()
-     | Some f when r_round <> f.f_round || Types.mem_node src f.f_replied ->
-       () (* stale round, or a duplicate delivery of this round's reply *)
-     | Some f ->
-       f.f_replied <- src :: f.f_replied;
-       if not r_ok then f.f_ok <- false;
-       f.f_results <- List.rev_append r_results f.f_results;
-       f.f_awaiting <- f.f_awaiting - 1;
-       if f.f_awaiting = 0 then
-         if f.f_ok then advance c f
-         else
-           finish c f ~commit:false
-             ~reason:
-               (match c.cvariant with
-                | No_wait -> Outcome.Lock_unavailable
-                | Wound_wait -> Outcome.Wounded))
+    (match Coord.tally c.coord ~src ~wire:r_wire ~round:r_round ~ok:r_ok r_results with
+     | Some a when a.Coord.awaiting = 0 ->
+       if a.ok then advance c a
+       else
+         Coord.abort c.coord a
+           (match c.cvariant with
+            | No_wait -> Outcome.Lock_unavailable
+            | Wound_wait -> Outcome.Wounded)
+     | Some _ | None -> ())
   | Wound { w_wire } ->
-    (match Intmap.find_opt c.inflight w_wire with
+    (match Coord.find c.coord w_wire with
      | None -> ()  (* already decided: the wound is moot *)
-     | Some f ->
+     | Some a ->
        c.n_wounded <- c.n_wounded + 1;
-       finish c f ~commit:false ~reason:Outcome.Wounded)
+       Coord.abort c.coord a Outcome.Wounded)
   | Acquire _ | Decide _ -> ()
 
-(* Request timeout: abandon the attempt. The abort Decides release
-   every lock and undecided version on contacted servers; a server's
-   decided set refuses any Acquire still in flight, and the wound-wait
-   poll loop observes the decision and fails its pending request. *)
-let cancel c txn =
-  let f =
-    Option.bind
-      (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Intmap.find_opt c.inflight)
-  in
-  (match f with
-   | Some f -> finish c f ~commit:false ~reason:Outcome.Timed_out
-   | None -> c.report (Outcome.aborted ~reason:Outcome.Timed_out txn));
-  `Cancelled
+(* Request timeout: the abort Decides release every lock and undecided
+   version on contacted servers; a server's decided set refuses any
+   Acquire still in flight, and the wound-wait poll loop observes the
+   decision and fails its pending request. *)
+let cancel c txn = Coord.cancel c.coord txn
 
 (* --- protocol values -------------------------------------------------- *)
 

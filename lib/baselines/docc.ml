@@ -175,192 +175,80 @@ let server_handle s ~src msg =
 
 (* --- client --------------------------------------------------------- *)
 
-type phase = Executing | Preparing
+type client = msg Coord.t
 
-type inflight = {
-  f_txn : Txn.t;
-  f_wire : int;
-  f_ts : Ts.t;
-  mutable f_phase : phase;
-  mutable f_shots : Txn.shot list;
-  mutable f_awaiting : int;
-  mutable f_round : int;  (* current execute round; stamps Exec messages *)
-  mutable f_replied : Types.node_id list;  (* servers heard this round/phase *)
-  mutable f_results : Common.rres list;
-  mutable f_prepare_ok : bool;
-  f_participants : Types.node_id list;
-  mutable f_prepared : Types.node_id list;  (* participants sent Prepare *)
-}
+let decide_msg wire commit = Decide { d_wire = wire; d_commit = commit }
+let make_client cctx ~report = Coord.create cctx ~report ~decide:decide_msg
 
-type client = {
-  cctx : msg Cluster.Net.ctx;
-  report : Outcome.t -> unit;
-  inflight : inflight Intmap.t;
-  attempts : Common.attempt_counter;
-  ts_floor : int ref;
-}
-
-let make_client cctx ~report =
-  {
-    cctx;
-    report;
-    inflight = Intmap.create ();
-    attempts = Intmap.create ();
-    ts_floor = ref 0;
-  }
-
-let read_keys_of_shot shot =
-  List.filter_map (function Types.Read k -> Some k | Types.Write _ -> None) shot
-
-(* Send one execute round for the reads of [shot]; write-only shots
-   skip straight through. *)
-let rec send_exec c f shot =
-  let reads = read_keys_of_shot shot in
-  let by_server = Cluster.Topology.ops_by_server c.cctx.topo (List.map (fun k -> Types.Read k) reads) in
-  match by_server with
-  | [] -> advance c f
-  | parts ->
-    f.f_awaiting <- List.length parts;
-    f.f_round <- f.f_round + 1;
-    f.f_replied <- [];
-    List.iter
-      (fun (server, ops) ->
-        c.cctx.send ~dst:server
-          (Exec
-             {
-               x_wire = f.f_wire;
-               x_round = f.f_round;
-               x_keys = List.map Types.op_key ops;
-               x_bytes = f.f_txn.Txn.bytes;
-             }))
-      parts
-
-and advance c f =
-  match f.f_shots with
-  | shot :: rest ->
-    f.f_shots <- rest;
-    send_exec c f shot
-  | [] -> start_prepare c f
-
-and start_prepare c f =
-  f.f_phase <- Preparing;
-  let ops = Txn.ops f.f_txn in
-  let by_server = Cluster.Topology.ops_by_server c.cctx.topo ops in
-  f.f_awaiting <- List.length by_server;
-  f.f_replied <- [];
-  f.f_prepared <- List.map fst by_server;
-  List.iter
-    (fun (server, ops) ->
-      (* every version observed during execution must validate: if two
-         shots saw different versions of a key (non-repeatable read),
-         one of them cannot be current and the prepare must fail *)
-      let keys_here =
-        List.filter_map
-          (function Types.Read k -> Some k | Types.Write _ -> None)
-          ops
-      in
-      let reads =
-        List.filter_map
-          (fun r ->
-            if (not r.Common.b_is_write) && Types.mem_key r.Common.b_key keys_here then
-              Some (r.Common.b_key, r.Common.b_vid)
-            else None)
-          f.f_results
-        |> List.sort_uniq (fun (k1, v1) (k2, v2) ->
-               match Int.compare k1 k2 with 0 -> Int.compare v1 v2 | c -> c)
-      in
-      let writes =
-        List.filter_map
-          (function Types.Write (k, v) -> Some (k, v) | Types.Read _ -> None)
-          ops
-      in
-      c.cctx.send ~dst:server
-        (Prepare
-           {
-             p_wire = f.f_wire;
-             p_ts = f.f_ts;
-             p_reads = reads;
-             p_writes = writes;
-             p_bytes = f.f_txn.Txn.bytes;
-           }))
-    by_server
-
-let submit c txn =
-  Common.reject_dynamic txn;
-  let attempt = Common.next_attempt c.attempts txn.Txn.id in
-  let wire = Common.wire_id ~txn_id:txn.Txn.id ~attempt in
-  let participants =
-    List.map fst (Cluster.Topology.ops_by_server c.cctx.topo (Txn.ops txn))
-  in
-  let f =
+let exec_msg (a : Coord.attempt) ops =
+  Exec
     {
-      f_txn = txn;
-      f_wire = wire;
-      f_ts = Common.clock_ts c.cctx ~floor:c.ts_floor;
-      f_phase = Executing;
-      f_shots = txn.Txn.shots;
-      f_awaiting = 0;
-      f_round = 0;
-      f_replied = [];
-      f_results = [];
-      f_prepare_ok = true;
-      f_participants = participants;
-      f_prepared = [];
+      x_wire = a.wire;
+      x_round = a.round;
+      x_keys = List.map Types.op_key ops;
+      x_bytes = a.txn.Txn.bytes;
     }
-  in
-  Intmap.replace c.inflight wire f;
-  advance c f
 
-let finish c f ~commit ~reason =
-  Intmap.remove c.inflight f.f_wire;
-  if commit then Common.drop_attempt c.attempts f.f_txn.Txn.id;
-  List.iter
-    (fun server -> c.cctx.send ~dst:server (Decide { d_wire = f.f_wire; d_commit = commit }))
-    f.f_prepared;
-  let status = if commit then Outcome.Committed else Outcome.Aborted reason in
-  c.report
-    (Common.outcome ~txn:f.f_txn ~status ~results:(List.rev f.f_results)
-       ~commit_ts:(if commit then Some f.f_ts else None))
+(* Every version observed during execution must validate: if two shots
+   saw different versions of a key (non-repeatable read), one of them
+   cannot be current and the prepare must fail. *)
+let prepare_msg (a : Coord.attempt) ops =
+  let keys_here =
+    List.filter_map (function Types.Read k -> Some k | Types.Write _ -> None) ops
+  in
+  let reads =
+    List.filter_map
+      (fun (r : Common.rres) ->
+        if (not r.b_is_write) && Types.mem_key r.b_key keys_here then Some (r.b_key, r.b_vid)
+        else None)
+      a.results
+    |> List.sort_uniq (fun (k1, v1) (k2, v2) ->
+           match Int.compare k1 k2 with 0 -> Int.compare v1 v2 | c -> c)
+  in
+  let writes =
+    List.filter_map (function Types.Write (k, v) -> Some (k, v) | Types.Read _ -> None) ops
+  in
+  Prepare
+    { p_wire = a.wire; p_ts = a.ts; p_reads = reads; p_writes = writes; p_bytes = a.txn.Txn.bytes }
+
+(* One execute round for the reads of each shot (write-only shots skip
+   straight through), then the prepare round. Only the prepare
+   participants hold state, so only they hear the Decide, in
+   participant order. The prepare opens a new round, so a late
+   Exec_reply no longer counts. *)
+let rec advance (c : client) (a : Coord.attempt) =
+  match a.shots with
+  | shot :: rest ->
+    a.shots <- rest;
+    (match
+       Cluster.Topology.ops_by_server c.ctx.topo
+         (List.filter (fun op -> not (Types.is_write op)) shot)
+     with
+     | [] -> advance c a
+     | groups -> Coord.send_round c a ~contact:false exec_msg groups)
+  | [] ->
+    a.final <- true;
+    let groups = Cluster.Topology.ops_by_server c.ctx.topo (Txn.ops a.txn) in
+    a.decide_to <- List.map fst groups;
+    Coord.send_round c a ~contact:false prepare_msg groups
+
+let submit c txn = advance c (Coord.start c txn)
 
 let client_handle c ~src msg =
   match msg with
   | Exec_reply { e_wire; e_round; e_results } ->
-    (match Intmap.find_opt c.inflight e_wire with
-     | Some f
-       when f.f_phase = Executing && e_round = f.f_round
-            && not (Types.mem_node src f.f_replied) ->
-       f.f_replied <- src :: f.f_replied;
-       f.f_results <- List.rev_append e_results f.f_results;
-       f.f_awaiting <- f.f_awaiting - 1;
-       if f.f_awaiting = 0 then advance c f
+    (match Coord.tally c ~src ~wire:e_wire ~round:e_round ~ok:true e_results with
+     | Some a when a.Coord.awaiting = 0 -> advance c a
      | Some _ | None -> ())
   | Prepare_reply { p_wire; p_ok; p_writes } ->
-    (match Intmap.find_opt c.inflight p_wire with
-     | Some f when f.f_phase = Preparing && not (Types.mem_node src f.f_replied) ->
-       f.f_replied <- src :: f.f_replied;
-       if not p_ok then f.f_prepare_ok <- false;
-       f.f_results <- List.rev_append p_writes f.f_results;
-       f.f_awaiting <- f.f_awaiting - 1;
-       if f.f_awaiting = 0 then
-         if f.f_prepare_ok then finish c f ~commit:true ~reason:(Outcome.Other "")
-         else finish c f ~commit:false ~reason:Outcome.Validation_failed
+    (match Coord.tally c ~src ~wire:p_wire ~round:Coord.unstamped ~ok:p_ok p_writes with
+     | Some a when a.Coord.awaiting = 0 ->
+       if a.ok then Coord.commit c a
+       else Coord.abort c a Outcome.Validation_failed
      | Some _ | None -> ())
   | Exec _ | Prepare _ | Decide _ -> ()
 
-(* Request timeout: abandon the attempt. [finish ~commit:false] sends
-   abort Decides to every server that was sent a Prepare, releasing
-   locks and undecided versions; servers whose Prepare is still in
-   flight refuse it on arrival via their decided set. *)
-let cancel c txn =
-  let f =
-    Option.bind
-      (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Intmap.find_opt c.inflight)
-  in
-  (match f with
-   | Some f -> finish c f ~commit:false ~reason:Outcome.Timed_out
-   | None -> c.report (Outcome.aborted ~reason:Outcome.Timed_out txn));
-  `Cancelled
+let cancel = Coord.cancel
 
 (* --- protocol value -------------------------------------------------- *)
 

@@ -167,127 +167,39 @@ let server_handle s ~src msg =
 
 (* --- client --------------------------------------------------------- *)
 
-type inflight = {
-  f_txn : Txn.t;
-  f_wire : int;
-  f_ts : Ts.t;
-  mutable f_shots : Txn.shot list;
-  mutable f_awaiting : int;
-  mutable f_round : int;  (* current shot number; stamps Exec messages *)
-  mutable f_replied : Types.node_id list;  (* servers heard this round *)
-  mutable f_results : Common.rres list;
-  mutable f_ok : bool;
-  mutable f_contacted : Types.node_id list;
-}
+type client = msg Coord.t
 
-type client = {
-  cctx : msg Cluster.Net.ctx;
-  report : Outcome.t -> unit;
-  inflight : inflight Intmap.t;
-  attempts : Common.attempt_counter;
-  ts_floor : int ref;
-}
+let decide_msg wire commit = Decide { d_wire = wire; d_commit = commit }
+let make_client cctx ~report = Coord.create cctx ~report ~decide:decide_msg
 
-let make_client cctx ~report =
-  {
-    cctx;
-    report;
-    inflight = Intmap.create ();
-    attempts = Intmap.create ();
-    ts_floor = ref 0;
-  }
+let exec_msg (a : Coord.attempt) ops =
+  Exec
+    { x_wire = a.wire; x_round = a.round; x_ts = a.ts; x_ops = ops; x_bytes = a.txn.Txn.bytes }
 
-let send_shot c f shot =
-  let by_server = Cluster.Topology.ops_by_server c.cctx.topo shot in
-  f.f_awaiting <- List.length by_server;
-  f.f_round <- f.f_round + 1;
-  f.f_replied <- [];
-  List.iter
-    (fun (server, ops) ->
-      if not (Types.mem_node server f.f_contacted) then f.f_contacted <- server :: f.f_contacted;
-      c.cctx.send ~dst:server
-        (Exec
-           {
-             x_wire = f.f_wire;
-             x_round = f.f_round;
-             x_ts = f.f_ts;
-             x_ops = ops;
-             x_bytes = f.f_txn.Txn.bytes;
-           }))
-    by_server
-
-let finish c f ~commit ~reason =
-  Intmap.remove c.inflight f.f_wire;
-  if commit then Common.drop_attempt c.attempts f.f_txn.Txn.id;
-  (* read-only transactions have nothing to decide: no commit round *)
-  if not f.f_txn.Txn.read_only then
-    List.iter
-      (fun server -> c.cctx.send ~dst:server (Decide { d_wire = f.f_wire; d_commit = commit }))
-      f.f_contacted;
-  let status = if commit then Outcome.Committed else Outcome.Aborted reason in
-  c.report
-    (Common.outcome ~txn:f.f_txn ~status ~results:(List.rev f.f_results)
-       ~commit_ts:(if commit then Some f.f_ts else None))
-
-let advance c f =
-  match f.f_shots with
+(* One Exec round per shot. A read-only attempt installs nothing, so it
+   contacts no server for the Decide: no commit round, and a cancel
+   has nothing to release. *)
+let advance (c : client) (a : Coord.attempt) =
+  match a.shots with
   | shot :: rest ->
-    f.f_shots <- rest;
-    send_shot c f shot
-  | [] -> finish c f ~commit:true ~reason:(Outcome.Other "")
+    a.shots <- rest;
+    Coord.send_round c a ~contact:(not a.txn.Txn.read_only) exec_msg
+      (Cluster.Topology.ops_by_server c.ctx.topo shot)
+  | [] -> Coord.commit c a
 
-let submit c txn =
-  Common.reject_dynamic txn;
-  let attempt = Common.next_attempt c.attempts txn.Txn.id in
-  let wire = Common.wire_id ~txn_id:txn.Txn.id ~attempt in
-  let f =
-    {
-      f_txn = txn;
-      f_wire = wire;
-      f_ts = Common.clock_ts c.cctx ~floor:c.ts_floor;
-      f_shots = txn.Txn.shots;
-      f_awaiting = 0;
-      f_round = 0;
-      f_replied = [];
-      f_results = [];
-      f_ok = true;
-      f_contacted = [];
-    }
-  in
-  Intmap.replace c.inflight wire f;
-  advance c f
+let submit c txn = advance c (Coord.start c txn)
 
 let client_handle c ~src msg =
   match msg with
   | Exec_reply { e_wire; e_round; e_ok; e_results } ->
-    (match Intmap.find_opt c.inflight e_wire with
-     | None -> ()
-     | Some f when e_round <> f.f_round || Types.mem_node src f.f_replied ->
-       () (* stale round, or a duplicate delivery of this round's reply *)
-     | Some f ->
-       f.f_replied <- src :: f.f_replied;
-       if not e_ok then f.f_ok <- false;
-       f.f_results <- List.rev_append e_results f.f_results;
-       f.f_awaiting <- f.f_awaiting - 1;
-       if f.f_awaiting = 0 then
-         if f.f_ok then advance c f
-         else finish c f ~commit:false ~reason:Outcome.Ts_order_violation)
+    (match Coord.tally c ~src ~wire:e_wire ~round:e_round ~ok:e_ok e_results with
+     | Some a when a.Coord.awaiting = 0 ->
+       if a.ok then advance c a
+       else Coord.abort c a Outcome.Ts_order_violation
+     | Some _ | None -> ())
   | Exec _ | Decide _ -> ()
 
-(* Request timeout: abandon the attempt. The abort Decides discard any
-   versions the attempt installed; servers refuse late shots via their
-   decided set. Read-only attempts hold nothing, so there is nothing
-   to release. *)
-let cancel c txn =
-  let f =
-    Option.bind
-      (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Intmap.find_opt c.inflight)
-  in
-  (match f with
-   | Some f -> finish c f ~commit:false ~reason:Outcome.Timed_out
-   | None -> c.report (Outcome.aborted ~reason:Outcome.Timed_out txn));
-  `Cancelled
+let cancel = Coord.cancel
 
 let protocol : Harness.Protocol.t =
   (module struct

@@ -287,114 +287,47 @@ let server_handle s ~src msg =
 
 (* --- client --------------------------------------------------------- *)
 
-type phase = Preaccepting | Committing
+(* Every participant holds the footprint from pre-accept on, so all of
+   them ([decide_to]) hear an Abort. The final round is the Commit. *)
+type client = msg Coord.t
 
-type inflight = {
-  f_txn : Txn.t;
-  f_wire : int;
-  mutable f_phase : phase;
-  mutable f_shots : Txn.shot list;
-  mutable f_awaiting : int;
-  mutable f_round : int;  (* current pre-accept shot; stamps Preaccept *)
-  mutable f_replied : Types.node_id list;   (* heard this pre-accept round *)
-  mutable f_creplied : Types.node_id list;  (* heard for the commit round *)
-  mutable f_deps : int list;
-  mutable f_results : Common.rres list;
-  f_participants : Types.node_id list;
-}
+let abort_msg wire _commit = Abort { ab_wire = wire }
+let make_client cctx ~report = Coord.create cctx ~report ~decide:abort_msg
 
-type client = {
-  cctx : msg Cluster.Net.ctx;
-  report : Outcome.t -> unit;
-  inflight : inflight Intmap.t;
-  attempts : Common.attempt_counter;
-}
+let preaccept_msg (a : Coord.attempt) ops =
+  Preaccept { pa_wire = a.wire; pa_round = a.round; pa_ops = ops; pa_bytes = a.txn.Txn.bytes }
 
-let make_client cctx ~report =
-  { cctx; report; inflight = Intmap.create (); attempts = Intmap.create () }
+let commit_msg (a : Coord.attempt) = Commit { c_wire = a.wire; c_deps = a.deps }
 
-let send_preaccept c f shot =
-  let by_server = Cluster.Topology.ops_by_server c.cctx.topo shot in
-  f.f_awaiting <- List.length by_server;
-  f.f_round <- f.f_round + 1;
-  f.f_replied <- [];
-  List.iter
-    (fun (server, ops) ->
-      c.cctx.send ~dst:server
-        (Preaccept
-           {
-             pa_wire = f.f_wire;
-             pa_round = f.f_round;
-             pa_ops = ops;
-             pa_bytes = f.f_txn.Txn.bytes;
-           }))
-    by_server
-
-let advance c f =
-  match f.f_shots with
+let advance (c : client) (a : Coord.attempt) =
+  match a.shots with
   | shot :: rest ->
-    f.f_shots <- rest;
-    send_preaccept c f shot
+    a.shots <- rest;
+    Coord.send_round c a ~contact:false preaccept_msg
+      (Cluster.Topology.ops_by_server c.ctx.topo shot)
   | [] ->
-    f.f_phase <- Committing;
-    f.f_awaiting <- List.length f.f_participants;
-    List.iter
-      (fun server ->
-        c.cctx.send ~dst:server (Commit { c_wire = f.f_wire; c_deps = f.f_deps }))
-      f.f_participants
+    a.final <- true;
+    Coord.open_round a (List.length a.decide_to);
+    List.iter (fun server -> c.ctx.send ~dst:server (commit_msg a)) a.decide_to
 
-let submit c txn =
-  Common.reject_dynamic txn;
-  let attempt = Common.next_attempt c.attempts txn.Txn.id in
-  let wire = Common.wire_id ~txn_id:txn.Txn.id ~attempt in
-  let participants =
-    List.map fst (Cluster.Topology.ops_by_server c.cctx.topo (Txn.ops txn))
-  in
-  let f =
-    {
-      f_txn = txn;
-      f_wire = wire;
-      f_phase = Preaccepting;
-      f_shots = txn.Txn.shots;
-      f_awaiting = 0;
-      f_round = 0;
-      f_replied = [];
-      f_creplied = [];
-      f_deps = [];
-      f_results = [];
-      f_participants = participants;
-    }
-  in
-  Intmap.replace c.inflight wire f;
-  advance c f
+let submit (c : client) txn =
+  let a = Coord.start c txn in
+  a.decide_to <- List.map fst (Cluster.Topology.ops_by_server c.ctx.topo (Txn.ops txn));
+  advance c a
 
 let client_handle c ~src msg =
   match msg with
   | Preaccept_reply { pa_wire; pa_round; pa_deps } ->
-    (match Intmap.find_opt c.inflight pa_wire with
-     | Some f
-       when f.f_phase = Preaccepting && pa_round = f.f_round
-            && not (Types.mem_node src f.f_replied) ->
-       f.f_replied <- src :: f.f_replied;
-       List.iter
-         (fun d -> if not (List.mem d f.f_deps) then f.f_deps <- d :: f.f_deps)
-         pa_deps;
-       f.f_awaiting <- f.f_awaiting - 1;
-       if f.f_awaiting = 0 then advance c f
-     | Some _ | None -> ())
+    (match Coord.tally c ~src ~wire:pa_wire ~round:pa_round ~ok:true [] with
+     | Some a ->
+       List.iter (fun d -> if not (List.mem d a.Coord.deps) then a.deps <- d :: a.deps) pa_deps;
+       if a.awaiting = 0 then advance c a
+     | None -> ())
   | Commit_reply { c_wire; c_results } ->
-    (match Intmap.find_opt c.inflight c_wire with
-     | Some f when f.f_phase = Committing && not (Types.mem_node src f.f_creplied) ->
-       f.f_creplied <- src :: f.f_creplied;
-       f.f_results <- List.rev_append c_results f.f_results;
-       f.f_awaiting <- f.f_awaiting - 1;
-       if f.f_awaiting = 0 then begin
-         Intmap.remove c.inflight c_wire;
-         Common.drop_attempt c.attempts f.f_txn.Txn.id;
-         c.report
-           (Common.outcome ~txn:f.f_txn ~status:Outcome.Committed
-              ~results:(List.rev f.f_results) ~commit_ts:None)
-       end
+    (* results arrive with execution; the order is by dependencies, so
+       the outcome carries no timestamp *)
+    (match Coord.tally c ~src ~wire:c_wire ~round:Coord.unstamped ~ok:true c_results with
+     | Some a when a.Coord.awaiting = 0 -> Coord.close c a Outcome.Committed ~commit_ts:None
      | Some _ | None -> ())
   | Preaccept _ | Commit _ | Abort _ -> ()
 
@@ -406,28 +339,14 @@ let client_handle c ~src msg =
    (answered from their result cache if the reply was lost) and keep
    waiting. *)
 let cancel c txn =
-  match
-    Option.bind
-      (Common.current_wire c.attempts ~txn_id:txn.Txn.id)
-      (Intmap.find_opt c.inflight)
-  with
-  | None ->
-    c.report (Outcome.aborted ~reason:Outcome.Timed_out txn);
-    `Cancelled
-  | Some f when f.f_phase = Preaccepting ->
-    Intmap.remove c.inflight f.f_wire;
-    List.iter
-      (fun server -> c.cctx.send ~dst:server (Abort { ab_wire = f.f_wire }))
-      f.f_participants;
-    c.report (Outcome.aborted ~reason:Outcome.Timed_out txn);
-    `Cancelled
-  | Some f ->
+  match Coord.current c txn with
+  | Some a when a.Coord.final ->
     List.iter
       (fun server ->
-        if not (Types.mem_node server f.f_creplied) then
-          c.cctx.send ~dst:server (Commit { c_wire = f.f_wire; c_deps = f.f_deps }))
-      f.f_participants;
+        if not (Types.mem_node server a.replied) then c.ctx.send ~dst:server (commit_msg a))
+      a.decide_to;
     `Keep_waiting
+  | Some _ | None -> Coord.cancel c txn
 
 let protocol : Harness.Protocol.t =
   (module struct

@@ -45,6 +45,10 @@ let make ?(label = "txn") ?(bytes = 64) ?dynamic ~client shots =
   in
   { id = !next_id; client; shots; dynamic; read_only; label; bytes }
 
+(* Unique only for attempts 1-1024: [attempt land 1023] wraps, so
+   attempt 1025 reuses attempt 1's wire id. *)
+let wire_id ~txn_id ~attempt = (txn_id * 1024) + (attempt land 1023)
+
 let ops t = List.concat t.shots
 
 let keys t = List.map Types.op_key (ops t)

@@ -32,6 +32,14 @@ val make :
   ?label:string -> ?bytes:int -> ?dynamic:continuation ->
   client:Types.node_id -> shot list -> t
 
+(** [wire_id ~txn_id ~attempt] is the id attempt [attempt] of
+    transaction [txn_id] carries on the wire. A retried transaction is a
+    new wire transaction, so a late message of an earlier attempt is
+    never taken for the current one. Ids are unique only for attempts
+    1-1024: the attempt number is taken mod 1024, so attempt 1025
+    reuses attempt 1's wire id. *)
+val wire_id : txn_id:int -> attempt:int -> int
+
 val ops : t -> Types.op list
 val keys : t -> Types.key list
 val read_keys : t -> Types.key list

@@ -306,7 +306,7 @@ let submit t txn =
     Intmap.replace t.attempts txn.Txn.id a;
     a
   in
-  let wire = Msg.wire_id ~txn_id:txn.Txn.id ~attempt in
+  let wire = Txn.wire_id ~txn_id:txn.Txn.id ~attempt in
   (* Servers the transaction's *static* shots touch (the asynchrony and
      read-only pre-assignment heuristics work from these; interactive
      shots may add participants later). A one-shot transaction sends
@@ -403,7 +403,7 @@ let cancel t txn =
     match Intmap.find_opt t.attempts txn.Txn.id with
     | None -> None
     | Some attempt ->
-      Intmap.find_opt t.inflight (Msg.wire_id ~txn_id:txn.Txn.id ~attempt)
+      Intmap.find_opt t.inflight (Txn.wire_id ~txn_id:txn.Txn.id ~attempt)
   in
   (match f with
    | Some f -> finish_abort t f Outcome.Timed_out

@@ -1,13 +1,11 @@
 (* Wire protocol and configuration of NCC.
 
    Transactions appear on the wire under an attempt-unique id
-   ("wire id"): a retried transaction is a brand-new wire transaction,
-   so a late commit/abort message from a previous attempt can never be
-   confused with the current one. *)
+   ("wire id", {!Kernel.Txn.wire_id}): a retried transaction is a
+   brand-new wire transaction, so a late commit/abort message from a
+   previous attempt can never be confused with the current one. *)
 
 open Kernel
-
-let wire_id ~txn_id ~attempt = (txn_id * 1024) + (attempt land 1023)
 
 type config = {
   use_ro : bool;          (* specialized read-only protocol (§4.5) *)

@@ -540,12 +540,12 @@ let commit_drops_attempt_counter () =
     Alcotest.(check bool) (name ^ ": counter dropped at commit") false
       (Option.is_some (Intmap.find_opt (attempts r.R.client) txn.Txn.id))
   in
-  check "dOCC" (module Docc) (fun c -> c.Docc.attempts);
-  check "d2PL-NW" (module D2pl_nw) (fun c -> c.D2pl.attempts);
-  check "d2PL-WW" (module D2pl_ww) (fun c -> c.D2pl.attempts);
-  check "Janus-CC" (module Tr) (fun c -> c.Tr.attempts);
-  check "TAPIR-CC" (module Tapir) (fun c -> c.Tapir.attempts);
-  check "MVTO" (module Mvto) (fun c -> c.Mvto.attempts)
+  check "dOCC" (module Docc) (fun c -> c.Baselines.Coord.attempts);
+  check "d2PL-NW" (module D2pl_nw) (fun c -> c.D2pl.coord.Baselines.Coord.attempts);
+  check "d2PL-WW" (module D2pl_ww) (fun c -> c.D2pl.coord.Baselines.Coord.attempts);
+  check "Janus-CC" (module Tr) (fun c -> c.Baselines.Coord.attempts);
+  check "TAPIR-CC" (module Tapir) (fun c -> c.Baselines.Coord.attempts);
+  check "MVTO" (module Mvto) (fun c -> c.Baselines.Coord.attempts)
 
 let suite =
   [

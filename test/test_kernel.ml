@@ -23,10 +23,10 @@ let txn_projections () =
 
 let wire_ids_unique =
   QCheck.Test.make ~name:"wire ids unique per (txn, attempt)" ~count:300
-    QCheck.(pair (pair (1 -- 10_000) (1 -- 50)) (pair (1 -- 10_000) (1 -- 50)))
+    QCheck.(pair (pair (1 -- 10_000) (1 -- 1024)) (pair (1 -- 10_000) (1 -- 1024)))
     (fun ((t1, a1), (t2, a2)) ->
-      let w1 = Ncc.Msg.wire_id ~txn_id:t1 ~attempt:a1 in
-      let w2 = Ncc.Msg.wire_id ~txn_id:t2 ~attempt:a2 in
+      let w1 = Txn.wire_id ~txn_id:t1 ~attempt:a1 in
+      let w2 = Txn.wire_id ~txn_id:t2 ~attempt:a2 in
       (t1 = t2 && a1 = a2) = (w1 = w2))
 
 let outcome_helpers () =
