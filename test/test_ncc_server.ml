@@ -449,7 +449,19 @@ let many_clients_pinned () =
       check = R.Streaming;
     }
   in
-  let line (label, proto) =
+  (* The scale preset's shape: 10k clients keep more than 4,096 events
+     pending, the event-queue population of the reference scale point,
+     on the uniform latency model (the asymmetric table is O(nodes^2)). *)
+  let wide =
+    {
+      cfg with
+      R.n_servers = 64;
+      n_clients = 10_000;
+      offered_load = 40_000.0;
+      latency = R.Uniform { one_way = 250e-6; jitter = 25e-6 };
+    }
+  in
+  let line (label, proto, cfg) =
     Sim.Trace.reset_digest ();
     Sim.Trace.enable_digest ();
     let r = R.run proto (Workload.Google_f1.make ()) cfg in
@@ -464,7 +476,12 @@ let many_clients_pinned () =
   Golden.check ~name:"many_clients_f1_runs.txt"
     (String.concat ""
        (List.map line
-          [ ("NCC google-f1", Ncc.protocol); ("dOCC google-f1", Baselines.docc) ]))
+          [
+            ("NCC google-f1", Ncc.protocol, cfg);
+            ("dOCC google-f1", Baselines.docc, cfg);
+            ("NCC google-f1 64x10000", Ncc.protocol, wide);
+            ("dOCC google-f1 64x10000", Baselines.docc, wide);
+          ]))
 
 let suite =
   suite
