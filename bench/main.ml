@@ -104,18 +104,15 @@ let micro () =
              Sim.Heap.push h (float_of_int (i * 7919 mod 1000)) v
            done))
   in
-  (* Wheel and heap rows for the engine's two scheduler phases: steady-state
+  (* The engine's queue (the wheel) against a plain heap: steady-state
      event churn (top_prio + pop_min + schedule) against a persistent
-     structure holding N pending events, at 1k / 100k / 1M. The heap
-     pays O(log n) sift per operation — ~20 levels at 1M — while the
-     wheel's slot insert and bucket drain are O(1) amortised, so the
-     gap must widen with N (the scale CI asserts the 1M pair). Each
-     pop reschedules at popped-prio + span, keeping density constant:
-     the workload every long open-loop run presents. Density matches
-     what a cluster-scale run holds: pending events are in-flight
-     messages and timers, all due within a few milliseconds of now
-     (one-way delays are ~100us-1ms), so 1M pending events span ~10ms
-     of virtual time — about 100 events per 1us tick. *)
+     structure holding N pending events, at 1k / 100k / 1M. Each pop
+     reschedules at popped-prio + span, keeping density constant at
+     about 100 events per 1us tick, so the span is 256 ticks at 1k,
+     1,000 at 100k and 10,000 at 1M. Up to 100k every reschedule lands
+     in the wheel's 4,096-slot window (O(1)); at 1M it lands past the
+     window, in the overflow heap, and the wheel pays the heap's sift
+     plus its own refill. *)
   let engine_churn =
     List.concat_map
       (fun (tag, n) ->

@@ -4,7 +4,7 @@
    other registries): "Sim.Heap.push" matches the binding the sim
    library's Heap module declares under dune's mangled unit name.
    These are the cluster-scale cost centres (docs/performance.md,
-   "Allocation discipline: the lint plane") — the event heap and clock
+   "Allocation discipline: the lint plane") — the event queue and clock
    arithmetic, per-message network dispatch, the store's version and
    chain lookup, the NCC server's row lookup, and the streaming
    checker's feed path. They are hot whether or not anyone remembers
@@ -21,12 +21,12 @@ let seeds =
     "Sim.Engine.run";
     "Sim.Engine.schedule";
     "Sim.Engine.schedule_at";
-    (* Sim.Heap: the event queue backing the loop. *)
+    (* Sim.Heap: the wheel's overflow store for events beyond its
+       window, pushed and drained on the same per-event path. *)
     "Sim.Heap.push";
     "Sim.Heap.top_prio";
     "Sim.Heap.pop_min";
-    (* Sim.Wheel: the timing-wheel alternative to the heap — same
-       once-per-event duty cycle, so the same discipline. *)
+    (* Sim.Wheel: the event queue backing the loop — once per event. *)
     "Sim.Wheel.schedule";
     "Sim.Wheel.top_prio";
     "Sim.Wheel.pop_min";

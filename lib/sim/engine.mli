@@ -1,12 +1,8 @@
-(** Discrete-event simulation engine: virtual clock plus event queue.
-    Deterministic: equal-time events run in scheduling order. *)
+(** Discrete-event simulation engine: virtual clock plus event queue
+    (a {!Wheel}). Deterministic: equal-time events run in scheduling
+    order. *)
 
 type t
-
-(** The engine starts on {!Heap}; the first time this many events are
-    pending it moves them into a {!Wheel} for good. Both deliver in
-    (priority, scheduling-order) order, so results never change. *)
-val wheel_at : int
 
 val create : unit -> t
 

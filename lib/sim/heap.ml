@@ -87,6 +87,10 @@ let top_prio t =
   if t.size = 0 then invalid_arg "Heap.top_prio: empty heap";
   t.prios.(0)
 
+let top t =
+  if t.size = 0 then invalid_arg "Heap.top: empty heap";
+  t.data.(0)
+
 let pop_min t =
   if t.size = 0 then invalid_arg "Heap.pop_min: empty heap";
   let payload = t.data.(0) in

@@ -14,6 +14,10 @@ val push : 'a t -> float -> 'a -> unit
     the heap is empty — pair with [is_empty], not with an option. *)
 val top_prio : 'a t -> float
 
+(** The minimum element's payload, left in place. Raises
+    [Invalid_argument] when the heap is empty. *)
+val top : 'a t -> 'a
+
 (** Remove and return the minimum element's payload. Raises
     [Invalid_argument] when the heap is empty. *)
 val pop_min : 'a t -> 'a

@@ -1,12 +1,12 @@
-(** Hierarchical timing wheel with the same delivery contract as
+(** Single-level timing wheel with the same delivery contract as
     {!Heap}: events come out in (priority, scheduling-order) order, so
     equal-instant events keep FIFO order and either structure drives a
-    byte-identical simulation. Schedule and pop are O(1) amortised
-    (the heap pays O(log n)), which is what makes 10-100M-event
-    cluster-scale runs affordable. Far-future events park in an
-    overflow heap and re-enter the wheel as time reaches their window;
-    delivered slots are cleared, so steady-state churn holds no
-    garbage (the 1M-event churn test bounds [footprint_words]). *)
+    byte-identical simulation. Events within the wheel's window (4,096
+    ticks of 1 µs) are scheduled and popped in O(1) amortised; events
+    beyond it wait in an overflow {!Heap} and enter the window as time
+    reaches them. Every event lives in one node arena whose freed
+    nodes are reused, so steady-state churn holds no garbage (the
+    1M-event churn test bounds [footprint_words]). *)
 
 type 'a t
 
