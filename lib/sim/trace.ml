@@ -42,13 +42,14 @@ let kind_code = function
   | Restart -> 8
   | _ -> -1
 
-(* The rolling digest is an MD5 chain over fixed 25-byte records:
+(* The rolling digest is an MD5 chain over fixed 29-byte records:
    kind (1 byte), time bits (8, LE), src (4, LE), dst (4, LE), x bits
-   (8, LE). Records are written straight into [chunk], whose first 16
+   (8, LE), phase code (4, LE). The code tells message kinds of equal
+   cost and endpoints apart; [id] stays out, as it is an arena slot. Records are written straight into [chunk], whose first 16
    bytes hold the digest of everything before it; when the chunk is
    full it is hashed in place and the result becomes the next chunk's
    prefix. An event therefore costs no string, no format and no copy. *)
-let record_bytes = 25
+let record_bytes = 29
 let chunk_bytes = 16 + (record_bytes * ((4096 - 16) / record_bytes))
 
 (* Events as columns: per slot, four floats (time, x, start, dur) in a
@@ -188,6 +189,7 @@ let emit ~time kind ~src ~dst ~x ~start ~dur ~id ~code =
     Bytes.set_int32_le b (p + 9) (Int32.of_int src);
     Bytes.set_int32_le b (p + 13) (Int32.of_int dst);
     Bytes.set_int64_le b (p + 17) (Int64.bits_of_float x);
+    Bytes.set_int32_le b (p + 25) (Int32.of_int code);
     st.pos <- p + record_bytes
   end;
   let r = st.ring and c = st.cap in

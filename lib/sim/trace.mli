@@ -61,8 +61,8 @@ val enable : ?capacity:int -> unit -> unit
 val disable : unit -> unit
 
 (** Fold every message-plane event into a rolling digest: an MD5 chain
-    over fixed 25-byte binary records (kind, time bits, src, dst, x
-    bits). Equal digests across two runs mean identical message traces
+    over fixed 29-byte binary records (kind, time bits, src, dst, x
+    bits, phase code). Equal digests across two runs mean identical message traces
     — the determinism oracle of chaos-seed replay. [enable_digest] never
     clears the digest (a mid-run enable must not wipe history another
     layer is accumulating); [reset_digest] starts a fresh stream. *)

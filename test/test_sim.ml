@@ -246,9 +246,10 @@ let trace_ring_faults () =
   Golden.check ~name:"trace_spans_faults.json" (Obs.Export.chrome_trace_string spans)
 
 (* A deterministic event stream of [n] records (several digest chunks
-   once n exceeds ~160). [edit] rewrites event [at]; [read_at] reads the
-   digest just before event [read_at] is emitted. *)
-let stream_digest ?(at = -1) ?(edit = Fun.id) ?(read_at = -1) n =
+   once n exceeds ~140). [edit] rewrites event [at]; [read_at] reads the
+   digest just before event [read_at] is emitted; [code_at] gives event
+   [at] that phase code in place of 0. *)
+let stream_digest ?(at = -1) ?(edit = Fun.id) ?(read_at = -1) ?(code_at = 0) n =
   let kinds =
     Sim.Trace.
       [| Send; Handle; Suppressed; Partitioned; Dropped; Duplicated; Lost_down;
@@ -266,7 +267,8 @@ let stream_digest ?(at = -1) ?(edit = Fun.id) ?(read_at = -1) n =
         float_of_int i *. 1e-7 )
     in
     let time, kind, src, dst, x = if i = at then edit e else e in
-    Sim.Trace.ev ~time kind ~src ~dst ~x
+    let code = if i = at then code_at else 0 in
+    Sim.Trace.emit ~time kind ~src ~dst ~x ~start:0.0 ~dur:0.0 ~id:0 ~code
   done;
   let d = Sim.Trace.digest () in
   Sim.Trace.disable_digest ();
@@ -304,7 +306,7 @@ let trace_digest_mid_run_enable () =
   Alcotest.(check string) "mid-chunk read leaves the digest alone" unread
     (stream_digest ~read_at:500 1000);
   Alcotest.(check string) "read at a chunk boundary too" unread
-    (stream_digest ~read_at:163 1000)
+    (stream_digest ~read_at:140 1000)
 
 (* Every field of a record reaches the digest: changing exactly one
    field of one event deep in a multi-chunk stream changes it. *)
@@ -321,11 +323,14 @@ let trace_digest_field_sensitivity () =
       ("src", fun (t, k, s, d, x) -> (t, k, s + 1, d, x));
       ("dst", fun (t, k, s, d, x) -> (t, k, s, d + 1, x));
       ("x (one ulp)", fun (t, k, s, d, x) -> (t, k, s, d, Float.succ x));
-    ]
+    ];
+  (* two streams that differ only in one event's phase code: a message
+     kind swapped for another of equal cost and endpoints *)
+  Alcotest.(check bool) "phase code" true (stream_digest ~at ~code_at:3 n <> base)
 
 (* With digest and ring both on, an event costs only its two boxed
    float arguments (2 words each under the non-flambda calling
-   convention), plus a 4-word digest per 163-record chunk flush. Any
+   convention), plus a 4-word digest per 140-record chunk flush. Any
    further per-event allocation, even one word, fails the bound. *)
 let trace_ev_allocation () =
   let n = 100_000 in
