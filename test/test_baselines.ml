@@ -403,9 +403,10 @@ module Rig (P : PROTO) = struct
     { client; servers; queue; sent; reported }
 
   (* One hop: deliver every queued message from a node [from] accepts;
-     the rest stay queued. *)
-  let deliver ?(from = fun _ -> true) r =
-    let batch = List.of_seq (Queue.to_seq r.queue) in
+     the rest stay queued. [edit] reorders or copies the hop's batch
+     first. *)
+  let deliver ?(from = fun _ -> true) ?(edit = Fun.id) r =
+    let batch = edit (List.of_seq (Queue.to_seq r.queue)) in
     Queue.clear r.queue;
     List.iter
       (fun ((src, dst, msg) as m) ->
@@ -422,6 +423,9 @@ module Rig (P : PROTO) = struct
     s
 
   let submit r txn = P.submit r.client txn
+
+  (* The queued messages, oldest first. *)
+  let queued r = List.of_seq (Queue.to_seq r.queue)
 end
 
 let outcome_is status = function
@@ -547,6 +551,211 @@ let commit_drops_attempt_counter () =
   check "TAPIR-CC" (module Tapir) (fun c -> c.Baselines.Coord.attempts);
   check "MVTO" (module Mvto) (fun c -> c.Baselines.Coord.attempts)
 
+(* --- the participant contract, per baseline server ------------------- *)
+
+(* What the contract tests read of a server: its store, and the verdict
+   a server reply carries ([None] for any other message). *)
+module type PART = sig
+  include PROTO
+
+  val store_of : server -> Mvstore.Store.t
+  val reply_ok : msg -> bool option
+end
+
+module Docc_part = struct
+  include Docc
+
+  let store_of s = s.store
+
+  let reply_ok = function
+    | Prepare_reply { p_ok; _ } -> Some p_ok
+    | Exec_reply _ -> Some true
+    | Exec _ | Prepare _ | Decide _ -> None
+end
+
+let d2pl_reply_ok = function
+  | D2pl.Acquire_reply { r_ok; _ } -> Some r_ok
+  | D2pl.Acquire _ | D2pl.Wound _ | D2pl.Decide _ -> None
+
+module D2pl_nw_part = struct
+  include D2pl_nw
+
+  let store_of s = s.store
+  let reply_ok = d2pl_reply_ok
+end
+
+module D2pl_ww_part = struct
+  include D2pl_ww
+
+  let store_of s = s.store
+  let reply_ok = d2pl_reply_ok
+end
+
+module Tapir_part = struct
+  include Tapir
+
+  let store_of s = s.store
+
+  let reply_ok = function
+    | Prepare_reply { p_ok; _ } -> Some p_ok
+    | Prepare _ | Decide _ -> None
+end
+
+module Mvto_part = struct
+  include Mvto
+
+  let store_of s = s.store
+
+  let reply_ok = function
+    | Exec_reply { e_ok; _ } -> Some e_ok
+    | Exec _ | Decide _ -> None
+end
+
+(* One shot that writes keys 0 and 1 (servers 0 and 1): the first round
+   of every baseline installs there. *)
+let two_writes () = Txn.make ~client:3 [ [ Types.Write (0, 7); Types.Write (1, 8) ] ]
+
+(* Reads then writes keys 0 and 1: it commits only if no lock, no
+   undecided version and no raised read mark is left on them. *)
+let read_then_write () =
+  Txn.make ~client:3
+    [ [ Types.Read 0; Types.Read 1 ]; [ Types.Write (0, 9); Types.Write (1, 9) ] ]
+
+let committed_txn (txn : Txn.t) =
+  List.exists (fun (o : Outcome.t) ->
+      o.Outcome.txn.Txn.id = txn.Txn.id && o.Outcome.status = Outcome.Committed)
+
+let check_participant (module P : PART) ~dup_replies =
+  let module R = Rig (P) in
+  let created (r : R.t) =
+    Array.to_list (Array.map (fun s -> Mvstore.Store.versions_created (P.store_of s)) r.R.servers)
+  in
+  let server_replies (r : R.t) =
+    List.filter_map
+      (fun (src, dst, m) ->
+        if src < R.client_id && Int.equal dst R.client_id then P.reply_ok m else None)
+      (R.queued r)
+  in
+  (* a Decide that overtakes the first round: the round is refused,
+     nothing is installed and no lock is left behind *)
+  let r = R.create () in
+  let txn = two_writes () in
+  R.submit r txn;
+  ignore (P.cancel r.R.client txn);
+  R.deliver ~edit:List.rev r;
+  Alcotest.(check (list bool)) "overtaken round refused" [ false; false ] (server_replies r);
+  Alcotest.(check (list int)) "overtaken round installs nothing" [ 0; 0; 0 ] (created r);
+  let next = read_then_write () in
+  R.submit r next;
+  R.hops r 12;
+  Alcotest.(check bool) "nothing held: a later writer commits" true
+    (committed_txn next !(r.R.reported));
+  (* a duplicated round is served once *)
+  let r = R.create () in
+  let txn = two_writes () in
+  R.submit r txn;
+  R.deliver ~edit:(List.concat_map (fun m -> [ m; m ])) r;
+  Alcotest.(check int) "duplicated round: replies" dup_replies (List.length (server_replies r));
+  Alcotest.(check (list int)) "duplicated round installs once" [ 1; 1; 0 ] (created r);
+  R.hops r 4;
+  Alcotest.(check bool) "committed" true (committed_txn txn !(r.R.reported));
+  (* a duplicated Decide is a no-op: the stores end as with one copy,
+     and no server sends anything *)
+  let decided edit =
+    Mvstore.Store.reset_vids ();
+    let r = R.create () in
+    let txn = two_writes () in
+    R.submit r txn;
+    R.hops r 2;
+    Alcotest.(check bool) "committed before the Decides land" true
+      (committed_txn txn !(r.R.reported));
+    R.deliver ~edit r;
+    Alcotest.(check int) "nothing sent after the Decides" 0 (List.length (R.queued r));
+    Array.to_list r.R.servers
+    |> List.concat_map (fun s ->
+           let st = P.store_of s in
+           List.map
+             (fun key ->
+               ( Mvstore.Store.committed_order st key,
+                 (Mvstore.Store.most_recent st key).Mvstore.Store.status = Mvstore.Store.Committed ))
+             [ 0; 1 ])
+  in
+  Alcotest.(check (list (pair (list int) bool)))
+    "duplicated Decide is a no-op" (decided Fun.id)
+    (decided (List.concat_map (fun m -> [ m; m ])))
+
+let participant_docc () = check_participant (module Docc_part) ~dup_replies:4
+let participant_d2pl_nw () = check_participant (module D2pl_nw_part) ~dup_replies:2
+let participant_d2pl_ww () = check_participant (module D2pl_ww_part) ~dup_replies:2
+let participant_tapir () = check_participant (module Tapir_part) ~dup_replies:2
+let participant_mvto () = check_participant (module Mvto_part) ~dup_replies:2
+
+(* --- identity golden: short seeded runs through the whole stack ------- *)
+
+(* Seeded [Runner.run]s per baseline, pinned byte for byte in the shape
+   of test/golden/ncc_tpcc_runs.txt: committed count, attempts,
+   messages, every counter, the in-window aborts by reason, the checker
+   line and the trace digest.
+   TPC-C is multi-shot and contended (rounds, locks, wounds, parked
+   reads); its faulted run duplicates and delays messages under a
+   request timeout, but drops none. *)
+let runs_pinned () =
+  let module R = Harness.Runner in
+  let tpcc () = Workload.Tpcc.make ~n_servers:8 () in
+  let f1 () = Workload.Google_f1.make () in
+  let cfg ?(faulty = false) check load =
+    {
+      R.default with
+      R.seed = 3;
+      n_servers = 8;
+      n_clients = 24;
+      offered_load = load;
+      warmup = 0.02;
+      duration = 0.15;
+      drain = 0.1;
+      check;
+      request_timeout = (if faulty then Some 0.01 else None);
+      faults =
+        (if faulty then
+           { Cluster.Faults.none with duplicate = 0.02; delay_prob = 0.05; delay_extra = 0.02 }
+         else Cluster.Faults.none);
+    }
+  in
+  let line (proto, level) (what, w, faulty, load) =
+    let check = match level with `Strict -> R.Streaming | `Ser -> R.Serializable in
+    Sim.Trace.reset_digest ();
+    Sim.Trace.enable_digest ();
+    let r = R.run proto (w ()) (cfg ~faulty check load) in
+    let digest = Sim.Trace.digest () in
+    Sim.Trace.disable_digest ();
+    Printf.sprintf
+      "%s %s committed=%d attempts=%d messages=%d\n  %s\n  aborts: %s\n  check=%s\n  digest=%s\n"
+      r.R.protocol what r.R.committed r.R.attempts r.R.messages
+      (String.concat " "
+         (List.map (fun (k, v) -> Printf.sprintf "%s=%.17g" k v) r.R.counters))
+      (String.concat " " (List.map (fun (k, n) -> Printf.sprintf "%s=%d" k n) r.R.aborts))
+      r.R.check_result digest
+  in
+  let runs =
+    [
+      ("tpcc", tpcc, false, 6_000.0);
+      ("tpcc faults", tpcc, true, 6_000.0);
+      ("google-f1", f1, false, 8_000.0);
+    ]
+  in
+  Golden.check ~name:"baseline_runs.txt"
+    (String.concat ""
+       (List.concat_map
+          (fun p -> List.map (line p) runs)
+          Baselines.
+            [
+              (docc, `Strict);
+              (d2pl_no_wait, `Strict);
+              (d2pl_wound_wait, `Strict);
+              (tapir_cc, `Ser);
+              (mvto, `Ser);
+            ]))
+
 let suite =
   [
     Alcotest.test_case "commit drops the attempt counter" `Quick
@@ -557,6 +766,12 @@ let suite =
     Alcotest.test_case "Janus-CC cancel contract" `Quick cancel_janus;
     Alcotest.test_case "TAPIR-CC cancel contract" `Quick cancel_tapir;
     Alcotest.test_case "MVTO cancel contract" `Quick cancel_mvto;
+    Alcotest.test_case "dOCC participant contract" `Quick participant_docc;
+    Alcotest.test_case "d2PL-NW participant contract" `Quick participant_d2pl_nw;
+    Alcotest.test_case "d2PL-WW participant contract" `Quick participant_d2pl_ww;
+    Alcotest.test_case "TAPIR-CC participant contract" `Quick participant_tapir;
+    Alcotest.test_case "MVTO participant contract" `Quick participant_mvto;
+    Alcotest.test_case "seeded runs match the golden" `Quick runs_pinned;
     Alcotest.test_case "Janus-CC cancel after Commit keeps waiting" `Quick
       janus_cancel_after_commit_keeps_waiting;
     Alcotest.test_case "dOCC validation detects stale read" `Quick
