@@ -9,10 +9,18 @@
    stale and duplicate replies, sends the Decides and reports the
    outcome, and cancels on the request timeout. A protocol supplies its
    message builders, what a completed round leads to, and which
-   servers hear the Decide. *)
+   servers hear the Decide.
+
+   The servers of dOCC, d2PL, TAPIR-CC and MVTO share one participant,
+   {!Part}: one table from wire id to the attempt's record here (client,
+   highest round served, installed versions, locked keys), a decided
+   marker that refuses a round its Decide overtook, and the decision
+   that resolves the versions and releases the keys. A protocol keeps
+   only its own validation and execution. *)
 
 module Common = Common
 module Coord = Coord
+module Part = Part
 module Docc = Docc
 module D2pl = D2pl
 module Tr = Tr

@@ -57,15 +57,8 @@ let msg_phase : msg -> Obs.Phase.t = function
 
 (* --- server --------------------------------------------------------- *)
 
-type txn_state = {
-  mutable h_keys : Types.key list;  (* keys with locks held here *)
-  mutable h_versions : (Types.key * Store.version) list;  (* installed writes *)
-  mutable h_max_round : int;  (* highest Acquire round processed *)
-  h_client : Types.node_id;
-}
-
 (* One Acquire message being served; wound-wait requests may complete
-   asynchronously as queued locks are granted. *)
+   asynchronously as polled locks are granted. *)
 type pending_msg = {
   pm_wire : int;
   pm_round : int;
@@ -78,41 +71,22 @@ type pending_msg = {
 type server = {
   ctx : msg Cluster.Net.ctx;
   variant : variant;
-  store : Store.t;
-  locks : Locks.t;
-  txns : (int, txn_state) Hashtbl.t;
-  decided : (int, bool) Hashtbl.t;
+  part : Part.t;
   mutable n_lock_fails : int;
   mutable n_wounds : int;
 }
 
 let make_server variant ctx =
-  {
-    ctx;
-    variant;
-    store = Store.create ();
-    locks = Locks.create ();
-    txns = Hashtbl.create 256;
-    decided = Hashtbl.create 4096;
-    n_lock_fails = 0;
-    n_wounds = 0;
-  }
-
-let txn_state s ~wire ~client =
-  match Hashtbl.find_opt s.txns wire with
-  | Some st -> st
-  | None ->
-    let st = { h_keys = []; h_versions = []; h_max_round = 0; h_client = client } in
-    Hashtbl.add s.txns wire st;
-    st
+  { ctx; variant; part = Part.create (); n_lock_fails = 0; n_wounds = 0 }
 
 (* Perform the operation once its lock is held. *)
-let execute_op s st ~ts ~wire op =
+let execute_op s (a : Part.attempt) ~ts ~wire op =
+  let store = s.part.Part.store in
   match op with
-  | Types.Read key -> Common.result_of_read (Store.most_recent_committed s.store key) key
+  | Types.Read key -> Common.result_of_read (Store.most_recent_committed store key) key
   | Types.Write (key, value) ->
-    let v = Store.write s.store key value ~ts ~writer:wire in
-    st.h_versions <- (key, v) :: st.h_versions;
+    let v = Store.write store key value ~ts ~writer:wire in
+    a.Part.versions <- (key, v) :: a.Part.versions;
     Common.result_of_write v key
 
 let reply_pending s pm =
@@ -126,42 +100,17 @@ let reply_pending s pm =
            r_results = pm.pm_results;
          })
 
-let release_all s ~wire =
-  match Hashtbl.find_opt s.txns wire with
-  | None -> ()
-  | Some st ->
-    Hashtbl.remove s.txns wire;
-    List.iter (fun key -> Locks.release s.locks key ~txn:wire) st.h_keys;
-    st.h_keys <- []
-
-let decide s ~wire ~commit =
-  if not (Hashtbl.mem s.decided wire) then begin
-    Hashtbl.replace s.decided wire commit;
-    (match Hashtbl.find_opt s.txns wire with
-     | None -> ()
-     | Some st ->
-       List.iter
-         (fun (key, v) ->
-           if commit then Store.commit_in s.store key v else Store.abort_version s.store key v)
-         st.h_versions);
-    release_all s ~wire
-  end
-
-let acquire s ~src (a : int * int * Ts.t * Types.op list * bool * int) =
-  let wire, round, ts, ops, exclusive, _bytes = a in
-  if Hashtbl.mem s.decided wire then
-    (* late round of an attempt already aborted (e.g. wounded) *)
+(* A round its Decide overtook (e.g. a wounded attempt's) is refused; a
+   duplicate of a round served here is dropped, as re-executing would
+   install duplicate versions (the client drops the reply it
+   duplicates). *)
+let acquire s ~src ~wire ~round ~ts ~exclusive ops =
+  match Part.admit s.part ~wire ~client:src ~round with
+  | `Decided ->
     s.ctx.send ~dst:src
       (Acquire_reply { r_wire = wire; r_round = round; r_ok = false; r_results = [] })
-  else begin
-    let st = txn_state s ~wire ~client:src in
-    if round <= st.h_max_round then
-      (* duplicate delivery of a round already processed here:
-         re-executing would install duplicate versions. Drop it; the
-         reply it duplicates is deduplicated client-side. *)
-      ()
-    else begin
-    st.h_max_round <- round;
+  | `Duplicate -> ()
+  | `Serve st ->
     let owner = { Locks.txn = wire; ts } in
     let pm =
       { pm_wire = wire; pm_round = round; pm_src = src; pm_waiting = 0;
@@ -176,9 +125,8 @@ let acquire s ~src (a : int * int * Ts.t * Types.op list * bool * int) =
         let mode = mode_of op in
         if pm.pm_failed && s.variant = No_wait then ()
         else
-          match Locks.try_acquire s.locks key ~owner ~mode with
+          match Part.lock s.part st key ~owner ~mode with
           | `Granted ->
-            if not (Types.mem_key key st.h_keys) then st.h_keys <- key :: st.h_keys;
             if not pm.pm_failed then
               pm.pm_results <- execute_op s st ~ts ~wire op :: pm.pm_results
           | `Conflict holders ->
@@ -198,9 +146,9 @@ let acquire s ~src (a : int * int * Ts.t * Types.op list * bool * int) =
                    (fun (h : Locks.owner) ->
                      if Ts.(ts < h.Locks.ts) then begin
                        s.n_wounds <- s.n_wounds + 1;
-                       match Hashtbl.find_opt s.txns h.Locks.txn with
+                       match Part.find s.part h.Locks.txn with
                        | Some victim ->
-                         s.ctx.send ~dst:victim.h_client (Wound { w_wire = h.Locks.txn })
+                         s.ctx.send ~dst:victim.Part.client (Wound { w_wire = h.Locks.txn })
                        | None -> ()
                      end)
                    hs
@@ -208,16 +156,15 @@ let acquire s ~src (a : int * int * Ts.t * Types.op list * bool * int) =
                wound holders;
                pm.pm_waiting <- pm.pm_waiting + 1;
                let rec poll () =
-                 if Hashtbl.mem s.decided wire then begin
+                 if Part.is_decided s.part wire then begin
                    pm.pm_waiting <- pm.pm_waiting - 1;
                    pm.pm_failed <- true;
                    reply_pending s pm
                  end
                  else
-                   match Locks.try_acquire s.locks key ~owner ~mode with
+                   match Part.lock s.part st key ~owner ~mode with
                    | `Granted ->
                      pm.pm_waiting <- pm.pm_waiting - 1;
-                     if not (Types.mem_key key st.h_keys) then st.h_keys <- key :: st.h_keys;
                      pm.pm_results <- execute_op s st ~ts ~wire op :: pm.pm_results;
                      reply_pending s pm
                    | `Conflict hs ->
@@ -227,14 +174,12 @@ let acquire s ~src (a : int * int * Ts.t * Types.op list * bool * int) =
                s.ctx.timer ~delay:2e-4 poll))
       ops;
     reply_pending s pm
-    end
-  end
 
 let server_handle s ~src msg =
   match msg with
-  | Acquire { a_wire; a_round; a_ts; a_ops; a_exclusive; a_bytes } ->
-    acquire s ~src (a_wire, a_round, a_ts, a_ops, a_exclusive, a_bytes)
-  | Decide { d_wire; d_commit } -> decide s ~wire:d_wire ~commit:d_commit
+  | Acquire { a_wire; a_round; a_ts; a_ops; a_exclusive; _ } ->
+    acquire s ~src ~wire:a_wire ~round:a_round ~ts:a_ts ~exclusive:a_exclusive a_ops
+  | Decide { d_wire; d_commit } -> Part.decide s.part ~wire:d_wire ~commit:d_commit
   | Acquire_reply _ | Wound _ -> ()
 
 (* --- client --------------------------------------------------------- *)
@@ -334,7 +279,7 @@ let make variant name : Harness.Protocol.t =
 
     let make_server = make_server variant
     let server_handle = server_handle
-    let server_stores s = [ s.store ]
+    let server_stores s = [ s.part.Part.store ]
 
     let server_counters s =
       [

@@ -50,100 +50,23 @@ let msg_phase : msg -> Obs.Phase.t = function
 
 (* --- server --------------------------------------------------------- *)
 
-type prepared = {
-  pr_versions : (Types.key * Store.version) list;
-  pr_keys : Types.key list;  (* all keys locked here (reads + writes) *)
-  pr_owner : Locks.owner;
-}
-
+(* A wire's record here exists once its Prepare succeeded. *)
 type server = {
   ctx : msg Cluster.Net.ctx;
-  store : Store.t;
-  locks : Locks.t;
-  prepared : (int, prepared) Hashtbl.t;
-  (* Wires that already saw a Decide. A Prepare arriving after its own
-     abort (the coordinator timed out and its Decide overtook the
-     Prepare) must not install locks/versions nobody will release. *)
-  decided : (int, unit) Hashtbl.t;
+  part : Part.t;
   mutable n_validation_fails : int;
 }
 
-let make_server ctx =
-  { ctx; store = Store.create (); locks = Locks.create ();
-    prepared = Hashtbl.create 256; decided = Hashtbl.create 256;
-    n_validation_fails = 0 }
+let make_server ctx = { ctx; part = Part.create (); n_validation_fails = 0 }
 
 let exec_reads s ~src ~wire ~round keys =
+  let store = s.part.Part.store in
   let results =
-    List.map (fun key -> Common.result_of_read (Store.most_recent_committed s.store key) key) keys
+    List.map (fun key -> Common.result_of_read (Store.most_recent_committed store key) key) keys
   in
   s.ctx.send ~dst:src (Exec_reply { e_wire = wire; e_round = round; e_results = results })
 
-(* Prepare: each read must still see the latest committed version and
-   takes a shared validation lock until commit (without it, two
-   prepares crossing on different servers can each validate a read the
-   other is about to overwrite — the classic distributed-OCC race);
-   each write takes an exclusive lock and installs an undecided
-   version. Both lock kinds are no-wait: any conflict fails the
-   prepare, which is the contention-window abort the paper highlights
-   (Fig 2a). *)
-let prepare s ~src ~wire ~ts ~reads ~writes =
-  if Hashtbl.mem s.decided wire then
-    (* the attempt was already decided (timed-out coordinator's abort
-       overtook this Prepare): refuse without installing anything *)
-    s.ctx.send ~dst:src (Prepare_reply { p_wire = wire; p_ok = false; p_writes = [] })
-  else if Hashtbl.mem s.prepared wire then
-    (* duplicate delivery of a Prepare that already succeeded here;
-       re-validating would deadlock against our own locks *)
-    s.ctx.send ~dst:src
-      (Prepare_reply
-         {
-           p_wire = wire;
-           p_ok = true;
-           p_writes =
-             List.map
-               (fun (key, v) -> Common.result_of_write v key)
-               (Hashtbl.find s.prepared wire).pr_versions;
-         })
-  else
-  let owner = { Locks.txn = wire; ts } in
-  let rec lock_all acquired = function
-    | [] -> Ok acquired
-    | (key, mode) :: rest ->
-      (match Locks.try_acquire s.locks key ~owner ~mode with
-       | `Granted -> lock_all (key :: acquired) rest
-       | `Conflict _ -> Error acquired)
-  in
-  let wanted =
-    List.map (fun (key, _) -> (key, Locks.Shared)) reads
-    @ List.map (fun (key, _) -> (key, Locks.Exclusive)) writes
-  in
-  let valid =
-    List.for_all
-      (fun (key, vid) -> (Store.most_recent_committed s.store key).Store.vid = vid)
-      reads
-  in
-  let ok, keys, versions =
-    if not valid then (false, [], [])
-    else
-      match lock_all [] wanted with
-      | Error acquired ->
-        List.iter (fun key -> Locks.release s.locks key ~txn:wire) acquired;
-        (false, [], [])
-      | Ok keys ->
-        (* install buffered writes as undecided versions (invisible to
-           committed reads until the commit message) *)
-        let versions =
-          List.map
-            (fun (key, value) -> (key, Store.write s.store key value ~ts ~writer:wire))
-            writes
-        in
-        (true, keys, versions)
-  in
-  if not ok then s.n_validation_fails <- s.n_validation_fails + 1
-  else
-    Hashtbl.replace s.prepared wire
-      { pr_versions = versions; pr_keys = keys; pr_owner = owner };
+let prepare_reply s ~src ~wire ~ok versions =
   s.ctx.send ~dst:src
     (Prepare_reply
        {
@@ -152,17 +75,55 @@ let prepare s ~src ~wire ~ts ~reads ~writes =
          p_writes = List.map (fun (key, v) -> Common.result_of_write v key) versions;
        })
 
-let decide s ~wire ~commit =
-  Hashtbl.replace s.decided wire ();
-  match Hashtbl.find_opt s.prepared wire with
-  | None -> ()
-  | Some p ->
-    Hashtbl.remove s.prepared wire;
-    List.iter
-      (fun (key, v) ->
-        if commit then Store.commit_in s.store key v else Store.abort_version s.store key v)
-      p.pr_versions;
-    List.iter (fun key -> Locks.release s.locks key ~txn:wire) p.pr_keys
+(* Prepare: each read must still see the latest committed version and
+   takes a shared validation lock until commit (without it, two
+   prepares crossing on different servers can each validate a read the
+   other is about to overwrite — the classic distributed-OCC race);
+   each write takes an exclusive lock and installs an undecided
+   version. Both lock kinds are no-wait: any conflict fails the
+   prepare, which is the contention-window abort the paper highlights
+   (Fig 2a). A Prepare its own Decide overtook is refused; a duplicate
+   of one that succeeded here gets the same reply again, as
+   re-validating would deadlock against its own locks. *)
+let prepare s ~src ~wire ~ts ~reads ~writes =
+  let p = s.part in
+  if Part.is_decided p wire then prepare_reply s ~src ~wire ~ok:false []
+  else
+    match Part.find p wire with
+    | Some a -> prepare_reply s ~src ~wire ~ok:true a.Part.versions
+    | None ->
+      let owner = { Locks.txn = wire; ts } in
+      let rec lock_all acquired = function
+        | [] -> Ok acquired
+        | (key, mode) :: rest ->
+          (match Locks.try_acquire p.Part.locks key ~owner ~mode with
+           | `Granted -> lock_all (key :: acquired) rest
+           | `Conflict _ -> Error acquired)
+      in
+      let wanted =
+        List.map (fun (key, _) -> (key, Locks.Shared)) reads
+        @ List.map (fun (key, _) -> (key, Locks.Exclusive)) writes
+      in
+      let valid =
+        List.for_all
+          (fun (key, vid) -> (Store.most_recent_committed p.Part.store key).Store.vid = vid)
+          reads
+      in
+      (match if valid then lock_all [] wanted else Error [] with
+       | Error acquired ->
+         List.iter (fun key -> Locks.release p.Part.locks key ~txn:wire) acquired;
+         s.n_validation_fails <- s.n_validation_fails + 1;
+         prepare_reply s ~src ~wire ~ok:false []
+       | Ok keys ->
+         (* buffered writes become undecided versions, invisible to
+            committed reads until the Decide *)
+         let a = Part.get p ~wire ~client:src in
+         a.Part.keys <- keys;
+         a.Part.versions <-
+           List.map
+             (fun (key, value) -> (key, Store.write p.Part.store key value ~ts ~writer:wire))
+             writes;
+         prepare_reply s ~src ~wire ~ok:true a.Part.versions)
 
 let server_handle s ~src msg =
   match msg with
@@ -170,7 +131,7 @@ let server_handle s ~src msg =
     exec_reads s ~src ~wire:x_wire ~round:x_round x_keys
   | Prepare { p_wire; p_ts; p_reads; p_writes; _ } ->
     prepare s ~src ~wire:p_wire ~ts:p_ts ~reads:p_reads ~writes:p_writes
-  | Decide { d_wire; d_commit } -> decide s ~wire:d_wire ~commit:d_commit
+  | Decide { d_wire; d_commit } -> Part.decide s.part ~wire:d_wire ~commit:d_commit
   | Exec_reply _ | Prepare_reply _ -> ()
 
 (* --- client --------------------------------------------------------- *)
@@ -265,7 +226,7 @@ let protocol : Harness.Protocol.t =
 
     let make_server = make_server
     let server_handle = server_handle
-    let server_stores s = [ s.store ]
+    let server_stores s = [ s.part.Part.store ]
     let server_counters s = [ ("validation_fails", float_of_int s.n_validation_fails) ]
 
     type nonrec client = client

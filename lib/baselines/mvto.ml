@@ -51,24 +51,12 @@ type pending_msg = {
 
 type server = {
   ctx : msg Cluster.Net.ctx;
-  store : Store.t;
-  installed : (int, (Types.key * Store.version) list) Hashtbl.t;
-  decided : (int, bool) Hashtbl.t;
-  rounds : (int, int) Hashtbl.t;  (* wire -> highest Exec round processed *)
+  part : Part.t;
   mutable n_ts_aborts : int;
   mutable n_waits : int;
 }
 
-let make_server ctx =
-  {
-    ctx;
-    store = Store.create ();
-    installed = Hashtbl.create 256;
-    decided = Hashtbl.create 4096;
-    rounds = Hashtbl.create 256;
-    n_ts_aborts = 0;
-    n_waits = 0;
-  }
+let make_server ctx = { ctx; part = Part.create (); n_ts_aborts = 0; n_waits = 0 }
 
 let reply_pending s pm =
   if pm.pm_waiting = 0 then
@@ -86,7 +74,7 @@ let reply_pending s pm =
    commit serves the value, an abort re-resolves against the
    then-current chain. *)
 let rec exec_read s pm ~ts key =
-  let v = Store.version_at s.store key ~ts in
+  let v = Store.version_at s.part.Part.store key ~ts in
   if v.Store.status = Store.Committed || v.Store.writer = pm.pm_wire then begin
     v.Store.tr <- Ts.max v.Store.tr ts;
     pm.pm_results <- Common.result_of_read v key :: pm.pm_results
@@ -107,30 +95,29 @@ let rec exec_read s pm ~ts key =
 
 (* A write at ts aborts iff a read at a later timestamp already
    observed the version the write would supersede. *)
-let exec_write s pm ~ts key value =
-  let v = Store.version_at s.store key ~ts in
+let exec_write s (a : Part.attempt) pm ~ts key value =
+  let store = s.part.Part.store in
+  let v = Store.version_at store key ~ts in
   if Ts.(v.Store.tr > ts) then begin
     s.n_ts_aborts <- s.n_ts_aborts + 1;
     pm.pm_failed <- true
   end
   else begin
-    let nv = Store.insert_ordered s.store key value ~tw:ts ~writer:pm.pm_wire in
-    let l = Option.value ~default:[] (Hashtbl.find_opt s.installed pm.pm_wire) in
-    Hashtbl.replace s.installed pm.pm_wire ((key, nv) :: l);
+    let nv = Store.insert_ordered store key value ~tw:ts ~writer:pm.pm_wire in
+    a.Part.versions <- (key, nv) :: a.Part.versions;
     pm.pm_results <- Common.result_of_write nv key :: pm.pm_results
   end
 
+(* A shot its Decide overtook is refused; a duplicate of a shot executed
+   here is dropped, as running it again would install duplicate
+   versions (the client drops the reply it duplicates). *)
 let exec s ~src ~wire ~round ~ts ops =
-  if Hashtbl.mem s.decided wire then
+  match Part.admit s.part ~wire ~client:src ~round with
+  | `Decided ->
     s.ctx.send ~dst:src
       (Exec_reply { e_wire = wire; e_round = round; e_ok = false; e_results = [] })
-  else if round <= Option.value ~default:0 (Hashtbl.find_opt s.rounds wire) then
-    (* duplicate delivery of a shot already executed here: running it
-       again would install duplicate versions. Drop it; the reply it
-       duplicates is deduplicated client-side. *)
-    ()
-  else begin
-    Hashtbl.replace s.rounds wire round;
+  | `Duplicate -> ()
+  | `Serve a ->
     let pm =
       { pm_wire = wire; pm_round = round; pm_src = src; pm_waiting = 0;
         pm_results = []; pm_failed = false }
@@ -140,29 +127,15 @@ let exec s ~src ~wire ~round ~ts ops =
         if not pm.pm_failed then
           match op with
           | Types.Read key -> exec_read s pm ~ts key
-          | Types.Write (key, value) -> exec_write s pm ~ts key value)
+          | Types.Write (key, value) -> exec_write s a pm ~ts key value)
       ops;
     reply_pending s pm
-  end
-
-let decide s ~wire ~commit =
-  if not (Hashtbl.mem s.decided wire) then begin
-    Hashtbl.replace s.decided wire commit;
-    match Hashtbl.find_opt s.installed wire with
-    | None -> ()
-    | Some versions ->
-      Hashtbl.remove s.installed wire;
-      List.iter
-        (fun (key, v) ->
-          if commit then Store.commit_in s.store key v else Store.abort_version s.store key v)
-        versions
-  end
 
 let server_handle s ~src msg =
   match msg with
   | Exec { x_wire; x_round; x_ts; x_ops; _ } ->
     exec s ~src ~wire:x_wire ~round:x_round ~ts:x_ts x_ops
-  | Decide { d_wire; d_commit } -> decide s ~wire:d_wire ~commit:d_commit
+  | Decide { d_wire; d_commit } -> Part.decide s.part ~wire:d_wire ~commit:d_commit
   | Exec_reply _ -> ()
 
 (* --- client --------------------------------------------------------- *)
@@ -214,7 +187,7 @@ let protocol : Harness.Protocol.t =
 
     let make_server = make_server
     let server_handle = server_handle
-    let server_stores s = [ s.store ]
+    let server_stores s = [ s.part.Part.store ]
 
     let server_counters s =
       [

@@ -43,33 +43,22 @@ let msg_phase : msg -> Obs.Phase.t = function
 
 type server = {
   ctx : msg Cluster.Net.ctx;
-  store : Store.t;
-  prepared : (int, (Types.key * Store.version) list) Hashtbl.t;
-  (* Wires that saw a Decide: a Prepare overtaken by its own abort must
-     be refused, or its tentative writes would never be resolved. *)
-  decided : (int, unit) Hashtbl.t;
-  rounds : (int, int) Hashtbl.t;  (* wire -> highest Prepare round seen *)
+  part : Part.t;
   mutable n_fails : int;
 }
 
-let make_server ctx =
-  { ctx; store = Store.create (); prepared = Hashtbl.create 256;
-    decided = Hashtbl.create 256; rounds = Hashtbl.create 256; n_fails = 0 }
+let make_server ctx = { ctx; part = Part.create (); n_fails = 0 }
+
+let refuse s ~src ~wire ~round =
+  s.ctx.send ~dst:src
+    (Prepare_reply { p_wire = wire; p_round = round; p_ok = false; p_results = [] })
 
 (* OCC-TS checks: a read at ts must observe the latest committed
    version and not overtake a pending smaller-timestamp write; a write
    at ts must not invalidate an already-performed read (version read
    at a later timestamp) nor go below the latest committed write. *)
-let prepare s ~src ~wire ~round ~ts ~ops ~bytes:_ =
-  if Hashtbl.mem s.decided wire then
-    s.ctx.send ~dst:src
-      (Prepare_reply { p_wire = wire; p_round = round; p_ok = false; p_results = [] })
-  else if round <= Option.value ~default:0 (Hashtbl.find_opt s.rounds wire) then
-    (* duplicate delivery of a shot already prepared here: preparing it
-       again would install duplicate tentative versions. Drop it. *)
-    ()
-  else begin
-  Hashtbl.replace s.rounds wire round;
+let validate s (a : Part.attempt) ~src ~wire ~round ~ts ops =
+  let store = s.part.Part.store in
   let rec run acc installed = function
     | [] -> Ok (List.rev acc, installed)
     | Types.Read key :: rest ->
@@ -77,7 +66,7 @@ let prepare s ~src ~wire ~round ~ts ~ops ~bytes:_ =
          pending write, the order is uncertain: abort-and-retry rather
          than wait (this is where TAPIR pays aborts that MVTO turns
          into short waits) *)
-      let v = Store.version_at s.store key ~ts in
+      let v = Store.version_at store key ~ts in
       if v.Store.status = Store.Undecided && v.Store.writer <> wire then
         Error installed
       else begin
@@ -85,10 +74,10 @@ let prepare s ~src ~wire ~round ~ts ~ops ~bytes:_ =
         run (Common.result_of_read v key :: acc) installed rest
       end
     | Types.Write (key, value) :: rest ->
-      let v = Store.version_at s.store key ~ts in
+      let v = Store.version_at store key ~ts in
       if Ts.(v.Store.tr > ts) then Error installed
       else begin
-        let nv = Store.insert_ordered s.store key value ~tw:ts ~writer:wire in
+        let nv = Store.insert_ordered store key value ~tw:ts ~writer:wire in
         run (Common.result_of_write nv key :: acc) ((key, nv) :: installed) rest
       end
   in
@@ -96,33 +85,28 @@ let prepare s ~src ~wire ~round ~ts ~ops ~bytes:_ =
   | Ok (results, installed) ->
     (* accumulate across shots: every tentative version of this wire
        must be resolved by the single Decide *)
-    let prev = Option.value ~default:[] (Hashtbl.find_opt s.prepared wire) in
-    Hashtbl.replace s.prepared wire (installed @ prev);
+    a.Part.versions <- installed @ a.Part.versions;
     s.ctx.send ~dst:src
       (Prepare_reply { p_wire = wire; p_round = round; p_ok = true; p_results = results })
   | Error installed ->
     s.n_fails <- s.n_fails + 1;
-    List.iter (fun (key, v) -> Store.abort_version s.store key v) installed;
-    s.ctx.send ~dst:src
-      (Prepare_reply { p_wire = wire; p_round = round; p_ok = false; p_results = [] })
-  end
+    List.iter (fun (key, v) -> Store.abort_version store key v) installed;
+    refuse s ~src ~wire ~round
 
-let decide s ~wire ~commit =
-  Hashtbl.replace s.decided wire ();
-  match Hashtbl.find_opt s.prepared wire with
-  | None -> ()
-  | Some installed ->
-    Hashtbl.remove s.prepared wire;
-    List.iter
-      (fun (key, v) ->
-        if commit then Store.commit_in s.store key v else Store.abort_version s.store key v)
-      installed
+(* A Prepare its own Decide overtook is refused, or its tentative writes
+   would never be resolved; a duplicate of a shot prepared here is
+   dropped, as preparing it again would install duplicate versions. *)
+let prepare s ~src ~wire ~round ~ts ops =
+  match Part.admit s.part ~wire ~client:src ~round with
+  | `Decided -> refuse s ~src ~wire ~round
+  | `Duplicate -> ()
+  | `Serve a -> validate s a ~src ~wire ~round ~ts ops
 
 let server_handle s ~src msg =
   match msg with
-  | Prepare { p_wire; p_round; p_ts; p_ops; p_bytes } ->
-    prepare s ~src ~wire:p_wire ~round:p_round ~ts:p_ts ~ops:p_ops ~bytes:p_bytes
-  | Decide { d_wire; d_commit } -> decide s ~wire:d_wire ~commit:d_commit
+  | Prepare { p_wire; p_round; p_ts; p_ops; _ } ->
+    prepare s ~src ~wire:p_wire ~round:p_round ~ts:p_ts p_ops
+  | Decide { d_wire; d_commit } -> Part.decide s.part ~wire:d_wire ~commit:d_commit
   | Prepare_reply _ -> ()
 
 (* --- client --------------------------------------------------------- *)
@@ -173,7 +157,7 @@ let protocol : Harness.Protocol.t =
 
     let make_server = make_server
     let server_handle = server_handle
-    let server_stores s = [ s.store ]
+    let server_stores s = [ s.part.Part.store ]
     let server_counters s = [ ("validation_fails", float_of_int s.n_fails) ]
 
     type nonrec client = client

@@ -1,10 +1,9 @@
-(* A per-server lock table for the distributed 2PL baselines.
-
-   Modes are shared/exclusive with the usual compatibility matrix, plus
-   upgrade of a sole shared holder to exclusive. Waiters queue FIFO and
-   are granted by callback when compatible — the wound-wait variant
-   decides *whether* to wait or wound in the protocol layer, using
-   [holders] and [force_release]. *)
+(* A per-server lock table for the lock-based baselines (dOCC's
+   validation locks, d2PL): shared/exclusive modes, re-entrant
+   acquisition and upgrade of a sole shared holder. A request never
+   queues: a conflict reports the other holders and the protocol
+   decides whether to abort, wound or retry. A key's entry holds its
+   holders, newest first, and goes when the last one releases. *)
 
 open Kernel
 
@@ -12,91 +11,30 @@ type mode = Shared | Exclusive
 
 type owner = { txn : int; ts : Ts.t }
 
-type waiter = { w_owner : owner; w_mode : mode; notify : unit -> unit }
+type t = (owner * mode) list Inttbl.t
 
-type entry = {
-  mutable holders : (owner * mode) list;
-  waiters : waiter Queue.t;
-}
+let create () : t = Inttbl.create ~empty:[]
 
-type t = { locks : (Types.key, entry) Hashtbl.t }
-
-let create () = { locks = Hashtbl.create 256 }
-
-let entry t key =
-  match Hashtbl.find_opt t.locks key with
-  | Some e -> e
-  | None ->
-    let e = { holders = []; waiters = Queue.create () } in
-    Hashtbl.add t.locks key e;
-    e
-
-let holders t key = (entry t key).holders
-
-let compatible e ~txn ~mode =
+let compatible holders ~txn ~mode =
   match mode with
-  | Shared -> List.for_all (fun (o, m) -> m = Shared || o.txn = txn) e.holders
-  | Exclusive -> List.for_all (fun (o, _) -> o.txn = txn) e.holders
+  | Shared -> List.for_all (fun (o, m) -> m = Shared || o.txn = txn) holders
+  | Exclusive -> List.for_all (fun (o, _) -> o.txn = txn) holders
 
-(* Grant without waiting: either the lock is compatible (including
-   re-entrant acquisition and shared->exclusive upgrade when sole
-   holder) or the conflicting owners are reported. *)
 let try_acquire t key ~owner ~mode =
-  let e = entry t key in
-  if compatible e ~txn:owner.txn ~mode then begin
-    let holders = List.filter (fun (o, _) -> o.txn <> owner.txn) e.holders in
-    let prev_mode =
-      List.find_map
-        (fun (o, m) -> if o.txn = owner.txn then Some m else None)
-        e.holders
-    in
+  let holders = Inttbl.find t key in
+  if compatible holders ~txn:owner.txn ~mode then begin
+    let others = List.filter (fun (o, _) -> o.txn <> owner.txn) holders in
     let mode =
-      match (prev_mode, mode) with Some Exclusive, _ -> Exclusive | _, m -> m
+      if List.exists (fun (o, m) -> o.txn = owner.txn && m = Exclusive) holders then Exclusive
+      else mode
     in
-    e.holders <- (owner, mode) :: holders;
+    Inttbl.replace t key ((owner, mode) :: others);
     `Granted
   end
   else
-    `Conflict
-      (List.filter_map
-         (fun (o, _) -> if o.txn = owner.txn then None else Some o)
-         e.holders)
+    `Conflict (List.filter_map (fun (o, _) -> if o.txn = owner.txn then None else Some o) holders)
 
-(* Promote compatible waiters (FIFO; a run of shared waiters is granted
-   together). *)
-let rec promote t key =
-  let e = entry t key in
-  match Queue.peek_opt e.waiters with
-  | None -> ()
-  | Some w ->
-    if compatible e ~txn:w.w_owner.txn ~mode:w.w_mode then begin
-      ignore (Queue.pop e.waiters);
-      (match try_acquire t key ~owner:w.w_owner ~mode:w.w_mode with
-       | `Granted -> w.notify ()
-       | `Conflict _ -> assert false);
-      if w.w_mode = Shared then promote t key
-    end
-
-(* Queue until the lock becomes available; [notify] runs when granted. *)
-let acquire_or_wait t key ~owner ~mode ~notify =
-  match try_acquire t key ~owner ~mode with
-  | `Granted -> `Granted
-  | `Conflict os ->
-    Queue.push { w_owner = owner; w_mode = mode; notify } (entry t key).waiters;
-    `Waiting os
-
-(* Release all of [txn]'s holds and queued waits on [key]. *)
 let release t key ~txn =
-  let e = entry t key in
-  e.holders <- List.filter (fun (o, _) -> o.txn <> txn) e.holders;
-  let keep = Queue.create () in
-  Queue.iter (fun w -> if w.w_owner.txn <> txn then Queue.push w keep) e.waiters;
-  Queue.clear e.waiters;
-  Queue.transfer keep e.waiters;
-  promote t key
-
-(* Forcibly strip a (wounded) transaction's holds on [key] without
-   notifying it — the protocol layer is responsible for aborting it. *)
-let force_release = release
-
-let held_by t key ~txn = List.exists (fun (o, _) -> o.txn = txn) (entry t key).holders
+  match List.filter (fun (o, _) -> o.txn <> txn) (Inttbl.find t key) with
+  | [] -> Inttbl.remove t key
+  | holders -> Inttbl.replace t key holders

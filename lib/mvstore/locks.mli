@@ -1,6 +1,6 @@
-(** Per-server lock table for the d2PL baselines: shared/exclusive
-    modes, re-entrant acquisition, sole-holder upgrade, FIFO waiters
-    granted by callback. *)
+(** Per-server lock table for the lock-based baselines: shared and
+    exclusive modes, re-entrant acquisition, sole-holder upgrade. A
+    request never waits; a key's entry goes with its last holder. *)
 
 open Kernel
 
@@ -10,23 +10,9 @@ type t
 
 val create : unit -> t
 
-val holders : t -> Types.key -> (owner * mode) list
-
-(** Grant immediately or report the conflicting owners (no-wait). *)
+(** Grant at once, or report the other holders, newest first. *)
 val try_acquire :
   t -> Types.key -> owner:owner -> mode:mode -> [ `Granted | `Conflict of owner list ]
 
-(** Grant immediately, or queue and call [notify] when granted
-    (wound-wait "wait" arm); returns the current conflicting owners
-    when queued. *)
-val acquire_or_wait :
-  t -> Types.key -> owner:owner -> mode:mode -> notify:(unit -> unit) ->
-  [ `Granted | `Waiting of owner list ]
-
-(** Drop [txn]'s holds and queued waits on [key]; promotes waiters. *)
+(** Drop [txn]'s hold on [key], if any. *)
 val release : t -> Types.key -> txn:int -> unit
-
-(** Same as [release]; used when wounding a victim. *)
-val force_release : t -> Types.key -> txn:int -> unit
-
-val held_by : t -> Types.key -> txn:int -> bool

@@ -71,7 +71,7 @@ let docc_contention_window_aborts_reader () =
        { p_wire = 1; p_ts = ts 5 2; p_reads = []; p_writes = [ (0, 1) ]; p_bytes = 0 });
   let vid =
     (* reader fetched the (still) committed version before the prepare *)
-    (Mvstore.Store.most_recent_committed s.Docc.store 0).Mvstore.Store.vid
+    (Mvstore.Store.most_recent_committed s.Docc.part.Baselines.Part.store 0).Mvstore.Store.vid
   in
   Docc.server_handle s ~src:3
     (Docc.Prepare
@@ -565,7 +565,7 @@ end
 module Docc_part = struct
   include Docc
 
-  let store_of s = s.store
+  let store_of s = s.part.Baselines.Part.store
 
   let reply_ok = function
     | Prepare_reply { p_ok; _ } -> Some p_ok
@@ -580,21 +580,21 @@ let d2pl_reply_ok = function
 module D2pl_nw_part = struct
   include D2pl_nw
 
-  let store_of s = s.store
+  let store_of s = s.part.Baselines.Part.store
   let reply_ok = d2pl_reply_ok
 end
 
 module D2pl_ww_part = struct
   include D2pl_ww
 
-  let store_of s = s.store
+  let store_of s = s.part.Baselines.Part.store
   let reply_ok = d2pl_reply_ok
 end
 
 module Tapir_part = struct
   include Tapir
 
-  let store_of s = s.store
+  let store_of s = s.part.Baselines.Part.store
 
   let reply_ok = function
     | Prepare_reply { p_ok; _ } -> Some p_ok
@@ -604,7 +604,7 @@ end
 module Mvto_part = struct
   include Mvto
 
-  let store_of s = s.store
+  let store_of s = s.part.Baselines.Part.store
 
   let reply_ok = function
     | Exec_reply { e_ok; _ } -> Some e_ok

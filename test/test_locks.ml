@@ -1,4 +1,5 @@
-(* Lock table: compatibility, re-entrancy, upgrade, FIFO waiters. *)
+(* Lock table: compatibility, re-entrancy, upgrade, and entries freed
+   with their last holder. *)
 
 open Kernel
 module Locks = Mvstore.Locks
@@ -11,7 +12,11 @@ let shared_compatible () =
     (Locks.try_acquire l 1 ~owner:(owner 1) ~mode:Locks.Shared = `Granted);
   Alcotest.(check bool) "s2" true
     (Locks.try_acquire l 1 ~owner:(owner 2) ~mode:Locks.Shared = `Granted);
-  Alcotest.(check int) "two holders" 2 (List.length (Locks.holders l 1))
+  match Locks.try_acquire l 1 ~owner:(owner 3) ~mode:Locks.Exclusive with
+  | `Conflict os ->
+    Alcotest.(check (list int)) "two holders, newest first" [ 2; 1 ]
+      (List.map (fun o -> o.Locks.txn) os)
+  | `Granted -> Alcotest.fail "x over two sharers must conflict"
 
 let exclusive_conflicts () =
   let l = Locks.create () in
@@ -44,75 +49,60 @@ let upgrade_blocked_by_other_sharer () =
   | `Conflict _ -> ()
   | `Granted -> Alcotest.fail "upgrade with co-sharer must conflict"
 
-let waiters_fifo () =
+(* A key's entry goes when its last holder releases: acquiring and
+   releasing 10k distinct keys leaves the table no larger than one
+   cycle did. *)
+let entries_freed () =
   let l = Locks.create () in
-  ignore (Locks.try_acquire l 1 ~owner:(owner 1) ~mode:Locks.Exclusive);
-  let granted = ref [] in
-  let wait txn =
-    match
-      Locks.acquire_or_wait l 1 ~owner:(owner txn) ~mode:Locks.Exclusive
-        ~notify:(fun () -> granted := txn :: !granted)
-    with
-    | `Waiting _ -> ()
-    | `Granted -> Alcotest.fail "should wait"
+  let cycle key =
+    ignore (Locks.try_acquire l key ~owner:(owner key) ~mode:Locks.Exclusive);
+    Locks.release l key ~txn:key
   in
-  wait 2;
-  wait 3;
-  Locks.release l 1 ~txn:1;
-  Alcotest.(check (list int)) "first waiter granted" [ 2 ] !granted;
-  Locks.release l 1 ~txn:2;
-  Alcotest.(check (list int)) "second waiter granted" [ 3; 2 ] !granted
-
-let shared_run_granted_together () =
-  let l = Locks.create () in
-  ignore (Locks.try_acquire l 1 ~owner:(owner 1) ~mode:Locks.Exclusive);
-  let granted = ref 0 in
-  let wait txn mode =
-    ignore
-      (Locks.acquire_or_wait l 1 ~owner:(owner txn) ~mode ~notify:(fun () -> incr granted))
-  in
-  wait 2 Locks.Shared;
-  wait 3 Locks.Shared;
-  wait 4 Locks.Exclusive;
-  Locks.release l 1 ~txn:1;
-  Alcotest.(check int) "both shared granted" 2 !granted;
-  Alcotest.(check int) "exclusive still waits" 2 (List.length (Locks.holders l 1))
-
-let release_removes_waiters () =
-  let l = Locks.create () in
-  ignore (Locks.try_acquire l 1 ~owner:(owner 1) ~mode:Locks.Exclusive);
-  let fired = ref false in
-  ignore
-    (Locks.acquire_or_wait l 1 ~owner:(owner 2) ~mode:Locks.Exclusive
-       ~notify:(fun () -> fired := true));
-  (* cancelling the waiter (e.g. its transaction aborted) must prevent
-     the callback from ever firing *)
-  Locks.release l 1 ~txn:2;
-  Locks.release l 1 ~txn:1;
-  Alcotest.(check bool) "cancelled waiter never notified" false !fired;
-  Alcotest.(check bool) "lock free" true (Locks.holders l 1 = [])
+  cycle 0;
+  (* ncc-lint: allow R4 — measures the lock table's reachable heap; nothing is cast *)
+  let words () = Obj.reachable_words (Obj.repr l) in
+  let before = words () in
+  for key = 1 to 10_000 do
+    cycle key
+  done;
+  Alcotest.(check int) "reachable words flat" before (words ())
 
 (* Random scripts never leave a key both held exclusively and shared by
-   different transactions. *)
+   different transactions. The test keeps the holders the table granted,
+   newest first: a grant must leave them compatible, and a conflict must
+   name exactly the other holders, in that order. *)
 let no_incompatible_holders =
   QCheck.Test.make ~name:"holders always compatible" ~count:300
     QCheck.(list (pair (1 -- 5) (pair bool bool)))
     (fun script ->
       let l = Locks.create () in
-      List.iter
-        (fun (txn, (excl, rel)) ->
-          if rel then Locks.release l 1 ~txn
-          else
-            ignore
-              (Locks.try_acquire l 1 ~owner:(owner txn)
-                 ~mode:(if excl then Locks.Exclusive else Locks.Shared)))
-        script;
-      let hs = Locks.holders l 1 in
-      let exclusives = List.filter (fun (_, m) -> m = Locks.Exclusive) hs in
-      match exclusives with
-      | [] -> true
-      | [ (o, _) ] -> List.for_all (fun (o', _) -> o'.Locks.txn = o.Locks.txn) hs
-      | _ -> false)
+      let compatible hs =
+        match List.filter (fun (_, m) -> m = Locks.Exclusive) hs with
+        | [] -> true
+        | [ (t, _) ] -> List.for_all (fun (t', _) -> t' = t) hs
+        | _ -> false
+      in
+      let step held (txn, (excl, rel)) =
+        let others = List.filter (fun (t, _) -> t <> txn) held in
+        if rel then begin
+          Locks.release l 1 ~txn;
+          Some others
+        end
+        else
+          let mode = if excl then Locks.Exclusive else Locks.Shared in
+          match Locks.try_acquire l 1 ~owner:(owner txn) ~mode with
+          | `Granted ->
+            let mode = if List.mem (txn, Locks.Exclusive) held then Locks.Exclusive else mode in
+            let held = (txn, mode) :: others in
+            if compatible held then Some held else None
+          | `Conflict os ->
+            if List.map (fun o -> o.Locks.txn) os = List.map fst others
+               && not (compatible ((txn, mode) :: others))
+            then Some held
+            else None
+      in
+      Option.is_some
+        (List.fold_left (fun held s -> Option.bind held (fun h -> step h s)) (Some []) script))
 
 let suite =
   [
@@ -120,8 +110,6 @@ let suite =
     Alcotest.test_case "exclusive conflicts" `Quick exclusive_conflicts;
     Alcotest.test_case "reentrant + upgrade" `Quick reentrant_and_upgrade;
     Alcotest.test_case "upgrade blocked by co-sharer" `Quick upgrade_blocked_by_other_sharer;
-    Alcotest.test_case "waiters fifo" `Quick waiters_fifo;
-    Alcotest.test_case "shared run granted together" `Quick shared_run_granted_together;
-    Alcotest.test_case "release removes waiters" `Quick release_removes_waiters;
+    Alcotest.test_case "entries freed with the last holder" `Quick entries_freed;
   ]
   @ [ QCheck_alcotest.to_alcotest no_incompatible_holders ]
