@@ -152,15 +152,15 @@ let exec_msg (a : Coord.attempt) ops =
 
 (* Every version observed during execution must validate: if two shots
    saw different versions of a key (non-repeatable read), one of them
-   cannot be current and the prepare must fail. *)
+   cannot be current and the prepare must fail. The keys read here are
+   a set, so building the message is linear in the transaction's size. *)
 let prepare_msg (a : Coord.attempt) ops =
-  let keys_here =
-    List.filter_map (function Types.Read k -> Some k | Types.Write _ -> None) ops
-  in
+  let read_here = Inttbl.create ~empty:0 in
+  List.iter (function Types.Read k -> Inttbl.replace read_here k 1 | Types.Write _ -> ()) ops;
   let reads =
     List.filter_map
       (fun (r : Common.rres) ->
-        if (not r.b_is_write) && Types.mem_key r.b_key keys_here then Some (r.b_key, r.b_vid)
+        if (not r.b_is_write) && Inttbl.mem read_here r.b_key then Some (r.b_key, r.b_vid)
         else None)
       a.results
     |> List.sort_uniq (fun (k1, v1) (k2, v2) ->
