@@ -27,20 +27,33 @@ let classed ~local ~wide ~remote ~jitter_mean =
   { base = (fun src dst -> if remote src dst then wide else local); jitter_mean }
 
 (* Per-pair base delays drawn once, uniform in [min_one_way,
-   max_one_way], symmetric (delay a->b = delay b->a). *)
+   max_one_way], symmetric (delay a->b = delay b->a), in the order of
+   pairs (a, b), a < b. Only non-client nodes keep a row: a client's
+   delay to a node is read from that node's row, and no message goes
+   from client to client. The draws stop once every remaining pair
+   joins two clients, so a 10,000-client topology costs a few rows, not
+   a dense table. *)
 let asymmetric rng topo ~min_one_way ~max_one_way ~jitter_mean =
   let n = Topology.n_nodes topo in
-  let table = Array.make_matrix n n 0.0 in
+  let kept a = not (Topology.is_client topo a) in
+  let rows = Array.init n (fun a -> if kept a then Array.make n 0.0 else [||]) in
+  let last = ref (-1) in
   for a = 0 to n - 1 do
+    if kept a then last := a
+  done;
+  for a = 0 to !last do
     for b = a + 1 to n - 1 do
       let d = min_one_way +. Sim.Rng.float rng (max_one_way -. min_one_way) in
-      table.(a).(b) <- d;
-      table.(b).(a) <- d
+      if kept a then rows.(a).(b) <- d;
+      if kept b then rows.(b).(a) <- d
     done
   done;
   {
     base =
       (fun src dst ->
-        if Kernel.Types.node_eq src dst then 0.0 else table.(src).(dst));
+        if Kernel.Types.node_eq src dst then 0.0
+        else if kept src then rows.(src).(dst)
+        else if kept dst then rows.(dst).(src)
+        else invalid_arg "Latency.asymmetric: no client-to-client delay");
     jitter_mean;
   }

@@ -16,7 +16,9 @@ val classed :
   jitter_mean:float -> t
 
 (** Per-pair symmetric base delays drawn uniformly in
-    [min_one_way, max_one_way] once at construction. *)
+    [min_one_way, max_one_way] once at construction. Only pairs with a
+    non-client endpoint have one: sampling between two clients raises
+    [Invalid_argument]. *)
 val asymmetric :
   Sim.Rng.t -> Topology.t ->
   min_one_way:float -> max_one_way:float -> jitter_mean:float -> t

@@ -73,6 +73,44 @@ let asymmetric_symmetric_pairs () =
   Alcotest.(check (float 1e-12)) "symmetric" d1 d2;
   Alcotest.(check bool) "within range" true (d1 >= 1e-3 && d1 <= 2e-3)
 
+(* The dense per-pair table [Latency.asymmetric] used to build: every
+   pair (a, b), a < b, drawn in order. *)
+let dense_asymmetric rng topo ~min_one_way ~max_one_way =
+  let n = Cluster.Topology.n_nodes topo in
+  let table = Array.make_matrix n n 0.0 in
+  for a = 0 to n - 1 do
+    for b = a + 1 to n - 1 do
+      let d = min_one_way +. Sim.Rng.float rng (max_one_way -. min_one_way) in
+      table.(a).(b) <- d;
+      table.(b).(a) <- d
+    done
+  done;
+  table
+
+(* Keeping rows only for non-client nodes gives every pair with a
+   non-client endpoint the dense table's delay, with and without
+   replicas (which sit above the clients in the id space). *)
+let asymmetric_matches_dense =
+  QCheck.Test.make ~name:"asymmetric latency = dense table" ~count:200
+    QCheck.(quad (1 -- 5) (1 -- 6) (0 -- 2) small_nat)
+    (fun (n_servers, n_clients, replicas_per_server, seed) ->
+      let topo = Cluster.Topology.make ~replicas_per_server ~n_servers ~n_clients () in
+      let min_one_way = 1e-4 and max_one_way = 4e-4 in
+      let l =
+        Cluster.Latency.asymmetric (Sim.Rng.create seed) topo ~min_one_way ~max_one_way
+          ~jitter_mean:0.0
+      in
+      let dense = dense_asymmetric (Sim.Rng.create seed) topo ~min_one_way ~max_one_way in
+      let n = Cluster.Topology.n_nodes topo in
+      let rng = Sim.Rng.create 0 in
+      List.for_all
+        (fun (a, b) ->
+          (Cluster.Topology.is_client topo a
+          && Cluster.Topology.is_client topo b
+          && not (Kernel.Types.node_eq a b))
+          || Float.equal (Cluster.Latency.sample rng l ~src:a ~dst:b) dense.(a).(b))
+        (List.concat_map (fun a -> List.init n (fun b -> (a, b))) (List.init n Fun.id)))
+
 (* One-message echo across the runtime, checking delivery, handler
    dispatch and message counting. *)
 let net_delivery () =
@@ -126,7 +164,12 @@ let suite =
     Alcotest.test_case "net cpu queueing" `Quick net_cpu_queueing;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ placement_covers_all_servers; ops_by_server_matches_ref; latency_positive ]
+      [
+        placement_covers_all_servers;
+        ops_by_server_matches_ref;
+        latency_positive;
+        asymmetric_matches_dense;
+      ]
 
 let replica_placement () =
   let t = Cluster.Topology.make ~replicas_per_server:2 ~n_servers:3 ~n_clients:2 () in
