@@ -110,7 +110,7 @@ let acquire s ~src ~wire ~round ~ts ~exclusive ops =
     s.ctx.send ~dst:src
       (Acquire_reply { r_wire = wire; r_round = round; r_ok = false; r_results = [] })
   | `Duplicate -> ()
-  | `Serve st ->
+  | `Serve a ->
     let owner = { Locks.txn = wire; ts } in
     let pm =
       { pm_wire = wire; pm_round = round; pm_src = src; pm_waiting = 0;
@@ -125,10 +125,10 @@ let acquire s ~src ~wire ~round ~ts ~exclusive ops =
         let mode = mode_of op in
         if pm.pm_failed && s.variant = No_wait then ()
         else
-          match Part.lock s.part st key ~owner ~mode with
+          match Part.lock s.part a key ~owner ~mode with
           | `Granted ->
             if not pm.pm_failed then
-              pm.pm_results <- execute_op s st ~ts ~wire op :: pm.pm_results
+              pm.pm_results <- execute_op s a ~ts ~wire op :: pm.pm_results
           | `Conflict holders ->
             (match s.variant with
              | No_wait ->
@@ -162,10 +162,10 @@ let acquire s ~src ~wire ~round ~ts ~exclusive ops =
                    reply_pending s pm
                  end
                  else
-                   match Part.lock s.part st key ~owner ~mode with
+                   match Part.lock s.part a key ~owner ~mode with
                    | `Granted ->
                      pm.pm_waiting <- pm.pm_waiting - 1;
-                     pm.pm_results <- execute_op s st ~ts ~wire op :: pm.pm_results;
+                     pm.pm_results <- execute_op s a ~ts ~wire op :: pm.pm_results;
                      reply_pending s pm
                    | `Conflict hs ->
                      wound hs;

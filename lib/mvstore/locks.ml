@@ -32,7 +32,8 @@ let try_acquire t key ~owner ~mode =
     `Granted
   end
   else
-    `Conflict (List.filter_map (fun (o, _) -> if o.txn = owner.txn then None else Some o) holders)
+    `Conflict
+      (List.filter_map (fun (o, _) -> if o.txn = owner.txn then None else Some o) holders)
 
 let release t key ~txn =
   match List.filter (fun (o, _) -> o.txn <> txn) (Inttbl.find t key) with

@@ -45,10 +45,11 @@ let kind_code = function
 (* The rolling digest is an MD5 chain over fixed 29-byte records:
    kind (1 byte), time bits (8, LE), src (4, LE), dst (4, LE), x bits
    (8, LE), phase code (4, LE). The code tells message kinds of equal
-   cost and endpoints apart; [id] stays out, as it is an arena slot. Records are written straight into [chunk], whose first 16
-   bytes hold the digest of everything before it; when the chunk is
-   full it is hashed in place and the result becomes the next chunk's
-   prefix. An event therefore costs no string, no format and no copy. *)
+   cost and endpoints apart; [id] stays out, as it is an arena slot.
+   Records are written straight into [chunk], whose first 16 bytes hold
+   the digest of everything before it; when the chunk is full it is
+   hashed in place and the result becomes the next chunk's prefix. An
+   event therefore costs no string, no format and no copy. *)
 let record_bytes = 29
 let chunk_bytes = 16 + (record_bytes * ((4096 - 16) / record_bytes))
 

@@ -628,7 +628,8 @@ let committed_txn (txn : Txn.t) =
 let check_participant (module P : PART) ~dup_replies =
   let module R = Rig (P) in
   let created (r : R.t) =
-    Array.to_list (Array.map (fun s -> Mvstore.Store.versions_created (P.store_of s)) r.R.servers)
+    Array.to_list r.R.servers
+    |> List.map (fun s -> Mvstore.Store.versions_created (P.store_of s))
   in
   let server_replies (r : R.t) =
     List.filter_map
@@ -676,14 +677,17 @@ let check_participant (module P : PART) ~dup_replies =
            let st = P.store_of s in
            List.map
              (fun key ->
+               let latest = Mvstore.Store.most_recent st key in
                ( Mvstore.Store.committed_order st key,
-                 (Mvstore.Store.most_recent st key).Mvstore.Store.status = Mvstore.Store.Committed ))
+                 latest.Mvstore.Store.status = Mvstore.Store.Committed ))
              [ 0; 1 ])
   in
   Alcotest.(check (list (pair (list int) bool)))
     "duplicated Decide is a no-op" (decided Fun.id)
     (decided (List.concat_map (fun m -> [ m; m ])))
 
+(* Replies from the two servers to a duplicated round: dOCC answers a
+   duplicated Prepare again, the others drop it. *)
 let participant_docc () = check_participant (module Docc_part) ~dup_replies:4
 let participant_d2pl_nw () = check_participant (module D2pl_nw_part) ~dup_replies:2
 let participant_d2pl_ww () = check_participant (module D2pl_ww_part) ~dup_replies:2
