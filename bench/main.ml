@@ -105,14 +105,15 @@ let micro () =
            done))
   in
   (* The engine's queue (the wheel) against a plain heap: steady-state
-     event churn (top_prio + pop_min + schedule) against a persistent
-     structure holding N pending events, at 1k / 100k / 1M. Each pop
-     reschedules at popped-prio + span, keeping density constant at
-     about 100 events per 1us tick, so the span is 256 ticks at 1k,
-     1,000 at 100k and 10,000 at 1M. Up to 100k every reschedule lands
-     in the wheel's 4,096-slot window (O(1)); at 1M it lands past the
-     window, in the overflow heap, and the wheel pays the heap's sift
-     plus its own refill. *)
+     event churn against a persistent structure holding N pending
+     events, at 1k / 100k / 1M. Each event reschedules itself at
+     popped time + span, where the span is 256 ticks of 1us at 1k,
+     1,000 at 100k and 10,000 at 1M; each engine run covers [step], the
+     time in which the 100 events a heap row pops (top_prio + pop_min +
+     push) come due. Up to 100k every reschedule lands in the wheel's
+     4,096-slot window (O(1)); at 1M it lands past the window, in the
+     overflow heap, and the engine pays the heap's sift plus its own
+     refill. *)
   let engine_churn =
     List.concat_map
       (fun (tag, n) ->
@@ -120,17 +121,15 @@ let micro () =
         let span = float_of_int span_ticks *. 1e-6 in
         let prio i = float_of_int (i * 7919 mod span_ticks) *. 1e-6 in
         let wheel =
-          let w = Sim.Wheel.create () in
+          let e = Sim.Engine.create () in
+          let step = 100.0 *. span /. float_of_int n in
+          let rec tick () = Sim.Engine.schedule e ~delay:span tick in
           for i = 1 to n do
-            Sim.Wheel.schedule w (prio i) i
+            Sim.Engine.schedule_at e ~time:(prio i) tick
           done;
           Test.make ~name:(Printf.sprintf "engine.wheel churn %s" tag)
             (Staged.stage (fun () ->
-                 for _ = 1 to 100 do
-                   let p = Sim.Wheel.top_prio w in
-                   let v = Sim.Wheel.pop_min w in
-                   Sim.Wheel.schedule w (p +. span) v
-                 done))
+                 Sim.Engine.run ~until:(Sim.Engine.now e +. step) e))
         in
         let heap =
           let h = Sim.Heap.create () in

@@ -332,7 +332,9 @@ let config_term p =
 
 (* --faults SEED draws a random schedule over the run's topology;
    --drop/--dup raise its message-loss probabilities (or set them on a
-   fault-free schedule). *)
+   fault-free schedule). A negative or NaN flag is kept as given, so
+   [Runner.validate] refuses it by name instead of the run ignoring
+   it. *)
 let faults_term =
   let open Term.Syntax in
   let+ faults_seed =
@@ -343,27 +345,25 @@ let faults_term =
   and+ dup =
     arg Arg.float 0.0 [ "dup" ] ~docv:"P" "Probability each message is duplicated."
   in
+  let raise_to p flag = if flag > p then flag else if flag >= 0.0 then p else flag in
   fun (cfg : Runner.config) ->
-    if faults_seed <> 0 then begin
-      let topo =
-        Cluster.Topology.make ~replicas_per_server:cfg.Runner.replicas_per_server
-          ~n_servers:cfg.Runner.n_servers ~n_clients:cfg.Runner.n_clients ()
-      in
-      let f =
+    let f =
+      if faults_seed = 0 then Cluster.Faults.none
+      else
+        let topo =
+          Cluster.Topology.make ~replicas_per_server:cfg.Runner.replicas_per_server
+            ~n_servers:cfg.Runner.n_servers ~n_clients:cfg.Runner.n_clients ()
+        in
         Cluster.Faults.random ~seed:faults_seed
           ~nodes:(List.init (Cluster.Topology.n_nodes topo) Fun.id)
           ~crashable:(Cluster.Topology.servers topo)
           ~horizon:(cfg.Runner.warmup +. cfg.Runner.duration)
-      in
-      {
-        f with
-        Cluster.Faults.drop = Float.max f.Cluster.Faults.drop drop;
-        duplicate = Float.max f.Cluster.Faults.duplicate dup;
-      }
-    end
-    else if drop > 0.0 || dup > 0.0 then
-      { Cluster.Faults.none with Cluster.Faults.drop; duplicate = dup }
-    else Cluster.Faults.none
+    in
+    {
+      f with
+      Cluster.Faults.drop = raise_to f.Cluster.Faults.drop drop;
+      duplicate = raise_to f.Cluster.Faults.duplicate dup;
+    }
 
 (* What one run produced, gathered inside its pool job. *)
 type outcome = {
@@ -480,13 +480,16 @@ let run_cmd p =
     in
     let cfg = match cfg with Ok c -> c | Error m -> usage_error "%s" m in
     check_config pname cfg;
+    (* the fault schedule is drawn over the checked topology, then
+       checked in turn *)
+    let cfg = { cfg with Runner.faults = faults_of cfg } in
+    check_config pname cfg;
     if seeds < 1 then usage_error "--seeds must be at least 1 (got %d)" seeds;
     if seeds > 1 && (perfetto <> None || profile <> None) then
       usage_error "--perfetto and --profile record one run: use --seeds 1";
     let mk = find_workload ~n_servers:cfg.Runner.n_servers wname in
     let opened = Option.map (fun path -> (path, open_output path)) in
     let out = opened out and perfetto = opened perfetto and profile = opened profile in
-    let cfg = { cfg with Runner.faults = faults_of cfg } in
     Printf.printf
       "%s: %s on %s — %d servers, %d clients, %.3g txns offered (%.0f/s over \
        %.2fs simulated)\n\

@@ -31,8 +31,9 @@ type 'msg ctx = {
 }
 
 (* Local physical-clock reading in integer nanoseconds (the timestamp
-   unit used throughout the protocols). *)
-let local_ns ctx = Sim.Clock.read_ns ctx.clock ~now:(Sim.Engine.now ctx.engine)
+   unit used throughout the protocols). The engine reads its own clock
+   cell, so no boxed time crosses the call. *)
+let local_ns ctx = Sim.Engine.local_ns ctx.engine ctx.clock
 
 let now ctx = Sim.Engine.now ctx.engine
 
@@ -90,32 +91,19 @@ let ib_grow ib msg =
   ib.ib_queued <- queued;
   ib.ib_head <- 0
 
-let ib_push ib ~src msg ~enq ~was_queued =
+(* Returns the slot, whose enqueue time the caller stamps in place. *)
+let ib_push ib ~src msg ~was_queued =
   (* ncc-lint: allow R18 — written once per inbox lifetime: the first push seeds the grow/clear dummy slot *)
   (match ib.ib_dummy with None -> ib.ib_dummy <- Some msg | Some _ -> ());
   if ib.ib_len = Array.length ib.ib_msgs then ib_grow ib msg;
   let i = (ib.ib_head + ib.ib_len) land (Array.length ib.ib_msgs - 1) in
   ib.ib_srcs.(i) <- src;
   ib.ib_msgs.(i) <- msg;
-  ib.ib_enqs.(i) <- enq;
   Bytes.set ib.ib_queued i (if was_queued then '\001' else '\000');
-  ib.ib_len <- ib.ib_len + 1
+  ib.ib_len <- ib.ib_len + 1;
+  i
 
-(* Pop the oldest slot; only call when non-empty. *)
-let ib_pop ib =
-  let i = ib.ib_head in
-  let src = ib.ib_srcs.(i)
-  and msg = ib.ib_msgs.(i)
-  and enq = ib.ib_enqs.(i)
-  and was_queued = Bytes.get ib.ib_queued i = '\001' in
-  (match ib.ib_dummy with Some d -> ib.ib_msgs.(i) <- d | None -> ());
-  ib.ib_head <- (i + 1) land (Array.length ib.ib_msgs - 1);
-  ib.ib_len <- ib.ib_len - 1;
-  (* ncc-lint: allow R18 — one quad per serviced message on the faulty path; the fault-free fast path reads ring fields directly *)
-  (src, msg, enq, was_queued)
-
-(* Discard the oldest slot without materialising it (the fault-free
-   completion path reads the head fields directly, then drops). *)
+(* Discard the oldest slot; service reads its fields in place first. *)
 let ib_drop ib =
   let i = ib.ib_head in
   (match ib.ib_dummy with Some d -> ib.ib_msgs.(i) <- d | None -> ());
@@ -151,9 +139,10 @@ type 'msg node = {
   mutable on_restart : (unit -> unit) option;
   (* Fault-free service completion, allocated once per node (see
      [service]): the in-service message stays at the ring head until
-     completion, and start time / CPU cost ride in [scratch] (a flat
-     float array, so the writes don't box). *)
+     completion. *)
   mutable complete : unit -> unit;
+  (* Start time and CPU cost of the message in service, for its Handle
+     span: a flat float array, so neither write nor read boxes. *)
   scratch : float array;
 }
 
@@ -188,9 +177,9 @@ type 'msg t = {
      so steady-state dispatch allocates no closure, flight record or
      option per message where [send_clean] used to close over
      (src, flight, node, msg) every time. (What remains per message is
-     a bounded handful of transient boxed floats from the non-flambda
-     calling convention — RNG draws, latency samples, schedule delays —
-     which the zero-alloc test pins to a small flat constant.)
+     the latency sample and its RNG draw, boxed because they cross
+     module boundaries; the zero-alloc test pins the total at 8 words
+     or fewer.)
      Slots are released at delivery, before the handler runs, so
      a handler's own sends can reuse them. The faulty path keeps
      per-copy closures (duplicates make slot lifetime ambiguous, and
@@ -209,53 +198,44 @@ type 'msg t = {
    also the handler's span), then the handler itself. Shared by both
    service paths. Tracing is passive — no RNG draws, no scheduled
    events — so it cannot change a run's outcome. *)
-let finish_service t node ~src msg ~start ~c =
+let finish_service t node ~src msg =
   if Sim.Trace.active () then
     Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Handle ~src
-      ~dst:node.ctx.self ~x:0.0 ~start ~dur:c ~id:0 ~code:(node.phase_of msg);
+      ~dst:node.ctx.self ~x:0.0 ~start:node.scratch.(0) ~dur:node.scratch.(1) ~id:0
+      ~code:(node.phase_of msg);
   node.handler ~src msg
 
-(* Pre-handler bookkeeping at service start; returns the CPU cost. *)
-let start_service t node ~src msg ~enq ~was_queued =
-  let c = node.cost msg in
-  if was_queued then
-    if Sim.Trace.active () then begin
-      let start = Sim.Engine.now t.net_engine in
-      Sim.Trace.emit ~time:start Queued ~src ~dst:node.ctx.self ~x:0.0 ~start:enq
-        ~dur:(start -. enq) ~id:0 ~code:0
-    end;
-  t.busy_time.(node.ctx.self) <- t.busy_time.(node.ctx.self) +. c;
-  c
-
+(* Start servicing the inbox head: charge its CPU cost, note the start
+   time and cost in [scratch], and schedule the completion. *)
 let rec service t node =
   if node.up && (not node.busy) && not (ib_is_empty node.inbox) then begin
     node.busy <- true;
-    if Faults.is_none t.faults then begin
+    let ib = node.inbox in
+    let i = ib.ib_head in
+    let src = ib.ib_srcs.(i) and msg = ib.ib_msgs.(i) in
+    let c = node.cost msg in
+    if Bytes.get ib.ib_queued i = '\001' && Sim.Trace.active () then begin
+      let start = Sim.Engine.now t.net_engine in
+      let enq = ib.ib_enqs.(i) in
+      Sim.Trace.emit ~time:start Queued ~src ~dst:node.ctx.self ~x:0.0 ~start:enq
+        ~dur:(start -. enq) ~id:0 ~code:0
+    end;
+    t.busy_time.(node.ctx.self) <- t.busy_time.(node.ctx.self) +. c;
+    Sim.Engine.stamp t.net_engine node.scratch 0;
+    node.scratch.(1) <- c;
+    if Faults.is_none t.faults then
       (* Fault-free fast path: no crash can ever cancel or overlap a
          pending completion, so the per-message completion closure is
-         replaced by [node.complete] (allocated once at construction).
-         The message stays at the ring head until completion pops it;
-         start/cost travel through [node.scratch]. *)
-      let ib = node.inbox in
-      let i = ib.ib_head in
-      let src = ib.ib_srcs.(i)
-      and msg = ib.ib_msgs.(i)
-      and enq = ib.ib_enqs.(i)
-      and was_queued = Bytes.get ib.ib_queued i = '\001' in
-      let c = start_service t node ~src msg ~enq ~was_queued in
-      node.scratch.(0) <- Sim.Engine.now t.net_engine;
-      node.scratch.(1) <- c;
+         replaced by [node.complete] (allocated once at construction),
+         and the message stays at the ring head until it completes. *)
       Sim.Engine.schedule t.net_engine ~delay:c node.complete
-    end
     else begin
-      let src, msg, enq, was_queued = ib_pop node.inbox in
+      ib_drop ib;
       let epoch = node.epoch in
-      let c = start_service t node ~src msg ~enq ~was_queued in
-      let start = Sim.Engine.now t.net_engine in
       (* ncc-lint: allow R17 — the completion thunk is the scheduled event; it must capture the in-flight message *)
       Sim.Engine.schedule t.net_engine ~delay:c (fun () ->
           if node.epoch = epoch then begin
-            finish_service t node ~src msg ~start ~c;
+            finish_service t node ~src msg;
             node.busy <- false;
             service t node
           end)
@@ -263,13 +243,11 @@ let rec service t node =
   end
 
 and complete_fast t node () =
-  (* Read the ring head in place and drop it: the old ib_pop built a
-     (src, msg, enq, was_queued) quad per serviced message (R18). *)
   let ib = node.inbox in
   let i = ib.ib_head in
   let src = ib.ib_srcs.(i) and msg = ib.ib_msgs.(i) in
   ib_drop ib;
-  finish_service t node ~src msg ~start:node.scratch.(0) ~c:node.scratch.(1);
+  finish_service t node ~src msg;
   node.busy <- false;
   service t node
 
@@ -284,7 +262,8 @@ let deliver t ~src ~flight node msg =
       ~start:0.0 ~dur:0.0 ~id:flight ~code:0;
   if node.up then begin
     let was_queued = node.busy || not (ib_is_empty node.inbox) in
-    ib_push node.inbox ~src msg ~enq:(Sim.Engine.now t.net_engine) ~was_queued;
+    let i = ib_push node.inbox ~src msg ~was_queued in
+    Sim.Engine.stamp t.net_engine node.inbox.ib_enqs i;
     service t node
   end
   else if Sim.Trace.active () then

@@ -185,24 +185,26 @@ let ring_push r start p =
   r.r_ps.(i) <- p;
   r.r_len <- r.r_len + 1
 
-(* Minimum live attempt start, or [ifempty] when no attempt is in
-   flight. Stale heads (resolved transactions, resubmitted attempts)
-   are dropped as they surface. *)
-let rec ring_min r ~ifempty =
-  if r.r_len = 0 then ifempty
-  else begin
+(* Drop the stale heads (resolved transactions, resubmitted attempts)
+   until a live attempt's start, or nothing, is at the head. *)
+let rec ring_prune r =
+  if r.r_len > 0 then begin
     let i = r.r_head in
     let p = r.r_ps.(i) in
-    let s = r.r_starts.(i) in
     (* ncc-lint: allow R8 — exact equality detects a resubmit that re-stamped the same float; a tolerance would retire live attempts *)
-    if p.p_live && p.p_attempt_start = s then s
-    else begin
+    if not (p.p_live && p.p_attempt_start = r.r_starts.(i)) then begin
       (match r.r_dummy with Some d -> r.r_ps.(i) <- d | None -> ());
       r.r_head <- (i + 1) land (Array.length r.r_ps - 1);
       r.r_len <- r.r_len - 1;
-      ring_min r ~ifempty
+      ring_prune r
     end
   end
+
+(* Minimum live attempt start, or [ifempty] when no attempt is in
+   flight. *)
+let ring_min r ~ifempty =
+  ring_prune r;
+  if r.r_len = 0 then ifempty else r.r_starts.(r.r_head)
 
 let latency_model rng topo = function
   | Uniform { one_way; jitter } -> Cluster.Latency.uniform ~one_way ~jitter_mean:jitter
@@ -220,6 +222,7 @@ let latency_model rng topo = function
 let validate cfg =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let span x = Float.is_finite x && x >= 0.0 in
+  let prob p = p >= 0.0 && p <= 1.0 in
   if cfg.n_servers < 1 then fail "n_servers must be at least 1 (got %d)" cfg.n_servers
   else if cfg.n_clients < 1 then fail "n_clients must be at least 1 (got %d)" cfg.n_clients
   else if cfg.replicas_per_server < 0 then
@@ -235,6 +238,14 @@ let validate cfg =
     fail "retry_backoff must be finite and >= 0 (got %g)" cfg.retry_backoff
   else if cfg.check_window < 1 then
     fail "check_window must be at least 1 (got %d)" cfg.check_window
+  else if not (prob cfg.faults.drop) then
+    fail "faults.drop must be in [0, 1] (got %g)" cfg.faults.drop
+  else if not (prob cfg.faults.duplicate) then
+    fail "faults.duplicate must be in [0, 1] (got %g)" cfg.faults.duplicate
+  else if not (prob cfg.faults.delay_prob) then
+    fail "faults.delay_prob must be in [0, 1] (got %g)" cfg.faults.delay_prob
+  else if not (span cfg.faults.delay_extra) then
+    fail "faults.delay_extra must be finite and >= 0 (got %g)" cfg.faults.delay_extra
   else
     match (cfg.request_timeout, cfg.series_width, cfg.store_gc) with
     | Some d, _, _ when not (Float.is_finite d && d > 0.0) ->
@@ -504,8 +515,9 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
               | Some st ->
                 (* drop resolved heads from the watermark ring now: left
                    to the next epoch's read, they would pin every
-                   transaction finished since the last one *)
-                ignore (watermark_now ());
+                   transaction finished since the last one. Pruning
+                   reads no time, so it boxes none. *)
+                ring_prune wm_ring;
                 Checker.Stream.observe_commit st ~txn:o.txn.Txn.id
                   ~start:p.p_attempt_start ~finish:now
                   ~reads:(List.map (fun (k, vid, _) -> (k, vid)) o.reads)

@@ -5,7 +5,7 @@
    library's Heap module declares under dune's mangled unit name.
    These are the cluster-scale cost centres (docs/performance.md,
    "Allocation discipline: the lint plane") — the event queue and clock
-   arithmetic, per-message network dispatch, the store's version and
+   reads, per-message network dispatch, the store's version and
    chain lookup, the NCC server's row lookup, and the streaming
    checker's feed path. They are hot whether or not anyone remembers
    to annotate them; [@ncc.hot] attributes extend this set for
@@ -17,22 +17,22 @@
 
 let seeds =
   [
-    (* Sim.Engine: the event loop — runs once per simulated event. *)
+    (* Sim.Engine: the event loop and its queue — runs once per
+       simulated event — and the clock reads that stay unboxed. *)
     "Sim.Engine.run";
     "Sim.Engine.schedule";
     "Sim.Engine.schedule_at";
-    (* Sim.Heap: the wheel's overflow store for events beyond its
-       window, pushed and drained on the same per-event path. *)
+    "Sim.Engine.stamp";
+    "Sim.Engine.local_ns";
+    (* Sim.Heap: the reference order the engine is tested against and
+       the bench's baseline row; it allocates nothing per element. *)
     "Sim.Heap.push";
     "Sim.Heap.top_prio";
     "Sim.Heap.pop_min";
-    (* Sim.Wheel: the event queue backing the loop — once per event. *)
-    "Sim.Wheel.schedule";
-    "Sim.Wheel.top_prio";
-    "Sim.Wheel.pop_min";
     (* Sim.Clock: per-read skewed-time arithmetic. *)
     "Sim.Clock.read";
     "Sim.Clock.read_ns";
+    "Sim.Clock.read_ns_cell";
     (* Sim.Trace: one typed event per traced send/handle; with the
        chaos digest on it runs once per simulated message. *)
     "Sim.Trace.ev";
@@ -44,7 +44,6 @@ let seeds =
     "Cluster.Net.deliver_slot";
     "Cluster.Net.service";
     "Cluster.Net.complete_fast";
-    "Cluster.Net.start_service";
     "Cluster.Net.finish_service";
     (* Mvstore.Store: version lookup, once per read/write; the NCC
        server reads and writes through chain handles, resolved by

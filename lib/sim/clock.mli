@@ -14,3 +14,7 @@ val read : t -> now:float -> float
 
 (** Local reading as integer nanoseconds (timestamp unit). *)
 val read_ns : t -> now:float -> int
+
+(** [read_ns clock ~now:cell.(0)], reading the time from a one-element
+    float array without boxing it. *)
+val read_ns_cell : t -> float array -> int

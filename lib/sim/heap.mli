@@ -1,7 +1,9 @@
 (** Array-based binary min-heap with deterministic FIFO order among
-    equal priorities. Structure-of-arrays layout: priorities sit in a
-    flat [float array] (unboxed), so [push]/[top_prio]/[pop_min]
-    allocate nothing per event beyond amortised capacity doubling. *)
+    equal priorities: the delivery order {!Engine} must reproduce, which
+    the identity tests check by draining both. Priorities sit in a flat
+    [float array] (unboxed), so the heap allocates nothing per element
+    beyond amortised capacity doubling; a caller in another module
+    still boxes each priority it passes in or reads out. *)
 
 type 'a t
 
@@ -13,10 +15,6 @@ val push : 'a t -> float -> 'a -> unit
 (** Priority of the minimum element. Raises [Invalid_argument] when
     the heap is empty — pair with [is_empty], not with an option. *)
 val top_prio : 'a t -> float
-
-(** The minimum element's payload, left in place. Raises
-    [Invalid_argument] when the heap is empty. *)
-val top : 'a t -> 'a
 
 (** Remove and return the minimum element's payload. Raises
     [Invalid_argument] when the heap is empty. *)

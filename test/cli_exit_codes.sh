@@ -27,4 +27,8 @@ case_ chaos --seeds 3 --check off
 case_ run -p NCC-R --replicas 0
 case_ chaos -p ncc-r-def --seeds 1
 case_ run -p NCC --request-timeout=-0.001
+case_ run -w google-f1 -l 2000 --duration 0.1 --drop 1.5
+case_ run --dup=-0.1
+case_ run --drop nan
+case_ run --faults 3 --dup=-0.1
 code_ run --check post

@@ -274,6 +274,18 @@ let runner_validate () =
       ({ d with R.series_width = Some 0.0 }, "series_width must be > 0 (got 0)");
       ({ d with R.store_gc = Some (0.0, 4) }, "store_gc period must be > 0 (got 0)");
       ({ d with R.store_gc = Some (1.0, 0) }, "store_gc keep must be at least 1 (got 0)");
+      ( { d with R.faults = { Cluster.Faults.none with drop = 1.5 } },
+        "faults.drop must be in [0, 1] (got 1.5)" );
+      ( { d with R.faults = { Cluster.Faults.none with drop = Float.nan } },
+        "faults.drop must be in [0, 1] (got nan)" );
+      ( { d with R.faults = { Cluster.Faults.none with duplicate = -0.1 } },
+        "faults.duplicate must be in [0, 1] (got -0.1)" );
+      ( { d with R.faults = { Cluster.Faults.none with delay_prob = 2.0 } },
+        "faults.delay_prob must be in [0, 1] (got 2)" );
+      ( { d with R.faults = { Cluster.Faults.none with delay_extra = Float.infinity } },
+        "faults.delay_extra must be finite and >= 0 (got inf)" );
+      ( { d with R.faults = { Cluster.Faults.none with delay_extra = -1e-3 } },
+        "faults.delay_extra must be finite and >= 0 (got -0.001)" );
     ];
   let atlas_cells =
     List.concat_map

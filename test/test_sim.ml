@@ -85,6 +85,28 @@ let engine_stop () =
   Sim.Engine.run e;
   Alcotest.(check int) "stopped after first" 1 !fired
 
+(* NaN compares false against everything, so a [delay < 0.0] guard
+   lets it through and the event would run with the clock at NaN. Both
+   entry points refuse it, and a refused call leaves the queue as it
+   was. *)
+let engine_rejects_nan () =
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  let refused f =
+    match f () with () -> false | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "schedule ~delay:nan refused" true
+    (refused (fun () -> Sim.Engine.schedule e ~delay:Float.nan (fun () -> incr fired)));
+  Alcotest.(check bool) "schedule_at ~time:nan refused" true
+    (refused (fun () -> Sim.Engine.schedule_at e ~time:Float.nan (fun () -> incr fired)));
+  Alcotest.(check bool) "negative delay refused" true
+    (refused (fun () -> Sim.Engine.schedule e ~delay:(-1.0) (fun () -> incr fired)));
+  Alcotest.(check int) "nothing queued" 0 (Sim.Engine.pending e);
+  Sim.Engine.schedule e ~delay:1.0 (fun () -> incr fired);
+  Sim.Engine.run e;
+  Alcotest.(check int) "only the valid event ran" 1 !fired;
+  Alcotest.(check (float 0.0)) "clock is finite" 1.0 (Sim.Engine.now e)
+
 let rng_deterministic () =
   let draw seed =
     let r = Sim.Rng.create seed in
@@ -157,6 +179,7 @@ let suite =
     Alcotest.test_case "engine time order" `Quick engine_runs_in_time_order;
     Alcotest.test_case "engine horizon" `Quick engine_horizon;
     Alcotest.test_case "engine stop" `Quick engine_stop;
+    Alcotest.test_case "engine rejects NaN times" `Quick engine_rejects_nan;
     Alcotest.test_case "rng deterministic" `Quick rng_deterministic;
     Alcotest.test_case "rng split independence" `Quick rng_split_independent;
     Alcotest.test_case "zipf skew" `Quick zipf_skew;
