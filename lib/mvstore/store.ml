@@ -13,6 +13,14 @@
    (MVTO) and committed-snapshot reads; those entry points live here too
    so that every protocol exercises one storage substrate.
 
+   A key that holds only its initial version has no chain: the record
+   sits alone in a flat per-store table, and every read entry point
+   answers from it. Most keys of a read-heavy workload are never
+   written, so they cost one table slot and one record. The chain is
+   built around that same record when the key takes a second version
+   or when a protocol asks for a chain handle; a key is in at most one
+   of the two tables.
+
    Chains are stored as growable arrays, oldest first (slot 0 is the
    initial version, the chain terminator). Both write styles keep a
    chain sorted by t_w: NCC writes append with t_w > curr.t_r >= every
@@ -57,6 +65,9 @@ type chain = {
 type t = {
   tbl : chain Inttbl.t;
       (* keyed by [chain.key]; its one empty chain has no versions *)
+  initial : version Inttbl.t;
+      (* chain-less keys: key -> its initial version, the key's only
+         version (pair layout; its empty value is a version of no key) *)
   mutable written : chain;  (* head of the written list, or the empty chain *)
   mutable created : int;  (* versions created by this store (stats) *)
   mutable on_commit :
@@ -89,6 +100,18 @@ let create () =
   let empty = empty_chain () in
   {
     tbl = Inttbl.keyed ~key:(fun c -> c.key) ~empty;
+    initial =
+      Inttbl.create
+        ~empty:
+          {
+            vid = 0;
+            value = 0;
+            tw = Ts.zero;
+            tr = Ts.zero;
+            status = Committed;
+            writer = 0;
+            parked = [];
+          };
     written = empty;
     created = 0;
     on_commit = None;
@@ -104,8 +127,24 @@ let note_written t c =
     t.written <- c
   end
 
+(* A chain's committed versions, oldest first. *)
+let committed_of c =
+  let rec collect i acc =
+    if i < 0 then acc
+    else collect (i - 1) (if c.vs.(i).status = Committed then c.vs.(i) :: acc else acc)
+  in
+  collect (c.n - 1) []
+
+(* Every key's committed versions, oldest first, chained and chain-less
+   keys merged in descending key order (the order in which folding
+   over ascending keys conses them). *)
+let committed_by_key t =
+  let chained = Inttbl.fold_sorted (fun key c acc -> (key, committed_of c) :: acc) t.tbl [] in
+  let bare = Inttbl.fold_sorted (fun key v acc -> (key, [ v ]) :: acc) t.initial [] in
+  List.merge (fun (a, _) (b, _) -> Int.compare b a) chained bare
+
 (* Installing the hook also replays the committed versions of every
-   chain that already exists: a protocol may touch its store during
+   key that already exists: a protocol may touch its store during
    server construction, before the harness can install the hook, and
    those versions would otherwise never be announced — parking their
    readers forever. Replaying oldest-first with the previous committed
@@ -113,54 +152,69 @@ let note_written t c =
    incrementally built chain would have made. *)
 let set_on_commit t f =
   t.on_commit <- Some f;
-  Inttbl.iter_sorted
-    (fun key c ->
-      let prev = ref None in
-      for i = 0 to c.n - 1 do
-        let v = c.vs.(i) in
-        if v.status = Committed then begin
-          f key v ~prev:!prev ~next:None;
-          prev := Some v
-        end
-      done)
-    t.tbl
+  List.iter
+    (fun (key, vs) ->
+      ignore
+        (List.fold_left
+           (fun prev v ->
+             f key v ~prev ~next:None;
+             Some v)
+           None vs))
+    (List.rev (committed_by_key t))
 
-let initial_version () =
-  {
-    vid = fresh_vid ();
-    value = 0;
-    tw = Ts.zero;
-    tr = Ts.zero;
-    status = Committed;
-    writer = 0;
-    parked = [];
-  }
+(* Draw a key's initial version at its first access. It is born
+   committed; announce it so the streaming checker learns its vid. *)
+let new_initial t key =
+  let v =
+    {
+      vid = fresh_vid ();
+      value = 0;
+      tw = Ts.zero;
+      tr = Ts.zero;
+      status = Committed;
+      writer = 0;
+      parked = [];
+    }
+  in
+  (match t.on_commit with
+   | Some f -> f key v ~prev:None ~next:None
+   | None -> ());
+  v
+
+(* The initial version of a key that has no chain, drawn on the key's
+   first access and kept in the flat table. *)
+let bare_initial t key =
+  let v = Inttbl.find t.initial key in
+  if v != Inttbl.absent t.initial then v
+  else begin
+    let v = new_initial t key in
+    Inttbl.replace t.initial key v;
+    v
+  end
 
 (* --- Chain handles -------------------------------------------------
 
-   [chain] resolves a key to its chain, creating it on first access.
-   A protocol server that keeps its own per-key state resolves each
-   key once and works on the handle from then on; the key-taking entry
-   points further down are one-line wrappers over these. *)
+   [chain] resolves a key to its chain, building it on demand around
+   the key's initial version, which moves out of the flat table. A
+   protocol server that keeps its own per-key state resolves each key
+   once and works on the handle from then on; the key-taking write
+   entry points further down are one-line wrappers over these, and the
+   read entry points answer a chain-less key from its record. *)
 
 let chain t key =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 (* not the table's empty chain *) then c
   else begin
-    let c =
-      {
-        key;
-        vs = Array.make 4 (initial_version ());
-        n = 1;
-        written_next = Inttbl.absent t.tbl;
-      }
+    let v0 = Inttbl.find t.initial key in
+    let v0 =
+      if v0 != Inttbl.absent t.initial then begin
+        Inttbl.remove t.initial key;
+        v0
+      end
+      else new_initial t key
     in
+    let c = { key; vs = Array.make 4 v0; n = 1; written_next = Inttbl.absent t.tbl } in
     Inttbl.replace t.tbl key c;
-    (* the initial version is born committed; announce it so the
-       streaming checker learns its vid *)
-    (match t.on_commit with
-     | Some f -> f key c.vs.(0) ~prev:None ~next:None
-     | None -> ());
     c
   end
 
@@ -196,9 +250,15 @@ let rec last_committed c i =
   else if c.vs.(i).status = Committed then c.vs.(i)
   else last_committed c (i - 1)
 
+(* The newest version of a key, any status, without building a chain. *)
+let most_recent t key =
+  let c = Inttbl.find t.tbl key in
+  if c.n > 0 then chain_head c else bare_initial t key
+
+(* A chain-less key's one version is its committed initial version. *)
 let most_recent_committed t key =
-  let c = chain t key in
-  last_committed c (c.n - 1)
+  let c = Inttbl.find t.tbl key in
+  if c.n > 0 then last_committed c (c.n - 1) else bare_initial t key
 
 (* --- NCC execution (Alg 4.2) ------------------------------------- *)
 
@@ -219,10 +279,11 @@ let chain_write t c value ~ts ~writer =
    recent version, refining its t_r. [refine:false] serves the value
    without moving t_r — used for the read half of a fused same-shot
    read-modify-write, whose serialization point is the write's t_w. *)
-let chain_read ?(refine = true) c ~ts =
-  let curr = chain_head c in
+let refine_read ?(refine = true) curr ~ts =
   if refine then curr.tr <- Ts.max ts curr.tr;
   curr
+
+let chain_read ?refine c ~ts = refine_read ?refine (chain_head c) ~ts
 
 (* --- Commitment --------------------------------------------------- *)
 
@@ -279,9 +340,8 @@ let chain_next c v =
 
 (* --- Keyed entry points ------------------------------------------- *)
 
-let most_recent t key = chain_head (chain t key)
 let write t key value ~ts ~writer = chain_write t (chain t key) value ~ts ~writer
-let read ?refine t key ~ts = chain_read ?refine (chain t key) ~ts
+let read ?refine t key ~ts = refine_read ?refine (most_recent t key) ~ts
 let commit_in t key v = chain_commit t key (chain t key) v
 let abort_version t key v = chain_abort (chain t key) v
 let prev_version t key v = chain_prev (chain t key) v
@@ -310,9 +370,12 @@ let find_at c ~ts =
    (the old [version option] return allocated a Some per read on the
    hot path, and every caller's None branch was dead code). *)
 let version_at t key ~ts =
-  let c = chain t key in
-  let i = find_at c ~ts in
-  if i >= 0 then c.vs.(i) else c.vs.(0)
+  let c = Inttbl.find t.tbl key in
+  if c.n > 0 then begin
+    let i = find_at c ~ts in
+    if i >= 0 then c.vs.(i) else c.vs.(0)
+  end
+  else bare_initial t key
 
 (* Insert a version in tw order (MVTO writes can land mid-chain). *)
 let insert_ordered t key value ~tw ~writer =
@@ -333,18 +396,13 @@ let park v f = v.parked <- f :: v.parked
 let versions_created t = t.created
 
 (* Committed version ids of a key, oldest first (for the checker). *)
-let committed_order t key =
-  let c = chain t key in
-  let rec collect i acc =
-    if i < 0 then acc
-    else
-      collect (i - 1)
-        (if c.vs.(i).status = Committed then c.vs.(i).vid :: acc else acc)
-  in
-  collect (c.n - 1) []
+let vids = List.map (fun v -> v.vid)
 
-let all_committed_orders t =
-  Inttbl.fold_sorted (fun key _ acc -> (key, committed_order t key) :: acc) t.tbl []
+let committed_order t key =
+  let c = Inttbl.find t.tbl key in
+  if c.n > 0 then vids (committed_of c) else [ (bare_initial t key).vid ]
+
+let all_committed_orders t = List.map (fun (key, vs) -> (key, vids vs)) (committed_by_key t)
 
 (* Drop committed versions beyond the [keep] newest entries of each
    chain; undecided versions and the chain terminator are never
@@ -368,4 +426,10 @@ let gc ?(keep = 8) t =
   in
   if t.written != Inttbl.absent t.tbl then sweep t.written
 
-let chain_length t key = (chain t key).n
+let chain_length t key =
+  let c = Inttbl.find t.tbl key in
+  if c.n > 0 then c.n
+  else begin
+    ignore (bare_initial t key);
+    1
+  end
