@@ -8,23 +8,33 @@
    timestamps (§4.3) matter: close clients would otherwise always win
    the timestamp race against far ones. *)
 
+(* [base src dst a i] writes the pair's base delay into [a.(i)]: every
+   float of a per-message sample lands in a cell, so none is boxed. *)
 type t = {
-  base : Kernel.Types.node_id -> Kernel.Types.node_id -> float;
+  base : Kernel.Types.node_id -> Kernel.Types.node_id -> float array -> int -> unit;
   jitter_mean : float;
 }
 
+let sample_into rng t ~src ~dst a i =
+  if t.jitter_mean > 0.0 then Sim.Rng.exponential_into rng ~mean:t.jitter_mean a i
+  else a.(i) <- 0.0;
+  let j = a.(i) in
+  t.base src dst a i;
+  a.(i) <- a.(i) +. j
+
 let sample rng t ~src ~dst =
-  let j = if t.jitter_mean > 0.0 then Sim.Rng.exponential rng ~mean:t.jitter_mean else 0.0 in
-  t.base src dst +. j
+  let a = [| 0.0 |] in
+  sample_into rng t ~src ~dst a 0;
+  a.(0)
 
 (* Every pair has the same base one-way delay. *)
-let uniform ~one_way ~jitter_mean = { base = (fun _ _ -> one_way); jitter_mean }
+let uniform ~one_way ~jitter_mean = { base = (fun _ _ a i -> a.(i) <- one_way); jitter_mean }
 
 (* Two latency classes: pairs selected by [remote] see the wide-area
    delay, everything else the local one. Used for geo-replication
    (replicas in another datacenter). *)
 let classed ~local ~wide ~remote ~jitter_mean =
-  { base = (fun src dst -> if remote src dst then wide else local); jitter_mean }
+  { base = (fun src dst a i -> a.(i) <- (if remote src dst then wide else local)); jitter_mean }
 
 (* Per-pair base delays drawn once, uniform in [min_one_way,
    max_one_way], symmetric (delay a->b = delay b->a), in the order of
@@ -50,10 +60,10 @@ let asymmetric rng topo ~min_one_way ~max_one_way ~jitter_mean =
   done;
   {
     base =
-      (fun src dst ->
-        if Kernel.Types.node_eq src dst then 0.0
-        else if kept src then rows.(src).(dst)
-        else if kept dst then rows.(dst).(src)
+      (fun src dst a i ->
+        if Kernel.Types.node_eq src dst then a.(i) <- 0.0
+        else if kept src then a.(i) <- rows.(src).(dst)
+        else if kept dst then a.(i) <- rows.(dst).(src)
         else invalid_arg "Latency.asymmetric: no client-to-client delay");
     jitter_mean;
   }

@@ -5,6 +5,12 @@ type t
 
 val sample : Sim.Rng.t -> t -> src:Kernel.Types.node_id -> dst:Kernel.Types.node_id -> float
 
+(** [sample_into rng t ~src ~dst a i] writes the same sample, with the
+    same RNG draw, into [a.(i)]: unlike {!sample} it boxes no float. *)
+val sample_into :
+  Sim.Rng.t -> t -> src:Kernel.Types.node_id -> dst:Kernel.Types.node_id ->
+  float array -> int -> unit
+
 (** Same base one-way delay for every pair, plus exponential jitter. *)
 val uniform : one_way:float -> jitter_mean:float -> t
 

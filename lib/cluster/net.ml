@@ -158,6 +158,7 @@ type 'msg t = {
   net_rng : Sim.Rng.t;
   net_topo : Topology.t;
   latency : Latency.t;
+  sample : float array;  (* one cell: where each latency sample lands *)
   faults : Faults.spec;
   (* Aliases the parent rng at construction and is re-pointed to a
      private split only when faults are enabled, so the fault-free
@@ -176,10 +177,10 @@ type 'msg t = {
      arrays, and schedules the slot's *preallocated* delivery thunk —
      so steady-state dispatch allocates no closure, flight record or
      option per message where [send_clean] used to close over
-     (src, flight, node, msg) every time. (What remains per message is
-     the latency sample and its RNG draw, boxed because they cross
-     module boundaries; the zero-alloc test pins the total at 8 words
-     or fewer.)
+     (src, flight, node, msg) every time. The latency sample lands in
+     the one-cell [sample] array and the engine reads the delay there,
+     so only the stdlib's uniform draw under the jitter is boxed; the
+     zero-alloc test pins the total at 2 words or fewer.
      Slots are released at delivery, before the handler runs, so
      a handler's own sends can reuse them. The faulty path keeps
      per-copy closures (duplicates make slot lifetime ambiguous, and
@@ -326,17 +327,17 @@ let fl_alloc t msg =
   t.fl_free.(top)
 
 let send_clean t ~src ~dst msg =
-  let delay = Latency.sample t.net_rng t.latency ~src ~dst in
+  Latency.sample_into t.net_rng t.latency ~src ~dst t.sample 0;
   let flight = t.messages_sent in
   if Sim.Trace.active () then
-    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Send ~src ~dst ~x:delay
+    Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Send ~src ~dst ~x:t.sample.(0)
       ~start:0.0 ~dur:0.0 ~id:flight ~code:0;
   let i = fl_alloc t msg in
   t.fl_srcs.(i) <- src;
   t.fl_dsts.(i) <- dst;
   t.fl_flights.(i) <- flight;
   t.fl_msgs.(i) <- msg;
-  Sim.Engine.schedule t.net_engine ~delay t.fl_thunks.(i)
+  Sim.Engine.schedule_cell t.net_engine t.sample 0 t.fl_thunks.(i)
 
 let send_faulty t ~src ~dst msg =
   let now = Sim.Engine.now t.net_engine in
@@ -354,7 +355,8 @@ let send_faulty t ~src ~dst msg =
     if Sim.Trace.active () then Sim.Trace.ev ~time:now Dropped ~src ~dst ~x:0.0
   end
   else begin
-    let base = Latency.sample t.net_rng t.latency ~src ~dst in
+    Latency.sample_into t.net_rng t.latency ~src ~dst t.sample 0;
+    let base = t.sample.(0) in
     let extra =
       if Sim.Rng.flip t.fault_rng t.faults.Faults.delay_prob then begin
         t.n_delayed <- t.n_delayed + 1;
@@ -372,7 +374,8 @@ let send_faulty t ~src ~dst msg =
         deliver t ~src ~flight node msg);
     if Sim.Rng.flip t.fault_rng t.faults.Faults.duplicate then begin
       t.n_duplicated <- t.n_duplicated + 1;
-      let dup_delay = Latency.sample t.net_rng t.latency ~src ~dst in
+      Latency.sample_into t.net_rng t.latency ~src ~dst t.sample 0;
+      let dup_delay = t.sample.(0) in
       (* The duplicate is its own network copy: a second flight span
          under the same correlation id keeps the trace balanced. *)
       if Sim.Trace.active () then
@@ -446,6 +449,7 @@ let create ?(faults = Faults.none) engine rng topo ~latency ~clock_of =
         net_rng = Sim.Rng.split rng;
         net_topo = topo;
         latency;
+        sample = [| 0.0 |];
         faults;
         fault_rng = rng;
         nodes =

@@ -205,6 +205,14 @@ let schedule t ~delay f =
   t.prios.(i) <- t.now.(0) +. delay;
   file t i
 
+(* [schedule] with the delay read from [a.(i)], so no float crosses
+   the call. *)
+let schedule_cell t a i f =
+  if not (a.(i) >= 0.0) then invalid_arg "Engine.schedule: negative or NaN delay";
+  let n = alloc t f in
+  t.prios.(n) <- t.now.(0) +. a.(i);
+  file t n
+
 let schedule_at t ~time f =
   if not (time >= t.now.(0)) then
     invalid_arg "Engine.schedule_at: time in the past or NaN";

@@ -28,6 +28,10 @@ val pending : t -> int
     [Invalid_argument] on a negative or NaN delay. *)
 val schedule : t -> delay:float -> (unit -> unit) -> unit
 
+(** [schedule_cell t a i f] is [schedule t ~delay:a.(i) f], without
+    boxing the delay. *)
+val schedule_cell : t -> float array -> int -> (unit -> unit) -> unit
+
 (** Schedule [f] at an absolute virtual time. Raises
     [Invalid_argument] on a time in the past or NaN. *)
 val schedule_at : t -> time:float -> (unit -> unit) -> unit

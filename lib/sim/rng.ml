@@ -36,6 +36,10 @@ let exponential t ~mean =
   let u = 1.0 -. Random.State.float t.state 1.0 in
   -. mean *. log u
 
+(* [exponential] written into [a.(i)]: a float returned across a
+   module is boxed, a write into a flat float array is not. *)
+let exponential_into t ~mean a i = a.(i) <- -.mean *. log (1.0 -. Random.State.float t.state 1.0)
+
 (* Truncated normal via Box-Muller, clamped to [0, +inf) which is all we
    need for sizes and latencies. *)
 let gaussian t ~mean ~stddev =

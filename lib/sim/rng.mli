@@ -21,6 +21,10 @@ val int_range : t -> int -> int -> int
 (** Exponential variate with the given mean. *)
 val exponential : t -> mean:float -> float
 
+(** [exponential_into t ~mean a i] writes the same draw into [a.(i)],
+    unboxed. *)
+val exponential_into : t -> mean:float -> float array -> int -> unit
+
 (** Normal variate clamped to be non-negative. *)
 val gaussian : t -> mean:float -> stddev:float -> float
 

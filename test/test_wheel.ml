@@ -254,10 +254,13 @@ let queue_cycle_words () =
 (* The arena claim behind `send_clean`: once the freelist has grown to
    the steady-state in-flight population, a message allocates no
    closure, flight record or option, and the times it records (enqueue,
-   service start, CPU cost) stay in flat float arrays. What remains
-   are the floats that must cross a module boundary, which dune's dev
-   profile ([-opaque], no cross-module inlining) boxes: the latency
-   sample and its RNG draw, 6 words in all. The assertion is a small
+   service start, CPU cost) stay in flat float arrays, as does the
+   latency sample, which [Latency.sample_into] lands in a cell that
+   [Engine.schedule_cell] reads. What remains is the one float that
+   must cross a module boundary, which dune's dev profile ([-opaque],
+   no cross-module inlining) boxes: the stdlib's uniform draw under
+   the jitter, 2 words (the bound's 0.01 covers the boxed counter
+   reads themselves). The assertion is a small
    *flat* constant, independent of how many messages have flowed.
    The send is handler-driven so one [Engine.run] covers the whole
    window and no per-message test scaffolding pollutes the count. *)
@@ -295,7 +298,7 @@ let net_dispatch_zero_alloc () =
   let per_msg2 = (Gc.minor_words () -. before2) /. float_of_int (2 * n) in
   Alcotest.(check bool)
     (Printf.sprintf "bounded words/message (got %.1f)" per_msg)
-    true (per_msg <= 8.0);
+    true (per_msg <= 2.01);
   Alcotest.(check bool)
     (Printf.sprintf "flat across window sizes (%.1f vs %.1f)" per_msg per_msg2)
     true (Float.abs (per_msg2 -. per_msg) < 2.0);
