@@ -22,6 +22,7 @@ let seeds =
     "Sim.Engine.run";
     "Sim.Engine.schedule";
     "Sim.Engine.schedule_at";
+    "Sim.Engine.schedule_cell";
     "Sim.Engine.stamp";
     "Sim.Engine.local_ns";
     (* Sim.Heap: the reference order the engine is tested against and
@@ -47,8 +48,11 @@ let seeds =
     "Cluster.Net.finish_service";
     (* Mvstore.Store: version lookup, once per read/write; the NCC
        server reads and writes through chain handles, resolved by
-       [chain] (which creates a fresh key's chain). *)
+       [chain] (which builds a key's chain on demand), and the keyed
+       reads answer a key with no chain from its initial version in
+       the flat table, [bare_initial] (which draws it on a fresh key). *)
     "Mvstore.Store.chain";
+    "Mvstore.Store.bare_initial";
     "Mvstore.Store.read";
     "Mvstore.Store.write";
     "Mvstore.Store.most_recent";
