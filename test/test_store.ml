@@ -264,6 +264,135 @@ let gc_matches_full_sweep =
         (run_gc_script ~gc:(fun ~keep s -> Store.gc ~keep s) script)
         (run_gc_script ~gc:full_sweep script))
 
+(* A key that is only ever read holds no chain: its initial version
+   sits alone in a flat table. The retained words of a store after 10k
+   reads of distinct keys, through each keyed read entry point, stay
+   under 18 per key (one table slot and one version record read ~14.6;
+   a chain per key, with its 4-slot array, read ~21.3). *)
+let pure_reads_hold_no_chain () =
+  let n = 10_000 and at = ts 10 in
+  List.iter
+    (fun (name, read) ->
+      let s = fresh () in
+      for key = 0 to n - 1 do
+        ignore (read s key)
+      done;
+      let per_key = float_of_int (Obj.reachable_words (Obj.repr s)) /. float_of_int n in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %.1f words per read key" name per_key)
+        true (per_key < 18.0))
+    [
+      ("most_recent", fun s key -> Store.most_recent s key);
+      ("most_recent_committed", fun s key -> Store.most_recent_committed s key);
+      ("read", fun s key -> Store.read s key ~ts:at);
+      ("version_at", fun s key -> Store.version_at s key ~ts:at);
+    ]
+
+(* The chain a write builds wraps the record the reads refined: the
+   same version, with its vid and t_r, is the chain's first, and the
+   write orders itself after that t_r. *)
+let write_keeps_read_record () =
+  let s = fresh () in
+  let r = Store.read s 1 ~ts:(ts 10) in
+  let vid = r.Store.vid and tr = r.Store.tr in
+  let w = Store.write s 1 42 ~ts:(ts 5) ~writer:7 in
+  (match Store.prev_version s 1 w with
+   | Some p -> Alcotest.(check bool) "vs.(0) is the read record" true (p == r)
+   | None -> Alcotest.fail "expected the initial version before the write");
+  Alcotest.(check int) "same vid" vid r.Store.vid;
+  Alcotest.(check bool) "same tr" true (Ts.equal tr r.Store.tr);
+  Alcotest.(check bool) "tw = max ts (succ tr)" true
+    (Ts.equal w.Store.tw (Ts.max (ts 5) (Ts.succ tr)));
+  Alcotest.(check (list int)) "committed order starts at the read record" [ vid ]
+    (Store.committed_order s 1)
+
+(* The flat table is invisible: random scripts of reads, writes,
+   ordered inserts, commits, aborts and timestamp lookups over keys
+   0-3 give the same versions, the same hook announcements and the same
+   committed orders whether each key's chain is built lazily or forced
+   by [Store.chain] before every operation. Forcing happens at a key's
+   first access, as the lazy draw does, so both runs draw the same
+   vids. *)
+type lazy_op =
+  | Lw of int * int  (* NCC write: key, ts *)
+  | Li of int * int  (* ordered insert: key, tw *)
+  | Lr of int * int * bool  (* read: key, ts, refine *)
+  | Lat of int * int  (* version_at: key, ts *)
+  | Lm of int  (* most_recent *)
+  | Lc of int  (* most_recent_committed *)
+  | Lcommit of int  (* an outstanding undecided version, by index *)
+  | Labort of int
+
+let op_key = function
+  | Lw (k, _) | Li (k, _) | Lr (k, _, _) | Lat (k, _) | Lm k | Lc k -> Some k
+  | Lcommit _ | Labort _ -> None
+
+let run_lazy_script ~force script =
+  let s = fresh () in
+  let announced = ref [] in
+  let vid (o : Store.version option) = match o with None -> 0 | Some v -> v.Store.vid in
+  Store.set_on_commit s (fun key v ~prev ~next ->
+      announced := (key, v.Store.vid, vid prev, vid next) :: !announced);
+  let undecided = ref [] in
+  let take i =
+    match !undecided with
+    | [] -> None
+    | l ->
+      let k, v = List.nth l (i mod List.length l) in
+      undecided := List.filter (fun (_, u) -> u != v) l;
+      Some (k, v)
+  in
+  let seen (v : Store.version) =
+    Some (v.Store.vid, v.Store.value, v.Store.tw, v.Store.tr, v.Store.status = Store.Committed)
+  in
+  let results =
+    List.map
+      (fun op ->
+        if force then Option.iter (fun k -> ignore (Store.chain s k)) (op_key op);
+        match op with
+        | Lw (k, t) ->
+          let v = Store.write s k t ~ts:(ts t) ~writer:t in
+          undecided := (k, v) :: !undecided;
+          seen v
+        | Li (k, t) ->
+          let v = Store.insert_ordered s k t ~tw:(ts2 t) ~writer:t in
+          undecided := (k, v) :: !undecided;
+          seen v
+        | Lr (k, t, refine) -> seen (Store.read ~refine s k ~ts:(ts2 t))
+        | Lat (k, t) -> seen (Store.version_at s k ~ts:(ts2 t))
+        | Lm k -> seen (Store.most_recent s k)
+        | Lc k -> seen (Store.most_recent_committed s k)
+        | Lcommit i ->
+          Option.iter (fun (k, v) -> Store.commit_in s k v) (take i);
+          None
+        | Labort i ->
+          Option.iter (fun (k, v) -> Store.abort_version s k v) (take i);
+          None)
+      script
+  in
+  let lengths = List.map (fun k -> Store.chain_length s k) [ 0; 1; 2; 3 ] in
+  (results, List.rev !announced, Store.all_committed_orders s, lengths)
+
+let lazy_chains_match_forced =
+  let op =
+    QCheck.Gen.(
+      let kt = pair (0 -- 3) (1 -- 200) in
+      frequency
+        [
+          (2, map (fun (k, t) -> Lw (k, t)) kt);
+          (1, map (fun (k, t) -> Li (k, t)) kt);
+          (4, map2 (fun (k, t) refine -> Lr (k, t, refine)) kt bool);
+          (2, map (fun (k, t) -> Lat (k, t)) kt);
+          (1, map (fun k -> Lm k) (0 -- 3));
+          (1, map (fun k -> Lc k) (0 -- 3));
+          (3, map (fun i -> Lcommit i) nat);
+          (1, map (fun i -> Labort i) nat);
+        ])
+  in
+  QCheck.Test.make ~name:"chain-less keys = chains forced at first access" ~count:300
+    (QCheck.make QCheck.Gen.(list_size (0 -- 60) op))
+    (fun script -> run_lazy_script ~force:false script = run_lazy_script ~force:true script)
+
 let suite =
   [
     Alcotest.test_case "initial version" `Quick initial_version;
@@ -278,5 +407,8 @@ let suite =
     Alcotest.test_case "set_on_commit replays pre-hook chains" `Quick
       set_on_commit_replays_existing_chains;
     Alcotest.test_case "gc" `Quick gc_keeps_undecided_and_terminator;
+    Alcotest.test_case "pure reads hold no chain" `Quick pure_reads_hold_no_chain;
+    Alcotest.test_case "write keeps the read record" `Quick write_keeps_read_record;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ chain_invariant; gc_matches_full_sweep ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ chain_invariant; gc_matches_full_sweep; lazy_chains_match_forced ]
