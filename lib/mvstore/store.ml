@@ -96,22 +96,15 @@ let empty_chain () =
   let rec c = { key = min_int; vs = [||]; n = 0; written_next = c } in
   c
 
+(* A key's initial version: committed, written by no transaction. *)
+let initial_version vid =
+  { vid; value = 0; tw = Ts.zero; tr = Ts.zero; status = Committed; writer = 0; parked = [] }
+
 let create () =
   let empty = empty_chain () in
   {
     tbl = Inttbl.keyed ~key:(fun c -> c.key) ~empty;
-    initial =
-      Inttbl.create
-        ~empty:
-          {
-            vid = 0;
-            value = 0;
-            tw = Ts.zero;
-            tr = Ts.zero;
-            status = Committed;
-            writer = 0;
-            parked = [];
-          };
+    initial = Inttbl.create ~empty:(initial_version 0 (* vids start at 1 *));
     written = empty;
     created = 0;
     on_commit = None;
@@ -165,17 +158,7 @@ let set_on_commit t f =
 (* Draw a key's initial version at its first access. It is born
    committed; announce it so the streaming checker learns its vid. *)
 let new_initial t key =
-  let v =
-    {
-      vid = fresh_vid ();
-      value = 0;
-      tw = Ts.zero;
-      tr = Ts.zero;
-      status = Committed;
-      writer = 0;
-      parked = [];
-    }
-  in
+  let v = initial_version (fresh_vid ()) in
   (match t.on_commit with
    | Some f -> f key v ~prev:None ~next:None
    | None -> ());
@@ -395,9 +378,9 @@ let park v f = v.parked <- f :: v.parked
 
 let versions_created t = t.created
 
-(* Committed version ids of a key, oldest first (for the checker). *)
 let vids = List.map (fun v -> v.vid)
 
+(* Committed version ids of a key, oldest first (for the checker). *)
 let committed_order t key =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 then vids (committed_of c) else [ (bare_initial t key).vid ]

@@ -26,12 +26,21 @@ val create : unit -> t
 
 (** A key's version chain. Servers that keep their own per-key state
     resolve a key once with {!chain} and use the [chain_*] entry
-    points on the handle; each key-taking function below is a
-    one-line wrapper over its [chain_*] counterpart. *)
+    points on the handle. The key-taking writes, commits and aborts
+    are one-line wrappers over their [chain_*] counterparts; the
+    key-taking reads build no chain (see {!chain}). *)
 type chain
 
-(** The key's chain, created on first access: a fresh chain holds one
-    committed initial version, announced to the [on_commit] hook. *)
+(** The key's chain, built on demand. A key's first access of any kind
+    draws its committed initial version and announces it to the
+    [on_commit] hook. Until the key takes a second version ({!write},
+    {!insert_ordered}) or a caller asks for its chain here, that
+    version sits alone in a flat per-store table, and {!most_recent},
+    {!most_recent_committed}, {!read}, {!version_at},
+    {!committed_order}, {!chain_length} and {!all_committed_orders}
+    answer from it. The chain is then built around the same record,
+    as its terminator: vids, [t_r] refinements and announcements do
+    not depend on when (or whether) the chain is built. *)
 val chain : t -> Types.key -> chain
 
 (** A fresh chain bound to no key and holding no version, for a
@@ -83,12 +92,12 @@ val commit_version : version -> unit
 val commit_in : t -> Types.key -> version -> unit
 
 (** Install the per-store commit observer. It fires for every
-    [commit_in] and for each key's initial version when its chain is
-    created. Installation also replays the committed versions of
-    chains that already exist (oldest first, with the previous
-    committed version as [prev]), so versions committed before the
-    hook was installed — e.g. during server construction — are never
-    silently skipped. *)
+    [commit_in] and for each key's initial version at the key's first
+    access. Installation also replays the committed versions of every
+    key already accessed, chained or not, in ascending key order
+    (oldest first, with the previous committed version as [prev]), so
+    versions committed before the hook was installed — e.g. during
+    server construction — are never silently skipped. *)
 val set_on_commit :
   t ->
   (Types.key -> version -> prev:version option -> next:version option -> unit) ->
