@@ -203,17 +203,20 @@ let full_sweep ~keep s =
         chain)
     (Store.all_committed_orders s)
 
+(* Remove and return the outstanding undecided version at index [i]
+   (modulo their number), if any. *)
+let take_undecided undecided i =
+  match !undecided with
+  | [] -> None
+  | l ->
+    let k, v = List.nth l (i mod List.length l) in
+    undecided := List.filter (fun (_, u) -> u != v) l;
+    Some (k, v)
+
 let run_gc_script ~gc script =
   let s = fresh () in
   let undecided = ref [] in
-  let take i =
-    match !undecided with
-    | [] -> None
-    | l ->
-      let k, v = List.nth l (i mod List.length l) in
-      undecided := List.filter (fun (_, u) -> u != v) l;
-      Some (k, v)
-  in
+  let take = take_undecided undecided in
   List.fold_left
     (fun snaps op ->
       match op with
@@ -335,14 +338,7 @@ let run_lazy_script ~force script =
   Store.set_on_commit s (fun key v ~prev ~next ->
       announced := (key, v.Store.vid, vid prev, vid next) :: !announced);
   let undecided = ref [] in
-  let take i =
-    match !undecided with
-    | [] -> None
-    | l ->
-      let k, v = List.nth l (i mod List.length l) in
-      undecided := List.filter (fun (_, u) -> u != v) l;
-      Some (k, v)
-  in
+  let take = take_undecided undecided in
   let seen (v : Store.version) =
     Some (v.Store.vid, v.Store.value, v.Store.tw, v.Store.tr, v.Store.status = Store.Committed)
   in
