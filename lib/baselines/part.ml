@@ -1,11 +1,11 @@
 (* The server-side participant every lock- or timestamp-based baseline
    shares (dOCC, d2PL, TAPIR-CC, MVTO), the counterpart of {!Coord}.
-   One table maps a wire id to its attempt's record here: the client,
-   the highest round served, the versions installed and the keys
-   locked. Once a Decide arrives the wire maps to one shared [decided]
-   marker instead, and stays so: a round the Decide overtook is refused
-   and installs nothing, and a second Decide is a no-op. A protocol
-   keeps only its own validation and execution. *)
+   A {!Kernel.Wires} table maps a wire id to its attempt's record here:
+   the client, the highest round served, the versions installed and the
+   keys locked. Once a Decide arrives the wire maps to its outcome
+   instead, for the run: a round the Decide overtook is refused and
+   installs nothing, and a second Decide is a no-op. A protocol keeps
+   only its own validation and execution. *)
 
 open Kernel
 module Store = Mvstore.Store
@@ -18,36 +18,27 @@ type attempt = {
   mutable keys : Types.key list;  (* locked here *)
 }
 
-type t = {
-  store : Store.t;
-  locks : Locks.t;
-  attempts : attempt Inttbl.t;  (* wire -> record, or [decided] *)
-  decided : attempt;
-}
+type t = { store : Store.t; locks : Locks.t; attempts : attempt Wires.t }
 
-let marker () = { client = -1; round = 0; versions = []; keys = [] }
-
-(* The table's empty value and the decided marker are two distinct
-   records that are never bound as an attempt. *)
 let create () =
   { store = Store.create (); locks = Locks.create ();
-    attempts = Inttbl.create ~empty:(marker ()); decided = marker () }
+    attempts = Wires.create (fun () -> { client = -1; round = 0; versions = []; keys = [] }) }
 
-let is_decided p wire = Inttbl.find p.attempts wire == p.decided
+let is_decided p wire = Wires.decided p.attempts wire
 
 (* The live record of [wire], if any. *)
 let find p wire =
-  let a = Inttbl.find p.attempts wire in
-  if a == p.decided || a == Inttbl.absent p.attempts then None else Some a
+  let a = Wires.find p.attempts wire in
+  if a == Wires.absent p.attempts then None else Some a
 
 (* [wire]'s record, opened for [client] if it has none. Not for a
    decided wire. *)
 let get p ~wire ~client =
-  let a = Inttbl.find p.attempts wire in
-  if a != Inttbl.absent p.attempts then a
+  let a = Wires.find p.attempts wire in
+  if a != Wires.absent p.attempts then a
   else begin
     let a = { client; round = 0; versions = []; keys = [] } in
-    Inttbl.replace p.attempts wire a;
+    Wires.bind p.attempts wire a;
     a
   end
 
@@ -74,15 +65,13 @@ let lock p a key ~owner ~mode =
     `Granted
   | `Conflict _ as c -> c
 
-(* Mark [wire] decided, commit or abort its versions in list order,
-   release its keys and drop its record. *)
+(* Mark [wire] decided, then commit or abort the versions of its record
+   (the empty one when it has none or was decided already) in list
+   order and release its keys. *)
 let decide p ~wire ~commit =
-  let a = Inttbl.find p.attempts wire in
-  if a != p.decided then begin
-    Inttbl.replace p.attempts wire p.decided;
-    List.iter
-      (fun (key, v) ->
-        if commit then Store.commit_in p.store key v else Store.abort_version p.store key v)
-      a.versions;
-    List.iter (fun key -> Locks.release p.locks key ~txn:wire) a.keys
-  end
+  let a = Wires.decide p.attempts wire ~commit in
+  List.iter
+    (fun (key, v) ->
+      if commit then Store.commit_in p.store key v else Store.abort_version p.store key v)
+    a.versions;
+  List.iter (fun key -> Locks.release p.locks key ~txn:wire) a.keys

@@ -64,6 +64,12 @@ let seeds =
     (* Ncc.Server: a key's row, resolved once per executed operation
        and created on a fresh key. *)
     "Ncc.Server.row_of";
+    (* Kernel.Wires: every server's record of its wires, read on each
+       executed shot, Decide and recovery message. *)
+    "Kernel.Wires.find";
+    "Kernel.Wires.decided";
+    "Kernel.Wires.committed";
+    "Kernel.Wires.decide";
     (* Ncc.Client: the coordinator's per-transaction timestamp
        pre-assignment and its per-reply handler (Δ and t_ro tracking,
        then the shot and safeguard logic it drives). *)

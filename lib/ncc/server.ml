@@ -91,31 +91,16 @@ type rinfo = {
 
 type recover_state = { mutable rc_waiting : int; mutable rc_infos : rinfo list }
 
-(* [decided] answers late or duplicated messages — a second Decide, a
-   straggler shot of a decided attempt, a recovery query — so entries
-   must outlive any reordering the latency model or fault plane can
-   produce. But one entry per wire kept forever makes multi-million-txn
-   runs grow without bound (~50 B x txns x participants); a real server
-   would truncate this record behind a watermark. The FIFO ring below
-   caps it: past [decided_horizon] recorded decisions, each new one
-   evicts the oldest. At cluster-scale decision rates (~10k/s/server)
-   2^15 decisions span seconds of simulated time, orders of magnitude
-   beyond any latency-model jitter, chaos-plane delay or recovery
-   timeout, so eviction only ever fires deep into runs where the
-   evicted wires are long dead. *)
-let decided_horizon = 1 lsl 15
-
 type t = {
   ctx : Msg.msg Cluster.Net.ctx;
   cfg : Msg.config;
   store : Store.t;
   rows : row Inttbl.t;  (* keyed by [rw_key] *)
-  txns : (int, txn_rec) Hashtbl.t;  (* undecided wire transactions *)
-  decided : (int, bool) Hashtbl.t;  (* wire -> committed?, horizon-bounded *)
-  mutable dec_ring : int array;  (* FIFO of recorded wires *)
-  mutable dec_pos : int;  (* next write slot *)
-  mutable dec_len : int;  (* live entries, = Hashtbl.length decided *)
-  recovering : (int, recover_state) Hashtbl.t;
+  wires : txn_rec Wires.t;
+      (* undecided wire -> its record; decided wire -> its outcome, kept
+         for the run: it answers a second Decide, a straggler shot of a
+         decided attempt and a recovery query *)
+  recovering : recover_state Inttbl.t;
   mutable latest_write_tw : Ts.t;
   (* counters *)
   mutable n_ops : int;
@@ -145,12 +130,11 @@ let create cfg ctx =
             rw_max_seen = Ts.zero;
             rw_readers = [];
           };
-    txns = Hashtbl.create 256;
-    decided = Hashtbl.create 4096;
-    dec_ring = Array.make 1024 0;
-    dec_pos = 0;
-    dec_len = 0;
-    recovering = Hashtbl.create 16;
+    wires =
+      Wires.create (fun () ->
+          { tr_wire = -1; tr_client = -1; tr_ts = Ts.zero; tr_accesses = []; tr_rbs = [];
+            tr_backup = -1; tr_cohorts = []; tr_expected = 0; tr_received = 0; tr_saw_last = false });
+    recovering = Inttbl.create ~empty:{ rc_waiting = 0; rc_infos = [] };
     latest_write_tw = Ts.zero;
     n_ops = 0;
     n_early_aborts = 0;
@@ -197,6 +181,26 @@ let result_of_item it =
     r_prev_vid = it.it_prev_vid;
   }
 
+(* Every [Exec_reply] this server sends; [server_ns] is the server
+   clock reading it carries. *)
+let reply t ~dst ~wire ~round ~server_ns ~client_ns results flag =
+  t.ctx.send ~dst
+    (Msg.Exec_reply
+       {
+         e_wire = wire;
+         e_round = round;
+         e_server = t.ctx.self;
+         e_results = results;
+         e_server_ns = server_ns;
+         e_client_ns = client_ns;
+         e_latest_write_tw = t.latest_write_tw;
+         e_flag = flag;
+       })
+
+(* A reply with no results (an abort), stamped now. *)
+let special_reply t ~wire ~round ~client ~client_ns flag =
+  reply t ~dst:client ~wire ~round ~server_ns:(Cluster.Net.local_ns t.ctx) ~client_ns [] flag
+
 let dispatch_reply t rb =
   if rb.rb_dead then ()
   else
@@ -207,32 +211,10 @@ let dispatch_reply t rb =
     if i < 0 then acc
     else results (i - 1) (match rb.rb_results.(i) with Some r -> r :: acc | None -> acc)
   in
-  t.ctx.send ~dst:rb.rb_client
-    (Msg.Exec_reply
-       {
-         e_wire = rb.rb_wire;
-         e_round = rb.rb_round;
-         e_server = t.ctx.self;
-         e_results = results (Array.length rb.rb_results - 1) [];
-         e_server_ns = rb.rb_server_ns;
-         e_client_ns = rb.rb_client_ns;
-         e_latest_write_tw = t.latest_write_tw;
-         e_flag = Msg.Ok;
-       })
-
-let special_reply t ~wire ~round ~client ~client_ns flag =
-  t.ctx.send ~dst:client
-    (Msg.Exec_reply
-       {
-         e_wire = wire;
-         e_round = round;
-         e_server = t.ctx.self;
-         e_results = [];
-         e_server_ns = Cluster.Net.local_ns t.ctx;
-         e_client_ns = client_ns;
-         e_latest_write_tw = t.latest_write_tw;
-         e_flag = flag;
-       })
+  reply t ~dst:rb.rb_client ~wire:rb.rb_wire ~round:rb.rb_round ~server_ns:rb.rb_server_ns
+    ~client_ns:rb.rb_client_ns
+    (results (Array.length rb.rb_results - 1) [])
+    Msg.Ok
 
 (* Release one item: fix its (refined) result into the reply builder
    and dispatch the reply when complete. *)
@@ -322,79 +304,48 @@ let fix_read t it =
 
 let drop it l = List.filter (fun r -> r != it) l
 
-(* Record a decision in [decided], keeping the record horizon-bounded.
-   The ring holds recorded wires in FIFO order: entries live at
-   [dec_pos - dec_len, dec_pos) mod capacity, so when it is full the
-   oldest wire sits exactly at [dec_pos]. It grows by doubling up to
-   [decided_horizon]; past that, each insert evicts the oldest
-   decision. Purely deterministic — eviction order is insertion
-   order — so replay identity is unaffected. *)
-let record_decided t wire commit =
-  Hashtbl.replace t.decided wire commit;
-  let cap = Array.length t.dec_ring in
-  let cap =
-    if t.dec_len = cap && cap < decided_horizon then begin
-      let bigger = Array.make (2 * cap) 0 in
-      Array.blit t.dec_ring t.dec_pos bigger 0 (cap - t.dec_pos);
-      Array.blit t.dec_ring 0 bigger (cap - t.dec_pos) t.dec_pos;
-      t.dec_ring <- bigger;
-      t.dec_pos <- cap;
-      2 * cap
-    end
-    else cap
-  in
-  if t.dec_len = cap then begin
-    Hashtbl.remove t.decided t.dec_ring.(t.dec_pos);
-    t.dec_len <- t.dec_len - 1
-  end;
-  t.dec_ring.(t.dec_pos) <- wire;
-  t.dec_pos <- (t.dec_pos + 1) mod cap;
-  t.dec_len <- t.dec_len + 1
-
+(* A second Decide, and one for a wire never seen here, find no
+   record: the decision is recorded and nothing else happens. *)
 let apply_decision t ~wire ~commit =
-  if not (Hashtbl.mem t.decided wire) then begin
-    record_decided t wire commit;
-    match Hashtbl.find_opt t.txns wire with
-    | None -> ()
-    | Some rec_ ->
-      Hashtbl.remove t.txns wire;
-      (* decide items first so re-evaluation sees fresh state *)
-      List.iter
-        (fun it ->
-          it.it_decided <- true;
-          if not it.it_is_write then it.it_row.rw_readers <- drop it it.it_row.rw_readers)
-        rec_.tr_accesses;
-      (* apply version effects *)
-      List.iter
-        (fun it ->
-          let row = it.it_row in
-          if it.it_is_write then
-            if commit then Store.chain_commit t.store row.rw_key row.rw_chain it.it_ver
-            else begin
-              (* untrack this version's readers before unlinking it *)
-              let vid = it.it_ver.Store.vid in
-              let readers, others =
-                List.partition (fun r -> r.it_ver.Store.vid = vid) row.rw_readers
-              in
-              row.rw_readers <- others;
-              Store.chain_abort row.rw_chain it.it_ver;
-              List.iter
-                (fun r ->
-                  (* drop from pending; fix_read re-registers it *)
-                  row.rw_pending <- drop r row.rw_pending;
-                  if not r.it_decided then fix_read t r else release t r)
-                (List.filter (fun r -> not r.it_sent) readers)
-            end)
-        rec_.tr_accesses;
-      (* release anything this decision unblocked, in key order *)
-      let touched =
-        List.fold_left
-          (fun acc it ->
-            match it.it_row.rw_pending with [] -> acc | _ :: _ -> it.it_row :: acc)
-          [] rec_.tr_accesses
-      in
-      List.iter (reeval t)
-        (List.sort_uniq (fun a b -> Int.compare a.rw_key b.rw_key) touched)
+  let rec_ = Wires.decide t.wires wire ~commit in
+  if rec_ != Wires.absent t.wires then begin
+    (* decide items first so re-evaluation sees fresh state *)
+    List.iter
+      (fun it ->
+        it.it_decided <- true;
+        if not it.it_is_write then it.it_row.rw_readers <- drop it it.it_row.rw_readers)
+      rec_.tr_accesses;
+    (* apply version effects *)
+    List.iter
+      (fun it ->
+        let row = it.it_row in
+        if it.it_is_write then
+          if commit then Store.chain_commit t.store row.rw_key row.rw_chain it.it_ver
+          else begin
+            (* untrack this version's readers before unlinking it *)
+            let vid = it.it_ver.Store.vid in
+            let readers, others =
+              List.partition (fun r -> r.it_ver.Store.vid = vid) row.rw_readers
+            in
+            row.rw_readers <- others;
+            Store.chain_abort row.rw_chain it.it_ver;
+            List.iter
+              (fun r ->
+                (* drop from pending; fix_read re-registers it *)
+                row.rw_pending <- drop r row.rw_pending;
+                if not r.it_decided then fix_read t r else release t r)
+              (List.filter (fun r -> not r.it_sent) readers)
+          end)
+      rec_.tr_accesses;
+    (* release anything this decision unblocked, in key order *)
+    let touched =
+      List.fold_left
+        (fun acc it ->
+          match it.it_row.rw_pending with [] -> acc | _ :: _ -> it.it_row :: acc)
+        [] rec_.tr_accesses
+    in
+    List.iter (reeval t)
+      (List.sort_uniq (fun a b -> Int.compare a.rw_key b.rw_key) touched)
   end
 
 (* --- execution ------------------------------------------------------ *)
@@ -447,18 +398,8 @@ let exec_read_only t ~src (x : Msg.exec) =
         x.x_ops
     in
     t.n_replies_immediate <- t.n_replies_immediate + 1;
-    t.ctx.send ~dst:src
-      (Msg.Exec_reply
-         {
-           e_wire = x.x_wire;
-           e_round = x.x_round;
-           e_server = t.ctx.self;
-           e_results = results;
-           e_server_ns = Cluster.Net.local_ns t.ctx;
-           e_client_ns = x.x_client_ns;
-           e_latest_write_tw = t.latest_write_tw;
-           e_flag = Msg.Ok;
-         })
+    reply t ~dst:src ~wire:x.x_wire ~round:x.x_round ~server_ns:(Cluster.Net.local_ns t.ctx)
+      ~client_ns:x.x_client_ns results Msg.Ok
   end
 
 (* Would this operation's response have to wait behind other
@@ -472,10 +413,11 @@ let blocked_now row ~wire op =
     curr_undecided_other || undecided_other_readers row curr.Store.vid ~wire
   else curr_undecided_other
 
+(* Not for a decided wire. *)
 let find_or_create_txn t ~src (x : Msg.exec) =
-  match Hashtbl.find_opt t.txns x.x_wire with
-  | Some r -> r
-  | None ->
+  let r = Wires.find t.wires x.x_wire in
+  if r != Wires.absent t.wires then r
+  else begin
     let r =
       {
         tr_wire = x.x_wire;
@@ -490,18 +432,19 @@ let find_or_create_txn t ~src (x : Msg.exec) =
         tr_saw_last = false;
       }
     in
-    Hashtbl.add t.txns x.x_wire r;
+    Wires.bind t.wires x.x_wire r;
     (match t.cfg.recovery_timeout with
      | None -> ()
      | Some timeout ->
        t.ctx.timer ~delay:timeout (fun () ->
-           if Hashtbl.mem t.txns x.x_wire then
+           if not (Wires.decided t.wires x.x_wire) then
              t.ctx.send ~dst:r.tr_backup
                (Msg.Recover_nudge { rn_wire = x.x_wire; rn_cohorts = r.tr_cohorts })));
     r
+  end
 
 let exec_read_write t ~src (x : Msg.exec) =
-  if Hashtbl.mem t.decided x.x_wire then
+  if Wires.decided t.wires x.x_wire then
     (* a late shot of an already-decided (recovered/aborted) attempt *)
     special_reply t ~wire:x.x_wire ~round:x.x_round ~client:src
       ~client_ns:x.x_client_ns Msg.Early_abort
@@ -626,9 +569,9 @@ let exec_read_write t ~src (x : Msg.exec) =
 
 let smart_retry t ~src ~wire ~ts:t' =
   let ok =
-    match Hashtbl.find_opt t.txns wire with
-    | None -> Hashtbl.find_opt t.decided wire = Some true
-    | Some rec_ ->
+    let rec_ = Wires.find t.wires wire in
+    if rec_ == Wires.absent t.wires then Wires.committed t.wires wire
+    else
       let reposition it =
         let ver = it.it_ver in
         (* the first later version created by another transaction: the
@@ -669,22 +612,18 @@ let smart_retry t ~src ~wire ~ts:t' =
 let overlap results = results <> [] && fst (Msg.safeguard results)
 
 let start_recovery t ~wire ~cohorts =
-  if
-    (not (Hashtbl.mem t.recovering wire))
-    && not (Hashtbl.mem t.decided wire)
-  then begin
+  if (not (Inttbl.mem t.recovering wire)) && not (Wires.decided t.wires wire) then begin
     t.n_recoveries <- t.n_recoveries + 1;
-    Hashtbl.add t.recovering wire
-      { rc_waiting = List.length cohorts; rc_infos = [] };
+    Inttbl.replace t.recovering wire { rc_waiting = List.length cohorts; rc_infos = [] };
     List.iter
       (fun cohort -> t.ctx.send ~dst:cohort (Msg.Recover_query { rq_wire = wire }))
       cohorts
   end
 
 let answer_recover_query t ~src ~wire =
+  let rec_ = Wires.find t.wires wire in
   let known, complete, pairs, decided =
-    match Hashtbl.find_opt t.txns wire with
-    | Some rec_ ->
+    if rec_ != Wires.absent t.wires then
       (* Prefer the pairs already released to the client (so the backup
          reproduces the client's own safeguard inputs exactly); fall
          back to the live version pairs if some are still withheld. *)
@@ -706,10 +645,8 @@ let answer_recover_query t ~src ~wire =
         all_released && rec_.tr_saw_last && rec_.tr_received >= rec_.tr_expected
       in
       (true, complete, released, None)
-    | None ->
-      (match Hashtbl.find_opt t.decided wire with
-       | Some d -> (true, true, [], Some d)
-       | None -> (false, false, [], None))
+    else if Wires.decided t.wires wire then (true, true, [], Some (Wires.committed t.wires wire))
+    else (false, false, [], None)
   in
   t.ctx.send ~dst:src
     (Msg.Recover_info
@@ -723,19 +660,17 @@ let answer_recover_query t ~src ~wire =
        })
 
 let handle_recover_info t ~wire (info : rinfo) =
-  match Hashtbl.find_opt t.recovering wire with
-  | None -> ()
-  | Some st
-    when List.exists
-           (fun i -> Types.node_eq i.rf_server info.rf_server)
-           st.rc_infos
-    ->
-    () (* duplicate delivery of a cohort's answer *)
-  | Some st ->
+  let st = Inttbl.find t.recovering wire in
+  if
+    st == Inttbl.absent t.recovering
+    || List.exists (fun i -> Types.node_eq i.rf_server info.rf_server) st.rc_infos
+    (* a duplicate delivery of a cohort's answer *)
+  then ()
+  else begin
     st.rc_infos <- info :: st.rc_infos;
     st.rc_waiting <- st.rc_waiting - 1;
     if st.rc_waiting = 0 then begin
-      Hashtbl.remove t.recovering wire;
+      Inttbl.remove t.recovering wire;
       let infos = st.rc_infos in
       let all_complete = List.for_all (fun i -> i.rf_known && i.rf_complete) infos in
       let pairs = List.concat_map (fun i -> i.rf_pairs) infos in
@@ -765,10 +700,11 @@ let handle_recover_info t ~wire (info : rinfo) =
           (match t.cfg.recovery_timeout with
            | Some timeout ->
              t.ctx.timer ~delay:timeout (fun () ->
-                 if not (Hashtbl.mem t.decided wire) then
+                 if not (Wires.decided t.wires wire) then
                    start_recovery t ~wire ~cohorts)
            | None -> ())
     end
+  end
 
 (* --- message dispatch ------------------------------------------------ *)
 
@@ -778,11 +714,11 @@ let handle t ~src msg =
   | Msg.Decide { d_wire; d_commit } -> apply_decision t ~wire:d_wire ~commit:d_commit
   | Msg.Retry { sr_wire; sr_ts } -> smart_retry t ~src ~wire:sr_wire ~ts:sr_ts
   | Msg.Recover_nudge { rn_wire; rn_cohorts } ->
-    (match Hashtbl.find_opt t.decided rn_wire with
-     | Some d ->
-       (* the decision already reached the backup: re-broadcast it *)
-       t.ctx.send ~dst:src (Msg.Decide { d_wire = rn_wire; d_commit = d })
-     | None -> start_recovery t ~wire:rn_wire ~cohorts:rn_cohorts)
+    if Wires.decided t.wires rn_wire then
+      (* the decision already reached the backup: re-broadcast it *)
+      t.ctx.send ~dst:src
+        (Msg.Decide { d_wire = rn_wire; d_commit = Wires.committed t.wires rn_wire })
+    else start_recovery t ~wire:rn_wire ~cohorts:rn_cohorts
   | Msg.Recover_query { rq_wire } -> answer_recover_query t ~src ~wire:rq_wire
   | Msg.Recover_info { ri_wire; ri_server; ri_known; ri_complete; ri_pairs; ri_decided } ->
     handle_recover_info t ~wire:ri_wire

@@ -582,6 +582,15 @@ let quick_fig8_golden () =
   Golden.check ~name:"bench_quick_fig8.json"
     (Harness.Report.bench_doc ~suite:"quick" rows)
 
+(* The quick tier's Fig 7c document: NCC-RW's backup-coordinator
+   recovery after client failures, the one quick figure whose recovery
+   answers read the servers' record of decided wires. *)
+let quick_fig7c_golden () =
+  let fig7c = List.assoc "fig7c" Experiments.figures in
+  let rows = fig7c ~jobs:1 ~quick:true Experiments.quick_scale in
+  Golden.check ~name:"bench_quick_fig7c.json"
+    (Harness.Report.bench_doc ~suite:"quick" rows)
+
 let suite =
   List.map corpus_case corpus
   @ [
@@ -598,6 +607,7 @@ let suite =
       Alcotest.test_case "quick tiers are never skipped" `Quick
         quick_tiers_not_skipped;
       Alcotest.test_case "quick Fig 8 document golden" `Quick quick_fig8_golden;
+      Alcotest.test_case "quick Fig 7c document golden" `Quick quick_fig7c_golden;
     ]
   @ List.map runner_agreement agreement_protocols
   @ List.map QCheck_alcotest.to_alcotest

@@ -246,7 +246,12 @@ let ncc_server_liveness =
             acc && row.Ncc.Server.rw_pending = [] && row.Ncc.Server.rw_readers = [])
           server.Ncc.Server.rows true
       in
-      all_answered && no_pending && Hashtbl.length server.Ncc.Server.txns = 0)
+      let all_decided =
+        List.for_all
+          (fun (wire, _, _) -> Wires.decided server.Ncc.Server.wires wire)
+          script
+      in
+      all_answered && no_pending && all_decided)
 
 (* Runner.validate: each incoherent config is rejected with its
    message, and every config the repo really runs is accepted. *)

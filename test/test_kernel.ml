@@ -149,11 +149,70 @@ let inttbl_matches_model =
           agree ())
         (List.mapi (fun step c -> (step, c)) cmds))
 
+(* Wires against a Map model: a wire is unseen, holds a record, or is
+   decided with an outcome. [bind] never targets a decided wire (its
+   precondition); [decide] must hand back the record the wire held, or
+   [absent]; after every step every query agrees on every wire. *)
+module Imap = Map.Make (Int)
+
+type wrec = { wr_step : int; mutable wr_touched : bool }
+type wstate = Open of wrec | Done of bool
+
+let wires_match_model =
+  QCheck.Test.make ~name:"Wires agrees with a Map model" ~count:300
+    QCheck.(list_of_size Gen.(0 -- 200) (triple (0 -- 2) bool (0 -- 29)))
+    (fun cmds ->
+      let w = Wires.create (fun () -> { wr_step = -1; wr_touched = false }) in
+      let absent = Wires.absent w in
+      let model = ref Imap.empty in
+      let agree wire =
+        let found = Wires.find w wire
+        and decided = Wires.decided w wire
+        and committed = Wires.committed w wire in
+        match Imap.find_opt wire !model with
+        | None -> found == absent && (not decided) && not committed
+        | Some (Open r) -> found == r && (not decided) && not committed
+        | Some (Done c) -> found == absent && decided && committed = c
+      in
+      List.for_all
+        (fun (step, (op, commit, wire)) ->
+          let ok =
+            match (op, Imap.find_opt wire !model) with
+            | 0, Some (Done _) -> true
+            | 0, (None | Some (Open _)) ->
+              let r = { wr_step = step; wr_touched = false } in
+              Wires.bind w wire r;
+              model := Imap.add wire (Open r) !model;
+              true
+            | 1, state ->
+              let got = Wires.decide w wire ~commit in
+              (match state with
+               | Some (Done _) -> got == absent
+               | Some (Open r) ->
+                 model := Imap.add wire (Done commit) !model;
+                 got == r
+               | None ->
+                 model := Imap.add wire (Done commit) !model;
+                 got == absent)
+            | _ -> true
+          in
+          ok && List.for_all agree (List.init 30 Fun.id))
+        (List.mapi (fun step c -> (step, c)) cmds))
+
+(* The empty value and the outcome markers must be three distinct
+   values, or a record could pass for an outcome. *)
+let wires_refuse_shared_marker () =
+  Alcotest.check_raises "shared marker"
+    (Invalid_argument "Wires.create: marker must return a fresh value") (fun () ->
+      ignore (Wires.create (fun () -> 0)))
+
 let suite =
   [
     Alcotest.test_case "txn read-only derivation" `Quick txn_read_only_derivation;
     Alcotest.test_case "txn projections" `Quick txn_projections;
     Alcotest.test_case "outcome helpers" `Quick outcome_helpers;
     Alcotest.test_case "op helpers" `Quick op_helpers;
+    Alcotest.test_case "Wires refuses a shared marker" `Quick wires_refuse_shared_marker;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ wire_ids_unique; intmap_matches_model; inttbl_matches_model ]
+  @ List.map QCheck_alcotest.to_alcotest 
+      [ wire_ids_unique; intmap_matches_model; inttbl_matches_model; wires_match_model ]

@@ -383,6 +383,50 @@ let suite =
       Alcotest.test_case "abort fixes only its readers" `Quick abort_fixes_only_its_readers;
     ]
 
+(* A server keeps every decision for the run. Wires 1 .. 2^15 + 1 each
+   execute one read of key 5 and commit, so wire 1 is long decided by
+   the time a late message for it arrives. *)
+let long_decided_rig () =
+  let rig = mk_rig () in
+  for wire = 1 to (1 lsl 15) + 1 do
+    exec rig ~wire ~t:wire [ Types.Read 5 ];
+    rig.sent := [];
+    decide rig ~wire true;
+    rig.sent := []
+  done;
+  rig
+
+(* A straggler shot of a long-decided wire is refused: one early-abort
+   reply, and its write installs no version. *)
+let straggler_of_decided_wire_refused () =
+  let rig = long_decided_rig () in
+  exec rig ~wire:1 ~t:1 [ Types.Write (5, 99) ];
+  (match replies_for rig 1 with
+   | [ r ] -> Alcotest.(check bool) "early abort" true (r.Msg.e_flag = Msg.Early_abort)
+   | rs -> Alcotest.failf "%d replies for the straggler, one expected" (List.length rs));
+  let head = Mvstore.Store.most_recent (Server.store rig.server) 5 in
+  Alcotest.(check int) "head is still the initial version" 0 head.Mvstore.Store.writer
+
+(* A recovery query for a long-decided wire is answered from its
+   outcome. *)
+let recovery_query_of_decided_wire () =
+  let rig = long_decided_rig () in
+  Server.handle rig.server ~src:1 (Msg.Recover_query { rq_wire = 1 });
+  match !(rig.sent) with
+  | [ (_, Msg.Recover_info { ri_known; ri_decided; _ }) ] ->
+    Alcotest.(check bool) "known" true ri_known;
+    Alcotest.(check (option bool)) "decided: committed" (Some true) ri_decided
+  | _ -> Alcotest.fail "one Recover_info expected"
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "straggler of a decided wire is refused" `Quick
+        straggler_of_decided_wire_refused;
+      Alcotest.test_case "recovery query of a decided wire" `Quick
+        recovery_query_of_decided_wire;
+    ]
+
 (* --- identity golden: short seeded runs through the whole stack ------- *)
 
 (* One short seeded [Runner.run] per NCC variant on TPC-C (plus NCC on
