@@ -11,6 +11,8 @@ let n_seeds = 20
 
 let workload () = Workload.Google_f1.make ()
 
+let tpcc () = Workload.Tpcc.make ~n_servers:Chaos.base_default.Harness.Runner.n_servers ()
+
 (* (cli name, protocol, crashes allowed, base config override) *)
 let protocols =
   let replicated =
@@ -77,8 +79,11 @@ let replay_reproduces_digest () =
    --jobs parity check compare a run with itself; this catches a digest
    that changes the same way everywhere (say, a reordered or re-encoded
    event). The baseline golden covers their fault paths: stale rounds,
-   duplicate replies, and the timeout/cancel paths. *)
-let digests_pinned ~name protocols seeds () =
+   duplicate replies, and the timeout/cancel paths. NCC on TPC-C
+   covers its decide, read-fix, early-abort and recovery paths under
+   duplicates and partitions. [workload] builds a fresh generator per
+   run. *)
+let digests_pinned ~name ~workload protocols seeds () =
   let line (label, proto) seed =
     let r = Chaos.run proto (workload ()) ~seed in
     Printf.sprintf "%sseed %d committed=%d digest=%s\n" label seed r.Chaos.committed
@@ -117,10 +122,13 @@ let suite =
       Alcotest.test_case "replay reproduces the trace digest" `Quick
         replay_reproduces_digest;
       Alcotest.test_case "NCC digests match the golden" `Quick
-        (digests_pinned ~name:"chaos_digests_ncc_f1.txt" [ ("", Ncc.protocol) ]
+        (digests_pinned ~name:"chaos_digests_ncc_f1.txt" ~workload [ ("", Ncc.protocol) ]
            [ 1; 2; 3; 4; 5 ]);
+      Alcotest.test_case "NCC TPC-C digests match the golden" `Quick
+        (digests_pinned ~name:"chaos_digests_ncc_tpcc.txt" ~workload:tpcc
+           [ ("", Ncc.protocol) ] [ 1; 2; 3; 4; 5 ]);
       Alcotest.test_case "baseline digests match the golden" `Quick
-        (digests_pinned ~name:"chaos_digests_baselines_f1.txt" baselines_pinned
+        (digests_pinned ~name:"chaos_digests_baselines_f1.txt" ~workload baselines_pinned
            [ 1; 2; 3 ]);
       Alcotest.test_case "NCC-noRTC is caught by the strict checker" `Quick
         no_rtc_is_caught;
