@@ -44,20 +44,52 @@ let client_index t id =
 
 let server_of_key t key = ((key mod t.n_servers) + t.n_servers) mod t.n_servers
 
+(* The scratch of [ops_by_server], one per domain: each server's ops
+   gathered so far, and the range of servers holding any. It is empty
+   between calls, and grows only when a topology has more servers than
+   any before it on the domain. *)
+type scratch = {
+  mutable by_server : Kernel.Types.op list array;
+  mutable lo : int;
+  mutable hi : int;
+}
+
+let scratch = Domain.DLS.new_key (fun () -> { by_server = [||]; lo = max_int; hi = -1 })
+
+(* Gather [ops] last op first, so that consing leaves each server's
+   ops in op order. *)
+let rec gather t sc = function
+  | [] -> ()
+  | op :: rest ->
+    gather t sc rest;
+    let s = server_of_key t (Kernel.Types.op_key op) in
+    (* ncc-lint: allow R18 — one cell per op: the groups are the result *)
+    sc.by_server.(s) <- op :: sc.by_server.(s);
+    if s < sc.lo then sc.lo <- s;
+    if s > sc.hi then sc.hi <- s
+
+(* The gathered groups of servers [lo .. s], consed onto [groups]
+   highest first, so they come out ascending; the scratch is emptied. *)
+let rec take sc lo s groups =
+  if s < lo then groups
+  else
+    match sc.by_server.(s) with
+    | [] -> take sc lo (s - 1) groups
+    | ops ->
+      sc.by_server.(s) <- [];
+      (* ncc-lint: allow R18 — one pair and one cell per server group: the grouping is the result *)
+      take sc lo (s - 1) ((s, ops) :: groups)
+
 (* Group a transaction's operations by participant server, preserving
-   per-server operation order. Ops are taken last to first and consed
-   onto their server's group in a list kept sorted by server, so each
-   group comes out in op order; transactions touch a few servers, so
-   the insertion walk is short. *)
+   per-server operation order. One pass gathers the ops into the
+   domain's per-server scratch and one takes the groups out, so
+   nothing but the result is allocated: a cell per op, and a pair and
+   a cell per group. *)
 let ops_by_server t ops =
-  let rec add s op = function
-    (* ncc-lint: allow R18 — the grouping is the result: a cell per op, a pair per server group *)
-    | ((s', _) as g) :: rest when s' < s -> g :: add s op rest
-    (* ncc-lint: allow R18 — the grouping is the result (as above) *)
-    | (s', l) :: rest when Int.equal s' s -> (s, op :: l) :: rest
-    (* ncc-lint: allow R18 — the grouping is the result (as above) *)
-    | groups -> (s, [ op ]) :: groups
-  in
-  List.fold_left
-    (fun groups op -> add (server_of_key t (Kernel.Types.op_key op)) op groups)
-    [] (List.rev ops)
+  let sc = Domain.DLS.get scratch in
+  if Array.length sc.by_server < t.n_servers then sc.by_server <- Array.make t.n_servers [];
+  gather t sc ops;
+  let lo = sc.lo and hi = sc.hi in
+  sc.lo <- max_int;
+  sc.hi <- -1;
+  take sc lo hi []

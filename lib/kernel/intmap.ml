@@ -37,6 +37,7 @@ let grow t =
 
 let replace t k v =
   let i = search t k in
+  (* ncc-lint: allow R18 — one option per binding, the cell [find_opt] hands back: a client binds its attempt counter and its in-flight record once per attempt *)
   if i >= 0 then t.vals.(i) <- Some v
   else begin
     let i = -(i + 1) in
@@ -44,6 +45,7 @@ let replace t k v =
     Array.blit t.keys i t.keys (i + 1) (t.n - i);
     Array.blit t.vals i t.vals (i + 1) (t.n - i);
     t.keys.(i) <- k;
+    (* ncc-lint: allow R18 — as above: one option per binding *)
     t.vals.(i) <- Some v;
     t.n <- t.n + 1
   end

@@ -49,7 +49,8 @@ let make ?(label = "txn") ?(bytes = 64) ?dynamic ~client shots =
    attempt 1025 reuses attempt 1's wire id. *)
 let wire_id ~txn_id ~attempt = (txn_id * 1024) + (attempt land 1023)
 
-let ops t = List.concat t.shots
+(* A one-shot transaction's ops are its shot, shared, not copied. *)
+let ops t = match t.shots with [ shot ] -> shot | shots -> List.concat shots
 
 let keys t = List.map Types.op_key (ops t)
 

@@ -22,7 +22,8 @@
          function that captures a local of the enclosing function (one
          closure block per call; lift it to the top level and pass
          what it captured); non-float tuple and Some/:: construction;
-         string building (Rules.string_build_fns).
+         string building (Rules.string_build_fns); table construction
+         (Rules.table_build_fns: Hashtbl/Queue/Stack/Buffer.create).
 
    A site in a *directly* hot function (seed or annotated) fires as
    R16/R17 at the allocation's own location, naming the hot function.
@@ -143,6 +144,10 @@ let on_expr ctx node ~in_loop (e : Typedtree.expression) =
         add_site "R17"
           (Printf.sprintf "string building via %s (allocates the result per \
                            call)" s)
+          e.exp_loc;
+      if matches_any ~fns:Rules.table_build_fns s then
+        add_site "R17"
+          (Printf.sprintf "table construction via %s (a fresh table per call)" s)
           e.exp_loc;
       if matches_any ~fns:Rules.closure_sink_fns s then
         List.iter

@@ -61,8 +61,10 @@ let seeds =
     "Mvstore.Store.chain_write";
     "Mvstore.Store.most_recent_committed";
     "Mvstore.Store.version_at";
-    (* Ncc.Server: a key's row, resolved once per executed operation
+    (* Ncc.Server: every message a server takes, once per simulated
+       delivery, and a key's row, resolved once per executed operation
        and created on a fresh key. *)
+    "Ncc.Server.handle";
     "Ncc.Server.row_of";
     (* Kernel.Wires: every server's record of its wires, read on each
        executed shot, Decide and recovery message. *)
@@ -73,8 +75,12 @@ let seeds =
     (* Ncc.Client: the coordinator's per-transaction timestamp
        pre-assignment and its per-reply handler (Δ and t_ro tracking,
        then the shot and safeguard logic it drives). *)
+    "Ncc.Client.submit";
     "Ncc.Client.pre_assign";
     "Ncc.Client.handle_exec_reply";
+    (* Cluster.Topology: every coordinator's per-shot grouping of its
+       operations by participant server. *)
+    "Cluster.Topology.ops_by_server";
     (* Checker.Stream: the per-commit feed path. *)
     "Checker.Stream.observe_version";
     "Checker.Stream.observe_commit";

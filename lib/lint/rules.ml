@@ -69,7 +69,8 @@
      R17 per-call allocation in a hot function: a closure literal
          built inside a hot loop or handed to a scheduling sink
          (Engine.schedule, Pool.submit), tuple / Some / :: construction
-         on the dispatch path, Printf/Format/string building;
+         on the dispatch path, Printf/Format/string building,
+         Hashtbl/Queue/Stack/Buffer construction;
      R18 hotness propagation: an R16/R17-class site in a function that
          is only *transitively* hot — reachable from a hot entry over
          the call graph — fires as R18 with the BFS chain from the
@@ -385,9 +386,10 @@ let all : rule list =
          allocation in it multiplies by the event count. The rule flags the \
          recurrent shapes: a closure literal built inside a hot loop or \
          handed to a scheduling sink (Engine.schedule, Pool.submit), tuple \
-         / Some / :: construction on the dispatch path, and Printf/Format/ \
-         string building. The finding names the allocating expression and \
-         its hot entry point. Inherent allocations (a delivery thunk that \
+         / Some / :: construction on the dispatch path, Printf/Format/ \
+         string building, and Hashtbl/Queue/Stack/Buffer construction (a \
+         table per transaction is a table per event). The finding names \
+         the allocating expression and its hot entry point. Inherent allocations (a delivery thunk that \
          *is* the event) carry a reasoned waiver.";
       example =
         "let[@ncc.hot] pop t =\n  Some (t.prio, t.payload)  (* option + tuple per event *)";
@@ -575,6 +577,11 @@ let string_build_fns =
     "Format.kasprintf"; "String.concat"; "String.make"; "String.init";
     "Bytes.to_string"; "^";
   ]
+
+(* R17: table construction — each call builds a fresh table (its
+   record and bucket or buffer arrays), which hot code should create
+   once and reuse, not per event, message or transaction. *)
+let table_build_fns = [ "Hashtbl.create"; "Queue.create"; "Stack.create"; "Buffer.create" ]
 
 (* R17: sinks whose closure argument is allocated per call — handing a
    function literal to one of these in a hot function builds a fresh

@@ -108,6 +108,9 @@ val cold_guard_fns : string list
 (* R17: string-building functions (each call allocates the result). *)
 val string_build_fns : string list
 
+(* R17: table constructors (each call builds a fresh table). *)
+val table_build_fns : string list
+
 (* R17: sinks whose function-literal argument is a fresh closure per
    call (spawn entry points plus the event scheduler). *)
 val closure_sink_fns : string list

@@ -54,8 +54,9 @@ val chain_head : chain -> version
 (** {!write} on a resolved chain. *)
 val chain_write : t -> chain -> Types.value -> ts:Ts.t -> writer:int -> version
 
-(** {!read} on a resolved chain. *)
-val chain_read : ?refine:bool -> chain -> ts:Ts.t -> version
+(** {!read} on a resolved chain, refining. The unrefined read of a
+    fused read-modify-write is {!chain_head}. *)
+val chain_read : chain -> ts:Ts.t -> version
 
 (** {!commit_in} on a resolved chain; [key] names it to the hook. *)
 val chain_commit : t -> Types.key -> chain -> version -> unit
@@ -63,11 +64,13 @@ val chain_commit : t -> Types.key -> chain -> version -> unit
 (** {!abort_version} on a resolved chain. *)
 val chain_abort : chain -> version -> unit
 
-(** {!prev_version} on a resolved chain. *)
-val chain_prev : chain -> version -> version option
+(** {!prev_version} on a resolved chain, answering [v] itself where
+    that answers [None]: no option per call. *)
+val chain_prev : chain -> version -> version
 
-(** {!next_version} on a resolved chain. *)
-val chain_next : chain -> version -> version option
+(** {!next_version} on a resolved chain, answering [v] itself where
+    that answers [None]. *)
+val chain_next : chain -> version -> version
 
 val most_recent : t -> Types.key -> version
 val most_recent_committed : t -> Types.key -> version

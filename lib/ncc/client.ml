@@ -310,7 +310,8 @@ let submit t txn =
   (* Servers the transaction's *static* shots touch (the asynchrony and
      read-only pre-assignment heuristics work from these; interactive
      shots may add participants later). A one-shot transaction sends
-     exactly this grouping, so it is computed once. *)
+     exactly this grouping, so it is computed once, over its shot
+     itself ([Txn.ops] does not copy a single shot). *)
   let grouped = Cluster.Topology.ops_by_server t.ctx.topo (Txn.ops txn) in
   let participants = List.map fst grouped in
   (* The read-only fast path trades aborts for messages (§4.5). The
@@ -346,8 +347,8 @@ let submit t txn =
     }
   in
   Intmap.replace t.inflight wire f;
-  match txn.Txn.shots, txn.Txn.dynamic with
-  | [ _ ], None ->
+  match txn.Txn.shots with
+  | [ _ ] when Option.is_none txn.Txn.dynamic ->
     f.f_shots <- [];
     f.f_final <- true;
     send_grouped t f grouped

@@ -69,44 +69,46 @@ type flag = Ok | Early_abort | Ro_abort
    recovery path, so both always reach the same decision from the same
    responses. *)
 
-(* Extend the reported validity of results whose version is directly
-   succeeded by one of the transaction's own writes: a version is valid
-   exactly until its successor's t_w, and [r_prev_vid] certifies the
-   adjacency. This is what lets cross-shot read-modify-write
-   transactions (whose read replies left the server before the write
-   executed) overlap with themselves. An extension raises only [r_tr],
-   and the successor side reads only [r_tw], so one pass suffices: each
-   result's [r_tr] rises to the largest [r_tw] among own writes directly
-   after its version, and nothing extends transitively along a chain of
-   own writes. *)
-let extend_own_pairs results =
-  if not (List.exists (fun r -> r.r_is_write) results) then results
-  else begin
-    (* prev vid -> largest t_w of an own write ordered directly after it *)
-    let succ = Hashtbl.create 8 in
-    List.iter
-      (fun w ->
-        if w.r_is_write then
-          match Hashtbl.find_opt succ w.r_prev_vid with
-          | Some tw when Ts.(tw >= w.r_tw) -> ()
-          | _ -> Hashtbl.replace succ w.r_prev_vid w.r_tw)
-      results;
-    List.map
-      (fun r ->
-        match Hashtbl.find_opt succ r.r_vid with
-        | Some tw when Ts.(r.r_tr < tw) -> { r with r_tr = tw }
-        | _ -> r)
-      results
-  end
+(* Own writes extend the reported validity of the results they
+   directly succeed: a version is valid exactly until its successor's
+   t_w, and [r_prev_vid] certifies the adjacency. This is what lets
+   cross-shot read-modify-write transactions (whose read replies left
+   the server before the write executed) overlap with themselves. An
+   extension raises a result's t_r to the largest t_w among own writes
+   directly after its version; it never moves a t_w, and nothing
+   extends transitively along a chain of own writes.
+
+   The verdict needs no extended list: the pairs share a point iff
+   every result's extended t_r reaches the largest t_w, that is iff
+   each result below it is directly followed by an own write whose
+   t_w reaches it. *)
+
+(* Does an own write in [results] directly follow version [vid] with a
+   t_w of at least [tw]? *)
+let rec followed_by_own_write vid tw = function
+  | [] -> false
+  | w :: rest ->
+    (w.r_is_write && w.r_prev_vid = vid && Ts.(w.r_tw >= tw))
+    || followed_by_own_write vid tw rest
+
+let rec max_tw acc = function [] -> acc | r :: rest -> max_tw (Ts.max acc r.r_tw) rest
+
+(* Does every result of the list reach [tw], directly or through an
+   own write of [results]? *)
+let rec all_reach results tw = function
+  | [] -> true
+  | r :: rest ->
+    (Ts.(r.r_tr >= tw) || followed_by_own_write r.r_vid tw results)
+    && all_reach results tw rest
 
 (* Commit iff the (extended) pairs share a synchronization point; the
-   maximal t_w is the commit timestamp / smart-retry suggestion. *)
+   maximal t_w is the commit timestamp / smart-retry suggestion. One
+   pass finds it and one checks every result against it; only a result
+   that needs an own write to reach it scans the list again. *)
 let safeguard results =
-  let results = extend_own_pairs results in
-  let tw_max = List.fold_left (fun acc r -> Ts.max acc r.r_tw) Ts.zero results in
-  let tr_min = List.fold_left (fun acc r -> Ts.min acc r.r_tr) Ts.infinity results in
+  let tw_max = max_tw Ts.zero results in
   (* ncc-lint: allow R18 — one pair per decided transaction: the verdict and its commit timestamp *)
-  (Ts.(tw_max <= tr_min), tw_max)
+  (all_reach results tw_max results, tw_max)
 
 type exec = {
   x_wire : int;

@@ -51,8 +51,8 @@ and reply_builder = {
   rb_wire : int;
   rb_round : int;  (* echo of x_round, for client-side reply dedup *)
   rb_client : Types.node_id;
-  rb_created : float;
-  rb_results : Msg.op_result option array;
+  rb_tick : int;  (* the server's {!now_tick} at execution *)
+  rb_results : Msg.op_result array;  (* [no_result] until released *)
   mutable rb_remaining : int;
   mutable rb_dead : bool;  (* superseded by an early-abort reply *)
   rb_server_ns : int;
@@ -102,6 +102,12 @@ type t = {
          decided attempt and a recovery query *)
   recovering : recover_state Inttbl.t;
   mutable latest_write_tw : Ts.t;
+  last_now : float array;  (* the latest simulated time seen, unboxed *)
+  mutable n_ticks : int;  (* distinct simulated times seen *)
+  mutable touched : row array;
+      (* scratch of [apply_decision]: the rows it re-evaluates, sorted
+         by key, in [touched.(0 .. n_touched - 1)] *)
+  mutable n_touched : int;
   (* counters *)
   mutable n_ops : int;
   mutable n_early_aborts : int;
@@ -115,27 +121,38 @@ type t = {
   mutable n_read_fixes : int;
 }
 
+(* A reply cell not yet released. *)
+let no_result =
+  {
+    Msg.r_key = min_int;
+    r_value = 0;
+    r_vid = -1;
+    r_tw = Ts.zero;
+    r_tr = Ts.zero;
+    r_is_write = false;
+    r_prev_vid = -1;
+  }
+
 let create cfg ctx =
+  let no_row =
+    { rw_key = min_int; rw_chain = Store.empty_chain (); rw_pending = []; rw_max_seen = Ts.zero;
+      rw_readers = [] }
+  in
   {
     ctx;
     cfg;
     store = Store.create ();
-    rows =
-      Inttbl.keyed ~key:(fun r -> r.rw_key)
-        ~empty:
-          {
-            rw_key = min_int;
-            rw_chain = Store.empty_chain ();
-            rw_pending = [];
-            rw_max_seen = Ts.zero;
-            rw_readers = [];
-          };
+    rows = Inttbl.keyed ~key:(fun r -> r.rw_key) ~empty:no_row;
     wires =
       Wires.create (fun () ->
           { tr_wire = -1; tr_client = -1; tr_ts = Ts.zero; tr_accesses = []; tr_rbs = [];
             tr_backup = -1; tr_cohorts = []; tr_expected = 0; tr_received = 0; tr_saw_last = false });
     recovering = Inttbl.create ~empty:{ rc_waiting = 0; rc_infos = [] };
     latest_write_tw = Ts.zero;
+    last_now = [| Float.neg_infinity |];
+    n_ticks = 0;
+    touched = Array.make 8 no_row;
+    n_touched = 0;
     n_ops = 0;
     n_early_aborts = 0;
     n_ro_aborts = 0;
@@ -201,71 +218,91 @@ let reply t ~dst ~wire ~round ~server_ns ~client_ns results flag =
 let special_reply t ~wire ~round ~client ~client_ns flag =
   reply t ~dst:client ~wire ~round ~server_ns:(Cluster.Net.local_ns t.ctx) ~client_ns [] flag
 
+(* The count of distinct simulated times this server has seen, this
+   call's included. Time never runs back, so two calls return the same
+   tick iff they ran at the same time: a reply compares ticks, and
+   keeps no boxed time. *)
+let now_tick t =
+  let now = Cluster.Net.now t.ctx in
+  if now > t.last_now.(0) then begin
+    t.last_now.(0) <- now;
+    t.n_ticks <- t.n_ticks + 1
+  end;
+  t.n_ticks
+
+(* The released cells of [results.(0 .. i)], in slot order, consed
+   onto [acc]. *)
+let rec released results i acc =
+  if i < 0 then acc
+  else
+    let r = results.(i) in
+    (* ncc-lint: allow R18 — one cell per op: the reply's result list *)
+    released results (i - 1) (if r != no_result then r :: acc else acc)
+
 let dispatch_reply t rb =
   if rb.rb_dead then ()
-  else
-  let now = Cluster.Net.now t.ctx in
-  if now > rb.rb_created then t.n_replies_delayed <- t.n_replies_delayed + 1
-  else t.n_replies_immediate <- t.n_replies_immediate + 1;
-  let rec results i acc =
-    if i < 0 then acc
-    else results (i - 1) (match rb.rb_results.(i) with Some r -> r :: acc | None -> acc)
-  in
-  reply t ~dst:rb.rb_client ~wire:rb.rb_wire ~round:rb.rb_round ~server_ns:rb.rb_server_ns
-    ~client_ns:rb.rb_client_ns
-    (results (Array.length rb.rb_results - 1) [])
-    Msg.Ok
+  else begin
+    if now_tick t > rb.rb_tick then t.n_replies_delayed <- t.n_replies_delayed + 1
+    else t.n_replies_immediate <- t.n_replies_immediate + 1;
+    reply t ~dst:rb.rb_client ~wire:rb.rb_wire ~round:rb.rb_round ~server_ns:rb.rb_server_ns
+      ~client_ns:rb.rb_client_ns
+      (released rb.rb_results (Array.length rb.rb_results - 1) [])
+      Msg.Ok
+  end
 
 (* Release one item: fix its (refined) result into the reply builder
    and dispatch the reply when complete. *)
 let release t it =
   if not it.it_sent then begin
     it.it_sent <- true;
-    it.it_rb.rb_results.(it.it_slot) <- Some (result_of_item it);
+    it.it_rb.rb_results.(it.it_slot) <- result_of_item it;
     it.it_rb.rb_remaining <- it.it_rb.rb_remaining - 1;
     if it.it_rb.rb_remaining = 0 then dispatch_reply t it.it_rb
   end
 
 (* --- response timing control --------------------------------------- *)
 
-(* An undecided read of version [vid] by another transaction blocks a
-   write (D2). *)
-let undecided_other_readers row vid ~wire =
-  List.exists
-    (fun r -> r.it_ver.Store.vid = vid && (not r.it_decided) && r.it_wire <> wire)
-    row.rw_readers
+(* Is one of a row's readers an undecided read of version [vid] by
+   another transaction? That blocks a write (D2). *)
+let rec undecided_other_readers vid ~wire = function
+  | [] -> false
+  | r :: rest ->
+    (r.it_ver.Store.vid = vid && (not r.it_decided) && r.it_wire <> wire)
+    || undecided_other_readers vid ~wire rest
 
 let sendable t it =
   (not t.cfg.rtc) (* negative control: releases are never withheld *)
   || it.it_decided
   ||
   if it.it_is_write then
-    match Store.chain_prev it.it_row.rw_chain it.it_ver with
-    | None -> true
-    | Some prev ->
-      (prev.Store.status = Store.Committed || prev.Store.writer = it.it_wire)
-      && not (undecided_other_readers it.it_row prev.Store.vid ~wire:it.it_wire)
+    let prev = Store.chain_prev it.it_row.rw_chain it.it_ver in
+    prev == it.it_ver (* no predecessor *)
+    || (prev.Store.status = Store.Committed || prev.Store.writer = it.it_wire)
+       && not (undecided_other_readers prev.Store.vid ~wire:it.it_wire it.it_row.rw_readers)
   else
     it.it_ver.Store.status = Store.Committed || it.it_ver.Store.writer = it.it_wire
 
-(* Release every pending item of [row] whose dependencies are now
-   satisfied, oldest first. Releases never enable further releases
-   (sendability depends on decisions, not on sends), so one pass
-   suffices. *)
-let reeval t row =
-  let rec keep = function
-    | [] -> []
-    | it :: older as l ->
-      let older' = keep older in
-      if sendable t it then begin
-        release t it;
-        older'
-      end
-      else if older' == older then l
-      else it :: older'
-  in
-  row.rw_pending <- keep row.rw_pending
+(* Release every item of [pending] (newest first) whose dependencies
+   are now satisfied, oldest first, and answer the rest. Releases never
+   enable further releases (sendability depends on decisions, not on
+   sends), so one pass suffices. The tail below the newest release is
+   shared. *)
+let rec release_sendable t = function
+  | [] -> []
+  | it :: older as l ->
+    let older' = release_sendable t older in
+    if sendable t it then begin
+      release t it;
+      older'
+    end
+    else if older' == older then l
+    else
+      (* ncc-lint: allow R18 — one cell per still-pending item newer than a released one *)
+      it :: older'
 
+let reeval t row = row.rw_pending <- release_sendable t row.rw_pending
+
+(* ncc-lint: allow R18 — one cell per withheld item: the row's pending list *)
 let add_pending it = it.it_row.rw_pending <- it :: it.it_row.rw_pending
 
 (* --- fixing reads locally ------------------------------------------ *)
@@ -296,13 +333,96 @@ let fix_read t it =
   end
   else begin
     it.it_ver <- Store.chain_read row.rw_chain ~ts:it.it_ts;
+    (* ncc-lint: allow R18 — one cell per re-executed read: the row's reader list *)
     row.rw_readers <- it :: row.rw_readers;
     if sendable t it then release t it else add_pending it
   end
 
 (* --- decision processing ------------------------------------------- *)
 
-let drop it l = List.filter (fun r -> r != it) l
+(* [l] without [it], sharing the tail behind it. An item is on a
+   row's reader or pending list at most once. *)
+let rec drop it = function
+  | [] -> []
+  | r :: rest as l ->
+    if r == it then rest
+    else
+      let rest' = drop it rest in
+      if rest' == rest then l
+      else
+        (* ncc-lint: allow R18 — one cell per item ahead of the dropped one *)
+        r :: rest'
+
+(* [readers] without the reads of version [vid], sharing the tail
+   behind the last of them. *)
+let rec drop_readers_of vid = function
+  | [] -> []
+  | r :: rest as l ->
+    let rest' = drop_readers_of vid rest in
+    if r.it_ver.Store.vid = vid then rest'
+    else if rest' == rest then l
+    else
+      (* ncc-lint: allow R18 — one cell per reader ahead of a read of an aborted version *)
+      r :: rest'
+
+(* The unsent reads of aborted version [vid] in [readers], oldest
+   reader list position first: each is re-executed, or released if
+   its own transaction is decided. Handling one reader changes no
+   other reader's version or sent flag. *)
+let rec refix_readers t row vid = function
+  | [] -> ()
+  | r :: rest ->
+    if r.it_ver.Store.vid = vid && not r.it_sent then begin
+      (* drop from pending; fix_read re-registers it *)
+      row.rw_pending <- drop r row.rw_pending;
+      if not r.it_decided then fix_read t r else release t r
+    end;
+    refix_readers t row vid rest
+
+let rec mark_decided = function
+  | [] -> ()
+  | it :: rest ->
+    it.it_decided <- true;
+    if not it.it_is_write then it.it_row.rw_readers <- drop it it.it_row.rw_readers;
+    mark_decided rest
+
+(* The version effects of a decision, one access at a time. *)
+let rec apply_effects t ~commit = function
+  | [] -> ()
+  | it :: rest ->
+    let row = it.it_row in
+    if it.it_is_write then
+      if commit then Store.chain_commit t.store row.rw_key row.rw_chain it.it_ver
+      else begin
+        (* untrack this version's readers before unlinking it *)
+        let vid = it.it_ver.Store.vid and readers = row.rw_readers in
+        row.rw_readers <- drop_readers_of vid readers;
+        Store.chain_abort row.rw_chain it.it_ver;
+        refix_readers t row vid readers
+      end;
+    apply_effects t ~commit rest
+
+(* The slot [row]'s key takes among the first [i] touched rows. *)
+let rec sorted_slot a key i =
+  if i > 0 && a.(i - 1).rw_key > key then sorted_slot a key (i - 1) else i
+
+(* Add [row] to the rows [apply_decision] re-evaluates, kept sorted by
+   key and free of repeats (a key has one row). *)
+let touch t row =
+  let n = t.n_touched in
+  let i = sorted_slot t.touched row.rw_key n in
+  if i = 0 || t.touched.(i - 1) != row then begin
+    if n = Array.length t.touched then t.touched <- Array.append t.touched t.touched;
+    Array.blit t.touched i t.touched (i + 1) (n - i);
+    t.touched.(i) <- row;
+    t.n_touched <- n + 1
+  end
+
+let rec touch_pending t = function
+  | [] -> ()
+  | it :: rest ->
+    (match it.it_row.rw_pending with [] -> () | _ :: _ -> touch t it.it_row);
+    touch_pending t rest
 
 (* A second Decide, and one for a wire never seen here, find no
    record: the decision is recorded and nothing else happens. *)
@@ -310,46 +430,45 @@ let apply_decision t ~wire ~commit =
   let rec_ = Wires.decide t.wires wire ~commit in
   if rec_ != Wires.absent t.wires then begin
     (* decide items first so re-evaluation sees fresh state *)
-    List.iter
-      (fun it ->
-        it.it_decided <- true;
-        if not it.it_is_write then it.it_row.rw_readers <- drop it it.it_row.rw_readers)
-      rec_.tr_accesses;
-    (* apply version effects *)
-    List.iter
-      (fun it ->
-        let row = it.it_row in
-        if it.it_is_write then
-          if commit then Store.chain_commit t.store row.rw_key row.rw_chain it.it_ver
-          else begin
-            (* untrack this version's readers before unlinking it *)
-            let vid = it.it_ver.Store.vid in
-            let readers, others =
-              List.partition (fun r -> r.it_ver.Store.vid = vid) row.rw_readers
-            in
-            row.rw_readers <- others;
-            Store.chain_abort row.rw_chain it.it_ver;
-            List.iter
-              (fun r ->
-                (* drop from pending; fix_read re-registers it *)
-                row.rw_pending <- drop r row.rw_pending;
-                if not r.it_decided then fix_read t r else release t r)
-              (List.filter (fun r -> not r.it_sent) readers)
-          end)
-      rec_.tr_accesses;
+    mark_decided rec_.tr_accesses;
+    apply_effects t ~commit rec_.tr_accesses;
     (* release anything this decision unblocked, in key order *)
-    let touched =
-      List.fold_left
-        (fun acc it ->
-          match it.it_row.rw_pending with [] -> acc | _ :: _ -> it.it_row :: acc)
-        [] rec_.tr_accesses
-    in
-    List.iter (reeval t)
-      (List.sort_uniq (fun a b -> Int.compare a.rw_key b.rw_key) touched)
+    touch_pending t rec_.tr_accesses;
+    for i = 0 to t.n_touched - 1 do
+      reeval t t.touched.(i)
+    done;
+    t.n_touched <- 0
   end
 
 (* --- execution ------------------------------------------------------ *)
 
+
+(* Does a read of the ops, in op order, observe an undecided version or
+   one newer than the client's t_ro? A key is first touched here, so
+   the keys after the first unsafe one stay untouched. *)
+let rec ro_unsafe t ~tro = function
+  | [] -> false
+  | op :: rest ->
+    let v = Store.most_recent t.store (Types.op_key op) in
+    v.Store.status = Store.Undecided || Ts.(v.Store.tw > tro) || ro_unsafe t ~tro rest
+
+let[@tail_mod_cons] rec ro_results t ~ts = function
+  | [] -> []
+  | op :: rest ->
+    let key = Types.op_key op in
+    let v = Store.read t.store key ~ts in
+    t.n_ops <- t.n_ops + 1;
+    (* ncc-lint: allow R18 — one cell and one result per op: the reply *)
+    {
+      Msg.r_key = key;
+      r_value = v.Store.value;
+      r_vid = v.Store.vid;
+      r_tw = v.Store.tw;
+      r_tr = v.Store.tr;
+      r_is_write = false;
+      r_prev_vid = 0;
+    }
+    :: ro_results t ~ts rest
 
 (* Read-only fast path (§4.5): serve in one round with no commit phase.
    A read aborts when it would observe an undecided version (it cannot
@@ -369,34 +488,14 @@ let exec_read_only t ~src (x : Msg.exec) =
     | `Server -> Ts.(t.latest_write_tw > x.x_tro)  (* the paper's fence *)
     | `Key -> false
   in
-  let unsafe op =
-    let v = Store.most_recent t.store (Types.op_key op) in
-    v.Store.status = Store.Undecided || Ts.(v.Store.tw > x.x_tro)
-  in
-  if stale_server || List.exists unsafe x.x_ops then begin
+  if stale_server || ro_unsafe t ~tro:x.x_tro x.x_ops then begin
     t.n_ro_aborts <- t.n_ro_aborts + 1;
     special_reply t ~wire:x.x_wire ~round:x.x_round ~client:src
       ~client_ns:x.x_client_ns Msg.Ro_abort
   end
   else begin
     t.n_ro_served <- t.n_ro_served + 1;
-    let results =
-      List.map
-        (fun op ->
-          let key = Types.op_key op in
-          let v = Store.read t.store key ~ts:x.x_ts in
-          t.n_ops <- t.n_ops + 1;
-          {
-            Msg.r_key = key;
-            r_value = v.Store.value;
-            r_vid = v.Store.vid;
-            r_tw = v.Store.tw;
-            r_tr = v.Store.tr;
-            r_is_write = false;
-            r_prev_vid = 0;
-          })
-        x.x_ops
-    in
+    let results = ro_results t ~ts:x.x_ts x.x_ops in
     t.n_replies_immediate <- t.n_replies_immediate + 1;
     reply t ~dst:src ~wire:x.x_wire ~round:x.x_round ~server_ns:(Cluster.Net.local_ns t.ctx)
       ~client_ns:x.x_client_ns results Msg.Ok
@@ -410,8 +509,20 @@ let blocked_now row ~wire op =
     curr.Store.status = Store.Undecided && curr.Store.writer <> wire
   in
   if Types.is_write op then
-    curr_undecided_other || undecided_other_readers row curr.Store.vid ~wire
+    curr_undecided_other || undecided_other_readers curr.Store.vid ~wire row.rw_readers
   else curr_undecided_other
+
+(* Early abort (§4.2): would an op of [ops] at timestamp [ts], late on
+   its key, have to wait behind others? Rows are looked up, not
+   created: a fresh key's chain draws its initial vid at the key's
+   first store access in op order. A fresh key's max_seen would be
+   zero, below every coordinator timestamp. *)
+let rec any_late t ~wire ~ts = function
+  | [] -> false
+  | op :: rest ->
+    let row = Inttbl.find t.rows (Types.op_key op) in
+    (row != Inttbl.absent t.rows && Ts.(ts < row.rw_max_seen) && blocked_now row ~wire op)
+    || any_late t ~wire ~ts rest
 
 (* Not for a decided wire. *)
 let find_or_create_txn t ~src (x : Msg.exec) =
@@ -443,6 +554,74 @@ let find_or_create_txn t ~src (x : Msg.exec) =
     r
   end
 
+(* Is key [k] written by an op of [ops]? *)
+let rec written_in k = function
+  | [] -> false
+  | Types.Write (k', _) :: _ when Types.key_eq k' k -> true
+  | (Types.Read _ | Types.Write _) :: rest -> written_in k rest
+
+(* Extend the reported validity of the transaction's earlier accesses
+   of version [vid] up to [tw], the t_w of its own write directly after
+   that version (read/write-modify-write support). A released cell of
+   a reply still being built is refreshed. *)
+let rec raise_floors vid tw = function
+  | [] -> ()
+  | earlier :: rest ->
+    if earlier.it_ver.Store.vid = vid then begin
+      earlier.it_tr_floor <- Ts.max earlier.it_tr_floor tw;
+      if earlier.it_sent && earlier.it_rb.rb_remaining > 0 then
+        earlier.it_rb.rb_results.(earlier.it_slot) <- result_of_item earlier
+    end;
+    raise_floors vid tw rest
+
+(* Execute [ops], this shot's ops from [slot] on, into reply [rb]. *)
+let rec exec_ops t rec_ (x : Msg.exec) rb slot = function
+  | [] -> ()
+  | op :: rest ->
+    let row = row_of t (Types.op_key op) in
+    row.rw_max_seen <- Ts.max row.rw_max_seen x.x_ts;
+    t.n_ops <- t.n_ops + 1;
+    let is_write = Types.is_write op in
+    let prev_vid = if is_write then (Store.chain_head row.rw_chain).Store.vid else 0 in
+    let ver =
+      match op with
+      | Types.Read k ->
+        (* A read followed by a write of the same key in the same shot
+           is a fused read-modify-write (the stored-procedure pattern):
+           the read serves the pre-state but does not refine t_r,
+           because its serialization point is the own write's t_w (set
+           via the floor). Refining would force the own write to t_r + 1
+           and make the transaction's pairs disjoint. *)
+        if written_in k rest then Store.chain_head row.rw_chain
+        else Store.chain_read row.rw_chain ~ts:x.x_ts
+      | Types.Write (_, value) ->
+        let ver = Store.chain_write t.store row.rw_chain value ~ts:x.x_ts ~writer:x.x_wire in
+        t.latest_write_tw <- Ts.max t.latest_write_tw ver.Store.tw;
+        raise_floors prev_vid ver.Store.tw rec_.tr_accesses;
+        ver
+    in
+    let it =
+      {
+        it_wire = x.x_wire;
+        it_row = row;
+        it_is_write = is_write;
+        it_ver = ver;
+        it_ts = x.x_ts;
+        it_sent = false;
+        it_decided = false;
+        it_prev_vid = prev_vid;
+        it_tr_floor = Ts.zero;
+        it_rb = rb;
+        it_slot = slot;
+      }
+    in
+    (* ncc-lint: allow R18 — one cell per read: the row's reader list *)
+    if not is_write then row.rw_readers <- it :: row.rw_readers;
+    (* ncc-lint: allow R18 — one cell per op: the record's access list, which the decision walks *)
+    rec_.tr_accesses <- it :: rec_.tr_accesses;
+    if sendable t it then release t it else add_pending it;
+    exec_ops t rec_ x rb (slot + 1) rest
+
 let exec_read_write t ~src (x : Msg.exec) =
   if Wires.decided t.wires x.x_wire then
     (* a late shot of an already-decided (recovered/aborted) attempt *)
@@ -457,27 +636,14 @@ let exec_read_write t ~src (x : Msg.exec) =
          the reply it duplicates is deduplicated client-side by round. *)
       ()
     else begin
-    rec_.tr_received <- rec_.tr_received + List.length x.x_ops;
+    let n = List.length x.x_ops in
+    rec_.tr_received <- rec_.tr_received + n;
     rec_.tr_expected <- max rec_.tr_expected x.x_expected_ops;
     if x.x_is_last then rec_.tr_saw_last <- true;
     rec_.tr_cohorts <- x.x_cohorts;
-    (* Each op resolves its row once, here. The early-abort pass below
-       must not create rows: a fresh key's chain draws its initial vid
-       at the key's first store access in op order. *)
-    let ops = Array.of_list x.x_ops in
-    let n = Array.length ops in
-    let rows = Array.map (fun op -> Inttbl.find t.rows (Types.op_key op)) ops in
-    let fresh = Inttbl.absent t.rows in
     (* early abort (§4.2): a late-timestamped request that would have to
-       wait behind others is refused outright, breaking circular waits.
-       A fresh row's max_seen is zero, below every coordinator
-       timestamp. *)
-    let late_and_blocked slot =
-      let row = rows.(slot) in
-      row != fresh && Ts.(x.x_ts < row.rw_max_seen) && blocked_now row ~wire:x.x_wire ops.(slot)
-    in
-    let rec any_late slot = slot < n && (late_and_blocked slot || any_late (slot + 1)) in
-    if t.cfg.early_abort && any_late 0 then begin
+       wait behind others is refused outright, breaking circular waits *)
+    if t.cfg.early_abort && any_late t ~wire:x.x_wire ~ts:x.x_ts x.x_ops then begin
       t.n_early_aborts <- t.n_early_aborts + 1;
       special_reply t ~wire:x.x_wire ~round:x.x_round ~client:src
         ~client_ns:x.x_client_ns Msg.Early_abort
@@ -488,120 +654,61 @@ let exec_read_write t ~src (x : Msg.exec) =
           rb_wire = x.x_wire;
           rb_round = x.x_round;
           rb_client = src;
-          rb_created = Cluster.Net.now t.ctx;
-          rb_results = Array.make n None;
+          rb_tick = now_tick t;
+          rb_results = Array.make n no_result;
           rb_remaining = n;
           rb_dead = false;
           rb_server_ns = Cluster.Net.local_ns t.ctx;
           rb_client_ns = x.x_client_ns;
         }
       in
+      (* ncc-lint: allow R18 — one cell per executed shot: the record's replies, which recovery reads *)
       rec_.tr_rbs <- rb :: rec_.tr_rbs;
-      (* A read followed by a write of the same key in the same shot is
-         a fused read-modify-write (the stored-procedure pattern): the
-         read serves the pre-state but does not refine t_r, because its
-         serialization point is the own write's t_w (set via the
-         floor). Refining would force the own write to t_r + 1 and make
-         the transaction's pairs disjoint. *)
-      let fused slot =
-        match ops.(slot) with
-        | Types.Write _ -> false
-        | Types.Read k ->
-          let rec later i =
-            i < n
-            && (match ops.(i) with
-                | Types.Write (k', _) when Types.key_eq k' k -> true
-                | Types.Read _ | Types.Write _ -> later (i + 1))
-          in
-          later (slot + 1)
-      in
-      Array.iteri
-        (fun slot op ->
-          let row = if rows.(slot) != fresh then rows.(slot) else row_of t (Types.op_key op) in
-          row.rw_max_seen <- Ts.max row.rw_max_seen x.x_ts;
-          t.n_ops <- t.n_ops + 1;
-          let is_write = Types.is_write op in
-          let prev_vid = if is_write then (Store.chain_head row.rw_chain).Store.vid else 0 in
-          let ver =
-            match op with
-            | Types.Read _ -> Store.chain_read ~refine:(not (fused slot)) row.rw_chain ~ts:x.x_ts
-            | Types.Write (_, value) ->
-              let ver = Store.chain_write t.store row.rw_chain value ~ts:x.x_ts ~writer:x.x_wire in
-              t.latest_write_tw <- Ts.max t.latest_write_tw ver.Store.tw;
-              (* extend the reported validity of this transaction's own
-                 earlier accesses to the predecessor version up to the
-                 new write's t_w (read/write-modify-write support) *)
-              List.iter
-                (fun earlier ->
-                  if earlier.it_ver.Store.vid = prev_vid then begin
-                    earlier.it_tr_floor <- Ts.max earlier.it_tr_floor ver.Store.tw;
-                    if earlier.it_sent && earlier.it_rb.rb_remaining > 0 then
-                      earlier.it_rb.rb_results.(earlier.it_slot) <-
-                        Some (result_of_item earlier)
-                  end)
-                rec_.tr_accesses;
-              ver
-          in
-          let it =
-            {
-              it_wire = x.x_wire;
-              it_row = row;
-              it_is_write = is_write;
-              it_ver = ver;
-              it_ts = x.x_ts;
-              it_sent = false;
-              it_decided = false;
-              it_prev_vid = prev_vid;
-              it_tr_floor = Ts.zero;
-              it_rb = rb;
-              it_slot = slot;
-            }
-          in
-          if not is_write then row.rw_readers <- it :: row.rw_readers;
-          rec_.tr_accesses <- it :: rec_.tr_accesses;
-          if sendable t it then release t it else add_pending it)
-        ops
+      exec_ops t rec_ x rb 0 x.x_ops
     end
     end
   end
 
 (* --- smart retry (Alg 4.4) ------------------------------------------ *)
 
-let smart_retry t ~src ~wire ~ts:t' =
+(* Does the first later version after [v] created by another
+   transaction leave room for the retry timestamp [ts]? The
+   transaction's own writes move together with the retry, so they
+   never block it (cross-shot read-modify-write would otherwise
+   self-reject forever). *)
+let rec next_other_allows c ~wire ~ts v =
+  let next = Store.chain_next c v in
+  next == v (* none *)
+  ||
+  if next.Store.writer = wire then next_other_allows c ~wire ~ts next
+  else Ts.(next.Store.tw > ts)
+
+let reposition t ~wire ~ts it =
+  let ver = it.it_ver in
+  if not (next_other_allows it.it_row.rw_chain ~wire ~ts ver) then false
+  else if it.it_is_write && not (Ts.equal ver.Store.tw ver.Store.tr) then
+    false (* the created version has been read: cannot move *)
+  else begin
+    if it.it_is_write then begin
+      ver.Store.tw <- ts;
+      ver.Store.tr <- ts;
+      t.latest_write_tw <- Ts.max t.latest_write_tw ts
+    end
+    else ver.Store.tr <- Ts.max ver.Store.tr ts;
+    true
+  end
+
+(* [reposition] each of [accesses] (newest first), oldest first,
+   stopping at the first that cannot move. *)
+let rec reposition_all t ~wire ~ts = function
+  | [] -> true
+  | it :: older -> reposition_all t ~wire ~ts older && reposition t ~wire ~ts it
+
+let smart_retry t ~src ~wire ~ts =
   let ok =
     let rec_ = Wires.find t.wires wire in
     if rec_ == Wires.absent t.wires then Wires.committed t.wires wire
-    else
-      let reposition it =
-        let ver = it.it_ver in
-        (* the first later version created by another transaction: the
-           transaction's own writes move together with the retry, so
-           they never block it (cross-shot read-modify-write would
-           otherwise self-reject forever) *)
-        let rec next_other v =
-          match Store.chain_next it.it_row.rw_chain v with
-          | Some n when n.Store.writer = wire -> next_other n
-          | other -> other
-        in
-        let next_ok =
-          match next_other ver with
-          | Some next -> Ts.(next.Store.tw > t')
-          | None -> true
-        in
-        if not next_ok then false
-        else if it.it_is_write && not (Ts.equal ver.Store.tw ver.Store.tr) then
-          false (* the created version has been read: cannot move *)
-        else begin
-          if it.it_is_write then begin
-            ver.Store.tw <- t';
-            ver.Store.tr <- t';
-            t.latest_write_tw <- Ts.max t.latest_write_tw t'
-          end
-          else ver.Store.tr <- Ts.max ver.Store.tr t';
-          true
-        end
-      in
-      List.for_all reposition (List.rev rec_.tr_accesses)
+    else reposition_all t ~wire ~ts rec_.tr_accesses
   in
   if ok then t.n_sr_ok <- t.n_sr_ok + 1 else t.n_sr_fail <- t.n_sr_fail + 1;
   t.ctx.send ~dst:src
@@ -620,35 +727,16 @@ let start_recovery t ~wire ~cohorts =
       cohorts
   end
 
-let answer_recover_query t ~src ~wire =
-  let rec_ = Wires.find t.wires wire in
-  let known, complete, pairs, decided =
-    if rec_ != Wires.absent t.wires then
-      (* Prefer the pairs already released to the client (so the backup
-         reproduces the client's own safeguard inputs exactly); fall
-         back to the live version pairs if some are still withheld. *)
-      let released =
-        List.concat_map
-          (fun rb -> Array.to_list rb.rb_results |> List.filter_map Fun.id)
-          rec_.tr_rbs
-      in
-      let total =
-        List.fold_left (fun acc rb -> acc + Array.length rb.rb_results) 0 rec_.tr_rbs
-      in
-      (* The backup may only commit from the exact pairs the client saw
-         (the released reply cells); a transaction with withheld
-         replies is aborted conservatively — committing from live
-         version state could diverge from the (possibly just slow)
-         client's own safeguard and resurrect an aborted attempt. *)
-      let all_released = List.length released = total && total > 0 in
-      let complete =
-        all_released && rec_.tr_saw_last && rec_.tr_received >= rec_.tr_expected
-      in
-      (true, complete, released, None)
-    else if Wires.decided t.wires wire then (true, true, [], Some (Wires.committed t.wires wire))
-    else (false, false, [], None)
-  in
-  t.ctx.send ~dst:src
+(* The released cells of [rbs], one reply after another, each in slot
+   order. *)
+let rec released_of_rbs = function
+  | [] -> []
+  | rb :: rest -> released rb.rb_results (Array.length rb.rb_results - 1) (released_of_rbs rest)
+
+let rec cells_of_rbs acc = function [] -> acc | rb :: rest -> cells_of_rbs (acc + Array.length rb.rb_results) rest
+
+let send_recover_info t ~dst ~wire ~known ~complete ~pairs ~decided =
+  t.ctx.send ~dst
     (Msg.Recover_info
        {
          ri_wire = wire;
@@ -659,6 +747,35 @@ let answer_recover_query t ~src ~wire =
          ri_decided = decided;
        })
 
+let answer_recover_query t ~src ~wire =
+  let rec_ = Wires.find t.wires wire in
+  if rec_ != Wires.absent t.wires then begin
+    (* Prefer the pairs already released to the client (so the backup
+       reproduces the client's own safeguard inputs exactly); fall
+       back to the live version pairs if some are still withheld. *)
+    let pairs = released_of_rbs rec_.tr_rbs in
+    let total = cells_of_rbs 0 rec_.tr_rbs in
+    (* The backup may only commit from the exact pairs the client saw
+       (the released reply cells); a transaction with withheld
+       replies is aborted conservatively — committing from live
+       version state could diverge from the (possibly just slow)
+       client's own safeguard and resurrect an aborted attempt. *)
+    let all_released = List.length pairs = total && total > 0 in
+    let complete = all_released && rec_.tr_saw_last && rec_.tr_received >= rec_.tr_expected in
+    send_recover_info t ~dst:src ~wire ~known:true ~complete ~pairs ~decided:None
+  end
+  else if Wires.decided t.wires wire then
+    send_recover_info t ~dst:src ~wire ~known:true ~complete:true ~pairs:[]
+      (* ncc-lint: allow R18 — one option per recovery query of a decided wire: the answer names its outcome *)
+      ~decided:(Some (Wires.committed t.wires wire))
+  else send_recover_info t ~dst:src ~wire ~known:false ~complete:false ~pairs:[] ~decided:None
+
+let rec broadcast_decide t ~wire ~commit = function
+  | [] -> ()
+  | i :: rest ->
+    t.ctx.send ~dst:i.rf_server (Msg.Decide { d_wire = wire; d_commit = commit });
+    broadcast_decide t ~wire ~commit rest
+
 let handle_recover_info t ~wire (info : rinfo) =
   let st = Inttbl.find t.recovering wire in
   if
@@ -667,28 +784,22 @@ let handle_recover_info t ~wire (info : rinfo) =
     (* a duplicate delivery of a cohort's answer *)
   then ()
   else begin
+    (* ncc-lint: allow R18 — one cell per cohort's answer to a recovery *)
     st.rc_infos <- info :: st.rc_infos;
     st.rc_waiting <- st.rc_waiting - 1;
     if st.rc_waiting = 0 then begin
       Inttbl.remove t.recovering wire;
       let infos = st.rc_infos in
       let all_complete = List.for_all (fun i -> i.rf_known && i.rf_complete) infos in
-      let pairs = List.concat_map (fun i -> i.rf_pairs) infos in
-      let cohorts = List.map (fun i -> i.rf_server) infos in
-      let broadcast commit =
-        List.iter
-          (fun cohort ->
-            t.ctx.send ~dst:cohort (Msg.Decide { d_wire = wire; d_commit = commit }))
-          cohorts
-      in
       match List.find_map (fun i -> i.rf_decided) infos with
-      | Some d -> broadcast d (* a cohort already applied a decision *)
+      | Some d -> broadcast_decide t ~wire ~commit:d infos (* a cohort already applied a decision *)
       | None ->
         if all_complete then
           (* identical inputs to the client's own safeguard: the
              decision is deterministic, so a slow-but-alive client will
              reach the same verdict *)
-          broadcast (overlap pairs)
+          broadcast_decide t ~wire ~commit:(overlap (List.concat_map (fun i -> i.rf_pairs) infos))
+            infos
         else
           (* Incomplete: the transaction still has withheld replies, so
              its (possibly live) client has not decided either.
@@ -699,6 +810,7 @@ let handle_recover_info t ~wire (info : rinfo) =
              always complete (only their commit messages are lost). *)
           (match t.cfg.recovery_timeout with
            | Some timeout ->
+             let cohorts = List.map (fun i -> i.rf_server) infos in
              t.ctx.timer ~delay:timeout (fun () ->
                  if not (Wires.decided t.wires wire) then
                    start_recovery t ~wire ~cohorts)

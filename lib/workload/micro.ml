@@ -52,6 +52,8 @@ let make ?zipf (p : params) : Harness.Workload_sig.t =
     | Some z -> z
     | None -> Sim.Rng.zipf_create ~n:p.n_keys ~theta:p.zipf_theta
   in
+  (* the transaction labels, built once, not per transaction *)
+  let rw_label = p.label ^ "-rw" and ro_label = p.label ^ "-ro" in
   let gen rng ~client =
     let bytes =
       int_of_float
@@ -77,12 +79,12 @@ let make ?zipf (p : params) : Harness.Workload_sig.t =
           Types.Write (k, fresh_value ()) :: rest
         | ops -> ops
       in
-      Txn.make ~label:(p.label ^ "-rw") ~bytes ~client [ ops ]
+      Txn.make ~label:rw_label ~bytes ~client [ ops ]
     end
     else begin
       let n = Sim.Rng.int_range rng p.ro_keys_min p.ro_keys_max in
       let keys = distinct_keys rng zipf n in
-      Txn.make ~label:(p.label ^ "-ro") ~bytes ~client
+      Txn.make ~label:ro_label ~bytes ~client
         [ List.map (fun k -> Types.Read k) keys ]
     end
   in

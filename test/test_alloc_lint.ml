@@ -185,6 +185,34 @@ let r17_waived () =
        ("let[@ncc.hot] wrap x =\n  " ^ kw
       ^ " allow R17 — compat API: callers expect an option *)\n  Some x\n"))
 
+(* Table construction: a hot function that builds a Hashtbl, Queue,
+   Stack or Buffer per call pays for the whole table each time. *)
+let r17_tables () =
+  check_sites "a table built in a hot function fires" ~only:[ "R17" ]
+    [ ("fixture.ml", 2, "R17"); ("fixture.ml", 3, "R17") ]
+    "let[@ncc.hot] decide xs =\n\
+    \  let seen = Hashtbl.create 8 in\n\
+    \  let q = Queue.create () in\n\
+    \  List.iter (fun x -> Hashtbl.replace seen x (); Queue.push x q) xs;\n\
+    \  Hashtbl.length seen + Queue.length q\n";
+  check_sites "a table built in a hot callee fires as R18" ~only:[ "R17"; "R18" ]
+    [ ("fixture.ml", 1, "R18") ]
+    "let scratch () = Buffer.create 16\n\
+     let[@ncc.hot] entry () = Buffer.length (scratch ())\n";
+  check_sites "a table built in cold code stays clean" ~only:[ "R17"; "R18" ] []
+    "let index xs =\n\
+    \  let t = Hashtbl.create 8 in\n\
+    \  List.iter (fun x -> Hashtbl.replace t x ()) xs;\n\
+    \  Stack.create (), t\n";
+  Alcotest.(check (list (triple string int string)))
+    "a waiver silences the table site" []
+    (full_sites ~only:[ "R17" ]
+       ("let[@ncc.hot] report xs =\n  " ^ kw
+      ^ " allow R17 — one buffer per report, not per event *)\n\
+        \  let b = Buffer.create 64 in\n\
+        \  List.iter (Buffer.add_string b) xs;\n\
+        \  Buffer.contents b\n"))
+
 (* --- R18: hotness propagation ------------------------------------------ *)
 
 let r18_fires () =
@@ -293,6 +321,7 @@ let suite =
     Alcotest.test_case "R17 cold regions" `Quick r17_cold_regions;
     Alcotest.test_case "R17 clean" `Quick r17_clean;
     Alcotest.test_case "R17 waived" `Quick r17_waived;
+    Alcotest.test_case "R17 table construction" `Quick r17_tables;
     Alcotest.test_case "R18 fires with chain" `Quick r18_fires;
     Alcotest.test_case "R18 module alias" `Quick r18_module_alias;
     Alcotest.test_case "R18 dead branch" `Quick r18_dead_branch;

@@ -53,6 +53,35 @@ let ops_by_server_matches_ref =
         (Cluster.Topology.ops_by_server topo ops)
         (ops_by_server_ref topo ops))
 
+(* The grouping allocates its result and nothing else: a list cell per
+   op (3 words), and a pair and a cell per server group (6 words), on
+   both shapes a coordinator sends: many ops on few servers (TPC-C) and
+   few ops on many servers (google-f1). *)
+let ops_by_server_words () =
+  let check name ~n_servers ops =
+    let topo = Cluster.Topology.make ~n_servers ~n_clients:1 () in
+    let groups = Cluster.Topology.ops_by_server topo ops (* warm the scratch *) in
+    let expected = (3 * List.length ops) + (6 * List.length groups) in
+    let calls = 1_000 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (Cluster.Topology.ops_by_server topo ops))
+    done;
+    let words = Gc.minor_words () -. w0 in
+    (* the second [Gc.minor_words] read may box its result *)
+    let extra = words -. float_of_int (expected * calls) in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: %d words per call (got %.2f)" name expected
+         (words /. float_of_int calls))
+      true
+      (extra >= 0.0 && extra <= 4.0)
+  in
+  check "25 ops on 2 of 8 servers" ~n_servers:8
+    (List.init 25 (fun i -> if i mod 3 = 0 then Types.Write (8 * i, i) else Types.Read ((8 * i) + 3)));
+  check "6 ops on 6 of 64 servers" ~n_servers:64
+    (List.init 6 (fun i -> if i = 0 then Types.Write (i * 65, i) else Types.Read (i * 65)));
+  check "no ops" ~n_servers:4 []
+
 let latency_positive =
   QCheck.Test.make ~name:"latency samples positive and above base" ~count:300
     QCheck.(pair (0 -- 6) (0 -- 6))
@@ -159,6 +188,7 @@ let suite =
   [
     Alcotest.test_case "placement" `Quick placement;
     Alcotest.test_case "ops_by_server grouping" `Quick ops_by_server_groups;
+    Alcotest.test_case "ops_by_server allocates only its result" `Quick ops_by_server_words;
     Alcotest.test_case "asymmetric latency" `Quick asymmetric_symmetric_pairs;
     Alcotest.test_case "net delivery" `Quick net_delivery;
     Alcotest.test_case "net cpu queueing" `Quick net_cpu_queueing;

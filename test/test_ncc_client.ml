@@ -125,8 +125,39 @@ let ewma_tracks_replies () =
   let d2 = c.Client.delta.(3) in
   Alcotest.(check (float 1e-9)) "ewma blend" ((0.8 *. 1000.0) +. (0.2 *. 2000.0)) d2
 
-(* [Msg.extend_own_pairs] as first written: a fixpoint that reruns its
-   pass over every (write, result) pair until nothing changes. *)
+(* The own-write extension the safeguard used to build before folding
+   (it now decides without it), kept here as the oracle: each result's
+   t_r rises to the largest t_w among own writes directly after its
+   version, in one pass over a table of those writes. *)
+let extend_own_pairs results =
+  if not (List.exists (fun (r : Msg.op_result) -> r.r_is_write) results) then results
+  else begin
+    (* prev vid -> largest t_w of an own write ordered directly after it *)
+    let succ = Hashtbl.create 8 in
+    List.iter
+      (fun (w : Msg.op_result) ->
+        if w.r_is_write then
+          match Hashtbl.find_opt succ w.r_prev_vid with
+          | Some tw when Ts.(tw >= w.r_tw) -> ()
+          | _ -> Hashtbl.replace succ w.r_prev_vid w.r_tw)
+      results;
+    List.map
+      (fun (r : Msg.op_result) ->
+        match Hashtbl.find_opt succ r.r_vid with
+        | Some tw when Ts.(r.r_tr < tw) -> { r with r_tr = tw }
+        | _ -> r)
+      results
+  end
+
+let fold_pairs results =
+  let tw_max = List.fold_left (fun acc (r : Msg.op_result) -> Ts.max acc r.r_tw) Ts.zero results in
+  let tr_min =
+    List.fold_left (fun acc (r : Msg.op_result) -> Ts.min acc r.r_tr) Ts.infinity results
+  in
+  (Ts.(tw_max <= tr_min), tw_max)
+
+(* The extension as first written: a fixpoint that reruns its pass
+   over every (write, result) pair until nothing changes. *)
 let extend_ref results =
   let results = Array.of_list results in
   let changed = ref true in
@@ -146,13 +177,7 @@ let extend_ref results =
   done;
   Array.to_list results
 
-let safeguard_ref results =
-  let results = extend_ref results in
-  let tw_max = List.fold_left (fun acc (r : Msg.op_result) -> Ts.max acc r.r_tw) Ts.zero results in
-  let tr_min =
-    List.fold_left (fun acc (r : Msg.op_result) -> Ts.min acc r.r_tr) Ts.infinity results
-  in
-  (Ts.(tw_max <= tr_min), tw_max)
+let safeguard_ref results = fold_pairs (extend_ref results)
 
 (* Random result lists over a small vid space: each entry is a read of
    vid v or a write creating vid v whose predecessor is another small
@@ -179,7 +204,34 @@ let extend_matches_fixpoint =
     own_pairs_gen (fun l ->
       let results = List.map result_of l in
       let ok, tc = Client.safeguard results and ok', tc' = safeguard_ref results in
-      Msg.extend_own_pairs results = extend_ref results && ok = ok' && Ts.equal tc tc')
+      extend_own_pairs results = extend_ref results && ok = ok' && Ts.equal tc tc')
+
+(* Lists shaped like a transaction's results: a read-only one, or reads
+   followed by own writes whose predecessors are mostly versions read
+   earlier in the list (and sometimes the same one twice). *)
+let txn_results_gen =
+  let open QCheck.Gen in
+  let pair = map (fun (a, b) -> (min a b, max a b)) (pair (0 -- 40) (0 -- 40)) in
+  let read_only =
+    list_size (0 -- 10) (map2 (fun vid p -> (false, vid, -1, p)) (1 -- 8) pair)
+  in
+  let read_write =
+    list_size (0 -- 6) (map2 (fun vid p -> (false, vid, -1, p)) (1 -- 8) pair)
+    >>= fun reads ->
+    let prevs = List.map (fun (_, vid, _, _) -> vid) reads in
+    let prev = if prevs = [] then 1 -- 8 else oneof [ oneofl prevs; 1 -- 8 ] in
+    list_size (1 -- 6) (map3 (fun vid prev p -> (true, vid, prev, p)) (9 -- 14) prev pair)
+    >|= fun writes -> reads @ writes
+  in
+  oneof [ read_only; read_write; QCheck.gen own_pairs_gen ]
+
+let safeguard_matches_reference =
+  QCheck.Test.make ~name:"safeguard equals the extend-then-fold reference" ~count:2000
+    (QCheck.make txn_results_gen) (fun l ->
+      let results = List.map result_of l in
+      let ok, tc = Client.safeguard results
+      and ok', tc' = fold_pairs (extend_own_pairs results) in
+      ok = ok' && Ts.equal tc tc')
 
 let suite =
   [
@@ -190,4 +242,5 @@ let suite =
     Alcotest.test_case "ro ts covers tro" `Quick ro_ts_covers_tro;
     Alcotest.test_case "ewma tracks replies" `Quick ewma_tracks_replies;
   ]
-  @ List.map QCheck_alcotest.to_alcotest [ safeguard_boundary_equal; extend_matches_fixpoint ]
+  @ List.map QCheck_alcotest.to_alcotest
+      [ safeguard_boundary_equal; extend_matches_fixpoint; safeguard_matches_reference ]
