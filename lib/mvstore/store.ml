@@ -269,10 +269,7 @@ let refine_read ?(refine = true) curr ~ts =
   if refine then curr.tr <- Ts.max ts curr.tr;
   curr
 
-let chain_read c ~ts =
-  let curr = chain_head c in
-  curr.tr <- Ts.max ts curr.tr;
-  curr
+let chain_read c ~ts = refine_read (chain_head c) ~ts
 
 (* --- Commitment --------------------------------------------------- *)
 

@@ -58,10 +58,11 @@ let ops_by_server_matches_ref =
    both shapes a coordinator sends: many ops on few servers (TPC-C) and
    few ops on many servers (google-f1). *)
 let ops_by_server_words () =
-  let check name ~n_servers ops =
+  let check name ~n_servers ~groups ops =
     let topo = Cluster.Topology.make ~n_servers ~n_clients:1 () in
-    let groups = Cluster.Topology.ops_by_server topo ops (* warm the scratch *) in
-    let expected = (3 * List.length ops) + (6 * List.length groups) in
+    let grouped = Cluster.Topology.ops_by_server topo ops (* warms the scratch *) in
+    Alcotest.(check int) (name ^ ": groups") groups (List.length grouped);
+    let expected = (3 * List.length ops) + (6 * groups) in
     let calls = 1_000 in
     let w0 = Gc.minor_words () in
     for _ = 1 to calls do
@@ -76,11 +77,11 @@ let ops_by_server_words () =
       true
       (extra >= 0.0 && extra <= 4.0)
   in
-  check "25 ops on 2 of 8 servers" ~n_servers:8
+  check "25 ops on 2 of 8 servers" ~n_servers:8 ~groups:2
     (List.init 25 (fun i -> if i mod 3 = 0 then Types.Write (8 * i, i) else Types.Read ((8 * i) + 3)));
-  check "6 ops on 6 of 64 servers" ~n_servers:64
+  check "6 ops on 6 of 64 servers" ~n_servers:64 ~groups:6
     (List.init 6 (fun i -> if i = 0 then Types.Write (i * 65, i) else Types.Read (i * 65)));
-  check "no ops" ~n_servers:4 []
+  check "no ops" ~n_servers:4 ~groups:0 []
 
 let latency_positive =
   QCheck.Test.make ~name:"latency samples positive and above base" ~count:300

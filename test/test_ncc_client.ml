@@ -207,20 +207,21 @@ let extend_matches_fixpoint =
       extend_own_pairs results = extend_ref results && ok = ok' && Ts.equal tc tc')
 
 (* Lists shaped like a transaction's results: a read-only one, or reads
-   followed by own writes whose predecessors are mostly versions read
-   earlier in the list (and sometimes the same one twice). *)
+   followed by own writes that share one t_w (an uncontended write lands
+   at the transaction's timestamp) and whose predecessors are mostly
+   versions read earlier in the list, sometimes the same one twice. A
+   read below that t_w passes only through the own-write extension. *)
 let txn_results_gen =
   let open QCheck.Gen in
   let pair = map (fun (a, b) -> (min a b, max a b)) (pair (0 -- 40) (0 -- 40)) in
-  let read_only =
-    list_size (0 -- 10) (map2 (fun vid p -> (false, vid, -1, p)) (1 -- 8) pair)
-  in
+  let read = map2 (fun vid p -> (false, vid, -1, p)) (1 -- 8) pair in
+  let read_only = list_size (0 -- 10) read in
   let read_write =
-    list_size (0 -- 6) (map2 (fun vid p -> (false, vid, -1, p)) (1 -- 8) pair)
-    >>= fun reads ->
+    list_size (0 -- 5) read >>= fun reads ->
     let prevs = List.map (fun (_, vid, _, _) -> vid) reads in
-    let prev = if prevs = [] then 1 -- 8 else oneof [ oneofl prevs; 1 -- 8 ] in
-    list_size (1 -- 6) (map3 (fun vid prev p -> (true, vid, prev, p)) (9 -- 14) prev pair)
+    let prev = if prevs = [] then 1 -- 8 else frequency [ (4, oneofl prevs); (1, 1 -- 8) ] in
+    0 -- 40 >>= fun tw ->
+    list_size (1 -- 6) (map2 (fun vid prev -> (true, vid, prev, (tw, tw))) (9 -- 14) prev)
     >|= fun writes -> reads @ writes
   in
   oneof [ read_only; read_write; QCheck.gen own_pairs_gen ]
