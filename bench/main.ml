@@ -73,7 +73,7 @@ let micro () =
           })
     in
     Test.make ~name:"safeguard check (16 pairs)"
-      (Staged.stage (fun () -> ignore (Ncc.Client.safeguard results)))
+      (Staged.stage (fun () -> ignore (Ncc.Client.safeguard [ results ])))
   in
   let heap =
     Test.make ~name:"heap push+pop x100"
@@ -261,16 +261,16 @@ let micro () =
                ~watermark:(fun () -> float_of_int (2 * (!step + 1)))
                ()
            in
-           Checker.Stream.observe_version t ~key:1 ~vid:100 ~writer:0 ~prev:None
-             ~next:None;
+           Checker.Stream.observe_version t ~key:1 ~vid:100 ~writer:0
+             ~prev:Kernel.Types.no_vid ~next:Kernel.Types.no_vid;
            for i = 1 to 1000 do
              step := i;
              Checker.Stream.observe_version t ~key:1 ~vid:(100 + i) ~writer:i
-               ~prev:(Some (99 + i)) ~next:None;
+               ~prev:(99 + i) ~next:Kernel.Types.no_vid;
              Checker.Stream.observe_commit t ~txn:i
                ~start:(float_of_int (2 * i))
                ~finish:(float_of_int ((2 * i) + 1))
-               ~reads:[ (1, 99 + i) ]
+               ~reads:[ (1, 99 + i, 0) ]
                ~writes:[ (1, 100 + i) ]
            done;
            match Checker.Stream.finalize t with

@@ -30,7 +30,9 @@
    writer, the stale-read evidence) or a closed tail (payload: its own
    writer, retired or initial); version entries in a recycled
    struct-of-arrays slot arena, linked per key by slot number,
-   counting live readers. A key's order is dropped once only a settled
+   counting live readers; each live record's reads and writes are
+   (key, vid) pairs in two flat int arrays, compacted with the records
+   at each sweep. A key's order is dropped once only a settled
    tail is left; the tail is reopened, exactly as it was closed, by
    the next read, write record or announcement that names it.
 
@@ -45,11 +47,15 @@ open Kernel
 
 type times = { start : float; finish : float }  (* all-float: unboxed *)
 
+(* A record's writes, then its reads, are the (key, vid) pairs at
+   [t_off ..] of the flat [keys] / [vids] arrays, appended in record
+   order. *)
 type rec_ = {
   t_txn : int;
   t_time : times;
-  t_reads : (Types.key * int) list;
-  t_writes : (Types.key * int) list;
+  mutable t_off : int;
+  t_nw : int;
+  t_nr : int;
   mutable t_pending : int;  (* reads of not-yet-announced versions *)
   mutable t_unobserved : int;  (* writes not yet announced by a server *)
   mutable t_node : int;  (* node number in the epoch graph ... *)
@@ -92,6 +98,9 @@ type t = {
   live : rec_ Inttbl.t;  (* txn -> its record, keyed by [t_txn] *)
   mutable recs : rec_ array;  (* live records, oldest first *)
   mutable n_recs : int;
+  mutable keys : int array;  (* the live records' (key, vid) pairs *)
+  mutable vids : int array;
+  mutable n_pairs : int;
   orders : int Inttbl.t;
       (* key -> head slot of its order (serializable: its first vid);
          [none] when the key has no order *)
@@ -133,8 +142,9 @@ let none_rec =
   {
     t_txn = min_int;
     t_time = { start = Float.nan; finish = Float.nan };
-    t_reads = [];
-    t_writes = [];
+    t_off = 0;
+    t_nw = 0;
+    t_nr = 0;
     t_pending = 0;
     t_unobserved = 0;
     t_node = none;
@@ -152,6 +162,9 @@ let create ?(strict = true) ?(epoch = 1024) ?(watermark = fun () -> Float.neg_in
     live = Inttbl.keyed ~key:(fun r -> r.t_txn) ~empty:none_rec;
     recs = [||];
     n_recs = 0;
+    keys = [||];
+    vids = [||];
+    n_pairs = 0;
     orders = Inttbl.create ~empty:none;
     words = [||];
     base = 0;
@@ -330,14 +343,15 @@ let followed_by v = (v lsl 2) lor 1
 let last = 2
 
 let link_vid t key vid prev =
-  match prev with
-  | Some pv when word t pv <> unknown ->
-    set_word t vid (word t pv);
-    set_word t pv (followed_by vid)
-  | _ ->
+  if prev <> Types.no_vid && word t prev <> unknown then begin
+    set_word t vid (word t prev);
+    set_word t prev (followed_by vid)
+  end
+  else begin
     let h = Inttbl.find t.orders key in
     set_word t vid (if h = none then last else followed_by h);
     Inttbl.replace t.orders key vid
+  end
 
 let linked_vids t first =
   let rec go acc vid =
@@ -372,7 +386,7 @@ let observe_version t ~key ~vid ~writer ~prev ~next =
         t.a_writer.(s) <- r.t_txn;
         r.t_unobserved <- r.t_unobserved - 1
       end;
-      insert_after t key (match prev with Some pv -> open_slot t key pv | None -> none) s;
+      insert_after t key (if prev = Types.no_vid then none else open_slot t key prev) s;
       set_word t vid (live s);
       (* instant ww-into-retired: committed between a retired writer's
          version and its predecessors = timestamp inversion. Sound
@@ -383,13 +397,11 @@ let observe_version t ~key ~vid ~writer ~prev ~next =
          must name the writing *transaction*, so an unclaimed entry
          parks the evidence ([a_rsucc]) until its record claims it in
          [observe_commit]. *)
-      (match next with
-       | Some nv ->
-         let w = succ_writer t key nv in
+      (if next <> Types.no_vid then
+         let w = succ_writer t key next in
          let own = t.a_writer.(s) in
          if w <> none then
-           if own = unclaimed then t.a_rsucc.(s) <- w else if own <> 0 then cycle2 t own w
-       | None -> ());
+           if own = unclaimed then t.a_rsucc.(s) <- w else if own <> 0 then cycle2 t own w);
       (* resolve readers that were parked on this vid, oldest first *)
       match Inttbl.find t.pend_reads vid with
       | [] -> ()
@@ -432,17 +444,16 @@ let link t a b =
    to the successor's writer. Every edge between two representable
    nodes has a live, claimed endpoint whose own record reaches it, so
    the epoch check is O(live), independent of the keys ever touched. *)
-let rec edges t ~final ~write r = function
-  | [] -> ()
-  | (_, vid) :: tl ->
-    let s = slot t vid in
+let edges t ~final ~write r i stop =
+  for i = i to stop - 1 do
+    let s = slot t t.vids.(i) in
     if s <> none then begin
       let src = if write then t.a_prev.(s) else s in
       if src <> none then link t (writer_rec t ~final src) r;
       let n = t.a_next.(s) in
       if n <> none then link t r (writer_rec t ~final n)
-    end;
-    edges t ~final ~write r tl
+    end
+  done
 
 (* Greatest i with finish(arr.(i)) < start(r), or -1. *)
 let last_before arr r =
@@ -460,8 +471,9 @@ let live_graph t ~final =
   for i = n - 1 downto 0 do
     let r = t.recs.(i) in
     ignore (node t r);
-    edges t ~final ~write:false r r.t_reads;
-    edges t ~final ~write:true r r.t_writes
+    let rd = r.t_off + r.t_nw in
+    edges t ~final ~write:false r rd (rd + r.t_nr);
+    edges t ~final ~write:true r r.t_off rd
   done;
   (* real-time edges over the live set, compressed with the same
      commit-event chain as Rsg (epoch-local chain numbering) *)
@@ -492,20 +504,16 @@ let cycle_check t ~final =
 
 (* --- retirement and pruning -------------------------------------------- *)
 
-let rec release_reads t txn = function
-  | [] -> ()
-  | (_, vid) :: tl ->
-    let s = slot t vid in
-    if s <> none then begin
-      t.a_readers.(s) <- t.a_readers.(s) - 1;
-      if t.a_writer.(s) = unclaimed && t.a_rreader.(s) = none then t.a_rreader.(s) <- txn
-    end;
-    release_reads t txn tl
-
 let retire_one t r =
   Inttbl.remove t.live r.t_txn;
   t.n_retired <- t.n_retired + 1;
-  release_reads t r.t_txn r.t_reads
+  for i = r.t_off + r.t_nw to r.t_off + r.t_nw + r.t_nr - 1 do
+    let s = slot t t.vids.(i) in
+    if s <> none then begin
+      t.a_readers.(s) <- t.a_readers.(s) - 1;
+      if t.a_writer.(s) = unclaimed && t.a_rreader.(s) = none then t.a_rreader.(s) <- r.t_txn
+    end
+  done
 
 (* An entry is settled when its writer retired (or is initial) and no
    live or retired-before-the-claim reader holds it. *)
@@ -545,28 +553,30 @@ let prune_key t key =
     else t.a_swept.(h) <- t.n_epochs
   end
 
-let rec prune_keys t = function
-  | [] -> ()
-  | (key, _) :: tl ->
-    prune_key t key;
-    prune_keys t tl
-
-(* Compact the live records, pruning the keys of the retired ones. *)
+(* Compact the live records and their pairs, pruning the keys of the
+   retired ones. A record's pairs only move down, over pairs already
+   swept. *)
 let sweep t =
-  let k = ref 0 in
+  let k = ref 0 and p = ref 0 in
   for i = 0 to t.n_recs - 1 do
     let r = t.recs.(i) in
+    let n = r.t_nw + r.t_nr in
     if Inttbl.mem t.live r.t_txn then begin
       t.recs.(!k) <- r;
-      incr k
+      incr k;
+      Array.blit t.keys r.t_off t.keys !p n;
+      Array.blit t.vids r.t_off t.vids !p n;
+      r.t_off <- !p;
+      p := !p + n
     end
-    else begin
-      prune_keys t r.t_reads;
-      prune_keys t r.t_writes
-    end
+    else
+      for j = r.t_off to r.t_off + n - 1 do
+        prune_key t t.keys.(j)
+      done
   done;
   Array.fill t.recs !k (t.n_recs - !k) none_rec;
-  t.n_recs <- !k
+  t.n_recs <- !k;
+  t.n_pairs <- !p
 
 (* Retirement gate: the harness watermark only bounds the starts of
    transactions whose commit is still *unobserved*. A live record with
@@ -611,18 +621,76 @@ let push_rec t r =
   t.recs.(t.n_recs) <- r;
   t.n_recs <- t.n_recs + 1
 
+let push_pair t key vid =
+  let n = t.n_pairs in
+  if n = Array.length t.keys then begin
+    t.keys <- grow t.keys;
+    t.vids <- grow t.vids
+  end;
+  t.keys.(n) <- key;
+  t.vids.(n) <- vid;
+  t.n_pairs <- n + 1
+
+(* Append [r]'s writes and claim their versions. *)
+let rec claim_writes t r = function
+  | [] -> ()
+  | (key, vid) :: tl ->
+    push_pair t key vid;
+    let s = open_slot t key vid in
+    if s = none then begin
+      (* server announcement still in flight *)
+      r.t_unobserved <- r.t_unobserved + 1;
+      Inttbl.replace t.pend_writes vid r
+    end
+    else begin
+      let txn = r.t_txn in
+      t.a_writer.(s) <- txn;
+      (* a reader of this version retired before we learned who
+         wrote it: wr edge into the retired set *)
+      if t.a_rreader.(s) <> none then cycle2 t txn t.a_rreader.(s);
+      (* our version's successor was retired at announcement time
+         (parked evidence) or retired while the record was in
+         flight: ww edge into the retired set *)
+      let w = if t.a_rsucc.(s) <> none then t.a_rsucc.(s) else succ_retired t s in
+      if w <> none then cycle2 t txn w
+    end;
+    claim_writes t r tl
+
+(* Append [r]'s reads and attach them, or park them on versions not
+   yet announced. *)
+let rec attach_reads t r = function
+  | [] -> ()
+  | (key, vid, _) :: tl ->
+    push_pair t key vid;
+    let txn = r.t_txn and w = word t vid in
+    (match w land 3 with
+     | 2 -> cycle2 t txn (w asr 2)
+     | 0 ->
+       r.t_pending <- r.t_pending + 1;
+       (* ncc-lint: allow R18 — one cell per read of a version whose announcement is still in flight; the multi-binding Hashtbl it replaces paid a 4-word bucket for the same read *)
+       Inttbl.replace t.pend_reads vid (txn :: Inttbl.find t.pend_reads vid);
+       let n_pend = Inttbl.length t.pend_reads in
+       if n_pend > t.pending_hw then t.pending_hw <- n_pend
+     | _ -> attach_read t txn (open_slot t key vid));
+    attach_reads t r tl
+
 let observe_commit t ~txn ~start ~finish ~reads ~writes =
   t.n_seen <- t.n_seen + 1;
   match t.serializable with
-  | Some h -> Rsg.record_commit h ~txn ~start ~finish ~reads ~writes
+  | Some h ->
+    Rsg.record_commit h ~txn ~start ~finish
+      (* ncc-lint: allow R17 — serializable mode only: a pair and a cell per read, which the post-hoc Rsg keeps for the run *)
+      ~reads:(List.map (fun (key, vid, _) -> (key, vid)) reads)
+      ~writes
   | None when not (Verdict.is_ok t.verdict) -> ()
   | None ->
     let r =
       {
         t_txn = txn;
         t_time = { start; finish };
-        t_reads = reads;
-        t_writes = writes;
+        t_off = t.n_pairs;
+        t_nw = List.length writes;
+        t_nr = List.length reads;
         t_pending = 0;
         t_unobserved = 0;
         t_node = none;
@@ -632,39 +700,8 @@ let observe_commit t ~txn ~start ~finish ~reads ~writes =
     Inttbl.replace t.live txn r;
     push_rec t r;
     if Inttbl.length t.live > t.hw then t.hw <- Inttbl.length t.live;
-    List.iter
-      (fun (key, vid) ->
-        let s = open_slot t key vid in
-        if s = none then begin
-          (* server announcement still in flight *)
-          r.t_unobserved <- r.t_unobserved + 1;
-          Inttbl.replace t.pend_writes vid r
-        end
-        else begin
-          t.a_writer.(s) <- txn;
-          (* a reader of this version retired before we learned who
-             wrote it: wr edge into the retired set *)
-          if t.a_rreader.(s) <> none then cycle2 t txn t.a_rreader.(s);
-          (* our version's successor was retired at announcement time
-             (parked evidence) or retired while the record was in
-             flight: ww edge into the retired set *)
-          let w = if t.a_rsucc.(s) <> none then t.a_rsucc.(s) else succ_retired t s in
-          if w <> none then cycle2 t txn w
-        end)
-      writes;
-    List.iter
-      (fun (key, vid) ->
-        let w = word t vid in
-        match w land 3 with
-        | 2 -> cycle2 t txn (w asr 2)
-        | 0 ->
-          r.t_pending <- r.t_pending + 1;
-          (* ncc-lint: allow R17 — one cell per read of a version whose announcement is still in flight; the multi-binding Hashtbl it replaces paid a 4-word bucket for the same read *)
-          Inttbl.replace t.pend_reads vid (txn :: Inttbl.find t.pend_reads vid);
-          let n_pend = Inttbl.length t.pend_reads in
-          if n_pend > t.pending_hw then t.pending_hw <- n_pend
-        | _ -> attach_read t txn (open_slot t key vid))
-      reads;
+    claim_writes t r writes;
+    attach_reads t r reads;
     t.since_epoch <- t.since_epoch + 1;
     if t.since_epoch >= t.epoch_len then run_epoch t
 
@@ -673,12 +710,17 @@ let observe_commit t ~txn ~start ~finish ~reads ~writes =
 (* Reads still unresolved at the end of the run are dirty: the vid
    appears in no committed order, matching Rsg's definition. Report
    the same one Rsg would (first in newest-first record order). *)
+let rec unknown_from t i stop =
+  if i >= stop || word t t.vids.(i) = unknown then i else unknown_from t (i + 1) stop
+
 let rec first_dirty t i =
   if i < 0 then None
   else
-    match List.find_opt (fun (_, vid) -> word t vid = unknown) t.recs.(i).t_reads with
-    | Some (key, vid) -> Some (Verdict.Dirty_read { txn = t.recs.(i).t_txn; key; vid })
-    | None -> first_dirty t (i - 1)
+    let r = t.recs.(i) in
+    let stop = r.t_off + r.t_nw + r.t_nr in
+    let j = unknown_from t (r.t_off + r.t_nw) stop in
+    if j < stop then Some (Verdict.Dirty_read { txn = r.t_txn; key = t.keys.(j); vid = t.vids.(j) })
+    else first_dirty t (i - 1)
 
 let finalize t =
   (if Verdict.is_ok t.verdict then

@@ -49,7 +49,8 @@ val create :
   t
 
 (** A server committed [vid] for [key], whose nearest committed
-    predecessor / successor at commit time were [prev] / [next].
+    predecessor / successor at commit time were [prev] / [next]
+    ([Kernel.Types.no_vid] for none).
     [writer] only distinguishes the key's initial version (0) from
     real writes (any nonzero value — servers announce under wire ids,
     so the writing transaction's identity is established later, by
@@ -61,19 +62,20 @@ val observe_version :
   key:Kernel.Types.key ->
   vid:int ->
   writer:int ->
-  prev:int option ->
-  next:int option ->
+  prev:int ->
+  next:int ->
   unit
 
 (** A client observed transaction [txn] commit, reading and writing
-    the given (key, vid) pairs — the same record {!Rsg.record_commit}
-    takes. *)
+    the given versions — the record {!Rsg.record_commit} takes, with
+    the reads as the outcome lists them, (key, vid, value); the value
+    is ignored. *)
 val observe_commit :
   t ->
   txn:int ->
   start:float ->
   finish:float ->
-  reads:(Kernel.Types.key * int) list ->
+  reads:(Kernel.Types.key * int * Kernel.Types.value) list ->
   writes:(Kernel.Types.key * int) list ->
   unit
 

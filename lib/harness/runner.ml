@@ -223,6 +223,12 @@ let validate cfg =
   let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
   let span x = Float.is_finite x && x >= 0.0 in
   let prob p = p >= 0.0 && p <= 1.0 in
+  let n_nodes = cfg.n_servers + cfg.n_clients + (cfg.n_servers * cfg.replicas_per_server) in
+  (* the farthest any local clock reads from 0 before the run ends; half
+     the packed range is left for asynchrony shifts and refinements *)
+  let horizon = cfg.warmup +. cfg.duration +. cfg.drain in
+  let reach = horizon +. Float.abs cfg.max_clock_offset +. (Float.abs cfg.max_clock_drift *. horizon) in
+  let ts_span = float_of_int Ts.max_time /. 2e9 in
   if cfg.n_servers < 1 then fail "n_servers must be at least 1 (got %d)" cfg.n_servers
   else if cfg.n_clients < 1 then fail "n_clients must be at least 1 (got %d)" cfg.n_clients
   else if cfg.replicas_per_server < 0 then
@@ -236,6 +242,10 @@ let validate cfg =
   else if not (span cfg.drain) then fail "drain must be finite and >= 0 (got %g)" cfg.drain
   else if not (span cfg.retry_backoff) then
     fail "retry_backoff must be finite and >= 0 (got %g)" cfg.retry_backoff
+  else if n_nodes - 1 > Ts.max_cid then
+    fail "%d nodes, but timestamps hold node ids up to %d" n_nodes Ts.max_cid
+  else if not (reach <= ts_span) then
+    fail "local clocks reach %g s, past the %.0f s timestamps hold" reach ts_span
   else if cfg.check_window < 1 then
     fail "check_window must be at least 1 (got %d)" cfg.check_window
   else if not (prob cfg.faults.drop) then
@@ -353,9 +363,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
              (fun store ->
                Mvstore.Store.set_on_commit store (fun key v ~prev ~next ->
                    Checker.Stream.observe_version st ~key ~vid:v.Mvstore.Store.vid
-                     ~writer:v.Mvstore.Store.writer
-                     ~prev:(Option.map (fun (p : Mvstore.Store.version) -> p.vid) prev)
-                     ~next:(Option.map (fun (s : Mvstore.Store.version) -> s.vid) next)))
+                     ~writer:v.Mvstore.Store.writer ~prev ~next))
              (P.server_stores srv)
          | None -> ());
         (id, srv))
@@ -520,8 +528,7 @@ let run ?(label = "") ?metrics (module P : Protocol.S) (w : Workload_sig.t) cfg 
                 ring_prune wm_ring;
                 Checker.Stream.observe_commit st ~txn:o.txn.Txn.id
                   ~start:p.p_attempt_start ~finish:now
-                  ~reads:(List.map (fun (k, vid, _) -> (k, vid)) o.reads)
-                  ~writes:o.writes
+                  ~reads:o.reads ~writes:o.writes
               | None -> ())
            | Outcome.Aborted reason ->
              let reason_s = Outcome.reason_to_string reason in

@@ -117,7 +117,10 @@ val violated : result -> bool
 
 (** [Error msg] when [config] cannot run: fewer than one server or
     client, negative replicas, a negative or non-finite load, duration,
-    warmup, drain or [retry_backoff], [check_window] < 1, a
+    warmup, drain or [retry_backoff], more nodes than {!Kernel.Ts}
+    client ids hold, local clocks (offset and drift over warmup,
+    duration and drain) that can read past half the packed time range
+    or are not finite, [check_window] < 1, a
     [request_timeout] that is not finite and > 0, a [series_width]
     <= 0, or a [store_gc] period <= 0 or keep < 1. Zero durations are
     valid. {!run} applies it first; the CLIs report it and exit 2. *)

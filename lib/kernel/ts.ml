@@ -1,32 +1,44 @@
 (* Timestamps combine a physical time (integer nanoseconds of the issuing
    node's local clock) with the client identifier, making them unique and
    totally ordered (§4.1 of the paper: ties on the physical component are
-   broken by client id). *)
+   broken by client id).
 
-type t = { time : int; cid : int }
+   The pair is packed into one immediate int, time in the high bits and
+   the client id in the low [cid_bits], so the int order is the
+   lexicographic (time, cid) order and a timestamp is never boxed. *)
 
-let zero = { time = 0; cid = 0 }
-let infinity = { time = max_int; cid = max_int }
+type t = int
 
-let make ~time ~cid = { time; cid }
+let cid_bits = 20
+let max_cid = (1 lsl cid_bits) - 1
+let max_time = max_int asr cid_bits
+let min_time = min_int asr cid_bits
 
-let compare a b =
-  let c = Int.compare a.time b.time in
-  if c <> 0 then c else Int.compare a.cid b.cid
+let make ~time ~cid =
+  if cid < 0 || cid > max_cid || time < min_time || time > max_time then
+    invalid_arg "Ts.make: time or client id outside the packed range";
+  (time lsl cid_bits) lor cid
 
-let equal a b = compare a b = 0
-let max a b = if compare a b >= 0 then a else b
-let min a b = if compare a b <= 0 then a else b
+let time t = t asr cid_bits
+let cid t = t land max_cid
 
-let ( < ) a b = compare a b < 0
-let ( <= ) a b = compare a b <= 0
-let ( > ) a b = compare a b > 0
-let ( >= ) a b = compare a b >= 0
+let zero = 0
+let infinity = max_int
+
+let compare = Int.compare
+let equal = Int.equal
+let max (a : t) b = if a >= b then a else b
+let min (a : t) b = if a <= b then a else b
+
+let ( < ) (a : t) b = a < b
+let ( <= ) (a : t) b = a <= b
+let ( > ) (a : t) b = a > b
+let ( >= ) (a : t) b = a >= b
 
 (* The smallest timestamp strictly greater than [t] with the same client
    id: used by the server-side refinement rule t_w = max(t, curr.t_r + 1)
    (Alg 4.2 line 10), where "+ 1" bumps the physical component. *)
-let succ t = { t with time = t.time + 1 }
+let succ t = t + (1 lsl cid_bits)
 
-let pp ppf t = Fmt.pf ppf "%d.%d" t.time t.cid
+let pp ppf t = Fmt.pf ppf "%d.%d" (time t) (cid t)
 let to_string t = Fmt.str "%a" pp t

@@ -1,13 +1,26 @@
 (** Unique, totally ordered transaction timestamps: a physical-clock
     component (integer nanoseconds) plus the issuing client's id as a
-    tie-breaker (paper §4.1). *)
+    tie-breaker (paper §4.1), packed into one immediate int whose
+    order is the lexicographic (time, client id) order. *)
 
-type t = { time : int; cid : int }
+type t = private int
 
 val zero : t
 val infinity : t
 
+(** Client ids occupy the low 20 bits: [0 .. max_cid]. *)
+val max_cid : int
+
+(** The physical component's range, [min_time .. max_time] ns. *)
+val min_time : int
+
+val max_time : int
+
+(** Raises [Invalid_argument] when [cid] or [time] is outside its field. *)
 val make : time:int -> cid:int -> t
+
+val time : t -> int
+val cid : t -> int
 
 val compare : t -> t -> int
 val equal : t -> t -> bool

@@ -9,6 +9,9 @@
 type key = int
 type value = int
 
+(* Version ids are positive; this one names no version. *)
+let no_vid = -1
+
 type node_id = int
 (** Nodes are numbered 0 .. n-1; servers first, then clients (see
     [Cluster.Topology]). *)

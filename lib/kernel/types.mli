@@ -3,6 +3,9 @@
 type key = int
 type value = int
 
+(** Version ids are positive; [no_vid] (-1) names no version. *)
+val no_vid : int
+
 (** Nodes are numbered 0..n-1: servers first, then clients (see
     [Cluster.Topology]). *)
 type node_id = int

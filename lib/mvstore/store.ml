@@ -70,12 +70,10 @@ type t = {
          version (pair layout; its empty value is a version of no key) *)
   mutable written : chain;  (* head of the written list, or the empty chain *)
   mutable created : int;  (* versions created by this store (stats) *)
-  mutable on_commit :
-    (Types.key -> version -> prev:version option -> next:version option -> unit)
-    option;
+  mutable on_commit : (Types.key -> version -> prev:int -> next:int -> unit) option;
       (* streaming-checker hook: fired for every committed version
-         (and each key's initial version) with its nearest *committed*
-         chain neighbors at commit time *)
+         (and each key's initial version) with the vids of its nearest
+         *committed* chain neighbours at commit time, or [Types.no_vid] *)
 }
 
 (* Vid source is domain-local: Runner.run calls [reset_vids] at the
@@ -150,9 +148,9 @@ let set_on_commit t f =
       ignore
         (List.fold_left
            (fun prev v ->
-             f key v ~prev ~next:None;
-             Some v)
-           None vs))
+             f key v ~prev ~next:Types.no_vid;
+             v.vid)
+           Types.no_vid vs))
     (List.rev (committed_by_key t))
 
 (* Draw a key's initial version at its first access. It is born
@@ -160,7 +158,7 @@ let set_on_commit t f =
 let new_initial t key =
   let v = initial_version (fresh_vid ()) in
   (match t.on_commit with
-   | Some f -> f key v ~prev:None ~next:None
+   | Some f -> f key v ~prev:Types.no_vid ~next:Types.no_vid
    | None -> ());
   v
 
@@ -299,11 +297,9 @@ let chain_commit t key c v =
     let i = index_of c v.vid in
     if i >= 0 then begin
       let p = nearest_committed c (i - 1) (-1) and n = nearest_committed c (i + 1) 1 in
-      (* ncc-lint: allow R18 — the hook's neighbours: at most two options per committed version, only while a checker listens *)
-      let prev = if p < 0 then None else Some c.vs.(p) in
-      (* ncc-lint: allow R18 — as above *)
-      let next = if n < 0 then None else Some c.vs.(n) in
-      f key v ~prev ~next
+      f key v
+        ~prev:(if p < 0 then Types.no_vid else c.vs.(p).vid)
+        ~next:(if n < 0 then Types.no_vid else c.vs.(n).vid)
     end
 
 (* Unlink an aborted version from its chain. *)

@@ -96,14 +96,16 @@ val commit_in : t -> Types.key -> version -> unit
 
 (** Install the per-store commit observer. It fires for every
     [commit_in] and for each key's initial version at the key's first
-    access. Installation also replays the committed versions of every
-    key already accessed, chained or not, in ascending key order
-    (oldest first, with the previous committed version as [prev]), so
+    access, with the vids of the version's nearest committed
+    neighbours as [prev] / [next] ([Types.no_vid] for none).
+    Installation also replays the committed versions of every key
+    already accessed, chained or not, in ascending key order (oldest
+    first, with the previous committed version's vid as [prev]), so
     versions committed before the hook was installed — e.g. during
     server construction — are never silently skipped. *)
 val set_on_commit :
   t ->
-  (Types.key -> version -> prev:version option -> next:version option -> unit) ->
+  (Types.key -> version -> prev:int -> next:int -> unit) ->
   unit
 
 (** Unlink an aborted version and run its parked callbacks. *)

@@ -40,7 +40,9 @@ type inflight = {
   mutable f_final : bool;  (* the shot in flight is the last one *)
   mutable f_awaiting : int;
   mutable f_round : int;  (* current shot number; stamps Exec messages *)
-  mutable f_results : Msg.op_result list;  (* newest first *)
+  mutable f_results : Msg.op_result list list;  (* replies' results, newest reply first *)
+  mutable f_reads : (Types.key * int * Types.value) list;  (* the outcome's, once split *)
+  mutable f_writes : (Types.key * int) list;
   mutable f_flag : [ `Ok | `Early | `Ro ];
   mutable f_participants : Types.node_id list;
   mutable f_contacted : contact list;  (* newest first *)
@@ -107,7 +109,7 @@ let pre_assign t ~participants ~is_ro =
     (* a read-only transaction whose timestamp is >= every known t_ro is
        guaranteed to pass the safeguard absent ro_aborts (§4.5) *)
     if is_ro then
-      List.fold_left (fun acc s -> max acc (t.tro.(s).Ts.time + 1)) time participants
+      List.fold_left (fun acc s -> max acc (Ts.time t.tro.(s) + 1)) time participants
     else time
   in
   (* timestamps must be unique (§4.1): a client issuing two transactions
@@ -128,15 +130,24 @@ let send_decide t f ~commit =
       (fun c -> t.ctx.send ~dst:c.c_server (Msg.Decide { d_wire = f.f_wire; d_commit = commit }))
       f.f_contacted
 
-(* One pass over the results, newest first, so consing leaves reads and
-   writes oldest first. *)
-let rec split_results f ~status ~commit_ts reads writes = function
-  | [] -> { Outcome.txn = f.f_txn; status; reads; writes; commit_ts }
+(* Cons one reply's results onto the outcome lists, last op first, so
+   that after the replies newest first the lists run oldest first. *)
+let rec split_reply f = function
+  | [] -> ()
   | (r : Msg.op_result) :: rest ->
+    split_reply f rest;
     (* ncc-lint: allow R18 — one tuple and one cell per op: the outcome's read and write lists, the per-transaction result the harness consumes *)
-    if r.r_is_write then split_results f ~status ~commit_ts reads ((r.r_key, r.r_vid) :: writes) rest else split_results f ~status ~commit_ts ((r.r_key, r.r_vid, r.r_value) :: reads) writes rest
+    if r.r_is_write then f.f_writes <- (r.r_key, r.r_vid) :: f.f_writes else f.f_reads <- (r.r_key, r.r_vid, r.r_value) :: f.f_reads
 
-let outcome_of f ~status ~commit_ts = split_results f ~status ~commit_ts [] [] f.f_results
+let rec split_replies f = function
+  | [] -> ()
+  | rs :: older ->
+    split_reply f rs;
+    split_replies f older
+
+let outcome_of f ~status ~commit_ts =
+  split_replies f f.f_results;
+  { Outcome.txn = f.f_txn; status; reads = f.f_reads; writes = f.f_writes; commit_ts }
 
 let finish_commit t f ~commit_ts =
   Intmap.remove t.inflight f.f_wire;
@@ -244,10 +255,11 @@ let start_smart_retry t f ~ts =
 (* Reads observed so far, oldest first (input for interactive
    continuations). *)
 let reads_so_far f =
-  List.rev_map
-    (* ncc-lint: allow R18 — interactive transactions only: the continuation's input is the read list *)
-    (fun (r : Msg.op_result) -> (r.Msg.r_key, r.Msg.r_value))
-    (List.filter (fun (r : Msg.op_result) -> not r.Msg.r_is_write) f.f_results)
+  List.concat_map
+    (List.filter_map (fun (r : Msg.op_result) ->
+         (* ncc-lint: allow R18 — interactive transactions only: the continuation's input is the read list *)
+         if r.Msg.r_is_write then None else Some (r.Msg.r_key, r.Msg.r_value)))
+    (List.rev f.f_results)
 
 (* Send the next step of the transaction's logic: static shots first,
    then the interactive continuation; fall through to the safeguard
@@ -338,6 +350,8 @@ let submit t txn =
       f_awaiting = 0;
       f_round = 0;
       f_results = [];
+      f_reads = [];
+      f_writes = [];
       f_flag = `Ok;
       f_participants = participants;
       f_contacted = [];
@@ -370,7 +384,9 @@ let handle_exec_reply t (r : Msg.exec_reply) =
     () (* stale round, or a duplicate delivery of this round's reply *)
   | Some f ->
     (match r.e_flag with
-     | Msg.Ok -> f.f_results <- List.rev_append r.e_results f.f_results
+     | Msg.Ok ->
+       (* ncc-lint: allow R17 — one cell per reply: its result list is kept as the server sent it *)
+       if r.e_results <> [] then f.f_results <- r.e_results :: f.f_results
      | Msg.Early_abort -> f.f_flag <- `Early
      | Msg.Ro_abort -> if f.f_flag = `Ok then f.f_flag <- `Ro);
     f.f_awaiting <- f.f_awaiting - 1;

@@ -83,28 +83,37 @@ type flag = Ok | Early_abort | Ro_abort
    each result below it is directly followed by an own write whose
    t_w reaches it. *)
 
-(* Does an own write in [results] directly follow version [vid] with a
-   t_w of at least [tw]? *)
-let rec followed_by_own_write vid tw = function
+(* The results come as a list of replies' result lists, in any order.
+   Does an own write among [replies] directly follow version [vid] with
+   a t_w of at least [tw]? *)
+let rec own_write_in vid tw = function
   | [] -> false
   | w :: rest ->
-    (w.r_is_write && w.r_prev_vid = vid && Ts.(w.r_tw >= tw))
-    || followed_by_own_write vid tw rest
+    (w.r_is_write && w.r_prev_vid = vid && Ts.(w.r_tw >= tw)) || own_write_in vid tw rest
 
-let rec max_tw acc = function [] -> acc | r :: rest -> max_tw (Ts.max acc r.r_tw) rest
+let rec followed_by_own_write vid tw = function
+  | [] -> false
+  | rs :: more -> own_write_in vid tw rs || followed_by_own_write vid tw more
+
+let rec max_tw_in acc = function [] -> acc | r :: rest -> max_tw_in (Ts.max acc r.r_tw) rest
+let rec max_tw acc = function [] -> acc | rs :: more -> max_tw (max_tw_in acc rs) more
 
 (* Does every result of the list reach [tw], directly or through an
-   own write of [results]? *)
-let rec all_reach results tw = function
+   own write of [replies]? *)
+let rec all_reach_in replies tw = function
   | [] -> true
   | r :: rest ->
-    (Ts.(r.r_tr >= tw) || followed_by_own_write r.r_vid tw results)
-    && all_reach results tw rest
+    (Ts.(r.r_tr >= tw) || followed_by_own_write r.r_vid tw replies)
+    && all_reach_in replies tw rest
+
+let rec all_reach replies tw = function
+  | [] -> true
+  | rs :: more -> all_reach_in replies tw rs && all_reach replies tw more
 
 (* Commit iff the (extended) pairs share a synchronization point; the
    maximal t_w is the commit timestamp / smart-retry suggestion. One
    pass finds it and one checks every result against it; only a result
-   that needs an own write to reach it scans the list again. *)
+   that needs an own write to reach it scans the lists again. *)
 let safeguard results =
   let tw_max = max_tw Ts.zero results in
   (* ncc-lint: allow R18 — one pair per decided transaction: the verdict and its commit timestamp *)

@@ -716,7 +716,9 @@ let smart_retry t ~src ~wire ~ts =
 
 (* --- client-failure recovery (§4.6) --------------------------------- *)
 
-let overlap results = results <> [] && fst (Msg.safeguard results)
+let overlap results =
+  (* ncc-lint: allow R18 — one cell per recovered decision: the safeguard takes a list of replies *)
+  results <> [] && fst (Msg.safeguard [ results ])
 
 let start_recovery t ~wire ~cohorts =
   if (not (Inttbl.mem t.recovering wire)) && not (Wires.decided t.wires wire) then begin

@@ -31,4 +31,6 @@ case_ run -w google-f1 -l 2000 --duration 0.1 --drop 1.5
 case_ run --dup=-0.1
 case_ run --drop nan
 case_ run --faults 3 --dup=-0.1
+case_ run --duration 5000
+case_ run --clients 1048600 --duration 0.01
 code_ run --check post

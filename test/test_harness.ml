@@ -291,6 +291,11 @@ let runner_validate () =
         "faults.delay_extra must be finite and >= 0 (got inf)" );
       ( { d with R.faults = { Cluster.Faults.none with delay_extra = -1e-3 } },
         "faults.delay_extra must be finite and >= 0 (got -0.001)" );
+      (* packed timestamps: node ids in 20 bits, local time in 2^41 ns *)
+      ({ d with R.n_clients = 1 lsl 20 }, "1048584 nodes, but timestamps hold node ids up to 1048575");
+      ({ d with R.duration = 3000.0 }, "local clocks reach 3002.06 s, past the 2199 s timestamps hold");
+      ( { d with R.max_clock_offset = Float.nan },
+        "local clocks reach nan s, past the 2199 s timestamps hold" );
     ];
   let atlas_cells =
     List.concat_map

@@ -25,12 +25,12 @@ let res ?(w = false) key (tw, tr) =
   }
 
 let safeguard_passes_on_overlap () =
-  let ok, tc = Client.safeguard [ res 1 (0, 10); res 2 (5, 8); res ~w:true 3 (7, 7) ] in
+  let ok, tc = Client.safeguard [ [ res 1 (0, 10); res 2 (5, 8) ]; [ res ~w:true 3 (7, 7) ] ] in
   Alcotest.(check bool) "overlap" true ok;
   Alcotest.(check bool) "commit ts is max tw" true (Ts.equal tc (ts 7))
 
 let safeguard_rejects_disjoint () =
-  let ok, tc = Client.safeguard [ res 1 (0, 4); res ~w:true 2 (6, 6) ] in
+  let ok, tc = Client.safeguard [ [ res 1 (0, 4); res ~w:true 2 (6, 6) ] ] in
   Alcotest.(check bool) "no overlap" false ok;
   Alcotest.(check bool) "suggested t' is max tw" true (Ts.equal tc (ts 6))
 
@@ -41,11 +41,11 @@ let safeguard_boundary_equal =
       let results =
         List.map (fun (a, b) -> res 1 (min a b, max a b)) pairs
       in
-      let tw_max = List.fold_left (fun acc r -> max acc r.Msg.r_tw.Ts.time) 0 results in
+      let tw_max = List.fold_left (fun acc r -> max acc (Ts.time r.Msg.r_tw)) 0 results in
       let tr_min =
-        List.fold_left (fun acc r -> min acc r.Msg.r_tr.Ts.time) max_int results
+        List.fold_left (fun acc r -> min acc (Ts.time r.Msg.r_tr)) max_int results
       in
-      let ok, _ = Client.safeguard results in
+      let ok, _ = Client.safeguard [ results ] in
       ok = (tw_max <= tr_min))
 
 (* A rig client whose clock reads 0: pre-assigned time equals the
@@ -72,9 +72,9 @@ let async_aware_shift () =
   let t0 = Client.pre_assign c ~participants:[ 0; 1 ] ~is_ro:false in
   let t2 = Client.pre_assign c ~participants:[ 0; 2 ] ~is_ro:false in
   (* the per-client monotonic floor lifts a zero clock to 1 *)
-  Alcotest.(check int) "no shift for unknown servers" 1 t0.Ts.time;
-  Alcotest.(check int) "shift applied" 5000 t2.Ts.time;
-  Alcotest.(check int) "client id embedded" 4 t2.Ts.cid
+  Alcotest.(check int) "no shift for unknown servers" 1 (Ts.time t0);
+  Alcotest.(check int) "shift applied" 5000 (Ts.time t2);
+  Alcotest.(check int) "client id embedded" 4 (Ts.cid t2)
 
 let async_aware_disabled () =
   let engine = Sim.Engine.create () in
@@ -94,13 +94,13 @@ let async_aware_disabled () =
   in
   c.Client.delta.(2) <- 5000.0;
   let t = Client.pre_assign c ~participants:[ 2 ] ~is_ro:false in
-  Alcotest.(check int) "no shift when disabled (floor only)" 1 t.Ts.time
+  Alcotest.(check int) "no shift when disabled (floor only)" 1 (Ts.time t)
 
 let ro_ts_covers_tro () =
   let c = mk_client () in
   c.Client.tro.(1) <- Ts.make ~time:777 ~cid:0;
   let t = Client.pre_assign c ~participants:[ 1 ] ~is_ro:true in
-  Alcotest.(check bool) "ts above every known t_ro" true (t.Ts.time >= 778)
+  Alcotest.(check bool) "ts above every known t_ro" true (Ts.time t >= 778)
 
 let ewma_tracks_replies () =
   let c = mk_client () in
@@ -203,7 +203,10 @@ let extend_matches_fixpoint =
   QCheck.Test.make ~name:"one-pass extension equals the fixpoint" ~count:1000
     own_pairs_gen (fun l ->
       let results = List.map result_of l in
-      let ok, tc = Client.safeguard results and ok', tc' = safeguard_ref results in
+      (* two replies, so own writes are also found across replies *)
+      let replies = List.partition (fun (r : Msg.op_result) -> r.r_vid mod 2 = 0) results in
+      let ok, tc = Client.safeguard [ fst replies; snd replies ]
+      and ok', tc' = safeguard_ref results in
       extend_own_pairs results = extend_ref results && ok = ok' && Ts.equal tc tc')
 
 (* Lists shaped like a transaction's results: a read-only one, or reads
@@ -230,7 +233,7 @@ let safeguard_matches_reference =
   QCheck.Test.make ~name:"safeguard equals the extend-then-fold reference" ~count:2000
     (QCheck.make txn_results_gen) (fun l ->
       let results = List.map result_of l in
-      let ok, tc = Client.safeguard results
+      let ok, tc = Client.safeguard [ results ]
       and ok', tc' = fold_pairs (extend_own_pairs results) in
       ok = ok' && Ts.equal tc tc')
 

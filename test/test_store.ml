@@ -118,9 +118,7 @@ let set_on_commit_replays_existing_chains () =
   ignore (Store.write s 1 43 ~ts:(ts 9) ~writer:8);
   let announced = ref [] in
   Store.set_on_commit s (fun key v ~prev ~next ->
-      let vid (o : Store.version option) =
-        match o with None -> "-" | Some p -> string_of_int p.Store.vid
-      in
+      let vid v = if v = Kernel.Types.no_vid then "-" else string_of_int v in
       announced :=
         Printf.sprintf "k%d v%d prev=%s next=%s" key v.Store.vid (vid prev)
           (vid next)
@@ -334,9 +332,8 @@ let op_key = function
 let run_lazy_script ~force script =
   let s = fresh () in
   let announced = ref [] in
-  let vid (o : Store.version option) = match o with None -> 0 | Some v -> v.Store.vid in
   Store.set_on_commit s (fun key v ~prev ~next ->
-      announced := (key, v.Store.vid, vid prev, vid next) :: !announced);
+      announced := (key, v.Store.vid, prev, next) :: !announced);
   let undecided = ref [] in
   let take = take_undecided undecided in
   let seen (v : Store.version) =
