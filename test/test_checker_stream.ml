@@ -671,12 +671,12 @@ let suite =
         delayed_announcements_stay_ok;
       Alcotest.test_case "parked inversion witness names the txn, not the wire id"
         `Quick parked_inversion_witness_names_txn;
-      Alcotest.test_case "sweeps move a parked record's pairs intact" `Quick
-        compaction_keeps_moved_pairs;
       Alcotest.test_case "quick tiers are never skipped" `Quick
         quick_tiers_not_skipped;
       Alcotest.test_case "quick Fig 8 document golden" `Quick quick_fig8_golden;
       Alcotest.test_case "quick Fig 7c document golden" `Quick quick_fig7c_golden;
+      Alcotest.test_case "sweeps move a parked record's pairs intact" `Quick
+        compaction_keeps_moved_pairs;
     ]
   @ List.map runner_agreement agreement_protocols
   @ List.map QCheck_alcotest.to_alcotest
