@@ -148,7 +148,13 @@ let r17_local_fn_clean () =
     "let limit = 8\n\
      let[@ncc.hot] clamp xs =\n\
     \  let rec go acc = function [] -> acc | x :: r -> go (acc + min x limit) r in\n\
-    \  go 0 xs\n"
+    \  go 0 xs\n";
+  check_sites "a let rec ... and group calling each other stays clean"
+    ~only:[ "R17"; "R18" ] []
+    "let[@ncc.hot] parity n =\n\
+    \  let rec even k = k = 0 || odd (k - 1)\n\
+    \  and odd k = k <> 0 && even (k - 1) in\n\
+    \  even n\n"
 
 let r17_pool_submit () =
   (* the satellite case: a closure literal handed to Pool.submit from

@@ -68,6 +68,12 @@ let fires () =
   check_sites "R5 inside nested module"
     [ ("fixture.ml", 2, "R5") ]
     "module M = struct\n  let hits = ref 0\nend\n";
+  check_sites "R5 at init under let-in-fun, not under a lazy"
+    [ ("fixture.ml", 3, "R5") ]
+    "let cache = lazy (Hashtbl.create 8)\n\
+     let lookup =\n\
+    \  let t = Hashtbl.create 8 in\n\
+    \  fun k -> Hashtbl.find_opt t k\n";
   check_sites "R6 wildcard try"
     [ ("fixture.ml", 1, "R6") ]
     "let safe g = try g () with _ -> 0\n";
