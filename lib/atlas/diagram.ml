@@ -11,20 +11,20 @@
    arrays. Written as top-level tail recursions — no closure, ref or
    boxed-float allocation. *)
 
-let rec sum_from (xs : float array) i acc =
+let[@ncc.hot] rec sum_from (xs : float array) i acc =
   if i >= Array.length xs then acc else sum_from xs (i + 1) (acc +. xs.(i))
 
-let mean (xs : float array) =
+let[@ncc.hot] mean (xs : float array) =
   if Array.length xs = 0 then 0.0
   else sum_from xs 0 0.0 /. float_of_int (Array.length xs)
 
-let rec winner_from (xs : float array) i best =
+let[@ncc.hot] rec winner_from (xs : float array) i best =
   if i >= Array.length xs then best
   else winner_from xs (i + 1) (if xs.(i) > xs.(best) then i else best)
 
 (* Index of the max element; ties keep the earliest (= scenario
    protocol order), making the winner deterministic. *)
-let winner_index (xs : float array) =
+let[@ncc.hot] winner_index (xs : float array) =
   if Array.length xs = 0 then 0 else winner_from xs 1 0
 
 (* --- reduction --------------------------------------------------------- *)

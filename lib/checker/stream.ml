@@ -371,7 +371,7 @@ let rec resolve_reads t s = function
       attach_read t rdr s
     end
 
-let observe_version t ~key ~vid ~writer ~prev ~next =
+let[@ncc.hot] observe_version t ~key ~vid ~writer ~prev ~next =
   (* a duplicated Decide can re-announce a vid; only the first counts *)
   if Verdict.is_ok t.verdict && word t vid = unknown then begin
     match t.serializable with
@@ -674,7 +674,7 @@ let rec attach_reads t r = function
      | _ -> attach_read t txn (open_slot t key vid));
     attach_reads t r tl
 
-let observe_commit t ~txn ~start ~finish ~reads ~writes =
+let[@ncc.hot] observe_commit t ~txn ~start ~finish ~reads ~writes =
   t.n_seen <- t.n_seen + 1;
   match t.serializable with
   | Some h ->

@@ -199,7 +199,7 @@ type 'msg t = {
    also the handler's span), then the handler itself. Shared by both
    service paths. Tracing is passive — no RNG draws, no scheduled
    events — so it cannot change a run's outcome. *)
-let finish_service t node ~src msg =
+let[@ncc.hot] finish_service t node ~src msg =
   if Sim.Trace.active () then
     Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Handle ~src
       ~dst:node.ctx.self ~x:0.0 ~start:node.scratch.(0) ~dur:node.scratch.(1) ~id:0
@@ -208,7 +208,7 @@ let finish_service t node ~src msg =
 
 (* Start servicing the inbox head: charge its CPU cost, note the start
    time and cost in [scratch], and schedule the completion. *)
-let rec service t node =
+let[@ncc.hot] rec service t node =
   if node.up && (not node.busy) && not (ib_is_empty node.inbox) then begin
     node.busy <- true;
     let ib = node.inbox in
@@ -243,7 +243,7 @@ let rec service t node =
     end
   end
 
-and complete_fast t node () =
+and[@ncc.hot] complete_fast t node () =
   let ib = node.inbox in
   let i = ib.ib_head in
   let src = ib.ib_srcs.(i) and msg = ib.ib_msgs.(i) in
@@ -256,7 +256,7 @@ and complete_fast t node () =
    time), carried by its Send (and Duplicated) events and by the Arrive
    of each copy. Arrive is emitted even when the message is lost below,
    so every flight span closes. *)
-let deliver t ~src ~flight node msg =
+let[@ncc.hot] deliver t ~src ~flight node msg =
   let dst = node.ctx.self in
   if Sim.Trace.active () then
     Sim.Trace.emit ~time:(Sim.Engine.now t.net_engine) Arrive ~src ~dst ~x:0.0
@@ -273,7 +273,7 @@ let deliver t ~src ~flight node msg =
 (* Deliver the message parked in arena slot [i]. The slot is released
    (and its message reference cleared) before [deliver] runs, so sends
    made by the handler reuse it instead of growing the arena. *)
-let deliver_slot t i =
+let[@ncc.hot] deliver_slot t i =
   let src = t.fl_srcs.(i)
   and dst = t.fl_dsts.(i)
   and flight = t.fl_flights.(i)
@@ -326,7 +326,7 @@ let fl_alloc t msg =
   t.fl_free_top <- top;
   t.fl_free.(top)
 
-let send_clean t ~src ~dst msg =
+let[@ncc.hot] send_clean t ~src ~dst msg =
   Latency.sample_into t.net_rng t.latency ~src ~dst t.sample 0;
   let flight = t.messages_sent in
   if Sim.Trace.active () then
@@ -339,7 +339,7 @@ let send_clean t ~src ~dst msg =
   t.fl_msgs.(i) <- msg;
   Sim.Engine.schedule_cell t.net_engine t.sample 0 t.fl_thunks.(i)
 
-let send_faulty t ~src ~dst msg =
+let[@ncc.hot] send_faulty t ~src ~dst msg =
   let now = Sim.Engine.now t.net_engine in
   if not t.nodes.(src).up then begin
     if Sim.Trace.active () then
@@ -387,7 +387,7 @@ let send_faulty t ~src ~dst msg =
     end
   end
 
-let send t ~src ~dst msg =
+let[@ncc.hot] send t ~src ~dst msg =
   t.messages_sent <- t.messages_sent + 1;
   if Faults.is_none t.faults then send_clean t ~src ~dst msg
   else send_faulty t ~src ~dst msg

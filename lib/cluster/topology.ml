@@ -85,7 +85,7 @@ let rec take sc lo s groups =
    domain's per-server scratch and one takes the groups out, so
    nothing but the result is allocated: a cell per op, and a pair and
    a cell per group. *)
-let ops_by_server t ops =
+let[@ncc.hot] ops_by_server t ops =
   let sc = Domain.DLS.get scratch in
   if Array.length sc.by_server < t.n_servers then sc.by_server <- Array.make t.n_servers [];
   gather t sc ops;

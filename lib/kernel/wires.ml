@@ -12,15 +12,15 @@ let create marker =
 let absent w = Inttbl.absent w.tbl
 let is_outcome w a = a == w.committed || a == w.aborted
 
-let find w wire =
+let[@ncc.hot] find w wire =
   let a = Inttbl.find w.tbl wire in
   if is_outcome w a then Inttbl.absent w.tbl else a
 
 let bind w wire a = Inttbl.replace w.tbl wire a
-let decided w wire = is_outcome w (Inttbl.find w.tbl wire)
-let committed w wire = Inttbl.find w.tbl wire == w.committed
+let[@ncc.hot] decided w wire = is_outcome w (Inttbl.find w.tbl wire)
+let[@ncc.hot] committed w wire = Inttbl.find w.tbl wire == w.committed
 
-let decide w wire ~commit =
+let[@ncc.hot] decide w wire ~commit =
   let a = Inttbl.find w.tbl wire in
   if is_outcome w a then Inttbl.absent w.tbl
   else begin

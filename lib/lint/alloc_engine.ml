@@ -1,13 +1,15 @@
 (* The allocation plane: rules R16-R19 over the typedtree, policing
    the simulator's hot paths for per-event allocation.
 
-   Hotness has two sources: the Hotpaths seed registry (node-key
-   suffixes of the functions that are hot by construction — the event
-   loop and heap, clock arithmetic, per-message dispatch, store
-   lookup, the streaming checker's feed) and [@ncc.hot] attributes on
-   individual bindings. Both are *entries*; hotness then propagates
-   over the shared call graph (Graph, the one R9 and R12 walk) — a function
-   transitively reachable from a hot entry inherits hotness, with the
+   Hotness has one source: the [@ncc.hot] attribute on a binding
+   ([let[@ncc.hot] f] or [and[@ncc.hot] g]). The functions that are hot
+   by construction carry it in lib/ — the event loop and clock reads,
+   per-message dispatch, store lookup, the NCC server's and client's
+   per-message paths, the streaming checker's feed and the
+   phase-diagram reduce loops — so the claim moves with its binding.
+   Each is an *entry*; hotness then propagates over the shared call
+   graph (Graph, the one R9 and R12 walk) — a function transitively
+   reachable from a hot entry inherits hotness, with the
    deterministic BFS chain from the entry as evidence (R18), so
    annotations stay sparse.
 
@@ -25,7 +27,7 @@
          string building (Rules.string_build_fns); table construction
          (Rules.table_build_fns: Hashtbl/Queue/Stack/Buffer.create).
 
-   A site in a *directly* hot function (seed or annotated) fires as
+   A site in a *directly* hot (annotated) function fires as
    R16/R17 at the allocation's own location, naming the hot function.
    A site in a *transitively* hot function fires as R18 at the same
    location, carrying entry -> ... -> function -> site as the chain.
@@ -41,7 +43,9 @@
 
    R19 (hygiene) checks the annotations themselves: [@ncc.hot] on a
    non-function binding, or on a function that no node in the linted
-   tree references and no seed names, is a dangling hot claim. Unused
+   tree references, is a dangling hot claim: a renamed or moved hot
+   function keeps its attribute, and one that nothing calls any more
+   is reported. Unused
    [allow R16-R18] waivers surface through the standard pragma
    machinery (Engine.apply_waivers).
 
@@ -78,32 +82,18 @@ let is_format_constant (cd : Types.constructor_description) =
 
 (* --- allocation sites ---------------------------------------------------- *)
 
-let within (inner : Location.t) (outer : Location.t) =
-  inner.loc_start.pos_fname = outer.loc_start.pos_fname
-  && inner.loc_start.pos_cnum >= outer.loc_start.pos_cnum
-  && inner.loc_end.pos_cnum <= outer.loc_end.pos_cnum
-
-(* Does the local function [fn], bound by [vbs], read a local bound
-   outside itself? Unit-level values and the binding group's own names
-   are not captures: a function that reads nothing else is a static
-   closure and costs nothing per call. *)
-let captures ctx (vbs : Typedtree.value_binding list) (fn : Typedtree.expression) =
-  let own = List.concat_map (fun (vb : Typedtree.value_binding) -> pattern_vars vb.vb_pat) vbs in
-  let found = ref false in
-  let expr sub (e : Typedtree.expression) =
-    (match e.exp_desc with
-     | Typedtree.Texp_ident (Path.Pident id, _, vd) ->
-       if
-         (not (Ident.Tbl.mem ctx.c_values id))
-         && (not (List.exists (fun (o, _) -> Ident.same o id) own))
-         && not (within vd.Types.val_loc fn.exp_loc)
-       then found := true
-     | _ -> ());
-    Tast_iterator.default_iterator.expr sub e
-  in
-  let it = { Tast_iterator.default_iterator with expr } in
-  it.expr it fn;
-  !found
+(* R17: a let-bound local function that reads a local bound outside
+   itself and its binding group (Typed_engine's walk tracks it as a
+   Graph.capture). One that reads nothing else is a static closure and
+   costs nothing per call. *)
+let capture_site (n : node) (fn : Typedtree.expression) =
+  n.n_sites <-
+    { s_rule = "R17";
+      s_desc =
+        "local function capturing the caller's locals (one closure block \
+         per call; lift it to a top-level function)";
+      s_loc = fn.exp_loc }
+    :: n.n_sites
 
 (* One expression outside cold regions, called by Typed_engine's walk
    (which skips cold regions and dead branches, and does not descend
@@ -120,18 +110,6 @@ let on_expr ctx node ~in_loop (e : Typedtree.expression) =
     | Typedtree.Texp_function _ when in_loop ->
       add_site "R17" "closure literal inside a hot loop (fresh closure per \
                       iteration)" e.exp_loc
-    | Typedtree.Texp_let (_, vbs, _) when not in_loop ->
-      (* inside a loop the literal itself is already a site *)
-      List.iter
-        (fun (vb : Typedtree.value_binding) ->
-          match vb.vb_expr.exp_desc with
-          | Typedtree.Texp_function _ when captures ctx vbs vb.vb_expr ->
-            add_site "R17"
-              "local function capturing the caller's locals (one closure \
-               block per call; lift it to a top-level function)"
-              vb.vb_expr.exp_loc
-          | _ -> ())
-        vbs
     | Typedtree.Texp_apply (f, args) ->
       let s = match head_name ctx f with Some s -> s | None -> "" in
       (if s = "ref" then
@@ -207,8 +185,6 @@ let on_expr ctx node ~in_loop (e : Typedtree.expression) =
 
 (* --- hotness ----------------------------------------------------------- *)
 
-let is_hot_entry (n : node) = n.n_hot_attr || Hotpaths.is_seed n.n_key
-
 let sorted_sites (n : node) =
   List.sort
     (fun a b ->
@@ -233,11 +209,11 @@ let report_sites g nodes =
           if not (Hashtbl.mem hot_via k) then
             Hashtbl.replace hot_via k (entry.n_key, chain_to k))
         reach)
-    (List.filter is_hot_entry nodes);
+    (List.filter (fun n -> n.n_hot_attr) nodes);
   (* R16/R17 in directly hot functions; R18 in transitively hot ones. *)
   List.iter
     (fun n ->
-      if is_hot_entry n then
+      if n.n_hot_attr then
         List.iter
           (fun s ->
             if rule_active g s.s_rule then
@@ -284,8 +260,7 @@ let report_r19 g nodes =
                "[@%s] on %s, which is not a function: a plain value has no \
                 call-graph to propagate hotness into"
                Rules.hot_attribute n.n_key)
-        else if (not (Hotpaths.is_seed n.n_key)) && not (referenced n.n_key)
-        then
+        else if not (referenced n.n_key) then
           emit g ~rule:"R19" ~loc:(node_loc n)
             (Printf.sprintf
                "[@%s] on %s, which nothing in the linted tree references: a \

@@ -63,6 +63,32 @@ type node = {
   mutable n_sites : alloc_site list;
 }
 
+(* Walk state the typed walk keeps for two planes. A [frame] is one
+   closure handed to a spawn entry point (R12's closure half), or a
+   same-binding local function it calls, being walked: the binders
+   bound inside it, the ones among them that alias a shared location
+   or hold a per-slot index, its mutex guard depth, and the local
+   functions already inlined under its spawn closure. A [capture] is
+   one let-bound local function literal being walked (R17): [k_free]
+   once it reads a local bound outside itself and its binding group. *)
+type frame = {
+  f_locals : (string, unit) Hashtbl.t;  (* by Ident.unique_name *)
+  f_aliased : (string, unit) Hashtbl.t;
+  f_slots : (string, unit) Hashtbl.t;
+  mutable f_guard : int;  (* > 0 inside a mutex-guarded region *)
+  f_visited : (string, unit) Hashtbl.t;
+}
+
+let frame ?(guard = 0) ?(visited = Hashtbl.create 8) () =
+  { f_locals = Hashtbl.create 32; f_aliased = Hashtbl.create 4;
+    f_slots = Hashtbl.create 4; f_guard = guard; f_visited = visited }
+
+type capture = {
+  k_fn : Typedtree.expression;
+  k_own : Ident.t list;
+  mutable k_free : bool;
+}
+
 type t = {
   nodes : (string, node) Hashtbl.t;
   mutable keys : string list;  (* insertion order of node keys *)

@@ -21,9 +21,10 @@
        point (Rules.spawn_fns) is a spawn node; any top-level mutation
        in its reachable effect footprint is reported with the BFS call
        chain as evidence, at any call depth.
-     - the *closure half* — each function literal handed to a spawn
-       entry point is walked with an environment of closure-local
-       binders. A mutator or container read applied to a location
+     - the *closure half* — Typed_engine's walk keeps a frame
+       (Graph.frame) of closure-local binders for each function
+       literal handed to a spawn entry point while it walks that
+       literal. A mutator or container read applied to a location
        that is not closure-local (a captured ref/Hashtbl/Buffer/
        Queue/array, or a mutable field rooted at a captured value) is
        an escape. Safe sinks: Atomic.* and Domain.DLS.* operations,
@@ -32,8 +33,10 @@
        reads/writes indexed by a per-slot index (a binder assigned
        from Atomic.fetch_and_add — the pool's submission-order merge
        idiom). Calls from the closure to functions let-bound in the
-       same enclosing binding are inlined one level deep, with the
-       callee's own binders local and everything else captured.
+       same enclosing binding are inlined transitively, each once per
+       spawn closure: the walk re-walks the callee's body in a frame of
+       its own, with the caller's guard depth, the callee's own
+       binders local and everything else captured.
 
    R13 (mixed discipline) fires anywhere, not just under the pool: a
    plain write that *replaces* an Atomic.t cell (record field holding
@@ -116,28 +119,17 @@ let key_match a b =
 
 (* --- the closure half of R12 ------------------------------------------- *)
 
-type cenv = {
-  e_locals : (string, unit) Hashtbl.t;
-      (* binders (Ident.unique_name) bound inside the closure *)
-  e_aliased : (string, unit) Hashtbl.t;
-      (* binders whose right-hand side was a captured/global location:
-         still shared, despite being bound inside *)
-  e_slots : (string, unit) Hashtbl.t;
-      (* binders assigned from Rules.slot_index_sources *)
-  mutable e_guard : int;  (* > 0 inside a mutex-guarded region *)
-}
-
-(* What does an identifier inside the closure name? *)
+(* What does an identifier inside a closure frame name? *)
 type residence =
   | Local  (* bound inside the closure: job-private *)
   | Global of string  (* unit-toplevel value: the graph half's turf *)
   | Captured of string  (* a binder of an enclosing function: shared *)
 
-let residence ctx env (e : Typedtree.expression) =
+let residence ctx fr (e : Typedtree.expression) =
   match e.exp_desc with
   | Typedtree.Texp_ident (Path.Pident id, _, _) ->
     let u = Ident.unique_name id in
-    if Hashtbl.mem env.e_locals u && not (Hashtbl.mem env.e_aliased u) then
+    if Hashtbl.mem fr.f_locals u && not (Hashtbl.mem fr.f_aliased u) then
       Some Local
     else (
       match Ident.Tbl.find_opt ctx.c_values id with
@@ -147,11 +139,11 @@ let residence ctx env (e : Typedtree.expression) =
     Some (Global (canon_path ctx p))
   | _ -> None
 
-let slot_indexed env args =
+let slot_indexed fr args =
   match positional_args args with
   | _ :: { Typedtree.exp_desc = Typedtree.Texp_ident (Path.Pident id, _, _); _ }
     :: _ ->
-    Hashtbl.mem env.e_slots (Ident.unique_name id)
+    Hashtbl.mem fr.f_slots (Ident.unique_name id)
   | _ -> false
 
 let slot_fns =
@@ -161,174 +153,108 @@ let escape_hint =
   "route it through Atomic or Domain.DLS, guard it with a mutex, or write \
    per-slot at the job's own index"
 
-(* Walk the body of a closure handed to a spawn entry point.
-   [local_fns] maps binders of the enclosing binding to their
-   function bodies for one-level inlining; [visited] stops inlining
-   cycles. The iterator's own traversal order threads the guard
-   state: a Mutex.lock seen earlier in a sequence guards the rest. *)
-let rec closure_walk g ctx ~local_fns ~visited env (expr : Typedtree.expression)
-    =
-  let flag_access ~loc what target =
-    if env.e_guard = 0 && rule_active g "R12" then
-      emit g ~rule:"R12" ~loc
+(* A binding inside the frames: classify its binders before the walk
+   registers them as frame-local ([closure_pat]). *)
+let closure_binding ctx frames (vb : Typedtree.value_binding) =
+  let binders =
+    List.map (fun (id, _) -> Ident.unique_name id) (pattern_vars vb.vb_pat)
+  in
+  let slot =
+    match head_name ctx vb.vb_expr with
+    | Some s -> matches_any ~fns:Rules.slot_index_sources s
+    | None -> false
+  in
+  List.iter
+    (fun fr ->
+      if slot then List.iter (fun u -> Hashtbl.replace fr.f_slots u ()) binders;
+      match residence ctx fr vb.vb_expr with
+      | Some (Global _) | Some (Captured _) ->
+        (* [let h = tally in ...]: h is an alias of shared state. *)
+        List.iter (fun u -> Hashtbl.replace fr.f_aliased u ()) binders
+      | _ -> ())
+    frames
+
+let closure_pat : type k. frame list -> k Typedtree.general_pattern -> unit =
+ fun frames p ->
+  match p.pat_desc with
+  | Typedtree.Tpat_var (id, _) | Typedtree.Tpat_alias (_, id, _) ->
+    List.iter (fun fr -> Hashtbl.replace fr.f_locals (Ident.unique_name id) ())
+      frames
+  | _ -> ()
+
+(* One expression inside the frames (innermost first), before the walk
+   descends into it: thread each frame's guard through Mutex.lock and
+   unlock, and flag a mutator, container read or field write on a
+   location the frame captured. True for a guard wrapper's
+   application, whose arguments the walk then visits guarded. *)
+let closure_expr g ctx frames (e : Typedtree.expression) =
+  let flag fr what target =
+    if fr.f_guard = 0 then
+      emit g ~rule:"R12" ~loc:e.exp_loc
         (Printf.sprintf
            "%s on %s, which is shared with the submitting domain: %s" what
            target escape_hint)
   in
-  let vb_hook sub (vb : Typedtree.value_binding) =
-    (* Classify the binder before the default traversal registers it
-       as closure-local via the pattern hook below. *)
-    let binders =
-      List.map (fun (id, _) -> Ident.unique_name id) (pattern_vars vb.vb_pat)
-    in
-    (match head_name ctx vb.vb_expr with
-     | Some s when matches_any ~fns:Rules.slot_index_sources s ->
-       List.iter (fun u -> Hashtbl.replace env.e_slots u ()) binders
-     | _ -> ());
-    (match residence ctx env vb.vb_expr with
-     | Some (Global _) | Some (Captured _) ->
-       (* [let h = tally in ...]: h is an alias of shared state. *)
-       List.iter (fun u -> Hashtbl.replace env.e_aliased u ()) binders
-     | _ -> ());
-    Tast_iterator.default_iterator.value_binding sub vb
-  in
-  let pat_hook : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit
-      =
-   fun sub p ->
-    (match p.Typedtree.pat_desc with
-     | Typedtree.Tpat_var (id, _) ->
-       Hashtbl.replace env.e_locals (Ident.unique_name id) ()
-     | Typedtree.Tpat_alias (_, id, _) ->
-       Hashtbl.replace env.e_locals (Ident.unique_name id) ()
-     | _ -> ());
-    Tast_iterator.default_iterator.pat sub p
-  in
-  let expr_hook sub (e : Typedtree.expression) =
-    match e.exp_desc with
-    | Typedtree.Texp_apply (f, args) -> (
-      let s = match head_name ctx f with Some s -> s | None -> "" in
-      if matches_any ~fns:Rules.guard_fns s then begin
-        (* the wrapper's argument runs with the lock held / cleanup
-           guaranteed *)
-        env.e_guard <- env.e_guard + 1;
-        Tast_iterator.default_iterator.expr sub e;
-        env.e_guard <- env.e_guard - 1
-      end
-      else begin
-        if Paths.has_suffix ~suffix:"Mutex.lock" s then
-          env.e_guard <- env.e_guard + 1
-        else if Paths.has_suffix ~suffix:"Mutex.unlock" s then
-          env.e_guard <- max 0 (env.e_guard - 1);
-        (* one-level inlining of same-binding local functions *)
-        (match f.Typedtree.exp_desc with
-         | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
-           let u = Ident.unique_name id in
-           match Hashtbl.find_opt local_fns u with
-           | Some body when not (Hashtbl.mem visited u) ->
-             Hashtbl.replace visited u ();
-             let env' =
-               {
-                 e_locals = Hashtbl.create 16;
-                 e_aliased = Hashtbl.create 4;
-                 e_slots = Hashtbl.create 4;
-                 e_guard = env.e_guard;
-               }
-             in
-             closure_walk g ctx ~local_fns ~visited env' body
-           | _ -> ())
-         | _ -> ());
-        (if Paths.has_prefix ~prefix:"Atomic" s
-            || Paths.has_prefix ~prefix:"Domain.DLS" s
-         then () (* safe sinks: synchronised by construction *)
-         else if List.mem s slot_fns && slot_indexed env args then
-           () (* per-slot access at the job's own index *)
-         else if
-           List.mem s Rules.mutator_fns || List.mem s Rules.container_read_fns
-         then
-           match positional_args args with
-           | tgt :: _ -> (
-             match residence ctx env (field_root tgt) with
-             | Some (Captured name) ->
-               let what =
-                 match tgt.Typedtree.exp_desc with
-                 | Typedtree.Texp_field (e', _, lbl) ->
-                   Printf.sprintf "%s via field %s.%s" s
+  match e.exp_desc with
+  | Typedtree.Texp_apply (f, args) ->
+    let s = match head_name ctx f with Some s -> s | None -> "" in
+    matches_any ~fns:Rules.guard_fns s
+    || begin
+      List.iter
+        (fun fr ->
+          if Paths.has_suffix ~suffix:"Mutex.lock" s then
+            fr.f_guard <- fr.f_guard + 1
+          else if Paths.has_suffix ~suffix:"Mutex.unlock" s then
+            fr.f_guard <- max 0 (fr.f_guard - 1);
+          if Paths.has_prefix ~prefix:"Atomic" s
+             || Paths.has_prefix ~prefix:"Domain.DLS" s
+          then () (* safe sinks: synchronised by construction *)
+          else if List.mem s slot_fns && slot_indexed fr args then
+            () (* per-slot access at the job's own index *)
+          else if
+            List.mem s Rules.mutator_fns || List.mem s Rules.container_read_fns
+          then
+            match positional_args args with
+            | tgt :: _ -> (
+              (* globals are the graph half's findings; unresolvable
+                 targets (call results, DLS.get payloads) are not
+                 abstract locations we can name *)
+              match (residence ctx fr (field_root tgt), tgt.exp_desc) with
+              | Some (Captured name), Typedtree.Texp_field (e', _, lbl) ->
+                flag fr
+                  (Printf.sprintf "%s via field %s.%s" s
                      (record_type_name ctx e'.exp_type)
-                     lbl.Types.lbl_name
-                 | _ -> s
-               in
-               flag_access ~loc:e.Typedtree.exp_loc what ("captured " ^ name)
-             | Some Local | Some (Global _) | None ->
-               (* globals are the graph half's findings; unresolvable
-                  targets (call results, DLS.get payloads) are not
-                  abstract locations we can name *)
-               ())
-           | [] -> ());
-        Tast_iterator.default_iterator.expr sub e
-      end)
-    | Typedtree.Texp_setfield (tgt, _, lbl, _) ->
-      (match residence ctx env (field_root tgt) with
-       | Some (Captured name) ->
-         flag_access ~loc:e.exp_loc
-           (Printf.sprintf "field write %s.%s"
-              (record_type_name ctx tgt.exp_type)
-              lbl.Types.lbl_name)
-           ("captured " ^ name)
-       | _ -> ());
-      Tast_iterator.default_iterator.expr sub e
-    | Typedtree.Texp_ifthenelse (c, t, e_opt) ->
-      (* Guard state is per-branch: an unlock in the then-branch must
-         not strip the guard from the else-branch (the worker-loop
-         idiom unlocks in one branch and pops-then-unlocks in the
-         other). *)
-      sub.Tast_iterator.expr sub c;
-      let saved = env.e_guard in
-      sub.Tast_iterator.expr sub t;
-      env.e_guard <- saved;
-      Option.iter (sub.Tast_iterator.expr sub) e_opt;
-      env.e_guard <- saved
-    | _ -> Tast_iterator.default_iterator.expr sub e
-  in
-  let iter =
-    {
-      Tast_iterator.default_iterator with
-      expr = expr_hook;
-      pat = pat_hook;
-      value_binding = vb_hook;
-    }
-  in
-  iter.expr iter expr
+                     lbl.Types.lbl_name)
+                  ("captured " ^ name)
+              | Some (Captured name), _ -> flag fr s ("captured " ^ name)
+              | _ -> ())
+            | [] -> ())
+        frames;
+      false
+    end
+  | Typedtree.Texp_setfield (tgt, _, lbl, _) ->
+    List.iter
+      (fun fr ->
+        match residence ctx fr (field_root tgt) with
+        | Some (Captured name) ->
+          flag fr
+            (Printf.sprintf "field write %s.%s"
+               (record_type_name ctx tgt.exp_type)
+               lbl.Types.lbl_name)
+            ("captured " ^ name)
+        | _ -> ())
+      frames;
+    false
+  | _ -> false
 
 (* --- per-expression facts ----------------------------------------------- *)
 
-(* Let-bound functions of one top-level binding, for inlining. Only
-   syntactic function literals qualify: [let f = Queue.pop q] also has
-   arrow type, but its RHS runs at bind time (possibly under a lock),
-   so re-walking it at the call site would misplace the effect. *)
-let collect_local_fns (expr : Typedtree.expression) =
-  let is_fun (e : Typedtree.expression) =
-    match e.exp_desc with Typedtree.Texp_function _ -> true | _ -> false
-  in
-  let fns = Hashtbl.create 8 in
-  let vb_hook sub (vb : Typedtree.value_binding) =
-    (match (vb.vb_pat.pat_desc, is_fun vb.vb_expr) with
-     | Typedtree.Tpat_var (id, _), true ->
-       Hashtbl.replace fns (Ident.unique_name id) vb.vb_expr
-     | _ -> ());
-    Tast_iterator.default_iterator.value_binding sub vb
-  in
-  let iter = { Tast_iterator.default_iterator with value_binding = vb_hook } in
-  iter.expr iter expr;
-  fns
-
 (* One expression of a binding's body (or of loose module-init code),
    called by Typed_engine's walk (which records the mutations of
-   globals R12's graph half reads, as R9 effects): record lock/unlock
-   and DLS sites on [node]; fire the site-local R13 checks;
-   run the closure half on every function literal handed to a spawn
-   entry point. [local_fns] is the enclosing binding's
-   [collect_local_fns], forced only at a spawn call. *)
-let on_expr g ctx node ~local_fns (e : Typedtree.expression) =
+   globals R12's graph half reads, as R9 effects, and walks the
+   closure half's frames): record lock/unlock and DLS sites on [node]
+   and fire the site-local R13 checks. *)
+let on_expr g ctx node (e : Typedtree.expression) =
   match e.exp_desc with
   | Typedtree.Texp_ident (p, _, _) -> (
     let s = name ctx p in
@@ -337,7 +263,7 @@ let on_expr g ctx node ~local_fns (e : Typedtree.expression) =
       | Some n -> n.n_dls <- { d_fn = s; d_loc = e.exp_loc } :: n.n_dls
       | None ->
         g.loose_dls <- ({ d_fn = s; d_loc = e.exp_loc }, ctx.c_file) :: g.loose_dls)
-  | Typedtree.Texp_apply (f, args) ->
+  | Typedtree.Texp_apply (f, args) -> (
     let s = match head_name ctx f with Some s -> s | None -> "" in
     (* lock/unlock collection (R14) *)
     (match (node, positional_args args) with
@@ -353,46 +279,22 @@ let on_expr g ctx node ~local_fns (e : Typedtree.expression) =
        else if Paths.has_suffix ~suffix:"Mutex.protect" s then lock ~scoped:true
      | _ -> ());
     (* R13: a plain write that replaces an Atomic.t cell *)
-    (if
-       rule_active g "R13"
-       && (s = ":=" || matches_any ~fns:[ "Array.set"; "Array.unsafe_set";
-                                          "Array.fill" ] s)
-     then
-       match first_param f.Typedtree.exp_type with
-       | Some ty -> (
-         match Types.get_desc ty with
-         | Types.Tconstr (_, [ elt ], _) when is_atomic_ty elt ->
-           emit g ~rule:"R13" ~loc:e.exp_loc
-             (Printf.sprintf
-                "%s replaces an Atomic.t cell: a domain holding the old \
-                 cell keeps using it; mutate via Atomic.set/exchange on \
-                 the existing cell" s)
-         | _ -> ())
-       | None -> ());
-    (* the closure half: function literals handed to a spawn point *)
-    if rule_active g "R12" && matches_any ~fns:Rules.spawn_fns s then begin
-      let local_fns = Lazy.force local_fns in
-      let walk body =
-        let env =
-          {
-            e_locals = Hashtbl.create 32;
-            e_aliased = Hashtbl.create 4;
-            e_slots = Hashtbl.create 4;
-            e_guard = 0;
-          }
-        in
-        closure_walk g ctx ~local_fns ~visited:(Hashtbl.create 8) env body
-      in
-      List.iter
-        (fun (a : Typedtree.expression) ->
-          match a.exp_desc with
-          | Typedtree.Texp_ident (Path.Pident id, _, _) -> (
-            match Hashtbl.find_opt local_fns (Ident.unique_name id) with
-            | Some body -> walk body
-            | None -> ())
-          | _ -> if is_arrow a.exp_type then walk a)
-        (positional_args args)
-    end
+    if
+      rule_active g "R13"
+      && (s = ":=" || matches_any ~fns:[ "Array.set"; "Array.unsafe_set";
+                                         "Array.fill" ] s)
+    then
+      match first_param f.Typedtree.exp_type with
+      | Some ty -> (
+        match Types.get_desc ty with
+        | Types.Tconstr (_, [ elt ], _) when is_atomic_ty elt ->
+          emit g ~rule:"R13" ~loc:e.exp_loc
+            (Printf.sprintf
+               "%s replaces an Atomic.t cell: a domain holding the old \
+                cell keeps using it; mutate via Atomic.set/exchange on \
+                the existing cell" s)
+        | _ -> ())
+      | None -> ())
   | Typedtree.Texp_setfield (tgt, _, lbl, _) ->
     if rule_active g "R13" && is_atomic_ty lbl.Types.lbl_arg then
       emit g ~rule:"R13" ~loc:e.exp_loc

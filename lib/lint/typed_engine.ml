@@ -100,8 +100,8 @@ type active = {
   r10 : bool;
   mutations : bool;  (* R9 or R12: collect mutations of globals *)
   race : bool;  (* any of R12-R15 *)
+  r12 : bool;
   alloc : bool;  (* any of R16-R18 *)
-  cold_walk : bool;  (* some rule outside R16-R19 looks into cold regions *)
 }
 
 let active g =
@@ -133,13 +133,8 @@ let active g =
     r10 = rule_active g "R10";
     mutations = rule_active g "R9" || rule_active g "R12";
     race = List.exists (rule_active g) [ "R12"; "R13"; "R14"; "R15" ];
+    r12 = rule_active g "R12";
     alloc = List.exists (rule_active g) [ "R16"; "R17"; "R18" ];
-    cold_walk =
-      List.exists
-        (fun (r : Rules.rule) ->
-          rule_active g r.id
-          && not (List.mem r.id [ "R16"; "R17"; "R18"; "R19" ]))
-        Rules.all;
   }
 
 (* R9's effect categories, by the site-local rule policing each. *)
@@ -198,64 +193,71 @@ let rec binds_variable : type k. k Typedtree.general_pattern -> bool =
   | Typedtree.Tpat_or (a, b, _) -> binds_variable a || binds_variable b
   | _ -> false
 
-(* R5: scan an expression evaluated at module-initialisation time for
-   mutable-state creation, without descending under function or lazy
-   abstractions (their bodies run later, per call). *)
-let scan_toplevel g ctx rules (e : Typedtree.expression) =
-  let flag loc what =
-    List.iter
-      (fun (r : Rules.rule) ->
-        emit g ~rule:r.id ~loc
-          (Printf.sprintf "%s at module toplevel: %s" what r.summary))
-      rules
-  in
-  let expr sub (e : Typedtree.expression) =
-    match e.exp_desc with
-    | Typedtree.Texp_function _ | Typedtree.Texp_lazy _ | Typedtree.Texp_object _
-      ->
-      ()
-    | _ ->
-      (match e.exp_desc with
-       | Typedtree.Texp_array _ -> flag e.exp_loc "array literal"
-       | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _)
-         when List.mem (name ctx p) Rules.mutable_creators ->
-         flag e.exp_loc (name ctx p)
-       | _ -> ());
-      Tast_iterator.default_iterator.expr sub e
-  in
-  let iter = { Tast_iterator.default_iterator with expr } in
-  iter.expr iter e
-
 (* --- the walk ------------------------------------------------------------ *)
+
+let within (inner : Location.t) (outer : Location.t) =
+  inner.loc_start.pos_fname = outer.loc_start.pos_fname
+  && inner.loc_start.pos_cnum >= outer.loc_start.pos_cnum
+  && inner.loc_end.pos_cnum <= outer.loc_end.pos_cnum
 
 (* Walk one unit's whole structure once. Site-local rules fire
    everywhere; per-node facts go to the node of the enclosing top-level
    binding (None for module-initialisation code). Cold regions (see
    Graph) are walked too — only R16-R18 skip them, and their edges are
-   tagged cold. *)
+   tagged cold. Besides the node, the walk keeps:
+
+     [init]      R5: the code runs at module initialisation (a binding
+                 of a structure, outside any function, lazy or object);
+     [local_fns] the unit's let-bound function literals, by binder: a
+                 local function is bound before it is called;
+     [frames]    R12's closure half: the spawn closures being walked
+                 (Graph.frame), innermost first;
+     [captures]  R17: the let-bound local function literals being
+                 walked (Graph.capture).
+
+   R12 inlines a same-binding local function called under a spawn
+   closure by walking its body again ([inline]), for the closure half
+   alone. *)
 let walk g ctx a (str : Typedtree.structure) =
   let default = Tast_iterator.default_iterator in
-  let node = ref None in
-  let local_fns = ref (lazy (Hashtbl.create 1)) in
-  let inside = ref false in
-  let cold = ref 0 and loop = ref 0 in
-  let enter n body f =
-    let saved = (!node, !local_fns, !inside) in
+  let node = ref None and inside = ref false in
+  let cold = ref 0 and loop = ref 0 and init = ref false in
+  let local_fns = Hashtbl.create 16 in
+  let frames = ref [] and captures = ref [] and replay = ref false in
+  let enter n f =
     node := n;
-    local_fns := lazy (Race_engine.collect_local_fns body);
     inside := true;
     f ();
-    let n, l, i = saved in
-    node := n;
-    local_fns := l;
-    inside := i
+    node := None;
+    inside := false
   in
   let in_cold f =
-    if a.cold_walk then begin
-      incr cold;
-      f ();
-      decr cold
-    end
+    incr cold;
+    f ();
+    decr cold
+  in
+  let shift d = List.iter (fun fr -> fr.f_guard <- fr.f_guard + d) !frames in
+  let inline sub fr body =
+    let saved = (!frames, !captures, !init, !replay) in
+    frames := [ fr ];
+    captures := [];
+    init := false;
+    replay := true;
+    sub.Tast_iterator.expr sub body;
+    let f, c, i, r = saved in
+    frames := f;
+    captures := c;
+    init := i;
+    replay := r
+  in
+  let note_local_fns vbs =
+    List.iter
+      (fun (vb : Typedtree.value_binding) ->
+        match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
+        | Typedtree.Tpat_var (id, _), Typedtree.Texp_function _ ->
+          Hashtbl.replace local_fns (Ident.unique_name id) vb.vb_expr
+        | _ -> ())
+      vbs
   in
   let forbidden (loc : Location.t) s =
     List.iter
@@ -275,6 +277,22 @@ let walk g ctx a (str : Typedtree.structure) =
         Some (key ^ "#" ^ cd.cstr_name)
       else None
     | _ -> None
+  in
+  (* R5: mutable state created at module initialisation. *)
+  let toplevel (e : Typedtree.expression) =
+    let flag what =
+      List.iter
+        (fun (r : Rules.rule) ->
+          emit g ~rule:r.id ~loc:e.exp_loc
+            (Printf.sprintf "%s at module toplevel: %s" what r.summary))
+        a.toplevel
+    in
+    match e.exp_desc with
+    | Typedtree.Texp_array _ -> flag "array literal"
+    | Typedtree.Texp_apply ({ exp_desc = Typedtree.Texp_ident (p, _, _); _ }, _)
+      when List.mem (name ctx p) Rules.mutable_creators ->
+      flag (name ctx p)
+    | _ -> ()
   in
   (* R1-R4, R6-R10 and the call-graph edges: everything but R5 that
      looks at one expression. *)
@@ -373,6 +391,45 @@ let walk g ctx a (str : Typedtree.structure) =
         (module_alias ctx me)
     | _ -> ()
   in
+  let free_local (e : Typedtree.expression) =
+    match e.exp_desc with
+    | Typedtree.Texp_ident (Path.Pident id, _, vd)
+      when not (Ident.Tbl.mem ctx.c_values id) ->
+      List.iter
+        (fun k ->
+          if
+            not
+              (List.exists (Ident.same id) k.k_own
+              || within vd.Types.val_loc k.k_fn.exp_loc)
+          then k.k_free <- true)
+        !captures
+    | _ -> ()
+  in
+  let spawn f =
+    a.r12 && (not !replay)
+    && match head_name ctx f with
+       | Some s -> matches_any ~fns:Rules.spawn_fns s
+       | None -> false
+  in
+  (* R17: each let-bound function literal of [vbs] is a capture while
+     the walk is inside it. *)
+  let let_binding sub vbs (vb : Typedtree.value_binding) =
+    match (vb.vb_expr.exp_desc, !node) with
+    | Typedtree.Texp_function _, Some n
+      when a.alloc && !cold = 0 && !loop = 0 && not !replay ->
+      let own =
+        List.concat_map
+          (fun (vb : Typedtree.value_binding) ->
+            List.map fst (pattern_vars vb.vb_pat))
+          vbs
+      in
+      let k = { k_fn = vb.vb_expr; k_own = own; k_free = false } in
+      captures := k :: !captures;
+      sub.Tast_iterator.value_binding sub vb;
+      captures := List.tl !captures;
+      if k.k_free then Alloc_engine.capture_site n vb.vb_expr
+    | _ -> sub.Tast_iterator.value_binding sub vb
+  in
   let expr sub (e : Typedtree.expression) =
     let walk = sub.Tast_iterator.expr sub in
     match e.exp_desc with
@@ -380,23 +437,75 @@ let walk g ctx a (str : Typedtree.structure) =
       ->
       ()  (* a static format literal: nothing to check inside *)
     | _ -> (
-      check e;
-      if a.race then Race_engine.on_expr g ctx !node ~local_fns:!local_fns e;
-      if a.alloc && !cold = 0 then
-        Alloc_engine.on_expr ctx !node ~in_loop:(!loop > 0) e;
+      if not !replay then begin
+        check e;
+        if !init then toplevel e;
+        free_local e;
+        if a.race then Race_engine.on_expr g ctx !node e;
+        if a.alloc && !cold = 0 then
+          Alloc_engine.on_expr ctx !node ~in_loop:(!loop > 0) e
+      end;
       match e.exp_desc with
-      | Typedtree.Texp_ifthenelse (c, t, e_opt) when is_cold_guard ctx c ->
-        (* tracing-only branch: diagnostics, not per-event cost *)
+      | _ when !frames <> [] && Race_engine.closure_expr g ctx !frames e ->
+        shift 1;
+        default.expr sub e;
+        shift (-1)
+      | Typedtree.Texp_apply (f, args) ->
+        (* a call of a local function under a spawn closure: inline it,
+           once per spawn closure *)
+        (match f.exp_desc with
+         | Typedtree.Texp_ident (Path.Pident id, _, _) when !frames <> [] ->
+           let u = Ident.unique_name id in
+           Option.iter
+             (fun body ->
+               List.iter
+                 (fun fr ->
+                   if not (Hashtbl.mem fr.f_visited u) then begin
+                     Hashtbl.replace fr.f_visited u ();
+                     inline sub (frame ~guard:fr.f_guard ~visited:fr.f_visited ())
+                       body
+                   end)
+                 !frames)
+             (Hashtbl.find_opt local_fns u)
+         | _ -> ());
+        if spawn f then begin
+          (* a function handed to a spawn point is a frame of its own *)
+          walk f;
+          List.iter
+            (function
+              | Asttypes.Nolabel, Some (x : Typedtree.expression) -> (
+                match x.exp_desc with
+                | Typedtree.Texp_ident (Path.Pident id, _, _) ->
+                  Option.iter (inline sub (frame ()))
+                    (Hashtbl.find_opt local_fns (Ident.unique_name id));
+                  walk x
+                | _ when is_arrow x.exp_type ->
+                  frames := frame () :: !frames;
+                  walk x;
+                  frames := List.tl !frames
+                | _ -> walk x)
+              | _, x -> Option.iter walk x)
+            args
+        end
+        else default.expr sub e
+      | Typedtree.Texp_ifthenelse (c, t, e_opt) ->
+        (* a tracing-only branch is diagnostics, not per-event cost; a
+           dead branch never runs. Each branch starts from the guard
+           depth the condition left: an unlock in one branch does not
+           unguard the other. *)
         walk c;
-        in_cold (fun () -> walk t);
-        Option.iter walk e_opt
-      | Typedtree.Texp_ifthenelse (c, t, e_opt) when bool_const c <> None ->
-        (* a dead branch never runs *)
-        let live = bool_const c = Some true in
-        walk c;
-        (if live then walk t else in_cold (fun () -> walk t));
-        Option.iter (fun x -> if live then in_cold (fun () -> walk x) else walk x)
-          e_opt
+        let cold_t, cold_e =
+          if is_cold_guard ctx c then (true, false)
+          else
+            match bool_const c with Some b -> (not b, b) | None -> (false, false)
+        in
+        let guards = List.map (fun fr -> fr.f_guard) !frames in
+        let branch is_cold x =
+          if is_cold then in_cold (fun () -> walk x) else walk x;
+          List.iter2 (fun fr d -> fr.f_guard <- d) !frames guards
+        in
+        branch cold_t t;
+        Option.iter (branch cold_e) e_opt
       | Typedtree.Texp_while (c, body) ->
         walk c;
         incr loop;
@@ -408,25 +517,33 @@ let walk g ctx a (str : Typedtree.structure) =
         incr loop;
         walk body;
         decr loop
-      | Typedtree.Texp_function _ when !loop > 0 ->
-        (* the literal's body is this node's code, but not the loop's *)
-        let saved = !loop in
-        loop := 0;
+      | Typedtree.Texp_function _ | Typedtree.Texp_lazy _
+      | Typedtree.Texp_object _ ->
+        (* the body runs later, per call: not at module initialisation,
+           and a function literal's body is not the enclosing loop's *)
+        let i = !init and l = !loop in
+        init := false;
+        (match e.exp_desc with Typedtree.Texp_function _ -> loop := 0 | _ -> ());
         default.expr sub e;
-        loop := saved
+        init := i;
+        loop := l
+      | Typedtree.Texp_let (_, vbs, body) ->
+        note_local_fns vbs;
+        List.iter (let_binding sub vbs) vbs;
+        walk body
       | _ -> default.expr sub e)
   in
-  (* patterns hold no expressions: only R10 and R1-R4 (type
-     constraints) need to look inside *)
+  (* patterns hold no expressions: only R10, R1-R4 (type constraints)
+     and the closure frames' binders need to look inside *)
   let pat : type k. Tast_iterator.iterator -> k Typedtree.general_pattern -> unit =
    fun sub p ->
-    if a.r10 || not (List.is_empty a.forbid) then begin
-      (match p.pat_desc with
-       | Typedtree.Tpat_construct (_, cd, _, _) when a.r10 ->
-         Option.iter (fun k -> Hashtbl.replace g.matched k ()) (cstr_key cd)
-       | _ -> ());
+    Race_engine.closure_pat !frames p;
+    (match p.pat_desc with
+     | Typedtree.Tpat_construct (_, cd, _, _) when a.r10 ->
+       Option.iter (fun k -> Hashtbl.replace g.matched k ()) (cstr_key cd)
+     | _ -> ());
+    if a.r10 || (not (List.is_empty a.forbid)) || !frames <> [] then
       default.pat sub p
-    end
   in
   let typ sub (ct : Typedtree.core_type) =
     (* types hold no expressions: only R1-R4 need to look inside *)
@@ -437,6 +554,10 @@ let walk g ctx a (str : Typedtree.structure) =
       default.typ sub ct
     end
   in
+  let value_binding sub vb =
+    Race_engine.closure_binding ctx !frames vb;
+    default.value_binding sub vb
+  in
   let module_binding sub (mb : Typedtree.module_binding) =
     (* aliases inside local structures; the unit's own are declared *)
     (match (mb.mb_id, module_alias ctx mb.mb_expr) with
@@ -446,28 +567,28 @@ let walk g ctx a (str : Typedtree.structure) =
     default.module_binding sub mb
   in
   let structure_item sub (item : Typedtree.structure_item) =
-    (* R5 looks at every structure, nested modules included *)
-    (match item.str_desc with
-     | Typedtree.Tstr_value (_, vbs) when a.toplevel <> [] ->
-       List.iter
-         (fun (vb : Typedtree.value_binding) ->
-           if binds_variable vb.vb_pat then
-             scan_toplevel g ctx a.toplevel vb.vb_expr)
-         vbs
-     | _ -> ());
     match item.str_desc with
-    | Typedtree.Tstr_value (_, vbs) when not !inside ->
+    | Typedtree.Tstr_value (_, vbs) ->
+      (* R5 looks at every structure, nested modules included; a
+         [let () = ...] body is main-style driver code, not module
+         state *)
+      if !inside then note_local_fns vbs;
       List.iter
         (fun (vb : Typedtree.value_binding) ->
-          enter (binding_node g ctx vb) vb.vb_expr (fun () ->
-              sub.Tast_iterator.value_binding sub vb))
+          let i = !init in
+          init := i || (a.toplevel <> [] && binds_variable vb.vb_pat);
+          if !inside then sub.Tast_iterator.value_binding sub vb
+          else
+            enter (binding_node g ctx vb) (fun () ->
+                sub.Tast_iterator.value_binding sub vb);
+          init := i)
         vbs
-    | Typedtree.Tstr_eval (e, _) when not !inside ->
-      enter None e (fun () -> default.structure_item sub item)
+    | Typedtree.Tstr_eval _ when not !inside ->
+      enter None (fun () -> default.structure_item sub item)
     | _ -> default.structure_item sub item
   in
   let iter =
-    { default with expr; pat; typ; module_binding; structure_item }
+    { default with expr; pat; typ; value_binding; module_binding; structure_item }
   in
   iter.structure iter str
 

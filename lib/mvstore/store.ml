@@ -164,7 +164,7 @@ let new_initial t key =
 
 (* The initial version of a key that has no chain, drawn on the key's
    first access and kept in the flat table. *)
-let bare_initial t key =
+let[@ncc.hot] bare_initial t key =
   let v = Inttbl.find t.initial key in
   if v != Inttbl.absent t.initial then v
   else begin
@@ -182,7 +182,7 @@ let bare_initial t key =
    entry points further down are one-line wrappers over these, and the
    read entry points answer a chain-less key from its record. *)
 
-let chain t key =
+let[@ncc.hot] chain t key =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 (* not the table's empty chain *) then c
   else begin
@@ -225,7 +225,7 @@ let rec index_from c vid i =
 (* Index of the version with id [vid] in the live prefix, or -1. *)
 let index_of c vid = index_from c vid (c.n - 1)
 
-let chain_head c = c.vs.(c.n - 1)
+let[@ncc.hot] chain_head c = c.vs.(c.n - 1)
 
 (* Newest committed version (skips undecided heads). *)
 let rec last_committed c i =
@@ -234,12 +234,12 @@ let rec last_committed c i =
   else last_committed c (i - 1)
 
 (* The newest version of a key, any status, without building a chain. *)
-let most_recent t key =
+let[@ncc.hot] most_recent t key =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 then chain_head c else bare_initial t key
 
 (* A chain-less key's one version is its committed initial version. *)
-let most_recent_committed t key =
+let[@ncc.hot] most_recent_committed t key =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 then last_committed c (c.n - 1) else bare_initial t key
 
@@ -247,7 +247,7 @@ let most_recent_committed t key =
 
 (* Execute a write with pre-assigned timestamp [ts]: create an
    undecided version ordered after the current most recent one. *)
-let chain_write t c value ~ts ~writer =
+let[@ncc.hot] chain_write t c value ~ts ~writer =
   let curr = chain_head c in
   let tw = Ts.max ts (Ts.succ curr.tr) in
   let v =
@@ -267,7 +267,7 @@ let refine_read ?(refine = true) curr ~ts =
   if refine then curr.tr <- Ts.max ts curr.tr;
   curr
 
-let chain_read c ~ts = refine_read (chain_head c) ~ts
+let[@ncc.hot] chain_read c ~ts = refine_read (chain_head c) ~ts
 
 (* --- Commitment --------------------------------------------------- *)
 
@@ -329,8 +329,8 @@ let neighbour v w = if w == v then None else Some w
 
 (* --- Keyed entry points ------------------------------------------- *)
 
-let write t key value ~ts ~writer = chain_write t (chain t key) value ~ts ~writer
-let read ?refine t key ~ts = refine_read ?refine (most_recent t key) ~ts
+let[@ncc.hot] write t key value ~ts ~writer = chain_write t (chain t key) value ~ts ~writer
+let[@ncc.hot] read ?refine t key ~ts = refine_read ?refine (most_recent t key) ~ts
 let commit_in t key v = chain_commit t key (chain t key) v
 let abort_version t key v = chain_abort (chain t key) v
 let prev_version t key v = neighbour v (chain_prev (chain t key) v)
@@ -358,7 +358,7 @@ let find_at c ~ts =
    resolve to the chain terminator, so the lookup is total — no option
    (the old [version option] return allocated a Some per read on the
    hot path, and every caller's None branch was dead code). *)
-let version_at t key ~ts =
+let[@ncc.hot] version_at t key ~ts =
   let c = Inttbl.find t.tbl key in
   if c.n > 0 then begin
     let i = find_at c ~ts in

@@ -93,7 +93,7 @@ let create cfg ctx ~report =
    measured client->server gap among this transaction's participants,
    so the pre-assigned timestamp lands close to the server-local time
    at which the farthest participant will execute the request. *)
-let pre_assign t ~participants ~is_ro =
+let[@ncc.hot] pre_assign t ~participants ~is_ro =
   let base = Cluster.Net.local_ns t.ctx in
   let shift =
     if not t.cfg.async_aware then 0.0
@@ -310,7 +310,7 @@ and decide t f =
        end
   end
 
-let submit t txn =
+let[@ncc.hot] submit t txn =
   let attempt =
     let a =
       match Intmap.find_opt t.attempts txn.Txn.id with None -> 1 | Some a -> a + 1
@@ -368,7 +368,7 @@ let submit t txn =
     send_grouped t f grouped
   | _ -> advance t f
 
-let handle_exec_reply t (r : Msg.exec_reply) =
+let[@ncc.hot] handle_exec_reply t (r : Msg.exec_reply) =
   (* asynchrony tracking and latest-write knowledge are updated even
      for stale replies *)
   let sample = float_of_int (r.e_server_ns - r.e_client_ns) in

@@ -166,7 +166,7 @@ let create cfg ctx =
   }
 
 (* The key's row, created (with its chain) on first access. *)
-let row_of t key =
+let[@ncc.hot] row_of t key =
   let r = Inttbl.find t.rows key in
   if r != Inttbl.absent t.rows then r
   else begin
@@ -822,7 +822,7 @@ let handle_recover_info t ~wire (info : rinfo) =
 
 (* --- message dispatch ------------------------------------------------ *)
 
-let handle t ~src msg =
+let[@ncc.hot] handle t ~src msg =
   match msg with
   | Msg.Exec x -> if x.x_ro then exec_read_only t ~src x else exec_read_write t ~src x
   | Msg.Decide { d_wire; d_commit } -> apply_decision t ~wire:d_wire ~commit:d_commit

@@ -17,13 +17,13 @@ let random rng ~max_offset ~max_drift =
   let sym r bound = if bound = 0.0 then 0.0 else Rng.float r (2.0 *. bound) -. bound in
   { offset = sym rng max_offset; drift = sym rng max_drift }
 
-let read clock ~now = now +. clock.offset +. (clock.drift *. now)
+let[@ncc.hot] read clock ~now = now +. clock.offset +. (clock.drift *. now)
 
 (* Integer nanoseconds, the unit of [Kernel.Ts] physical components. *)
-let read_ns clock ~now = int_of_float (read clock ~now *. 1e9)
+let[@ncc.hot] read_ns clock ~now = int_of_float (read clock ~now *. 1e9)
 
 (* The same reading off a one-element clock cell ({!Engine.local_ns}):
    the time crosses no call, so it is never boxed. *)
-let read_ns_cell clock cell =
+let[@ncc.hot] read_ns_cell clock cell =
   let now = cell.(0) in
   int_of_float (read clock ~now *. 1e9)

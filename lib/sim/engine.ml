@@ -71,9 +71,9 @@ let now t = t.now.(0)
 
 (* The clock copied into a float array's cell: both sides are flat
    floats, so unlike [now] the read allocates no box. *)
-let stamp t a i = a.(i) <- t.now.(0)
+let[@ncc.hot] stamp t a i = a.(i) <- t.now.(0)
 
-let local_ns t clock = Clock.read_ns_cell clock t.now
+let[@ncc.hot] local_ns t clock = Clock.read_ns_cell clock t.now
 
 let executed_events t = t.executed
 
@@ -199,7 +199,7 @@ let file t i =
 
 (* [not (x >= y)] rather than [x < y]: NaN compares false either way,
    and a NaN time must be refused, not filed under [int_of_float nan]. *)
-let schedule t ~delay f =
+let[@ncc.hot] schedule t ~delay f =
   if not (delay >= 0.0) then invalid_arg "Engine.schedule: negative or NaN delay";
   let i = alloc t f in
   t.prios.(i) <- t.now.(0) +. delay;
@@ -207,13 +207,13 @@ let schedule t ~delay f =
 
 (* [schedule] with the delay read from [a.(i)], so no float crosses
    the call. *)
-let schedule_cell t a i f =
+let[@ncc.hot] schedule_cell t a i f =
   if not (a.(i) >= 0.0) then invalid_arg "Engine.schedule: negative or NaN delay";
   let n = alloc t f in
   t.prios.(n) <- t.now.(0) +. a.(i);
   file t n
 
-let schedule_at t ~time f =
+let[@ncc.hot] schedule_at t ~time f =
   if not (time >= t.now.(0)) then
     invalid_arg "Engine.schedule_at: time in the past or NaN";
   let i = alloc t f in
@@ -276,7 +276,7 @@ let advance t =
    event whose time exceeds [until] is left in the queue. Each step
    reads the next node's time from the arena and moves it into the
    clock cell: no float is returned or passed per event. *)
-let run ?until t =
+let[@ncc.hot] run ?until t =
   let horizon = match until with None -> Float.infinity | Some u -> u in
   (* ncc-lint: allow R17 — one closure per run, not per event: the loop it builds drains the whole queue *)
   let rec loop () =

@@ -208,7 +208,7 @@ let emit ~time kind ~src ~dst ~x ~start ~dur ~id ~code =
       if st.spans < st.limit then append c ~time kind ~src ~dst ~x ~start ~dur ~id ~code;
       st.spans <- st.spans + 1
 
-let ev ~time kind ~src ~dst ~x =
+let[@ncc.hot] ev ~time kind ~src ~dst ~x =
   emit ~time kind ~src ~dst ~x ~start:0.0 ~dur:0.0 ~id:0 ~code:0
 
 let emitted () = (st ()).ring.n

@@ -8,9 +8,8 @@
    from a hot function, and a callee only reachable through a dead
    branch (which must stay cold).
 
-   Hotness comes either from the Hotpaths seed registry — fixture
-   modules named [Sim.Heap] etc. suffix-match the seeds, exactly as
-   dune-mangled unit names do — or from [@ncc.hot] attributes.
+   Hotness comes from [@ncc.hot] attributes, which work the same on a
+   binding inside nested modules (as lib/'s dune-mangled units are).
 
    Fixtures typecheck in-process against the stdlib environment
    (Typed_engine.check_impl). Pragma keywords inside fixture strings
@@ -56,10 +55,11 @@ let r16_fires () =
     ~only:[ "R16" ]
     [ ("fixture.ml", 2, "R16") ]
     "let[@ncc.hot] step dt =\n  let acc = ref 0.0 in\n  acc := !acc +. dt;\n  !acc\n";
-  check_sites "float tuple in a seeded hot function fires" ~only:[ "R16" ]
+  check_sites "float tuple in a nested module's hot function fires"
+    ~only:[ "R16" ]
     [ ("fixture.ml", 3, "R16") ]
     "module Sim = struct module Heap = struct\n\
-    \  let top_prio h =\n\
+    \  let[@ncc.hot] top_prio h =\n\
     \    (1.0, h)\n\
      end end\n";
   check_sites "float into an option payload fires" ~only:[ "R16" ]
@@ -125,7 +125,7 @@ let r17_local_fn_fires () =
   check_sites "local function capturing a caller local fires" ~only:[ "R17" ]
     [ ("fixture.ml", 3, "R17") ]
     "module Sim = struct module Heap = struct\n\
-    \  let push (a : int array) i =\n\
+    \  let[@ncc.hot] push (a : int array) i =\n\
     \    let rec up j = if j > 0 && a.(j) < a.(j - 1) then up (j - 1) in\n\
     \    up i\n\
      end end\n";
@@ -141,7 +141,7 @@ let r17_local_fn_clean () =
   check_sites "the lifted function stays clean" ~only:[ "R17"; "R18" ] []
     "module Sim = struct module Heap = struct\n\
     \  let rec up (a : int array) j = if j > 0 && a.(j) < a.(j - 1) then up a (j - 1)\n\
-    \  let push a i = up a i\n\
+    \  let[@ncc.hot] push a i = up a i\n\
      end end\n";
   check_sites "a local function reading only its own parameters stays clean"
     ~only:[ "R17"; "R18" ] []
@@ -251,13 +251,13 @@ let r18_module_alias () =
     "module Impl = struct let helper x = Some x end\n\
      module I = Impl\n\
      module Sim = struct module Engine = struct\n\
-    \  let run x = I.helper x\n\
+    \  let[@ncc.hot] run x = I.helper x\n\
      end end\n";
-  check_sites "seeded module reached through an alias is still hot"
+  check_sites "hot function reached through a module alias is still hot"
     ~only:[ "R17" ]
     [ ("fixture.ml", 2, "R17") ]
     "module Sim = struct module Heap = struct\n\
-    \  let push h x = ignore h; Some x\n\
+    \  let[@ncc.hot] push h x = ignore h; Some x\n\
      end end\n\
      module H = Sim.Heap\n\
      let use h x = H.push h x\n"
@@ -301,11 +301,7 @@ let r19_fires () =
 let r19_clean () =
   check_sites "annotated and referenced function is clean" ~only:[ "R19" ]
     []
-    "let[@ncc.hot] step x = x + 1\nlet drive xs = List.map step xs\n";
-  check_sites "seed-listed functions need no callers" ~only:[ "R19" ] []
-    "module Sim = struct module Engine = struct\n\
-    \  let run x = x\n\
-     end end\n"
+    "let[@ncc.hot] step x = x + 1\nlet drive xs = List.map step xs\n"
 
 let r19_waived () =
   Alcotest.(check (list (triple string int string)))
