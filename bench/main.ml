@@ -75,76 +75,29 @@ let micro () =
     Test.make ~name:"safeguard check (16 pairs)"
       (Staged.stage (fun () -> ignore (Ncc.Client.safeguard [ results ])))
   in
-  let heap =
-    Test.make ~name:"heap push+pop x100"
-      (Staged.stage (fun () ->
-           let h = Sim.Heap.create () in
-           for i = 1 to 100 do
-             Sim.Heap.push h (float_of_int (i * 7919 mod 100)) i
-           done;
-           while not (Sim.Heap.is_empty h) do
-             ignore (Sim.Heap.top_prio h);
-             ignore (Sim.Heap.pop_min h)
-           done))
-  in
-  (* The heap in the shape the sim engine runs it: a persistent
-     1k-entry timer heap under pop+push churn. A cold drain of a tiny
-     heap would hide allocation — bump allocation is nearly free until
-     steady-state churn keeps the minor collector busy. *)
-  let heap_drain =
-    let h = Sim.Heap.create () in
-    for i = 1 to 1024 do
-      Sim.Heap.push h (float_of_int (i * 7919 mod 1000)) i
-    done;
-    Test.make ~name:"heap churn pop_min+push x100"
-      (Staged.stage (fun () ->
-           for i = 1 to 100 do
-             ignore (Sim.Heap.top_prio h);
-             let v = Sim.Heap.pop_min h in
-             Sim.Heap.push h (float_of_int (i * 7919 mod 1000)) v
-           done))
-  in
-  (* The engine's queue (the wheel) against a plain heap: steady-state
-     event churn against a persistent structure holding N pending
-     events, at 1k / 100k / 1M. Each event reschedules itself at
-     popped time + span, where the span is 256 ticks of 1us at 1k,
-     1,000 at 100k and 10,000 at 1M; each engine run covers [step], the
-     time in which the 100 events a heap row pops (top_prio + pop_min +
-     push) come due. Up to 100k every reschedule lands in the wheel's
-     4,096-slot window (O(1)); at 1M it lands past the window, in the
-     overflow heap, and the engine pays the heap's sift plus its own
-     refill. *)
+  (* The engine's queue (the wheel): steady-state event churn against a
+     persistent queue holding N pending events, at 1k / 100k / 1M. Each
+     event reschedules itself at popped time + span, where the span is
+     256 ticks of 1us at 1k, 1,000 at 100k and 10,000 at 1M; each run
+     covers [step], the time in which 100 events come due. Up to 100k
+     every reschedule lands in the wheel's 4,096-slot window (O(1)); at
+     1M it lands past the window, in the overflow heap, and the engine
+     pays the heap's sift plus its own refill. *)
   let engine_churn =
-    List.concat_map
+    List.map
       (fun (tag, n) ->
         let span_ticks = max 256 (n / 100) in
         let span = float_of_int span_ticks *. 1e-6 in
         let prio i = float_of_int (i * 7919 mod span_ticks) *. 1e-6 in
-        let wheel =
-          let e = Sim.Engine.create () in
-          let step = 100.0 *. span /. float_of_int n in
-          let rec tick () = Sim.Engine.schedule e ~delay:span tick in
-          for i = 1 to n do
-            Sim.Engine.schedule_at e ~time:(prio i) tick
-          done;
-          Test.make ~name:(Printf.sprintf "engine.wheel churn %s" tag)
-            (Staged.stage (fun () ->
-                 Sim.Engine.run ~until:(Sim.Engine.now e +. step) e))
-        in
-        let heap =
-          let h = Sim.Heap.create () in
-          for i = 1 to n do
-            Sim.Heap.push h (prio i) i
-          done;
-          Test.make ~name:(Printf.sprintf "engine.heap churn %s" tag)
-            (Staged.stage (fun () ->
-                 for _ = 1 to 100 do
-                   let p = Sim.Heap.top_prio h in
-                   let v = Sim.Heap.pop_min h in
-                   Sim.Heap.push h (p +. span) v
-                 done))
-        in
-        [ wheel; heap ])
+        let e = Sim.Engine.create () in
+        let step = 100.0 *. span /. float_of_int n in
+        let rec tick () = Sim.Engine.schedule e ~delay:span tick in
+        for i = 1 to n do
+          Sim.Engine.schedule_at e ~time:(prio i) tick
+        done;
+        Test.make ~name:(Printf.sprintf "engine.wheel churn %s" tag)
+          (Staged.stage (fun () ->
+               Sim.Engine.run ~until:(Sim.Engine.now e +. step) e)))
       [ ("1k", 1_000); ("100k", 100_000); ("1M", 1_000_000) ]
   in
   (* The in-flight message arena: ping-pong one message at a time
@@ -285,8 +238,6 @@ let micro () =
       store_lookup_deep;
       net_dispatch;
       safeguard;
-      heap;
-      heap_drain;
       net_arena;
       zipf;
       zipf_table_memo_hit;

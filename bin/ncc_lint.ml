@@ -21,7 +21,6 @@ let usage =
   \  --format FMT    finding output: human (default) file:line text, json\n\
   \                  (top-level \"version\" field tracks the schema), or\n\
   \                  sarif (SARIF 2.1.0, for code-scanning upload)\n\
-  \  --json          alias for --format json\n\
   \  --werror        exit non-zero on warnings too\n\
   \  --rules IDS     run only the comma-separated rule ids (e.g. R7,R9)\n\
   \  --cmt-root DIR  the dune build tree whose .cmt files are linted\n\
@@ -123,7 +122,6 @@ let parse_args args =
     | "--help" :: _ ->
       print_string usage;
       exit 0
-    | "--json" :: rest -> go { o with format = Json } rest
     | "--format" :: fmt :: rest -> go { o with format = parse_format fmt } rest
     | [ "--format" ] -> die "--format needs an argument (human, json or sarif)"
     | "--werror" :: rest -> go { o with werror = true } rest

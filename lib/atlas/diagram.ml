@@ -5,9 +5,8 @@
 
 (* --- hot reduce loops -------------------------------------------------- *)
 
-(* The per-cell inner loops of the reducer, registered in
-   Lint.Hotpaths so the R16-R19 allocation plane covers them: on a
-   wide grid these run once per (point x protocol) over per-seed
+(* The per-cell inner loops of the reducer, marked [@ncc.hot] so the
+   R16-R19 allocation plane covers them: on a wide grid these run once per (point x protocol) over per-seed
    arrays. Written as top-level tail recursions — no closure, ref or
    boxed-float allocation. *)
 

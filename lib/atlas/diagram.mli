@@ -44,10 +44,6 @@ val reduce : Driver.sweep -> t
     order) — the join key the reporter uses. *)
 val coords_equal : (string * string) list -> (string * string) list -> bool
 
-(** Allocation-free reduce loops (seeded in [Lint.Hotpaths] for the
-    R16–R19 allocation plane). *)
-
+(** Mean of a per-seed array: an allocation-free reduce loop, hot for
+    the R16–R19 allocation plane. *)
 val mean : float array -> float
-
-(** Index of the max element; ties keep the earliest. 0 on empty. *)
-val winner_index : float array -> int

@@ -48,8 +48,6 @@ val axis_name : axis -> string
 (** Display labels for the axis's values, in sweep order. *)
 val axis_labels : axis -> string list
 
-val workload_label : workload_kind -> string
-
 (** [expand base axes]: the row-major grid (first axis slowest), each
     cell as (coordinates, point) where coordinates are (axis name,
     value label) pairs in axis order. Empty [axes] yields the single

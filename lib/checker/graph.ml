@@ -138,6 +138,7 @@ let find_cycle g =
   done;
   !cycle
 
+(* "init", "tx<n>" or "rt<n>" per the node encoding. *)
 let node_name n =
   if n = 0 then "init"
   else if n > 0 then Printf.sprintf "tx%d" n

@@ -26,8 +26,5 @@ val edge : t -> int -> int -> unit
     tried newest node first and successors newest edge first. *)
 val find_cycle : t -> int list option
 
-(** ["init"], ["tx<n>"] or ["rt<n>"] per the node encoding. *)
-val node_name : int -> string
-
 (** Cycle witness rendered as ["a -> b -> c"]. *)
 val describe_cycle : int list -> string

@@ -539,11 +539,3 @@ let fault_stats t =
   }
 
 let busy_time t id = t.busy_time.(id)
-
-let max_server_utilization t ~duration =
-  if duration <= 0.0 then 0.0
-  else
-    List.fold_left
-      (fun acc s -> Float.max acc (t.busy_time.(s) /. duration))
-      0.0
-      (Topology.servers t.net_topo)

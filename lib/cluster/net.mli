@@ -75,5 +75,3 @@ val fault_stats : 'msg t -> fault_stats
 (** CPU seconds consumed by a node so far. *)
 val busy_time : 'msg t -> Types.node_id -> float
 
-(** Highest per-server CPU utilization over [duration] seconds. *)
-val max_server_utilization : 'msg t -> duration:float -> float

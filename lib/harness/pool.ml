@@ -36,8 +36,6 @@
    submission order, not completion order) only after the whole batch
    has run. *)
 
-let default_jobs () = 1
-
 let cpu_count () = Domain.recommended_domain_count ()
 
 (* Run every thunk exactly once; result list is in submission order. *)

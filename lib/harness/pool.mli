@@ -11,10 +11,6 @@
 
     See docs/performance.md for the full determinism argument. *)
 
-(** Default parallelism when the caller gives none: 1, i.e. the plain
-    sequential path. Parallelism is strictly opt-in. *)
-val default_jobs : unit -> int
-
 (** Domains the hardware can usefully run ([--jobs 0] resolves to
     this at the CLIs). *)
 val cpu_count : unit -> int

@@ -29,13 +29,11 @@ let is_write = function Write _ -> true | Read _ -> false
    polymorphic structural equality. *)
 let key_eq : key -> key -> bool = Int.equal
 let node_eq : node_id -> node_id -> bool = Int.equal
-let node_compare : node_id -> node_id -> int = Int.compare
 let mem_key k l = List.exists (fun k' -> key_eq k k') l
 let mem_node n l = List.exists (fun n' -> node_eq n n') l
 
-(* [List.assoc] / [List.mem_assoc] with the node comparator pinned. *)
+(* [List.assoc] with the node comparator pinned. *)
 let assoc_node n l = snd (List.find (fun (n', _) -> node_eq n n') l)
-let mem_assoc_node n l = List.exists (fun (n', _) -> node_eq n n') l
 
 let pp_op ppf = function
   | Read k -> Fmt.pf ppf "R(%d)" k

@@ -23,12 +23,10 @@ val pp_op : op Fmt.t
 val key_eq : key -> key -> bool
 
 val node_eq : node_id -> node_id -> bool
-val node_compare : node_id -> node_id -> int
 val mem_key : key -> key list -> bool
 val mem_node : node_id -> node_id list -> bool
 
-(** [List.assoc] / [List.mem_assoc] with the node comparator pinned;
-    [assoc_node] raises [Not_found] like [List.assoc]. *)
+(** [List.assoc] with the node comparator pinned; raises [Not_found]
+    like [List.assoc]. *)
 val assoc_node : node_id -> (node_id * 'a) list -> 'a
 
-val mem_assoc_node : node_id -> (node_id * 'a) list -> bool

@@ -20,8 +20,6 @@ type msg = App of Ncc.Msg.msg | Raft of Ncc.Msg.msg Rsm.Raft.msg
     deployments need timeouts well above the replica round trip. *)
 type raft_timeouts = { election : float; heartbeat : float }
 
-val default_timeouts : raft_timeouts
-
 val make_protocol :
   ?config:Ncc.Msg.config -> ?mode:mode -> ?raft_timeouts:raft_timeouts ->
   ?name:string -> unit -> Harness.Protocol.t

@@ -69,8 +69,6 @@ let rec add_json b = function
       fields;
     Buffer.add_char b '}'
 
-let to_buffer = add_json
-
 let to_string v =
   let b = Buffer.create 1024 in
   add_json b v;

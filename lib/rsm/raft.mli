@@ -52,7 +52,6 @@ val handle : 'cmd t -> src:Kernel.Types.node_id -> 'cmd msg -> unit
 val propose : 'cmd t -> 'cmd -> int
 
 val is_leader : 'cmd t -> bool
-val last_index : 'cmd t -> int
 
 (** Halt timers and message processing (simulates a crashed node). *)
 val stop : 'cmd t -> unit

@@ -2,7 +2,8 @@
    queue of pending events (thunks). Time is in seconds (float). Events
    come out in exactly (time, scheduling-order) order, so a run is a pure
    function of the seed and the initial events; the identity tests pin
-   this against a plain {!Heap} loop.
+   this against a plain priority queue keyed by (time, scheduling
+   order).
 
    One module owns the clock, the queue and the drain loop because under
    dune's dev profile ([-opaque]) no call across modules is inlined, so a
@@ -106,7 +107,7 @@ let grow t =
 
 let before t i j =
   t.prios.(i) < t.prios.(j)
-  (* ncc-lint: allow R8 — exact float tie falls through to the seq tie-breaker, same contract as Heap.before *)
+  (* ncc-lint: allow R8 — an exact float tie falls through to the seq tie-breaker: equal times run in scheduling order *)
   || (t.prios.(i) = t.prios.(j) && t.seqs.(i) < t.seqs.(j))
 
 (* --- the overflow heap ------------------------------------------------- *)

@@ -1,7 +1,7 @@
 (** Discrete-event simulation engine: virtual clock plus event queue (a
     timing wheel and overflow heap over one node arena). Equal-time
-    events run in scheduling order, exactly as a plain {!Heap} delivers
-    them. No time crosses a call per event, so the queue allocates
+    events run in scheduling order, exactly as a plain priority queue
+    keyed by (time, scheduling order) delivers them. No time crosses a call per event, so the queue allocates
     nothing at steady state. *)
 
 type t

@@ -107,17 +107,3 @@ let zipf_draw t z =
     in
     let i = int_of_float v in
     if i >= z.n then z.n - 1 else if i < 0 then 0 else i
-
-(* Fisher-Yates shuffle, in place. *)
-let shuffle t arr =
-  for i = Array.length arr - 1 downto 1 do
-    let j = Random.State.int t.state (i + 1) in
-    let tmp = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- tmp
-  done
-
-(* Pick one element of a non-empty array uniformly. *)
-let choose t arr =
-  if Array.length arr = 0 then invalid_arg "Rng.choose";
-  arr.(Random.State.int t.state (Array.length arr))

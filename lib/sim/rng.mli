@@ -34,5 +34,3 @@ type zipf
 val zipf_create : n:int -> theta:float -> zipf
 val zipf_draw : t -> zipf -> int
 
-val shuffle : t -> 'a array -> unit
-val choose : t -> 'a array -> 'a

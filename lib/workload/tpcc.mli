@@ -8,12 +8,8 @@ type t
 
 val create : ?warehouses_per_server:int -> n_servers:int -> unit -> t
 
-(** Row-key constructors (exposed for tests and tooling). *)
-val warehouse_key : t -> int -> Kernel.Types.key
+(** A district's row key (exposed for tests). *)
 val district_key : t -> int -> int -> Kernel.Types.key
-val customer_key : t -> int -> int -> int -> Kernel.Types.key
-val stock_key : t -> int -> int -> Kernel.Types.key
-val item_key : t -> int -> Kernel.Types.key
 
 val make :
   ?warehouses_per_server:int -> n_servers:int -> unit -> Harness.Workload_sig.t

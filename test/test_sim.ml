@@ -1,58 +1,5 @@
-(* Simulation core: heap ordering, engine semantics, RNG distributions
-   and per-node clocks. *)
-
-let heap_pops_sorted =
-  QCheck.Test.make ~name:"heap pops in priority order" ~count:300
-    QCheck.(list (pair (float_range 0.0 100.0) small_nat))
-    (fun entries ->
-      let h = Sim.Heap.create () in
-      List.iter (fun (p, v) -> Sim.Heap.push h p v) entries;
-      let rec drain last acc =
-        if Sim.Heap.is_empty h then List.rev acc
-        else begin
-          let p = Sim.Heap.top_prio h in
-          let v = Sim.Heap.pop_min h in
-          if p < last then raise Exit;
-          drain p ((p, v) :: acc)
-        end
-      in
-      match drain neg_infinity [] with
-      | popped -> List.length popped = List.length entries
-      | exception Exit -> false)
-
-(* Strictly stronger than the two tests above: the pop sequence is
-   exactly the stable sort of the push sequence by priority, i.e. ties
-   break by push order everywhere, not just in one hand-built case.
-   Integer priorities on a small range force plenty of ties. *)
-let heap_stable_sort =
-  QCheck.Test.make ~name:"heap pop order = stable sort by (prio, push seq)"
-    ~count:300
-    QCheck.(list (pair (0 -- 10) small_nat))
-    (fun entries ->
-      let h = Sim.Heap.create () in
-      List.iter (fun (p, v) -> Sim.Heap.push h (float_of_int p) v) entries;
-      let rec drain acc =
-        if Sim.Heap.is_empty h then List.rev acc
-        else begin
-          let p = Sim.Heap.top_prio h in
-          let v = Sim.Heap.pop_min h in
-          drain ((p, v) :: acc)
-        end
-      in
-      let expected =
-        List.map
-          (fun (p, v) -> (float_of_int p, v))
-          (List.stable_sort (fun (a, _) (b, _) -> Int.compare a b) entries)
-      in
-      List.equal
-        (fun (a, x) (b, y) -> Float.equal a b && Int.equal x y)
-        expected (drain []))
-
-let heap_fifo_on_ties () =
-  let h = Sim.Heap.create () in
-  List.iter (fun v -> Sim.Heap.push h 1.0 v) [ 1; 2; 3; 4; 5 ];
-  let order = List.init 5 (fun _ -> Sim.Heap.pop_min h) in
-  Alcotest.(check (list int)) "insertion order preserved" [ 1; 2; 3; 4; 5 ] order
+(* Simulation core: engine semantics, RNG distributions and per-node
+   clocks. *)
 
 let engine_runs_in_time_order () =
   let e = Sim.Engine.create () in
@@ -175,7 +122,6 @@ let clock_skew_and_drift () =
 
 let suite =
   [
-    Alcotest.test_case "heap fifo on ties" `Quick heap_fifo_on_ties;
     Alcotest.test_case "engine time order" `Quick engine_runs_in_time_order;
     Alcotest.test_case "engine horizon" `Quick engine_horizon;
     Alcotest.test_case "engine stop" `Quick engine_stop;
@@ -186,7 +132,7 @@ let suite =
     Alcotest.test_case "clock skew and drift" `Quick clock_skew_and_drift;
   ]
   @ List.map QCheck_alcotest.to_alcotest
-      [ heap_pops_sorted; heap_stable_sort; exponential_mean; zipf_bounds ]
+      [ exponential_mean; zipf_bounds ]
 
 let trace_ring () =
   Sim.Trace.enable ~capacity:4 ();

@@ -1,8 +1,8 @@
 (* The engine's timing-wheel event queue and the cluster-scale runner
    features that ride on it. The load-bearing property throughout: the
-   engine and a plain binary heap are observationally identical — same
-   delivery order, byte-identical runs — so the wheel inside the engine
-   changes cost only. *)
+   engine and a plain priority queue are observationally identical —
+   same delivery order, byte-identical runs — so the wheel inside the
+   engine changes cost only. *)
 
 (* Priorities that stress every wheel path at once: a dense in-window
    cluster (slot chains, sub-resolution ties), exact-tick bursts (FIFO
@@ -20,15 +20,31 @@ let prio_gen =
 
 let prios = QCheck.make ~print:QCheck.Print.(list float) QCheck.Gen.(list prio_gen)
 
-(* Drain a reference heap of thunks the way the engine drains its
-   queue: advance [clock] to each event's time, then run it. *)
-let heap_run h clock =
-  while not (Sim.Heap.is_empty h) do
-    let p = Sim.Heap.top_prio h in
-    let f = Sim.Heap.pop_min h in
-    clock := p;
-    f ()
-  done
+(* The reference order: a plain priority queue of thunks, keyed by
+   (time, schedule order) so equal times run first-scheduled first,
+   drained the way the engine drains its queue — advance [clock] to
+   each event's time, then run it. *)
+module Ref = Map.Make (struct
+  type t = float * int
+
+  let compare (t, i) (u, j) =
+    if Float.equal t u then Int.compare i j else Float.compare t u
+end)
+
+let ref_queue () = (ref Ref.empty, ref 0)
+
+let ref_push (q, n) time f =
+  incr n;
+  q := Ref.add (time, !n) f !q
+
+let rec ref_run ((q, _) as r) clock =
+  match Ref.min_binding_opt !q with
+  | None -> ()
+  | Some (((t, _) as k), f) ->
+    q := Ref.remove k !q;
+    clock := t;
+    f ();
+    ref_run r clock
 
 let same_log a b = List.equal (fun (t, i) (u, j) -> Float.equal t u && Int.equal i j) a b
 
@@ -41,9 +57,9 @@ let wheel_heap_same_drain =
           Sim.Engine.schedule_at e ~time:p (fun () -> log_e := (Sim.Engine.now e, i) :: !log_e))
         ps;
       Sim.Engine.run e;
-      let h = Sim.Heap.create () and clock = ref 0.0 and log_h = ref [] in
-      List.iteri (fun i p -> Sim.Heap.push h p (fun () -> log_h := (!clock, i) :: !log_h)) ps;
-      heap_run h clock;
+      let h = ref_queue () and clock = ref 0.0 and log_h = ref [] in
+      List.iteri (fun i p -> ref_push h p (fun () -> log_h := (!clock, i) :: !log_h)) ps;
+      ref_run h clock;
       same_log !log_e !log_h)
 
 (* Interleaved schedule/pop churn under the engine's monotonicity
@@ -55,7 +71,7 @@ let wheel_heap_same_drain =
    the integer-tick clamp (4e12 s), where the overflow heap delivers
    directly — a past-clamp event scheduled after another was delivered
    must still come out in time order. The draws happen inside the
-   events, so any ordering divergence from the heap compounds. *)
+   events, so any ordering divergence from the reference compounds. *)
 let wheel_heap_interleaved =
   QCheck.Test.make ~name:"wheel = heap under interleaved schedule/pop"
     ~count:200
@@ -96,16 +112,16 @@ let wheel_heap_interleaved =
           ~now:(fun () -> Sim.Engine.now e)
       in
       Sim.Engine.run e;
-      let h = Sim.Heap.create () and clock = ref 0.0 in
-      let log_h = drive ~schedule_at:(Sim.Heap.push h) ~now:(fun () -> !clock) in
-      heap_run h clock;
+      let h = ref_queue () and clock = ref 0.0 in
+      let log_h = drive ~schedule_at:(ref_push h) ~now:(fun () -> !clock) in
+      ref_run h clock;
       same_log !log_e !log_h)
 
 (* The engine-level restatement, with dynamic scheduling: a schedule
    with thousands of events pending — long-delay events piling up,
    batches sharing one absolute time, zero-delay same-instant bursts,
-   far-future stragglers — must be delivered exactly as a plain
-   [Sim.Heap] loop delivers it. RNG draws happen inside handlers, so
+   far-future stragglers — must be delivered exactly as the reference
+   queue delivers it. RNG draws happen inside handlers, so
    any ordering divergence compounds and cannot cancel out. *)
 let engine_sched_identity () =
   let drive ~schedule ~schedule_at ~now ~run =
@@ -134,13 +150,13 @@ let engine_sched_identity () =
       ~now:(fun () -> Sim.Engine.now e)
       ~run:(fun () -> Sim.Engine.run e)
   in
-  let h = Sim.Heap.create () and clock = ref 0.0 in
+  let h = ref_queue () and clock = ref 0.0 in
   let log_h =
     drive
-      ~schedule:(fun delay f -> Sim.Heap.push h (!clock +. delay) f)
-      ~schedule_at:(fun time f -> Sim.Heap.push h time f)
+      ~schedule:(fun delay f -> ref_push h (!clock +. delay) f)
+      ~schedule_at:(ref_push h)
       ~now:(fun () -> !clock)
-      ~run:(fun () -> heap_run h clock)
+      ~run:(fun () -> ref_run h clock)
   in
   Alcotest.(check int) "same event count" (List.length log_h) (List.length log_e);
   Alcotest.(check int) "engine counts every event" (List.length log_e)
@@ -186,11 +202,7 @@ let wheel_churn_footprint () =
 
 (* The event queue allocates nothing per event: the engine keeps every
    time in its arena's float array and its clock cell, so no float is
-   boxed on the way in or out. The heap probe (the identity tests'
-   reference) still pays 4 words per top_prio + pop_min + push cycle:
-   its priorities cross module boundaries, which under dune's dev
-   profile ([-opaque], no cross-module inlining) boxes them. The engine
-   at 10k pending over a 10 ms span sends every reschedule past the
+   boxed on the way in or out. The engine at 10k pending over a 10 ms span sends every reschedule past the
    wheel's 4,096-slot window, through its overflow heap, whose entries
    are node ids, so that path is as free as the window. A local sift or
    slot scan capturing the queue would add a closure block per push,
@@ -198,25 +210,6 @@ let wheel_churn_footprint () =
    own option and loop closure are a few words over thousands of
    events. *)
 let queue_cycle_words () =
-  let per_cycle ~warm ~cycles churn =
-    churn warm;
-    let w0 = Gc.minor_words () in
-    churn cycles;
-    (Gc.minor_words () -. w0) /. float_of_int cycles
-  in
-  let heap_words n =
-    let h = Sim.Heap.create () in
-    let span = float_of_int n *. 1e-6 in
-    for i = 0 to n - 1 do
-      Sim.Heap.push h (float_of_int (i * 7919 mod n) *. 1e-6) 0
-    done;
-    per_cycle ~warm:10_000 ~cycles:100_000 (fun k ->
-        for _ = 1 to k do
-          let p = Sim.Heap.top_prio h in
-          let v = Sim.Heap.pop_min h in
-          Sim.Heap.push h (p +. span) v
-        done)
-  in
   let engine_words n ~span =
     let e = Sim.Engine.create () in
     let rec tick () = Sim.Engine.schedule e ~delay:span tick in
@@ -235,13 +228,6 @@ let queue_cycle_words () =
     ignore (window 10);
     (window 50, Sim.Engine.pending e)
   in
-  List.iter
-    (fun n ->
-      let w = heap_words n in
-      Alcotest.(check bool)
-        (Printf.sprintf "heap at %d pending: %.2f words/cycle" n w)
-        true (w <= 6.0))
-    [ 150; 10_000 ];
   List.iter
     (fun (n, span, bound) ->
       let w, pending = engine_words n ~span in
