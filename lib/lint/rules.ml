@@ -1,108 +1,33 @@
-(* The determinism rule set, encoded as data.
+(* The rule set, encoded as data: one [rule] per id, whose [summary]
+   and [rationale] ([--explain Rn]) are the per-rule documentation, plus
+   the registries the rules key on. docs/determinism.md and
+   docs/performance.md are the prose counterparts.
 
    Everything the repro claims — byte-identical seed replay, fair
    protocol comparison, the paper's NCC-vs-baselines curves — rests on
-   the simulator being a pure function of its seed. These rules turn
-   that contract into a build-failing check (see docs/determinism.md):
-
-     R1  randomness only through Sim.Rng (the split-stream wrapper);
-     R2  no wall-clock or ambient nondeterminism;
-     R3  no unordered hash-table traversal: Hashtbl.iter/fold/to_seq
-         visit buckets in hash order, so anything they feed depends on
-         the hash function — use Kernel.Detmap instead;
-     R4  no Obj tricks (unchecked casts defeat every other guarantee);
-     R5  no top-level mutable state: module-global state survives
-         across runs inside one process and breaks run-to-run isolation
-         unless it is explicitly reset (Sim.Trace is the audited
-         exception);
-     R6  no exception-swallowing [with _ ->]: a swallowed exception
-         turns a deterministic crash into a silent divergence.
+   the simulator being a pure function of its seed. The determinism
+   rules turn that contract into a build-failing check: R1-R6 are
+   site-local (forbidden identifiers, top-level mutable state, wildcard
+   exception handlers); R7-R10 also need the types and the call graph
+   (polymorphic comparison at owned types, float time, handler effect
+   reachability, protocol message liveness). The race plane R12-R15
+   (Race_engine) polices what runs under Pool.submit/Pool.map or
+   Domain.spawn. The allocation plane R16-R19 (Alloc_engine) polices
+   the hot paths — the bindings carrying an [@ncc.hot] attribute and
+   everything they reach — where per-event allocation is what
+   cluster-scale sweeps (docs/performance.md) pay for.
 
    Every rule runs on the compiler's typedtree (.cmt files, see
-   Typed_engine), so identifiers are matched by their resolved paths:
-   a module alias, a local open or an [include] cannot hide a forbidden
-   call. R7-R10 additionally need the types and the call graph:
-
-     R7  polymorphic structural equality/compare/hash applied at a
-         type that must use its owning module's comparator (Ts.t and
-         friends), or that contains floats, functions or hash-ordered
-         containers;
-     R8  float equality on simulated-time values, and float ordering
-         directly against a raw clock read — use a tolerance, or the
-         integer-nanosecond path (Sim.Clock.read_ns);
-     R9  interprocedural effect reachability: no path from a
-         Protocol.S handler entry point to an ambient effect
-         (randomness, wall clock, I/O, top-level mutation);
-     R10 protocol [msg] constructor liveness: a constructor never
-         built or never matched is a dead protocol message.
-
-   The race plane R12-R15 (Race_engine, also .cmt-based) polices the
-   domain-parallel surface — everything that runs under Pool.submit/
-   Pool.map or Domain.spawn:
-
-     R12 field-sensitive mutable-state escape: a mutable location
-         (ref, mutable record field, array, Hashtbl/Buffer/Queue
-         value) that escapes into a closure handed to the domain pool,
-         with Atomic.t, mutex-guarded regions, Domain.DLS and
-         per-slot writes at the submitting index recognised as safe;
-     R13 mixed discipline: an abstract location holding an Atomic.t
-         that is also re-assigned by a plain write — readers may keep
-         operating on the replaced cell;
-     R14 lock discipline: Mutex.lock with no release on every path
-         (use Mutex.protect / Fun.protect ~finally), and a lock
-         re-acquired through the call graph (OCaml mutexes are not
-         reentrant: self-deadlock);
-     R15 DLS misuse: Domain.DLS state touched from code the domain
-         pool can never reach — the "domain-local" value degenerates
-         to a plain global of the main domain.
-
-   The allocation plane R16-R19 (Alloc_engine, also .cmt-based) is the
-   performance-oriented set: it polices the simulator's hot paths — the
-   Hotpaths seed registry plus anything carrying an [@ncc.hot]
-   attribute — where per-event and per-message allocation is what
-   cluster-scale sweeps (docs/performance.md, "Cluster scale") pay for:
-
-     R16 boxed-float traffic in a hot function: a float ref, a float
-         flowing into a tuple / option / list / variant payload, a
-         float record field in a non-float (mixed) record — each is a
-         heap box per write on the time-arithmetic path;
-     R17 per-call allocation in a hot function: a closure literal
-         built inside a hot loop or handed to a scheduling sink
-         (Engine.schedule, Pool.submit), tuple / Some / :: construction
-         on the dispatch path, Printf/Format/string building,
-         Hashtbl/Queue/Stack/Buffer construction;
-     R18 hotness propagation: an R16/R17-class site in a function that
-         is only *transitively* hot — reachable from a hot entry over
-         the call graph — fires as R18 with the BFS chain from the
-         entry as evidence, so annotations stay sparse;
-     R19 hot-annotation hygiene: an [@ncc.hot] attribute on a
-         non-function binding, or on code nothing in the linted tree
-         references (a dangling hot claim). Unused [allow R16-R18]
-         waivers surface through the standard pragma machinery.
-
-   A rule names either forbidden identifier prefixes or exact forbidden
-   identifiers, selects one of two structural checks (top-level
-   mutable state, wildcard exception handlers), or selects one of the
-   typed checks. [allowed_files] lists repo-relative paths exempt from
-   the rule; everything else needs a per-site waiver pragma carrying a
-   reason (see Pragma). [rationale] and [example] feed the CLI's
-   [--explain Rn]. *)
+   Typed_engine), so identifiers are matched by their resolved paths: a
+   module alias, a local open or an [include] cannot hide a forbidden
+   call. A rule names forbidden identifier prefixes or exact forbidden
+   identifiers, selects one of two structural checks (top-level mutable
+   state, wildcard exception handlers), or is a typed check dispatched
+   by its id. [allowed_files] lists repo-relative paths exempt from the
+   rule; everything else needs a per-site waiver pragma carrying a
+   reason (see Pragma). *)
 
 type severity = Error | Warn
-
-type typed_check =
-  | Poly_compare  (* R7 *)
-  | Float_time  (* R8 *)
-  | Handler_effects  (* R9 *)
-  | Msg_liveness  (* R10 *)
-  | Race_escape  (* R12 *)
-  | Atomic_mixed  (* R13 *)
-  | Lock_discipline  (* R14 *)
-  | Dls_misuse  (* R15 *)
-  | Boxed_float  (* R16 *)
-  | Hot_alloc  (* R17 *)
-  | Hot_propagation  (* R18 *)
-  | Hot_hygiene  (* R19 *)
 
 type matcher =
   | Forbid_prefixes of string list
@@ -113,7 +38,7 @@ type matcher =
       (* ref / Hashtbl.create / Buffer.create / array literals ...
          evaluated at module-initialisation time *)
   | Wildcard_try  (* [try ... with _ ->] / [match ... with exception _ ->] *)
-  | Typed of typed_check
+  | Typed  (* R7 and up: a type- or graph-aware check, keyed by id *)
 
 type rule = {
   id : string;
@@ -241,7 +166,7 @@ let all : rule list =
          a Hashtbl.t it depends on bucket layout. Use the type's own \
          comparator (Ts.equal, Int.equal, ...).";
       example = "let eq (a : Ts.t) (b : Ts.t) = a = b";
-      matcher = Typed Poly_compare;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -256,7 +181,7 @@ let all : rule list =
          sensitivity at the exact boundary. Compare integer nanoseconds, or \
          an explicitly-toleranced difference.";
       example = "let expired deadline = Engine.now () >= deadline";
-      matcher = Typed Float_time;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -270,7 +195,7 @@ let all : rule list =
          the effect site, silencing every chain that reaches it.";
       example =
         "let jitter () = Random.int 10\nlet submit t = t + jitter ()";
-      matcher = Typed Handler_effects;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -282,7 +207,7 @@ let all : rule list =
          wire format or a missing handler arm — both are bugs in a \
          reproduction whose point is the message flow.";
       example = "type msg = Ping | Dead  (* Dead never built nor matched *)";
-      matcher = Typed Msg_liveness;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -304,7 +229,7 @@ let all : rule list =
         "let sweep xs =\n\
         \  let tally = Hashtbl.create 16 in\n\
         \  Pool.map ~jobs:4 (fun x -> Hashtbl.replace tally x x) xs";
-      matcher = Typed Race_escape;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -322,7 +247,7 @@ let all : rule list =
       example =
         "type s = { mutable c : int Atomic.t }\n\
          let reset s = s.c <- Atomic.make 0";
-      matcher = Typed Atomic_mixed;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -339,7 +264,7 @@ let all : rule list =
       example =
         "let m = Mutex.create ()\n\
          let leak () = Mutex.lock m; compute ()  (* no unlock *)";
-      matcher = Typed Lock_discipline;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -357,7 +282,7 @@ let all : rule list =
       example =
         "let k = Domain.DLS.new_key (fun () -> ref 0)\n\
          let peek () = !(Domain.DLS.get k)  (* never runs under the pool *)";
-      matcher = Typed Dls_misuse;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -368,13 +293,13 @@ let all : rule list =
         "OCaml boxes every float that leaves flat storage: a float ref, a \
          float tuple or option component, a variant payload, and any float \
          field of a mixed (non-all-float) record each cost one heap \
-         allocation per write. On the hot paths — the event heap, the clock \
+         allocation per write. On the hot paths — the event queue, the clock \
          arithmetic, per-message dispatch — that box is paid per simulated \
          event. Keep hot floats in flat float arrays, all-float records, or \
          plain immediates (integer nanoseconds).";
       example =
         "let[@ncc.hot] step t dt =\n  let acc = ref 0.0 in\n  acc := !acc +. dt;\n  (t, !acc)  (* float ref + float tuple: two boxes per call *)";
-      matcher = Typed Boxed_float;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -393,7 +318,7 @@ let all : rule list =
          *is* the event) carry a reasoned waiver.";
       example =
         "let[@ncc.hot] pop t =\n  Some (t.prio, t.payload)  (* option + tuple per event *)";
-      matcher = Typed Hot_alloc;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -407,11 +332,11 @@ let all : rule list =
          the same call graph R9 and R12 use and fires R18 — with the \
          deterministic BFS chain from the hot entry as evidence — for any \
          R16/R17-class site in a function that is only transitively hot, \
-         so the [@ncc.hot] annotations and the seed registry stay sparse. \
+         so the [@ncc.hot] annotations stay sparse. \
          Waive at the allocation site, or break the edge.";
       example =
         "let helper x = Some x  (* not annotated *)\nlet[@ncc.hot] entry x = helper x  (* chain: entry -> helper *)";
-      matcher = Typed Hot_propagation;
+      matcher = Typed;
       allowed_files = [];
     };
     {
@@ -423,11 +348,14 @@ let all : rule list =
          silently widens or misdirects the checked region. R19 fires on \
          [@ncc.hot] attached to a non-function binding (nothing to \
          propagate from) and on an annotated function that nothing in the \
-         linted tree references and no seed names — dead code carrying a \
-         hot claim. The companion check, unused [allow R16-R18] waivers, \
-         surfaces through the standard pragma machinery.";
+         linted tree references — dead code carrying a hot claim. The \
+         attribute is the only source of hotness and moves with its \
+         binding, so a hot function that is renamed or moved stays hot, and \
+         one whose callers are gone is reported here. The companion check, \
+         unused [allow R16-R18] waivers, surfaces through the standard \
+         pragma machinery.";
       example = "let[@ncc.hot] tuning = 0.99  (* a constant is never hot *)";
-      matcher = Typed Hot_hygiene;
+      matcher = Typed;
       allowed_files = [];
     };
   ]
@@ -560,8 +488,8 @@ let slot_index_sources = [ "Atomic.fetch_and_add" ]
 (* R15: touching a DLS value (creating a key is fine anywhere). *)
 let dls_fns = [ "Domain.DLS.get"; "Domain.DLS.set" ]
 
-(* R16-R19: the attribute that marks a declaration hot ([@ncc.hot]);
-   the Hotpaths module holds the seed list of always-hot entry points. *)
+(* R16-R19: the attribute that marks a declaration hot ([@ncc.hot]),
+   the one source of hotness. *)
 let hot_attribute = "ncc.hot"
 
 (* R16/R17 cold regions: a conditional guarded by one of these is the

@@ -5,30 +5,14 @@
 
 type severity = Error | Warn
 
-(* Which type- or graph-aware check a [Typed _] rule dispatches to:
-   Typed_engine implements R7-R10, Race_engine R12-R15, Alloc_engine
-   R16-R19. The other matchers are the site-local rules R1-R6, also run
-   by Typed_engine. *)
-type typed_check =
-  | Poly_compare  (* R7 *)
-  | Float_time  (* R8 *)
-  | Handler_effects  (* R9 *)
-  | Msg_liveness  (* R10 *)
-  | Race_escape  (* R12 *)
-  | Atomic_mixed  (* R13 *)
-  | Lock_discipline  (* R14 *)
-  | Dls_misuse  (* R15 *)
-  | Boxed_float  (* R16 *)
-  | Hot_alloc  (* R17 *)
-  | Hot_propagation  (* R18 *)
-  | Hot_hygiene  (* R19 *)
-
 type matcher =
   | Forbid_prefixes of string list
   | Forbid_idents of string list
   | Toplevel_mutable
   | Wildcard_try
-  | Typed of typed_check
+  | Typed
+      (* R7 and up, dispatched by rule id: Typed_engine implements
+         R7-R10, Race_engine R12-R15, Alloc_engine R16-R19 *)
 
 type rule = {
   id : string;
@@ -97,8 +81,8 @@ val slot_index_sources : string list
 (* R15: the DLS access points (creating a key is fine anywhere). *)
 val dls_fns : string list
 
-(* R16-R19: the attribute name marking a declaration hot ([@ncc.hot];
-   the Hotpaths module holds the seed list of always-hot entries). *)
+(* R16-R19: the attribute name marking a declaration hot ([@ncc.hot]),
+   the one source of hotness. *)
 val hot_attribute : string
 
 (* R16/R17 cold regions: guard functions whose true-branch is the

@@ -32,7 +32,7 @@ let unit_of ~file src =
 let planes =
   List.filter_map
     (fun (r : Lint.Rules.rule) ->
-      match r.matcher with Lint.Rules.Typed _ -> Some r.id | _ -> None)
+      match r.matcher with Lint.Rules.Typed -> Some r.id | _ -> None)
     Lint.Rules.all
 
 let typed ?(only = planes) ~file src =
