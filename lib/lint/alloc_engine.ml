@@ -2,16 +2,12 @@
    the simulator's hot paths for per-event allocation.
 
    Hotness has one source: the [@ncc.hot] attribute on a binding
-   ([let[@ncc.hot] f] or [and[@ncc.hot] g]). The functions that are hot
-   by construction carry it in lib/ — the event loop and clock reads,
-   per-message dispatch, store lookup, the NCC server's and client's
-   per-message paths, the streaming checker's feed and the
-   phase-diagram reduce loops — so the claim moves with its binding.
-   Each is an *entry*; hotness then propagates over the shared call
-   graph (Graph, the one R9 and R12 walk) — a function transitively
-   reachable from a hot entry inherits hotness, with the
-   deterministic BFS chain from the entry as evidence (R18), so
-   annotations stay sparse.
+   ([let[@ncc.hot] f], [and[@ncc.hot] g]), which the per-event paths in
+   lib/ carry and which moves with its binding. Each is an *entry*;
+   hotness then propagates over the shared call graph (Graph, the one
+   R9 and R12 walk) — a function transitively reachable from a hot
+   entry inherits hotness, with the deterministic BFS chain from the
+   entry as evidence (R18), so annotations stay sparse.
 
    Site classes, collected while walking each node's body:
 
@@ -43,11 +39,9 @@
 
    R19 (hygiene) checks the annotations themselves: [@ncc.hot] on a
    non-function binding, or on a function that no node in the linted
-   tree references, is a dangling hot claim: a renamed or moved hot
-   function keeps its attribute, and one that nothing calls any more
-   is reported. Unused
-   [allow R16-R18] waivers surface through the standard pragma
-   machinery (Engine.apply_waivers).
+   tree references, is a dangling hot claim. Unused [allow R16-R18]
+   waivers surface through the standard pragma machinery
+   (Engine.apply_waivers).
 
    Approximations, by design (docs/performance.md): the rules are
    structural, so allocation hidden behind a call into an un-linted

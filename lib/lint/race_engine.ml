@@ -21,22 +21,20 @@
        point (Rules.spawn_fns) is a spawn node; any top-level mutation
        in its reachable effect footprint is reported with the BFS call
        chain as evidence, at any call depth.
-     - the *closure half* — Typed_engine's walk keeps a frame
-       (Graph.frame) of closure-local binders for each function
-       literal handed to a spawn entry point while it walks that
-       literal. A mutator or container read applied to a location
-       that is not closure-local (a captured ref/Hashtbl/Buffer/
-       Queue/array, or a mutable field rooted at a captured value) is
-       an escape. Safe sinks: Atomic.* and Domain.DLS.* operations,
+     - the *closure half* — while Typed_engine's walk is inside a
+       function literal handed to a spawn entry point, it keeps a
+       frame (Graph.frame) of closure-local binders. A mutator or
+       container read applied to a location that is not closure-local
+       (a captured ref/Hashtbl/Buffer/Queue/array, or a mutable field
+       rooted at a captured value) is an escape. Safe sinks: Atomic.* and Domain.DLS.* operations,
        regions guarded by a held mutex (Mutex.lock...unlock threading
        through the body, or a Rules.guard_fns wrapper), and array
        reads/writes indexed by a per-slot index (a binder assigned
        from Atomic.fetch_and_add — the pool's submission-order merge
-       idiom). Calls from the closure to functions let-bound in the
-       same enclosing binding are inlined transitively, each once per
-       spawn closure: the walk re-walks the callee's body in a frame of
-       its own, with the caller's guard depth, the callee's own
-       binders local and everything else captured.
+       idiom). A function let-bound in the same enclosing binding
+       that the closure calls, directly or not, is walked again once
+       per spawn closure, in a frame of its own with the caller's
+       guard depth: its own binders local, everything else captured.
 
    R13 (mixed discipline) fires anywhere, not just under the pool: a
    plain write that *replaces* an Atomic.t cell (record field holding

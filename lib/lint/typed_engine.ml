@@ -555,7 +555,7 @@ let walk g ctx a (str : Typedtree.structure) =
     end
   in
   let value_binding sub vb =
-    Race_engine.closure_binding ctx !frames vb;
+    if !frames <> [] then Race_engine.closure_binding ctx !frames vb;
     default.value_binding sub vb
   in
   let module_binding sub (mb : Typedtree.module_binding) =

@@ -151,7 +151,28 @@ let r12_safe_sinks () =
       \    (fun x ->\n\
       \      let h = tally in\n\
       \      Hashtbl.replace h x x)\n\
-      \    xs\n")
+      \    xs\n");
+  (* same-binding local functions are inlined transitively: a captured
+     write two calls below the pooled closure is an escape, unless a
+     lock taken on the way guards it *)
+  check_sites "captured write two local calls deep"
+    [ ("fixture.ml", 7, "R12") ]
+    ~only:[ "R12" ]
+    (pool_stub
+    ^ "let sweep xs =\n\
+      \  let tally = Hashtbl.create 16 in\n\
+      \  let record x = Hashtbl.replace tally x x in\n\
+      \  let step x = record x in\n\
+      \  Pool.map ~jobs:4 (fun x -> step x) xs\n");
+  check_sites "a lock taken in the callee guards the deeper write" []
+    ~only:[ "R12" ]
+    (pool_stub
+    ^ "let sweep xs =\n\
+      \  let tally = Hashtbl.create 16 in\n\
+      \  let m = Mutex.create () in\n\
+      \  let record x = Hashtbl.replace tally x x in\n\
+      \  let step x = Mutex.lock m; record x; Mutex.unlock m in\n\
+      \  Pool.map ~jobs:4 (fun x -> step x) xs\n")
 
 (* The converted Pool idioms, replicated shape-for-shape: the per-slot
    submission-order merge and the guarded queue worker. Both must stay
@@ -195,29 +216,6 @@ let r12_pool_idioms_clean () =
     \    end\n\
     \  in\n\
     \  (Domain.spawn loop, q, m, stop)\n"
-
-(* Same-binding local functions are inlined transitively: a captured
-   write two calls below the pooled closure is an escape, unless a lock
-   taken on the way guards it. *)
-let r12_local_fns () =
-  check_sites "captured write two local calls deep"
-    [ ("fixture.ml", 7, "R12") ]
-    ~only:[ "R12" ]
-    (pool_stub
-    ^ "let sweep xs =\n\
-      \  let tally = Hashtbl.create 16 in\n\
-      \  let record x = Hashtbl.replace tally x x in\n\
-      \  let step x = record x in\n\
-      \  Pool.map ~jobs:4 (fun x -> step x) xs\n");
-  check_sites "a lock taken in the callee guards the deeper write" []
-    ~only:[ "R12" ]
-    (pool_stub
-    ^ "let sweep xs =\n\
-      \  let tally = Hashtbl.create 16 in\n\
-      \  let m = Mutex.create () in\n\
-      \  let record x = Hashtbl.replace tally x x in\n\
-      \  let step x = Mutex.lock m; record x; Mutex.unlock m in\n\
-      \  Pool.map ~jobs:4 (fun x -> step x) xs\n")
 
 let r12_waived () =
   Alcotest.(check (list (triple string int string)))
@@ -433,6 +431,4 @@ let suite =
     Alcotest.test_case "R15 fires" `Quick r15_fires;
     Alcotest.test_case "R15 clean" `Quick r15_clean;
     Alcotest.test_case "R15 waived" `Quick r15_waived;
-    Alcotest.test_case "R12 closure half: local functions inlined" `Quick
-      r12_local_fns;
   ]
