@@ -5,10 +5,10 @@
 
 (* --- hot reduce loops -------------------------------------------------- *)
 
-(* The per-cell inner loops of the reducer, marked [@ncc.hot] so the
-   R16-R19 allocation plane covers them: on a wide grid these run once per (point x protocol) over per-seed
-   arrays. Written as top-level tail recursions — no closure, ref or
-   boxed-float allocation. *)
+(* The per-cell inner loops of the reducer, hot entries of the
+   R16-R19 allocation plane: on a wide grid these run once per (point
+   x protocol) over per-seed arrays. Written as top-level tail
+   recursions — no closure, ref or boxed-float allocation. *)
 
 let[@ncc.hot] rec sum_from (xs : float array) i acc =
   if i >= Array.length xs then acc else sum_from xs (i + 1) (acc +. xs.(i))

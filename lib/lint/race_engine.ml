@@ -66,8 +66,9 @@
    than a literal or a same-binding local function is only covered by
    the graph half; rebinding a captured location ([let h = tally in])
    is tracked one step (the alias stays shared) but not through data
-   structures; guard regions are threaded in traversal order, so a
-   lock taken in a branch guards the rest of the enclosing body. *)
+   structures; guard regions are threaded in traversal order: each
+   branch of an [if] starts from the depth before it, but a lock taken
+   in a [match] arm guards the rest of the enclosing body. *)
 
 open Graph
 
