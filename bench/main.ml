@@ -5,7 +5,7 @@
    Usage:
      dune exec bench/main.exe                 # everything, full scale
      dune exec bench/main.exe -- quick        # everything, small scale
-     dune exec bench/main.exe -- fig6a fig8   # selected experiments
+     dune exec bench/main.exe -- fig6a fig8   # selected figures (atlas presets)
      dune exec bench/main.exe -- micro        # microbenchmarks only *)
 
 (* ncc-lint: allow R5 — CLI flag, written once before any experiment runs *)
@@ -14,19 +14,10 @@ let quick = ref false
 (* ncc-lint: allow R5 — CLI flag, written once before any experiment runs *)
 let jobs = ref 1
 
+(* Quick runs stream-check every history by default (the presets'
+   [check] level); --check on|ser|off overrides either scale. *)
 (* ncc-lint: allow R5 — CLI flag, written once before any experiment runs *)
 let check_override : Harness.Runner.check_level option ref = ref None
-
-(* --jobs 0 means one worker per available core. *)
-let njobs () = if !jobs = 0 then Harness.Pool.cpu_count () else max 1 !jobs
-
-(* Quick runs stream-check every history by default (the scale's
-   [check] field); --check on|ser|off overrides either tier. *)
-let scale () =
-  let s = if !quick then Experiments.quick_scale else Experiments.full_scale in
-  match !check_override with
-  | None -> s
-  | Some c -> { s with Experiments.check = c }
 
 (* --- Bechamel microbenchmarks of the core primitives ----------------- *)
 
@@ -280,18 +271,21 @@ let micro () =
    experiments that exclude [gcstats]. *)
 let gcstats () =
   print_string "\n== GC telemetry (simulation runs) ==\n";
-  let s = scale () in
-  let base = Experiments.base_cfg s in
-  let base =
-    { base with Harness.Runner.offered_load = (if !quick then 4_000. else 10_000.) }
+  let s = Atlas.Preset.testbed ~quick:!quick in
+  let point =
+    {
+      s.Atlas.Scenario.base with
+      Atlas.Knob.workload = Atlas.Knob.Google_f1;
+      load = (if !quick then 4_000. else 10_000.);
+    }
   in
-  let mk =
-    match Workload.Registry.find ~n_servers:s.Experiments.n_servers "google-f1" with
-    | Some mk -> mk
-    | None -> failwith "gcstats: google-f1 workload missing"
-  in
+  let check = Option.value !check_override ~default:s.Atlas.Scenario.check in
+  let base = Atlas.Driver.cfg_of ~check point ~seed:42 in
   let mx = Obs.Metrics.create () in
-  let r = Harness.Runner.run ~label:"NCC" ~metrics:mx Ncc.protocol (mk ()) base in
+  let r =
+    Harness.Runner.run ~label:"NCC" ~metrics:mx Ncc.protocol
+      (Atlas.Knob.workload_of point) base
+  in
   let gauge g =
     match List.assoc_opt (g, Obs.Metrics.run_scope) (Obs.Metrics.gauges mx) with
     | Some v -> v
@@ -366,15 +360,23 @@ let lint () =
 (* --- driver ----------------------------------------------------------- *)
 
 let all_experiments =
-  List.map
-    (fun (name, fig) -> (name, fun () -> fig ~jobs:(njobs ()) ~quick:!quick (scale ())))
-    Experiments.figures
+  List.filter_map
+    (fun (p : Atlas.Preset.t) ->
+      match p.report with
+      | Figure report ->
+        let run () = Atlas.Driver.run ~jobs:!jobs ?check:!check_override (p.make ~quick:!quick) in
+        Some (p.name, fun () -> report (run ()))
+      | Phase_diagram -> None)
+    Atlas.Preset.figures
   @ [ ("micro", micro); ("gcstats", gcstats); ("lint", lint) ]
 
 let () =
   let set_jobs n =
-    match int_of_string_opt n with
-    | Some j -> jobs := j
+    match Option.map Harness.Pool.workers (int_of_string_opt n) with
+    | Some (Ok j) -> jobs := j
+    | Some (Error m) ->
+      prerr_endline m;
+      exit 2
     | None ->
       Printf.eprintf "--jobs wants an integer, got %S\n" n;
       exit 2
@@ -425,8 +427,8 @@ let () =
       Printf.eprintf "cannot write %s\n" e;
       exit 2
   in
-  Printf.printf "NCC reproduction benchmarks (%s scale, %d job%s)\n" suite (njobs ())
-    (if njobs () = 1 then "" else "s");
+  Printf.printf "NCC reproduction benchmarks (%s scale, %d job%s)\n" suite !jobs
+    (if !jobs = 1 then "" else "s");
   let rows =
     List.concat_map
       (fun (name, f) ->

@@ -9,7 +9,7 @@
      ncc_sim chaos -p NCC --seeds 20           seeded chaos sweep, strict checks
      ncc_sim chaos -p NCC --replay 7           replay one chaos seed
      ncc_sim atlas smoke --quick --jobs 4      scenario sweep -> phase diagram
-     ncc_sim fig fig6a [--quick]               regenerate a paper figure
+     ncc_sim atlas fig6a [--quick]             regenerate a paper figure
 
    run, scale, trace and profile are presets of one flag set and one
    code path: they differ only in their defaults (cluster, load, run
@@ -32,22 +32,15 @@ let usage_error fmt =
 let arg ?absent c default names ~docv doc =
   Arg.(value & opt c default & info names ?absent ~docv ~doc)
 
-(* The atlas roster plus the replicated variants. *)
-let replicated = [ ("NCC-R", Ncc_r.protocol); ("NCC-R-def", Ncc_r.protocol_deferred) ]
-let protocols = Atlas.Protocols.all @ replicated
-
 (* Case-insensitive protocol lookup: "ncc", "NCC" and "Ncc" all name
    the same protocol. *)
 let protocol_arg =
   let parse s =
-    let ls = String.lowercase_ascii s in
-    match List.find_opt (fun (n, _) -> String.lowercase_ascii n = ls) protocols with
-    | Some np -> Ok np
-    | None ->
-      Error
+    Option.to_result (Atlas.Protocols.find s)
+      ~none:
         (`Msg
-           (Printf.sprintf "unknown protocol %S (one of: %s)" s
-              (String.concat ", " (List.map fst protocols))))
+          (Printf.sprintf "unknown protocol %S (one of: %s)" s
+             (String.concat ", " Atlas.Protocols.names)))
   in
   let print ppf (n, _) = Format.pp_print_string ppf n in
   arg (Arg.conv (parse, print)) ("NCC", Ncc.protocol) [ "p"; "protocol" ] ~docv:"PROTO"
@@ -80,7 +73,9 @@ let jobs_arg =
     "Run independent simulations on N domains (0 = one per core; default \
      sequential). Output is byte-identical to --jobs 1."
 
-let resolve_jobs n = if n = 0 then Harness.Pool.cpu_count () else max 1 n
+(* --jobs N >= 0 (and --seeds N >= 1, where given) or exit 2. *)
+let fan_out ?seeds jobs =
+  match Harness.Pool.workers ?seeds jobs with Ok n -> n | Error m -> usage_error "%s" m
 
 let replicas_arg =
   arg Arg.int 0 [ "replicas" ] ~docv:"N"
@@ -93,7 +88,7 @@ let check_config pname cfg =
    | Ok () -> ()
    | Error m -> usage_error "invalid configuration: %s" m);
   (* without replica nodes a replicated protocol runs unreplicated *)
-  if cfg.Runner.replicas_per_server = 0 && List.mem_assoc pname replicated then
+  if cfg.Runner.replicas_per_server = 0 && Atlas.Protocols.replicated pname then
     usage_error "%s replicates to replica nodes: use --replicas N with N >= 1 (got 0)" pname
 
 let open_output path =
@@ -108,12 +103,12 @@ let write oc s =
 let list_cmd =
   let doc = "List available protocols, workloads, figures and atlas scenarios." in
   let f () =
-    Printf.printf "protocols: %s\n" (String.concat ", " (List.map fst protocols));
+    let names ps = String.concat ", " (List.map (fun (p : Atlas.Preset.t) -> p.name) ps) in
+    Printf.printf "protocols: %s\n" (String.concat ", " Atlas.Protocols.names);
     Printf.printf "workloads: %s\n"
       (String.concat ", " (Workload.Registry.names ~n_servers:8));
-    Printf.printf "figures:   %s\n"
-      (String.concat ", " (List.map fst Experiments.figures));
-    Printf.printf "scenarios: %s\n" (String.concat ", " Atlas.Scenario.names)
+    Printf.printf "figures:   %s\n" (names Atlas.Preset.figures);
+    Printf.printf "scenarios: %s\n" (names Atlas.Preset.scenarios)
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const f $ const ())
 
@@ -484,7 +479,7 @@ let run_cmd p =
        checked in turn *)
     let cfg = { cfg with Runner.faults = faults_of cfg } in
     check_config pname cfg;
-    if seeds < 1 then usage_error "--seeds must be at least 1 (got %d)" seeds;
+    let jobs = fan_out ~seeds jobs in
     if seeds > 1 && (perfetto <> None || profile <> None) then
       usage_error "--perfetto and --profile record one run: use --seeds 1";
     let mk = find_workload ~n_servers:cfg.Runner.n_servers wname in
@@ -501,7 +496,7 @@ let run_cmd p =
       Format.printf "faults: %a@." Cluster.Faults.pp cfg.Runner.faults;
     let record = perfetto <> None || timeline > 0 in
     let outcomes =
-      Harness.Pool.map ~jobs:(resolve_jobs jobs)
+      Harness.Pool.map ~jobs
         (fun seed ->
           (* the tracer is per domain: turn its readers on in the job's own *)
           if ring > 0 then Sim.Trace.enable ~capacity:(max 4096 ring) ();
@@ -586,6 +581,7 @@ let chaos_cmd =
       & info [ "no-crashes" ] ~doc:"Restrict schedules to network faults only.")
   in
   let f (pname, p) wname seeds replay replicas no_crashes check jobs =
+    let jobs = fan_out ~seeds jobs in
     (* a chaos seed passes on its checked history: without a check
        there is no verdict to report *)
     if check = Runner.No_check then
@@ -610,7 +606,7 @@ let chaos_cmd =
       (* the matrix runs (possibly in parallel) first; reports print
          afterwards in seed order, identically for any --jobs *)
       let reports =
-        Harness.Chaos.run_matrix ~jobs:(resolve_jobs jobs) ~allow_crashes ~base p
+        Harness.Chaos.run_matrix ~jobs ~allow_crashes ~base p
           ~workload:mk
           ~seeds:(List.init seeds (fun i -> i + 1))
       in
@@ -633,86 +629,79 @@ let chaos_cmd =
       const f $ protocol_arg $ workload_arg $ seeds $ replay $ replicas_arg $ no_crashes
       $ check_arg Runner.Streaming $ jobs_arg)
 
-(* --- atlas -------------------------------------------------------------- *)
+(* --- atlas: the paper's figures and the scenario grids ------------------ *)
 
 let atlas_cmd =
   let doc =
-    "Sweep a named scenario grid — (protocol x knob-point x seed) cells on \
-     the --jobs pool, every cell stream-checked — and emit the phase diagram \
-     as aligned text plus schema-versioned JSON (byte-identical for any \
-     --jobs). See docs/atlas.md and 'ncc_sim list' for scenarios."
+    "Sweep a preset on the --jobs pool: one of the paper's figures or tables, \
+     which prints its table as bench/main.exe does, or an atlas scenario grid, \
+     which prints its phase diagram as aligned text and writes it as \
+     schema-versioned JSON. Output is byte-identical for any --jobs. See \
+     docs/atlas.md and 'ncc_sim list' for presets."
   in
-  let scenario_arg =
-    Arg.(
-      required
-      & pos 0 (some string) None
-      & info [] ~docv:"SCENARIO" ~doc:"Scenario name (see 'ncc_sim list').")
+  let preset_arg =
+    Arg.(required & pos 0 (some string) None & info [] ~docv:"PRESET" ~doc:"Figure or scenario name.")
   in
   let quick_arg =
-    Arg.(
-      value & flag
-      & info [ "quick" ] ~doc:"Shorter runs and lighter load per cell.")
+    Arg.(value & flag & info [ "quick" ] ~doc:"Shorter runs (a figure: a smaller cluster too).")
   in
   let out =
     arg Arg.(some string) None [ "o"; "out" ] ~docv:"FILE"
-      "Output file for the phase-diagram JSON (default atlas_<scenario>.json)."
+      "Output file: a scenario's phase-diagram JSON (default \
+       atlas_<scenario>.json) or a figure's BENCH rows (default none)."
   in
   let seeds =
     arg Arg.(some int) None [ "seeds" ] ~docv:"N"
-      "Override the scenario's seed list with seeds 1..N."
+      "Override a scenario's seed list with seeds 1..N."
   in
   let check =
-    arg Arg.(enum [ ("on", true); ("off", false) ]) true [ "check" ] ~docv:"LEVEL"
-      "Stream-check every cell ($(b,on), the default — violations surface as \
-       per-cell verdicts, never a sweep abort) or skip checking ($(b,off))."
+    arg Arg.(some (enum Runner.check_levels)) None [ "check" ] ~docv:"LEVEL"
+      ~absent:"the preset's level" "History check of every cell: $(b,on), $(b,ser) or $(b,off). Scenarios and \
+       quick figures default to $(b,on), full-scale figures to $(b,off). A \
+       violation is a per-cell verdict, never a sweep abort."
   in
-  let f sname quick jobs out seeds check =
-    match Atlas.Scenario.find sname with
-    | None ->
-      usage_error "unknown scenario %S (one of: %s)" sname
-        (String.concat ", " Atlas.Scenario.names)
-    | Some s ->
-      let path =
-        match out with
-        | Some p -> p
-        | None -> Printf.sprintf "atlas_%s.json" s.Atlas.Scenario.name
-      in
-      let oc = open_output path in
-      let seeds = Option.map (fun n -> List.init (max 1 n) (fun i -> i + 1)) seeds in
-      let sweep =
-        Atlas.Driver.run ~jobs:(resolve_jobs jobs) ~quick ~check ?seeds s
-      in
-      let diagram = Atlas.Diagram.reduce sweep in
-      print_string (Atlas.Report.text sweep diagram);
-      write oc (Atlas.Report.json sweep diagram);
-      Printf.printf "wrote %s (%d cells, %d violations, schema v%d)\n" path
-        diagram.Atlas.Diagram.total_cells diagram.Atlas.Diagram.total_violations
-        Atlas.Report.schema_version
+  let f name quick jobs out seeds check =
+    let jobs = fan_out ?seeds jobs in
+    let p =
+      match Atlas.Preset.find name with
+      | Some p -> p
+      | None ->
+        usage_error "unknown preset %S (one of: %s)" name
+          (String.concat ", " Atlas.Preset.names)
+    in
+    (match (p.report, seeds) with
+     | Atlas.Preset.Figure _, Some _ -> usage_error "%s is a figure: it runs one seed" p.name
+     | _ -> ());
+    let s = p.make ~quick in
+    let out =
+      match (out, p.report) with
+      | None, Atlas.Preset.Phase_diagram -> Some (Printf.sprintf "atlas_%s.json" s.name)
+      | out, _ -> out
+    in
+    let oc = Option.map (fun path -> (path, open_output path)) out in
+    let seeds = Option.map (fun n -> List.init n (fun i -> i + 1)) seeds in
+    let sweep = Atlas.Driver.run ~jobs ?check ?seeds s in
+    let doc, summary =
+      match p.report with
+      | Atlas.Preset.Phase_diagram ->
+        let d = Atlas.Diagram.reduce sweep in
+        print_string (Atlas.Report.text sweep d);
+        ( Atlas.Report.json sweep d,
+          Printf.sprintf "%d cells, %d violations, schema v%d" d.total_cells
+            d.total_violations Atlas.Report.schema_version )
+      | Atlas.Preset.Figure report ->
+        let rows = report sweep in
+        let suite = if quick then "quick" else "full" in
+        (Harness.Report.bench_doc ~suite rows, Printf.sprintf "%d rows" (List.length rows))
+    in
+    Option.iter
+      (fun (path, oc) ->
+        write oc doc;
+        Printf.printf "wrote %s (%s)\n" path summary)
+      oc
   in
   Cmd.v (Cmd.info "atlas" ~doc)
-    Term.(const f $ scenario_arg $ quick_arg $ jobs_arg $ out $ seeds $ check)
-
-(* --- fig ---------------------------------------------------------------- *)
-
-let fig_cmd =
-  let doc =
-    "Regenerate one of the paper's figures or tables, exactly as bench/main.exe \
-     runs it."
-  in
-  let fig_arg =
-    Arg.(
-      required
-      & pos 0 (some (enum Experiments.figures)) None
-      & info [] ~docv:"FIGURE")
-  in
-  let quick_arg =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Small cluster, shorter runs.")
-  in
-  let f fig quick jobs =
-    let scale = if quick then Experiments.quick_scale else Experiments.full_scale in
-    ignore (fig ~jobs:(resolve_jobs jobs) ~quick scale)
-  in
-  Cmd.v (Cmd.info "fig" ~doc) Term.(const f $ fig_arg $ quick_arg $ jobs_arg)
+    Term.(const f $ preset_arg $ quick_arg $ jobs_arg $ out $ seeds $ check)
 
 let () =
   let doc = "NCC (OSDI 2023) reproduction: simulated strictly serializable datastores" in
@@ -726,7 +715,6 @@ let () =
            run_cmd scale_preset;
            chaos_cmd;
            atlas_cmd;
-           fig_cmd;
            run_cmd trace_preset;
            run_cmd profile_preset;
          ])

@@ -81,9 +81,9 @@ let summarize_point (s : Driver.sweep) coords =
         let arr f = Array.of_list (List.map f cs) in
         {
           a_protocol = proto;
-          a_throughput = mean (arr (fun c -> c.Driver.throughput));
-          a_p50 = mean (arr (fun c -> c.Driver.p50));
-          a_p99 = mean (arr (fun c -> c.Driver.p99));
+          a_throughput = mean (arr (fun c -> c.Driver.result.Harness.Runner.throughput));
+          a_p50 = mean (arr (fun c -> c.Driver.result.Harness.Runner.p50));
+          a_p99 = mean (arr (fun c -> c.Driver.result.Harness.Runner.p99));
           a_abort_rate = mean (arr (fun c -> c.Driver.abort_rate));
           a_violations =
             List.length (List.filter (fun c -> not c.Driver.ok) cs);

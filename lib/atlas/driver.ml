@@ -1,7 +1,7 @@
-(* The sweep driver: expand a scenario into its (protocol x knob-point
-   x seed) cell list, run every cell on the Harness.Pool work-stealing
-   pool, and collect per-cell stats plus the streaming checker's
-   verdict.
+(* The sweep driver, the one sweep engine: expand a scenario into its
+   (roster entry x knob-point x seed) cell list, run every cell on the
+   Harness.Pool work-stealing pool, and keep each cell's full runner
+   result with the checker's verdict.
 
    Determinism contract: each cell job is self-contained — it builds
    its own workload and simulation world, capturing only immutable
@@ -12,7 +12,8 @@
 module Runner = Harness.Runner
 
 type cell = {
-  protocol : string;
+  entry : int;  (* index in the scenario's roster *)
+  protocol : string;  (* the entry's label *)
   coords : (string * string) list;  (* (axis name, value label), axis order *)
   point : Knob.point;
   seed : int;
@@ -20,25 +21,20 @@ type cell = {
 
 type cell_result = {
   cell : cell;
-  throughput : float;
-  p50 : float;            (* seconds *)
-  p99 : float;
+  result : Runner.result;
   abort_rate : float;     (* in-window aborted / decided attempts *)
-  committed : int;
-  gave_up : int;
-  check : string;         (* runner verdict: "ok (...)", "VIOLATION: ...", "skipped" *)
   ok : bool;              (* false iff the checker reported a violation *)
 }
 
 type sweep = {
   scenario : string;
   quick : bool;
-  checked : bool;
+  check : Runner.check_level;
   axes : (string * string list) list;  (* axis name -> value labels, axis order *)
-  protocols : string list;
+  protocols : string list;  (* roster labels *)
   seeds : int list;
   points : (string * string) list list;  (* grid coordinates, row-major *)
-  cells : cell_result list;  (* protocol-major, then point, then seed *)
+  cells : cell_result list;  (* roster-major, then point, then seed *)
 }
 
 (* --- Zipf memo -------------------------------------------------------- *)
@@ -70,101 +66,79 @@ end
 
 (* --- per-cell run ------------------------------------------------------ *)
 
-(* Simulated-time envelope per cell. The full tier matches the quick
-   figure tier's 1 s window; --quick shrinks the window only — offered
-   load is untouched, because backing off load would pull every cell
-   below saturation and collapse the very ranking the atlas maps. *)
-let durations ~quick = if quick then (0.25, 0.1, 0.2) else (1.0, 0.3, 0.4)
+(* In-window abort fraction: aborted attempts over all decided attempts
+   (the [attempts] counter also covers warmup and drain). *)
+let abort_rate (r : Runner.result) =
+  let aborted = List.fold_left (fun acc (_, n) -> acc + n) 0 r.Runner.aborts in
+  if aborted + r.Runner.committed = 0 then 0.0
+  else float_of_int aborted /. float_of_int (aborted + r.Runner.committed)
 
-let cfg_of ~quick ~check (p : Knob.point) ~seed =
-  let duration, warmup, drain = durations ~quick in
+let cfg_of ~check (p : Knob.point) ~seed =
+  let { Knob.duration; warmup; drain; series } = p.Knob.window in
   {
     Runner.default with
     Runner.seed;
     n_servers = p.Knob.n_servers;
     n_clients = p.Knob.n_clients;
+    replicas_per_server = p.Knob.replicas;
     offered_load = p.Knob.load;
     duration;
     warmup;
     drain;
+    series_width = series;
     latency = Knob.latency_spec p.Knob.latency;
     max_clock_offset = p.Knob.clock_skew;
-    check = (if check then Runner.Streaming else Runner.No_check);
+    check;
   }
 
-let run_cell ~quick ~check ?zipf (c : cell) (protocol : Harness.Protocol.t) =
+let run_cell ~check ?zipf (c : cell) (protocol : Harness.Protocol.t) =
   let w = Knob.workload_of ?zipf c.point in
-  let cfg = cfg_of ~quick ~check c.point ~seed:c.seed in
-  let r = Runner.run ~label:c.protocol protocol w cfg in
-  let aborted = List.fold_left (fun acc (_, n) -> acc + n) 0 r.Runner.aborts in
-  let abort_rate =
-    if aborted + r.Runner.committed = 0 then 0.0
-    else float_of_int aborted /. float_of_int (aborted + r.Runner.committed)
-  in
-  {
-    cell = c;
-    throughput = r.Runner.throughput;
-    p50 = r.Runner.p50;
-    p99 = r.Runner.p99;
-    abort_rate;
-    committed = r.Runner.committed;
-    gave_up = r.Runner.gave_up;
-    check = r.Runner.check_result;
-    ok = not (Runner.violated r);
-  }
+  let r = Runner.run ~label:c.protocol protocol w (cfg_of ~check c.point ~seed:c.seed) in
+  { cell = c; result = r; abort_rate = abort_rate r; ok = not (Runner.violated r) }
 
 (* --- the sweep --------------------------------------------------------- *)
 
-let run ?(jobs = 1) ?(quick = false) ?(check = true) ?seeds (s : Scenario.t) :
-    sweep =
-  let seeds = match seeds with Some l -> l | None -> s.Scenario.seeds in
+let expand ?seeds (s : Scenario.t) =
+  let seeds = Option.value seeds ~default:s.Scenario.seeds in
   let points = Knob.expand s.Scenario.base s.Scenario.axes in
-  let protos =
-    List.map
-      (fun name ->
-        match Protocols.find name with
-        | Some p -> (name, p)
-        | None -> invalid_arg ("atlas: unknown protocol " ^ name))
-      s.Scenario.protocols
-  in
+  List.concat
+    (List.mapi
+       (fun entry (e : Scenario.entry) ->
+         let at = if e.Scenario.swept then points else [ ([], s.Scenario.base) ] in
+         List.concat_map
+           (fun (coords, p) ->
+             let point = e.Scenario.tune p in
+             List.map
+               (fun seed -> { entry; protocol = e.Scenario.label; coords; point; seed })
+               seeds)
+           at)
+       s.Scenario.roster)
+
+let run ?(jobs = 1) ?check ?seeds (s : Scenario.t) : sweep =
+  let check = Option.value check ~default:s.Scenario.check in
+  let seeds = Option.value seeds ~default:s.Scenario.seeds in
   (* resolve every shared Zipf table up front, on the submitting
      domain, so the fan-out below captures only immutable tables *)
-  let memo = Zipf_memo.create () in
-  List.iter
-    (fun ((_ : (string * string) list), p) ->
-      match Knob.zipf_key p with
-      | Some (n, theta) -> ignore (Zipf_memo.get memo ~n ~theta)
-      | None -> ())
-    points;
-  let jobs_list =
-    List.concat_map
-      (fun (pname, proto) ->
-        List.concat_map
-          (fun (coords, point) ->
-            let zipf =
-              match Knob.zipf_key point with
-              | Some (n, theta) -> Some (Zipf_memo.get memo ~n ~theta)
-              | None -> None
-            in
-            List.map
-              (fun seed ->
-                let c = { protocol = pname; coords; point; seed } in
-                fun () -> run_cell ~quick ~check ?zipf c proto)
-              seeds)
-          points)
-      protos
+  let memo = Zipf_memo.create () and roster = Array.of_list s.Scenario.roster in
+  let job c =
+    let zipf = Option.map (fun (n, theta) -> Zipf_memo.get memo ~n ~theta) (Knob.zipf_key c.point) in
+    let proto = roster.(c.entry).Scenario.protocol in
+    fun () -> run_cell ~check ?zipf c proto
   in
-  let cells = Harness.Pool.map ~jobs (fun job -> job ()) jobs_list in
+  let jobs_list = List.map job (expand ~seeds s) in
   {
     scenario = s.Scenario.name;
-    quick;
-    checked = check;
-    axes =
-      List.map
-        (fun a -> (Knob.axis_name a, Knob.axis_labels a))
-        s.Scenario.axes;
-    protocols = List.map fst protos;
+    quick = s.Scenario.quick;
+    check;
+    axes = List.map (fun a -> (Knob.axis_name a, Knob.axis_labels a)) s.Scenario.axes;
+    protocols = List.map (fun (e : Scenario.entry) -> e.Scenario.label) s.Scenario.roster;
     seeds;
-    points = List.map fst points;
-    cells;
+    points = List.map fst (Knob.expand s.Scenario.base s.Scenario.axes);
+    cells = Harness.Pool.map ~jobs (fun job -> job ()) jobs_list;
   }
+
+(* Each roster entry's label and its cells, in roster order. *)
+let entries (s : sweep) =
+  List.mapi
+    (fun i label -> (label, List.filter (fun c -> c.cell.entry = i) s.cells))
+    s.protocols

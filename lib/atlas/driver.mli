@@ -1,39 +1,32 @@
-(** The sweep driver: expands a scenario into its (protocol x
-    knob-point x seed) cells, runs each on the {!Harness.Pool}
-    work-stealing pool with the streaming checker attached, and
-    collects per-cell stats plus the checker verdict. Cell order —
-    protocol-major, then point, then seed — is byte-identical for any
-    [jobs] (pinned by test and CI). *)
+(** The sweep driver, the one sweep engine behind every atlas preset
+    (scenarios and the paper's figures alike): expands a scenario into
+    its (roster entry x knob-point x seed) cells, runs each on the
+    {!Harness.Pool} work-stealing pool and keeps each cell's full
+    runner result with the checker verdict. Cell order — roster-major,
+    then point, then seed — is byte-identical for any [jobs] (pinned
+    by test and CI). *)
 
 type cell = {
-  protocol : string;
-  coords : (string * string) list;
-      (** (axis name, value label) pairs, axis order *)
-  point : Knob.point;
+  entry : int;  (** index in the scenario's roster *)
+  protocol : string;  (** the entry's label *)
+  coords : (string * string) list;  (** (axis, value label), axis order; [] if not swept *)
+  point : Knob.point;  (** after the entry's [tune] *)
   seed : int;
 }
 
 type cell_result = {
   cell : cell;
-  throughput : float;
-  p50 : float;  (** seconds *)
-  p99 : float;
-  abort_rate : float;
-  committed : int;
-  gave_up : int;
-  check : string;
-      (** runner verdict: ["ok (...)"], ["VIOLATION: ..."] or
-          ["skipped"] — a violating cell is a row, never an abort of
-          the sweep *)
-  ok : bool;  (** false iff [check] reports a violation *)
+  result : Harness.Runner.result;
+  abort_rate : float;  (** {!abort_rate} of [result] *)
+  ok : bool;  (** false iff the checker reported a violation *)
 }
 
 type sweep = {
   scenario : string;
   quick : bool;
-  checked : bool;
+  check : Harness.Runner.check_level;
   axes : (string * string list) list;
-  protocols : string list;
+  protocols : string list;  (** roster labels, in roster order *)
   seeds : int list;
   points : (string * string) list list;  (** grid coordinates, row-major *)
   cells : cell_result list;
@@ -50,22 +43,22 @@ module Zipf_memo : sig
   val get : t -> n:int -> theta:float -> Sim.Rng.zipf
 end
 
-(** The runner config of one cell at [point]: the scenario's cluster,
-    load, latency regime and clock skew, with the quick or full
-    measurement window, streaming-checked when [check]. *)
-val cfg_of :
-  quick:bool -> check:bool -> Knob.point -> seed:int -> Harness.Runner.config
+(** In-window abort fraction: aborted over decided attempts. *)
+val abort_rate : Harness.Runner.result -> float
 
-(** Run the scenario. [jobs] defaults to 1 (sequential), [quick]
-    shrinks the per-cell measurement window (offered load is untouched,
-    so rankings survive), [check] (default true) streams
-    every cell through {!Checker.Stream} via the runner, [seeds]
-    overrides the scenario's seed list.
-    @raise Invalid_argument on an unknown protocol name. *)
+(** The runner config of one cell at [point]: its cluster, replicas,
+    load, window, latency and clock skew, checked at [check]. *)
+val cfg_of :
+  check:Harness.Runner.check_level -> Knob.point -> seed:int -> Harness.Runner.config
+
+(** The scenario's cells, in run order, without running them. [seeds]
+    overrides the scenario's seed list. *)
+val expand : ?seeds:int list -> Scenario.t -> cell list
+
+(** Run the scenario. [jobs] defaults to 1 (sequential), [check] to the
+    scenario's level, [seeds] to its seed list. *)
 val run :
-  ?jobs:int ->
-  ?quick:bool ->
-  ?check:bool ->
-  ?seeds:int list ->
-  Scenario.t ->
-  sweep
+  ?jobs:int -> ?check:Harness.Runner.check_level -> ?seeds:int list -> Scenario.t -> sweep
+
+(** Each roster entry's label and its cells, in roster order. *)
+val entries : sweep -> (string * cell_result list) list

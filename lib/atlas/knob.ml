@@ -9,7 +9,7 @@
    purely data, so the same grid is reproducible from the scenario
    alone. *)
 
-type latency_regime = Lan | Datacenter | Wan
+type latency_regime = Lan | Datacenter | Wan | Spec of Harness.Runner.latency_spec
 
 type workload_kind =
   | Micro_mix
@@ -17,6 +17,15 @@ type workload_kind =
   | Hotspot of { hot_keys : int; hot_fraction : float }
   | Ycsb of Workload.Ycsb.mix
   | Rmw_chain of { chain_min : int; chain_max : int }
+  | Google_f1
+  | Google_wf  (* Google-F1 at the point's write_fraction *)
+  | Facebook_tao
+  | Tpcc  (* warehouses spread over the point's n_servers *)
+  | Micro of Workload.Micro.params  (* exact parameters; the point's knobs unused *)
+
+(* The measurement window, simulated seconds; [series] is the commit
+   rate series' bucket width. *)
+type window = { duration : float; warmup : float; drain : float; series : float option }
 
 type point = {
   workload : workload_kind;
@@ -30,7 +39,9 @@ type point = {
   latency : latency_regime;
   n_servers : int;
   n_clients : int;
+  replicas : int;        (* replica nodes per server *)
   load : float;          (* offered transactions/second, whole system *)
+  window : window;
 }
 
 (* The paper's testbed shape at moderate contention. *)
@@ -47,7 +58,9 @@ let default_point =
     latency = Datacenter;
     n_servers = 8;
     n_clients = 24;
+    replicas = 0;
     load = 6_000.0;
+    window = { duration = 1.0; warmup = 0.3; drain = 0.4; series = None };
   }
 
 type axis =
@@ -66,13 +79,19 @@ type axis =
    deterministic. *)
 let fstr v = Printf.sprintf "%g" v
 
-let latency_label = function Lan -> "lan" | Datacenter -> "dc" | Wan -> "wan"
+let latency_label = function
+  | Lan -> "lan" | Datacenter -> "dc" | Wan -> "wan" | Spec _ -> "spec"
 
 let workload_label = function
   | Micro_mix -> "micro"
   | Hotspot h -> Printf.sprintf "hot%d@%s" h.hot_keys (fstr h.hot_fraction)
   | Ycsb m -> Workload.Ycsb.mix_name m
   | Rmw_chain c -> Printf.sprintf "rmw%d-%d" c.chain_min c.chain_max
+  | Google_f1 -> "google-f1"
+  | Google_wf -> "google-wf"
+  | Facebook_tao -> "facebook-tao"
+  | Tpcc -> "tpcc"
+  | Micro m -> m.Workload.Micro.label
 
 let axis_name = function
   | Workload _ -> "workload"
@@ -141,13 +160,15 @@ let latency_spec = function
   | Wan ->
     Harness.Runner.Asymmetric
       { min_one_way = 500e-6; max_one_way = 20e-3; jitter = 200e-6 }
+  | Spec l -> l
 
 (* Zipf table this point's generator draws from, if any — the memo key
    for the driver's shared-table cache. *)
 let zipf_key p =
   match p.workload with
-  | Hotspot _ -> None
+  | Hotspot _ | Google_f1 | Google_wf | Facebook_tao | Tpcc -> None
   | Micro_mix | Ycsb _ | Rmw_chain _ -> Some (p.n_keys, p.zipf_theta)
+  | Micro m -> Some (m.Workload.Micro.n_keys, m.Workload.Micro.zipf_theta)
 
 let workload_of ?zipf p : Harness.Workload_sig.t =
   let mean = float_of_int p.payload_bytes in
@@ -201,3 +222,8 @@ let workload_of ?zipf p : Harness.Workload_sig.t =
         value_bytes_mean = mean;
         value_bytes_stddev = stddev;
       }
+  | Google_f1 -> Workload.Google_f1.make ()
+  | Google_wf -> Workload.Google_f1.make_wf ~write_fraction:p.write_fraction ()
+  | Facebook_tao -> Workload.Facebook_tao.make ()
+  | Tpcc -> Workload.Tpcc.make ~n_servers:p.n_servers ()
+  | Micro m -> Workload.Micro.make ?zipf m

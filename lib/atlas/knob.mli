@@ -3,7 +3,9 @@
     values to sweep, and {!expand} produces the deterministic row-major
     grid. See docs/atlas.md for the knob table. *)
 
-type latency_regime = Lan | Datacenter | Wan
+(** [Spec] runs a latency model as given (a figure's uniform or
+    replica-group delays). *)
+type latency_regime = Lan | Datacenter | Wan | Spec of Harness.Runner.latency_spec
 
 type workload_kind =
   | Micro_mix
@@ -12,6 +14,15 @@ type workload_kind =
   | Hotspot of { hot_keys : int; hot_fraction : float }
   | Ycsb of Workload.Ycsb.mix
   | Rmw_chain of { chain_min : int; chain_max : int }
+  | Google_f1
+  | Google_wf  (** Google-F1 at the point's [write_fraction] *)
+  | Facebook_tao
+  | Tpcc  (** warehouses spread over the point's [n_servers] *)
+  | Micro of Workload.Micro.params  (** exact; the point's contention knobs unused *)
+
+(** The measurement window, simulated seconds; [series] is the bucket
+    width of the commit-rate series, when one is kept. *)
+type window = { duration : float; warmup : float; drain : float; series : float option }
 
 type point = {
   workload : workload_kind;
@@ -25,7 +36,9 @@ type point = {
   latency : latency_regime;
   n_servers : int;
   n_clients : int;
+  replicas : int;  (** replica nodes per server *)
   load : float;  (** offered transactions/second, whole system *)
+  window : window;
 }
 
 (** The paper's testbed shape at moderate contention. *)

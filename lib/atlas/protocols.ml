@@ -1,8 +1,7 @@
-(* The protocols the atlas sweeps: every non-replicated protocol in
-   the tree, ablations and negative control included — a scenario picks
-   a subset by name. (The replicated NCC-R variants need
-   replicas_per_server plumbing the knob space doesn't model yet; see
-   docs/atlas.md, "Model".) *)
+(* The one name -> protocol table: every protocol in the tree, the
+   ablations, the negative control and the replicated NCC-R variants.
+   `ncc_sim -p` accepts exactly these names, and atlas presets pick
+   their rosters from them by name. *)
 
 let all : (string * Harness.Protocol.t) list =
   [
@@ -17,15 +16,18 @@ let all : (string * Harness.Protocol.t) list =
     ("Janus-CC", Baselines.janus_cc);
     ("TAPIR-CC", Baselines.tapir_cc);
     ("MVTO", Baselines.mvto);
+    ("NCC-R", Ncc_r.protocol);
+    ("NCC-R-def", Ncc_r.protocol_deferred);
   ]
 
 let names = List.map fst all
 
-(* Case-insensitive lookup, like the CLI's protocol parsing. *)
+(* Case-insensitive lookup: the display name and the protocol. *)
 let find name =
   let ls = String.lowercase_ascii name in
   List.find_opt (fun (n, _) -> String.equal (String.lowercase_ascii n) ls) all
-  |> Option.map snd
+
+let replicated name = String.equal name "NCC-R" || String.equal name "NCC-R-def"
 
 (* NCC variants (ablations included) are not baselines: the
    NCC-vs-best-baseline delta compares against everything else. *)

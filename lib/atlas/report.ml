@@ -15,21 +15,25 @@ let schema_version = 1
 
 (* --- JSON -------------------------------------------------------------- *)
 
+let checked (s : Driver.sweep) =
+  match s.Driver.check with Harness.Runner.No_check -> false | _ -> true
+
 let coords_json coords = J.Obj (List.map (fun (k, v) -> (k, J.Str v)) coords)
 
 let cell_json (c : Driver.cell_result) =
+  let r = c.Driver.result in
   J.Obj
     [
       ("protocol", J.Str c.Driver.cell.Driver.protocol);
       ("seed", J.Int c.Driver.cell.Driver.seed);
       ("coords", coords_json c.Driver.cell.Driver.coords);
-      ("throughput_tps", J.Float c.Driver.throughput);
-      ("p50_ms", J.Float (c.Driver.p50 *. 1e3));
-      ("p99_ms", J.Float (c.Driver.p99 *. 1e3));
+      ("throughput_tps", J.Float r.Harness.Runner.throughput);
+      ("p50_ms", J.Float (r.Harness.Runner.p50 *. 1e3));
+      ("p99_ms", J.Float (r.Harness.Runner.p99 *. 1e3));
       ("abort_rate", J.Float c.Driver.abort_rate);
-      ("committed", J.Int c.Driver.committed);
-      ("gave_up", J.Int c.Driver.gave_up);
-      ("check", J.Str c.Driver.check);
+      ("committed", J.Int r.Harness.Runner.committed);
+      ("gave_up", J.Int r.Harness.Runner.gave_up);
+      ("check", J.Str r.Harness.Runner.check_result);
       ("ok", J.Bool c.Driver.ok);
     ]
 
@@ -75,7 +79,7 @@ let json (s : Driver.sweep) (d : Diagram.t) : string =
          ("kind", J.Str "ncc-atlas-phase-diagram");
          ("scenario", J.Str s.Driver.scenario);
          ("quick", J.Bool s.Driver.quick);
-         ("checked", J.Bool s.Driver.checked);
+         ("checked", J.Bool (checked s));
          ( "axes",
            J.List
              (List.map
@@ -187,7 +191,8 @@ let text (s : Driver.sweep) (d : Diagram.t) : string =
        (List.length s.Driver.protocols)
        n_points
        (List.length s.Driver.seeds)
-       (if s.Driver.checked then "streaming" else "off")
+       (match s.Driver.check with
+        | Streaming -> "streaming" | Serializable -> "serializable" | No_check -> "off")
        d.Diagram.total_violations);
   List.iter
     (fun (n, vs) ->
@@ -279,7 +284,7 @@ let text (s : Driver.sweep) (d : Diagram.t) : string =
    with
    | [] ->
      Buffer.add_string buf
-       (if s.Driver.checked then "none\n" else "(checking off)\n")
+       (if checked s then "none\n" else "(checking off)\n")
    | bad ->
      List.iter
        (fun (c : Driver.cell_result) ->
@@ -287,6 +292,6 @@ let text (s : Driver.sweep) (d : Diagram.t) : string =
            (Printf.sprintf "%s seed=%d [%s]: %s\n" c.Driver.cell.Driver.protocol
               c.Driver.cell.Driver.seed
               (coords_str c.Driver.cell.Driver.coords)
-              c.Driver.check))
+              c.Driver.result.Harness.Runner.check_result))
        bad);
   Buffer.contents buf

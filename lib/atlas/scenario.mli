@@ -1,37 +1,45 @@
 (** Named scenario presets. A scenario is pure data — base point, axes,
-    protocol roster, seeds — so any sweep is reproducible from its
-    name plus the quick flag. *)
+    roster, seeds and default check level — at one scale, so any sweep
+    is reproducible from its name plus the quick flag. The paper's
+    figures are scenarios too ({!Preset}). *)
+
+(** One roster entry: the display [label] of its cells (the runner's
+    protocol name, the BENCH row name), the protocol, and [tune], the
+    entry's own override of each cell's point, applied after the axes.
+    An entry that is not [swept] runs once, at the tuned base point,
+    instead of across the axes. *)
+type entry = {
+  label : string;
+  protocol : Harness.Protocol.t;
+  tune : Knob.point -> Knob.point;
+  swept : bool;
+}
 
 type t = {
   name : string;
   description : string;
+  quick : bool;  (** the quick (shorter, smaller) scale *)
+  check : Harness.Runner.check_level;  (** the default history check *)
   base : Knob.point;
   axes : Knob.axis list;
-  protocols : string list;
-      (** display names, resolved via {!Protocols.find} *)
+  roster : entry list;
   seeds : int list;
 }
 
-(** CI acceptance grid: 3 knobs x 7 protocols. *)
-val smoke : t
+(** [entry name]: [protocol] defaults to {!Protocols.find}[ name],
+    [label] to [name], [tune] to the identity and [swept] to true.
+    @raise Invalid_argument on an unknown name without [protocol]. *)
+val entry :
+  ?label:string ->
+  ?protocol:Harness.Protocol.t ->
+  ?tune:(Knob.point -> Knob.point) ->
+  ?swept:bool ->
+  string ->
+  entry
 
-(** Zipf skew x write fraction, all protocols. *)
-val contention : t
+(** One default entry per name. @raise Invalid_argument as {!entry}. *)
+val roster : string list -> entry list
 
-(** Clock skew x latency; ablations + negative control. *)
-val skew : t
-
-(** Payload size x txn size. *)
-val payload : t
-
-(** Cluster size x offered load. *)
-val scale : t
-
-(** Workload generator x Zipf skew. *)
-val mixes : t
-
-val all : t list
-val names : string list
-
-(** Case-insensitive lookup by name. *)
-val find : string -> t option
+(** The contention-atlas grids: smoke (CI's acceptance grid), contention,
+    skew, payload, scale and mixes (docs/atlas.md). *)
+val all : (quick:bool -> t) list

@@ -11,9 +11,10 @@
 
     See docs/performance.md for the full determinism argument. *)
 
-(** Domains the hardware can usefully run ([--jobs 0] resolves to
-    this at the CLIs). *)
-val cpu_count : unit -> int
+(** The worker count a [--jobs N] flag asks for: [N], or for 0 the
+    domains the hardware can usefully run. [Error] names the first flag out of range: [jobs] < 0, or a
+    [--seeds] count below 1. Every CLI checks its fan-out here. *)
+val workers : ?seeds:int -> int -> (int, string) result
 
 (** [submit ~jobs tasks] runs every thunk exactly once — across
     [min jobs (length tasks)] domains when [jobs > 1], else

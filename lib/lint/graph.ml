@@ -68,7 +68,8 @@ type node = {
    same-binding local function it calls, being walked: the binders
    bound inside it, the ones among them that alias a shared location
    or hold a per-slot index, its mutex guard depth, and the local
-   functions already inlined under its spawn closure. A [capture] is
+   functions already inlined under its spawn closure, keyed by name and
+   by whether the call was guarded. A [capture] is
    one let-bound local function literal being walked (R17): [k_free]
    once it reads a local bound outside itself and its binding group. *)
 type frame = {
@@ -76,7 +77,7 @@ type frame = {
   f_aliased : (string, unit) Hashtbl.t;
   f_slots : (string, unit) Hashtbl.t;
   mutable f_guard : int;  (* > 0 inside a mutex-guarded region *)
-  f_visited : (string, unit) Hashtbl.t;
+  f_visited : (string, unit) Hashtbl.t;  (* unique name, "#guarded" if under a lock *)
 }
 
 let frame ?(guard = 0) ?(visited = Hashtbl.create 8) () =

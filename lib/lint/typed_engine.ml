@@ -452,7 +452,9 @@ let walk g ctx a (str : Typedtree.structure) =
         shift (-1)
       | Typedtree.Texp_apply (f, args) ->
         (* a call of a local function under a spawn closure: inline it,
-           once per spawn closure *)
+           once per spawn closure and guard state — a function first
+           reached under a lock is walked again where it is reached
+           unguarded *)
         (match f.exp_desc with
          | Typedtree.Texp_ident (Path.Pident id, _, _) when !frames <> [] ->
            let u = Ident.unique_name id in
@@ -460,8 +462,9 @@ let walk g ctx a (str : Typedtree.structure) =
              (fun body ->
                List.iter
                  (fun fr ->
-                   if not (Hashtbl.mem fr.f_visited u) then begin
-                     Hashtbl.replace fr.f_visited u ();
+                   let key = if fr.f_guard > 0 then u ^ "#guarded" else u in
+                   if not (Hashtbl.mem fr.f_visited key) then begin
+                     Hashtbl.replace fr.f_visited key ();
                      inline sub (frame ~guard:fr.f_guard ~visited:fr.f_visited ())
                        body
                    end)

@@ -1,15 +1,21 @@
 #!/bin/sh
-# Usage: cli_exit_codes.sh NCC_SIM
-# Runs ncc_sim on incoherent configurations and unwritable output
-# paths, printing each command's exit code and stderr. Every case must
-# be refused with exit 2 before any simulation runs.
+# Usage: cli_exit_codes.sh NCC_SIM BENCH
+# Runs ncc_sim (and the bench executable) on incoherent configurations
+# and unwritable output paths, printing each command's exit code and
+# stderr. Every case must be refused with exit 2 before any simulation
+# runs.
 sim="$1"
-case_() {
-  err=$("$sim" "$@" 2>&1 >/dev/null)
+bench="$2"
+run_() {
+  name="$1"
+  shift
+  err=$("$@" 2>&1 >/dev/null)
   code=$?
-  echo "ncc_sim $*: exit $code"
+  shift
+  echo "$name $*: exit $code"
   [ -z "$err" ] || printf '%s\n' "$err" | sed 's/^/  /'
 }
+case_() { run_ ncc_sim "$sim" "$@"; }
 # A flag value Cmdliner itself rejects: its message wording and wrapping
 # vary across Cmdliner versions, so only the exit code is pinned.
 code_() {
@@ -33,4 +39,12 @@ case_ run --drop nan
 case_ run --faults 3 --dup=-0.1
 case_ run --duration 5000
 case_ run --clients 1048600 --duration 0.01
+case_ run --jobs=-1
+case_ chaos -p NCC --seeds 0
+case_ chaos --seeds=-1
+case_ atlas smoke --quick --seeds=-2 --jobs=-4
+case_ atlas fig8 --quick --jobs=-1
+case_ atlas fig8 --quick --seeds 2
+case_ atlas no-such-preset
+run_ bench/main.exe "$bench" quick fig8 --jobs=-1
 code_ run --check post

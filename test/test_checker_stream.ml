@@ -634,29 +634,32 @@ let quick_tiers_not_skipped () =
   Alcotest.(check bool) "chaos verdict present" false
     (r.Harness.Chaos.check = "skipped");
   Alcotest.(check bool) "chaos verdict ok" true r.Harness.Chaos.ok;
-  (match Experiments.quick_scale.Experiments.check with
-  | Runner.No_check -> Alcotest.fail "quick tier runs unchecked"
-  | _ -> ());
-  let cfg = Experiments.base_cfg ~seed:1 Experiments.quick_scale in
-  Alcotest.(check bool) "quick-tier config checks" false
-    (cfg.Runner.check = Runner.No_check)
+  (* every figure preset checks every cell at the quick scale *)
+  List.iter
+    (fun (p : Atlas.Preset.t) ->
+      match (p.Atlas.Preset.make ~quick:true).Atlas.Scenario.check with
+      | Runner.No_check -> Alcotest.failf "quick %s runs unchecked" p.Atlas.Preset.name
+      | _ -> ())
+    Atlas.Preset.figures
+
+(* A figure preset's quick-scale BENCH document, run sequentially. *)
+let quick_figure_doc name =
+  match Atlas.Preset.find name with
+  | Some { Atlas.Preset.make; report = Atlas.Preset.Figure report; _ } ->
+    Harness.Report.bench_doc ~suite:"quick"
+      (report (Atlas.Driver.run ~jobs:1 (make ~quick:true)))
+  | _ -> Alcotest.failf "no figure preset %s" name
 
 (* The quick tier's Fig 8 document, every row checked: the sixteen
    verdicts and results are pinned byte for byte. *)
 let quick_fig8_golden () =
-  let fig8 = List.assoc "fig8" Experiments.figures in
-  let rows = fig8 ~jobs:1 ~quick:true Experiments.quick_scale in
-  Golden.check ~name:"bench_quick_fig8.json"
-    (Harness.Report.bench_doc ~suite:"quick" rows)
+  Golden.check ~name:"bench_quick_fig8.json" (quick_figure_doc "fig8")
 
 (* The quick tier's Fig 7c document: NCC-RW's backup-coordinator
    recovery after client failures, the one quick figure whose recovery
    answers read the servers' record of decided wires. *)
 let quick_fig7c_golden () =
-  let fig7c = List.assoc "fig7c" Experiments.figures in
-  let rows = fig7c ~jobs:1 ~quick:true Experiments.quick_scale in
-  Golden.check ~name:"bench_quick_fig7c.json"
-    (Harness.Report.bench_doc ~suite:"quick" rows)
+  Golden.check ~name:"bench_quick_fig7c.json" (quick_figure_doc "fig7c")
 
 let suite =
   List.map corpus_case corpus

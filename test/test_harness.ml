@@ -297,25 +297,11 @@ let runner_validate () =
       ( { d with R.max_clock_offset = Float.nan },
         "local clocks reach nan s, past the 2199 s timestamps hold" );
     ];
-  let atlas_cells =
-    List.concat_map
-      (fun (s : Atlas.Scenario.t) ->
-        List.concat_map
-          (fun (_, point) ->
-            List.concat_map
-              (fun quick ->
-                List.map
-                  (fun check -> Atlas.Driver.cfg_of ~quick ~check point ~seed:1)
-                  [ true; false ])
-              [ true; false ])
-          (Atlas.Knob.expand s.Atlas.Scenario.base s.Atlas.Scenario.axes))
-      Atlas.Scenario.all
-  in
   List.iteri
     (fun i cfg ->
       Alcotest.(check (result unit string)) (Printf.sprintf "real config %d" i) (Ok ())
         (R.validate cfg))
-    ([
+    [
        d;
        (* perfbench samples set-up cost with every window at zero *)
        { d with R.warmup = 0.0; duration = 0.0; drain = 0.0 };
@@ -326,10 +312,7 @@ let runner_validate () =
                 store_gc = Some (0.1, 4) };
        Harness.Chaos.base_default;
        Harness.Chaos.config ~seed:7 ();
-       Experiments.base_cfg Experiments.full_scale;
-       Experiments.base_cfg Experiments.quick_scale;
      ]
-    @ atlas_cells)
 
 (* Random tiny configs, coherent or not, over every check level crossed
    with store GC, zero and negative counts and durations, and request

@@ -164,6 +164,20 @@ let r12_safe_sinks () =
       \  let record x = Hashtbl.replace tally x x in\n\
       \  let step x = record x in\n\
       \  Pool.map ~jobs:4 (fun x -> step x) xs\n");
+  (* a function first reached under a lock is checked again where it
+     is reached unguarded *)
+  check_sites "guarded call does not vouch for an unguarded one"
+    [ ("fixture.ml", 8, "R12") ]
+    ~only:[ "R12" ]
+    (pool_stub
+    ^ "let sweep xs =\n\
+      \  let tally = Hashtbl.create 16 in\n\
+      \  let m = Mutex.create () in\n\
+      \  let step x = Hashtbl.replace tally x x in\n\
+      \  let unsafe x = step x in\n\
+      \  Pool.map ~jobs:2\n\
+      \    (fun x -> Mutex.protect m (fun () -> step x); unsafe x)\n\
+      \    xs\n");
   check_sites "a lock taken in the callee guards the deeper write" []
     ~only:[ "R12" ]
     (pool_stub
