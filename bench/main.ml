@@ -364,7 +364,9 @@ let all_experiments =
     (fun (p : Atlas.Preset.t) ->
       match p.report with
       | Figure report ->
-        let run () = Atlas.Driver.run ~jobs:!jobs ?check:!check_override (p.make ~quick:!quick) in
+        let run () =
+          Atlas.Driver.run ~jobs:!jobs ?check:!check_override (p.make ~quick:!quick)
+        in
         Some (p.name, fun () -> report (run ()))
       | Phase_diagram -> None)
     Atlas.Preset.figures
@@ -373,9 +375,9 @@ let all_experiments =
 let () =
   let set_jobs n =
     match Option.map Harness.Pool.workers (int_of_string_opt n) with
-    | Some (Ok j) -> jobs := j
-    | Some (Error m) ->
-      prerr_endline m;
+    | Some (Some j) -> jobs := j
+    | Some None ->
+      Printf.eprintf "--jobs must be at least 0 (got %s)\n" n;
       exit 2
     | None ->
       Printf.eprintf "--jobs wants an integer, got %S\n" n;

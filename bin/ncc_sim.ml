@@ -73,9 +73,12 @@ let jobs_arg =
     "Run independent simulations on N domains (0 = one per core; default \
      sequential). Output is byte-identical to --jobs 1."
 
-(* --jobs N >= 0 (and --seeds N >= 1, where given) or exit 2. *)
-let fan_out ?seeds jobs =
-  match Harness.Pool.workers ?seeds jobs with Ok n -> n | Error m -> usage_error "%s" m
+(* --seeds N >= 1 (where given) and --jobs N >= 0, or exit 2. *)
+let fan_out ?(seeds = 1) jobs =
+  if seeds < 1 then usage_error "--seeds must be at least 1 (got %d)" seeds;
+  match Harness.Pool.workers jobs with
+  | Some n -> n
+  | None -> usage_error "--jobs must be at least 0 (got %d)" jobs
 
 let replicas_arg =
   arg Arg.int 0 [ "replicas" ] ~docv:"N"
@@ -88,7 +91,7 @@ let check_config pname cfg =
    | Ok () -> ()
    | Error m -> usage_error "invalid configuration: %s" m);
   (* without replica nodes a replicated protocol runs unreplicated *)
-  if cfg.Runner.replicas_per_server = 0 && Atlas.Protocols.replicated pname then
+  if cfg.Runner.replicas_per_server = 0 && Atlas.Protocols.is_replicated pname then
     usage_error "%s replicates to replica nodes: use --replicas N with N >= 1 (got 0)" pname
 
 let open_output path =
@@ -647,8 +650,8 @@ let atlas_cmd =
   in
   let out =
     arg Arg.(some string) None [ "o"; "out" ] ~docv:"FILE"
-      "Output file: a scenario's phase-diagram JSON (default \
-       atlas_<scenario>.json) or a figure's BENCH rows (default none)."
+      "Output file for a scenario's phase-diagram JSON (default \
+       atlas_<scenario>.json). A figure writes no file."
   in
   let seeds =
     arg Arg.(some int) None [ "seeds" ] ~docv:"N"
@@ -669,36 +672,24 @@ let atlas_cmd =
         usage_error "unknown preset %S (one of: %s)" name
           (String.concat ", " Atlas.Preset.names)
     in
-    (match (p.report, seeds) with
-     | Atlas.Preset.Figure _, Some _ -> usage_error "%s is a figure: it runs one seed" p.name
-     | _ -> ());
     let s = p.make ~quick in
-    let out =
-      match (out, p.report) with
-      | None, Atlas.Preset.Phase_diagram -> Some (Printf.sprintf "atlas_%s.json" s.name)
-      | out, _ -> out
-    in
-    let oc = Option.map (fun path -> (path, open_output path)) out in
-    let seeds = Option.map (fun n -> List.init n (fun i -> i + 1)) seeds in
-    let sweep = Atlas.Driver.run ~jobs ?check ?seeds s in
-    let doc, summary =
-      match p.report with
-      | Atlas.Preset.Phase_diagram ->
-        let d = Atlas.Diagram.reduce sweep in
-        print_string (Atlas.Report.text sweep d);
-        ( Atlas.Report.json sweep d,
-          Printf.sprintf "%d cells, %d violations, schema v%d" d.total_cells
-            d.total_violations Atlas.Report.schema_version )
-      | Atlas.Preset.Figure report ->
-        let rows = report sweep in
-        let suite = if quick then "quick" else "full" in
-        (Harness.Report.bench_doc ~suite rows, Printf.sprintf "%d rows" (List.length rows))
-    in
-    Option.iter
-      (fun (path, oc) ->
-        write oc doc;
-        Printf.printf "wrote %s (%s)\n" path summary)
-      oc
+    match p.report with
+    | Atlas.Preset.Figure report ->
+      (* a figure prints its table; bench/main.exe writes its BENCH rows *)
+      if seeds <> None then usage_error "%s is a figure: it runs one seed" p.name;
+      if out <> None then
+        usage_error "%s is a figure: it writes no file (bench/main.exe writes its rows)" p.name;
+      ignore (report (Atlas.Driver.run ~jobs ?check s))
+    | Atlas.Preset.Phase_diagram ->
+      let path = Option.value out ~default:(Printf.sprintf "atlas_%s.json" s.name) in
+      let oc = open_output path in
+      let seeds = Option.map (fun n -> List.init n (fun i -> i + 1)) seeds in
+      let sweep = Atlas.Driver.run ~jobs ?check ?seeds s in
+      let d = Atlas.Diagram.reduce sweep in
+      print_string (Atlas.Report.text sweep d);
+      write oc (Atlas.Report.json sweep d);
+      Printf.printf "wrote %s (%d cells, %d violations, schema v%d)\n" path d.total_cells
+        d.total_violations Atlas.Report.schema_version
   in
   Cmd.v (Cmd.info "atlas" ~doc)
     Term.(const f $ preset_arg $ quick_arg $ jobs_arg $ out $ seeds $ check)

@@ -28,6 +28,7 @@ type cell_result = {
 
 type sweep = {
   scenario : string;
+  description : string;
   quick : bool;
   check : Runner.check_level;
   axes : (string * string list) list;  (* axis name -> value labels, axis order *)
@@ -128,9 +129,13 @@ let run ?(jobs = 1) ?check ?seeds (s : Scenario.t) : sweep =
   let jobs_list = List.map job (expand ~seeds s) in
   {
     scenario = s.Scenario.name;
+    description = s.Scenario.description;
     quick = s.Scenario.quick;
     check;
-    axes = List.map (fun a -> (Knob.axis_name a, Knob.axis_labels a)) s.Scenario.axes;
+    axes =
+      List.map
+        (fun a -> (Knob.axis_name a, Knob.axis_labels a))
+        s.Scenario.axes;
     protocols = List.map (fun (e : Scenario.entry) -> e.Scenario.label) s.Scenario.roster;
     seeds;
     points = List.map fst (Knob.expand s.Scenario.base s.Scenario.axes);

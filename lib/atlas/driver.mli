@@ -23,6 +23,7 @@ type cell_result = {
 
 type sweep = {
   scenario : string;
+  description : string;  (** the scenario's; a figure prints it as its title *)
   quick : bool;
   check : Harness.Runner.check_level;
   axes : (string * string list) list;

@@ -80,7 +80,10 @@ type axis =
 let fstr v = Printf.sprintf "%g" v
 
 let latency_label = function
-  | Lan -> "lan" | Datacenter -> "dc" | Wan -> "wan" | Spec _ -> "spec"
+  | Lan -> "lan"
+  | Datacenter -> "dc"
+  | Wan -> "wan"
+  | Spec _ -> "spec"
 
 let workload_label = function
   | Micro_mix -> "micro"

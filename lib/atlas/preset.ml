@@ -25,12 +25,15 @@ let figure ~quick ?(name = "testbed") ?(title = "the paper's testbed")
     if quick then (4, 12, 1.0, 0.3) else (8, 24, 2.0, 0.5)
   in
   let window = { Knob.duration; warmup; drain = 0.5; series = None } in
+  let base =
+    { Knob.default_point with Knob.workload; load; n_servers; n_clients; window }
+  in
   {
     Scenario.name;
     description = title;
     quick;
     check = (if quick then Runner.Streaming else Runner.No_check);
-    base = tune { Knob.default_point with Knob.workload; load; n_servers; n_clients; window };
+    base = tune base;
     axes;
     roster;
     seeds = [ 42 ];
@@ -97,9 +100,13 @@ let curve ~name ~title ~workload ~loads ?(protocols = strict) () =
       (per_cell groups (fun label c ->
            let r = result c in
            [
-             label; pf "%.0f" r.Runner.offered; pf "%.0f" r.Runner.throughput;
-             pf "%.3f" (r.Runner.p50 *. 1e3); pf "%.3f" (r.Runner.p99 *. 1e3);
-             pf "%.2f" r.Runner.msgs_per_commit; pf "%.4f" c.Driver.abort_rate;
+             label;
+             pf "%.0f" r.Runner.offered;
+             pf "%.0f" r.Runner.throughput;
+             pf "%.3f" (r.Runner.p50 *. 1e3);
+             pf "%.3f" (r.Runner.p99 *. 1e3);
+             pf "%.2f" r.Runner.msgs_per_commit;
+             pf "%.4f" c.Driver.abort_rate;
            ]));
     curve_rows name load_of groups
   in
@@ -178,9 +185,13 @@ let fig7a =
     figure ~quick ~name:"fig7a" ~title:"Fig 7a: Google-WF, normalized throughput vs write fraction"
       ~workload:Knob.Google_wf ~axes:[ Knob.Write_fraction write_fractions ]
       [
-        at "NCC-sfence" ~protocol:Ncc.protocol_server_fence 30_000.0; at "NCC" 46_000.0;
-        at "NCC-RW" 24_000.0; at "dOCC" 16_000.0; at "d2PL-NW" 24_000.0;
-        at "d2PL-WW" 12_000.0; at "Janus-CC" 16_000.0;
+        at "NCC-sfence" ~protocol:Ncc.protocol_server_fence 30_000.0;
+        at "NCC" 46_000.0;
+        at "NCC-RW" 24_000.0;
+        at "dOCC" 16_000.0;
+        at "d2PL-NW" 24_000.0;
+        at "d2PL-WW" 12_000.0;
+        at "Janus-CC" 16_000.0;
       ]
   in
   let report groups =
@@ -189,7 +200,12 @@ let fig7a =
     Printf.printf "   (normalized throughput)\n";
     let tput c = (result c).Runner.throughput in
     let line f =
-      List.iter (fun (label, cs) -> Printf.printf "%-10s" label; f cs; print_newline ()) groups
+      List.iter
+        (fun (label, cs) ->
+          Printf.printf "%-10s" label;
+          f cs;
+          print_newline ())
+        groups
     in
     line (fun cs ->
         let peak = List.fold_left (fun acc c -> Float.max acc (tput c)) 1.0 cs in
@@ -199,7 +215,12 @@ let fig7a =
     let wf (c : Driver.cell_result) = c.Driver.cell.Driver.point.Knob.write_fraction in
     csv_out "fig7a" [ "protocol"; "write_fraction"; "throughput"; "abort_rate" ]
       (per_cell groups (fun label c ->
-           [ label; pf "%.3f" (wf c); pf "%.0f" (tput c); pf "%.4f" c.Driver.abort_rate ]));
+           [
+             label;
+             pf "%.3f" (wf c);
+             pf "%.0f" (tput c);
+             pf "%.4f" c.Driver.abort_rate;
+           ]));
     curve_rows "fig7a" wf groups
   in
   (make, report)
@@ -216,7 +237,10 @@ let fig7c =
       ~title:"Fig 7c: client failures at t=10s, NCC-RW throughput over time"
       ~workload:Knob.Google_f1 ~load:(if quick then 6_000.0 else 15_000.0)
       ~tune:(fun p ->
-        { p with Knob.window = { duration = 20.0; warmup = 0.0; drain = 2.0; series = Some 0.5 } })
+        {
+          p with
+          Knob.window = { duration = 20.0; warmup = 0.0; drain = 2.0; series = Some 0.5 };
+        })
       (List.map
          (fun timeout ->
            let name = pf "NCC-RW(%.0fs)" timeout in
@@ -269,9 +293,17 @@ let fig8 =
   let probe write_fraction label =
     Knob.Micro
       {
-        Workload.Micro.n_keys = 100_000; zipf_theta = 0.3; write_fraction;
-        ro_keys_min = 2; ro_keys_max = 4; rw_keys_min = 2; rw_keys_max = 4;
-        write_ops_fraction = 0.5; value_bytes_mean = 256.0; value_bytes_stddev = 32.0; label;
+        Workload.Micro.n_keys = 100_000;
+        zipf_theta = 0.3;
+        write_fraction;
+        ro_keys_min = 2;
+        ro_keys_max = 4;
+        rw_keys_min = 2;
+        rw_keys_max = 4;
+        write_ops_fraction = 0.5;
+        value_bytes_mean = 256.0;
+        value_bytes_stddev = 32.0;
+        label;
       }
   in
   let make ~quick =
@@ -314,16 +346,25 @@ let ablations =
       ~workload:
         (Knob.Micro
            {
-             Workload.Micro.n_keys = 50_000; zipf_theta = 0.85; write_fraction = 0.15;
-             ro_keys_min = 1; ro_keys_max = 6; rw_keys_min = 2; rw_keys_max = 6;
-             write_ops_fraction = 0.5; value_bytes_mean = 512.0; value_bytes_stddev = 64.0;
+             Workload.Micro.n_keys = 50_000;
+             zipf_theta = 0.85;
+             write_fraction = 0.15;
+             ro_keys_min = 1;
+             ro_keys_max = 6;
+             rw_keys_min = 2;
+             rw_keys_max = 6;
+             write_ops_fraction = 0.5;
+             value_bytes_mean = 512.0;
+             value_bytes_stddev = 64.0;
              label = "ablation";
            })
       ~load:15_000.0
       ~tune:(fun p -> { p with Knob.clock_skew = 5e-3 })
       [
-        Scenario.entry "NCC"; Scenario.entry "NCC-noSR" ~label:"no-SR";
-        Scenario.entry "NCC-noAAT" ~label:"no-AAT"; Scenario.entry "NCC-RW";
+        Scenario.entry "NCC";
+        Scenario.entry "NCC-noSR" ~label:"no-SR";
+        Scenario.entry "NCC-noAAT" ~label:"no-AAT";
+        Scenario.entry "NCC-RW";
       ]
   in
   let report groups =
@@ -366,7 +407,8 @@ let replication =
       ~title:"Replication (§4.6): NCC vs NCC-R vs deferred replication" ~workload:Knob.Tpcc
       ~load:(if quick then 5_000.0 else 10_000.0)
       [
-        Scenario.entry "NCC"; Scenario.entry "NCC-R" ~tune:replicated;
+        Scenario.entry "NCC";
+        Scenario.entry "NCC-R" ~tune:replicated;
         Scenario.entry "NCC-R-def" ~tune:replicated;
       ]
   in
@@ -440,14 +482,22 @@ let figures =
   List.map
     (fun (name, ((make : quick:bool -> Scenario.t), report)) ->
       let report (s : Driver.sweep) =
-        header (make ~quick:s.Driver.quick).Scenario.description;
+        header s.Driver.description;
         report (Driver.entries s)
       in
       { name; make; report = Figure report })
     [
-      ("params", params); ("fig6a", fig6a); ("fig6b", fig6b); ("fig6c", fig6c);
-      ("fig7a", fig7a); ("fig7b", fig7b); ("fig7c", fig7c); ("fig8", fig8);
-      ("ablations", ablations); ("replication", replication); ("geo", geo);
+      ("params", params);
+      ("fig6a", fig6a);
+      ("fig6b", fig6b);
+      ("fig6c", fig6c);
+      ("fig7a", fig7a);
+      ("fig7b", fig7b);
+      ("fig7c", fig7c);
+      ("fig8", fig8);
+      ("ablations", ablations);
+      ("replication", replication);
+      ("geo", geo);
     ]
 
 let scenarios =

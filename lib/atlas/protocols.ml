@@ -3,6 +3,10 @@
    `ncc_sim -p` accepts exactly these names, and atlas presets pick
    their rosters from them by name. *)
 
+(* The variants that need replica nodes: without them they run
+   unreplicated. *)
+let replicated = [ ("NCC-R", Ncc_r.protocol); ("NCC-R-def", Ncc_r.protocol_deferred) ]
+
 let all : (string * Harness.Protocol.t) list =
   [
     ("NCC", Ncc.protocol);
@@ -16,9 +20,8 @@ let all : (string * Harness.Protocol.t) list =
     ("Janus-CC", Baselines.janus_cc);
     ("TAPIR-CC", Baselines.tapir_cc);
     ("MVTO", Baselines.mvto);
-    ("NCC-R", Ncc_r.protocol);
-    ("NCC-R-def", Ncc_r.protocol_deferred);
   ]
+  @ replicated
 
 let names = List.map fst all
 
@@ -27,7 +30,7 @@ let find name =
   let ls = String.lowercase_ascii name in
   List.find_opt (fun (n, _) -> String.equal (String.lowercase_ascii n) ls) all
 
-let replicated name = String.equal name "NCC-R" || String.equal name "NCC-R-def"
+let is_replicated name = List.mem_assoc name replicated
 
 (* NCC variants (ablations included) are not baselines: the
    NCC-vs-best-baseline delta compares against everything else. *)

@@ -11,7 +11,7 @@ val find : string -> (string * Harness.Protocol.t) option
 
 (** True for the variants that need replica nodes (NCC-R, NCC-R-def):
     without them they run unreplicated. *)
-val replicated : string -> bool
+val is_replicated : string -> bool
 
 (** True for NCC and its ablations; the NCC-vs-best-baseline delta
     compares against protocols outside this family. *)

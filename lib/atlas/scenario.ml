@@ -44,11 +44,21 @@ let atlas ~quick ~name ~description ?(base = Knob.default_point) ~(axes : Knob.a
     else base.Knob.window
   in
   let base = { base with Knob.window } in
-  { name; description; quick; check = Runner.Streaming; base; axes; roster = roster protocols; seeds }
+  {
+    name;
+    description;
+    quick;
+    check = Runner.Streaming;
+    base;
+    axes;
+    roster = roster protocols;
+    seeds;
+  }
 
 (* The six strictly serializable protocols plus TAPIR-CC: the roster
    for presets where run time matters more than roster width. *)
-let core_seven = [ "NCC"; "NCC-RW"; "dOCC"; "d2PL-NW"; "d2PL-WW"; "Janus-CC"; "TAPIR-CC" ]
+let core_seven =
+  [ "NCC"; "NCC-RW"; "dOCC"; "d2PL-NW"; "d2PL-WW"; "Janus-CC"; "TAPIR-CC" ]
 
 (* CI's acceptance grid: 3 knobs x 2 values x 7 protocols on a small
    cluster — wide enough to exercise every reporter feature, cheap
@@ -58,8 +68,20 @@ let core_seven = [ "NCC"; "NCC-RW"; "dOCC"; "d2PL-NW"; "d2PL-WW"; "Janus-CC"; "T
 let smoke ~quick =
   atlas ~quick ~name:"smoke"
     ~description:"acceptance grid: Zipf skew x write fraction x clock skew, 7 protocols"
-    ~base:{ Knob.default_point with n_keys = 1_000; n_servers = 4; n_clients = 12; load = 24_000.0 }
-    ~axes:[ Zipf_theta [ 0.6; 0.95 ]; Write_fraction [ 0.1; 0.5 ]; Clock_skew [ 0.0; 5e-3 ] ]
+    ~base:
+      {
+        Knob.default_point with
+        n_keys = 1_000;
+        n_servers = 4;
+        n_clients = 12;
+        load = 24_000.0;
+      }
+    ~axes:
+      [
+        Zipf_theta [ 0.6; 0.95 ];
+        Write_fraction [ 0.1; 0.5 ];
+        Clock_skew [ 0.0; 5e-3 ];
+      ]
     ~seeds:[ 1 ] core_seven
 
 (* The CCBench question: where do protocol rankings invert as skew and
@@ -67,9 +89,13 @@ let smoke ~quick =
 let contention ~quick =
   atlas ~quick ~name:"contention"
     ~description:"Zipf skew x write fraction phase plane, all protocols"
-    ~axes:[ Zipf_theta [ 0.0; 0.5; 0.8; 0.99; 1.2 ]; Write_fraction [ 0.02; 0.1; 0.3; 0.5 ] ]
+    ~axes:
+      [
+        Zipf_theta [ 0.0; 0.5; 0.8; 0.99; 1.2 ];
+        Write_fraction [ 0.02; 0.1; 0.3; 0.5 ];
+      ]
     ~seeds:[ 1; 2 ]
-    (List.filter (fun n -> not (Protocols.replicated n)) Protocols.names)
+    (List.filter (fun n -> not (Protocols.is_replicated n)) Protocols.names)
 
 (* Where natural consistency erodes: clock skew x latency regime under
    contention, with the RTC/AAT ablations and the negative control in
@@ -80,13 +106,21 @@ let skew ~quick =
       "clock skew x latency regime under contention; includes NCC ablations \
        and the noRTC negative control"
     ~base:{ Knob.default_point with zipf_theta = 0.9; write_fraction = 0.3 }
-    ~axes:[ Clock_skew [ 0.0; 1e-3; 5e-3; 20e-3 ]; Latency [ Lan; Datacenter; Wan ] ]
+    ~axes:
+      [
+        Clock_skew [ 0.0; 1e-3; 5e-3; 20e-3 ];
+        Latency [ Lan; Datacenter; Wan ];
+      ]
     ~seeds:[ 1; 2 ]
     [ "NCC"; "NCC-RW"; "NCC-noAAT"; "NCC-noRTC"; "dOCC"; "d2PL-WW"; "TAPIR-CC" ]
 
 let payload ~quick =
   atlas ~quick ~name:"payload" ~description:"payload size x transaction size mix"
-    ~axes:[ Payload [ 64; 512; 4096 ]; Txn_keys [ (1, 2); (2, 8); (8, 16) ] ]
+    ~axes:
+      [
+        Payload [ 64; 512; 4096 ];
+        Txn_keys [ (1, 2); (2, 8); (8, 16) ];
+      ]
     ~seeds:[ 1 ] core_seven
 
 (* Cluster-scale phase plane: where does each protocol's ranking move
@@ -101,7 +135,8 @@ let scale ~quick =
     ~description:"cluster size x open-loop clients x offered load, to 64 servers"
     ~axes:
       [
-        Servers [ 4; 8; 16; 32; 64 ]; Clients [ 24; 96; 384 ];
+        Servers [ 4; 8; 16; 32; 64 ];
+        Clients [ 24; 96; 384 ];
         Load [ 2_000.0; 6_000.0; 12_000.0; 24_000.0 ];
       ]
     ~seeds:[ 1 ] core_seven
@@ -113,8 +148,12 @@ let mixes ~quick =
       [
         Workload
           [
-            Micro_mix; Hotspot { hot_keys = 16; hot_fraction = 0.6 }; Ycsb Workload.Ycsb.A;
-            Ycsb Workload.Ycsb.B; Ycsb Workload.Ycsb.F; Rmw_chain { chain_min = 2; chain_max = 6 };
+            Micro_mix;
+            Hotspot { hot_keys = 16; hot_fraction = 0.6 };
+            Ycsb Workload.Ycsb.A;
+            Ycsb Workload.Ycsb.B;
+            Ycsb Workload.Ycsb.F;
+            Rmw_chain { chain_min = 2; chain_max = 6 };
           ];
         Zipf_theta [ 0.6; 0.99 ];
       ]

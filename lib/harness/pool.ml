@@ -38,10 +38,8 @@
 
 let cpu_count () = Domain.recommended_domain_count ()
 
-let workers ?(seeds = 1) jobs =
-  if seeds < 1 then Error (Printf.sprintf "--seeds must be at least 1 (got %d)" seeds)
-  else if jobs < 0 then Error (Printf.sprintf "--jobs must be at least 0 (got %d)" jobs)
-  else Ok (if jobs = 0 then cpu_count () else jobs)
+let workers jobs =
+  if jobs < 0 then None else Some (if jobs = 0 then cpu_count () else jobs)
 
 (* Run every thunk exactly once; result list is in submission order. *)
 let submit ~jobs tasks =

@@ -11,10 +11,9 @@
 
     See docs/performance.md for the full determinism argument. *)
 
-(** The worker count a [--jobs N] flag asks for: [N], or for 0 the
-    domains the hardware can usefully run. [Error] names the first flag out of range: [jobs] < 0, or a
-    [--seeds] count below 1. Every CLI checks its fan-out here. *)
-val workers : ?seeds:int -> int -> (int, string) result
+(** The worker count a job count asks for: [jobs] itself, or for 0 the
+    domains the hardware can usefully run; [None] if [jobs] < 0. *)
+val workers : int -> int option
 
 (** [submit ~jobs tasks] runs every thunk exactly once — across
     [min jobs (length tasks)] domains when [jobs > 1], else

@@ -45,6 +45,7 @@ case_ chaos --seeds=-1
 case_ atlas smoke --quick --seeds=-2 --jobs=-4
 case_ atlas fig8 --quick --jobs=-1
 case_ atlas fig8 --quick --seeds 2
+case_ atlas fig8 --quick --out fig8.json
 case_ atlas no-such-preset
 run_ bench/main.exe "$bench" quick fig8 --jobs=-1
 code_ run --check post
